@@ -27,7 +27,35 @@ pub fn cpu_seconds() -> Result<f64, String> {
     Ok((ticks(11)? + ticks(12)?) / USER_HZ)
 }
 
-/// Peak resident set size of this process (`VmHWM`), in MiB.
+/// Start a new peak-memory window at the current resident size: hand the
+/// heap's free pages back to the kernel, so memory the benchmark has already
+/// freed stops counting as resident, then reset `VmHWM` (writing 5 to
+/// `/proc/self/clear_refs`, Linux 4.0 and later).
+pub fn reset_peak_rss() -> Result<(), String> {
+    trim_heap();
+    std::fs::write("/proc/self/clear_refs", "5")
+        .map_err(|e| format!("reset the peak RSS through /proc/self/clear_refs: {e}"))
+}
+
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn trim_heap() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> std::ffi::c_int;
+    }
+    // SAFETY: `malloc_trim` takes no pointers and touches no memory the
+    // caller owns: it locks each glibc arena in turn and returns whole free
+    // pages to the kernel, so it is sound from any thread at any time.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+/// Other allocators keep what they keep; the window then starts higher.
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn trim_heap() {}
+
+/// Peak resident set size of this process (`VmHWM`) since the last
+/// [`reset_peak_rss`], in MiB.
 pub fn peak_rss_mb() -> Result<f64, String> {
     let status = std::fs::read_to_string("/proc/self/status")
         .map_err(|e| format!("read /proc/self/status: {e}"))?;
@@ -45,11 +73,11 @@ pub fn since(start: Instant) -> f64 {
 }
 
 /// Set-up runs at least this many times per run...
-const SETUP_MIN_REPS: usize = 3;
+const SETUP_MIN_REPS: usize = 5;
 /// ...and keeps repeating until this many seconds have passed...
-const SETUP_TARGET_S: f64 = 1.5;
+const SETUP_TARGET_S: f64 = 5.0;
 /// ...but never more often than this.
-const SETUP_MAX_REPS: usize = 15;
+const SETUP_MAX_REPS: usize = 60;
 
 /// Run `setup` several times, dropping each product before the next run, and
 /// return the last product with the median set-up time: one set-up is too
@@ -153,5 +181,16 @@ mod tests {
         assert_eq!(last, runs);
         assert!((SETUP_MIN_REPS..=SETUP_MAX_REPS).contains(&runs));
         assert!(median_s >= 0.0);
+    }
+
+    #[test]
+    fn peak_rss_restarts_at_the_current_resident_size() {
+        let held = vec![1u8; 64 << 20];
+        std::hint::black_box(&held);
+        let before = peak_rss_mb().expect("VmHWM");
+        drop(held);
+        reset_peak_rss().expect("reset VmHWM");
+        let after = peak_rss_mb().expect("VmHWM");
+        assert!(after < before - 32.0, "peak {before} MiB -> {after} MiB");
     }
 }

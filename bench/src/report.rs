@@ -8,7 +8,6 @@ use std::collections::BTreeMap;
 pub const END_TO_END: &[(&str, &str)] = &[
     ("setup_s", "s"),
     ("p50_ms", "ms"),
-    ("p90_ms", "ms"),
     ("ops_per_s", "1/s"),
     ("cpu_ms_per_op", "ms"),
     ("gzsl_h", "ratio"),
@@ -75,9 +74,9 @@ impl Collected {
     }
 }
 
-/// The measured ops' latency metrics: the median and 90th percentile, ops
-/// per second over the measured wall time, and process CPU (every thread,
-/// daemon included) per op. p99 and the op count are printed, not gated.
+/// The measured ops' latency metrics: the median, ops per second over the
+/// measured wall time, and process CPU (every thread, daemon included) per
+/// op. p90, p99 and the op count are printed, not gated.
 pub fn latency_metrics(c: &mut Collected, latencies_s: &[f64], wall_s: f64, cpu_s: f64) {
     let mut sorted = latencies_s.to_vec();
     sorted.sort_by(f64::total_cmp);
@@ -85,7 +84,6 @@ pub fn latency_metrics(c: &mut Collected, latencies_s: &[f64], wall_s: f64, cpu_
     let ms = |p: f64| percentile(&sorted, p) * 1e3;
     let cpu_ms_per_op = cpu_s * 1e3 / ops.max(1) as f64;
     c.set("p50_ms", ms(0.5));
-    c.set("p90_ms", ms(0.9));
     c.set("ops_per_s", ops as f64 / wall_s);
     c.set("cpu_ms_per_op", cpu_ms_per_op);
     c.note(format!(

@@ -94,6 +94,8 @@ fn weights(model: &TrainedModel) -> &[f64] {
 
 fn measure(config: &RunConfig, shape: &Shape) -> Result<Collected, String> {
     let (ds, setup_s) = measure::repeat_setup(|| Ok(dataset(shape, config.seed)))?;
+    // The dataset is the fit's input, so the peak-memory window holds it.
+    measure::reset_peak_rss()?;
     let cpu0 = cpu_seconds()?;
     let t0 = Instant::now();
     let mut latencies = Vec::new();

@@ -81,7 +81,7 @@ fn shape(workload: Workload, scale: Scale) -> Shape {
             connections: 2,
             pool: if full { 1024 } else { 16 },
             warmup: if full { 200 } else { 2 },
-            traced: if full { 4000 } else { 20 },
+            traced: if full { 4000 } else { 200 },
             reference_shards: 1,
         },
         Workload::ServeBulk => Shape {
@@ -98,7 +98,7 @@ fn shape(workload: Workload, scale: Scale) -> Shape {
             connections: 1,
             pool: if full { 32 } else { 4 },
             warmup: if full { 5 } else { 1 },
-            traced: if full { 100 } else { 6 },
+            traced: if full { 100 } else { 60 },
             reference_shards: 16,
         },
         other => unreachable!("{} is not a serving workload", other.name()),
@@ -120,7 +120,15 @@ fn measure(config: &RunConfig, shape: &Shape, work: &WorkDir) -> Result<Collecte
     let ((ds, mut daemon), setup_s) =
         measure::repeat_setup(|| setup(shape, config.seed, &model_path))?;
     let engine = reference_engine(&model_path, shape)?;
-    let pool = build_pool(shape, &ds, config.seed, &engine);
+    let mut pool = build_pool(shape, &ds, config.seed, &engine);
+    let h = gzsl_h(&engine, &ds)?;
+    // The HTTP phase needs each request's bytes and expected text only, so
+    // what stays resident through it is the daemon's and the load's.
+    drop((ds, engine));
+    for request in &mut pool {
+        request.rows = Vec::new();
+    }
+    measure::reset_peak_rss()?;
 
     let cpu0 = cpu_seconds()?;
     let t0 = Instant::now();
@@ -141,7 +149,7 @@ fn measure(config: &RunConfig, shape: &Shape, work: &WorkDir) -> Result<Collecte
     report::latency_metrics(&mut c, &latencies, wall, cpu);
     c.set("setup_s", setup_s);
     c.set("peak_rss_mb", rss);
-    c.set("gzsl_h", gzsl_h(&engine, &ds)?);
+    c.set("gzsl_h", h);
     c.note(format!(
         "daemon formed {} batches of {:.3} rows on average",
         stats.batches,
@@ -216,6 +224,16 @@ fn trace(config: &RunConfig, shape: &Shape, work: &WorkDir) -> Result<Collected,
     c.set("trace.coverage", tracer.coverage());
     let untraced_wall = untraced.iter().map(Sample::wall_s).sum::<f64>() / n.max(1) as f64;
     c.set("trace.overhead", tracer.op_wall() / untraced_wall - 1.0);
+    // The depths nest under the HTTP span, so their self times add up to it
+    // and coverage is 1 by construction; a deeper replay that took longer
+    // than the depth above it shows as a negative self time instead.
+    for layer in ["serve.http", "serve.batch", "core.infer"] {
+        let self_us = tracer.self_per_op(layer) * 1e6;
+        c.check(
+            format!("{layer} self time is not negative ({self_us:.1} us per op)"),
+            self_us >= 0.0,
+        );
+    }
 
     let oks = untraced
         .iter()

@@ -241,9 +241,7 @@ fn print_spread(records: &[Record], bounds: &BTreeMap<String, (String, f64)>) {
                 None => ("-".to_string(), ""),
                 Some((_, b)) => (
                     format!("{b}"),
-                    if *metric == "setup_s" {
-                        "median only"
-                    } else if spread <= b / 3.0 {
+                    if spread <= b / 3.0 {
                         "steady"
                     } else if spread <= *b {
                         "within bound"

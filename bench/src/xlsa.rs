@@ -92,7 +92,13 @@ pub fn run(config: &RunConfig, work: &WorkDir) -> Result<Collected, String> {
 
 fn measure(config: &RunConfig, shape: &Shape, work: &WorkDir) -> Result<Collected, String> {
     let inputs_dir = work.path("inputs");
-    let (inputs, setup_s) = measure::repeat_setup(|| setup(shape, config.seed, &inputs_dir))?;
+    let ((inputs, in_memory), setup_s) =
+        measure::repeat_setup(|| setup(shape, config.seed, &inputs_dir))?;
+    // Every op's report must equal the protocol run on the in-memory copy,
+    // which is freed before the ops: they read only the `.mat` pair.
+    let reference = in_memory_report(&in_memory)?;
+    drop(in_memory);
+    measure::reset_peak_rss()?;
     let out = work.path("op");
     let cpu0 = cpu_seconds()?;
     let t0 = Instant::now();
@@ -108,7 +114,6 @@ fn measure(config: &RunConfig, shape: &Shape, work: &WorkDir) -> Result<Collecte
     let cpu = cpu_seconds()? - cpu0;
     let rss = peak_rss_mb()?;
 
-    let reference = in_memory_report(&inputs)?;
     let mut c = Collected {
         attempted: reports.len() as u64,
         failed: reports.iter().filter(|r| **r != reference).count() as u64,
@@ -123,7 +128,7 @@ fn measure(config: &RunConfig, shape: &Shape, work: &WorkDir) -> Result<Collecte
 }
 
 fn trace(config: &RunConfig, shape: &Shape, work: &WorkDir) -> Result<Collected, String> {
-    let inputs = setup(shape, config.seed, &work.path("inputs"))?;
+    let (inputs, _) = setup(shape, config.seed, &work.path("inputs"))?;
     let (plain, traced) = (work.path("plain"), work.path("traced"));
     let mut tracer = Tracer::new();
     let mut c = Collected::default();
@@ -132,7 +137,9 @@ fn trace(config: &RunConfig, shape: &Shape, work: &WorkDir) -> Result<Collected,
         let t = Instant::now();
         let (cv, report) = op(&inputs, &plain, shape)?;
         untraced_walls.push(since(t));
-        let (replayed_cv, replayed_report) = replay(&mut tracer, &inputs, &traced, shape)?;
+        let metadata = saved_metadata(&plain)?;
+        let (replayed_cv, replayed_report) =
+            replay(&mut tracer, &inputs, &traced, shape, &metadata)?;
         // The import's decode, replayed alone after the op and attributed
         // under the conversion it is part of.
         let convert = tracer
@@ -195,11 +202,10 @@ fn trace(config: &RunConfig, shape: &Shape, work: &WorkDir) -> Result<Collected,
 // Inputs
 // ---------------------------------------------------------------------------
 
-/// The written `.mat` pair and the same benchmark held in memory.
+/// The written `.mat` pair.
 struct Inputs {
     res: PathBuf,
     att: PathBuf,
-    reference: DatasetBundle,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -212,8 +218,9 @@ enum Split {
 /// Draw the benchmark from the seed and write it as an xlsa17 pair. Features
 /// are noisy linear images of the class signatures, so a linear model
 /// transfers to the unseen classes; samples are shuffled so the splits
-/// interleave on disk, as in the published files.
-fn setup(shape: &Shape, seed: u64, dir: &Path) -> Result<Inputs, String> {
+/// interleave on disk, as in the published files. Returns the pair and the
+/// same benchmark held in memory.
+fn setup(shape: &Shape, seed: u64, dir: &Path) -> Result<(Inputs, DatasetBundle), String> {
     let mut rng = Rng::new(seed);
     let (a, d) = (shape.attr_dim, shape.feature_dim);
     let z = shape.seen + shape.unseen;
@@ -301,18 +308,13 @@ fn setup(shape: &Shape, seed: u64, dir: &Path) -> Result<Inputs, String> {
         class_map: ClassMap::from_labels(&class_labels).map_err(|e| e.to_string())?,
         manifest,
     };
-    Ok(Inputs {
-        res,
-        att: att_path,
-        reference,
-    })
+    Ok((Inputs { res, att: att_path }, reference))
 }
 
 /// The protocol on the in-memory copy of the inputs: what every op's report
 /// must equal.
-fn in_memory_report(inputs: &Inputs) -> Result<GzslReport, String> {
-    let ds = inputs
-        .reference
+fn in_memory_report(bundle: &DatasetBundle) -> Result<GzslReport, String> {
+    let ds = bundle
         .to_dataset()
         .map_err(|e| format!("in-memory dataset: {e}"))?;
     Pipeline::from(&ds)
@@ -353,11 +355,14 @@ fn op(inputs: &Inputs, out: &Path, shape: &Shape) -> Result<(CrossValReport, Gzs
 }
 
 /// [`op`] replayed through the layers' public functions, one span per layer.
+/// The artifact is saved with `metadata`, the provenance the op's own save
+/// wrote.
 fn replay(
     t: &mut Tracer,
     inputs: &Inputs,
     out: &Path,
     shape: &Shape,
+    metadata: &str,
 ) -> Result<(CrossValReport, GzslReport), String> {
     let bundle_dir = out.join("bundle");
     t.op(|t| {
@@ -396,35 +401,21 @@ fn replay(
         let report = t
             .span("core.eval.gzsl", |_| evaluate_gzsl_with(&engine, source))
             .map_err(|e| format!("evaluate: {e}"))?;
-        let metadata = pipeline_metadata(&engine, &cv, source);
         t.span("core.artifact.save", |_| {
-            engine.save_with_metadata(&out.join("model.zsm"), &metadata)
+            engine.save_with_metadata(&out.join("model.zsm"), metadata)
         })
         .map_err(|e| format!("save: {e}"))?;
         Ok((cv, report))
     })
 }
 
-/// The provenance string `TrainedPipeline::save` writes for an ESZSL
-/// pipeline without a trainer override.
-fn pipeline_metadata(
-    engine: &ScoringEngine,
-    cv: &CrossValReport,
-    source: &dyn FeatureSource,
-) -> String {
-    let mut metadata = format!(
-        "trainer=eszsl; gamma={}; lambda={}; normalize_features=false; \
-         normalize_signatures=false; similarity={}; seen_classes={}; unseen_classes={}",
-        cv.best.gamma,
-        cv.best.lambda,
-        engine.similarity(),
-        source.num_seen_classes(),
-        source.num_unseen_classes(),
-    );
-    if let Some((gamma_cal, _)) = engine.seen_calibration() {
-        metadata.push_str(&format!("; gamma_cal={gamma_cal}"));
-    }
-    metadata
+/// The provenance text `TrainedPipeline::save` wrote into an op's artifact,
+/// read back outside any span.
+fn saved_metadata(op_dir: &Path) -> Result<String, String> {
+    let path = op_dir.join("model.zsm");
+    ScoringEngine::load_with_metadata(&path)
+        .map(|(_, metadata)| metadata)
+        .map_err(|e| format!("load {}: {e}", path.display()))
 }
 
 /// `cross_validate` with the ESZSL trainer on an uncalibrated, unnormalized
