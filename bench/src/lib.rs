@@ -6,7 +6,7 @@
 //! | workload | one op | layers it stresses |
 //! |----------|--------|--------------------|
 //! | `serve-rows` | single-row `POST /predict?k=5` over 2 keep-alive connections | `http`, `batch` (linger), per-request overhead |
-//! | `serve-bulk` | 64-row `POST /predict?k=10` over 1 connection, 8192-class bank | `infer` scoring, request text parsing |
+//! | `serve-bulk` | 64-row `POST /predict?k=10` over 1 connection, 8192-class bank, one engine thread | `infer` scoring, request text parsing |
 //! | `train-xlsa` | `.mat` import → streamed bundle → CV → fit → GZSL → save | `mat5`, `stream`, `xlsa`, `data`, `model`, `linalg` Cholesky, `eval` |
 //! | `fit-sae` | `SaeTrainer::fit` on an in-memory dataset | `linalg` eigensolver (Sylvester) |
 //!

@@ -27,6 +27,55 @@ pub fn cpu_seconds() -> Result<f64, String> {
     Ok((ticks(11)? + ticks(12)?) / USER_HZ)
 }
 
+/// The hypervisor's steal counter and the sum of all vCPU time counters, in
+/// clock ticks, from the aggregate `cpu` line of `/proc/stat`. Steal is time
+/// a vCPU wanted to run while the host ran someone else; on a shared 2-vCPU
+/// VM it came in episodes of minutes that took 15-30% of every vCPU, so
+/// wall-clock figures are reported with it taken out (see
+/// [`Steal::share_since`]).
+#[derive(Clone, Copy)]
+pub struct Steal {
+    stolen: u64,
+    total: u64,
+}
+
+impl Steal {
+    /// Read the counters now.
+    pub fn read() -> Result<Steal, String> {
+        let stat =
+            std::fs::read_to_string("/proc/stat").map_err(|e| format!("read /proc/stat: {e}"))?;
+        let ticks = stat
+            .lines()
+            .find_map(|line| line.strip_prefix("cpu "))
+            .ok_or("no aggregate cpu line in /proc/stat")?
+            .split_whitespace()
+            .map(|v| v.parse::<u64>())
+            .collect::<Result<Vec<u64>, _>>()
+            .map_err(|e| format!("malformed /proc/stat: {e}"))?;
+        // user nice system idle iowait irq softirq steal [guest guest_nice]:
+        // guest time is already counted in user and nice.
+        let counted = &ticks[..ticks.len().min(8)];
+        Ok(Steal {
+            stolen: counted.get(7).copied().unwrap_or(0),
+            total: counted.iter().sum(),
+        })
+    }
+
+    /// Share of all vCPU time since this reading that the hypervisor stole.
+    /// A thread that wants a vCPU is stolen from for that share of its wall
+    /// time, so a wall time times `1 - share` is the time it would have
+    /// taken on vCPUs of its own.
+    pub fn share_since(self) -> Result<f64, String> {
+        let now = Steal::read()?;
+        let total = now.total.saturating_sub(self.total);
+        Ok(if total == 0 {
+            0.0
+        } else {
+            now.stolen.saturating_sub(self.stolen) as f64 / total as f64
+        })
+    }
+}
+
 /// Start a new peak-memory window at the current resident size: hand the
 /// heap's free pages back to the kernel, so memory the benchmark has already
 /// freed stops counting as resident, then reset `VmHWM` (writing 5 to
@@ -80,10 +129,12 @@ const SETUP_TARGET_S: f64 = 5.0;
 const SETUP_MAX_REPS: usize = 60;
 
 /// Run `setup` several times, dropping each product before the next run, and
-/// return the last product with the median set-up time: one set-up is too
-/// short to time steadily.
+/// return the last product with the median set-up time, less the share of
+/// the set-up window the hypervisor stole: one set-up is too short to time
+/// steadily.
 pub fn repeat_setup<T>(mut setup: impl FnMut() -> Result<T, String>) -> Result<(T, f64), String> {
     let started = Instant::now();
+    let steal = Steal::read()?;
     let mut times = Vec::new();
     let mut last = None;
     while times.len() < SETUP_MIN_REPS
@@ -94,7 +145,11 @@ pub fn repeat_setup<T>(mut setup: impl FnMut() -> Result<T, String>) -> Result<(
         last = Some(setup()?);
         times.push(since(t));
     }
-    Ok((last.expect("set-up ran at least once"), median(&times)))
+    let available = 1.0 - steal.share_since()?;
+    Ok((
+        last.expect("set-up ran at least once"),
+        median(&times) * available,
+    ))
 }
 
 /// Linear-interpolated percentile (`p` in 0..=1) of an ascending slice.
@@ -181,6 +236,14 @@ mod tests {
         assert_eq!(last, runs);
         assert!((SETUP_MIN_REPS..=SETUP_MAX_REPS).contains(&runs));
         assert!(median_s >= 0.0);
+    }
+
+    #[test]
+    fn stolen_share_is_a_fraction_of_vcpu_time() {
+        let before = Steal::read().expect("/proc/stat");
+        std::hint::black_box((0..1_000_000u64).sum::<u64>());
+        let share = before.share_since().expect("/proc/stat");
+        assert!((0.0..=1.0).contains(&share), "stolen share {share}");
     }
 
     #[test]

@@ -76,22 +76,33 @@ impl Collected {
 
 /// The measured ops' latency metrics: the median, ops per second over the
 /// measured wall time, and process CPU (every thread, daemon included) per
-/// op. p90, p99 and the op count are printed, not gated.
-pub fn latency_metrics(c: &mut Collected, latencies_s: &[f64], wall_s: f64, cpu_s: f64) {
+/// op. The two wall-clock figures are taken on vCPUs of the program's own:
+/// scaled by `1 - stolen`, the share of vCPU time the hypervisor stole
+/// during the phase ([`crate::measure::Steal`]). p90, p99, the op count and
+/// the figures as measured are printed, not gated.
+pub fn latency_metrics(
+    c: &mut Collected,
+    latencies_s: &[f64],
+    wall_s: f64,
+    cpu_s: f64,
+    stolen: f64,
+) {
     let mut sorted = latencies_s.to_vec();
     sorted.sort_by(f64::total_cmp);
     let ops = sorted.len();
     let ms = |p: f64| percentile(&sorted, p) * 1e3;
     let cpu_ms_per_op = cpu_s * 1e3 / ops.max(1) as f64;
-    c.set("p50_ms", ms(0.5));
-    c.set("ops_per_s", ops as f64 / wall_s);
+    let available = 1.0 - stolen;
+    c.set("p50_ms", ms(0.5) * available);
+    c.set("ops_per_s", ops as f64 / (wall_s * available));
     c.set("cpu_ms_per_op", cpu_ms_per_op);
     c.note(format!(
-        "ops {ops} in {wall_s:.3} s: p50 {:.4} ms, p90 {:.4} ms, p99 {:.4} ms (not gated), \
-         cpu {cpu_ms_per_op:.4} ms/op",
+        "ops {ops} in {wall_s:.3} s as measured: p50 {:.4} ms, p90 {:.4} ms, p99 {:.4} ms, \
+         {:.4} ops/s; cpu {cpu_ms_per_op:.4} ms/op; stolen share of vCPU time {stolen:.4}",
         ms(0.5),
         ms(0.9),
-        ms(0.99)
+        ms(0.99),
+        ops as f64 / wall_s
     ));
 }
 

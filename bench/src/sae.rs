@@ -8,7 +8,7 @@
 //! rest of `solve_sylvester` — and its weights must equal the untraced fit's
 //! bit for bit.
 
-use crate::measure::{self, cpu_seconds, mean, peak_rss_mb, since};
+use crate::measure::{self, cpu_seconds, mean, peak_rss_mb, since, Steal};
 use crate::report::{self, Collected};
 use crate::trace::Tracer;
 use crate::workdir::WorkDir;
@@ -97,6 +97,7 @@ fn measure(config: &RunConfig, shape: &Shape) -> Result<Collected, String> {
     // The dataset is the fit's input, so the peak-memory window holds it.
     measure::reset_peak_rss()?;
     let cpu0 = cpu_seconds()?;
+    let steal0 = Steal::read()?;
     let t0 = Instant::now();
     let mut latencies = Vec::new();
     let mut models = Vec::new();
@@ -107,6 +108,7 @@ fn measure(config: &RunConfig, shape: &Shape) -> Result<Collected, String> {
     }
     let wall = since(t0);
     let cpu = cpu_seconds()? - cpu0;
+    let stolen = steal0.share_since()?;
     let rss = peak_rss_mb()?;
 
     let first = weights(&models[0]);
@@ -115,7 +117,7 @@ fn measure(config: &RunConfig, shape: &Shape) -> Result<Collected, String> {
         failed: models.iter().filter(|m| weights(m) != first).count() as u64,
         ..Collected::default()
     };
-    report::latency_metrics(&mut c, &latencies, wall, cpu);
+    report::latency_metrics(&mut c, &latencies, wall, cpu, stolen);
     c.set("setup_s", setup_s);
     c.set("peak_rss_mb", rss);
     let report = evaluate_gzsl(&models[0], &ds, Similarity::Cosine)

@@ -2,20 +2,21 @@
 //! `zsl-serve` daemon started in this process.
 //!
 //! Set-up trains an ESZSL model on a seeded synthetic dataset, saves it as a
-//! `.zsm` artifact, boots the daemon from that file (watcher off, every other
-//! setting at its default) and warms each keep-alive connection. The measured
-//! phase then sends `POST /predict?k=K` requests built from the dataset's
-//! test rows; each client thread sends its next request only after the reply
-//! to the previous one arrived. Every response must equal, byte for byte, the
-//! text the in-process engine gives for the same rows.
+//! `.zsm` artifact, boots the daemon from that file (watcher off; one engine
+//! thread on `serve-bulk`; every other setting at its default) and warms each
+//! keep-alive connection. The measured phase then sends `POST /predict?k=K`
+//! requests built from the dataset's test rows; each client thread sends its
+//! next request only after the reply to the previous one arrived. Every
+//! response must equal, byte for byte, the text the in-process engine gives
+//! for the same rows.
 //!
 //! The traced run replays one fixed request sequence at three depths — the
 //! HTTP round trip, `Coalescer` over a `ModelHandle` booted with the daemon's
 //! options, and `ScoringEngine::predict_topk` on batches of the size the
-//! coalescer formed — and attributes the differences to `serve.http`,
-//! `serve.batch` and `core.infer`.
+//! coalescer formed — taking turns round by round, and attributes the
+//! differences to `serve.http`, `serve.batch` and `core.infer`.
 
-use crate::measure::{self, cpu_seconds, median, peak_rss_mb, since};
+use crate::measure::{self, cpu_seconds, median, peak_rss_mb, since, Steal};
 use crate::report::{self, Collected};
 use crate::trace::{Tracer, OP};
 use crate::workdir::WorkDir;
@@ -23,6 +24,7 @@ use crate::{RunConfig, Scale, Workload};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,12 +55,18 @@ struct Shape {
     k: usize,
     /// Keep-alive connections, one client thread each.
     connections: usize,
+    /// Engine threads the daemon is booted with (its `--threads`); `None`
+    /// keeps its default, one per core.
+    engine_threads: Option<usize>,
     /// Distinct requests the load cycles through.
     pool: usize,
     /// Requests each connection sends while warming up.
     warmup: usize,
     /// Requests replayed at each depth of a traced run.
     traced: usize,
+    /// Requests the depths of a traced run replay in turn, one round after
+    /// another.
+    round: usize,
     /// Bank shards of the benchmark's own reference engine: bounds its score
     /// memory without changing a bit (the daemon keeps its default).
     reference_shards: usize,
@@ -79,9 +87,11 @@ fn shape(workload: Workload, scale: Scale) -> Shape {
             rows_per_request: 1,
             k: 5,
             connections: 2,
+            engine_threads: None,
             pool: if full { 1024 } else { 16 },
             warmup: if full { 200 } else { 2 },
             traced: if full { 4000 } else { 200 },
+            round: if full { 200 } else { 20 },
             reference_shards: 1,
         },
         Workload::ServeBulk => Shape {
@@ -96,9 +106,15 @@ fn shape(workload: Workload, scale: Scale) -> Shape {
             rows_per_request: if full { 64 } else { 8 },
             k: 10,
             connections: 1,
+            // On a shared 2-vCPU host, two engine threads make each 64-row
+            // gemm wait at its join for whichever vCPU the hypervisor took
+            // away: over 5 runs there, two threads spread p50_ms by 0.26 and
+            // ops_per_s by 0.32, one thread by 0.053 and 0.073.
+            engine_threads: Some(1),
             pool: if full { 32 } else { 4 },
             warmup: if full { 5 } else { 1 },
-            traced: if full { 100 } else { 60 },
+            traced: if full { 200 } else { 60 },
+            round: 1,
             reference_shards: 16,
         },
         other => unreachable!("{} is not a serving workload", other.name()),
@@ -131,11 +147,13 @@ fn measure(config: &RunConfig, shape: &Shape, work: &WorkDir) -> Result<Collecte
     measure::reset_peak_rss()?;
 
     let cpu0 = cpu_seconds()?;
+    let steal0 = Steal::read()?;
     let t0 = Instant::now();
     let deadline = t0 + Duration::from_secs_f64(config.seconds);
     let samples = drive_http(&mut daemon.clients, &pool, Stop::At(deadline))?;
     let wall = since(t0);
     let cpu = cpu_seconds()? - cpu0;
+    let stolen = steal0.share_since()?;
     let rss = peak_rss_mb()?;
     let stats = daemon.server.stats();
     drop(daemon);
@@ -146,7 +164,7 @@ fn measure(config: &RunConfig, shape: &Shape, work: &WorkDir) -> Result<Collecte
         ..Collected::default()
     };
     let latencies: Vec<f64> = samples.iter().map(Sample::latency_s).collect();
-    report::latency_metrics(&mut c, &latencies, wall, cpu);
+    report::latency_metrics(&mut c, &latencies, wall, cpu, stolen);
     c.set("setup_s", setup_s);
     c.set("peak_rss_mb", rss);
     c.set("gzsl_h", h);
@@ -166,20 +184,43 @@ fn trace(config: &RunConfig, shape: &Shape, work: &WorkDir) -> Result<Collected,
     let (ds, mut daemon) = setup(shape, config.seed, &model_path)?;
     let engine = reference_engine(&model_path, shape)?;
     let pool = build_pool(shape, &ds, config.seed, &engine);
+    drop((ds, engine));
     let mut c = Collected::default();
-    setup_layers(&mut c, &model_path, work)?;
+    setup_layers(&mut c, shape, &model_path, work)?;
+    let depth2 = CoalescerDepth::boot(&model_path, shape)?;
     let n = shape.traced;
 
-    // The same sequence untraced first: the baseline of trace.overhead.
-    let untraced = drive_http(&mut daemon.clients, &pool, Stop::Count(n))?;
-    // Depth 1: the HTTP round trip, with the daemon's batch counters.
-    let before = daemon.server.stats();
-    let http = drive_http(&mut daemon.clients, &pool, Stop::Count(n))?;
-    let after = daemon.server.stats();
-    drop(daemon);
-    // Depth 2: the coalescer. Depth 3: the engine it scores with.
-    let (coalesced, rows_per_batch, depth_engine) = drive_coalescer(&model_path, &pool, n, shape)?;
-    let scored = drive_engine(&depth_engine, &pool, n, shape, rows_per_batch);
+    // The depths take turns, one round of the sequence at a time. A shared
+    // host's speed can drift by 10-20% within seconds, more than the
+    // coalescer's share of a bulk request, so replaying each depth as one
+    // block would attribute the drift to the layers in between.
+    let (mut untraced, mut http, mut coalesced, mut scored) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let (mut batches, mut rows) = (0, 0);
+    for from in (0..n).step_by(shape.round) {
+        let round = from..(from + shape.round).min(n);
+        let stop = Stop::Range(round.start, round.end);
+        // The same requests untraced first: the baseline of trace.overhead.
+        untraced.extend(drive_http(&mut daemon.clients, &pool, stop)?);
+        // Depth 1: the HTTP round trip, with the daemon's batch counters.
+        let before = daemon.server.stats();
+        http.extend(drive_http(&mut daemon.clients, &pool, stop)?);
+        let after = daemon.server.stats();
+        batches += after.batches - before.batches;
+        rows += after.rows - before.rows;
+        // Depth 2: the coalescer. Depth 3: the engine it scores with.
+        coalesced.extend(depth2.replay(&pool, round.clone(), shape));
+        let rows_per_batch = depth2.rows_per_batch();
+        scored.extend(drive_engine(
+            &depth2.engine,
+            &pool,
+            round,
+            shape,
+            rows_per_batch,
+        ));
+    }
+    let rows_per_batch = depth2.rows_per_batch();
+    drop((daemon, depth2));
 
     for ((a, b), s) in http.iter().zip(&coalesced).zip(&scored) {
         let root = tracer.record(OP, None, a.start, a.end);
@@ -193,8 +234,6 @@ fn trace(config: &RunConfig, shape: &Shape, work: &WorkDir) -> Result<Collected,
         );
         tracer.count("serve.http.resp_bytes", a.resp_bytes as u64);
     }
-    let batches = after.batches - before.batches;
-    let rows = after.rows - before.rows;
     c.set(
         "serve.http.overhead_us",
         tracer.self_per_op("serve.http") * 1e6,
@@ -225,13 +264,16 @@ fn trace(config: &RunConfig, shape: &Shape, work: &WorkDir) -> Result<Collected,
     let untraced_wall = untraced.iter().map(Sample::wall_s).sum::<f64>() / n.max(1) as f64;
     c.set("trace.overhead", tracer.op_wall() / untraced_wall - 1.0);
     // The depths nest under the HTTP span, so their self times add up to it
-    // and coverage is 1 by construction; a deeper replay that took longer
-    // than the depth above it shows as a negative self time instead.
+    // and coverage is 1 by construction; a deeper replay that is slower than
+    // the depth above it shows as a negative self time instead. One bulk
+    // request on a shared host swings by milliseconds either way, so the
+    // check reads the median over the requests, which such outliers do not
+    // move.
     for layer in ["serve.http", "serve.batch", "core.infer"] {
-        let self_us = tracer.self_per_op(layer) * 1e6;
+        let typical_us = median(&tracer.self_by_op(layer)) * 1e6;
         c.check(
-            format!("{layer} self time is not negative ({self_us:.1} us per op)"),
-            self_us >= 0.0,
+            format!("{layer} median self time per op is not negative ({typical_us:.1} us)"),
+            typical_us >= 0.0,
         );
     }
 
@@ -270,9 +312,10 @@ struct Daemon {
     server: Server,
 }
 
-fn server_config() -> ServerConfig {
+fn server_config(shape: &Shape) -> ServerConfig {
     ServerConfig {
         watch_interval: None,
+        engine_threads: shape.engine_threads,
         ..ServerConfig::default()
     }
 }
@@ -300,7 +343,8 @@ fn setup(shape: &Shape, seed: u64, model_path: &Path) -> Result<(Dataset, Daemon
         .train()
         .and_then(|trained| trained.save(model_path))
         .map_err(|e| format!("train and save the served model: {e}"))?;
-    let server = Server::start(model_path, server_config()).map_err(|e| format!("boot: {e}"))?;
+    let server =
+        Server::start(model_path, server_config(shape)).map_err(|e| format!("boot: {e}"))?;
     let warm_rows: Vec<Vec<f64>> = (0..shape.rows_per_request)
         .map(|r| ds.test_seen_x.row(r % ds.test_seen_x.rows()).to_vec())
         .collect();
@@ -335,14 +379,19 @@ fn gzsl_h(engine: &ScoringEngine, ds: &Dataset) -> Result<f64, String> {
 
 /// Medians of repeated timings of the set-up layers: the daemon's boot and
 /// the artifact's load and save.
-fn setup_layers(c: &mut Collected, model_path: &Path, work: &WorkDir) -> Result<(), String> {
+fn setup_layers(
+    c: &mut Collected,
+    shape: &Shape,
+    model_path: &Path,
+    work: &WorkDir,
+) -> Result<(), String> {
     const REPEATS: usize = 5;
     let resaved = work.path("resaved.zsm");
     let (mut boot, mut load, mut save) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..REPEATS {
         let t = Instant::now();
         let server =
-            Server::start(model_path, server_config()).map_err(|e| format!("boot: {e}"))?;
+            Server::start(model_path, server_config(shape)).map_err(|e| format!("boot: {e}"))?;
         boot.push(since(t));
         drop(server);
         let t = Instant::now();
@@ -516,13 +565,29 @@ impl Client {
     }
 }
 
-/// When a load phase ends.
+/// Which requests of the sequence a load phase sends.
 #[derive(Clone, Copy)]
 enum Stop {
-    /// Keep sending until this instant, then finish the request in flight.
+    /// From request 0 until this instant, then finish the requests in flight.
     At(Instant),
-    /// Send requests `0..n` of the sequence, split across the connections.
-    Count(usize),
+    /// Requests `from..to`, split across the connections.
+    Range(usize, usize),
+}
+
+impl Stop {
+    fn first(self) -> usize {
+        match self {
+            Stop::At(_) => 0,
+            Stop::Range(from, _) => from,
+        }
+    }
+
+    fn done(self, index: usize) -> bool {
+        match self {
+            Stop::At(deadline) => Instant::now() >= deadline,
+            Stop::Range(_, to) => index >= to,
+        }
+    }
 }
 
 /// One request of an HTTP load phase.
@@ -550,8 +615,8 @@ impl Sample {
     }
 }
 
-/// Closed loop: connection `c` of `C` sends requests `c, c + C, c + 2C, …`,
-/// each only after the reply to the previous one arrived.
+/// Closed loop: connection `c` of `C` sends requests `first + c,
+/// first + c + C, …`, each only after the reply to the previous one arrived.
 fn drive_http(clients: &mut [Client], pool: &[Request], stop: Stop) -> Result<Vec<Sample>, String> {
     let conns = clients.len();
     let per_client = std::thread::scope(|scope| {
@@ -562,13 +627,9 @@ fn drive_http(clients: &mut [Client], pool: &[Request], stop: Stop) -> Result<Ve
                 scope.spawn(move || -> Result<Vec<Sample>, String> {
                     let mut samples = Vec::new();
                     let mut body = String::new();
-                    let mut index = c;
+                    let mut index = stop.first() + c;
                     loop {
-                        let done = match stop {
-                            Stop::At(deadline) => Instant::now() >= deadline,
-                            Stop::Count(n) => index >= n,
-                        };
-                        if done {
+                        if stop.done(index) {
                             return Ok(samples);
                         }
                         let request = &pool[index % pool.len()];
@@ -611,76 +672,95 @@ struct Timed {
     ok: bool,
 }
 
-/// Depth 2: the request sequence through `Coalescer` over a `ModelHandle`
-/// booted with the options `Server::start` uses, from as many client threads
-/// as the HTTP phase had connections. Returns the timings, the rows per
-/// batch the coalescer formed, and the engine it scored with.
-fn drive_coalescer(
-    model_path: &Path,
-    pool: &[Request],
-    n: usize,
-    shape: &Shape,
-) -> Result<(Vec<Timed>, f64, Arc<ScoringEngine>), String> {
-    let stats = Arc::new(ServeStats::new());
-    let options = BootOptions {
-        engine_threads: zsl_core::default_threads(),
-        ..BootOptions::default()
-    };
-    let handle = Arc::new(
-        ModelHandle::boot_with_options(model_path, stats.clone(), options)
-            .map_err(|e| format!("boot the coalescer's model: {e}"))?,
-    );
-    let coalescer = Coalescer::start(handle.clone(), stats.clone(), BatchConfig::default());
-    let threads = shape.connections;
-    let per_thread = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let coalescer = &coalescer;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut text = String::new();
-                    for index in (t..n).step_by(threads) {
-                        let request = &pool[index % pool.len()];
-                        let rows = request.rows.clone();
-                        let start = Instant::now();
-                        let replies: Vec<_> = rows
-                            .into_iter()
-                            .map(|row| coalescer.enqueue(row, shape.k))
-                            .collect();
-                        let results: Vec<_> = replies.into_iter().map(|rx| rx.recv()).collect();
-                        let end = Instant::now();
-                        text.clear();
-                        let mut ok = true;
-                        for result in results {
-                            match result {
-                                Ok(Ok(row)) => {
-                                    render(&mut text, row.class, row.generation, &row.topk)
+/// Depth 2: `Coalescer` over a `ModelHandle` booted with the options
+/// `Server::start` uses.
+struct CoalescerDepth {
+    stats: Arc<ServeStats>,
+    coalescer: Coalescer,
+    /// The engine the coalescer scores with; depth 3 scores with it too.
+    engine: Arc<ScoringEngine>,
+}
+
+impl CoalescerDepth {
+    fn boot(model_path: &Path, shape: &Shape) -> Result<CoalescerDepth, String> {
+        let stats = Arc::new(ServeStats::new());
+        let options = BootOptions {
+            engine_threads: shape
+                .engine_threads
+                .unwrap_or_else(zsl_core::default_threads),
+            ..BootOptions::default()
+        };
+        let handle = Arc::new(
+            ModelHandle::boot_with_options(model_path, stats.clone(), options)
+                .map_err(|e| format!("boot the coalescer's model: {e}"))?,
+        );
+        let engine = handle.snapshot().engine.clone();
+        let coalescer = Coalescer::start(handle, stats.clone(), BatchConfig::default());
+        Ok(CoalescerDepth {
+            stats,
+            coalescer,
+            engine,
+        })
+    }
+
+    /// Rows per batch the coalescer has formed so far.
+    fn rows_per_batch(&self) -> f64 {
+        let snapshot = self.stats.snapshot();
+        snapshot.rows as f64 / snapshot.batches.max(1) as f64
+    }
+
+    /// Replay requests `round` of the sequence from as many client threads
+    /// as the HTTP phase had connections.
+    fn replay(&self, pool: &[Request], round: Range<usize>, shape: &Shape) -> Vec<Timed> {
+        let threads = shape.connections;
+        let coalescer = &self.coalescer;
+        let per_thread = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let indices = (round.start + t..round.end).step_by(threads);
+                    scope.spawn(move || {
+                        let mut out = Vec::new();
+                        let mut text = String::new();
+                        for index in indices {
+                            let request = &pool[index % pool.len()];
+                            let rows = request.rows.clone();
+                            let start = Instant::now();
+                            let replies: Vec<_> = rows
+                                .into_iter()
+                                .map(|row| coalescer.enqueue(row, shape.k))
+                                .collect();
+                            let results: Vec<_> = replies.into_iter().map(|rx| rx.recv()).collect();
+                            let end = Instant::now();
+                            text.clear();
+                            let mut ok = true;
+                            for result in results {
+                                match result {
+                                    Ok(Ok(row)) => {
+                                        render(&mut text, row.class, row.generation, &row.topk)
+                                    }
+                                    _ => ok = false,
                                 }
-                                _ => ok = false,
                             }
+                            out.push(Timed {
+                                index,
+                                start,
+                                end,
+                                ok: ok && text == request.expected,
+                            });
                         }
-                        out.push(Timed {
-                            index,
-                            start,
-                            end,
-                            ok: ok && text == request.expected,
-                        });
-                    }
-                    out
+                        out
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("coalescer client thread panicked"))
-            .collect::<Vec<_>>()
-    });
-    drop(coalescer);
-    let snapshot = stats.snapshot();
-    let rows_per_batch = snapshot.rows as f64 / snapshot.batches.max(1) as f64;
-    let mut timed: Vec<Timed> = per_thread.into_iter().flatten().collect();
-    timed.sort_by_key(|t| t.index);
-    Ok((timed, rows_per_batch, handle.snapshot().engine.clone()))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("coalescer client thread panicked"))
+                .collect::<Vec<_>>()
+        });
+        let mut timed: Vec<Timed> = per_thread.into_iter().flatten().collect();
+        timed.sort_by_key(|t| t.index);
+        timed
+    }
 }
 
 /// One request scored at depth 3.
@@ -697,16 +777,16 @@ struct Scored {
 fn drive_engine(
     engine: &ScoringEngine,
     pool: &[Request],
-    n: usize,
+    round: Range<usize>,
     shape: &Shape,
     rows_per_batch: f64,
 ) -> Vec<Scored> {
     let group = ((rows_per_batch / shape.rows_per_request as f64).round() as usize).max(1);
     let d = engine.feature_dim();
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(round.len());
     let mut text = String::new();
-    for first in (0..n).step_by(group) {
-        let members = first..(first + group).min(n);
+    for first in round.clone().step_by(group) {
+        let members = first..(first + group).min(round.end);
         let flat: Vec<f64> = members
             .clone()
             .flat_map(|i| pool[i % pool.len()].rows.iter().flatten().copied())

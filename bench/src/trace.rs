@@ -156,6 +156,25 @@ impl Tracer {
         self.per_op(total)
     }
 
+    /// Self time of spans named `name` in each traced op, in seconds.
+    pub fn self_by_op(&self, name: &str) -> Vec<f64> {
+        let self_s = self.self_times();
+        let mut by_op = vec![0.0; self.op as usize];
+        for (span, t) in self.spans.iter().zip(&self_s) {
+            if span.name != name {
+                continue;
+            }
+            // Op ids start at 1; a span outside every op belongs to none.
+            if let Some(slot) = (span.op as usize)
+                .checked_sub(1)
+                .and_then(|i| by_op.get_mut(i))
+            {
+                *slot += t;
+            }
+        }
+        by_op
+    }
+
     /// Mean per-op inclusive time of spans named `name`, in seconds.
     pub fn inclusive_per_op(&self, name: &str) -> f64 {
         let total = self
@@ -267,5 +286,10 @@ mod tests {
         assert!((t.self_per_op("http") - 30e-6).abs() < 1e-9);
         assert!((t.self_per_op("batch") - 60e-6).abs() < 1e-9);
         assert!((t.coverage() - 0.9).abs() < 1e-9);
+        let root = t.record(OP, None, at(300), at(400));
+        t.record("http", Some(root), at(300), at(350));
+        let by_op = t.self_by_op("http");
+        assert_eq!(by_op.len(), 2);
+        assert!((by_op[0] - 30e-6).abs() < 1e-9 && (by_op[1] - 50e-6).abs() < 1e-9);
     }
 }

@@ -15,7 +15,7 @@
 //! and must reproduce the untraced op's reports, bundle files and artifact
 //! byte for byte.
 
-use crate::measure::{self, cpu_seconds, mean, peak_rss_mb, since};
+use crate::measure::{self, cpu_seconds, mean, peak_rss_mb, since, Steal};
 use crate::report::{self, Collected};
 use crate::trace::Tracer;
 use crate::workdir::WorkDir;
@@ -101,6 +101,7 @@ fn measure(config: &RunConfig, shape: &Shape, work: &WorkDir) -> Result<Collecte
     measure::reset_peak_rss()?;
     let out = work.path("op");
     let cpu0 = cpu_seconds()?;
+    let steal0 = Steal::read()?;
     let t0 = Instant::now();
     let mut latencies = Vec::new();
     let mut reports = Vec::new();
@@ -112,6 +113,7 @@ fn measure(config: &RunConfig, shape: &Shape, work: &WorkDir) -> Result<Collecte
     }
     let wall = since(t0);
     let cpu = cpu_seconds()? - cpu0;
+    let stolen = steal0.share_since()?;
     let rss = peak_rss_mb()?;
 
     let mut c = Collected {
@@ -119,7 +121,7 @@ fn measure(config: &RunConfig, shape: &Shape, work: &WorkDir) -> Result<Collecte
         failed: reports.iter().filter(|r| **r != reference).count() as u64,
         ..Collected::default()
     };
-    report::latency_metrics(&mut c, &latencies, wall, cpu);
+    report::latency_metrics(&mut c, &latencies, wall, cpu, stolen);
     c.set("setup_s", setup_s);
     c.set("peak_rss_mb", rss);
     c.set("gzsl_h", reference.harmonic_mean);
@@ -138,14 +140,16 @@ fn trace(config: &RunConfig, shape: &Shape, work: &WorkDir) -> Result<Collected,
         let (cv, report) = op(&inputs, &plain, shape)?;
         untraced_walls.push(since(t));
         let metadata = saved_metadata(&plain)?;
+        // The import's decode, replayed alone and attributed under the
+        // conversion it is part of. It runs just before the replayed op,
+        // whose conversion comes first, so the host's drift between the two
+        // timings stays small next to the conversion's few-ms write.
+        let (start, end) = decode_pass(&inputs.res)?;
         let (replayed_cv, replayed_report) =
             replay(&mut tracer, &inputs, &traced, shape, &metadata)?;
-        // The import's decode, replayed alone after the op and attributed
-        // under the conversion it is part of.
         let convert = tracer
             .last("mat.xlsa")
             .ok_or("the replay recorded no mat.xlsa span")?;
-        let (start, end) = decode_pass(&inputs.res)?;
         tracer.record("mat.stream", Some(convert), start, end);
         let same = cv == replayed_cv && report == replayed_report && same_outputs(&plain, &traced)?;
         c.attempted += 2;
