@@ -23,6 +23,12 @@ pub const NORM_EPSILON: f64 = 1e-12;
 /// construction instead of by tolerance.
 pub(crate) const BLOCK: usize = 64;
 
+/// Rows of the left operand that the Gram fold
+/// ([`Matrix::add_transposed_product`] and the symmetric `XᵀX` fold)
+/// transposes at a time: the copy stays at `FOLD_SLAB_ROWS x cols` (768 KiB
+/// at 384 features) however tall the chunk being folded.
+const FOLD_SLAB_ROWS: usize = 256;
+
 /// Below this many multiply-adds the parallel entry points run the serial
 /// kernel instead: even with the persistent pool, waking workers and taking
 /// the task lock only amortizes once there is real work to split.
@@ -102,16 +108,31 @@ impl Elem for f32 {
 /// Blocked `i-k-j` kernel over raw row-major slabs: `out += a * b` where `a`
 /// is `n x k_dim`, `b` is `k_dim x m`, and `out` is `n x m` (must be zeroed by
 /// the caller). Shared by the serial and row-banded parallel matmul paths so
-/// both produce bit-identical results.
-fn gemm_into<T: Elem>(a: &[T], n: usize, k_dim: usize, b: &[T], m: usize, out: &mut [T]) {
+/// both produce bit-identical results. Each output element is added into in
+/// ascending `k` order, whatever the tiling.
+///
+/// With `upper` (square `out` only), tiles strictly below the diagonal tile
+/// are skipped: the symmetric Gram fold computes the upper block triangle
+/// and mirrors it.
+fn gemm_into<T: Elem>(
+    a: &[T],
+    n: usize,
+    k_dim: usize,
+    b: &[T],
+    m: usize,
+    out: &mut [T],
+    upper: bool,
+) {
     debug_assert_eq!(a.len(), n * k_dim);
     debug_assert_eq!(b.len(), k_dim * m);
     debug_assert_eq!(out.len(), n * m);
+    debug_assert!(!upper || n == m);
     for ii in (0..n).step_by(BLOCK) {
         let i_end = (ii + BLOCK).min(n);
+        let j_start = if upper { ii } else { 0 };
         for kk in (0..k_dim).step_by(BLOCK) {
             let k_end = (kk + BLOCK).min(k_dim);
-            for jj in (0..m).step_by(BLOCK) {
+            for jj in (j_start..m).step_by(BLOCK) {
                 let j_end = (jj + BLOCK).min(m);
                 for i in ii..i_end {
                     for k in kk..k_end {
@@ -514,7 +535,7 @@ pub(crate) fn gemm_parallel<T: Elem>(
     let mut out = vec![T::ZERO; n * m];
     let threads = threads.clamp(1, n.max(1));
     if threads == 1 || n * k_dim * m < PARALLEL_WORK_CUTOFF {
-        gemm_into(a, n, k_dim, b, m, &mut out);
+        gemm_into(a, n, k_dim, b, m, &mut out, false);
     } else {
         par_row_bands(
             n,
@@ -523,7 +544,7 @@ pub(crate) fn gemm_parallel<T: Elem>(
             k_dim,
             &mut out,
             m,
-            |a_band, rows, out_band| gemm_into(a_band, rows, k_dim, b, m, out_band),
+            |a_band, rows, out_band| gemm_into(a_band, rows, k_dim, b, m, out_band, false),
         );
     }
     out
@@ -636,6 +657,11 @@ pub enum LinalgError {
     /// The spectral Sylvester solve hit an eigenvalue pair whose sum is
     /// numerically zero, so `AX + XB = C` has no unique solution.
     SingularSylvester { detail: String },
+    /// An entry that [`Matrix::symmetric_eigen`] reads is NaN or infinite.
+    NonFinite { row: usize, col: usize },
+    /// The implicit-shift QL iteration of [`Matrix::symmetric_eigen`] spent
+    /// its iteration cap on eigenvalue `index` without deflating it.
+    NoConvergence { index: usize },
 }
 
 impl fmt::Display for LinalgError {
@@ -653,6 +679,14 @@ impl fmt::Display for LinalgError {
             LinalgError::SingularSylvester { detail } => {
                 write!(f, "singular Sylvester system: {detail}")
             }
+            LinalgError::NonFinite { row, col } => {
+                write!(f, "matrix entry ({row}, {col}) is not finite")
+            }
+            LinalgError::NoConvergence { index } => write!(
+                f,
+                "eigensolver did not converge on eigenvalue {index} within \
+                 {MAX_QL_ITERATIONS} QL iterations"
+            ),
         }
     }
 }
@@ -793,7 +827,7 @@ impl Matrix {
         );
         let (n, k_dim, m) = (self.rows, self.cols, other.cols);
         let mut out = Matrix::zeros(n, m);
-        gemm_into(&self.data, n, k_dim, &other.data, m, &mut out.data);
+        gemm_into(&self.data, n, k_dim, &other.data, m, &mut out.data, false);
         out
     }
 
@@ -881,7 +915,9 @@ impl Matrix {
     /// *identical* floating-point addition sequence as
     /// `a.transpose().matmul(&b)` in one shot: streamed Gram matrices are
     /// bit-identical to the in-memory product for every chunk size (the
-    /// differential suite in `tests/streaming_equiv.rs` pins this).
+    /// differential suite in `tests/streaming_equiv.rs` pins this). The
+    /// fold itself runs in fixed row slabs for the same reason, so it never
+    /// copies more than one slab of `a`.
     pub fn add_transposed_product(&mut self, a: &Matrix, b: &Matrix) {
         assert_eq!(
             a.rows, b.rows,
@@ -897,11 +933,59 @@ impl Matrix {
             self.rows,
             self.cols
         );
-        if a.rows == 0 {
-            return;
+        self.fold_slabs(a, b, false);
+    }
+
+    /// Accumulate `self += aᵀ · a` into a symmetric `self` — the `XᵀX` half
+    /// of the Gram fold at half the multiply-adds of
+    /// [`Matrix::add_transposed_product`].
+    ///
+    /// Only the tiles on and above the diagonal are accumulated; the tiles
+    /// below are then copied from their mirror images. Entries `(i, j)` and
+    /// `(j, i)` sum the same products in the same ascending-row order, so
+    /// the result is bit-identical to `add_transposed_product(a, a)` and
+    /// exactly symmetric, provided `self` was symmetric on entry.
+    pub(crate) fn add_gram(&mut self, a: &Matrix) {
+        assert_eq!(
+            (self.rows, self.cols),
+            (a.cols, a.cols),
+            "add_gram output must be {}x{}, got {}x{}",
+            a.cols,
+            a.cols,
+            self.rows,
+            self.cols
+        );
+        self.fold_slabs(a, a, true);
+        let n = self.cols;
+        for i in BLOCK..n {
+            let below = i / BLOCK * BLOCK;
+            for j in 0..below {
+                self.data[i * n + j] = self.data[j * n + i];
+            }
         }
-        let at = a.transpose();
-        gemm_into(&at.data, a.cols, a.rows, &b.data, b.cols, &mut self.data);
+    }
+
+    /// `self += aᵀ · b`, transposing `a` one slab of [`FOLD_SLAB_ROWS`] rows
+    /// at a time into a reused buffer; with `upper`, only the tiles on and
+    /// above the diagonal of (square) `self`. `gemm_into` adds each slab's
+    /// products after the previous slab's, in ascending row order, so the
+    /// slab size never changes a bit.
+    fn fold_slabs(&mut self, a: &Matrix, b: &Matrix, upper: bool) {
+        let (d, m) = (a.cols, b.cols);
+        let mut at = Vec::with_capacity(d * a.rows.min(FOLD_SLAB_ROWS));
+        for start in (0..a.rows).step_by(FOLD_SLAB_ROWS) {
+            let rows = FOLD_SLAB_ROWS.min(a.rows - start);
+            at.clear();
+            at.resize(d * rows, 0.0);
+            for r in 0..rows {
+                let src = &a.data[(start + r) * d..(start + r + 1) * d];
+                for (c, &v) in src.iter().enumerate() {
+                    at[c * rows + r] = v;
+                }
+            }
+            let b_slab = &b.data[start * m..(start + rows) * m];
+            gemm_into(&at, d, rows, b_slab, m, &mut self.data, upper);
+        }
     }
 
     /// Copy of the contiguous row slab `range.start..range.end` — the
@@ -1116,21 +1200,22 @@ pub fn solve_spd(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
     a.cholesky()?.solve_matrix(b)
 }
 
-/// Upper bound on cyclic Jacobi sweeps. Jacobi converges quadratically, so
-/// well-conditioned symmetric matrices reach machine precision in well under
-/// ten sweeps; the cap only guards pathological inputs.
-const MAX_JACOBI_SWEEPS: usize = 64;
+/// Iteration cap of the implicit-shift QL sweep on any one eigenvalue, the
+/// cap LAPACK's `dsteqr` uses. The shifted iteration converges cubically, so
+/// an eigenvalue typically deflates within two or three iterations; reaching
+/// the cap means the iteration stalled, as it does once a NaN gets in.
+const MAX_QL_ITERATIONS: usize = 30;
 
 /// Eigendecomposition `A = V diag(λ) Vᵀ` of a symmetric matrix, from
 /// [`Matrix::symmetric_eigen`].
 ///
 /// Column `j` of [`SymmetricEigen::vectors`] is the (unit-norm) eigenvector
-/// for `values[j]`. Eigenvalues are reported in the order the Jacobi sweep
-/// leaves them — callers that need sorting sort themselves. The computation
-/// is fully deterministic: identical input bits give identical output bits,
-/// which is what lets the SAE trainer inherit the streamed-equals-in-memory
-/// bit-identity guarantee from its (chunk-order-invariant) accumulated
-/// inputs.
+/// for `values[j]`. Eigenvalues are unsorted — they come out in the order
+/// the QL iteration deflates them — so callers that need an order sort
+/// themselves. The computation is serial and fully deterministic: identical
+/// input bits give identical output bits, which is what lets the SAE trainer
+/// inherit the streamed-equals-in-memory bit-identity guarantee from its
+/// (chunk-order-invariant) accumulated inputs.
 #[derive(Clone, Debug)]
 pub struct SymmetricEigen {
     values: Vec<f64>,
@@ -1138,7 +1223,7 @@ pub struct SymmetricEigen {
 }
 
 impl SymmetricEigen {
-    /// The eigenvalues, in sweep order (unsorted).
+    /// The eigenvalues, unsorted.
     pub fn values(&self) -> &[f64] {
         &self.values
     }
@@ -1150,12 +1235,22 @@ impl SymmetricEigen {
 }
 
 impl Matrix {
-    /// Eigendecomposition of a symmetric matrix by the cyclic Jacobi method.
+    /// Eigendecomposition of a symmetric matrix: Householder reduction to
+    /// tridiagonal form, then implicit-shift QL that accumulates the
+    /// eigenvectors (EISPACK `tred2` and `tql2`), in `O(n³)` serial work.
     ///
-    /// Only symmetry is assumed (the input is read as-is; strictly the
-    /// average of both triangles is what the rotations see). Returns a
-    /// [`LinalgError::ShapeMismatch`] for non-square input. Sweeps stop once
-    /// the off-diagonal Frobenius norm falls below `1e-15 · ‖A‖_F`.
+    /// Only the upper triangle (entries `(i, j)` with `i <= j`) is read; the
+    /// strictly-lower triangle is taken to mirror it. Eigenvalues come out
+    /// unsorted (see [`SymmetricEigen`]).
+    ///
+    /// # Errors
+    ///
+    /// - [`LinalgError::ShapeMismatch`] for non-square input.
+    /// - [`LinalgError::NonFinite`] if an entry of the upper triangle is NaN
+    ///   or infinite.
+    /// - [`LinalgError::NoConvergence`] if the QL iteration spends 30
+    ///   iterations (LAPACK `dsteqr`'s cap) on one eigenvalue without
+    ///   deflating it.
     pub fn symmetric_eigen(&self) -> Result<SymmetricEigen, LinalgError> {
         if self.rows != self.cols {
             return Err(LinalgError::ShapeMismatch {
@@ -1164,68 +1259,213 @@ impl Matrix {
             });
         }
         let n = self.rows;
-        let mut a = self.clone();
-        let mut v = Matrix::identity(n);
-        if n <= 1 {
-            return Ok(SymmetricEigen {
-                values: a.data.clone(),
-                vectors: v,
-            });
-        }
-        let tol = (self.frobenius_norm() * 1e-15).max(f64::MIN_POSITIVE);
-        for _ in 0..MAX_JACOBI_SWEEPS {
-            let mut off = 0.0;
-            for p in 0..n {
-                for q in (p + 1)..n {
-                    off += a.data[p * n + q] * a.data[p * n + q];
-                }
-            }
-            if off.sqrt() <= tol {
-                break;
-            }
-            for p in 0..n - 1 {
-                for q in (p + 1)..n {
-                    let apq = a.data[p * n + q];
-                    if apq == 0.0 {
-                        continue;
-                    }
-                    let theta = (a.data[q * n + q] - a.data[p * n + p]) / (2.0 * apq);
-                    let t = if theta == 0.0 {
-                        1.0
-                    } else {
-                        theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt())
-                    };
-                    let c = 1.0 / (t * t + 1.0).sqrt();
-                    let s = t * c;
-                    // A ← Jᵀ A J with the rotation in the (p, q) plane.
-                    for k in 0..n {
-                        let akp = a.data[k * n + p];
-                        let akq = a.data[k * n + q];
-                        a.data[k * n + p] = c * akp - s * akq;
-                        a.data[k * n + q] = s * akp + c * akq;
-                    }
-                    for k in 0..n {
-                        let apk = a.data[p * n + k];
-                        let aqk = a.data[q * n + k];
-                        a.data[p * n + k] = c * apk - s * aqk;
-                        a.data[q * n + k] = s * apk + c * aqk;
-                    }
-                    // The rotation zeroes this pair analytically; pin it so
-                    // round-off never leaks back into later sweeps.
-                    a.data[p * n + q] = 0.0;
-                    a.data[q * n + p] = 0.0;
-                    for k in 0..n {
-                        let vkp = v.data[k * n + p];
-                        let vkq = v.data[k * n + q];
-                        v.data[k * n + p] = c * vkp - s * vkq;
-                        v.data[k * n + q] = s * vkp + c * vkq;
-                    }
-                }
+        for row in 0..n {
+            if let Some(col) = (row..n).find(|&col| !self.data[row * n + col].is_finite()) {
+                return Err(LinalgError::NonFinite { row, col });
             }
         }
-        let values = (0..n).map(|i| a.data[i * n + i]).collect();
-        Ok(SymmetricEigen { values, vectors: v })
+        // `w` holds the transposed working matrix — the eigenvectors end up
+        // in its rows, transposed into columns at the end — so every inner
+        // loop below walks one contiguous row.
+        let mut w = self.data.clone();
+        let mut d = vec![0.0; n];
+        let mut e = vec![0.0; n];
+        tridiagonalize(&mut w, n, &mut d, &mut e);
+        tridiagonal_ql(&mut w, n, &mut d, &mut e)?;
+        for i in 0..n {
+            for j in i + 1..n {
+                w.swap(i * n + j, j * n + i);
+            }
+        }
+        Ok(SymmetricEigen {
+            values: d,
+            vectors: Matrix {
+                rows: n,
+                cols: n,
+                data: w,
+            },
+        })
     }
+}
+
+/// Householder reduction of the symmetric `n x n` matrix in the upper
+/// triangle of `w` (row-major) to tridiagonal form `T = Qᵀ A Q` — EISPACK
+/// `tred2` on the transposed matrix, so each inner loop walks a row of `w`.
+/// On return `d` holds the diagonal of `T`, `e[1..]` its subdiagonal
+/// (`e[0] = 0`), and row `j` of `w` holds column `j` of `Q`.
+fn tridiagonalize(w: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
+    if n == 0 {
+        return;
+    }
+    for (j, dj) in d.iter_mut().enumerate() {
+        *dj = w[j * n + n - 1];
+    }
+    for i in (1..n).rev() {
+        let scale: f64 = d[..i].iter().map(|v| v.abs()).sum();
+        let mut h = 0.0;
+        if scale == 0.0 {
+            // Column `i` is already reduced: no reflection.
+            e[i] = d[i - 1];
+            for j in 0..i {
+                d[j] = w[j * n + i - 1];
+                w[j * n + i] = 0.0;
+                w[i * n + j] = 0.0;
+            }
+        } else {
+            // The Householder vector `u`, scaled against under- and overflow.
+            for v in &mut d[..i] {
+                *v /= scale;
+                h += *v * *v;
+            }
+            let f = d[i - 1];
+            let g = if f > 0.0 { -h.sqrt() } else { h.sqrt() };
+            e[i] = scale * g;
+            h -= f * g;
+            d[i - 1] = f - g;
+            e[..i].fill(0.0);
+            // `e = A u` over the active block, read from its upper triangle;
+            // `u` is kept in row `i` for the accumulation below.
+            for j in 0..i {
+                let f = d[j];
+                w[i * n + j] = f;
+                let row = &w[j * n + j..j * n + i];
+                let mut g = e[j] + row[0] * f;
+                for ((&wjk, &dk), ek) in row[1..].iter().zip(&d[j + 1..i]).zip(&mut e[j + 1..i]) {
+                    g += wjk * dk;
+                    *ek += wjk * f;
+                }
+                e[j] = g;
+            }
+            let mut f = 0.0;
+            for (ej, &dj) in e[..i].iter_mut().zip(&d[..i]) {
+                *ej /= h;
+                f += *ej * dj;
+            }
+            let hh = f / (h + h);
+            for (ej, &dj) in e[..i].iter_mut().zip(&d[..i]) {
+                *ej -= hh * dj;
+            }
+            // Rank-two update `A -= u pᵀ + p uᵀ` of the active block.
+            for j in 0..i {
+                let (f, g) = (d[j], e[j]);
+                let row = &mut w[j * n + j..j * n + i];
+                for ((wjk, &ek), &dk) in row.iter_mut().zip(&e[j..i]).zip(&d[j..i]) {
+                    *wjk -= f * ek + g * dk;
+                }
+                d[j] = w[j * n + i - 1];
+                w[j * n + i] = 0.0;
+            }
+        }
+        d[i] = h;
+    }
+    // Accumulate `Q` from the stored Householder vectors, one row of `w` at
+    // a time; the diagonal of `T` waits in the last column meanwhile.
+    for i in 0..n - 1 {
+        w[i * n + n - 1] = w[i * n + i];
+        w[i * n + i] = 1.0;
+        let h = d[i + 1];
+        let (done, rest) = w.split_at_mut((i + 1) * n);
+        let u = &mut rest[..=i];
+        if h != 0.0 {
+            for (dk, &uk) in d[..=i].iter_mut().zip(u.iter()) {
+                *dk = uk / h;
+            }
+            for j in 0..=i {
+                let row = &mut done[j * n..j * n + i + 1];
+                let g = dot(u, row);
+                for (wjk, &dk) in row.iter_mut().zip(&d[..=i]) {
+                    *wjk -= g * dk;
+                }
+            }
+        }
+        u.fill(0.0);
+    }
+    for (j, dj) in d.iter_mut().enumerate() {
+        *dj = w[j * n + n - 1];
+        w[j * n + n - 1] = 0.0;
+    }
+    w[n * n - 1] = 1.0;
+    e[0] = 0.0;
+}
+
+/// Eigenvalues and eigenvectors of the symmetric tridiagonal matrix with
+/// diagonal `d` and subdiagonal `e[1..]`, by implicit-shift QL — EISPACK
+/// `tql2`. Each plane rotation is applied to two rows of `w`, which on entry
+/// holds the transform from [`tridiagonalize`] and on return the
+/// eigenvectors, one per row; `d` returns the eigenvalues, unsorted.
+fn tridiagonal_ql(
+    w: &mut [f64],
+    n: usize,
+    d: &mut [f64],
+    e: &mut [f64],
+) -> Result<(), LinalgError> {
+    if n == 0 {
+        return Ok(());
+    }
+    e.copy_within(1..n, 0);
+    e[n - 1] = 0.0;
+    let mut shift = 0.0;
+    let mut tst1 = 0.0f64;
+    for l in 0..n {
+        // Find the first negligible subdiagonal entry at or after `l`. Both
+        // tests are written so that NaN never counts as negligible.
+        tst1 = tst1.max(d[l].abs() + e[l].abs());
+        let m = (l..n)
+            .find(|&m| e[m].abs() <= f64::EPSILON * tst1)
+            .unwrap_or(n - 1);
+        let mut converged = m == l;
+        let mut iterations = 0;
+        while !converged {
+            if iterations == MAX_QL_ITERATIONS {
+                return Err(LinalgError::NoConvergence { index: l });
+            }
+            iterations += 1;
+            // Implicit shift from the leading 2 x 2 block.
+            let g = d[l];
+            let mut p = (d[l + 1] - g) / (2.0 * e[l]);
+            let r = p.hypot(1.0).copysign(p);
+            d[l] = e[l] / (p + r);
+            d[l + 1] = e[l] * (p + r);
+            let dl1 = d[l + 1];
+            let h = g - d[l];
+            for v in &mut d[l + 2..] {
+                *v -= h;
+            }
+            shift += h;
+            // One QL sweep of plane rotations from `m` back to `l`.
+            p = d[m];
+            let (mut c, mut c2, mut c3) = (1.0, 1.0, 1.0);
+            let el1 = e[l + 1];
+            let (mut s, mut s2) = (0.0, 0.0);
+            for i in (l..m).rev() {
+                c3 = c2;
+                c2 = c;
+                s2 = s;
+                let g = c * e[i];
+                let h = c * p;
+                let r = p.hypot(e[i]);
+                e[i + 1] = s * r;
+                s = e[i] / r;
+                c = p / r;
+                p = c * d[i] - s * g;
+                d[i + 1] = h + s * (c * g + s * d[i]);
+                let (head, tail) = w.split_at_mut((i + 1) * n);
+                let (vi, vj) = (&mut head[i * n..], &mut tail[..n]);
+                for (a, b) in vi.iter_mut().zip(vj.iter_mut()) {
+                    let h = *b;
+                    *b = s * *a + c * h;
+                    *a = c * *a - s * h;
+                }
+            }
+            p = -s * s2 * c3 * el1 * e[l] / dl1;
+            e[l] = s * p;
+            d[l] = c * p;
+            converged = e[l].abs() <= f64::EPSILON * tst1;
+        }
+        d[l] += shift;
+        e[l] = 0.0;
+    }
+    Ok(())
 }
 
 /// Solve the Sylvester equation `A X + X B = C` for symmetric `A` (`p x p`)
@@ -1377,6 +1617,43 @@ mod tests {
             acc.add_transposed_product(&a.row_block(0..0), &b.row_block(0..0));
             assert_eq!(acc.as_slice(), one_shot.as_slice());
         }
+    }
+
+    #[test]
+    fn slabbed_and_symmetric_folds_are_bit_identical_to_the_product() {
+        let mut rng = Rng::new(0x51AB);
+        let s = FOLD_SLAB_ROWS;
+        for n in [s - 1, s, s + 1, 2 * s + 1] {
+            for d in [63usize, 64, 65, 130] {
+                let a = random_matrix(&mut rng, n, d);
+                let b = random_matrix(&mut rng, n, 17);
+                let mut xtb = Matrix::zeros(d, 17);
+                xtb.add_transposed_product(&a, &b);
+                assert_eq!(
+                    xtb.as_slice(),
+                    a.transpose().matmul(&b).as_slice(),
+                    "slabbed fold diverged at n={n} d={d}"
+                );
+                let one_shot = a.transpose().matmul(&a);
+                let mut xtx = Matrix::zeros(d, d);
+                xtx.add_gram(&a);
+                assert_eq!(
+                    xtx.as_slice(),
+                    one_shot.as_slice(),
+                    "symmetric fold diverged at n={n} d={d}"
+                );
+                assert_eq!(xtx, xtx.transpose(), "XᵀX not symmetric at n={n} d={d}");
+                // A second fold adds onto the mirrored sum.
+                xtx.add_gram(&a);
+                let mut twice = Matrix::zeros(d, d);
+                twice.add_transposed_product(&a, &a);
+                twice.add_transposed_product(&a, &a);
+                assert_eq!(xtx.as_slice(), twice.as_slice(), "refold at n={n} d={d}");
+            }
+        }
+        let mut empty = Matrix::zeros(3, 3);
+        empty.add_gram(&Matrix::zeros(0, 3));
+        assert_eq!(empty.as_slice(), &[0.0; 9]);
     }
 
     #[test]
@@ -1594,10 +1871,117 @@ mod tests {
         ));
     }
 
+    /// Cyclic Jacobi eigendecomposition: the solver `symmetric_eigen` ran
+    /// before Householder + QL, kept as an independent oracle. Reads both
+    /// triangles; sweeps stop once the off-diagonal Frobenius norm falls
+    /// below `1e-15 · ‖A‖_F`, or after 64 sweeps.
+    fn jacobi_eigen(m: &Matrix) -> SymmetricEigen {
+        let n = m.rows();
+        let mut a = m.clone();
+        let mut v = Matrix::identity(n);
+        let tol = (m.frobenius_norm() * 1e-15).max(f64::MIN_POSITIVE);
+        for _ in 0..64 {
+            let mut off = 0.0;
+            for p in 0..n {
+                for q in (p + 1)..n {
+                    off += a.data[p * n + q] * a.data[p * n + q];
+                }
+            }
+            if off.sqrt() <= tol {
+                break;
+            }
+            for p in 0..n.saturating_sub(1) {
+                for q in (p + 1)..n {
+                    let apq = a.data[p * n + q];
+                    if apq == 0.0 {
+                        continue;
+                    }
+                    let theta = (a.data[q * n + q] - a.data[p * n + p]) / (2.0 * apq);
+                    let t = if theta == 0.0 {
+                        1.0
+                    } else {
+                        theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt())
+                    };
+                    let c = 1.0 / (t * t + 1.0).sqrt();
+                    let s = t * c;
+                    // A ← Jᵀ A J with the rotation in the (p, q) plane.
+                    for k in 0..n {
+                        let akp = a.data[k * n + p];
+                        let akq = a.data[k * n + q];
+                        a.data[k * n + p] = c * akp - s * akq;
+                        a.data[k * n + q] = s * akp + c * akq;
+                    }
+                    for k in 0..n {
+                        let apk = a.data[p * n + k];
+                        let aqk = a.data[q * n + k];
+                        a.data[p * n + k] = c * apk - s * aqk;
+                        a.data[q * n + k] = s * apk + c * aqk;
+                    }
+                    a.data[p * n + q] = 0.0;
+                    a.data[q * n + p] = 0.0;
+                    for k in 0..n {
+                        let vkp = v.data[k * n + p];
+                        let vkq = v.data[k * n + q];
+                        v.data[k * n + p] = c * vkp - s * vkq;
+                        v.data[k * n + q] = s * vkp + c * vkq;
+                    }
+                }
+            }
+        }
+        let values = (0..n).map(|i| a.data[i * n + i]).collect();
+        SymmetricEigen { values, vectors: v }
+    }
+
+    /// `A X + X B = C` through the spectral formula of [`solve_sylvester`],
+    /// with the Jacobi oracle's eigendecompositions.
+    fn jacobi_sylvester(a: &Matrix, b: &Matrix, c: &Matrix) -> Matrix {
+        let (ea, eb) = (jacobi_eigen(a), jacobi_eigen(b));
+        let mut xt = ea.vectors().transpose().matmul(c).matmul(eb.vectors());
+        let q = xt.cols();
+        for (idx, v) in xt.data.iter_mut().enumerate() {
+            *v /= ea.values()[idx / q] + eb.values()[idx % q];
+        }
+        ea.vectors().matmul(&xt).matmul(&eb.vectors().transpose())
+    }
+
+    /// `V diag(values) Vᵀ`.
+    fn compose(v: &Matrix, values: &[f64]) -> Matrix {
+        let mut scaled = v.clone();
+        for row in scaled.data.chunks_mut(v.cols) {
+            for (x, value) in row.iter_mut().zip(values) {
+                *x *= value;
+            }
+        }
+        scaled.matmul(&v.transpose())
+    }
+
+    /// `‖VᵀV − I‖_max` and `‖V diag(λ) Vᵀ − A‖_max / max(‖A‖_max, 1)`.
+    fn eigen_residuals(a: &Matrix, eig: &SymmetricEigen) -> (f64, f64) {
+        let n = a.rows();
+        let v = eig.vectors();
+        let orthogonality = v.transpose().matmul(v).max_abs_diff(&Matrix::identity(n));
+        let scale = a.data.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+        let reconstruction = compose(v, eig.values()).max_abs_diff(a) / scale;
+        (orthogonality, reconstruction)
+    }
+
+    fn sorted(values: &[f64]) -> Vec<f64> {
+        let mut v = values.to_vec();
+        v.sort_by(f64::total_cmp);
+        v
+    }
+
+    /// `GᵀG` of a random `2n x n` matrix: symmetric positive definite, and
+    /// shaped like the SAE operand `λXᵀX`.
+    fn random_spd_gram(rng: &mut Rng, n: usize) -> Matrix {
+        let g = random_matrix(rng, 2 * n, n);
+        g.transpose().matmul(&g)
+    }
+
     #[test]
     fn symmetric_eigen_reconstructs_and_is_orthogonal() {
         let mut rng = Rng::new(0xE16);
-        for n in [1usize, 2, 5, 12, 23] {
+        for n in [1usize, 2, 5, 12, 23, 64] {
             let g = random_matrix(&mut rng, n, n);
             // Symmetrize: A = (G + Gᵀ) / 2.
             let gt = g.transpose();
@@ -1607,26 +1991,15 @@ mod tests {
                     a.set(r, c, 0.5 * (g.get(r, c) + gt.get(r, c)));
                 }
             }
-            let eig = a.symmetric_eigen().expect("square");
-            let v = eig.vectors();
-            // Orthogonality: VᵀV ≈ I.
-            let vtv = v.transpose().matmul(v);
+            let eig = a.symmetric_eigen().expect("square and finite");
+            let (orthogonality, reconstruction) = eigen_residuals(&a, &eig);
             assert!(
-                vtv.max_abs_diff(&Matrix::identity(n)) < 1e-10,
-                "V not orthogonal at n={n}"
+                orthogonality < 5e-14,
+                "‖VᵀV − I‖ = {orthogonality:e} at n={n}"
             );
-            // Reconstruction: V diag(λ) Vᵀ ≈ A.
-            let mut scaled = v.clone();
-            for r in 0..n {
-                for c in 0..n {
-                    let x = scaled.get(r, c) * eig.values()[c];
-                    scaled.set(r, c, x);
-                }
-            }
-            let rebuilt = scaled.matmul(&v.transpose());
             assert!(
-                rebuilt.max_abs_diff(&a) < 1e-9,
-                "reconstruction drifted at n={n}"
+                reconstruction < 5e-14,
+                "reconstruction {reconstruction:e} at n={n}"
             );
         }
         let rect = Matrix::zeros(2, 3);
@@ -1634,6 +2007,156 @@ mod tests {
             rect.symmetric_eigen(),
             Err(LinalgError::ShapeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn symmetric_eigen_reads_only_the_upper_triangle() {
+        let mut rng = Rng::new(0x0B5);
+        let a = random_spd_gram(&mut rng, 9);
+        let mut garbled = a.clone();
+        for r in 1..9 {
+            for c in 0..r {
+                garbled.set(r, c, f64::NAN);
+            }
+        }
+        let clean = a.symmetric_eigen().expect("finite");
+        let upper_only = garbled.symmetric_eigen().expect("lower triangle unread");
+        assert_eq!(clean.values(), upper_only.values());
+        assert_eq!(clean.vectors().as_slice(), upper_only.vectors().as_slice());
+    }
+
+    #[test]
+    fn symmetric_eigen_matches_the_jacobi_oracle_on_spd_grams() {
+        let mut rng = Rng::new(0x0AC1E);
+        for n in [2usize, 63, 64, 65, 130] {
+            let a = random_spd_gram(&mut rng, n);
+            let ql = a.symmetric_eigen().expect("SPD Gram");
+            let oracle = jacobi_eigen(&a);
+            let (ql_sorted, oracle_sorted) = (sorted(ql.values()), sorted(oracle.values()));
+            let max = oracle_sorted.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for (q, o) in ql_sorted.iter().zip(&oracle_sorted) {
+                assert!(
+                    (q - o).abs() <= 1e-12 * max,
+                    "eigenvalue {q} vs oracle {o} at n={n}"
+                );
+            }
+            let (orthogonality, reconstruction) = eigen_residuals(&a, &ql);
+            assert!(
+                orthogonality < 1e-13,
+                "‖VᵀV − I‖ = {orthogonality:e} at n={n}"
+            );
+            assert!(
+                reconstruction < 5e-14,
+                "reconstruction {reconstruction:e} at n={n}"
+            );
+
+            // The SAE shape: a small signature Gram against the feature Gram.
+            let s = random_spd_gram(&mut rng, 7);
+            let c = random_matrix(&mut rng, 7, n);
+            let weights = solve_sylvester(&s, &a, &c).expect("SPD operands");
+            let oracle = jacobi_sylvester(&s, &a, &c);
+            let mut diff = weights.clone();
+            for (d, o) in diff.data.iter_mut().zip(oracle.as_slice()) {
+                *d -= o;
+            }
+            let relative = diff.frobenius_norm() / oracle.frobenius_norm();
+            assert!(
+                relative <= 1e-10,
+                "Sylvester weights differ by {relative:e} at n={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn symmetric_eigen_handles_degenerate_spectra() {
+        let mut rng = Rng::new(0xDE6);
+        let n = 6;
+        // A random orthogonal basis, to plant chosen spectra.
+        let q = random_spd_gram(&mut rng, n)
+            .symmetric_eigen()
+            .expect("SPD")
+            .vectors()
+            .clone();
+        let u = random_matrix(&mut rng, n, 1);
+        let rank_one = u.matmul(&u.transpose());
+        let mut rank_one_values = vec![0.0; n];
+        rank_one_values[n - 1] = u.frobenius_norm().powi(2);
+        let diagonal = [-3.0, 2.0, -1.0, 0.5, 4.0, -0.25];
+        let mut negative_diagonal = Matrix::zeros(n, n);
+        for (i, &v) in diagonal.iter().enumerate() {
+            negative_diagonal.set(i, i, v);
+        }
+        let repeated = [2.0, -1.0, 2.0, 5.0, -1.0, 2.0];
+        let cases = [
+            ("zero", Matrix::zeros(n, n), vec![0.0; n]),
+            ("identity", Matrix::identity(n), vec![1.0; n]),
+            ("negative diagonal", negative_diagonal, diagonal.to_vec()),
+            ("rank one", rank_one, rank_one_values),
+            ("repeated blocks", compose(&q, &repeated), repeated.to_vec()),
+        ];
+        for (name, a, expected) in cases {
+            let eig = a.symmetric_eigen().expect("finite");
+            for (got, want) in sorted(eig.values()).iter().zip(sorted(&expected)) {
+                assert!(
+                    (got - want).abs() < 1e-13,
+                    "{name}: eigenvalue {got} vs {want}"
+                );
+            }
+            let (orthogonality, reconstruction) = eigen_residuals(&a, &eig);
+            assert!(
+                orthogonality < 5e-14,
+                "{name}: ‖VᵀV − I‖ = {orthogonality:e}"
+            );
+            assert!(
+                reconstruction < 5e-14,
+                "{name}: reconstruction {reconstruction:e}"
+            );
+        }
+        // Diagonal input is already tridiagonal with a zero subdiagonal:
+        // the values come back exactly, in diagonal order.
+        let eig = Matrix::from_vec(3, 3, vec![-2.0, 0.0, 0.0, 0.0, 7.0, 0.0, 0.0, 0.0, 0.5])
+            .symmetric_eigen()
+            .expect("finite");
+        assert_eq!(eig.values(), &[-2.0, 7.0, 0.5]);
+        assert_eq!(eig.vectors().as_slice(), Matrix::identity(3).as_slice());
+        let empty = Matrix::zeros(0, 0).symmetric_eigen().expect("empty");
+        assert!(empty.values().is_empty());
+    }
+
+    #[test]
+    fn symmetric_eigen_rejects_non_finite_input() {
+        let mut nan = Matrix::identity(5);
+        nan.set(1, 3, f64::NAN);
+        nan.set(3, 1, f64::NAN);
+        assert_eq!(
+            nan.symmetric_eigen().map(|e| e.values().to_vec()),
+            Err(LinalgError::NonFinite { row: 1, col: 3 })
+        );
+        let mut inf = Matrix::identity(5);
+        inf.set(0, 0, f64::INFINITY);
+        assert_eq!(
+            inf.symmetric_eigen().map(|e| e.values().to_vec()),
+            Err(LinalgError::NonFinite { row: 0, col: 0 })
+        );
+        // The Sylvester solve passes the error through untouched.
+        assert_eq!(
+            solve_sylvester(&Matrix::identity(2), &inf, &Matrix::zeros(2, 5)),
+            Err(LinalgError::NonFinite { row: 0, col: 0 })
+        );
+    }
+
+    #[test]
+    fn tridiagonal_ql_reports_a_stalled_iteration() {
+        // A NaN that reaches the QL iteration never counts as converged: the
+        // iteration cap turns it into a typed error instead of `Ok(NaN)`.
+        let n = 3;
+        let mut w = Matrix::identity(n).data;
+        let mut d = vec![1.0, 2.0, 3.0];
+        let mut e = vec![0.0, f64::NAN, 1.0];
+        assert_eq!(
+            tridiagonal_ql(&mut w, n, &mut d, &mut e),
+            Err(LinalgError::NoConvergence { index: 0 })
+        );
     }
 
     #[test]

@@ -177,13 +177,14 @@ impl EszslConfig {
 /// trained from a dataset that never exists in memory at once.
 ///
 /// Peak memory is `O(d² + d·a + chunk)` — independent of the number of
-/// samples. Because [`crate::linalg::Matrix::add_transposed_product`] adds
-/// into each Gram element in ascending sample order, folding consecutive row
-/// chunks performs the *identical* floating-point operation sequence as
-/// [`EszslProblem::with_normalization`] on the concatenated matrix: the
-/// finished problem (and every model solved from it) is **bit-identical** to
-/// the in-memory path for every chunk size. The differential suite in
-/// `tests/streaming_equiv.rs` and a golden digest in
+/// samples. Because [`crate::linalg::Matrix::add_transposed_product`] (and
+/// the symmetric `XᵀX` fold, which accumulates the upper block triangle and
+/// mirrors it) adds into each Gram element in ascending sample order,
+/// folding consecutive row chunks performs the *identical* floating-point
+/// operation sequence as [`EszslProblem::with_normalization`] on the
+/// concatenated matrix: the finished problem (and every model solved from
+/// it) is **bit-identical** to the in-memory path for every chunk size. The
+/// differential suite in `tests/streaming_equiv.rs` and a golden digest in
 /// `tests/golden_loader.rs` pin this.
 ///
 /// ```
@@ -330,7 +331,7 @@ impl GramAccumulator {
             Cow::Borrowed(x)
         };
         let ys = gather_signatures(labels, &self.signatures);
-        xtx.add_transposed_product(&x, &x);
+        xtx.add_gram(&x);
         xtys.add_transposed_product(&x, &ys);
         for &label in labels {
             self.class_counts[label] += 1.0;
@@ -550,6 +551,12 @@ impl EszslProblem {
     /// Attribute dimension `a` of the problem.
     pub fn attr_dim(&self) -> usize {
         self.sts.rows()
+    }
+
+    /// Move the Grams out as `(XᵀX, XᵀYS, SᵀS)`, for trainers that build
+    /// their own system from them without a copy.
+    pub(crate) fn into_parts(self) -> (Matrix, Matrix, Matrix) {
+        (self.xtx, self.xtys, self.sts)
     }
 
     /// Solve the closed form for one `(γ, λ)` pair.

@@ -541,11 +541,11 @@ impl SaeTrainer {
             }
         }
         let a = prepared.transpose().matmul(&weighted);
-        let problem = acc.finish().map_err(ZslError::from)?;
+        let (xtx, xtys, _) = acc.finish().map_err(ZslError::from)?.into_parts();
         Ok(SaeSystem {
             a,
-            xtx: problem.xtx().clone(),
-            stx: problem.xtys().transpose(),
+            xtx,
+            stx: xtys.transpose(),
         })
     }
 }
@@ -900,6 +900,7 @@ fn subset_stream<'s>(
 mod tests {
     use super::*;
     use crate::data::SyntheticConfig;
+    use crate::linalg::LinalgError;
     use crate::model::EszslConfig;
 
     fn dataset() -> crate::data::Dataset {
@@ -941,6 +942,22 @@ mod tests {
             lhs.max_abs_diff(&c) < 1e-7,
             "SAE normal equations violated: {}",
             lhs.max_abs_diff(&c)
+        );
+    }
+
+    #[test]
+    fn sae_fit_reports_a_non_finite_gram_as_a_solver_error() {
+        let mut ds = dataset();
+        ds.train_x.set(0, 2, f64::NAN);
+        let result = Trainer::fit(&SaeTrainer::default(), &ds);
+        assert!(
+            matches!(
+                result,
+                Err(ZslError::Train(TrainError::Solver(
+                    LinalgError::NonFinite { row: 0, col: 2 }
+                )))
+            ),
+            "{result:?}"
         );
     }
 
