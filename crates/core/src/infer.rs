@@ -4,37 +4,41 @@
 //! pre-normalizes the signature bank **once at construction**, projects
 //! feature batches into attribute space, and scores them against the cached
 //! bank through the multi-threaded packed `X·Sᵀ` kernel in [`crate::linalg`].
-//! [`ScoringEngine::scores_chunked`] streams scores chunk-by-chunk so
-//! million-sample workloads never materialize one giant score matrix.
 //!
-//! [`Classifier`] is a thin compatibility wrapper over the engine. Evaluation
-//! helpers cover the standard ZSL protocol (mean per-class accuracy) and the
-//! generalized protocol (harmonic mean of seen and unseen accuracy).
+//! [`ScoringEngine::scores`], [`ScoringEngine::predict`] and
+//! [`ScoringEngine::predict_topk`] all run one fold. The input streams in
+//! chunks of [`DEFAULT_CHUNK_ROWS`] rows, each chunk is projected once, and
+//! the bank is scored one row band ([`BankShards`]) at a time. One band, the
+//! default, covers the whole bank; more bands bound each score block by the
+//! widest band instead of the class count, and every shard count scores the
+//! same bits (pinned by `tests/shard_equiv.rs`). Argmax keeps a running best
+//! per row and top-k a bounded per-row heap, so neither materializes an
+//! `n x num_classes` score matrix. Both [`ScoringPrecision`]s run that fold
+//! through one projection generic over the element type. The bank can be
+//! borrowed zero-copy from an mmap'd `.zsm` artifact instead of the heap, and
+//! calibrated stacking (a seen-class score penalty `γ_cal`, the classic fix
+//! for GZSL seen-swamping) is applied to each band block.
 //!
-//! For large class counts the bank can additionally be split into
-//! [`BankShards`] — contiguous row bands scored independently and folded
-//! through a per-row streaming merge, so `predict`/`predict_topk` never
-//! materialize a full `n x num_classes` score matrix — and borrowed zero-copy
-//! from an mmap'd `.zsm` artifact instead of the heap. Both modes are
-//! bit-identical to the monolithic heap engine (pinned by
-//! `tests/shard_equiv.rs`). Calibrated stacking (a seen-class score penalty
-//! `γ_cal`, the classic fix for GZSL seen-swamping) is applied at scoring
-//! time through the same paths.
+//! Evaluation helpers cover the standard ZSL protocol (mean per-class
+//! accuracy) and the generalized protocol (harmonic mean of seen and unseen
+//! accuracy).
 
 use crate::error::ZslError;
-use crate::linalg::{default_threads, gemm_bt_parallel, Matrix, BLOCK, NORM_EPSILON};
+use crate::linalg::{
+    default_threads, gemm_bt_parallel, l2_normalize_rows_slab, Elem, Matrix, BLOCK, NORM_EPSILON,
+};
 use crate::mmap::MappedFile;
 use crate::source::{FeatureSource, SplitKind};
-use crate::trainer::{KernelKind, TrainedModel};
+use crate::trainer::TrainedModel;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Rows per chunk used by [`ScoringEngine::predict`] and
-/// [`ScoringEngine::predict_topk`]: scores are reduced chunk-by-chunk, so
-/// peak score memory is `DEFAULT_CHUNK_ROWS * num_classes` doubles no matter
-/// how many samples are scored.
+/// Rows per chunk of every scoring call: [`ScoringEngine::predict`] and
+/// [`ScoringEngine::predict_topk`] reduce scores chunk by chunk, so peak score
+/// memory is `DEFAULT_CHUNK_ROWS` rows of one bank band no matter how many
+/// samples are scored.
 pub const DEFAULT_CHUNK_ROWS: usize = 4096;
 
 /// Scoring function between a projected sample and a class signature.
@@ -122,17 +126,18 @@ pub struct TopK {
     pub scores: Vec<f64>,
 }
 
-/// Layout of the signature bank as contiguous row bands ("shards") scored
-/// independently and merged per sample row.
+/// Layout of the signature bank as contiguous row bands ("shards"): the
+/// engine scores one band at a time and merges per sample row. The default,
+/// one band, covers the whole bank.
 ///
 /// Band boundaries are always multiples of the matmul kernel's 64-column
 /// cache tile: `gemm_bt`'s SIMD cascade (8-wide, 4-wide, scalar remainder)
 /// assigns kernels by a class's position *within* its 64-wide tile, so
 /// tile-aligned bands score every class through the same kernel with the same
-/// accumulation order as one monolithic pass. That makes sharded results
-/// bit-identical to the unsharded engine at every shard count — structurally,
-/// not within a tolerance. A requested count is therefore a *hint*: it is
-/// clamped to the number of 64-row tiles the bank actually has.
+/// accumulation order as a single band over the whole bank. Every shard count
+/// therefore scores the same bits — structurally, not within a tolerance. A
+/// requested count is a *hint*: it is clamped to the number of 64-row tiles
+/// the bank actually has.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BankShards {
     /// Exclusive end row of each band, ascending; the last entry is the class
@@ -302,8 +307,9 @@ struct Calibration {
 /// contiguous `X·Sᵀ` kernel wants. Batches are projected and scored through
 /// the row-banded multi-threaded matmul paths in [`crate::linalg`].
 ///
-/// Results are bit-identical for every thread count and chunk size, so the
-/// engine can be tuned freely without perturbing golden numerics.
+/// Results are bit-identical for every thread count, chunk size and shard
+/// count, so the engine can be tuned freely without perturbing golden
+/// numerics.
 #[derive(Clone, Debug)]
 pub struct ScoringEngine {
     /// Any trained model family; a bare [`crate::model::ProjectionModel`]
@@ -312,76 +318,18 @@ pub struct ScoringEngine {
     /// `num_classes x attr_dim`, one row per candidate class; pre-normalized
     /// when the similarity is cosine. Heap-owned or mmap-borrowed.
     bank: Bank,
-    /// Row-band layout of the bank; a single band reproduces the legacy
-    /// monolithic scoring path verbatim.
+    /// Row bands the bank is scored in, one at a time; the default single
+    /// band scores the whole bank as one block.
     shards: BankShards,
     /// Optional seen-class score penalty (calibrated stacking); `None` means
     /// scoring is exactly the uncalibrated pipeline, bit-for-bit.
     calibration: Option<Calibration>,
     similarity: Similarity,
     threads: usize,
-    precision: ScoringPrecision,
-    /// Eagerly-cast single-precision mirror of the model and bank, present
-    /// exactly when `precision == F32` so scoring never casts parameters
-    /// per call.
-    f32_parts: Option<F32Parts>,
-}
-
-/// Single-precision mirror of an engine's parameters: the trained model's
-/// matrices and the (already f64-normalized) signature bank, cast to `f32`
-/// once at [`ScoringEngine::with_precision`] time.
-#[derive(Clone, Debug)]
-struct F32Parts {
-    model: F32Model,
-    /// `num_classes x attr_dim` bank, cast from the cached f64 rows — the
-    /// cosine normalization already happened in f64, so the cast preserves
-    /// the bank semantics exactly up to rounding.
-    bank: Vec<f32>,
-}
-
-#[derive(Clone, Debug)]
-enum F32Model {
-    /// Linear families (ESZSL, SAE): `w` is `d x a` row-major.
-    Projection { w: Vec<f32>, d: usize, a: usize },
-    /// Kernel family: dual weights `alpha : k x a` over `anchors : k x d`.
-    Kernel {
-        alpha: Vec<f32>,
-        anchors: Vec<f32>,
-        k: usize,
-        d: usize,
-        a: usize,
-        kernel: KernelKind,
-    },
-}
-
-fn cast_f32(m: &Matrix) -> Vec<f32> {
-    cast_f32_slice(m.as_slice())
-}
-
-fn cast_f32_slice(data: &[f64]) -> Vec<f32> {
-    data.iter().map(|&v| v as f32).collect()
-}
-
-fn build_f32_parts(model: &TrainedModel, bank: &[f64]) -> F32Parts {
-    let model32 = match model {
-        TrainedModel::Eszsl(p) | TrainedModel::Sae(p) => F32Model::Projection {
-            w: cast_f32(p.weights()),
-            d: p.weights().rows(),
-            a: p.weights().cols(),
-        },
-        TrainedModel::Kernel(km) => F32Model::Kernel {
-            alpha: cast_f32(km.alpha()),
-            anchors: cast_f32(km.anchors()),
-            k: km.anchors().rows(),
-            d: km.anchors().cols(),
-            a: km.alpha().cols(),
-            kernel: km.kernel(),
-        },
-    };
-    F32Parts {
-        model: model32,
-        bank: cast_f32_slice(bank),
-    }
+    /// Present exactly when scoring in [`ScoringPrecision::F32`]: the model's
+    /// parameter slabs (in `TrainedModel::param_slabs` order) and the cached
+    /// bank, cast to `f32` once so scoring never casts parameters per call.
+    f32_mirror: Option<(Vec<Vec<f32>>, Vec<f32>)>,
 }
 
 impl ScoringEngine {
@@ -453,17 +401,12 @@ impl ScoringEngine {
         if similarity == Similarity::Cosine {
             signatures.l2_normalize_rows();
         }
-        let shards = BankShards::uniform(signatures.rows(), 1);
-        Ok(ScoringEngine {
+        Ok(Self::assemble(
             model,
-            bank: Bank::Owned(signatures),
-            shards,
-            calibration: None,
+            Bank::Owned(signatures),
             similarity,
-            threads: threads.max(1),
-            precision: ScoringPrecision::F64,
-            f32_parts: None,
-        })
+            threads,
+        ))
     }
 
     /// Reassemble an engine from an *already prepared* cached bank — the
@@ -492,17 +435,12 @@ impl ScoringEngine {
             signatures.cols(),
             signatures.as_slice(),
         )?;
-        let shards = BankShards::uniform(signatures.rows(), 1);
-        Ok(ScoringEngine {
+        Ok(Self::assemble(
             model,
-            bank: Bank::Owned(signatures),
-            shards,
-            calibration: None,
+            Bank::Owned(signatures),
             similarity,
-            threads: threads.max(1),
-            precision: ScoringPrecision::F64,
-            f32_parts: None,
-        })
+            threads,
+        ))
     }
 
     /// [`ScoringEngine::from_cached_parts`] with the bank *borrowed* from a
@@ -526,16 +464,21 @@ impl ScoringEngine {
             cols,
         };
         check_engine_parts(&model, rows, cols, bank.as_slice())?;
-        Ok(ScoringEngine {
+        Ok(Self::assemble(model, bank, similarity, threads))
+    }
+
+    /// The engine every constructor returns once its parts are validated:
+    /// one band, no calibration, `f64` scoring.
+    fn assemble(model: TrainedModel, bank: Bank, similarity: Similarity, threads: usize) -> Self {
+        ScoringEngine {
             model,
-            shards: BankShards::uniform(rows, 1),
+            shards: BankShards::uniform(bank.rows(), 1),
             bank,
             calibration: None,
             similarity,
             threads: threads.max(1),
-            precision: ScoringPrecision::F64,
-            f32_parts: None,
-        })
+            f32_mirror: None,
+        }
     }
 
     /// Switch the engine's scoring precision, (re)building or dropping the
@@ -543,11 +486,11 @@ impl ScoringEngine {
     /// loaders and pipelines can chain it after construction:
     /// `engine.with_precision(ScoringPrecision::F32)`.
     pub fn with_precision(mut self, precision: ScoringPrecision) -> Self {
-        self.precision = precision;
-        self.f32_parts = match precision {
-            ScoringPrecision::F64 => None,
-            ScoringPrecision::F32 => Some(build_f32_parts(&self.model, self.bank.as_slice())),
-        };
+        let cast = |slab: &[f64]| f32::cast_slice(slab).into_owned();
+        self.f32_mirror = (precision == ScoringPrecision::F32).then(|| {
+            let params = self.model.param_slabs().into_iter().map(cast).collect();
+            (params, cast(self.bank.as_slice()))
+        });
         self
     }
 
@@ -578,9 +521,9 @@ impl ScoringEngine {
     /// zero-copy boot took effect.
     pub fn bank_resident_bytes(&self) -> usize {
         let mirror = self
-            .f32_parts
+            .f32_mirror
             .as_ref()
-            .map_or(0, |p| p.bank.len() * std::mem::size_of::<f32>());
+            .map_or(0, |(_, bank)| std::mem::size_of_val(bank.as_slice()));
         self.bank.resident_bytes() + mirror
     }
 
@@ -690,7 +633,11 @@ impl ScoringEngine {
 
     /// The precision scores are computed in.
     pub fn precision(&self) -> ScoringPrecision {
-        self.precision
+        if self.f32_mirror.is_some() {
+            ScoringPrecision::F32
+        } else {
+            ScoringPrecision::F64
+        }
     }
 
     /// Resize the engine's worker-thread budget in place (`0` is treated as
@@ -738,210 +685,103 @@ impl ScoringEngine {
     }
 
     /// Full score matrix: `n_samples x num_classes`, including any active
-    /// calibration penalty. Callers who ask for the full matrix get it
-    /// monolithically regardless of the shard layout (sharding changes peak
-    /// memory in the streaming reducers, never the bits).
+    /// calibration penalty. Filled band by band from the same fold that
+    /// `predict` and `predict_topk` reduce, so it carries their bits.
     pub fn scores(&self, x: &Matrix) -> Matrix {
-        let mut scores = if let Some(parts) = &self.f32_parts {
-            self.scores_f32(parts, x)
-        } else {
-            let mut projected = self.model.project_parallel(x, self.threads);
-            if self.similarity == Similarity::Cosine {
-                projected.l2_normalize_rows();
-            }
-            let (n, a_dim) = (projected.rows(), projected.cols());
-            let z = self.bank.rows();
-            Matrix::from_vec(
-                n,
-                z,
-                gemm_bt_parallel(
-                    projected.as_slice(),
-                    n,
-                    a_dim,
-                    self.bank.as_slice(),
-                    z,
-                    self.threads,
-                ),
-            )
-        };
         let z = self.num_classes();
-        self.apply_calibration(scores.as_mut_slice(), 0, z);
-        scores
-    }
-
-    /// The single-precision projection front half: cast the batch once, run
-    /// project → normalize through the generic `f32` kernels. Shared by the
-    /// monolithic [`ScoringEngine::scores`] path and the banded streaming
-    /// reducers, so both score the identical normalized `f32` slab.
-    fn project_f32(&self, parts: &F32Parts, x: &Matrix) -> Vec<f32> {
-        use crate::linalg::{gemm_parallel, l2_normalize_rows_slab, rbf_gram_parallel};
-        let n = x.rows();
-        let d_in = self.model.feature_dim();
-        assert_eq!(
-            x.cols(),
-            d_in,
-            "scores shape mismatch: {}x{} features vs projection dim {}",
-            n,
-            x.cols(),
-            d_in
+        let mut out = vec![0.0; x.rows() * z];
+        self.fold_banded_chunks(
+            x,
+            |rows| rows,
+            |rows, r, block| {
+                for (i, src) in rows.clone().zip(block.chunks(r.len())) {
+                    out[i * z + r.start..i * z + r.end].copy_from_slice(src);
+                }
+            },
+            |_| {},
         );
-        let x32: Vec<f32> = x.as_slice().iter().map(|&v| v as f32).collect();
-        let mut proj: Vec<f32> = match &parts.model {
-            F32Model::Projection { w, d, a } => gemm_parallel(&x32, n, *d, w, *a, self.threads),
-            F32Model::Kernel {
-                alpha,
-                anchors,
-                k,
-                d,
-                a,
-                kernel,
-            } => {
-                let phi = match kernel {
-                    KernelKind::Linear => gemm_bt_parallel(&x32, n, *d, anchors, *k, self.threads),
-                    KernelKind::Rbf { width } => {
-                        rbf_gram_parallel(&x32, n, *d, anchors, *k, *width as f32, self.threads)
-                    }
-                };
-                gemm_parallel(&phi, n, *k, alpha, *a, self.threads)
-            }
-        };
-        if self.similarity == Similarity::Cosine {
-            l2_normalize_rows_slab(&mut proj, self.bank.cols());
-        }
-        proj
+        Matrix::from_vec(x.rows(), z, out)
     }
 
-    /// The single-precision scoring path: project via [`Self::project_f32`],
-    /// score against the cached `f32` bank mirror, and widen the scores back
-    /// to `f64` (lossless), so every downstream consumer (`predict`,
-    /// `predict_topk`, chunking) is shared verbatim with the `f64` path.
-    fn scores_f32(&self, parts: &F32Parts, x: &Matrix) -> Matrix {
-        let n = x.rows();
-        let proj = self.project_f32(parts, x);
-        let a_dim = self.bank.cols();
-        let z = self.bank.rows();
-        let scores32 = gemm_bt_parallel(&proj, n, a_dim, &parts.bank, z, self.threads);
-        Matrix::from_vec(n, z, scores32.into_iter().map(f64::from).collect())
-    }
-
-    /// Stream scores in row chunks of at most `chunk_rows` (`0` is treated as
-    /// `1`): `consume(row_offset, chunk)` receives each
-    /// `chunk_rows x num_classes` score block in order, so arbitrarily large
-    /// sample matrices are scored without materializing the full
-    /// `n x num_classes` result.
-    pub fn scores_chunked<F>(&self, x: &Matrix, chunk_rows: usize, mut consume: F)
-    where
-        F: FnMut(usize, Matrix),
-    {
-        let n = x.rows();
-        let chunk_rows = chunk_rows.max(1);
-        if chunk_rows >= n {
-            // One chunk covers everything: score the input directly instead
-            // of copying it into a slab.
-            if n > 0 {
-                consume(0, self.scores(x));
-            }
-            return;
-        }
-        let mut start = 0;
-        while start < n {
-            let end = (start + chunk_rows).min(n);
-            let slab = x.row_block(start..end);
-            consume(start, self.scores(&slab));
-            start = end;
-        }
-    }
-
-    /// Stream `x` in row chunks and, per chunk, score one bank band at a
-    /// time: project the chunk once, then for each shard band run the same
-    /// `X·Sᵀ` kernel over that band's rows, apply calibration, and hand the
-    /// `rows x band_classes` block to `band`. `init` builds per-chunk merge
-    /// state, `done` consumes it after the last band. Peak score memory is
-    /// one band-wide block — never `rows x num_classes`.
+    /// The one scoring path. Streams `x` in chunks of [`DEFAULT_CHUNK_ROWS`]
+    /// rows; per chunk, projects once (normalizing for cosine), then scores
+    /// one bank band at a time through the `X·Sᵀ` kernel, applies
+    /// calibration, and hands the `rows x band_classes` block to `band`.
+    /// `init` builds per-chunk state from the chunk's row range, `done`
+    /// consumes it after the last band. Peak score memory is one band-wide
+    /// block — `rows x num_classes` only when the bank is one band.
     ///
     /// Because band boundaries are multiples of the kernel's 64-column tile
-    /// (see [`BankShards`]), every score element carries the *same bits* as
-    /// the monolithic pass, so any order-respecting merge is bit-identical to
-    /// reducing the full row.
-    fn fold_banded_chunks<S, I, F, D>(
+    /// (see [`BankShards`]), every score element carries the *same bits* at
+    /// every shard count, so any merge that respects class order reduces the
+    /// full row exactly. The precision is chosen here, and only here: both
+    /// run [`Self::fold_in`], over the model and bank or over their `f32`
+    /// mirror.
+    fn fold_banded_chunks<S>(
         &self,
         x: &Matrix,
-        chunk_rows: usize,
-        init: I,
-        mut band: F,
-        mut done: D,
-    ) where
-        I: Fn(usize) -> S,
-        F: FnMut(&mut S, Range<usize>, &[f64]),
-        D: FnMut(S),
-    {
-        let n = x.rows();
-        let chunk_rows = chunk_rows.max(1);
-        let a_dim = self.bank.cols();
-        let mut start = 0;
-        while start < n {
-            let end = (start + chunk_rows).min(n);
-            let rows = end - start;
-            let slab;
-            let chunk: &Matrix = if rows == n {
-                x
-            } else {
-                slab = x.row_block(start..end);
-                &slab
-            };
-            let mut state = init(rows);
-            match &self.f32_parts {
-                None => {
-                    let mut projected = self.model.project_parallel(chunk, self.threads);
-                    if self.similarity == Similarity::Cosine {
-                        projected.l2_normalize_rows();
-                    }
-                    let bank = self.bank.as_slice();
-                    for b in 0..self.shards.count() {
-                        let r = self.shards.band(b);
-                        let mut block = gemm_bt_parallel(
-                            projected.as_slice(),
-                            rows,
-                            a_dim,
-                            &bank[r.start * a_dim..r.end * a_dim],
-                            r.len(),
-                            self.threads,
-                        );
-                        self.apply_calibration(&mut block, r.start, r.end);
-                        band(&mut state, r.clone(), &block);
-                    }
-                }
-                Some(parts) => {
-                    let proj = self.project_f32(parts, chunk);
-                    for b in 0..self.shards.count() {
-                        let r = self.shards.band(b);
-                        let block32 = gemm_bt_parallel(
-                            &proj,
-                            rows,
-                            a_dim,
-                            &parts.bank[r.start * a_dim..r.end * a_dim],
-                            r.len(),
-                            self.threads,
-                        );
-                        let mut block: Vec<f64> = block32.into_iter().map(f64::from).collect();
-                        self.apply_calibration(&mut block, r.start, r.end);
-                        band(&mut state, r.clone(), &block);
-                    }
-                }
+        init: impl Fn(Range<usize>) -> S,
+        band: impl FnMut(&mut S, Range<usize>, &[f64]),
+        done: impl FnMut(S),
+    ) {
+        match &self.f32_mirror {
+            None => {
+                let params = self.model.param_slabs();
+                self.fold_in(&params, self.bank.as_slice(), x, init, band, done);
             }
-            done(state);
-            start = end;
+            Some((params, bank)) => {
+                let params: Vec<&[f32]> = params.iter().map(Vec::as_slice).collect();
+                self.fold_in(&params, bank, x, init, band, done);
+            }
         }
     }
 
-    /// Whether predictions should stream band-by-band instead of taking the
-    /// legacy whole-row path. A single band *is* the legacy layout, so the
-    /// monolithic code path survives verbatim for existing engines.
-    fn banded(&self) -> bool {
-        self.shards.count() > 1
+    /// [`Self::fold_banded_chunks`] in element type `T`: `params` are the
+    /// model's parameter slabs and `bank` the cached bank, both in `T`. Each
+    /// chunk is cast to `T` (a borrow for `f64`) and each band block widened
+    /// back to `f64` (exact for `f32`) before calibration and the merge.
+    fn fold_in<T: Elem, S>(
+        &self,
+        params: &[&[T]],
+        bank: &[T],
+        x: &Matrix,
+        init: impl Fn(Range<usize>) -> S,
+        mut band: impl FnMut(&mut S, Range<usize>, &[f64]),
+        mut done: impl FnMut(S),
+    ) {
+        let (n, d) = (x.rows(), self.feature_dim());
+        assert_eq!(
+            x.cols(),
+            d,
+            "scores shape mismatch: {n}x{} features vs projection dim {d}",
+            x.cols()
+        );
+        let a_dim = self.bank.cols();
+        for start in (0..n).step_by(DEFAULT_CHUNK_ROWS) {
+            let end = (start + DEFAULT_CHUNK_ROWS).min(n);
+            let rows = end - start;
+            let chunk = T::cast_slice(&x.as_slice()[start * d..end * d]);
+            let mut proj = self.model.project_slab(params, &chunk, rows, self.threads);
+            if self.similarity == Similarity::Cosine {
+                l2_normalize_rows_slab(&mut proj, a_dim);
+            }
+            let mut state = init(start..end);
+            for b in 0..self.shards.count() {
+                let r = self.shards.band(b);
+                let band_bank = &bank[r.start * a_dim..r.end * a_dim];
+                let block = gemm_bt_parallel(&proj, rows, a_dim, band_bank, r.len(), self.threads);
+                let mut block = T::widen(block);
+                self.apply_calibration(&mut block, r.start, r.end);
+                band(&mut state, r, &block);
+            }
+            done(state);
+        }
     }
 
-    /// Argmax prediction per sample, computed chunk-by-chunk.
+    /// Argmax prediction per sample, computed chunk-by-chunk: each band's
+    /// per-row argmax folds into a running best with a strictly-greater
+    /// `total_cmp` test. Bands ascend and the in-band argmax is first-wins,
+    /// so the first index wins ties across the whole row.
     ///
     /// Selection uses [`f64::total_cmp`], a total order, so results are
     /// deterministic even for non-finite scores (the old `>`-based loop lost
@@ -952,30 +792,12 @@ impl ScoringEngine {
     /// check [`ScoringEngine::scores`] for non-finite values rather than rely
     /// on predictions alone.
     pub fn predict(&self, x: &Matrix) -> Vec<usize> {
-        if self.banded() {
-            return self.predict_banded(x);
-        }
-        let z = self.num_classes();
-        let mut out = Vec::with_capacity(x.rows());
-        self.scores_chunked(x, DEFAULT_CHUNK_ROWS, |_, scores| {
-            out.extend(scores.as_slice().chunks(z).map(argmax));
-        });
-        out
-    }
-
-    /// Sharded argmax: fold each band's per-row argmax into a running best
-    /// with a strictly-greater `total_cmp` test. Bands ascend and the in-band
-    /// argmax is first-wins, so the global first-wins tie-break of the
-    /// monolithic [`argmax`] is preserved exactly.
-    fn predict_banded(&self, x: &Matrix) -> Vec<usize> {
         let mut out = Vec::with_capacity(x.rows());
         self.fold_banded_chunks(
             x,
-            DEFAULT_CHUNK_ROWS,
-            |rows| vec![(0usize, 0.0f64); rows],
+            |rows| vec![(0usize, 0.0f64); rows.len()],
             |best: &mut Vec<(usize, f64)>, r, block| {
-                let width = r.len();
-                for (row_best, row) in best.iter_mut().zip(block.chunks(width)) {
+                for (row_best, row) in best.iter_mut().zip(block.chunks(r.len())) {
                     let local = argmax(row);
                     let cand = (r.start + local, row[local]);
                     if r.start == 0 || cand.1.total_cmp(&row_best.1) == Ordering::Greater {
@@ -991,8 +813,8 @@ impl ScoringEngine {
     /// Guard for the `Result`-returning serving paths: a feature chunk whose
     /// width disagrees with the projection must surface as a typed error
     /// (e.g. a `.zsm` model served against a bundle from a different feature
-    /// space), not as the `matmul` shape assert the in-memory `predict`
-    /// reserves for programming errors.
+    /// space), not as the shape assert the in-memory `predict` reserves for
+    /// programming errors.
     pub(crate) fn check_feature_width(&self, cols: usize) -> Result<(), ZslError> {
         let d = self.model.feature_dim();
         if cols != d {
@@ -1032,37 +854,22 @@ impl ScoringEngine {
     }
 
     /// Best-`k` ranked predictions per sample (`k` clamped to the class
-    /// count), computed chunk-by-chunk.
+    /// count), computed chunk-by-chunk: each row streams its band scores
+    /// through a bounded worst-first `k`-heap ordered by descending score,
+    /// ties by ascending class id, so the result equals a full sort of the
+    /// row — without ever holding more than one band of scores plus `k`
+    /// candidates per row.
     pub fn predict_topk(&self, x: &Matrix, k: usize) -> Vec<TopK> {
-        let z = self.num_classes();
-        let k = k.min(z);
-        if self.banded() {
-            return self.predict_topk_banded(x, k);
-        }
-        let mut out = Vec::with_capacity(x.rows());
-        self.scores_chunked(x, DEFAULT_CHUNK_ROWS, |_, scores| {
-            out.extend(scores.as_slice().chunks(z).map(|row| topk_row(row, k)));
-        });
-        out
-    }
-
-    /// Sharded top-`k`: each row streams its band scores through a bounded
-    /// worst-first k-heap ordered by the same total order as [`topk_row`]
-    /// (descending score, ties by ascending global class id), so the merged
-    /// result is identical to sorting the full row — without ever holding
-    /// more than one band of scores plus `k` candidates per row.
-    fn predict_topk_banded(&self, x: &Matrix, k: usize) -> Vec<TopK> {
+        let k = k.min(self.num_classes());
         let mut out = Vec::with_capacity(x.rows());
         self.fold_banded_chunks(
             x,
-            DEFAULT_CHUNK_ROWS,
-            |rows| vec![BinaryHeap::<Reverse<Cand>>::with_capacity(k + 1); rows],
+            |rows| vec![BinaryHeap::<Reverse<Cand>>::with_capacity(k + 1); rows.len()],
             |heaps: &mut Vec<BinaryHeap<Reverse<Cand>>>, r, block| {
                 if k == 0 {
                     return;
                 }
-                let width = r.len();
-                for (heap, row) in heaps.iter_mut().zip(block.chunks(width)) {
+                for (heap, row) in heaps.iter_mut().zip(block.chunks(r.len())) {
                     for (j, &score) in row.iter().enumerate() {
                         let cand = Cand {
                             score,
@@ -1094,9 +901,10 @@ impl ScoringEngine {
 }
 
 /// One streaming top-k candidate. The ordering is "better = greater": higher
-/// score first, ties broken by *lower* class id — the exact total order
-/// [`topk_row`]'s comparator induces, so heap merges and full sorts agree on
-/// every tie, including ties that straddle shard boundaries.
+/// score first (under [`f64::total_cmp`]), ties broken by *lower* class id —
+/// the total order of a full descending sort with an index tie-break, so the
+/// heap merge agrees with it on every tie, including ties that straddle band
+/// boundaries.
 #[derive(Clone, Copy, Debug)]
 struct Cand {
     score: f64,
@@ -1125,79 +933,12 @@ impl Ord for Cand {
     }
 }
 
-/// Scores projected features against a fixed bank of class signatures.
-///
-/// Thin wrapper over [`ScoringEngine`], kept as the stable high-level API;
-/// construction performs the same validation and bank caching.
-#[derive(Clone, Debug)]
-pub struct Classifier {
-    engine: ScoringEngine,
-}
-
-impl Classifier {
-    /// Build a classifier over `signatures` (`num_classes x attr_dim`).
-    /// Panics under the same conditions as [`ScoringEngine::new`].
-    pub fn new(model: impl Into<TrainedModel>, signatures: Matrix, similarity: Similarity) -> Self {
-        Classifier {
-            engine: ScoringEngine::new(model, signatures, similarity),
-        }
-    }
-
-    /// Fallible [`Classifier::new`]: construction failures are typed
-    /// [`ZslError::Config`] values, mirroring [`ScoringEngine::try_new`].
-    pub fn try_new(
-        model: impl Into<TrainedModel>,
-        signatures: Matrix,
-        similarity: Similarity,
-    ) -> Result<Self, ZslError> {
-        Ok(Classifier {
-            engine: ScoringEngine::try_new(model, signatures, similarity)?,
-        })
-    }
-
-    /// Number of candidate classes.
-    pub fn num_classes(&self) -> usize {
-        self.engine.num_classes()
-    }
-
-    /// The underlying trained model (any family).
-    pub fn model(&self) -> &TrainedModel {
-        self.engine.model()
-    }
-
-    /// The scoring engine backing this classifier.
-    pub fn engine(&self) -> &ScoringEngine {
-        &self.engine
-    }
-
-    /// Consume the wrapper, keeping the engine.
-    pub fn into_engine(self) -> ScoringEngine {
-        self.engine
-    }
-
-    /// Full score matrix: `n_samples x num_classes`.
-    pub fn scores(&self, x: &Matrix) -> Matrix {
-        self.engine.scores(x)
-    }
-
-    /// Argmax prediction per sample. See [`ScoringEngine::predict`] for the
-    /// NaN-score semantics.
-    pub fn predict(&self, x: &Matrix) -> Vec<usize> {
-        self.engine.predict(x)
-    }
-
-    /// Best-`k` ranked predictions per sample (`k` clamped to the class count).
-    pub fn predict_topk(&self, x: &Matrix, k: usize) -> Vec<TopK> {
-        self.engine.predict_topk(x, k)
-    }
-}
-
 /// The ONE construction-time validation behind every engine constructor:
 /// empty, zero-width, or non-finite signature banks and attribute-dimension
 /// mismatches are reported as an error message. The panicking constructors
-/// ([`ScoringEngine::new`], [`Classifier::new`]) turn the message into a
-/// panic; the fallible ones ([`ScoringEngine::try_new`], the `.zsm` loader)
-/// turn it into a typed error.
+/// ([`ScoringEngine::new`], [`ScoringEngine::with_threads`]) turn the message
+/// into a panic; the fallible ones ([`ScoringEngine::try_new`], the `.zsm`
+/// loader) turn it into a typed error.
 fn check_engine_parts(
     model: &TrainedModel,
     rows: usize,
@@ -1253,27 +994,6 @@ fn argmax(row: &[f64]) -> usize {
         }
     }
     best
-}
-
-/// Top-`k` of one score row, descending, ties broken by ascending class
-/// index. Partitions the `k` best to the front in `O(z)` with
-/// `select_nth_unstable_by`, then sorts only that slice — instead of sorting
-/// all `z` scores and truncating. The index tie-break makes the comparator a
-/// total order, so the output is identical to a full sort.
-fn topk_row(row: &[f64], k: usize) -> TopK {
-    let z = row.len();
-    let mut order: Vec<usize> = (0..z).collect();
-    let by_score_desc = |a: &usize, b: &usize| row[*b].total_cmp(&row[*a]).then(a.cmp(b));
-    if k < z {
-        order.select_nth_unstable_by(k, by_score_desc);
-        order.truncate(k);
-    }
-    order.sort_unstable_by(by_score_desc);
-    let scores = order.iter().map(|&c| row[c]).collect();
-    TopK {
-        classes: order,
-        scores,
-    }
 }
 
 /// Fraction of samples where `predicted[i] == truth[i]`.
@@ -1389,22 +1109,22 @@ mod tests {
     use crate::model::ProjectionModel;
 
     /// Identity projection over 2-dim "attributes" with two orthogonal classes.
-    fn toy_classifier(similarity: Similarity) -> Classifier {
+    fn toy_engine(similarity: Similarity) -> ScoringEngine {
         let model = ProjectionModel::from_weights(Matrix::identity(2));
         let signatures = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
-        Classifier::new(model, signatures, similarity)
+        ScoringEngine::new(model, signatures, similarity)
     }
 
     #[test]
     fn cosine_is_scale_invariant_dot_is_not() {
         let x = Matrix::from_rows(&[vec![10.0, 1.0], vec![0.1, 0.2]]);
-        let cos = toy_classifier(Similarity::Cosine);
+        let cos = toy_engine(Similarity::Cosine);
         assert_eq!(cos.predict(&x), vec![0, 1]);
         // Scaling a sample must not change its cosine prediction.
         let x_scaled = Matrix::from_rows(&[vec![1000.0, 100.0], vec![0.1, 0.2]]);
         assert_eq!(cos.predict(&x_scaled), vec![0, 1]);
 
-        let dot = toy_classifier(Similarity::Dot);
+        let dot = toy_engine(Similarity::Dot);
         let dot_scores = dot.scores(&x);
         assert!((dot_scores.get(0, 0) - 10.0).abs() < 1e-12);
         let cos_scores = cos.scores(&x);
@@ -1413,7 +1133,7 @@ mod tests {
 
     #[test]
     fn topk_ranks_best_first_and_clamps_k() {
-        let clf = toy_classifier(Similarity::Dot);
+        let clf = toy_engine(Similarity::Dot);
         let x = Matrix::from_rows(&[vec![0.2, 0.9]]);
         let ranked = clf.predict_topk(&x, 10);
         assert_eq!(ranked.len(), 1);
@@ -1443,14 +1163,14 @@ mod tests {
     #[should_panic(expected = "at least one class signature")]
     fn classifier_rejects_empty_signature_bank() {
         let model = ProjectionModel::from_weights(Matrix::identity(2));
-        Classifier::new(model, Matrix::zeros(0, 2), Similarity::Cosine);
+        ScoringEngine::new(model, Matrix::zeros(0, 2), Similarity::Cosine);
     }
 
     #[test]
     #[should_panic(expected = "zero-width")]
     fn classifier_rejects_zero_width_signature_bank() {
         let model = ProjectionModel::from_weights(Matrix::zeros(2, 0));
-        Classifier::new(model, Matrix::zeros(3, 0), Similarity::Cosine);
+        ScoringEngine::new(model, Matrix::zeros(3, 0), Similarity::Cosine);
     }
 
     #[test]
@@ -1458,7 +1178,7 @@ mod tests {
     fn classifier_rejects_nan_in_signature_bank() {
         let model = ProjectionModel::from_weights(Matrix::identity(2));
         let bank = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, f64::NAN]]);
-        Classifier::new(model, bank, Similarity::Cosine);
+        ScoringEngine::new(model, bank, Similarity::Cosine);
     }
 
     #[test]
@@ -1466,7 +1186,7 @@ mod tests {
     fn classifier_rejects_infinity_in_signature_bank() {
         let model = ProjectionModel::from_weights(Matrix::identity(2));
         let bank = Matrix::from_rows(&[vec![1.0, f64::INFINITY]]);
-        Classifier::new(model, bank, Similarity::Dot);
+        ScoringEngine::new(model, bank, Similarity::Dot);
     }
 
     #[test]
@@ -1490,7 +1210,7 @@ mod tests {
         // `>` results.
         let model = ProjectionModel::from_weights(Matrix::identity(2));
         let bank = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
-        let clf = Classifier::new(model, bank, Similarity::Dot);
+        let clf = ScoringEngine::new(model, bank, Similarity::Dot);
         let x = Matrix::from_rows(&[vec![1.0, f64::NAN], vec![0.0, 1.0]]);
         let scores = clf.scores(&x);
         assert!(
@@ -1508,40 +1228,63 @@ mod tests {
         assert!(ranked[0].scores.iter().all(|v| v.is_nan()));
     }
 
+    /// `predict_topk` against the reference it must equal: a full sort of
+    /// each `scores` row, descending `total_cmp`, ties by ascending class id.
+    fn assert_topk_is_full_sort(engine: &ScoringEngine, x: &Matrix, k: usize) {
+        let scores = engine.scores(x);
+        let ranked = engine.predict_topk(x, k);
+        assert_eq!(ranked.len(), x.rows());
+        for (i, got) in ranked.iter().enumerate() {
+            let row = scores.row(i);
+            let mut order: Vec<usize> = (0..row.len()).collect();
+            order.sort_by(|&a, &b| row[b].total_cmp(&row[a]));
+            order.truncate(k.min(row.len()));
+            let expected: Vec<u64> = order.iter().map(|&c| row[c].to_bits()).collect();
+            assert_eq!(got.classes, order, "row {i} k={k}");
+            let got_bits: Vec<u64> = got.scores.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got_bits, expected, "row {i} k={k}");
+        }
+    }
+
     #[test]
-    fn topk_select_nth_path_matches_full_sort_reference() {
+    fn topk_matches_full_sort_reference() {
         let mut rng = crate::data::Rng::new(2027);
         for z in [1usize, 2, 7, 64, 201] {
-            let row: Vec<f64> = (0..z).map(|_| rng.normal()).collect();
+            let bank = Matrix::from_vec(z, 3, (0..z * 3).map(|_| rng.normal()).collect());
+            let x = Matrix::from_vec(4, 3, (0..12).map(|_| rng.normal()).collect());
+            let model = ProjectionModel::from_weights(Matrix::identity(3));
+            let engine = ScoringEngine::new(model, bank, Similarity::Dot);
             for k in [0usize, 1, 3, z / 2, z.saturating_sub(1), z, z + 5] {
-                let k = k.min(z);
-                // Reference: full sort then truncate (the old implementation).
-                let mut order: Vec<usize> = (0..z).collect();
-                order.sort_by(|&a, &b| row[b].total_cmp(&row[a]));
-                order.truncate(k);
-                let expected_scores: Vec<f64> = order.iter().map(|&c| row[c]).collect();
-
-                let got = topk_row(&row, k);
-                assert_eq!(got.classes, order, "z={z} k={k}");
-                assert_eq!(got.scores, expected_scores, "z={z} k={k}");
+                assert_topk_is_full_sort(&engine, &x, k);
             }
         }
     }
 
     #[test]
     fn topk_handles_ties_and_nans_like_full_sort() {
-        let row = [1.0, 1.0, f64::NAN, 0.5, 1.0];
-        let mut order: Vec<usize> = (0..row.len()).collect();
-        order.sort_by(|&a, &b| row[b].total_cmp(&row[a]));
-        for k in 0..=row.len() {
-            let got = topk_row(&row, k);
-            assert_eq!(got.classes, order[..k], "k={k}");
+        // Dot scores of x = [1, 1e308, 1e308] against this bank are
+        // [1, 1, NaN, 0.5, 1]: class 2 sums inf + -inf.
+        let bank = Matrix::from_rows(&[
+            vec![1.0, 0.0, 0.0],
+            vec![1.0, 0.0, 0.0],
+            vec![0.0, 10.0, -10.0],
+            vec![0.5, 0.0, 0.0],
+            vec![1.0, 0.0, 0.0],
+        ]);
+        let model = ProjectionModel::from_weights(Matrix::identity(3));
+        let engine = ScoringEngine::new(model, bank, Similarity::Dot);
+        let x = Matrix::from_rows(&[vec![1.0, 1e308, 1e308], vec![0.5, 0.0, 0.0]]);
+        let scores = engine.scores(&x);
+        assert!(scores.get(0, 2).is_nan());
+        assert_eq!(scores.get(1, 0), scores.get(1, 4), "tie lost");
+        for k in 0..=engine.num_classes() {
+            assert_topk_is_full_sort(&engine, &x, k);
         }
     }
 
     #[test]
     fn predict_on_zero_samples_returns_empty() {
-        let clf = toy_classifier(Similarity::Cosine);
+        let clf = toy_engine(Similarity::Cosine);
         let x = Matrix::zeros(0, 2);
         assert!(clf.predict(&x).is_empty());
         assert!(clf.predict_topk(&x, 1).is_empty());
@@ -1553,7 +1296,7 @@ mod tests {
     fn single_class_bank_always_predicts_class_zero() {
         let model = ProjectionModel::from_weights(Matrix::identity(2));
         let bank = Matrix::from_rows(&[vec![0.3, 0.7]]);
-        let clf = Classifier::new(model, bank, Similarity::Cosine);
+        let clf = ScoringEngine::new(model, bank, Similarity::Cosine);
         let x = Matrix::from_rows(&[vec![5.0, -1.0], vec![-2.0, 0.4]]);
         assert_eq!(clf.predict(&x), vec![0, 0]);
         let ranked = clf.predict_topk(&x, 4);
@@ -1577,20 +1320,14 @@ mod tests {
             assert!((norm - 1.0).abs() < 1e-12);
         }
 
+        // Scoring is row-local: any split of the rows scores the same bits.
         let mut rng = crate::data::Rng::new(9);
         let x = Matrix::from_vec(10, 3, (0..30).map(|_| rng.normal()).collect());
         let full = engine.scores(&x);
-        for chunk_rows in [0usize, 1, 3, 10, 64] {
-            let mut seen_rows = 0;
-            let mut stitched = Vec::new();
-            engine.scores_chunked(&x, chunk_rows, |offset, chunk| {
-                assert_eq!(offset, seen_rows);
-                assert_eq!(chunk.cols(), 2);
-                seen_rows += chunk.rows();
-                stitched.extend_from_slice(chunk.as_slice());
-            });
-            assert_eq!(seen_rows, 10);
-            assert_eq!(stitched, full.as_slice(), "chunk_rows={chunk_rows}");
+        for split in [1usize, 3, 9] {
+            let mut stitched = engine.scores(&x.row_block(0..split)).as_slice().to_vec();
+            stitched.extend_from_slice(engine.scores(&x.row_block(split..10)).as_slice());
+            assert_eq!(stitched, full.as_slice(), "split={split}");
         }
     }
 

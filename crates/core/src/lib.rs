@@ -76,7 +76,7 @@
 //!
 //! ```
 //! use zsl_core::data::SyntheticConfig;
-//! use zsl_core::infer::{mean_per_class_accuracy, Classifier, Similarity};
+//! use zsl_core::infer::{mean_per_class_accuracy, ScoringEngine, Similarity};
 //! use zsl_core::model::EszslConfig;
 //!
 //! let ds = SyntheticConfig::new().classes(20, 4).seed(7).build();
@@ -86,8 +86,8 @@
 //!     .build()
 //!     .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
 //!     .unwrap();
-//! let clf = Classifier::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
-//! let predictions = clf.predict(&ds.test_unseen_x);
+//! let engine = ScoringEngine::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
+//! let predictions = engine.predict(&ds.test_unseen_x);
 //! let acc = mean_per_class_accuracy(&predictions, &ds.test_unseen_labels, 4);
 //! assert!(acc > 0.9);
 //! ```
@@ -118,7 +118,7 @@ pub use eval::{
 };
 pub use infer::{
     harmonic_mean, mean_per_class_accuracy, overall_accuracy, per_class_accuracy, BankShards,
-    BankView, ClassAccuracyCounter, Classifier, ScoringEngine, ScoringPrecision, Similarity, TopK,
+    BankView, ClassAccuracyCounter, ScoringEngine, ScoringPrecision, Similarity, TopK,
 };
 pub use linalg::{
     default_threads, pool_threads, solve_spd, solve_sylvester, Cholesky, LinalgError, Matrix,

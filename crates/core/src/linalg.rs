@@ -5,6 +5,7 @@
 //! type, so the hot paths that later PRs will optimize (blocked matmul,
 //! Cholesky solves) live here and nowhere else.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::{Condvar, Mutex, OnceLock};
 
@@ -18,7 +19,7 @@ pub const NORM_EPSILON: f64 = 1e-12;
 /// Exposed crate-wide because `gemm_bt_into`'s kernel cascade (8-wide, 4-wide,
 /// scalar remainder) is phased on `BLOCK`-element column tiles: a signature
 /// bank split at multiples of `BLOCK` rows scores each class through the
-/// *same* kernel with the *same* accumulation order as the monolithic pass,
+/// *same* kernel with the *same* accumulation order as one unsplit pass,
 /// which is what makes [`crate::infer::BankShards`] bit-identical by
 /// construction instead of by tolerance.
 pub(crate) const BLOCK: usize = 64;
@@ -71,6 +72,12 @@ pub(crate) trait Elem:
     fn from_f64(v: f64) -> Self;
     fn sqrt(self) -> Self;
     fn exp(self) -> Self;
+    /// `data` in this precision: borrowed as-is for `f64`, rounded once into
+    /// a new buffer for `f32`.
+    fn cast_slice(data: &[f64]) -> Cow<'_, [Self]>;
+    /// Widen a block to `f64` (exact for `f32`); `f64` hands the block back
+    /// without copying.
+    fn widen(block: Vec<Self>) -> Vec<f64>;
 }
 
 impl Elem for f64 {
@@ -78,6 +85,12 @@ impl Elem for f64 {
     #[inline]
     fn from_f64(v: f64) -> Self {
         v
+    }
+    fn cast_slice(data: &[f64]) -> Cow<'_, [Self]> {
+        Cow::Borrowed(data)
+    }
+    fn widen(block: Vec<Self>) -> Vec<f64> {
+        block
     }
     #[inline]
     fn sqrt(self) -> Self {
@@ -94,6 +107,12 @@ impl Elem for f32 {
     #[inline]
     fn from_f64(v: f64) -> Self {
         v as f32
+    }
+    fn cast_slice(data: &[f64]) -> Cow<'_, [Self]> {
+        Cow::Owned(data.iter().map(|&v| v as f32).collect())
+    }
+    fn widen(block: Vec<Self>) -> Vec<f64> {
+        block.into_iter().map(f64::from).collect()
     }
     #[inline]
     fn sqrt(self) -> Self {
@@ -522,8 +541,8 @@ pub(crate) fn par_row_bands<T, F>(
 
 /// Serial-or-banded `a (n x k_dim) · b (k_dim x m)` over raw slabs, generic
 /// over the element type — the one parallel entry point shared by
-/// [`Matrix::matmul_parallel`] and the reduced-precision scoring mirror in
-/// [`crate::infer`]. Small products run the serial kernel unconditionally.
+/// [`Matrix::matmul_parallel`] and the model projection in both scoring
+/// precisions. Small products run the serial kernel unconditionally.
 pub(crate) fn gemm_parallel<T: Elem>(
     a: &[T],
     n: usize,
@@ -551,8 +570,8 @@ pub(crate) fn gemm_parallel<T: Elem>(
 }
 
 /// Serial-or-banded `a (n x k_dim) · btᵀ` where `bt` is the packed `z x k_dim`
-/// transpose — the generic twin of [`Matrix::matmul_bt_parallel`], also used
-/// directly by the f32 scoring mirror.
+/// transpose — the generic twin of [`Matrix::matmul_bt_parallel`], also the
+/// bank product of every scoring call in both precisions.
 pub(crate) fn gemm_bt_parallel<T: Elem>(
     a: &[T],
     n: usize,
@@ -622,9 +641,9 @@ pub(crate) fn rbf_gram_parallel<T: Elem>(
 
 /// Scale every `cols`-wide row of `data` to unit L2 norm in place, skipping
 /// rows whose norm is at or below [`NORM_EPSILON`] (in `T`'s precision) —
-/// the generic slab form behind [`Matrix::l2_normalize_rows`] and the f32
-/// cosine scoring path. The sum-then-sqrt-then-divide sequence matches the
-/// `Matrix` method exactly, so delegation changes no bits.
+/// the generic slab form behind [`Matrix::l2_normalize_rows`] and cosine
+/// scoring in both precisions. The `Matrix` method delegates here, so both
+/// run the same sum-then-sqrt-then-divide sequence.
 pub(crate) fn l2_normalize_rows_slab<T: Elem>(data: &mut [T], cols: usize) {
     if cols == 0 {
         return;

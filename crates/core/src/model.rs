@@ -97,15 +97,6 @@ impl ProjectionModel {
     pub fn project(&self, x: &Matrix) -> Matrix {
         x.matmul(&self.w)
     }
-
-    /// Multi-threaded [`ProjectionModel::project`]: row-banded across
-    /// `threads` workers, bit-identical to the serial path for every thread
-    /// count. The batch scorer ([`crate::infer::ScoringEngine`]) projects
-    /// through this so one weight matrix serves all worker threads without
-    /// copies.
-    pub fn project_parallel(&self, x: &Matrix, threads: usize) -> Matrix {
-        x.matmul_parallel(&self.w, threads)
-    }
 }
 
 /// Builder-style configuration for [`EszslTrainer`].

@@ -34,7 +34,10 @@
 //! this differentially.
 
 use crate::error::ZslError;
-use crate::linalg::{default_threads, solve_sylvester, Matrix};
+use crate::linalg::{
+    default_threads, gemm_bt_parallel, gemm_parallel, rbf_gram_parallel, solve_sylvester, Elem,
+    Matrix,
+};
 use crate::model::{
     validate_regularizer, EszslProblem, EszslTrainer, GramAccumulator, ProjectionModel, TrainError,
 };
@@ -143,20 +146,40 @@ pub(crate) fn kernel_map(
     kernel: KernelKind,
     threads: usize,
 ) -> Matrix {
+    assert_eq!(
+        x.cols(),
+        anchors.cols(),
+        "kernel map shape mismatch: {} features vs {} per anchor",
+        x.cols(),
+        anchors.cols()
+    );
+    let data = kernel_map_slab(
+        x.as_slice(),
+        x.rows(),
+        x.cols(),
+        anchors.as_slice(),
+        anchors.rows(),
+        kernel,
+        threads,
+    );
+    Matrix::from_vec(x.rows(), anchors.rows(), data)
+}
+
+/// [`kernel_map`] over raw row-major slabs (`x : n x d`, `anchors : m x d`)
+/// in either element type.
+fn kernel_map_slab<T: Elem>(
+    x: &[T],
+    n: usize,
+    d: usize,
+    anchors: &[T],
+    m: usize,
+    kernel: KernelKind,
+    threads: usize,
+) -> Vec<T> {
     match kernel {
-        KernelKind::Linear => x.matmul_bt_parallel(anchors, threads),
+        KernelKind::Linear => gemm_bt_parallel(x, n, d, anchors, m, threads),
         KernelKind::Rbf { width } => {
-            let (n, m, d) = (x.rows(), anchors.rows(), x.cols());
-            let data = crate::linalg::rbf_gram_parallel(
-                x.as_slice(),
-                n,
-                d,
-                anchors.as_slice(),
-                m,
-                width,
-                threads,
-            );
-            Matrix::from_vec(n, m, data)
+            rbf_gram_parallel(x, n, d, anchors, m, T::from_f64(width), threads)
         }
     }
 }
@@ -206,12 +229,6 @@ impl KernelModel {
     /// The Gram option.
     pub fn kernel(&self) -> KernelKind {
         self.kernel
-    }
-
-    /// Project a batch into attribute space: `k(X, anchors) · alpha`.
-    /// Bit-identical for every thread count.
-    pub fn project_parallel(&self, x: &Matrix, threads: usize) -> Matrix {
-        kernel_map(x, &self.anchors, self.kernel, threads).matmul_parallel(&self.alpha, threads)
     }
 }
 
@@ -288,11 +305,55 @@ impl TrainedModel {
     }
 
     /// Multi-threaded [`TrainedModel::project`], bit-identical to the serial
-    /// path for every thread count (each family's kernel guarantees this).
+    /// path for every thread count. [`crate::ScoringEngine`] projects through
+    /// the same code in both of its precisions.
     pub fn project_parallel(&self, x: &Matrix, threads: usize) -> Matrix {
+        assert_eq!(
+            x.cols(),
+            self.feature_dim(),
+            "projection shape mismatch: {}x{} features vs projection dim {}",
+            x.rows(),
+            x.cols(),
+            self.feature_dim()
+        );
+        let data = self.project_slab(&self.param_slabs(), x.as_slice(), x.rows(), threads);
+        Matrix::from_vec(x.rows(), self.attr_dim(), data)
+    }
+
+    /// The parameter matrices as row-major slabs, in the order
+    /// [`TrainedModel::project_slab`] reads them: `[w]` for the linear
+    /// families, `[alpha, anchors]` for the kernel family.
+    pub(crate) fn param_slabs(&self) -> Vec<&[f64]> {
         match self {
-            TrainedModel::Eszsl(m) | TrainedModel::Sae(m) => m.project_parallel(x, threads),
-            TrainedModel::Kernel(m) => m.project_parallel(x, threads),
+            TrainedModel::Eszsl(m) | TrainedModel::Sae(m) => vec![m.weights().as_slice()],
+            TrainedModel::Kernel(m) => vec![m.alpha().as_slice(), m.anchors().as_slice()],
+        }
+    }
+
+    /// The one projection, generic over the element type: `x` (`n x d`
+    /// row-major) maps to `n x a` as `x · w`, or `k(x, anchors) · alpha` for
+    /// the kernel family. `params` are this model's
+    /// [`TrainedModel::param_slabs`] in `T`: the matrices themselves for
+    /// `f64`, the scoring engine's cast mirror for `f32`. Shapes and the
+    /// kernel come from `self`. Bit-identical for every thread count.
+    pub(crate) fn project_slab<T: Elem>(
+        &self,
+        params: &[&[T]],
+        x: &[T],
+        n: usize,
+        threads: usize,
+    ) -> Vec<T> {
+        let (d, a) = (self.feature_dim(), self.attr_dim());
+        debug_assert_eq!(x.len(), n * d);
+        match self {
+            TrainedModel::Eszsl(_) | TrainedModel::Sae(_) => {
+                gemm_parallel(x, n, d, params[0], a, threads)
+            }
+            TrainedModel::Kernel(m) => {
+                let k = m.anchors().rows();
+                let phi = kernel_map_slab(x, n, d, params[1], k, m.kernel(), threads);
+                gemm_parallel(&phi, n, k, params[0], a, threads)
+            }
         }
     }
 

@@ -1,5 +1,5 @@
 //! End-to-end tests exercising the whole public API:
-//! `Dataset → EszslTrainer → Classifier::predict` plus metrics.
+//! `Dataset → EszslTrainer → ScoringEngine::predict` plus metrics.
 //!
 //! These are the anchor tests named in the roadmap: training on synthetic
 //! seen classes must classify held-out unseen classes at ≥95% accuracy.
@@ -7,7 +7,7 @@
 use zsl_core::data::{export_dataset, DatasetBundle, FeatureFormat, SyntheticConfig};
 use zsl_core::eval::{select_train_evaluate, CrossValConfig};
 use zsl_core::infer::{
-    harmonic_mean, mean_per_class_accuracy, overall_accuracy, Classifier, Similarity,
+    harmonic_mean, mean_per_class_accuracy, overall_accuracy, ScoringEngine, Similarity,
 };
 use zsl_core::model::{EszslConfig, RidgeConfig};
 
@@ -28,8 +28,8 @@ fn eszsl_classifies_unseen_classes_at_95_percent() {
         .build()
         .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
         .expect("train");
-    let clf = Classifier::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
-    let predictions = clf.predict(&ds.test_unseen_x);
+    let engine = ScoringEngine::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
+    let predictions = engine.predict(&ds.test_unseen_x);
     let acc = mean_per_class_accuracy(&predictions, &ds.test_unseen_labels, 5);
     assert!(acc >= 0.95, "unseen-class accuracy {acc} below 0.95");
 }
@@ -42,8 +42,8 @@ fn eszsl_accuracy_holds_across_seeds() {
             .build()
             .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
             .expect("train");
-        let clf = Classifier::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
-        let predictions = clf.predict(&ds.test_unseen_x);
+        let engine = ScoringEngine::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
+        let predictions = engine.predict(&ds.test_unseen_x);
         let acc = mean_per_class_accuracy(
             &predictions,
             &ds.test_unseen_labels,
@@ -63,14 +63,14 @@ fn generalized_zsl_harmonic_mean_is_high_on_clean_data() {
         .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
         .expect("train");
     // GZSL: candidates are the union of seen and unseen classes.
-    let clf = Classifier::new(model, ds.all_signatures(), Similarity::Cosine);
+    let engine = ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine);
 
-    let seen_pred = clf.predict(&ds.test_seen_x);
+    let seen_pred = engine.predict(&ds.test_seen_x);
     let seen_acc = mean_per_class_accuracy(&seen_pred, &ds.test_seen_labels, num_seen);
 
     // Unseen labels index unseen_signatures; in the union bank they are
     // offset by the number of seen classes.
-    let unseen_pred = clf.predict(&ds.test_unseen_x);
+    let unseen_pred = engine.predict(&ds.test_unseen_x);
     let unseen_truth: Vec<usize> = ds
         .test_unseen_labels
         .iter()
@@ -93,8 +93,8 @@ fn ridge_fallback_also_transfers_to_unseen_classes() {
         .build()
         .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
         .expect("train");
-    let clf = Classifier::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
-    let predictions = clf.predict(&ds.test_unseen_x);
+    let engine = ScoringEngine::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
+    let predictions = engine.predict(&ds.test_unseen_x);
     let acc = mean_per_class_accuracy(
         &predictions,
         &ds.test_unseen_labels,
@@ -112,17 +112,17 @@ fn topk_contains_top1_and_pipeline_is_deterministic() {
             .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
             .expect("train")
     };
-    let clf_a = Classifier::new(train(), ds.unseen_signatures.clone(), Similarity::Cosine);
-    let clf_b = Classifier::new(train(), ds.unseen_signatures.clone(), Similarity::Cosine);
+    let engine_a = ScoringEngine::new(train(), ds.unseen_signatures.clone(), Similarity::Cosine);
+    let engine_b = ScoringEngine::new(train(), ds.unseen_signatures.clone(), Similarity::Cosine);
 
-    let top1 = clf_a.predict(&ds.test_unseen_x);
-    let top3 = clf_a.predict_topk(&ds.test_unseen_x, 3);
+    let top1 = engine_a.predict(&ds.test_unseen_x);
+    let top3 = engine_a.predict_topk(&ds.test_unseen_x, 3);
     for (best, ranked) in top1.iter().zip(&top3) {
         assert_eq!(ranked.classes.len(), 3);
         assert_eq!(ranked.classes[0], *best, "top-1 must head the top-3 list");
     }
     // Same data + same config ⇒ bit-identical predictions.
-    assert_eq!(top1, clf_b.predict(&ds.test_unseen_x));
+    assert_eq!(top1, engine_b.predict(&ds.test_unseen_x));
 }
 
 /// The PR-3 acceptance criterion: a synthetic dataset exported to both CSV
@@ -188,8 +188,8 @@ fn dot_similarity_works_with_normalized_signatures() {
         .expect("train");
     let mut signatures = ds.unseen_signatures.clone();
     signatures.l2_normalize_rows();
-    let clf = Classifier::new(model, signatures, Similarity::Dot);
-    let predictions = clf.predict(&ds.test_unseen_x);
+    let engine = ScoringEngine::new(model, signatures, Similarity::Dot);
+    let predictions = engine.predict(&ds.test_unseen_x);
     let acc = overall_accuracy(&predictions, &ds.test_unseen_labels);
     assert!(acc >= 0.9, "dot-similarity unseen accuracy {acc} below 0.9");
 }

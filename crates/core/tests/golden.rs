@@ -10,7 +10,7 @@
 // shorter literal would round to the same f64.
 #![allow(clippy::excessive_precision)]
 
-use zsl_core::infer::{Classifier, Similarity};
+use zsl_core::infer::{ScoringEngine, Similarity};
 use zsl_core::linalg::Matrix;
 use zsl_core::model::EszslConfig;
 
@@ -86,12 +86,12 @@ fn classifier_reproduces_golden_scores_and_predictions() {
         .build()
         .train(&x, &labels, &s)
         .expect("train");
-    let clf = Classifier::new(model, s, Similarity::Cosine);
+    let engine = ScoringEngine::new(model, s, Similarity::Cosine);
 
     let probes = Matrix::from_rows(&[vec![1.05, -0.05], vec![0.0, 1.1], vec![1.0, 0.95]]);
-    assert_eq!(clf.predict(&probes), vec![0, 1, 2]);
+    assert_eq!(engine.predict(&probes), vec![0, 1, 2]);
 
-    let scores = clf.scores(&probes);
+    let scores = engine.scores(&probes);
     for (r, golden_row) in GOLDEN_SCORES.iter().enumerate() {
         for (c, &golden) in golden_row.iter().enumerate() {
             let got = scores.get(r, c);

@@ -1,9 +1,10 @@
 //! Integration tests for the cached, parallel scoring engine: equivalence
 //! with the legacy per-call clone-and-renormalize path, cosine/dot agreement
-//! on pre-normalized banks, and chunked streaming over the real pipeline.
+//! on pre-normalized banks, thread invariance and top-k over the real
+//! pipeline.
 
 use zsl_core::data::SyntheticConfig;
-use zsl_core::infer::{Classifier, ScoringEngine, Similarity};
+use zsl_core::infer::{ScoringEngine, Similarity};
 use zsl_core::linalg::{default_threads, Matrix};
 use zsl_core::model::{EszslConfig, ProjectionModel};
 
@@ -68,8 +69,8 @@ fn cosine_and_dot_agree_on_prenormalized_bank() {
     // Dot against a pre-normalized bank scores each sample by ‖p‖·cos(p, s);
     // the per-sample scale cancels inside argmax and ranking, so predictions
     // must agree exactly with cosine similarity.
-    let cosine = Classifier::new(model.clone(), bank, Similarity::Cosine);
-    let dot = Classifier::new(model, normalized_bank, Similarity::Dot);
+    let cosine = ScoringEngine::new(model.clone(), bank, Similarity::Cosine);
+    let dot = ScoringEngine::new(model, normalized_bank, Similarity::Dot);
     assert_eq!(cosine.predict(&x), dot.predict(&x));
     let cosine_top3 = cosine.predict_topk(&x, 3);
     let dot_top3 = dot.predict_topk(&x, 3);
@@ -79,43 +80,19 @@ fn cosine_and_dot_agree_on_prenormalized_bank() {
 }
 
 #[test]
-fn chunked_streaming_matches_full_scores_on_trained_pipeline() {
+fn engine_predictions_are_thread_invariant() {
     let (model, bank, x) = trained_setup();
     let engine = ScoringEngine::new(model, bank, Similarity::Cosine);
-    let full = engine.scores(&x);
-    for chunk_rows in [1usize, 7, 64, x.rows(), x.rows() + 100] {
-        let mut stitched = Vec::with_capacity(x.rows() * engine.num_classes());
-        engine.scores_chunked(&x, chunk_rows, |offset, chunk| {
-            assert_eq!(offset, stitched.len() / engine.num_classes());
-            stitched.extend_from_slice(chunk.as_slice());
-        });
-        assert_eq!(
-            stitched,
-            full.as_slice(),
-            "chunked scores diverged at chunk_rows={chunk_rows}"
-        );
-    }
-}
-
-#[test]
-fn classifier_wrapper_delegates_to_engine() {
-    let (model, bank, x) = trained_setup();
-    let clf = Classifier::new(model.clone(), bank.clone(), Similarity::Cosine);
-    let engine = ScoringEngine::new(model, bank, Similarity::Cosine);
-    assert_eq!(clf.num_classes(), engine.num_classes());
-    assert_eq!(clf.predict(&x), engine.predict(&x));
-    assert_eq!(clf.scores(&x).as_slice(), engine.scores(&x).as_slice());
-    assert_eq!(clf.engine().threads(), default_threads().max(1));
-    // Engine predictions must not depend on the thread count.
+    assert_eq!(engine.threads(), default_threads().max(1));
     let serial = ScoringEngine::with_threads(
-        clf.engine().model().clone(),
-        clf.engine().signatures().to_matrix(),
+        engine.model().clone(),
+        engine.signatures().to_matrix(),
         Similarity::Dot, // bank already normalized inside the engine
         1,
     );
     let parallel = ScoringEngine::with_threads(
-        clf.engine().model().clone(),
-        clf.engine().signatures().to_matrix(),
+        engine.model().clone(),
+        engine.signatures().to_matrix(),
         Similarity::Dot,
         8,
     );
@@ -125,11 +102,11 @@ fn classifier_wrapper_delegates_to_engine() {
 #[test]
 fn predict_topk_equals_full_sort_on_trained_pipeline() {
     let (model, bank, x) = trained_setup();
-    let clf = Classifier::new(model, bank, Similarity::Cosine);
-    let scores = clf.scores(&x);
-    let z = clf.num_classes();
+    let engine = ScoringEngine::new(model, bank, Similarity::Cosine);
+    let scores = engine.scores(&x);
+    let z = engine.num_classes();
     for k in [1usize, 2, z, z + 3] {
-        let ranked = clf.predict_topk(&x, k);
+        let ranked = engine.predict_topk(&x, k);
         for (i, ranked_row) in ranked.iter().enumerate() {
             let row = scores.row(i);
             let mut order: Vec<usize> = (0..z).collect();
@@ -178,15 +155,10 @@ fn try_new_returns_typed_errors_where_new_panics() {
         ("non-finite", Matrix::from_rows(&[vec![1.0, f64::NAN]])),
         ("width mismatch", Matrix::zeros(3, 5)),
     ] {
-        match ScoringEngine::try_new(identity(), bank.clone(), Similarity::Cosine) {
+        match ScoringEngine::try_new(identity(), bank, Similarity::Cosine) {
             Err(ZslError::Config(msg)) => assert!(!msg.is_empty(), "{what}"),
             other => panic!("{what}: expected Config error, got {other:?}"),
         }
-        // The Classifier mirror behaves identically.
-        assert!(matches!(
-            Classifier::try_new(identity(), bank, Similarity::Cosine),
-            Err(ZslError::Config(_))
-        ));
     }
 
     // A valid bank builds the same engine `new` does, bit for bit.

@@ -1,11 +1,14 @@
 //! Differential suite for the sharded signature bank: every shard count must
-//! produce **bit-identical** results to the monolithic path — scores, argmax
-//! predictions, and top-k rankings, across both scoring precisions and
+//! produce **bit-identical** results to the default single band — scores,
+//! argmax predictions, and top-k rankings, across both scoring precisions and
 //! thread counts, including deliberate score ties that straddle shard
 //! boundaries (where a merge with the wrong tie-break order would diverge
-//! first). The same bar applies to the boot path: an engine whose bank is
-//! borrowed from a memory-mapped artifact must score bit-identically to one
-//! whose bank was read onto the heap.
+//! first). Because every shard count runs the same reducer, the predictions
+//! are also checked against an oracle outside it: the first-index argmax and
+//! a full sort of each `scores()` row, and the `f64` scores against an
+//! unfolded projection and `X·Sᵀ` product. The same bar applies to the boot
+//! path: an engine whose bank is borrowed from a memory-mapped artifact must
+//! score bit-identically to one whose bank was read onto the heap.
 //!
 //! The calibrated-stacking scenario rides here too: on a seeded
 //! seen-swamped dataset a γ_cal sweep must *strictly* improve the GZSL
@@ -63,7 +66,7 @@ fn every_shard_count_is_bit_identical_to_the_monolithic_path() {
                 let mut baseline = ScoringEngine::new(model.clone(), bank.clone(), similarity)
                     .with_precision(precision);
                 baseline.set_threads(threads);
-                assert_eq!(baseline.bank_shards().count(), 1, "default is monolithic");
+                assert_eq!(baseline.bank_shards().count(), 1, "default is one band");
                 let scores = baseline.scores(&x);
                 let argmax = baseline.predict(&x);
                 let rankings: Vec<_> = [1usize, 3, CLASSES]
@@ -123,6 +126,101 @@ fn ties_across_shard_boundaries_resolve_to_the_lower_class_id() {
                 top2[row].scores[1].to_bits(),
                 "engineered tie is not bitwise equal"
             );
+        }
+    }
+}
+
+/// Index of the first maximum of `row` under `total_cmp`.
+fn first_argmax(row: &[f64]) -> usize {
+    let mut best = 0;
+    for (i, v) in row.iter().enumerate() {
+        if v.total_cmp(&row[best]).is_gt() {
+            best = i;
+        }
+    }
+    best
+}
+
+/// Every class of `row`, best first: descending `total_cmp`, ties by
+/// ascending class id.
+fn full_sort(row: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..row.len()).collect();
+    order.sort_by(|&a, &b| row[b].total_cmp(&row[a]).then(a.cmp(&b)));
+    order
+}
+
+/// `tie_setup`'s queries plus a row with one NaN feature (every score NaN)
+/// and an all-zero row (every class ties at 0).
+fn oracle_queries() -> Matrix {
+    let (_, _, x) = tie_setup();
+    let mut rows: Vec<Vec<f64>> = (0..x.rows()).map(|r| x.row(r).to_vec()).collect();
+    let mut poisoned = vec![0.5; DIM];
+    poisoned[3] = f64::NAN;
+    rows.push(poisoned);
+    rows.push(vec![0.0; DIM]);
+    Matrix::from_rows(&rows)
+}
+
+#[test]
+fn predictions_match_argmax_and_full_sort_of_every_score_row() {
+    let (model, bank, _) = tie_setup();
+    let x = oracle_queries();
+    for similarity in [Similarity::Dot, Similarity::Cosine] {
+        for precision in [ScoringPrecision::F64, ScoringPrecision::F32] {
+            for requested in [1usize, 2, 3, CLASSES] {
+                let mut engine = ScoringEngine::new(model.clone(), bank.clone(), similarity)
+                    .with_precision(precision);
+                engine.set_bank_shards(requested);
+                let tag =
+                    format!("similarity={similarity:?} precision={precision:?} shards={requested}");
+                let scores = engine.scores(&x);
+                let argmax: Vec<usize> =
+                    (0..x.rows()).map(|i| first_argmax(scores.row(i))).collect();
+                assert_eq!(engine.predict(&x), argmax, "argmax ({tag})");
+                let sorted: Vec<Vec<usize>> =
+                    (0..x.rows()).map(|i| full_sort(scores.row(i))).collect();
+                for k in [0usize, 1, 10, CLASSES, CLASSES + 5] {
+                    let ranked = engine.predict_topk(&x, k);
+                    assert_eq!(ranked.len(), x.rows());
+                    for (i, got) in ranked.iter().enumerate() {
+                        let expected = &sorted[i][..k.min(CLASSES)];
+                        assert_eq!(got.classes, expected, "top-{k} of row {i} ({tag})");
+                        let got_bits: Vec<u64> = got.scores.iter().map(|v| v.to_bits()).collect();
+                        let want_bits: Vec<u64> = expected
+                            .iter()
+                            .map(|&c| scores.get(i, c).to_bits())
+                            .collect();
+                        assert_eq!(got_bits, want_bits, "top-{k} scores of row {i} ({tag})");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn f64_scores_match_an_unfolded_projection_and_product() {
+    let (model, bank, _) = tie_setup();
+    let x = oracle_queries();
+    for similarity in [Similarity::Dot, Similarity::Cosine] {
+        let mut projected = model.project(&x);
+        let mut normalized = bank.clone();
+        if similarity == Similarity::Cosine {
+            projected.l2_normalize_rows();
+            normalized.l2_normalize_rows();
+        }
+        let expected = projected.matmul_bt(&normalized);
+        for requested in [1usize, 2, 3, CLASSES] {
+            let mut engine = ScoringEngine::new(model.clone(), bank.clone(), similarity);
+            engine.set_bank_shards(requested);
+            let got: Vec<u64> = engine
+                .scores(&x)
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let want: Vec<u64> = expected.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "similarity={similarity:?} shards={requested}");
         }
     }
 }

@@ -17,7 +17,7 @@
 use std::time::Instant;
 use zsl_core::data::{export_dataset, DatasetBundle, Rng, StreamingBundle, SyntheticConfig};
 use zsl_core::eval::evaluate_gzsl;
-use zsl_core::infer::{ScoringEngine, ScoringPrecision, Similarity};
+use zsl_core::infer::{ScoringEngine, ScoringPrecision, Similarity, DEFAULT_CHUNK_ROWS};
 use zsl_core::linalg::{default_threads, pool_threads, Matrix};
 use zsl_core::model::{EszslConfig, EszslProblem, GramAccumulator, ProjectionModel};
 use zsl_core::trainer::{KernelEszslConfig, KernelKind, SaeConfig, Trainer};
@@ -132,43 +132,6 @@ fn scoring_throughput_multi_threaded_vs_single_threaded() {
             "parallel scoring ({t_multi:.4}s) did not beat single-threaded ({t_single:.4}s) on {threads} threads"
         );
     }
-}
-
-#[test]
-#[ignore = "timing harness; run with --release -- --ignored --nocapture"]
-fn cached_bank_scoring_vs_legacy_clone_path() {
-    let w = workload();
-    let mut rng = Rng::new(0xCAFE);
-    let weights = random_matrix(&mut rng, w.d, w.a);
-    let bank = random_matrix(&mut rng, w.z, w.a);
-    let x = random_matrix(&mut rng, w.n, w.d);
-    let model = ProjectionModel::from_weights(weights);
-
-    // PR 1 path: per-call bank clone + renormalize + transpose + serial
-    // blocked matmul.
-    let legacy = |x: &Matrix| -> Matrix {
-        let mut projected = model.project(x);
-        let mut signatures = bank.clone();
-        projected.l2_normalize_rows();
-        signatures.l2_normalize_rows();
-        projected.matmul(&signatures.transpose())
-    };
-    // Engine path pinned to one thread so the delta isolates the caching.
-    let engine = ScoringEngine::with_threads(model.clone(), bank.clone(), Similarity::Cosine, 1);
-
-    let reference = legacy(&x);
-    let cached = engine.scores(&x);
-    assert!(
-        cached.max_abs_diff(&reference) < 1e-9,
-        "cached-bank scores diverged from legacy path"
-    );
-
-    let (t_legacy, _) = time_best(w.iters, || legacy(&x));
-    let (t_cached, _) = time_best(w.iters, || engine.scores(&x));
-    println!(
-        "[bench] cached-bank (1 thread) n={} d={} a={} z={}: legacy={:.4}s cached={:.4}s speedup={:.2}x",
-        w.n, w.d, w.a, w.z, t_legacy, t_cached, t_legacy / t_cached
-    );
 }
 
 #[test]
@@ -481,11 +444,11 @@ fn rbf_gram_scoring_scales_with_pool_threads() {
 
 #[test]
 #[ignore = "timing harness; run with --release -- --ignored --nocapture"]
-fn sharded_bank_streaming_topk_vs_monolithic() {
+fn banded_topk_one_band_vs_eight() {
     // The large-class-axis path: the bank is split into row bands scored one
-    // at a time, with rankings folded through a per-row bounded heap — peak
-    // score memory drops from chunk_rows x z to chunk_rows x band + n x k
-    // while the bits stay identical to the monolithic path.
+    // at a time, with rankings folded through a per-row bounded heap. Eight
+    // bands drop peak score memory from chunk_rows x z to chunk_rows x band
+    // while the bits stay identical to the default single band.
     let w = workload();
     let z_big = if smoke() { 512 } else { 8192 };
     let shards = 8usize;
@@ -494,7 +457,7 @@ fn sharded_bank_streaming_topk_vs_monolithic() {
     let weights = random_matrix(&mut rng, w.d, w.a);
     let bank = random_matrix(&mut rng, z_big, w.a);
     let x = random_matrix(&mut rng, w.n, w.d);
-    let monolithic = ScoringEngine::new(
+    let one_band = ScoringEngine::new(
         ProjectionModel::from_weights(weights.clone()),
         bank.clone(),
         Similarity::Cosine,
@@ -507,29 +470,32 @@ fn sharded_bank_streaming_topk_vs_monolithic() {
     sharded.set_bank_shards(shards);
     let bands = sharded.bank_shards().count();
 
-    let reference = monolithic.predict_topk(&x, k);
+    let reference = one_band.predict_topk(&x, k);
     let banded = sharded.predict_topk(&x, k);
-    assert_eq!(reference, banded, "sharded top-k diverged from monolithic");
+    assert_eq!(
+        reference, banded,
+        "{bands}-band top-k diverged from one band"
+    );
 
-    let (t_mono, _) = time_best(w.iters, || monolithic.predict_topk(&x, k));
+    let (t_one, _) = time_best(w.iters, || one_band.predict_topk(&x, k));
     let (t_sharded, _) = time_best(w.iters, || sharded.predict_topk(&x, k));
     let band_z = sharded.bank_shards().max_band_classes();
     println!(
-        "[bench] sharded-topk n={} d={} a={} z={} k={} shards={bands}: \
-         monolithic={:.4}s ({:.0} samples/s) sharded={:.4}s ({:.0} samples/s) ratio={:.2}x \
+        "[bench] banded-topk n={} d={} a={} z={} k={}: 1 band={:.4}s ({:.0} samples/s) \
+         {bands} bands={:.4}s ({:.0} samples/s) ratio={:.2}x \
          peak-score-mem {:.1} KiB vs {:.1} KiB per chunk",
         w.n,
         w.d,
         w.a,
         z_big,
         k,
-        t_mono,
-        w.n as f64 / t_mono,
+        t_one,
+        w.n as f64 / t_one,
         t_sharded,
         w.n as f64 / t_sharded,
-        t_sharded / t_mono,
-        (w.n.min(1024) * z_big * 8) as f64 / 1024.0,
-        (w.n.min(1024) * band_z * 8) as f64 / 1024.0,
+        t_sharded / t_one,
+        (w.n.min(DEFAULT_CHUNK_ROWS) * z_big * 8) as f64 / 1024.0,
+        (w.n.min(DEFAULT_CHUNK_ROWS) * band_z * 8) as f64 / 1024.0,
     );
 }
 
@@ -583,42 +549,4 @@ fn mmap_boot_vs_heap_boot() {
         t_heap / t_mapped
     );
     std::fs::remove_file(&path).ok();
-}
-
-#[test]
-#[ignore = "timing harness; run with --release -- --ignored --nocapture"]
-fn chunked_streaming_throughput() {
-    let w = workload();
-    let mut rng = Rng::new(0xF00D);
-    let weights = random_matrix(&mut rng, w.d, w.a);
-    let bank = random_matrix(&mut rng, w.z, w.a);
-    let x = random_matrix(&mut rng, w.n, w.d);
-    let engine = ScoringEngine::new(
-        ProjectionModel::from_weights(weights),
-        bank,
-        Similarity::Cosine,
-    );
-
-    let full = engine.scores(&x);
-    let chunk_rows = (w.n / 8).max(1);
-    let (t_chunked, rows_seen) = time_best(w.iters, || {
-        let mut rows = 0usize;
-        engine.scores_chunked(&x, chunk_rows, |offset, chunk| {
-            if offset == 0 {
-                // Spot-check the first chunk against the full result.
-                assert_eq!(&full.as_slice()[..chunk.as_slice().len()], chunk.as_slice());
-            }
-            rows += chunk.rows();
-        });
-        rows
-    });
-    assert_eq!(rows_seen, w.n);
-    println!(
-        "[bench] chunked-scoring n={} chunk_rows={} threads={}: {:.4}s ({:.0} samples/s)",
-        w.n,
-        chunk_rows,
-        engine.threads(),
-        t_chunked,
-        w.n as f64 / t_chunked
-    );
 }

@@ -254,9 +254,10 @@ pub struct MatVar {
 }
 
 impl MatVar {
-    /// Total element count (product of dims).
-    pub fn numel(&self) -> usize {
-        self.dims.iter().product()
+    /// Total element count (product of dims), `None` when the product
+    /// overflows `usize` — the dims come straight from the file's header.
+    pub fn numel(&self) -> Option<usize> {
+        self.dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
     }
 }
 
@@ -699,7 +700,18 @@ impl MatFile {
             ));
         }
         let vsize = mi_value_size(var.pr_type).expect("validated at scan");
-        let expected = var.numel() as u64 * vsize as u64;
+        let expected = var
+            .numel()
+            .and_then(|n| n.checked_mul(vsize))
+            .ok_or_else(|| {
+                MatError::element(
+                    &self.path,
+                    format!(
+                        "variable '{}' dims {:?} hold more bytes than memory can address",
+                        var.name, var.dims
+                    ),
+                )
+            })? as u64;
         if expected != var.pr_bytes {
             return Err(MatError::element(
                 &self.path,
@@ -758,9 +770,11 @@ impl MatFile {
         let var = self.require(name)?.clone();
         let vsize = self.numeric_prelude(&var)?;
         let mut source = self.value_reader(&var)?;
-        let count = var.numel();
-        let mut data = Vec::with_capacity(count);
         let mut buf = vec![0u8; (64 * 1024 / vsize.max(1)) * vsize];
+        // `pr_bytes` of a compressed element is the inner tag's claim, which
+        // nothing checks against the file: grow with the values that actually
+        // arrive instead of reserving the claim up front.
+        let mut data = Vec::with_capacity(var.pr_bytes.min(buf.len() as u64) as usize / vsize);
         let mut remaining = var.pr_bytes as usize;
         while remaining > 0 {
             let take = remaining.min(buf.len());

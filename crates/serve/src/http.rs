@@ -62,9 +62,9 @@ pub struct ServerConfig {
     /// the signature bank is borrowed zero-copy from the mmap'd artifact
     /// when layout and platform allow, with a transparent heap fallback.
     pub mmap_boot: bool,
-    /// Split the signature bank into this many shards for streaming top-k
-    /// scoring; `None` keeps the monolithic bank. Bit-identical scores at
-    /// every shard count — only peak score memory changes.
+    /// Score the signature bank in this many row bands; `None` keeps the
+    /// engine's default of one band over the whole bank. Bit-identical
+    /// scores at every shard count — only peak score memory changes.
     pub bank_shards: Option<usize>,
 }
 

@@ -105,9 +105,9 @@ pub struct BootOptions {
     /// borrow when the artifact layout and platform allow it, transparent
     /// heap fallback otherwise.
     pub mmap_boot: bool,
-    /// Split the signature bank into this many shards for streaming top-k
-    /// scoring (`None` keeps the monolithic bank). Scored bits are identical
-    /// at every shard count; only peak score memory changes.
+    /// Score the signature bank in this many row bands (`None` keeps the
+    /// engine's default of one band over the whole bank). Scored bits are
+    /// identical at every shard count; only peak score memory changes.
     pub bank_shards: Option<usize>,
 }
 
