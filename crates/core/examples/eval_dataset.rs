@@ -4,7 +4,9 @@
 //! ```sh
 //! # Write a synthetic bundle (features.zsb + signatures.csv + splits.txt):
 //! cargo run --release --example eval_dataset -- export /tmp/zsl_bundle
-//! cargo run --release --example eval_dataset -- export /tmp/zsl_bundle --csv --seed 7
+//! cargo run --release --example eval_dataset -- export /tmp/zsl_bundle --seed 7
+//! # (a bundle whose features are CSV is converted once, in place:
+//! #  cargo run --release -p zsl-mat --bin zsl-import -- --features-csv <dir>)
 //!
 //! # Load it, grid-search hyperparameters with seeded k-fold CV, evaluate:
 //! cargo run --release --example eval_dataset -- eval /tmp/zsl_bundle
@@ -17,8 +19,7 @@
 //! cargo run --release --example eval_dataset -- train /tmp/zsl_bundle --model eszsl-rbf --save /tmp/model.zsm
 //!
 //! # Same protocol, but out-of-core: features are streamed from disk in
-//! # --chunk-rows blocks and never materialized (bit-identical reports).
-//! # Works on both formats — CSV bundles get shuffled reads via a line index:
+//! # --chunk-rows blocks and never materialized (bit-identical reports):
 //! cargo run --release --example eval_dataset -- eval /tmp/zsl_bundle --stream --chunk-rows 1024
 //!
 //! # Train once, persist the engine as a versioned .zsm artifact:
@@ -40,9 +41,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use zsl_core::data::{
-    export_dataset, DatasetBundle, FeatureFormat, StreamingBundle, SyntheticConfig,
-};
+use zsl_core::data::{export_dataset, DatasetBundle, StreamingBundle, SyntheticConfig};
 use zsl_core::eval::{evaluate_gzsl_with, CrossValConfig};
 use zsl_core::infer::{ScoringEngine, Similarity};
 use zsl_core::source::{FeatureSource, SplitKind};
@@ -75,12 +74,14 @@ impl std::str::FromStr for ModelChoice {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  eval_dataset export <dir> [--csv] [--seed N]\n  \
-         eval_dataset eval <dir> [--csv] [--model eszsl|sae|eszsl-rbf] [--folds K] [--seed N] \
+        "usage:\n  eval_dataset export <dir> [--seed N]\n  \
+         eval_dataset eval <dir> [--model eszsl|sae|eszsl-rbf] [--folds K] [--seed N] \
          [--sim cosine|dot] [--stream] [--chunk-rows N]\n  \
-         eval_dataset train <dir> --save <model.zsm> [--csv] [--model eszsl|sae|eszsl-rbf] \
+         eval_dataset train <dir> --save <model.zsm> [--model eszsl|sae|eszsl-rbf] \
          [--folds K] [--seed N] [--sim cosine|dot] [--stream] [--chunk-rows N]\n  \
-         eval_dataset predict <dir> --load <model.zsm> [--csv] [--stream] [--chunk-rows N]"
+         eval_dataset predict <dir> --load <model.zsm> [--stream] [--chunk-rows N]\n\n\
+         A bundle is features.zsb + signatures.csv + splits.txt; convert a features.csv\n\
+         with `zsl-import --features-csv <dir>` first."
     );
     ExitCode::FAILURE
 }
@@ -91,17 +92,12 @@ fn usage() -> ExitCode {
 /// because the trait hides it (trainers learn it from the stream).
 fn with_source(
     dir: &std::path::Path,
-    format: Option<FeatureFormat>,
     stream: bool,
     chunk_rows: usize,
     run: impl FnOnce(&dyn FeatureSource, usize) -> ExitCode,
 ) -> ExitCode {
     if stream {
-        let opened = match format {
-            Some(f) => StreamingBundle::open_with_format(dir, f, chunk_rows),
-            None => StreamingBundle::open(dir, chunk_rows),
-        };
-        let bundle = match opened {
+        let bundle = match StreamingBundle::open(dir, chunk_rows) {
             Ok(b) => b,
             Err(e) => {
                 eprintln!("failed to open streaming bundle {}: {e}", dir.display());
@@ -109,12 +105,11 @@ fn with_source(
             }
         };
         println!(
-            "streaming bundle: {} samples x {} features, {} classes x {} attributes ({:?})",
+            "streaming bundle: {} samples x {} features, {} classes x {} attributes",
             bundle.num_samples(),
             bundle.feature_dim(),
             bundle.num_classes(),
             bundle.attr_dim(),
-            bundle.format(),
         );
         // A chunk never exceeds the table, so clamp before estimating;
         // saturating math keeps absurd --chunk-rows values from wrapping.
@@ -134,11 +129,7 @@ fn with_source(
         let d = bundle.feature_dim();
         run(&bundle, d)
     } else {
-        let loaded = match format {
-            Some(f) => DatasetBundle::load_with_format(dir, f),
-            None => DatasetBundle::load(dir),
-        };
-        let bundle = match loaded {
+        let bundle = match DatasetBundle::load(dir) {
             Ok(b) => b,
             Err(e) => {
                 eprintln!("failed to load bundle {}: {e}", dir.display());
@@ -184,11 +175,10 @@ fn main() -> ExitCode {
 
     // Shared flag parsing for the tail of the argument list. Flags only
     // meaningful for another subcommand are rejected, not silently swallowed
-    // (an ignored `--csv` on eval would fake CSV-path coverage).
+    // (an ignored `--stream` on export would fake streamed-path coverage).
     let allowed: &[&str] = match command {
-        "export" => &["--csv", "--seed"],
+        "export" => &["--seed"],
         "train" => &[
-            "--csv",
             "--seed",
             "--folds",
             "--sim",
@@ -197,9 +187,8 @@ fn main() -> ExitCode {
             "--save",
             "--model",
         ],
-        "predict" => &["--csv", "--stream", "--chunk-rows", "--load"],
+        "predict" => &["--stream", "--chunk-rows", "--load"],
         _ => &[
-            "--csv",
             "--seed",
             "--folds",
             "--sim",
@@ -208,7 +197,6 @@ fn main() -> ExitCode {
             "--model",
         ],
     };
-    let mut format: Option<FeatureFormat> = None;
     let mut seed: u64 = 2026;
     let mut folds: usize = 3;
     let mut similarity = Similarity::Cosine;
@@ -223,7 +211,6 @@ fn main() -> ExitCode {
             return usage();
         }
         match flag.as_str() {
-            "--csv" => format = Some(FeatureFormat::Csv),
             "--stream" => stream = true,
             "--seed" | "--folds" | "--sim" | "--chunk-rows" | "--save" | "--load" | "--model" => {
                 let Some(value) = rest.next() else {
@@ -259,7 +246,7 @@ fn main() -> ExitCode {
                 .noise(0.05)
                 .seed(seed)
                 .build();
-            match export_dataset(&ds, &dir, format.unwrap_or(FeatureFormat::Zsb)) {
+            match export_dataset(&ds, &dir) {
                 Ok(path) => {
                     println!(
                         "exported synthetic bundle (seed {seed}, {} samples, {} classes) to {}",
@@ -288,7 +275,7 @@ fn main() -> ExitCode {
                 .folds(folds)
                 .seed(seed)
                 .similarity(similarity);
-            with_source(&dir, format, stream, chunk_rows, |source, feature_dim| {
+            with_source(&dir, stream, chunk_rows, |source, feature_dim| {
                 print_splits(source);
                 // The documented front door: CV → fit → (evaluate | save).
                 // `--model` swaps the trainer; everything downstream (the
@@ -388,7 +375,7 @@ fn main() -> ExitCode {
             if !metadata.is_empty() {
                 println!("provenance: {metadata}");
             }
-            with_source(&dir, format, stream, chunk_rows, |source, _feature_dim| {
+            with_source(&dir, stream, chunk_rows, |source, _feature_dim| {
                 print_splits(source);
                 match evaluate_gzsl_with(&engine, source) {
                     Ok(report) => {

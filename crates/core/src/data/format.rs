@@ -3,12 +3,12 @@
 //! Three artifacts make up a bundle directory (loaded together by
 //! [`crate::data::DatasetBundle`]):
 //!
-//! 1. **Feature table** — samples with raw class labels, in one of two
-//!    interchangeable formats that round-trip bit-identically:
-//!    - `features.zsb`: a compact little-endian binary dump with a fixed
-//!      32-byte header (see [`ZSB_MAGIC`] and [`read_zsb`] for the layout);
-//!    - `features.csv`: one line per sample, `label,f0,f1,...`, floats
-//!      printed with Rust's shortest round-trip formatting.
+//! 1. **Feature table** — `features.zsb`, samples with raw class labels in a
+//!    compact little-endian binary dump with a fixed 32-byte header (see
+//!    [`ZSB_MAGIC`] and [`write_zsb`] for the layout). A CSV table (one
+//!    `label,f0,f1,...` line per sample) is an import source:
+//!    [`crate::data::import_features_csv`] converts it to `.zsb`
+//!    bit-identically.
 //! 2. **Signature table** — `signatures.csv`, one line per class,
 //!    `label,a0,a1,...`. Line order defines the dense class-id order used
 //!    everywhere downstream.
@@ -69,9 +69,9 @@ impl FeatureTable {
 /// | 32     | 4·n  | labels, one u32 per sample |
 /// | 32+4n  | 8·n·d | features, row-major f64 |
 pub fn write_zsb(path: &Path, table: &FeatureTable) -> Result<(), DataError> {
-    validate_table_shape(path, table)?;
     // The streaming ZsbWriter is the one real encoder; this in-memory path
-    // just feeds it the whole matrix at once, so the two cannot drift.
+    // just feeds it the whole matrix at once, so the two cannot drift. Its
+    // row-count checks reject labels that disagree with the feature rows.
     let mut writer = ZsbWriter::create(path, &table.labels, table.features.cols())?;
     writer.append_rows(&table.features)?;
     writer.finish()
@@ -353,39 +353,6 @@ pub fn read_zsb(path: &Path) -> Result<FeatureTable, DataError> {
     })
 }
 
-/// Write a feature table as CSV, one `label,f0,f1,...` line per sample.
-/// Floats use Rust's shortest round-trip formatting, so
-/// [`read_features_csv`] recovers bit-identical values.
-pub fn write_features_csv(path: &Path, table: &FeatureTable) -> Result<(), DataError> {
-    validate_table_shape(path, table)?;
-    let mut out = Vec::new();
-    for (i, &label) in table.labels.iter().enumerate() {
-        write_csv_row(&mut out, label, table.features.row(i));
-    }
-    fsutil::write_atomic(path, &out).map_err(|e| DataError::io(e.path, e.source))
-}
-
-/// Read a CSV feature table written by [`write_features_csv`].
-///
-/// Thin wrapper over the chunked [`crate::data::stream::CsvChunkReader`]
-/// (mirroring [`read_zsb`]): the streaming parser is the one real decoder.
-pub fn read_features_csv(path: &Path) -> Result<FeatureTable, DataError> {
-    let mut labels = Vec::new();
-    let mut data = Vec::new();
-    let mut cols = 0;
-    for chunk in super::stream::CsvChunkReader::open(path, usize::MAX)? {
-        let chunk = chunk?;
-        cols = chunk.features.cols();
-        labels.extend_from_slice(&chunk.labels);
-        data.extend_from_slice(chunk.features.as_slice());
-    }
-    let rows = labels.len();
-    Ok(FeatureTable {
-        labels,
-        features: Matrix::from_vec(rows, cols, data),
-    })
-}
-
 /// Write the signature table: one `label,a0,a1,...` line per class, in dense
 /// class-id order.
 pub fn write_signatures_csv(
@@ -654,31 +621,8 @@ impl SplitManifest {
     }
 }
 
-/// Shared shape check for feature-table writers.
-fn validate_table_shape(path: &Path, table: &FeatureTable) -> Result<(), DataError> {
-    if table.labels.len() != table.features.rows() {
-        return Err(DataError::Shape {
-            message: format!(
-                "{}: {} labels but {} feature rows",
-                path.display(),
-                table.labels.len(),
-                table.features.rows()
-            ),
-        });
-    }
-    if table.features.rows() == 0 || table.features.cols() == 0 {
-        return Err(DataError::Shape {
-            message: format!(
-                "{}: refusing to write an empty feature table",
-                path.display()
-            ),
-        });
-    }
-    Ok(())
-}
-
 /// One `label,v0,v1,...` CSV line. `{}` on f64 prints the shortest string
-/// that parses back to the identical bits, which is what makes CSV bundles
+/// that parses back to the identical bits, which is what makes CSV tables
 /// round-trip exactly.
 fn write_csv_row(out: &mut Vec<u8>, label: u32, values: &[f64]) {
     write!(out, "{label}").expect("vec write");
@@ -693,11 +637,11 @@ fn write_csv_row(out: &mut Vec<u8>, label: u32, values: &[f64]) {
 /// a blank or `#`-comment line. `cols` tracks the established row width so
 /// ragged rows fail exactly as they always have.
 ///
-/// Shared by the in-memory [`read_labeled_csv`] and the streaming
-/// [`crate::data::stream::CsvChunkReader`], so the two parsers cannot drift:
-/// same trimming, same error strings, same finite-value policy. On `Err`,
-/// partially appended values may remain in `data`; every caller treats a
-/// parse error as fatal for the whole table.
+/// Shared by the signature-table reader [`read_labeled_csv`] and the feature
+/// import [`crate::data::import_features_csv`], so the two parsers cannot
+/// drift: same trimming, same error strings, same finite-value policy. On
+/// `Err`, partially appended values may remain in `data`; every caller
+/// treats a parse error as fatal for the whole table.
 pub(crate) fn parse_labeled_csv_line(
     path: &Path,
     line_no: usize,
@@ -798,12 +742,18 @@ mod tests {
 
     #[test]
     fn csv_roundtrip_is_bit_identical() {
+        // Shortest round-trip float text, imported, decodes to the same bits.
         let table = random_table(6, 13, 5, 3);
-        let path = temp_path("csv_rt.csv");
-        write_features_csv(&path, &table).unwrap();
-        let back = read_features_csv(&path).unwrap();
-        assert_eq!(back, table);
-        std::fs::remove_file(&path).ok();
+        let mut text = Vec::new();
+        for (i, &label) in table.labels.iter().enumerate() {
+            write_csv_row(&mut text, label, table.features.row(i));
+        }
+        let (csv, zsb) = (temp_path("csv_rt.csv"), temp_path("csv_rt.zsb"));
+        std::fs::write(&csv, text).unwrap();
+        assert_eq!(crate::data::import_features_csv(&csv, &zsb).unwrap(), 13);
+        assert_eq!(read_zsb(&zsb).unwrap(), table);
+        std::fs::remove_file(&csv).ok();
+        std::fs::remove_file(&zsb).ok();
     }
 
     #[test]

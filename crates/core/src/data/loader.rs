@@ -1,9 +1,11 @@
 //! Loading and exporting dataset bundles.
 //!
-//! A *bundle* is a directory holding a feature table (`features.zsb` or
-//! `features.csv`), a signature table (`signatures.csv`), and a split
-//! manifest (`splits.txt`) — see [`crate::data::format`] for the file
-//! formats. [`DatasetBundle::load`] reads and cross-validates the three
+//! A *bundle* is a directory holding a feature table (`features.zsb`), a
+//! signature table (`signatures.csv`), and a split manifest (`splits.txt`) —
+//! see [`crate::data::format`] for the file formats. A CSV feature table
+//! (`features.csv`) is an import source, not a bundle file: convert it once
+//! with [`crate::data::import_features_csv`] (`zsl-import --features-csv`).
+//! [`DatasetBundle::load`] reads and cross-validates the three
 //! files, remaps arbitrary raw class labels to dense ids, and
 //! [`DatasetBundle::to_dataset`] materializes the trainval / test-seen /
 //! test-unseen splits as the in-memory [`Dataset`] the trainers and
@@ -12,8 +14,7 @@
 
 use super::error::DataError;
 use super::format::{
-    read_features_csv, read_signatures_csv, read_zsb, write_features_csv, write_signatures_csv,
-    write_zsb, FeatureTable, SplitManifest,
+    read_signatures_csv, read_zsb, write_signatures_csv, write_zsb, FeatureTable, SplitManifest,
 };
 use super::synthetic::Dataset;
 use crate::linalg::Matrix;
@@ -22,31 +23,13 @@ use std::path::{Path, PathBuf};
 
 /// File name of the binary feature table inside a bundle directory.
 pub const FEATURES_ZSB: &str = "features.zsb";
-/// File name of the CSV feature table inside a bundle directory.
+/// File name of the CSV feature table that `zsl-import --features-csv`
+/// converts to [`FEATURES_ZSB`]; the loaders never read it.
 pub const FEATURES_CSV: &str = "features.csv";
 /// File name of the signature table inside a bundle directory.
 pub const SIGNATURES_CSV: &str = "signatures.csv";
 /// File name of the split manifest inside a bundle directory.
 pub const SPLITS_TXT: &str = "splits.txt";
-
-/// Which on-disk representation a bundle's feature table uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FeatureFormat {
-    /// Compact little-endian binary (`features.zsb`).
-    Zsb,
-    /// Human-readable CSV (`features.csv`).
-    Csv,
-}
-
-impl FeatureFormat {
-    /// The bundle file name for this format.
-    pub fn file_name(self) -> &'static str {
-        match self {
-            FeatureFormat::Zsb => FEATURES_ZSB,
-            FeatureFormat::Csv => FEATURES_CSV,
-        }
-    }
-}
 
 /// Bijective map between arbitrary raw class labels and dense ids
 /// `0..num_classes`, in signature-table order.
@@ -112,23 +95,27 @@ pub struct DatasetBundle {
     pub manifest: SplitManifest,
 }
 
-/// Auto-detect a bundle's feature format, preferring `features.zsb` over
-/// `features.csv` when both exist. Shared by [`DatasetBundle::load`] and
+/// Path of a bundle's `features.zsb`, the one feature table the loaders
+/// read. Shared by [`DatasetBundle::load`] and
 /// [`crate::data::StreamingBundle::open`], so the two loaders cannot drift.
-pub(crate) fn detect_feature_format(dir: &Path) -> Result<FeatureFormat, DataError> {
-    if dir.join(FEATURES_ZSB).is_file() {
-        Ok(FeatureFormat::Zsb)
-    } else if dir.join(FEATURES_CSV).is_file() {
-        Ok(FeatureFormat::Csv)
-    } else {
-        Err(DataError::io(
-            dir.join(FEATURES_ZSB),
+/// A bundle that holds only `features.csv` is a NotFound error naming the
+/// import that converts it.
+pub(crate) fn feature_table_path(dir: &Path) -> Result<PathBuf, DataError> {
+    let path = dir.join(FEATURES_ZSB);
+    if !path.exists() && dir.join(FEATURES_CSV).is_file() {
+        return Err(DataError::io(
+            &path,
             std::io::Error::new(
                 std::io::ErrorKind::NotFound,
-                format!("bundle has neither {FEATURES_ZSB} nor {FEATURES_CSV}"),
+                format!(
+                    "bundle has {FEATURES_CSV} but no {FEATURES_ZSB}; convert it with \
+                     `zsl-import --features-csv {}`",
+                    dir.display()
+                ),
             ),
-        ))
+        ));
     }
+    Ok(path)
 }
 
 /// Load `signatures.csv` and build the raw-label ↔ dense-id map — the bundle
@@ -164,22 +151,13 @@ pub(crate) fn load_validated_manifest(
 }
 
 impl DatasetBundle {
-    /// Load a bundle directory, preferring `features.zsb` over
-    /// `features.csv` when both exist.
+    /// Load a bundle directory: its `features.zsb`, `signatures.csv` and
+    /// `splits.txt`.
     pub fn load(dir: &Path) -> Result<Self, DataError> {
-        Self::load_with_format(dir, detect_feature_format(dir)?)
-    }
-
-    /// Load a bundle directory with an explicit feature-table format.
-    pub fn load_with_format(dir: &Path, format: FeatureFormat) -> Result<Self, DataError> {
         let (signatures, class_map) = load_signature_table(dir)?;
 
-        let features_path = dir.join(format.file_name());
-        let table = match format {
-            FeatureFormat::Zsb => read_zsb(&features_path)?,
-            FeatureFormat::Csv => read_features_csv(&features_path)?,
-        };
-        let labels = remap_labels(&table.labels, &class_map, format.file_name())?;
+        let table = read_zsb(&feature_table_path(dir)?)?;
+        let labels = remap_labels(&table.labels, &class_map, FEATURES_ZSB)?;
 
         let manifest = load_validated_manifest(dir, table.features.rows(), &class_map)?;
 
@@ -389,18 +367,14 @@ pub(crate) fn remap_labels(
         .collect()
 }
 
-/// Export a [`Dataset`] as a bundle directory (created if absent), the
+/// Export a [`Dataset`] as a `.zsb` bundle directory (created if absent), the
 /// inverse of [`DatasetBundle::load`] + [`DatasetBundle::to_dataset`]:
 /// reloading reproduces every matrix and label list bit-identically.
 ///
 /// Classes are written with dense raw labels `0..num_seen` (seen) and
 /// `num_seen..num_seen+num_unseen` (unseen); samples are concatenated
 /// train, then test-seen, then test-unseen.
-pub fn export_dataset(
-    ds: &Dataset,
-    dir: &Path,
-    format: FeatureFormat,
-) -> Result<PathBuf, DataError> {
+pub fn export_dataset(ds: &Dataset, dir: &Path) -> Result<PathBuf, DataError> {
     let num_seen = ds.seen_signatures.rows();
     let num_unseen = ds.unseen_signatures.rows();
     let check_labels =
@@ -439,11 +413,7 @@ pub fn export_dataset(
         labels,
         features: Matrix::from_vec(n_train + n_seen + n_unseen, d, data),
     };
-    let features_path = dir.join(format.file_name());
-    match format {
-        FeatureFormat::Zsb => write_zsb(&features_path, &table)?,
-        FeatureFormat::Csv => write_features_csv(&features_path, &table)?,
-    }
+    write_zsb(&dir.join(FEATURES_ZSB), &table)?;
 
     let manifest = SplitManifest {
         trainval: (0..n_train).collect(),
@@ -493,43 +463,44 @@ mod tests {
             .samples(4, 2)
             .seed(314)
             .build();
-        for format in [FeatureFormat::Zsb, FeatureFormat::Csv] {
-            let dir = temp_dir(&format!("rt_{format:?}"));
-            export_dataset(&ds, &dir, format).unwrap();
-            let bundle = DatasetBundle::load_with_format(&dir, format).unwrap();
-            assert_eq!(
-                bundle.num_samples(),
-                ds.train_x.rows() + ds.test_seen_x.rows() + ds.test_unseen_x.rows()
-            );
-            let back = bundle.to_dataset().unwrap();
-            assert_eq!(back.train_x.as_slice(), ds.train_x.as_slice());
-            assert_eq!(back.train_labels, ds.train_labels);
-            assert_eq!(back.test_seen_x.as_slice(), ds.test_seen_x.as_slice());
-            assert_eq!(back.test_seen_labels, ds.test_seen_labels);
-            assert_eq!(back.test_unseen_x.as_slice(), ds.test_unseen_x.as_slice());
-            assert_eq!(back.test_unseen_labels, ds.test_unseen_labels);
-            assert_eq!(
-                back.seen_signatures.as_slice(),
-                ds.seen_signatures.as_slice()
-            );
-            assert_eq!(
-                back.unseen_signatures.as_slice(),
-                ds.unseen_signatures.as_slice()
-            );
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        let dir = temp_dir("rt");
+        export_dataset(&ds, &dir).unwrap();
+        let bundle = DatasetBundle::load(&dir).unwrap();
+        assert_eq!(
+            bundle.num_samples(),
+            ds.train_x.rows() + ds.test_seen_x.rows() + ds.test_unseen_x.rows()
+        );
+        let back = bundle.to_dataset().unwrap();
+        assert_eq!(back.train_x.as_slice(), ds.train_x.as_slice());
+        assert_eq!(back.train_labels, ds.train_labels);
+        assert_eq!(back.test_seen_x.as_slice(), ds.test_seen_x.as_slice());
+        assert_eq!(back.test_seen_labels, ds.test_seen_labels);
+        assert_eq!(back.test_unseen_x.as_slice(), ds.test_unseen_x.as_slice());
+        assert_eq!(back.test_unseen_labels, ds.test_unseen_labels);
+        assert_eq!(
+            back.seen_signatures.as_slice(),
+            ds.seen_signatures.as_slice()
+        );
+        assert_eq!(
+            back.unseen_signatures.as_slice(),
+            ds.unseen_signatures.as_slice()
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn load_autodetects_zsb_over_csv() {
+        // `features.zsb` is the only table the loader reads: a CSV next to
+        // it is never parsed. (A CSV alone is a NotFound naming the import;
+        // `tests/loader_errors.rs` pins that.)
         let ds = SyntheticConfig::new()
             .classes(3, 1)
             .dims(2, 3)
             .samples(2, 1)
             .build();
         let dir = temp_dir("autodetect");
-        export_dataset(&ds, &dir, FeatureFormat::Csv).unwrap();
-        export_dataset(&ds, &dir, FeatureFormat::Zsb).unwrap();
+        export_dataset(&ds, &dir).unwrap();
+        std::fs::write(dir.join(FEATURES_CSV), "not,a,feature,table\n").unwrap();
         let bundle = DatasetBundle::load(&dir).unwrap();
         assert_eq!(bundle.num_samples(), 10);
         std::fs::remove_dir_all(&dir).ok();

@@ -6,12 +6,15 @@
 //! - **Synthetic** ([`SyntheticConfig`]): hermetic, seed-determined data in
 //!   the regime where a linear feature→attribute projection is recoverable —
 //!   the anchor for the trainer tests.
-//! - **From disk** ([`DatasetBundle`]): a bundle directory holding a feature
-//!   table (compact `.zsb` binary or CSV), a `signatures.csv` class table,
-//!   and a `splits.txt` manifest assigning samples to trainval / test-seen /
+//! - **From disk** ([`DatasetBundle`]): a bundle directory holding a compact
+//!   `.zsb` binary feature table, a `signatures.csv` class table, and a
+//!   `splits.txt` manifest assigning samples to trainval / test-seen /
 //!   test-unseen (mirroring the `att_splits` structure of the reference
 //!   ESZSL code). Raw class labels are arbitrary `u32`s, remapped to dense
 //!   ids by a [`ClassMap`]. Every loader failure is a typed [`DataError`].
+//!   `.zsb` is the only feature format the loaders read: a CSV feature table
+//!   is converted once by [`import_features_csv`] (`zsl-import
+//!   --features-csv`), as `.mat` benchmarks are by `zsl-import`.
 //!
 //! [`export_dataset`] writes any [`Dataset`] as a bundle; the round trip
 //! (write → read → [`DatasetBundle::to_dataset`]) is bit-identical, which the
@@ -24,6 +27,7 @@
 
 mod error;
 pub mod format;
+mod import;
 mod loader;
 mod rng;
 pub mod stream;
@@ -33,13 +37,11 @@ pub use error::DataError;
 pub use format::{
     FeatureTable, SectionLines, SplitManifest, ZsbWriter, ZSB_HEADER_LEN, ZSB_MAGIC, ZSB_VERSION,
 };
+pub use import::import_features_csv;
 pub use loader::{
-    export_dataset, ClassMap, DatasetBundle, FeatureFormat, SplitPlan, FEATURES_CSV, FEATURES_ZSB,
-    SIGNATURES_CSV, SPLITS_TXT,
+    export_dataset, ClassMap, DatasetBundle, SplitPlan, FEATURES_CSV, FEATURES_ZSB, SIGNATURES_CSV,
+    SPLITS_TXT,
 };
 pub use rng::Rng;
-pub use stream::{
-    ChunkReader, CsvChunkReader, CsvIndexedReader, CsvLineIndex, FeatureChunk, IndexedReader,
-    SplitStream, StreamingBundle, ZsbChunkReader,
-};
+pub use stream::{FeatureChunk, SplitStream, StreamingBundle, ZsbChunkReader};
 pub use synthetic::{Dataset, SyntheticConfig};

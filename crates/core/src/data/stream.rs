@@ -1,21 +1,24 @@
-//! Out-of-core streaming ingestion: iterate on-disk feature tables in
-//! fixed-row chunks so dataset size never bounds memory.
+//! Out-of-core streaming ingestion: iterate a bundle's `.zsb` feature table
+//! in fixed-row chunks so dataset size never bounds memory.
 //!
 //! The ESZSL closed form `W = (XᵀX + γI)⁻¹ XᵀYS (SᵀS + λI)⁻¹` only ever
 //! needs the Gram accumulators `XᵀX` and `XᵀY`, so the full feature matrix
 //! never has to exist in RAM. This module provides the disk side of that
 //! pipeline:
 //!
-//! - [`ZsbChunkReader`] / [`CsvChunkReader`] iterate a bundle's feature table
-//!   as [`FeatureChunk`]s of at most `chunk_rows` rows, with full header and
-//!   truncation validation through the same typed [`DataError`]s (and, for
-//!   `.zsb`, literally the same parsing code) as the in-memory readers —
-//!   which are now thin wrappers over these.
+//! - [`ZsbChunkReader`] iterates a `.zsb` feature table as [`FeatureChunk`]s
+//!   of at most `chunk_rows` rows, forward or in an explicit (shuffled,
+//!   repeating) row order, with full header and truncation validation. It is
+//!   the one `.zsb` decoder: the in-memory [`crate::data::format::read_zsb`]
+//!   concatenates its chunks.
 //! - [`StreamingBundle`] is the streaming twin of
 //!   [`crate::data::DatasetBundle`]: signatures, labels, and the split
 //!   manifest are loaded and cross-validated eagerly (all `O(n)` or smaller),
 //!   while features stay on disk and are re-streamed per pass via
 //!   [`SplitStream`].
+//!
+//! CSV feature tables are not read here: `zsl-import --features-csv` (or
+//! [`crate::data::import_features_csv`]) converts them to `.zsb` once.
 //!
 //! Peak resident *feature* memory anywhere in this module is
 //! `O(chunk_rows x feature_dim)`; per-sample labels are `O(n)` (4–8 bytes per
@@ -30,238 +33,12 @@
 //! suite in `tests/streaming_equiv.rs` pins this end to end.
 
 use super::error::DataError;
-use super::format::{
-    parse_labeled_csv_line, parse_zsb_header, zsb_validate_dims, SplitManifest, ZSB_HEADER_LEN,
-};
-use super::loader::{remap_labels, ClassMap, FeatureFormat, SplitPlan};
+use super::format::{parse_zsb_header, zsb_validate_dims, SplitManifest, ZSB_HEADER_LEN};
+use super::loader::{feature_table_path, remap_labels, ClassMap, SplitPlan, FEATURES_ZSB};
 use crate::linalg::Matrix;
 use std::fs::File;
-use std::io::{BufRead, BufReader, Read, Seek, SeekFrom};
+use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-
-/// Byte offsets (and line numbers) of every data row in a CSV feature table
-/// — the random-access map that lets indexed/shuffled streamed reads work on
-/// line-oriented files.
-///
-/// Built in **one pass** ([`CsvLineIndex::build`]) that doubles as the full
-/// validation scan a CSV bundle needs anyway (CSV has no header to trust), so
-/// a [`StreamingBundle`] gets the index for free at open. Memory is
-/// `O(n_samples)` bookkeeping (16 bytes per row), the same class as the
-/// per-sample labels — never `O(n x d)` features.
-#[derive(Clone, Debug)]
-pub struct CsvLineIndex {
-    /// Byte offset of each data row, file order.
-    offsets: Vec<u64>,
-    /// 1-based line number of each data row (for error messages).
-    line_nos: Vec<usize>,
-    /// Established row width.
-    cols: usize,
-}
-
-impl CsvLineIndex {
-    /// Scan `path` once: validate every line through the shared CSV parser,
-    /// record each data row's byte offset and line number, and collect the
-    /// raw labels. Exactly the errors of a full [`CsvChunkReader`] pass
-    /// (same parse function, same line numbering), plus the index.
-    pub fn build(path: &Path) -> Result<(Vec<u32>, CsvLineIndex), DataError> {
-        let file = File::open(path).map_err(|e| DataError::io(path, e))?;
-        let mut reader = BufReader::new(file);
-        let mut labels = Vec::new();
-        let mut offsets = Vec::new();
-        let mut line_nos = Vec::new();
-        let mut cols: Option<usize> = None;
-        let mut scratch = Vec::new();
-        let mut line = String::new();
-        let mut offset = 0u64;
-        let mut line_no = 0usize;
-        loop {
-            line.clear();
-            let read = reader
-                .read_line(&mut line)
-                .map_err(|e| DataError::io(path, e))?;
-            if read == 0 {
-                break;
-            }
-            line_no += 1;
-            let start = offset;
-            offset += read as u64;
-            scratch.clear();
-            if let Some(label) =
-                parse_labeled_csv_line(path, line_no, &line, &mut cols, &mut scratch)?
-            {
-                labels.push(label);
-                offsets.push(start);
-                line_nos.push(line_no);
-            }
-        }
-        if labels.is_empty() {
-            // Matches the chunk reader's empty-table error.
-            return Err(DataError::parse(path, 1, "feature table has no rows"));
-        }
-        let cols = cols.expect("a non-empty table sets cols");
-        Ok((
-            labels,
-            CsvLineIndex {
-                offsets,
-                line_nos,
-                cols,
-            },
-        ))
-    }
-
-    /// Number of indexed data rows.
-    pub fn len(&self) -> usize {
-        self.offsets.len()
-    }
-
-    /// True when the index holds no rows (never after a successful
-    /// [`CsvLineIndex::build`], which rejects empty tables).
-    pub fn is_empty(&self) -> bool {
-        self.offsets.is_empty()
-    }
-
-    /// Established row width of the indexed table.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-}
-
-/// Indexed chunked reader over a CSV feature table: yields exactly the
-/// requested rows, in the given order (repeats allowed), in `chunk_rows`
-/// blocks — the CSV counterpart of [`ZsbChunkReader::open_indexed`].
-///
-/// Runs of consecutive row numbers are coalesced into one seek followed by
-/// sequential line reads (comment/blank lines between data rows are skipped
-/// by the shared parser), so an ascending selection costs one seek per gap,
-/// not one per row. A file that shrank after indexing surfaces as a typed
-/// error, never a silently shorter stream; the iterator fuses after the
-/// first error.
-#[derive(Debug)]
-pub struct CsvIndexedReader {
-    path: PathBuf,
-    file: BufReader<File>,
-    /// Requested global rows, with their byte offsets and line numbers
-    /// gathered from the index (aligned vectors, selection order).
-    order: Vec<usize>,
-    offsets: Vec<u64>,
-    line_nos: Vec<usize>,
-    cols: usize,
-    chunk_rows: usize,
-    cursor: usize,
-    failed: bool,
-}
-
-impl CsvIndexedReader {
-    /// Open `path` to stream exactly `indices` (global data-row numbers from
-    /// `index`, in the given order) in `chunk_rows` blocks.
-    pub fn open(
-        path: &Path,
-        index: &CsvLineIndex,
-        indices: &[usize],
-        chunk_rows: usize,
-    ) -> Result<Self, DataError> {
-        validate_chunk_rows(chunk_rows)?;
-        if let Some(&bad) = indices.iter().find(|&&i| i >= index.len()) {
-            return Err(DataError::split(format!(
-                "streamed row index {bad} out of range for {} samples",
-                index.len()
-            )));
-        }
-        let file = File::open(path).map_err(|e| DataError::io(path, e))?;
-        Ok(CsvIndexedReader {
-            path: path.into(),
-            file: BufReader::new(file),
-            order: indices.to_vec(),
-            offsets: indices.iter().map(|&i| index.offsets[i]).collect(),
-            line_nos: indices.iter().map(|&i| index.line_nos[i]).collect(),
-            cols: index.cols,
-            chunk_rows,
-            cursor: 0,
-            failed: false,
-        })
-    }
-
-    /// Read the `run_len` consecutive data rows starting at selection
-    /// position `pos`: one seek, then sequential line reads through the
-    /// shared parser.
-    fn read_run(
-        &mut self,
-        pos: usize,
-        run_len: usize,
-        data: &mut Vec<f64>,
-        labels: &mut Vec<u32>,
-    ) -> Result<(), DataError> {
-        self.file
-            .seek(SeekFrom::Start(self.offsets[pos]))
-            .map_err(|e| DataError::io(&self.path, e))?;
-        let mut line = String::new();
-        for r in 0..run_len {
-            let line_no = self.line_nos[pos + r];
-            loop {
-                line.clear();
-                let read = self
-                    .file
-                    .read_line(&mut line)
-                    .map_err(|e| DataError::io(&self.path, e))?;
-                if read == 0 {
-                    return Err(DataError::Shape {
-                        message: format!(
-                            "{}: feature table ended before indexed row {} — the file \
-                             shrank after the bundle was validated",
-                            self.path.display(),
-                            self.order[pos + r]
-                        ),
-                    });
-                }
-                let mut cols = Some(self.cols);
-                match parse_labeled_csv_line(&self.path, line_no, &line, &mut cols, data)? {
-                    Some(label) => {
-                        labels.push(label);
-                        break;
-                    }
-                    None => continue, // blank/comment between data rows
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Iterator for CsvIndexedReader {
-    type Item = Result<FeatureChunk, DataError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || self.cursor >= self.order.len() {
-            return None;
-        }
-        let start_pos = self.cursor;
-        let take = self.chunk_rows.min(self.order.len() - start_pos);
-        let mut data = Vec::with_capacity(take * self.cols);
-        let mut labels = Vec::with_capacity(take);
-        let mut p = 0;
-        while p < take {
-            // Coalesce a run of consecutive global rows into one seek.
-            let pos = start_pos + p;
-            let mut run_len = 1;
-            while p + run_len < take
-                && self.order[pos + run_len] == self.order[pos + run_len - 1] + 1
-            {
-                run_len += 1;
-            }
-            if let Err(e) = self.read_run(pos, run_len, &mut data, &mut labels) {
-                self.failed = true;
-                return Some(Err(e));
-            }
-            p += run_len;
-        }
-        self.cursor = start_pos + take;
-        Some(Ok(FeatureChunk {
-            start_row: start_pos,
-            labels,
-            features: Matrix::from_vec(take, self.cols, data),
-        }))
-    }
-}
 
 /// One block of consecutive samples pulled from a feature table.
 #[derive(Clone, Debug, PartialEq)]
@@ -604,213 +381,34 @@ impl Iterator for ZsbChunkReader {
     }
 }
 
-/// Chunked reader over a CSV feature table (`label,f0,f1,...` per line).
-///
-/// Lines are parsed lazily through the same per-line parser as the in-memory
-/// reader (identical trimming, error strings, and finite-value policy), so
-/// only `chunk_rows` parsed rows plus one line buffer are resident at a time.
-/// Unlike `.zsb` there is no header to pre-validate: malformed rows surface
-/// as errors on the chunk that reaches them, and the iterator fuses after the
-/// first error.
-#[derive(Debug)]
-pub struct CsvChunkReader {
-    path: PathBuf,
-    lines: std::io::Lines<BufReader<File>>,
-    chunk_rows: usize,
-    line_no: usize,
-    cols: Option<usize>,
-    next_row: usize,
-    finished: bool,
-}
-
-impl CsvChunkReader {
-    /// Open a CSV feature table for a forward scan in `chunk_rows` blocks.
-    pub fn open(path: &Path, chunk_rows: usize) -> Result<Self, DataError> {
-        validate_chunk_rows(chunk_rows)?;
-        let file = File::open(path).map_err(|e| DataError::io(path, e))?;
-        Ok(CsvChunkReader {
-            path: path.into(),
-            lines: BufReader::new(file).lines(),
-            chunk_rows,
-            line_no: 0,
-            cols: None,
-            next_row: 0,
-            finished: false,
-        })
-    }
-
-    /// Established row width, once the first data row has been parsed.
-    pub fn cols(&self) -> Option<usize> {
-        self.cols
-    }
-}
-
-impl Iterator for CsvChunkReader {
-    type Item = Result<FeatureChunk, DataError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.finished {
-            return None;
-        }
-        let mut labels = Vec::new();
-        let mut data = Vec::new();
-        loop {
-            match self.lines.next() {
-                None => {
-                    if labels.is_empty() {
-                        if self.next_row == 0 {
-                            // Matches the in-memory reader's empty-table error.
-                            self.finished = true;
-                            return Some(Err(DataError::parse(
-                                &self.path,
-                                1,
-                                "feature table has no rows",
-                            )));
-                        }
-                        return None;
-                    }
-                    break;
-                }
-                Some(Err(e)) => {
-                    self.finished = true;
-                    return Some(Err(DataError::io(&self.path, e)));
-                }
-                Some(Ok(line)) => {
-                    self.line_no += 1;
-                    match parse_labeled_csv_line(
-                        &self.path,
-                        self.line_no,
-                        &line,
-                        &mut self.cols,
-                        &mut data,
-                    ) {
-                        Err(e) => {
-                            self.finished = true;
-                            return Some(Err(e));
-                        }
-                        Ok(None) => continue,
-                        Ok(Some(label)) => {
-                            labels.push(label);
-                            if labels.len() == self.chunk_rows {
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let rows = labels.len();
-        let start = self.next_row;
-        self.next_row += rows;
-        let cols = self.cols.expect("at least one row parsed");
-        Some(Ok(FeatureChunk {
-            start_row: start,
-            labels,
-            features: Matrix::from_vec(rows, cols, data),
-        }))
-    }
-}
-
-/// Format-erased chunk reader so split streaming works over either on-disk
-/// representation.
-#[derive(Debug)]
-pub enum ChunkReader {
-    /// Binary `.zsb` reader.
-    Zsb(ZsbChunkReader),
-    /// CSV reader.
-    Csv(CsvChunkReader),
-}
-
-impl ChunkReader {
-    /// Open `path` in the given format for a forward scan.
-    pub fn open(path: &Path, format: FeatureFormat, chunk_rows: usize) -> Result<Self, DataError> {
-        Ok(match format {
-            FeatureFormat::Zsb => ChunkReader::Zsb(ZsbChunkReader::open(path, chunk_rows)?),
-            FeatureFormat::Csv => ChunkReader::Csv(CsvChunkReader::open(path, chunk_rows)?),
-        })
-    }
-}
-
-impl Iterator for ChunkReader {
-    type Item = Result<FeatureChunk, DataError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            ChunkReader::Zsb(r) => r.next(),
-            ChunkReader::Csv(r) => r.next(),
-        }
-    }
-}
-
 /// A chunked stream over one split of a bundle: yields
 /// `(features, dense-rank labels)` blocks in the split's manifest order,
 /// holding at most `chunk_rows` feature rows at a time.
 ///
 /// Produced by the `stream_*` methods on [`StreamingBundle`]. Fuses after
-/// the first error: a consumer that keeps polling past an `Err` gets `None`,
-/// never a second (possibly misleading) error.
+/// the first error (the reader does): a consumer that keeps polling past an
+/// `Err` gets `None`, never a second (possibly misleading) error.
 #[derive(Debug)]
 pub struct SplitStream {
-    inner: SplitStreamInner,
-    failed: bool,
-}
-
-#[derive(Debug)]
-struct SplitStreamInner {
     /// Seek-coalesced gather in explicit index order: only the selected byte
-    /// ranges (`.zsb`) or lines (CSV, via [`CsvLineIndex`]) are read, so a
-    /// sparse split over a huge file skips the rest entirely — an ascending
-    /// dense split degenerates to one long sequential run.
-    reader: IndexedReader,
+    /// ranges are read, so a sparse split over a huge file skips the rest
+    /// entirely — an ascending dense split degenerates to one long
+    /// sequential run.
+    reader: ZsbChunkReader,
     /// `labels[position]` pairs with the index list handed to the reader.
     labels: Vec<usize>,
-}
-
-/// Format-erased indexed chunk reader, so shuffled/subset split streams work
-/// over either on-disk representation.
-#[derive(Debug)]
-pub enum IndexedReader {
-    /// Seek-coalesced binary reads.
-    Zsb(ZsbChunkReader),
-    /// Line-index-backed CSV reads.
-    Csv(CsvIndexedReader),
-}
-
-impl Iterator for IndexedReader {
-    type Item = Result<FeatureChunk, DataError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            IndexedReader::Zsb(r) => r.next(),
-            IndexedReader::Csv(r) => r.next(),
-        }
-    }
 }
 
 impl Iterator for SplitStream {
     type Item = Result<(Matrix, Vec<usize>), DataError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        let item = self.next_inner();
-        if matches!(item, Some(Err(_))) {
-            self.failed = true;
-        }
-        item
-    }
-}
-
-impl SplitStream {
-    fn next_inner(&mut self) -> Option<<Self as Iterator>::Item> {
-        let SplitStreamInner { reader, labels } = &mut self.inner;
-        let chunk = match reader.next()? {
+        let chunk = match self.reader.next()? {
             Ok(chunk) => chunk,
             Err(e) => return Some(Err(e)),
         };
         let rows = chunk.features.rows();
-        let local = labels[chunk.start_row..chunk.start_row + rows].to_vec();
+        let local = self.labels[chunk.start_row..chunk.start_row + rows].to_vec();
         Some(Ok((chunk.features, local)))
     }
 }
@@ -822,14 +420,12 @@ impl SplitStream {
 ///
 /// Construction runs the same validation as the in-memory loader: label
 /// remapping against the signature table, manifest index validation, declared
-/// unseen-class checks, and the full GZSL [`SplitPlan`] protocol checks. For
-/// `.zsb` bundles the feature file's header and labels are validated without
-/// touching the payload; CSV bundles pay one full validation scan (CSV has no
-/// header to trust).
+/// unseen-class checks, and the full GZSL [`SplitPlan`] protocol checks. The
+/// `.zsb` header and labels are validated without touching the payload.
 #[derive(Debug)]
 pub struct StreamingBundle {
-    dir: PathBuf,
-    format: FeatureFormat,
+    /// The bundle's `features.zsb`.
+    features: PathBuf,
     chunk_rows: usize,
     /// Dense class id per sample, file order.
     labels: Vec<usize>,
@@ -839,55 +435,25 @@ pub struct StreamingBundle {
     num_samples: usize,
     feature_dim: usize,
     plan: SplitPlan,
-    /// Data-row byte offsets of a CSV feature table, built for free during
-    /// the open-time validation scan; `None` for `.zsb` (which seeks by
-    /// arithmetic). This is what lets shuffled manifests and CV folds stream
-    /// from CSV bundles.
-    csv_index: Option<CsvLineIndex>,
 }
 
 impl StreamingBundle {
-    /// Open a bundle directory for streaming, preferring `features.zsb` over
-    /// `features.csv` when both exist (same auto-detection as
-    /// [`crate::data::DatasetBundle::load`]).
+    /// Open a bundle directory for streaming its `features.zsb` in
+    /// `chunk_rows` blocks.
     pub fn open(dir: &Path, chunk_rows: usize) -> Result<Self, DataError> {
-        Self::open_with_format(dir, super::loader::detect_feature_format(dir)?, chunk_rows)
-    }
-
-    /// Open a bundle directory for streaming with an explicit feature format.
-    pub fn open_with_format(
-        dir: &Path,
-        format: FeatureFormat,
-        chunk_rows: usize,
-    ) -> Result<Self, DataError> {
         validate_chunk_rows(chunk_rows)?;
         let (signatures, class_map) = super::loader::load_signature_table(dir)?;
 
-        let features_path = dir.join(format.file_name());
-        let (raw_labels, feature_dim, csv_index) = match format {
-            FeatureFormat::Zsb => {
-                let reader = ZsbChunkReader::open(&features_path, chunk_rows)?;
-                (reader.labels().to_vec(), reader.feature_dim(), None)
-            }
-            FeatureFormat::Csv => {
-                // CSV has no header: one bounded-memory validation scan
-                // collects labels, establishes the row width, surfaces any
-                // parse error before training starts — and records each data
-                // row's byte offset, giving indexed (shuffled) reads on a
-                // line-oriented file for free.
-                let (labels, index) = CsvLineIndex::build(&features_path)?;
-                (labels, index.cols(), Some(index))
-            }
-        };
-        let num_samples = raw_labels.len();
-        let labels = remap_labels(&raw_labels, &class_map, format.file_name())?;
+        let features = feature_table_path(dir)?;
+        let reader = ZsbChunkReader::open(&features, chunk_rows)?;
+        let (num_samples, feature_dim) = (reader.num_samples(), reader.feature_dim());
+        let labels = remap_labels(reader.labels(), &class_map, FEATURES_ZSB)?;
 
         let manifest = super::loader::load_validated_manifest(dir, num_samples, &class_map)?;
         let plan = SplitPlan::compute(&labels, &manifest, &class_map, signatures.rows())?;
 
         Ok(StreamingBundle {
-            dir: dir.into(),
-            format,
+            features,
             chunk_rows,
             labels,
             signatures,
@@ -896,7 +462,6 @@ impl StreamingBundle {
             num_samples,
             feature_dim,
             plan,
-            csv_index,
         })
     }
 
@@ -923,11 +488,6 @@ impl StreamingBundle {
     /// Rows per streamed chunk.
     pub fn chunk_rows(&self) -> usize {
         self.chunk_rows
-    }
-
-    /// The on-disk feature format being streamed.
-    pub fn format(&self) -> FeatureFormat {
-        self.format
     }
 
     /// The split manifest (validated at open).
@@ -1020,46 +580,21 @@ impl StreamingBundle {
     /// Core row streamer: yield the given global rows, in order, paired with
     /// `rank(dense_class)` labels.
     ///
-    /// Both formats go through a seek-coalesced indexed reader — byte-range
-    /// arithmetic for `.zsb`, the [`CsvLineIndex`] built at open for CSV — so
-    /// only the selected rows are read: a sparse split over a huge file skips
-    /// the rest entirely, and a fully contiguous (ascending) split
-    /// degenerates to one sequential read. Rows arrive in exactly the given
-    /// order, which is what keeps streamed training bit-identical to the
-    /// in-memory gather.
+    /// Goes through the seek-coalesced indexed reader, so only the selected
+    /// rows are read: a sparse split over a huge file skips the rest
+    /// entirely, and a fully contiguous (ascending) split degenerates to one
+    /// sequential read. Rows arrive in exactly the given order, which is
+    /// what keeps streamed training bit-identical to the in-memory gather.
     fn stream_rows<F>(&self, indices: &[usize], rank: F) -> Result<SplitStream, DataError>
     where
         F: Fn(usize) -> usize,
     {
-        let features_path = self.dir.join(self.format.file_name());
         let labels: Vec<usize> = indices.iter().map(|&g| rank(self.labels[g])).collect();
-        let reader = match self.format {
-            FeatureFormat::Zsb => {
-                // Trusted open: the label block was validated when this
-                // bundle opened; re-reading it on every pass would cost
-                // O(n log n) per stream for nothing.
-                IndexedReader::Zsb(ZsbChunkReader::open_indexed_trusted(
-                    &features_path,
-                    indices,
-                    self.chunk_rows,
-                )?)
-            }
-            FeatureFormat::Csv => {
-                let index = self
-                    .csv_index
-                    .as_ref()
-                    .expect("CSV bundles build a line index at open");
-                IndexedReader::Csv(CsvIndexedReader::open(
-                    &features_path,
-                    index,
-                    indices,
-                    self.chunk_rows,
-                )?)
-            }
-        };
-        Ok(SplitStream {
-            inner: SplitStreamInner { reader, labels },
-            failed: false,
-        })
+        // Trusted open: the label block was validated when this bundle
+        // opened; re-reading it on every pass would cost O(n log n) per
+        // stream for nothing.
+        let reader =
+            ZsbChunkReader::open_indexed_trusted(&self.features, indices, self.chunk_rows)?;
+        Ok(SplitStream { reader, labels })
     }
 }

@@ -48,9 +48,8 @@
 //!    here, hermetic synthetic features from [`data::SyntheticConfig`] or
 //!    on-disk bundles).
 //! 2. **Projection** — [`model::EszslTrainer`] solves the closed form
-//!    `W = (XᵀX + γI)⁻¹ XᵀYS (SᵀS + λI)⁻¹` on seen classes
-//!    ([`model::RidgeTrainer`] is the simpler fallback). `X W` lands samples
-//!    in attribute space.
+//!    `W = (XᵀX + γI)⁻¹ XᵀYS (SᵀS + λI)⁻¹` on seen classes. `X W` lands
+//!    samples in attribute space.
 //! 3. **Class** — [`infer::ScoringEngine`] scores projected samples against a
 //!    bank of class signatures (cosine or dot similarity) and picks the
 //!    nearest; unseen classes are classified purely via their signatures.
@@ -65,7 +64,7 @@
 //! | [`model`] | the closed-form trainer (Eq. `W = (XᵀX+γI)⁻¹XᵀYS(SᵀS+λI)⁻¹`); [`model::GramAccumulator`] is the single Gram fold behind every source kind |
 //! | [`infer`] | [`infer::ScoringEngine`] (cached bank, parallel + chunked batch scoring), nearest-signature classification, top-k, ZSL/GZSL metrics |
 //! | [`artifact`] | the versioned `.zsm` model artifact: [`ScoringEngine::save`] / [`ScoringEngine::load`], bit-identical round trips |
-//! | [`data`]  | seeded synthetic datasets **plus** on-disk bundles: `.zsb`/CSV feature dumps, signature tables, split manifests — loaded whole by [`data::DatasetBundle`] or streamed chunk-at-a-time by [`StreamingBundle`] (CSV gets shuffled reads via [`data::CsvLineIndex`]) |
+//! | [`data`]  | seeded synthetic datasets **plus** on-disk bundles: `.zsb` feature dumps, signature tables, split manifests — loaded whole by [`data::DatasetBundle`] or streamed chunk-at-a-time by [`StreamingBundle`]; CSV features are converted once by [`data::import_features_csv`] |
 //! | [`eval`]  | the generic GZSL protocol ([`eval::GzslReport`]) and seeded k-fold `(γ, λ)` cross-validation ([`eval::cross_validate`]) over any source |
 //! | [`trainer`] | the object-safe [`Trainer`] trait + [`TrainedModel`]: ESZSL, the Sylvester-solved [`trainer::SaeTrainer`], and [`trainer::KernelEszslTrainer`] (linear/RBF), all streaming through the same accumulator |
 //!
@@ -107,9 +106,9 @@ pub mod trainer;
 
 pub use artifact::{ZSM_HEADER_LEN, ZSM_MAGIC, ZSM_MIN_VERSION, ZSM_NORM_TOLERANCE, ZSM_VERSION};
 pub use data::{
-    export_dataset, ClassMap, CsvChunkReader, CsvIndexedReader, CsvLineIndex, DataError, Dataset,
-    DatasetBundle, FeatureChunk, FeatureFormat, FeatureTable, Rng, SectionLines, SplitManifest,
-    SplitPlan, SplitStream, StreamingBundle, SyntheticConfig, ZsbChunkReader, ZsbWriter,
+    export_dataset, ClassMap, DataError, Dataset, DatasetBundle, FeatureChunk, FeatureTable, Rng,
+    SectionLines, SplitManifest, SplitPlan, SplitStream, StreamingBundle, SyntheticConfig,
+    ZsbChunkReader, ZsbWriter,
 };
 pub use error::ZslError;
 pub use eval::{
@@ -125,8 +124,7 @@ pub use linalg::{
     SymmetricEigen,
 };
 pub use model::{
-    EszslConfig, EszslProblem, EszslTrainer, GramAccumulator, ProjectionModel, RidgeConfig,
-    RidgeTrainer, TrainError,
+    EszslConfig, EszslProblem, EszslTrainer, GramAccumulator, ProjectionModel, TrainError,
 };
 pub use pipeline::{Pipeline, TrainedPipeline};
 pub use source::{DynSource, FeatureSource, MemorySource, SourceChunk, SourceStream, SplitKind};

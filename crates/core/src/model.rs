@@ -9,9 +9,7 @@
 //! ```
 //!
 //! which minimizes `‖X W Sᵀ − Y‖_F² + γ‖W Sᵀ‖-style` ridge objectives in one
-//! pair of SPD solves — no iterative optimization. A plain ridge regression
-//! onto per-sample attribute targets is provided as a fallback for workloads
-//! where class-level signatures are noisy.
+//! pair of SPD solves — no iterative optimization.
 //!
 //! The closed form only ever touches the data through `XᵀX` and `XᵀYS`, so
 //! training does not need `X` in memory: [`GramAccumulator`] folds row chunks
@@ -201,8 +199,8 @@ pub struct GramAccumulator {
     /// the accumulator so every chunk gathers from the same rows.
     signatures: Matrix,
     normalize_features: bool,
-    /// Lazily sized on the first non-empty chunk, so streams whose feature
-    /// dimension is only discovered at read time (CSV) work too.
+    /// Lazily sized on the first non-empty chunk: a [`FeatureSource`] does
+    /// not expose its feature width, so the first chunk tells it.
     xtx: Option<Matrix>,
     xtys: Option<Matrix>,
     /// Per-class row counts, folded alongside the Grams. Integer counting is
@@ -569,87 +567,6 @@ impl EszslProblem {
     }
 }
 
-/// Builder-style configuration for [`RidgeTrainer`].
-#[derive(Clone, Debug)]
-pub struct RidgeConfig {
-    /// Ridge regularizer added to `Xᵀ X`.
-    pub gamma: f64,
-    /// L2-normalize feature rows before training.
-    pub normalize_features: bool,
-}
-
-impl Default for RidgeConfig {
-    fn default() -> Self {
-        RidgeConfig {
-            gamma: 1.0,
-            normalize_features: false,
-        }
-    }
-}
-
-impl RidgeConfig {
-    /// Start from the defaults.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the ridge regularizer. Must be positive; enforced at train time
-    /// ([`TrainError::InvalidConfig`]).
-    pub fn gamma(mut self, gamma: f64) -> Self {
-        self.gamma = gamma;
-        self
-    }
-
-    /// Toggle L2 normalization of feature rows.
-    pub fn normalize_features(mut self, on: bool) -> Self {
-        self.normalize_features = on;
-        self
-    }
-
-    /// Finish the builder.
-    pub fn build(self) -> RidgeTrainer {
-        RidgeTrainer { config: self }
-    }
-}
-
-/// Ridge-regression fallback: regress each sample's feature vector directly
-/// onto its class signature, `W = (Xᵀ X + γI)⁻¹ Xᵀ A` where row `i` of `A` is
-/// the signature of sample `i`'s class.
-///
-/// Simpler than ESZSL (no attribute-space regularizer) and useful when
-/// class-level structure is weak; produces the same [`ProjectionModel`].
-#[derive(Clone, Debug, Default)]
-pub struct RidgeTrainer {
-    config: RidgeConfig,
-}
-
-impl RidgeTrainer {
-    /// Trainer with an explicit configuration.
-    pub fn new(config: RidgeConfig) -> Self {
-        RidgeTrainer { config }
-    }
-
-    /// Train on the same inputs as [`EszslTrainer::train`].
-    pub fn train(
-        &self,
-        x: &Matrix,
-        labels: &[usize],
-        signatures: &Matrix,
-    ) -> Result<ProjectionModel, TrainError> {
-        validate_regularizer("gamma", self.config.gamma)?;
-        let (x, s) = prepare_inputs(x, labels, signatures, self.config.normalize_features, false)?;
-
-        // Per-sample attribute targets A : n x a.
-        let targets = gather_signatures(labels, &s);
-
-        let xt = x.transpose();
-        let mut xtx = xt.matmul(&x);
-        xtx.add_scaled_identity(self.config.gamma);
-        let w = solve_spd(&xtx, &xt.matmul(&targets))?;
-        Ok(ProjectionModel::from_weights(w))
-    }
-}
-
 /// Regularizers must be strictly positive (and finite) to keep the shifted
 /// Gram matrices positive-definite; zero or negative values would silently
 /// train an un- or anti-regularized model.
@@ -670,49 +587,6 @@ fn gather_signatures(labels: &[usize], signatures: &Matrix) -> Matrix {
         out.row_mut(i).copy_from_slice(signatures.row(label));
     }
     out
-}
-
-/// Validate shapes/labels and apply the requested normalizations. Inputs are
-/// only copied when a normalization actually rewrites them.
-fn prepare_inputs<'a>(
-    x: &'a Matrix,
-    labels: &[usize],
-    signatures: &'a Matrix,
-    normalize_features: bool,
-    normalize_signatures: bool,
-) -> Result<(Cow<'a, Matrix>, Cow<'a, Matrix>), TrainError> {
-    if x.rows() != labels.len() {
-        return Err(TrainError::Shape(format!(
-            "{} feature rows but {} labels",
-            x.rows(),
-            labels.len()
-        )));
-    }
-    if x.rows() == 0 {
-        return Err(TrainError::Shape("empty training set".into()));
-    }
-    let z = signatures.rows();
-    if let Some(&bad) = labels.iter().find(|&&l| l >= z) {
-        return Err(TrainError::LabelOutOfRange {
-            label: bad,
-            num_classes: z,
-        });
-    }
-    let x = if normalize_features {
-        let mut x = x.clone();
-        x.l2_normalize_rows();
-        Cow::Owned(x)
-    } else {
-        Cow::Borrowed(x)
-    };
-    let s = if normalize_signatures {
-        let mut s = signatures.clone();
-        s.l2_normalize_rows();
-        Cow::Owned(s)
-    } else {
-        Cow::Borrowed(signatures)
-    };
-    Ok((x, s))
 }
 
 #[cfg(test)]
@@ -760,12 +634,6 @@ mod tests {
             &ds.seen_signatures,
         );
         assert!(matches!(result, Err(TrainError::InvalidConfig(_))));
-        let result = RidgeConfig::new().gamma(0.0).build().train(
-            &ds.train_x,
-            &ds.train_labels,
-            &ds.seen_signatures,
-        );
-        assert!(matches!(result, Err(TrainError::InvalidConfig(_))));
     }
 
     #[test]
@@ -799,18 +667,6 @@ mod tests {
         let projected = model.project(&ds.test_unseen_x);
         assert_eq!(projected.rows(), ds.test_unseen_x.rows());
         assert_eq!(projected.cols(), 7);
-    }
-
-    #[test]
-    fn ridge_fallback_trains_and_projects() {
-        let ds = SyntheticConfig::new().seed(77).build();
-        let model = RidgeConfig::new()
-            .gamma(0.1)
-            .build()
-            .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-            .expect("train");
-        assert_eq!(model.weights().rows(), ds.train_x.cols());
-        assert_eq!(model.weights().cols(), ds.seen_signatures.cols());
     }
 
     #[test]

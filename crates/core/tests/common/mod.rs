@@ -3,8 +3,13 @@
 //! The FNV-1a digests here are the single definition both the golden-fixture
 //! constants (`golden_loader.rs`) and the property sweeps (`property.rs`)
 //! pin against — one implementation, so the two suites can never silently
-//! start hashing different quantities.
+//! start hashing different quantities. [`write_features_csv`] writes the CSV
+//! input of `zsl_core::data::import_features_csv`.
+#![allow(dead_code)] // not every test binary uses every helper
 
+use std::fmt::Write;
+use std::path::Path;
+use zsl_core::data::FeatureTable;
 use zsl_core::linalg::Matrix;
 
 /// FNV-1a offset basis.
@@ -34,11 +39,25 @@ pub fn digest_matrix(m: &Matrix) -> u64 {
 }
 
 /// FNV-1a over a dense label list.
-#[allow(dead_code)] // not every test binary digests labels
 pub fn digest_labels(labels: &[usize]) -> u64 {
     let mut hash = fnv_seed();
     for &l in labels {
         hash = fnv_u64(hash, l as u64);
     }
     hash
+}
+
+/// Write a feature table as CSV, one `label,f0,f1,...` line per sample. `{}`
+/// on f64 prints the shortest text that parses back to the same bits, so
+/// importing the file reproduces the table exactly.
+pub fn write_features_csv(path: &Path, table: &FeatureTable) {
+    let mut out = String::new();
+    for (i, label) in table.labels.iter().enumerate() {
+        write!(out, "{label}").expect("string write");
+        for v in table.features.row(i) {
+            write!(out, ",{v}").expect("string write");
+        }
+        out.push('\n');
+    }
+    std::fs::write(path, out).expect("write features.csv");
 }

@@ -4,12 +4,12 @@
 //! These are the anchor tests named in the roadmap: training on synthetic
 //! seen classes must classify held-out unseen classes at ≥95% accuracy.
 
-use zsl_core::data::{export_dataset, DatasetBundle, FeatureFormat, SyntheticConfig};
+use zsl_core::data::{export_dataset, DatasetBundle, SyntheticConfig};
 use zsl_core::eval::{select_train_evaluate, CrossValConfig};
 use zsl_core::infer::{
     harmonic_mean, mean_per_class_accuracy, overall_accuracy, ScoringEngine, Similarity,
 };
-use zsl_core::model::{EszslConfig, RidgeConfig};
+use zsl_core::model::EszslConfig;
 
 #[test]
 fn eszsl_classifies_unseen_classes_at_95_percent() {
@@ -86,24 +86,6 @@ fn generalized_zsl_harmonic_mean_is_high_on_clean_data() {
 }
 
 #[test]
-fn ridge_fallback_also_transfers_to_unseen_classes() {
-    let ds = SyntheticConfig::new().seed(31).build();
-    let model = RidgeConfig::new()
-        .gamma(0.1)
-        .build()
-        .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-        .expect("train");
-    let engine = ScoringEngine::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
-    let predictions = engine.predict(&ds.test_unseen_x);
-    let acc = mean_per_class_accuracy(
-        &predictions,
-        &ds.test_unseen_labels,
-        ds.unseen_signatures.rows(),
-    );
-    assert!(acc >= 0.95, "ridge unseen accuracy {acc} below 0.95");
-}
-
-#[test]
 fn topk_contains_top1_and_pipeline_is_deterministic() {
     let ds = SyntheticConfig::new().seed(8).build();
     let train = || {
@@ -125,8 +107,8 @@ fn topk_contains_top1_and_pipeline_is_deterministic() {
     assert_eq!(top1, engine_b.predict(&ds.test_unseen_x));
 }
 
-/// The PR-3 acceptance criterion: a synthetic dataset exported to both CSV
-/// and `.zsb`, reloaded, cross-validated, trained, and evaluated end-to-end
+/// The disk round-trip criterion: a synthetic dataset exported to `.zsb`,
+/// reloaded, cross-validated, trained, and evaluated end-to-end
 /// must produce the same `GzslReport` as the in-memory pipeline —
 /// bit-identical scores — and the seeded k-fold grid search must be
 /// deterministic.
@@ -145,27 +127,16 @@ fn disk_roundtrip_pipeline_matches_in_memory_pipeline_bit_for_bit() {
         .seed(11);
     let (cv_mem, report_mem) = select_train_evaluate(&ds, &config).expect("in-memory");
 
-    for format in [FeatureFormat::Zsb, FeatureFormat::Csv] {
-        let dir = std::env::temp_dir().join(format!(
-            "zsl_e2e_roundtrip_{}_{format:?}",
-            std::process::id()
-        ));
-        export_dataset(&ds, &dir, format).expect("export");
-        let reloaded = DatasetBundle::load_with_format(&dir, format)
-            .expect("load")
-            .to_dataset()
-            .expect("materialize");
-        let (cv_disk, report_disk) = select_train_evaluate(&reloaded, &config).expect("from disk");
-        assert_eq!(
-            cv_disk, cv_mem,
-            "{format:?}: grid search must be bit-identical"
-        );
-        assert_eq!(
-            report_disk, report_mem,
-            "{format:?}: GzslReport must be bit-identical"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    let dir = std::env::temp_dir().join(format!("zsl_e2e_roundtrip_{}", std::process::id()));
+    export_dataset(&ds, &dir).expect("export");
+    let reloaded = DatasetBundle::load(&dir)
+        .expect("load")
+        .to_dataset()
+        .expect("materialize");
+    let (cv_disk, report_disk) = select_train_evaluate(&reloaded, &config).expect("from disk");
+    assert_eq!(cv_disk, cv_mem, "grid search must be bit-identical");
+    assert_eq!(report_disk, report_mem, "GzslReport must be bit-identical");
+    std::fs::remove_dir_all(&dir).ok();
 
     // Determinism: the same seed reproduces the search; the report is sane.
     let (cv_again, report_again) = select_train_evaluate(&ds, &config).expect("rerun");

@@ -1,12 +1,13 @@
 //! Golden-fixture regression test for the dataset loader and GZSL harness.
 //!
-//! A tiny bundle (both `features.zsb` and `features.csv`, sharing one
-//! `signatures.csv` + `splits.txt`) is committed under `tests/fixtures/
-//! tiny_bundle/`. This test freezes (a) the parsed contents — via FNV-1a
-//! digests over the exact f64 bit patterns — and (b) the `GzslReport` the
-//! fixture produces after training, so any drift in the binary layout, CSV
-//! parsing, label remapping, split materialization, trainer numerics, or
-//! report plumbing fails loudly.
+//! A tiny bundle (`features.zsb`, `signatures.csv`, `splits.txt`) is
+//! committed under `tests/fixtures/tiny_bundle/`, next to `features.csv`,
+//! the same table as CSV: the golden input of the CSV import, which must
+//! reproduce the committed `features.zsb` byte for byte. This test freezes
+//! (a) the parsed contents — via FNV-1a digests over the exact f64 bit
+//! patterns — and (b) the `GzslReport` the fixture produces after training,
+//! so any drift in the binary layout, CSV import, label remapping, split
+//! materialization, trainer numerics, or report plumbing fails loudly.
 //!
 //! To regenerate after an *intentional* format change:
 //! `cargo test -p zsl-core --test golden_loader -- --ignored regenerate`
@@ -14,10 +15,12 @@
 
 mod common;
 
-use common::{digest_labels, digest_matrix};
+use common::{digest_labels, digest_matrix, write_features_csv};
 use std::path::PathBuf;
+use zsl_core::data::format::read_zsb;
 use zsl_core::data::{
-    export_dataset, DatasetBundle, FeatureFormat, StreamingBundle, SyntheticConfig,
+    export_dataset, import_features_csv, DatasetBundle, StreamingBundle, SyntheticConfig,
+    FEATURES_CSV, FEATURES_ZSB,
 };
 use zsl_core::eval::evaluate_gzsl;
 use zsl_core::infer::Similarity;
@@ -90,7 +93,7 @@ const GOLDEN_REPORT_BITS: [u64; 3] = [
 /// Digests of the *streamed* Gram accumulators over the fixture's trainval
 /// split: `XᵀX`, `XᵀYS`, `SᵀS`. Because the streamed fold is bit-identical
 /// to the in-memory product at every chunk size, one set of constants pins
-/// both paths at once.
+/// both paths at once (and the CSV import, whose output is the same bytes).
 const GOLDEN_STREAM_GRAM: [u64; 3] = [
     0xb7c5_b816_6f4e_159a,
     0x32fd_c02f_f247_598d,
@@ -100,14 +103,22 @@ const GOLDEN_STREAM_GRAM: [u64; 3] = [
 #[test]
 fn fixture_parses_to_frozen_contents_in_both_formats() {
     let dir = fixture_dir();
-    let zsb = DatasetBundle::load_with_format(&dir, FeatureFormat::Zsb).expect("load zsb");
-    let csv = DatasetBundle::load_with_format(&dir, FeatureFormat::Csv).expect("load csv");
+    let zsb = DatasetBundle::load(&dir).expect("load zsb");
 
-    // The two on-disk formats must decode to identical bits.
-    assert_eq!(zsb.features.as_slice(), csv.features.as_slice());
-    assert_eq!(zsb.labels, csv.labels);
-    assert_eq!(zsb.signatures.as_slice(), csv.signatures.as_slice());
-    assert_eq!(zsb.manifest, csv.manifest);
+    // The committed CSV, imported from a scratch copy, is the committed
+    // `.zsb` byte for byte.
+    let scratch = std::env::temp_dir().join(format!("zsl_golden_import_{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).expect("scratch dir");
+    let csv = scratch.join(FEATURES_CSV);
+    std::fs::copy(dir.join(FEATURES_CSV), &csv).expect("copy csv");
+    let imported = scratch.join(FEATURES_ZSB);
+    assert_eq!(import_features_csv(&csv, &imported).expect("import"), 24);
+    assert_eq!(
+        std::fs::read(&imported).expect("read imported"),
+        std::fs::read(dir.join(FEATURES_ZSB)).expect("read committed"),
+        "importing features.csv must reproduce the committed features.zsb"
+    );
+    std::fs::remove_dir_all(&scratch).ok();
 
     assert_eq!((zsb.num_samples(), zsb.feature_dim()), (24, 3));
     assert_eq!((zsb.num_classes(), zsb.attr_dim()), (6, 2));
@@ -161,8 +172,8 @@ fn fixture_produces_the_frozen_gzsl_report() {
 
 /// Streamed-accumulator digests over the fixture, at a chunk size that
 /// splits the 12-row trainval split unevenly (the regen path uses the same).
-fn streamed_gram_digests(dir: &std::path::Path, format: FeatureFormat) -> [u64; 3] {
-    let bundle = StreamingBundle::open_with_format(dir, format, 5).expect("open stream");
+fn streamed_gram_digests(dir: &std::path::Path) -> [u64; 3] {
+    let bundle = StreamingBundle::open(dir, 5).expect("open stream");
     let mut acc = GramAccumulator::new(&bundle.seen_signatures());
     for chunk in bundle.stream_trainval().expect("trainval stream") {
         let (x, labels) = chunk.expect("chunk");
@@ -179,13 +190,10 @@ fn streamed_gram_digests(dir: &std::path::Path, format: FeatureFormat) -> [u64; 
 #[test]
 fn fixture_streamed_accumulators_match_frozen_digests_and_in_memory_path() {
     let dir = fixture_dir();
-    // Both formats must stream to the same accumulator bits.
-    let got_zsb = streamed_gram_digests(&dir, FeatureFormat::Zsb);
-    let got_csv = streamed_gram_digests(&dir, FeatureFormat::Csv);
-    assert_eq!(got_zsb, got_csv, "zsb and csv streams drifted apart");
+    let got = streamed_gram_digests(&dir);
     assert_eq!(
-        got_zsb, GOLDEN_STREAM_GRAM,
-        "streamed Gram accumulators drifted: got {got_zsb:#018x?}, frozen {GOLDEN_STREAM_GRAM:#018x?}"
+        got, GOLDEN_STREAM_GRAM,
+        "streamed Gram accumulators drifted: got {got:#018x?}, frozen {GOLDEN_STREAM_GRAM:#018x?}"
     );
 
     // And the frozen bits are exactly what the in-memory problem produces.
@@ -219,10 +227,11 @@ fn fixture_streamed_accumulators_match_frozen_digests_and_in_memory_path() {
 fn regenerate_fixture() {
     let dir = fixture_dir();
     let ds = fixture_config().build();
-    export_dataset(&ds, &dir, FeatureFormat::Zsb).expect("export zsb");
-    export_dataset(&ds, &dir, FeatureFormat::Csv).expect("export csv");
+    export_dataset(&ds, &dir).expect("export zsb");
+    let table = read_zsb(&dir.join(FEATURES_ZSB)).expect("read zsb");
+    write_features_csv(&dir.join(FEATURES_CSV), &table);
 
-    let bundle = DatasetBundle::load_with_format(&dir, FeatureFormat::Zsb).expect("load");
+    let bundle = DatasetBundle::load(&dir).expect("load");
     let materialized = bundle.to_dataset().expect("materialize");
     let model = EszslConfig::new()
         .gamma(1.0)
@@ -260,7 +269,7 @@ fn regenerate_fixture() {
     }
     println!("];");
     println!("const GOLDEN_STREAM_GRAM: [u64; 3] = [");
-    for d in streamed_gram_digests(&dir, FeatureFormat::Zsb) {
+    for d in streamed_gram_digests(&dir) {
         println!("    {d:#018x},");
     }
     println!("];");

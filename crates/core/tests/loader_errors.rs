@@ -1,17 +1,20 @@
-//! Error-path coverage for the dataset loader: corrupt, truncated, and
-//! inconsistent bundles must surface typed `DataError`s — never panics —
-//! because the loader is the boundary where untrusted on-disk data enters
-//! the engine.
+//! Error-path coverage for the dataset loader and the CSV feature import:
+//! corrupt, truncated, and inconsistent bundles must surface typed
+//! `DataError`s — never panics — because the loader is the boundary where
+//! untrusted on-disk data enters the engine.
 
-use std::path::PathBuf;
+mod common;
+
+use common::write_features_csv;
+use std::path::{Path, PathBuf};
+use zsl_core::data::format::read_zsb;
 use zsl_core::data::{
-    export_dataset, CsvChunkReader, DataError, DatasetBundle, FeatureFormat, SplitManifest,
-    StreamingBundle, SyntheticConfig, ZsbChunkReader, FEATURES_CSV, FEATURES_ZSB, SIGNATURES_CSV,
-    SPLITS_TXT,
+    export_dataset, import_features_csv, DataError, DatasetBundle, SplitManifest, StreamingBundle,
+    SyntheticConfig, ZsbChunkReader, FEATURES_CSV, FEATURES_ZSB, SIGNATURES_CSV, SPLITS_TXT,
 };
 
 /// Fresh bundle directory holding a small valid synthetic export.
-fn valid_bundle(tag: &str, format: FeatureFormat) -> PathBuf {
+fn valid_bundle(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("zsl_errors_{}_{tag}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let ds = SyntheticConfig::new()
@@ -20,8 +23,19 @@ fn valid_bundle(tag: &str, format: FeatureFormat) -> PathBuf {
         .samples(3, 2)
         .seed(17)
         .build();
-    export_dataset(&ds, &dir, format).expect("export");
+    export_dataset(&ds, &dir).expect("export");
     dir
+}
+
+/// Replace a bundle's `features.zsb` with the same table as `features.csv`,
+/// returning the CSV's path and its text.
+fn csv_only(dir: &Path) -> (PathBuf, String) {
+    let zsb = dir.join(FEATURES_ZSB);
+    let csv = dir.join(FEATURES_CSV);
+    write_features_csv(&csv, &read_zsb(&zsb).expect("read zsb"));
+    std::fs::remove_file(&zsb).expect("remove zsb");
+    let text = std::fs::read_to_string(&csv).expect("read csv");
+    (csv, text)
 }
 
 fn cleanup(dir: &PathBuf) {
@@ -30,7 +44,7 @@ fn cleanup(dir: &PathBuf) {
 
 #[test]
 fn truncated_zsb_is_a_typed_truncation_error() {
-    let dir = valid_bundle("truncated", FeatureFormat::Zsb);
+    let dir = valid_bundle("truncated");
     let path = dir.join(FEATURES_ZSB);
     let bytes = std::fs::read(&path).unwrap();
     // Cut the payload mid-features; also try cutting inside the header.
@@ -51,7 +65,7 @@ fn truncated_zsb_is_a_typed_truncation_error() {
 
 #[test]
 fn bad_magic_version_flags_and_trailing_bytes_are_header_errors() {
-    let dir = valid_bundle("header", FeatureFormat::Zsb);
+    let dir = valid_bundle("header");
     let path = dir.join(FEATURES_ZSB);
     let pristine = std::fs::read(&path).unwrap();
 
@@ -81,7 +95,7 @@ fn bad_magic_version_flags_and_trailing_bytes_are_header_errors() {
 
 #[test]
 fn header_dim_mismatches_are_detected() {
-    let dir = valid_bundle("dims", FeatureFormat::Zsb);
+    let dir = valid_bundle("dims");
     let path = dir.join(FEATURES_ZSB);
     let pristine = std::fs::read(&path).unwrap();
 
@@ -121,7 +135,7 @@ fn overflowing_header_dims_are_a_header_error_not_a_panic() {
     // Regression: n_samples = 2^62 with feature_dim = 2 used to wrap the
     // expected-size arithmetic back to exactly the header length, pass both
     // length checks, and abort on allocation instead of returning an error.
-    let dir = valid_bundle("overflow", FeatureFormat::Zsb);
+    let dir = valid_bundle("overflow");
     let path = dir.join(FEATURES_ZSB);
     let mut bytes = std::fs::read(&path).unwrap()[..32].to_vec();
     bytes[8..16].copy_from_slice(&(1u64 << 62).to_le_bytes()); // n_samples
@@ -138,25 +152,10 @@ fn overflowing_header_dims_are_a_header_error_not_a_panic() {
 
 #[test]
 fn chunk_readers_reject_zero_chunk_rows_with_a_typed_error() {
-    let dir = valid_bundle("zero_chunk", FeatureFormat::Zsb);
-    export_dataset(
-        &SyntheticConfig::new()
-            .classes(4, 2)
-            .dims(3, 5)
-            .samples(3, 2)
-            .seed(17)
-            .build(),
-        &dir,
-        FeatureFormat::Csv,
-    )
-    .expect("csv twin");
+    let dir = valid_bundle("zero_chunk");
     // A zero-row chunk could never make progress: every streaming entry
     // point rejects it up front instead of looping forever.
     match ZsbChunkReader::open(&dir.join(FEATURES_ZSB), 0) {
-        Err(DataError::Shape { message }) => assert!(message.contains("chunk_rows"), "{message}"),
-        other => panic!("expected Shape error, got {other:?}"),
-    }
-    match CsvChunkReader::open(&dir.join(FEATURES_CSV), 0) {
         Err(DataError::Shape { message }) => assert!(message.contains("chunk_rows"), "{message}"),
         other => panic!("expected Shape error, got {other:?}"),
     }
@@ -177,7 +176,7 @@ fn chunk_reader_rejects_header_dims_that_overflow_before_allocating() {
     // the streaming entry point: a crafted header must produce a typed
     // Header error, never an abort-on-allocation. Two shapes:
     // n·d·8 wrapping u64, and n·d exceeding what fits in memory arithmetic.
-    let dir = valid_bundle("stream_overflow", FeatureFormat::Zsb);
+    let dir = valid_bundle("stream_overflow");
     let path = dir.join(FEATURES_ZSB);
     let pristine = std::fs::read(&path).unwrap()[..32].to_vec();
     for (n, d) in [(1u64 << 62, 2u32), (1u64 << 61, 8), (u64::MAX / 9, 9)] {
@@ -202,7 +201,7 @@ fn chunk_reader_rejects_header_dims_that_overflow_before_allocating() {
 
 #[test]
 fn indexed_chunk_reader_rejects_out_of_range_rows() {
-    let dir = valid_bundle("indexed_range", FeatureFormat::Zsb);
+    let dir = valid_bundle("indexed_range");
     let path = dir.join(FEATURES_ZSB);
     match ZsbChunkReader::open_indexed(&path, &[0, 1_000_000], 4) {
         Err(DataError::Split { message, .. }) => {
@@ -217,7 +216,7 @@ fn indexed_chunk_reader_rejects_out_of_range_rows() {
 fn streaming_bundle_mirrors_loader_validation() {
     // The streaming open must reject the same cross-file inconsistencies the
     // in-memory loader does — spot-check one of each family.
-    let dir = valid_bundle("stream_validation", FeatureFormat::Zsb);
+    let dir = valid_bundle("stream_validation");
 
     // Unknown feature label (relabel sample 0 in the binary label block;
     // bump the header class_count so the header stays self-consistent and
@@ -270,19 +269,20 @@ fn streaming_bundle_mirrors_loader_validation() {
 
 #[test]
 fn unknown_class_in_features_is_reported_with_context() {
-    let dir = valid_bundle("unknown_feature_class", FeatureFormat::Csv);
-    let path = dir.join(FEATURES_CSV);
-    let mut text = std::fs::read_to_string(&path).unwrap();
-    // Relabel the first sample with a class the signature table lacks.
-    let first_comma = text.find(',').unwrap();
-    text.replace_range(..first_comma, "777");
-    std::fs::write(&path, text).unwrap();
+    let dir = valid_bundle("unknown_feature_class");
+    let path = dir.join(FEATURES_ZSB);
+    let mut bytes = std::fs::read(&path).unwrap();
+    // Relabel the first sample with a class the signature table lacks, and
+    // bump the header class_count so the header stays self-consistent.
+    bytes[32..36].copy_from_slice(&777u32.to_le_bytes());
+    bytes[20..24].copy_from_slice(&7u32.to_le_bytes());
+    std::fs::write(&path, bytes).unwrap();
     match DatasetBundle::load(&dir) {
         Err(DataError::UnknownClass {
             label: 777,
             context,
         }) => {
-            assert!(context.contains(FEATURES_CSV), "context: {context}")
+            assert!(context.contains(FEATURES_ZSB), "context: {context}")
         }
         other => panic!("expected UnknownClass, got {other:?}"),
     }
@@ -291,7 +291,7 @@ fn unknown_class_in_features_is_reported_with_context() {
 
 #[test]
 fn unknown_class_in_split_manifest_is_reported_with_context() {
-    let dir = valid_bundle("unknown_manifest_class", FeatureFormat::Zsb);
+    let dir = valid_bundle("unknown_manifest_class");
     let path = dir.join(SPLITS_TXT);
     let mut manifest = SplitManifest::read(&path).unwrap();
     manifest.unseen_classes.as_mut().unwrap().push(424_242);
@@ -310,7 +310,7 @@ fn unknown_class_in_split_manifest_is_reported_with_context() {
 
 #[test]
 fn declared_unseen_set_must_match_observed_unseen_samples() {
-    let dir = valid_bundle("unseen_mismatch", FeatureFormat::Zsb);
+    let dir = valid_bundle("unseen_mismatch");
     let path = dir.join(SPLITS_TXT);
     let mut manifest = SplitManifest::read(&path).unwrap();
     // Class 0 exists but is a *seen* class: declared set no longer matches.
@@ -323,7 +323,7 @@ fn declared_unseen_set_must_match_observed_unseen_samples() {
 
 #[test]
 fn empty_and_missing_splits_are_empty_split_errors() {
-    let dir = valid_bundle("empty_split", FeatureFormat::Zsb);
+    let dir = valid_bundle("empty_split");
     let path = dir.join(SPLITS_TXT);
     let pristine = SplitManifest::read(&path).unwrap();
 
@@ -346,7 +346,7 @@ fn empty_and_missing_splits_are_empty_split_errors() {
 
 #[test]
 fn malformed_manifest_lines_are_parse_errors() {
-    let dir = valid_bundle("bad_manifest", FeatureFormat::Zsb);
+    let dir = valid_bundle("bad_manifest");
     let path = dir.join(SPLITS_TXT);
     for bad in [
         "trainval 0 1\n",                                                // missing colon
@@ -365,7 +365,7 @@ fn malformed_manifest_lines_are_parse_errors() {
 
 #[test]
 fn out_of_range_and_overlapping_split_indices_are_split_errors() {
-    let dir = valid_bundle("split_indices", FeatureFormat::Zsb);
+    let dir = valid_bundle("split_indices");
     let path = dir.join(SPLITS_TXT);
     let pristine = SplitManifest::read(&path).unwrap();
 
@@ -390,7 +390,7 @@ fn out_of_range_and_overlapping_split_indices_are_split_errors() {
 
 #[test]
 fn seen_unseen_class_overlap_is_rejected_at_materialization() {
-    let dir = valid_bundle("class_overlap", FeatureFormat::Zsb);
+    let dir = valid_bundle("class_overlap");
     let path = dir.join(SPLITS_TXT);
     let mut manifest = SplitManifest::read(&path).unwrap();
     // Move a trainval sample into test_unseen: its (seen) class now appears
@@ -413,31 +413,85 @@ fn seen_unseen_class_overlap_is_rejected_at_materialization() {
     cleanup(&dir);
 }
 
+/// Import `csv` to the bundle's `features.zsb`, expecting a parse error at
+/// `line` whose message contains `needle`, and no `features.zsb` (nor any
+/// temp file) left behind.
+fn assert_import_fails_at(dir: &Path, csv: &Path, line: usize, needle: &str) {
+    match import_features_csv(csv, &dir.join(FEATURES_ZSB)) {
+        Err(DataError::Parse {
+            path,
+            line: got,
+            message,
+        }) => {
+            assert_eq!(path, csv);
+            assert_eq!(got, line, "{message}");
+            assert!(message.contains(needle), "{message}");
+        }
+        other => panic!("expected Parse at line {line}, got {other:?}"),
+    }
+    let mut left: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    left.sort();
+    assert_eq!(left, [FEATURES_CSV, SIGNATURES_CSV, SPLITS_TXT]);
+}
+
 #[test]
 fn ragged_and_non_numeric_csv_rows_are_parse_errors() {
-    let dir = valid_bundle("bad_csv", FeatureFormat::Csv);
-    let path = dir.join(FEATURES_CSV);
-    let pristine = std::fs::read_to_string(&path).unwrap();
+    let dir = valid_bundle("bad_csv");
+    let (path, pristine) = csv_only(&dir);
+    let appended = pristine.lines().count() + 1;
 
-    let ragged = format!("{pristine}3,1.0\n");
-    std::fs::write(&path, ragged).unwrap();
-    assert!(matches!(
-        DatasetBundle::load(&dir),
-        Err(DataError::Parse { .. })
-    ));
+    std::fs::write(&path, format!("{pristine}3,1.0\n")).unwrap();
+    assert_import_fails_at(&dir, &path, appended, "ragged row");
 
-    let garbled = format!("{pristine}3,1.0,abc,2.0,3.0,4.0\n");
-    std::fs::write(&path, garbled).unwrap();
-    assert!(matches!(
-        DatasetBundle::load(&dir),
-        Err(DataError::Parse { .. })
-    ));
+    std::fs::write(&path, format!("{pristine}3,1.0,abc,2.0,3.0,4.0\n")).unwrap();
+    assert_import_fails_at(&dir, &path, appended, "bad float 'abc'");
+    cleanup(&dir);
+}
+
+#[test]
+fn empty_csv_feature_table_is_a_parse_error_at_line_1() {
+    let dir = valid_bundle("empty_csv");
+    let (path, _) = csv_only(&dir);
+    std::fs::write(&path, "# no samples\n\n").unwrap();
+    assert_import_fails_at(&dir, &path, 1, "feature table has no rows");
+    cleanup(&dir);
+}
+
+#[test]
+fn csv_only_bundle_fails_to_load_with_an_error_naming_the_import() {
+    let dir = valid_bundle("csv_only");
+    let exported = std::fs::read(dir.join(FEATURES_ZSB)).unwrap();
+    csv_only(&dir);
+    for result in [
+        DatasetBundle::load(&dir).map(|_| ()),
+        StreamingBundle::open(&dir, 4).map(|_| ()),
+    ] {
+        match result {
+            Err(DataError::Io { path, source }) => {
+                assert!(path.ends_with(FEATURES_ZSB), "{}", path.display());
+                assert_eq!(source.kind(), std::io::ErrorKind::NotFound);
+                assert!(
+                    source.to_string().contains("zsl-import --features-csv"),
+                    "{source}"
+                );
+            }
+            other => panic!("expected Io NotFound, got {other:?}"),
+        }
+    }
+    // The import the message names restores the exported table and the
+    // bundle loads.
+    import_features_csv(&dir.join(FEATURES_CSV), &dir.join(FEATURES_ZSB)).expect("import");
+    assert_eq!(std::fs::read(dir.join(FEATURES_ZSB)).unwrap(), exported);
+    DatasetBundle::load(&dir).expect("load");
     cleanup(&dir);
 }
 
 #[test]
 fn duplicate_signature_labels_are_rejected() {
-    let dir = valid_bundle("dup_class", FeatureFormat::Zsb);
+    let dir = valid_bundle("dup_class");
     let path = dir.join(SIGNATURES_CSV);
     let mut text = std::fs::read_to_string(&path).unwrap();
     let first_line = text.lines().next().unwrap().to_string();
@@ -453,7 +507,7 @@ fn duplicate_signature_labels_are_rejected() {
 
 #[test]
 fn missing_feature_table_is_an_io_error() {
-    let dir = valid_bundle("missing_features", FeatureFormat::Zsb);
+    let dir = valid_bundle("missing_features");
     std::fs::remove_file(dir.join(FEATURES_ZSB)).unwrap();
     assert!(matches!(
         DatasetBundle::load(&dir),
@@ -464,7 +518,7 @@ fn missing_feature_table_is_an_io_error() {
 
 #[test]
 fn split_manifest_errors_carry_the_offending_line() {
-    let dir = valid_bundle("split_line_numbers", FeatureFormat::Zsb);
+    let dir = valid_bundle("split_line_numbers");
     let path = dir.join(SPLITS_TXT);
     let pristine = SplitManifest::read(&path).unwrap();
 

@@ -4,7 +4,7 @@
 //! raw-matrix call shapes, and the top-level [`ZslError`] must chain causes.
 
 use std::path::PathBuf;
-use zsl_core::data::{export_dataset, FeatureFormat, StreamingBundle, SyntheticConfig};
+use zsl_core::data::{export_dataset, StreamingBundle, SyntheticConfig};
 use zsl_core::eval::{cross_validate, evaluate_gzsl, select_train_evaluate, CrossValConfig};
 use zsl_core::infer::{ScoringEngine, Similarity};
 use zsl_core::model::EszslConfig;
@@ -37,7 +37,7 @@ fn pipeline_facade_equals_direct_protocol_for_every_source_kind() {
     let ds = dataset();
     let config = small_config();
     let dir = temp_dir("facade");
-    export_dataset(&ds, &dir, FeatureFormat::Zsb).expect("export");
+    export_dataset(&ds, &dir).expect("export");
     let bundle = StreamingBundle::open(&dir, 7).expect("open");
 
     let (direct_cv, direct_report) = select_train_evaluate(&ds, &config).expect("direct");
@@ -142,9 +142,9 @@ fn generic_entry_points_share_one_error_type_with_sources() {
     );
     // Data errors from a broken streamed source keep their typed inner error.
     let dir = temp_dir("broken");
-    export_dataset(&ds, &dir, FeatureFormat::Csv).expect("export");
+    export_dataset(&ds, &dir).expect("export");
     let bundle = StreamingBundle::open(&dir, 4).expect("open");
-    std::fs::remove_file(dir.join("features.csv")).expect("delete");
+    std::fs::remove_file(dir.join("features.zsb")).expect("delete");
     let err = evaluate_gzsl(
         &EszslConfig::new().build().fit(&ds).expect("fit"),
         &bundle,
@@ -193,7 +193,7 @@ fn serving_a_model_from_another_feature_space_is_a_typed_error_not_a_panic() {
 fn predict_source_agrees_across_source_kinds() {
     let ds = dataset();
     let dir = temp_dir("predict");
-    export_dataset(&ds, &dir, FeatureFormat::Csv).expect("export");
+    export_dataset(&ds, &dir).expect("export");
     let bundle = StreamingBundle::open(&dir, 3).expect("open");
     let model = EszslConfig::new().build().fit(&ds).expect("fit");
     let engine = ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine);

@@ -4,7 +4,8 @@
 //! Six families, matching the loader/solver/streaming invariants the
 //! subsystem promises:
 //! 1. bundle round-trips (write → read → bit-identical matrices) across
-//!    random shapes, seeds, and both on-disk formats;
+//!    random shapes and seeds, with the CSV import reproducing the exported
+//!    `.zsb` byte for byte;
 //! 2. raw-label ↔ dense-id remapping is bijective for arbitrary label sets;
 //! 3. Cholesky solve residuals stay below 1e-8 across 50 random SPD systems;
 //! 4. Sylvester solve residuals (`AX + XB = C`, the SAE backbone) stay below
@@ -16,10 +17,12 @@
 
 mod common;
 
-use common::digest_matrix;
+use common::{digest_matrix, write_features_csv};
 use std::path::PathBuf;
+use zsl_core::data::format::read_zsb;
 use zsl_core::data::{
-    export_dataset, ClassMap, DatasetBundle, FeatureFormat, SyntheticConfig, ZsbChunkReader,
+    export_dataset, import_features_csv, ClassMap, DatasetBundle, SyntheticConfig, ZsbChunkReader,
+    FEATURES_CSV, FEATURES_ZSB,
 };
 use zsl_core::linalg::Matrix;
 use zsl_core::model::{EszslProblem, GramAccumulator};
@@ -48,40 +51,51 @@ fn bundle_roundtrip_is_bit_identical_across_shapes_seeds_and_formats() {
             .samples(train, test)
             .seed(seed)
             .build();
-        for format in [FeatureFormat::Zsb, FeatureFormat::Csv] {
-            let dir = temp_dir(&format!("rt_{case}_{format:?}"));
-            export_dataset(&ds, &dir, format).expect("export");
-            let back = DatasetBundle::load_with_format(&dir, format)
-                .expect("load")
-                .to_dataset()
-                .expect("to_dataset");
-            let label = format!("case {case} ({seen}s/{unseen}u a{attr} f{feat}) {format:?}");
-            assert_eq!(back.train_x.as_slice(), ds.train_x.as_slice(), "{label}");
-            assert_eq!(back.train_labels, ds.train_labels, "{label}");
-            assert_eq!(
-                back.test_seen_x.as_slice(),
-                ds.test_seen_x.as_slice(),
-                "{label}"
-            );
-            assert_eq!(back.test_seen_labels, ds.test_seen_labels, "{label}");
-            assert_eq!(
-                back.test_unseen_x.as_slice(),
-                ds.test_unseen_x.as_slice(),
-                "{label}"
-            );
-            assert_eq!(back.test_unseen_labels, ds.test_unseen_labels, "{label}");
-            assert_eq!(
-                back.seen_signatures.as_slice(),
-                ds.seen_signatures.as_slice(),
-                "{label}"
-            );
-            assert_eq!(
-                back.unseen_signatures.as_slice(),
-                ds.unseen_signatures.as_slice(),
-                "{label}"
-            );
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        let dir = temp_dir(&format!("rt_{case}"));
+        export_dataset(&ds, &dir).expect("export");
+        let back = DatasetBundle::load(&dir)
+            .expect("load")
+            .to_dataset()
+            .expect("to_dataset");
+        let label = format!("case {case} ({seen}s/{unseen}u a{attr} f{feat})");
+        assert_eq!(back.train_x.as_slice(), ds.train_x.as_slice(), "{label}");
+        assert_eq!(back.train_labels, ds.train_labels, "{label}");
+        assert_eq!(
+            back.test_seen_x.as_slice(),
+            ds.test_seen_x.as_slice(),
+            "{label}"
+        );
+        assert_eq!(back.test_seen_labels, ds.test_seen_labels, "{label}");
+        assert_eq!(
+            back.test_unseen_x.as_slice(),
+            ds.test_unseen_x.as_slice(),
+            "{label}"
+        );
+        assert_eq!(back.test_unseen_labels, ds.test_unseen_labels, "{label}");
+        assert_eq!(
+            back.seen_signatures.as_slice(),
+            ds.seen_signatures.as_slice(),
+            "{label}"
+        );
+        assert_eq!(
+            back.unseen_signatures.as_slice(),
+            ds.unseen_signatures.as_slice(),
+            "{label}"
+        );
+
+        // The CSV format: the same table written as CSV and imported is the
+        // exported `.zsb`, byte for byte.
+        let exported = dir.join(FEATURES_ZSB);
+        let csv = dir.join(FEATURES_CSV);
+        write_features_csv(&csv, &read_zsb(&exported).expect("read zsb"));
+        let imported = dir.join("imported.zsb");
+        import_features_csv(&csv, &imported).expect("import");
+        assert_eq!(
+            std::fs::read(&imported).expect("read imported"),
+            std::fs::read(&exported).expect("read exported"),
+            "{label}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -178,7 +192,7 @@ fn truncated_mid_chunk_zsb_is_truncation_error_never_partial_accumulator() {
         .seed(99)
         .build();
     let dir = temp_dir("truncated_stream");
-    export_dataset(&ds, &dir, FeatureFormat::Zsb).expect("export");
+    export_dataset(&ds, &dir).expect("export");
     let path = dir.join("features.zsb");
     let pristine = std::fs::read(&path).expect("read");
 

@@ -7,17 +7,18 @@
 //! `*_stream` implementations (and their `#[deprecated]` wrappers) are gone,
 //! so the comparisons here pit a materialized [`Dataset`] source
 //! against a [`StreamingBundle`] source through the *same* generic entry
-//! points, on both on-disk formats, over synthetic bundles and the committed
-//! `tests/fixtures/tiny_bundle/`. (`tests/trainer_equiv.rs` extends the same
+//! points, over synthetic `.zsb` bundles and the committed
+//! `tests/fixtures/tiny_bundle/`. `.zsb` is the only feature format either
+//! loader reads; CSV features reach these paths only through the import,
+//! whose output `golden_loader.rs` and `property.rs` pin to the exported
+//! `.zsb` byte for byte. (`tests/trainer_equiv.rs` extends the same
 //! chunk-invariance wall to the SAE and kernel-ESZSL trainers.)
 //!
 //! The streamed side of every comparison goes through [`StreamingBundle`]
 //! only — no full feature `Matrix` is ever constructed on that side, and
 //! every chunk is asserted to hold at most `chunk_rows` rows, which is what
 //! makes the `O(chunk_rows x feature_dim)` peak-feature-memory claim
-//! checkable. Since PR 5's CSV line index, shuffled manifests and
-//! cross-validation folds stream from CSV bundles too, so CSV now runs the
-//! *entire* protocol matrix.
+//! checkable.
 //!
 //! The serving half of the redesign is pinned here as well: a trained engine
 //! saved as a `.zsm` artifact and reloaded reproduces the golden fixture's
@@ -26,7 +27,7 @@
 
 use std::path::PathBuf;
 use zsl_core::data::{
-    export_dataset, DatasetBundle, FeatureFormat, SplitManifest, StreamingBundle, SyntheticConfig,
+    export_dataset, DatasetBundle, SplitManifest, StreamingBundle, SyntheticConfig, FEATURES_ZSB,
     SPLITS_TXT,
 };
 use zsl_core::eval::{
@@ -88,122 +89,119 @@ fn streamed_problem(bundle: &StreamingBundle) -> EszslProblem {
 #[test]
 fn streamed_gram_training_and_prediction_match_in_memory_at_every_chunk_size() {
     let ds = synthetic_dataset();
-    for format in [FeatureFormat::Zsb, FeatureFormat::Csv] {
-        let dir = temp_dir(&format!("diff_{format:?}"));
-        export_dataset(&ds, &dir, format).expect("export");
-        let mem = DatasetBundle::load_with_format(&dir, format)
-            .expect("load")
-            .to_dataset()
-            .expect("materialize");
-        // In-memory reference, itself produced by the same generic path.
-        let reference = EszslProblem::from_source(&mem).expect("in-memory problem");
-        let model = EszslConfig::new()
+    let dir = temp_dir("diff");
+    export_dataset(&ds, &dir).expect("export");
+    let mem = DatasetBundle::load(&dir)
+        .expect("load")
+        .to_dataset()
+        .expect("materialize");
+    // In-memory reference, itself produced by the same generic path.
+    let reference = EszslProblem::from_source(&mem).expect("in-memory problem");
+    let model = EszslConfig::new()
+        .gamma(1.0)
+        .lambda(1.0)
+        .build()
+        .fit(&mem)
+        .expect("fit");
+    let engine = ScoringEngine::new(model.clone(), mem.all_signatures(), Similarity::Cosine);
+    let mem_seen_pred = engine
+        .predict_source(&mem, SplitKind::TestSeen)
+        .expect("predict");
+    let mem_unseen_pred = engine
+        .predict_source(&mem, SplitKind::TestUnseen)
+        .expect("predict");
+    let mem_report = evaluate_gzsl(&model, &mem, Similarity::Cosine).expect("evaluate");
+
+    for chunk_rows in chunk_sizes(mem.train_x.rows()) {
+        let label = format!("chunk_rows={chunk_rows}");
+        let bundle = StreamingBundle::open(&dir, chunk_rows).expect("open stream");
+        assert_eq!(
+            bundle.num_samples(),
+            mem.train_x.rows() + mem.test_seen_x.rows() + mem.test_unseen_x.rows()
+        );
+
+        // 1. Gram accumulators are bit-identical.
+        let streamed = streamed_problem(&bundle);
+        assert_eq!(
+            streamed.xtx().as_slice(),
+            reference.xtx().as_slice(),
+            "{label}"
+        );
+        assert_eq!(
+            streamed.xtys().as_slice(),
+            reference.xtys().as_slice(),
+            "{label}"
+        );
+        assert_eq!(
+            streamed.sts().as_slice(),
+            reference.sts().as_slice(),
+            "{label}"
+        );
+
+        // 2. Trained weights are bit-identical — and the generic fit
+        //    over the bundle source reproduces them too.
+        for (gamma, lambda) in [(1.0, 1.0), (0.01, 100.0)] {
+            assert_eq!(
+                streamed
+                    .solve(gamma, lambda)
+                    .expect("solve")
+                    .weights()
+                    .as_slice(),
+                reference
+                    .solve(gamma, lambda)
+                    .expect("solve")
+                    .weights()
+                    .as_slice(),
+                "{label} gamma={gamma} lambda={lambda}"
+            );
+        }
+        let fitted = EszslConfig::new()
             .gamma(1.0)
             .lambda(1.0)
             .build()
-            .fit(&mem)
-            .expect("fit");
-        let engine = ScoringEngine::new(model.clone(), mem.all_signatures(), Similarity::Cosine);
-        let mem_seen_pred = engine
-            .predict_source(&mem, SplitKind::TestSeen)
-            .expect("predict");
-        let mem_unseen_pred = engine
-            .predict_source(&mem, SplitKind::TestUnseen)
-            .expect("predict");
-        let mem_report = evaluate_gzsl(&model, &mem, Similarity::Cosine).expect("evaluate");
+            .fit(&bundle)
+            .expect("fit bundle");
+        assert_eq!(
+            fitted.weights().as_slice(),
+            model.weights().as_slice(),
+            "{label}"
+        );
 
-        for chunk_rows in chunk_sizes(mem.train_x.rows()) {
-            let label = format!("{format:?} chunk_rows={chunk_rows}");
-            let bundle =
-                StreamingBundle::open_with_format(&dir, format, chunk_rows).expect("open stream");
-            assert_eq!(
-                bundle.num_samples(),
-                mem.train_x.rows() + mem.test_seen_x.rows() + mem.test_unseen_x.rows()
-            );
-
-            // 1. Gram accumulators are bit-identical.
-            let streamed = streamed_problem(&bundle);
-            assert_eq!(
-                streamed.xtx().as_slice(),
-                reference.xtx().as_slice(),
-                "{label}"
-            );
-            assert_eq!(
-                streamed.xtys().as_slice(),
-                reference.xtys().as_slice(),
-                "{label}"
-            );
-            assert_eq!(
-                streamed.sts().as_slice(),
-                reference.sts().as_slice(),
-                "{label}"
-            );
-
-            // 2. Trained weights are bit-identical — and the generic fit
-            //    over the bundle source reproduces them too.
-            for (gamma, lambda) in [(1.0, 1.0), (0.01, 100.0)] {
-                assert_eq!(
-                    streamed
-                        .solve(gamma, lambda)
-                        .expect("solve")
-                        .weights()
-                        .as_slice(),
-                    reference
-                        .solve(gamma, lambda)
-                        .expect("solve")
-                        .weights()
-                        .as_slice(),
-                    "{label} gamma={gamma} lambda={lambda}"
-                );
-            }
-            let fitted = EszslConfig::new()
-                .gamma(1.0)
-                .lambda(1.0)
-                .build()
-                .fit(&bundle)
-                .expect("fit bundle");
-            assert_eq!(
-                fitted.weights().as_slice(),
-                model.weights().as_slice(),
-                "{label}"
-            );
-
-            // 3. Streamed predictions equal in-memory predictions through the
-            //    one generic predict entry point.
-            assert_eq!(
-                engine
-                    .predict_source(&bundle, SplitKind::TestSeen)
-                    .expect("predict"),
-                mem_seen_pred,
-                "{label}"
-            );
-            assert_eq!(
-                engine
-                    .predict_source(&bundle, SplitKind::TestUnseen)
-                    .expect("predict"),
-                mem_unseen_pred,
-                "{label}"
-            );
-            // 3b. The split's labels stream alongside in manifest order.
-            let mut labels = Vec::new();
-            for chunk in FeatureSource::stream(&bundle, SplitKind::TestSeen).expect("stream") {
-                labels.extend(chunk.expect("chunk").1.into_owned());
-            }
-            assert_eq!(labels, mem.test_seen_labels, "{label}");
-
-            // 4. The streamed GZSL report is the in-memory report, bit for
-            //    bit, through the one generic evaluate entry point.
-            let streamed_report =
-                evaluate_gzsl(&model, &bundle, Similarity::Cosine).expect("gzsl stream");
-            assert_eq!(streamed_report, mem_report, "{label}");
-            assert_eq!(
-                streamed_report.harmonic_mean.to_bits(),
-                mem_report.harmonic_mean.to_bits(),
-                "{label}"
-            );
+        // 3. Streamed predictions equal in-memory predictions through the
+        //    one generic predict entry point.
+        assert_eq!(
+            engine
+                .predict_source(&bundle, SplitKind::TestSeen)
+                .expect("predict"),
+            mem_seen_pred,
+            "{label}"
+        );
+        assert_eq!(
+            engine
+                .predict_source(&bundle, SplitKind::TestUnseen)
+                .expect("predict"),
+            mem_unseen_pred,
+            "{label}"
+        );
+        // 3b. The split's labels stream alongside in manifest order.
+        let mut labels = Vec::new();
+        for chunk in FeatureSource::stream(&bundle, SplitKind::TestSeen).expect("stream") {
+            labels.extend(chunk.expect("chunk").1.into_owned());
         }
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(labels, mem.test_seen_labels, "{label}");
+
+        // 4. The streamed GZSL report is the in-memory report, bit for
+        //    bit, through the one generic evaluate entry point.
+        let streamed_report =
+            evaluate_gzsl(&model, &bundle, Similarity::Cosine).expect("gzsl stream");
+        assert_eq!(streamed_report, mem_report, "{label}");
+        assert_eq!(
+            streamed_report.harmonic_mean.to_bits(),
+            mem_report.harmonic_mean.to_bits(),
+            "{label}"
+        );
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -214,91 +212,84 @@ fn streamed_full_protocol_matches_select_train_evaluate_on_both_formats() {
         .lambdas(vec![0.1, 1.0])
         .folds(3)
         .seed(777);
-    // Since the CSV line index, the full protocol (shuffled CV folds
-    // included) runs on BOTH formats.
-    for format in [FeatureFormat::Zsb, FeatureFormat::Csv] {
-        let dir = temp_dir(&format!("protocol_{format:?}"));
-        export_dataset(&ds, &dir, format).expect("export");
-        let mem = DatasetBundle::load_with_format(&dir, format)
-            .expect("load")
-            .to_dataset()
-            .expect("materialize");
-        let (mem_cv, mem_report) =
-            select_train_evaluate(&mem, &config).expect("in-memory protocol");
+    let dir = temp_dir("protocol");
+    export_dataset(&ds, &dir).expect("export");
+    let mem = DatasetBundle::load(&dir)
+        .expect("load")
+        .to_dataset()
+        .expect("materialize");
+    let (mem_cv, mem_report) = select_train_evaluate(&mem, &config).expect("in-memory protocol");
 
-        for chunk_rows in chunk_sizes(mem.train_x.rows()) {
-            let bundle = StreamingBundle::open_with_format(&dir, format, chunk_rows).expect("open");
-            let (cv, report) = select_train_evaluate(&bundle, &config).expect("streamed protocol");
-            assert_eq!(cv, mem_cv, "{format:?} chunk_rows={chunk_rows}");
-            assert_eq!(report, mem_report, "{format:?} chunk_rows={chunk_rows}");
-        }
-
-        // The underlying generic cross-validation also matches a raw
-        // MemorySource sweep over the same trainval data.
-        let bundle = StreamingBundle::open_with_format(&dir, format, 5).expect("open");
-        let source = MemorySource::new(&mem.train_x, &mem.train_labels, &mem.seen_signatures);
-        let raw_cv = cross_validate(&source, &config).expect("raw cv");
-        let streamed_cv = cross_validate(&bundle, &config).expect("streamed cv");
-        assert_eq!(streamed_cv, raw_cv, "{format:?}");
-        std::fs::remove_dir_all(&dir).ok();
+    for chunk_rows in chunk_sizes(mem.train_x.rows()) {
+        let bundle = StreamingBundle::open(&dir, chunk_rows).expect("open");
+        let (cv, report) = select_train_evaluate(&bundle, &config).expect("streamed protocol");
+        assert_eq!(cv, mem_cv, "chunk_rows={chunk_rows}");
+        assert_eq!(report, mem_report, "chunk_rows={chunk_rows}");
     }
+
+    // The underlying generic cross-validation also matches a raw
+    // MemorySource sweep over the same trainval data.
+    let bundle = StreamingBundle::open(&dir, 5).expect("open");
+    let source = MemorySource::new(&mem.train_x, &mem.train_labels, &mem.seen_signatures);
+    let raw_cv = cross_validate(&source, &config).expect("raw cv");
+    let streamed_cv = cross_validate(&bundle, &config).expect("streamed cv");
+    assert_eq!(streamed_cv, raw_cv);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn shuffled_manifest_order_streams_bit_identically_on_both_formats() {
     // A manifest whose split indices are NOT ascending exercises the indexed
-    // readers — seek-coalesced byte ranges on .zsb, the line index on CSV.
-    // The in-memory gather honors manifest order, so the streamed side must
-    // too, bit for bit.
+    // reader's seek-coalesced byte ranges. The in-memory gather honors
+    // manifest order, so the streamed side must too, bit for bit.
     let ds = synthetic_dataset();
-    for format in [FeatureFormat::Zsb, FeatureFormat::Csv] {
-        let dir = temp_dir(&format!("shuffled_{format:?}"));
-        export_dataset(&ds, &dir, format).expect("export");
-        let manifest_path = dir.join(SPLITS_TXT);
-        let mut manifest = SplitManifest::read(&manifest_path).expect("manifest");
-        let mut rng = Rng::new(0xD15C);
-        rng.shuffle(&mut manifest.trainval);
-        rng.shuffle(&mut manifest.test_seen);
-        rng.shuffle(&mut manifest.test_unseen);
-        manifest.write(&manifest_path).expect("rewrite");
+    let dir = temp_dir("shuffled");
+    export_dataset(&ds, &dir).expect("export");
+    let manifest_path = dir.join(SPLITS_TXT);
+    let mut manifest = SplitManifest::read(&manifest_path).expect("manifest");
+    let mut rng = Rng::new(0xD15C);
+    rng.shuffle(&mut manifest.trainval);
+    rng.shuffle(&mut manifest.test_seen);
+    rng.shuffle(&mut manifest.test_unseen);
+    manifest.write(&manifest_path).expect("rewrite");
 
-        let mem = DatasetBundle::load_with_format(&dir, format)
-            .expect("load")
-            .to_dataset()
-            .expect("materialize");
-        let reference = EszslProblem::from_source(&mem).expect("problem");
-        let model = EszslConfig::new().build().fit(&mem).expect("fit");
-        let mem_report = evaluate_gzsl(&model, &mem, Similarity::Cosine).expect("evaluate");
+    let mem = DatasetBundle::load(&dir)
+        .expect("load")
+        .to_dataset()
+        .expect("materialize");
+    let reference = EszslProblem::from_source(&mem).expect("problem");
+    let model = EszslConfig::new().build().fit(&mem).expect("fit");
+    let mem_report = evaluate_gzsl(&model, &mem, Similarity::Cosine).expect("evaluate");
 
-        for chunk_rows in chunk_sizes(mem.train_x.rows()) {
-            let label = format!("{format:?} chunk_rows={chunk_rows}");
-            let bundle = StreamingBundle::open_with_format(&dir, format, chunk_rows).expect("open");
-            let streamed = streamed_problem(&bundle);
-            assert_eq!(
-                streamed.xtx().as_slice(),
-                reference.xtx().as_slice(),
-                "{label}"
-            );
-            assert_eq!(
-                streamed.xtys().as_slice(),
-                reference.xtys().as_slice(),
-                "{label}"
-            );
-            let report = evaluate_gzsl(&model, &bundle, Similarity::Cosine).expect("stream");
-            assert_eq!(report, mem_report, "{label}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
+    for chunk_rows in chunk_sizes(mem.train_x.rows()) {
+        let label = format!("chunk_rows={chunk_rows}");
+        let bundle = StreamingBundle::open(&dir, chunk_rows).expect("open");
+        let streamed = streamed_problem(&bundle);
+        assert_eq!(
+            streamed.xtx().as_slice(),
+            reference.xtx().as_slice(),
+            "{label}"
+        );
+        assert_eq!(
+            streamed.xtys().as_slice(),
+            reference.xtys().as_slice(),
+            "{label}"
+        );
+        let report = evaluate_gzsl(&model, &bundle, Similarity::Cosine).expect("stream");
+        assert_eq!(report, mem_report, "{label}");
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn csv_cross_validation_subsets_stream_through_the_line_index() {
+fn cross_validation_subsets_stream_row_for_row_in_shuffled_order() {
     // CV folds stream trainval subsets in shuffled (non-ascending) order —
-    // the exact access pattern the CSV line index exists for. Verify the
-    // subset streams themselves, row for row, against the in-memory gather.
+    // the access pattern the seek-coalesced indexed reader exists for.
+    // Verify the subset streams themselves, row for row, against the
+    // in-memory gather.
     let ds = synthetic_dataset();
-    let dir = temp_dir("csv_subsets");
-    export_dataset(&ds, &dir, FeatureFormat::Csv).expect("export");
+    let dir = temp_dir("subsets");
+    export_dataset(&ds, &dir).expect("export");
     let mem = DatasetBundle::load(&dir)
         .expect("load")
         .to_dataset()
@@ -334,31 +325,29 @@ fn csv_cross_validation_subsets_stream_through_the_line_index() {
 #[test]
 fn tiny_bundle_fixture_streams_bit_identically_in_both_formats() {
     let dir = fixture_dir();
-    for format in [FeatureFormat::Zsb, FeatureFormat::Csv] {
-        let mem = DatasetBundle::load_with_format(&dir, format)
-            .expect("load")
-            .to_dataset()
-            .expect("materialize");
-        let reference = EszslProblem::from_source(&mem).expect("problem");
-        let model = EszslConfig::new().build().fit(&mem).expect("fit");
-        let mem_report = evaluate_gzsl(&model, &mem, Similarity::Cosine).expect("evaluate");
-        for chunk_rows in chunk_sizes(mem.train_x.rows()) {
-            let bundle = StreamingBundle::open_with_format(&dir, format, chunk_rows).expect("open");
-            let streamed = streamed_problem(&bundle);
-            let label = format!("{format:?} chunk_rows={chunk_rows}");
-            assert_eq!(
-                streamed.xtx().as_slice(),
-                reference.xtx().as_slice(),
-                "{label}"
-            );
-            assert_eq!(
-                streamed.xtys().as_slice(),
-                reference.xtys().as_slice(),
-                "{label}"
-            );
-            let report = evaluate_gzsl(&model, &bundle, Similarity::Cosine).expect("stream");
-            assert_eq!(report, mem_report, "{label}");
-        }
+    let mem = DatasetBundle::load(&dir)
+        .expect("load")
+        .to_dataset()
+        .expect("materialize");
+    let reference = EszslProblem::from_source(&mem).expect("problem");
+    let model = EszslConfig::new().build().fit(&mem).expect("fit");
+    let mem_report = evaluate_gzsl(&model, &mem, Similarity::Cosine).expect("evaluate");
+    for chunk_rows in chunk_sizes(mem.train_x.rows()) {
+        let bundle = StreamingBundle::open(&dir, chunk_rows).expect("open");
+        let streamed = streamed_problem(&bundle);
+        let label = format!("chunk_rows={chunk_rows}");
+        assert_eq!(
+            streamed.xtx().as_slice(),
+            reference.xtx().as_slice(),
+            "{label}"
+        );
+        assert_eq!(
+            streamed.xtys().as_slice(),
+            reference.xtys().as_slice(),
+            "{label}"
+        );
+        let report = evaluate_gzsl(&model, &bundle, Similarity::Cosine).expect("stream");
+        assert_eq!(report, mem_report, "{label}");
     }
 }
 
@@ -438,100 +427,41 @@ fn gzsl_reports_are_thread_invariant_over_streamed_and_in_memory_sources() {
 }
 
 #[test]
-fn csv_file_shrinking_after_open_is_a_typed_error_not_a_smaller_split() {
-    // A .zsb file re-validates its promised length on every open and maps a
-    // mid-read shrink to Truncated. CSV has no header, so a file that loses
-    // rows between StreamingBundle::open and a streaming pass would just end
-    // early — both the forward scan and the indexed reader must notice the
-    // missing selected rows and error rather than hand evaluators a silently
-    // smaller split.
-    let ds = synthetic_dataset();
-    let dir = temp_dir("csv_shrink");
-    export_dataset(&ds, &dir, FeatureFormat::Csv).expect("export");
-    let bundle = StreamingBundle::open(&dir, 4).expect("open");
-
-    let csv_path = dir.join("features.csv");
-    let text = std::fs::read_to_string(&csv_path).expect("read");
-    let kept: Vec<&str> = text.lines().collect();
-    let shrunk = kept[..kept.len() - 3].join("\n");
-    std::fs::write(&csv_path, shrunk).expect("shrink");
-
-    // test_unseen rows live at the end of the export, so they are the ones
-    // missing now.
-    let outcome: Result<Vec<_>, _> = bundle
-        .stream_test_unseen()
-        .expect("stream handle")
-        .collect();
-    match outcome {
-        Err(zsl_core::DataError::Shape { message }) => {
-            assert!(message.contains("shrank"), "got: {message}")
-        }
-        other => panic!("expected Shape error for shrunken CSV, got {other:?}"),
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn indexed_csv_read_of_a_shrunken_file_is_a_typed_error() {
-    // Same shrink race, but through the line-index path: reverse the
-    // test_unseen manifest order BEFORE opening (forcing indexed reads),
-    // open (index built over the intact file), then delete the trailing rows.
-    let ds = synthetic_dataset();
-    let dir = temp_dir("csv_shrink_indexed");
-    export_dataset(&ds, &dir, FeatureFormat::Csv).expect("export");
-    let manifest_path = dir.join(SPLITS_TXT);
-    let mut manifest = SplitManifest::read(&manifest_path).expect("manifest");
-    manifest.test_unseen.reverse();
-    manifest.write(&manifest_path).expect("rewrite");
-    let bundle = StreamingBundle::open(&dir, 4).expect("open");
-
-    let csv_path = dir.join("features.csv");
-    let text = std::fs::read_to_string(&csv_path).expect("read");
-    let kept: Vec<&str> = text.lines().collect();
-    std::fs::write(&csv_path, kept[..kept.len() - 3].join("\n")).expect("shrink");
-
-    let outcome: Result<Vec<_>, _> = bundle.stream_test_unseen().expect("handle").collect();
-    match outcome {
-        Err(zsl_core::DataError::Shape { message }) => {
-            assert!(message.contains("shrank"), "got: {message}")
-        }
-        other => panic!("expected Shape error for shrunken indexed CSV, got {other:?}"),
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn split_stream_fuses_after_first_error_without_fabricating_a_second() {
-    // A parse error mid-CSV must surface exactly once; polling past it gets
-    // None — not a bogus "file shrank" follow-up from the remaining-rows
-    // bookkeeping.
+    // A non-finite value mid-payload must surface exactly once; polling past
+    // it gets None — not a follow-up error from the remaining rows.
     let ds = synthetic_dataset();
     let dir = temp_dir("fuse");
-    export_dataset(&ds, &dir, FeatureFormat::Csv).expect("export");
+    export_dataset(&ds, &dir).expect("export");
     let bundle = StreamingBundle::open(&dir, 4).expect("open");
 
-    let csv_path = dir.join("features.csv");
-    let text = std::fs::read_to_string(&csv_path).expect("read");
-    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    // Corrupt a line inside the trainval block (the export writes trainval
-    // rows first): the indexed reader only ever touches selected lines.
-    let mid = bundle.manifest().trainval.len() / 2;
-    lines[mid] = "0,not_a_float,1.0".into();
-    std::fs::write(&csv_path, lines.join("\n")).expect("corrupt");
+    // Write a NaN into a trainval row (the export writes trainval rows
+    // first): the indexed reader checks every value it reads.
+    let path = dir.join(FEATURES_ZSB);
+    let mut bytes = std::fs::read(&path).expect("read");
+    let (n, d) = (bundle.num_samples(), bundle.feature_dim());
+    let row = bundle.manifest().trainval[bundle.manifest().trainval.len() / 2];
+    let at = 32 + 4 * n + 8 * (row * d + 1);
+    bytes[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+    std::fs::write(&path, bytes).expect("corrupt");
 
     let mut stream = bundle.stream_trainval().expect("stream");
-    let mut saw_parse_error = false;
+    let mut saw_error = false;
     for item in &mut stream {
         match item {
             Ok(_) => continue,
-            Err(zsl_core::DataError::Parse { .. }) => {
-                saw_parse_error = true;
+            Err(zsl_core::DataError::Header { message, .. }) => {
+                assert!(
+                    message.contains(&format!("non-finite feature value NaN at row {row}, col 1")),
+                    "{message}"
+                );
+                saw_error = true;
                 break;
             }
-            Err(other) => panic!("expected Parse error, got {other:?}"),
+            Err(other) => panic!("expected a non-finite Header error, got {other:?}"),
         }
     }
-    assert!(saw_parse_error);
+    assert!(saw_error);
     assert!(stream.next().is_none(), "stream must fuse after an error");
     assert!(stream.next().is_none());
     std::fs::remove_dir_all(&dir).ok();

@@ -154,7 +154,7 @@ fn streamed_vs_in_memory_ingestion_and_training() {
         .build();
     let dir = std::env::temp_dir().join(format!("zsl_throughput_stream_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    export_dataset(&ds, &dir, zsl_core::data::FeatureFormat::Zsb).expect("export");
+    export_dataset(&ds, &dir).expect("export");
     let chunk_rows = (w.n / 16).max(1);
 
     let in_memory = || -> EszslProblem {

@@ -20,7 +20,7 @@
 //!    print_trainer_golden_bits` test after intentional solver changes.
 
 use std::path::PathBuf;
-use zsl_core::data::{export_dataset, DatasetBundle, FeatureFormat, StreamingBundle};
+use zsl_core::data::{export_dataset, DatasetBundle, StreamingBundle};
 use zsl_core::eval::{cross_validate_with, select_train_evaluate_with, CrossValConfig};
 use zsl_core::infer::{ScoringEngine, ScoringPrecision, Similarity};
 use zsl_core::model::EszslConfig;
@@ -109,7 +109,7 @@ fn assert_same_model(a: &TrainedModel, b: &TrainedModel, label: &str) {
 fn every_family_is_chunk_invariant_and_matches_in_memory() {
     let ds = synthetic_dataset();
     let dir = temp_dir("chunks");
-    export_dataset(&ds, &dir, FeatureFormat::Zsb).expect("export");
+    export_dataset(&ds, &dir).expect("export");
     let mem = DatasetBundle::load(&dir)
         .expect("load")
         .to_dataset()
@@ -130,7 +130,7 @@ fn every_family_is_chunk_invariant_and_matches_in_memory() {
 fn generic_cv_and_gzsl_protocols_are_chunk_invariant_for_every_family() {
     let ds = synthetic_dataset();
     let dir = temp_dir("protocol");
-    export_dataset(&ds, &dir, FeatureFormat::Zsb).expect("export");
+    export_dataset(&ds, &dir).expect("export");
     let mem = DatasetBundle::load(&dir)
         .expect("load")
         .to_dataset()

@@ -1,27 +1,35 @@
-//! `zsl-import` — convert an xlsa17 benchmark (`res101.mat` +
-//! `att_splits.mat`) into a zsl bundle directory.
+//! `zsl-import` — convert foreign feature dumps into a zsl bundle directory:
+//! an xlsa17 benchmark (`res101.mat` + `att_splits.mat`), or a bundle's CSV
+//! feature table (`features.csv` → `features.zsb`, the one feature format the
+//! zsl-core loaders read).
 //!
 //! ```sh
 //! zsl-import --res101 AWA2/res101.mat --att-splits AWA2/att_splits.mat \
 //!     --out /tmp/awa2_bundle
+//! zsl-import --features-csv /tmp/csv_bundle
 //! # then train/evaluate against it:
-//! cargo run --release --example eval_dataset -- train /tmp/awa2_bundle
+//! cargo run --release --example eval_dataset -- train /tmp/awa2_bundle --save /tmp/m.zsm
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use zsl_core::data::{import_features_csv, FEATURES_CSV, FEATURES_ZSB};
 use zsl_mat::{MatBundle, DEFAULT_CHUNK_ROWS};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: zsl-import --res101 <res101.mat> --att-splits <att_splits.mat> --out <dir> \
-         [--chunk-rows N]\n\n\
-         Reads an xlsa17 'Proposed Splits' benchmark pair (MAT level-5, v6 or v7;\n\
-         v7.3/HDF5 files are rejected — re-save with save(..., '-v7')) and writes a\n\
-         bundle directory (features.zsb, signatures.csv, splits.txt) loadable by the\n\
-         zsl-core trainers. Features are streamed --chunk-rows samples at a time\n\
-         (default {DEFAULT_CHUNK_ROWS}), so memory stays flat regardless of dataset size; every\n\
-         output file is written via an atomic temp-file rename."
+         [--chunk-rows N]\n       \
+         zsl-import --features-csv <dir>\n\n\
+         The first form reads an xlsa17 'Proposed Splits' benchmark pair (MAT level-5,\n\
+         v6 or v7; v7.3/HDF5 files are rejected — re-save with save(..., '-v7')) and\n\
+         writes a bundle directory (features.zsb, signatures.csv, splits.txt) loadable\n\
+         by the zsl-core trainers. Features are streamed --chunk-rows samples at a time\n\
+         (default {DEFAULT_CHUNK_ROWS}), so memory stays flat regardless of dataset size.\n\n\
+         The second form converts <dir>/{FEATURES_CSV} (one label,f0,f1,... line per\n\
+         sample) to <dir>/{FEATURES_ZSB} in two passes, holding only the labels and one\n\
+         block of rows in memory.\n\n\
+         Every output file is written via an atomic temp-file rename."
     );
     ExitCode::FAILURE
 }
@@ -31,7 +39,8 @@ fn main() -> ExitCode {
     let mut res101: Option<PathBuf> = None;
     let mut att_splits: Option<PathBuf> = None;
     let mut out: Option<PathBuf> = None;
-    let mut chunk_rows = DEFAULT_CHUNK_ROWS;
+    let mut features_csv: Option<PathBuf> = None;
+    let mut chunk_rows: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -43,8 +52,9 @@ fn main() -> ExitCode {
             "--res101" => res101 = Some(value.into()),
             "--att-splits" => att_splits = Some(value.into()),
             "--out" => out = Some(value.into()),
+            "--features-csv" => features_csv = Some(value.into()),
             "--chunk-rows" => match value.parse() {
-                Ok(n) if n > 0 => chunk_rows = n,
+                Ok(n) if n > 0 => chunk_rows = Some(n),
                 _ => {
                     eprintln!("--chunk-rows needs a positive integer, got '{value}'");
                     return usage();
@@ -54,11 +64,31 @@ fn main() -> ExitCode {
         }
         i += 2;
     }
-    let (Some(res101), Some(att_splits), Some(out)) = (res101, att_splits, out) else {
-        return usage();
-    };
+    match (features_csv, res101, att_splits, out, chunk_rows) {
+        (Some(dir), None, None, None, None) => import_csv(&dir),
+        (None, Some(res101), Some(att_splits), Some(out), chunk_rows) => import_mat(
+            &res101,
+            &att_splits,
+            &out,
+            chunk_rows.unwrap_or(DEFAULT_CHUNK_ROWS),
+        ),
+        _ => usage(),
+    }
+}
 
-    let bundle = match MatBundle::open(&res101, &att_splits) {
+fn import_csv(dir: &Path) -> ExitCode {
+    let (csv, zsb) = (dir.join(FEATURES_CSV), dir.join(FEATURES_ZSB));
+    match import_features_csv(&csv, &zsb) {
+        Ok(rows) => {
+            println!("zsl-import: wrote {} ({rows} samples)", zsb.display());
+            ExitCode::SUCCESS
+        }
+        Err(e) => fail("import", e),
+    }
+}
+
+fn import_mat(res101: &Path, att_splits: &Path, out: &Path, chunk_rows: usize) -> ExitCode {
+    let bundle = match MatBundle::open(res101, att_splits) {
         Ok(b) => b,
         Err(e) => return fail("open", e),
     };
@@ -73,7 +103,7 @@ fn main() -> ExitCode {
         bundle.manifest().test_seen.len(),
         bundle.manifest().test_unseen.len(),
     );
-    let summary = match bundle.convert_to_zsb(&out, chunk_rows) {
+    let summary = match bundle.convert_to_zsb(out, chunk_rows) {
         Ok(s) => s,
         Err(e) => return fail("convert", e),
     };
@@ -87,9 +117,9 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn fail(stage: &str, e: zsl_mat::MatError) -> ExitCode {
+fn fail(stage: &str, e: impl std::error::Error) -> ExitCode {
     eprintln!("zsl-import: {stage} failed: {e}");
-    let mut source = std::error::Error::source(&e);
+    let mut source = e.source();
     while let Some(inner) = source {
         eprintln!("  caused by: {inner}");
         source = inner.source();

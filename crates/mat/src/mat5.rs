@@ -768,24 +768,12 @@ impl MatFile {
     /// silently wrong array.
     pub fn read_numeric(&self, name: &str) -> Result<NumericArray, MatError> {
         let var = self.require(name)?.clone();
-        let vsize = self.numeric_prelude(&var)?;
+        // The prelude checked that `pr_bytes` is the dims' byte count and
+        // that it fits in memory arithmetic.
+        self.numeric_prelude(&var)?;
         let mut source = self.value_reader(&var)?;
-        let mut buf = vec![0u8; (64 * 1024 / vsize.max(1)) * vsize];
-        // `pr_bytes` of a compressed element is the inner tag's claim, which
-        // nothing checks against the file: grow with the values that actually
-        // arrive instead of reserving the claim up front.
-        let mut data = Vec::with_capacity(var.pr_bytes.min(buf.len() as u64) as usize / vsize);
-        let mut remaining = var.pr_bytes as usize;
-        while remaining > 0 {
-            let take = remaining.min(buf.len());
-            source
-                .read_exact(&mut buf[..take])
-                .map_err(|e| MatError::from_read(&self.path, e))?;
-            for chunk in buf[..take].chunks_exact(vsize) {
-                data.push(self.order.widen(var.pr_type, chunk));
-            }
-            remaining -= take;
-        }
+        let data =
+            source.read_values(&self.path, self.order, var.pr_type, var.pr_bytes as usize)?;
         source.drain_and_verify(&self.path)?;
         Ok(NumericArray {
             dims: var.dims,
@@ -852,6 +840,36 @@ impl Read for ValueSource {
 }
 
 impl ValueSource {
+    /// Read `nbytes` of `pr_type` values and widen each to f64.
+    ///
+    /// `nbytes` comes from the header dims, and for a compressed element
+    /// nothing but its inner tag bounds those, never the file: the bytes go
+    /// through a buffer of at most 64 KiB, and the values grow with what
+    /// actually arrives instead of reserving the claim up front.
+    pub(crate) fn read_values(
+        &mut self,
+        path: &Path,
+        order: ByteOrder,
+        pr_type: u32,
+        mut nbytes: usize,
+    ) -> Result<Vec<f64>, MatError> {
+        let vsize = mi_value_size(pr_type).expect("validated at scan");
+        let mut buf = vec![0u8; nbytes.min(64 * 1024 / vsize * vsize)];
+        let mut data = Vec::with_capacity(buf.len() / vsize);
+        while nbytes > 0 {
+            let take = nbytes.min(buf.len());
+            self.read_exact(&mut buf[..take])
+                .map_err(|e| MatError::from_read(path, e))?;
+            data.extend(
+                buf[..take]
+                    .chunks_exact(vsize)
+                    .map(|b| order.widen(pr_type, b)),
+            );
+            nbytes -= take;
+        }
+        Ok(data)
+    }
+
     /// For compressed sources, consume the remainder of the stream so the
     /// final block and Adler-32 trailer are decoded and checked. Plain
     /// sources have nothing to verify.

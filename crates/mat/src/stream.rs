@@ -10,7 +10,6 @@
 
 use crate::error::MatError;
 use crate::mat5::{ByteOrder, ValueSource};
-use std::io::Read;
 use std::path::PathBuf;
 use zsl_core::linalg::Matrix;
 
@@ -32,8 +31,6 @@ pub struct ColumnChunkReader {
     /// Set once the source has been drained and (for compressed elements)
     /// its Adler-32 trailer verified.
     finished: bool,
-    /// Reused raw-byte buffer, `chunk_cols * rows * vsize` at most.
-    buf: Vec<u8>,
 }
 
 impl ColumnChunkReader {
@@ -59,7 +56,6 @@ impl ColumnChunkReader {
             chunk_cols,
             cols_read: 0,
             finished: false,
-            buf: Vec::new(),
         }
     }
 
@@ -92,15 +88,12 @@ impl ColumnChunkReader {
             return Ok(None);
         }
         let take_cols = self.chunk_cols.min(self.cols - self.cols_read);
-        let nbytes = take_cols * self.rows * self.vsize;
-        self.buf.resize(nbytes, 0);
-        self.source
-            .read_exact(&mut self.buf[..nbytes])
-            .map_err(|e| MatError::from_read(&self.path, e))?;
-        let mut data = Vec::with_capacity(take_cols * self.rows);
-        for chunk in self.buf[..nbytes].chunks_exact(self.vsize) {
-            data.push(self.order.widen(self.pr_type, chunk));
-        }
+        let data = self.source.read_values(
+            &self.path,
+            self.order,
+            self.pr_type,
+            take_cols * self.rows * self.vsize,
+        )?;
         self.cols_read += take_cols;
         if self.cols_read >= self.cols && !self.finished {
             self.source.drain_and_verify(&self.path)?;

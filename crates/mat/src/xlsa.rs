@@ -27,15 +27,8 @@
 use crate::error::MatError;
 use crate::mat5::{MatFile, NumericArray};
 use std::path::Path;
-use zsl_core::data::{SplitManifest, ZsbWriter};
+use zsl_core::data::{SplitManifest, ZsbWriter, FEATURES_ZSB, SIGNATURES_CSV, SPLITS_TXT};
 use zsl_core::linalg::Matrix;
-
-/// `features.zsb` file name inside a converted bundle.
-const FEATURES_ZSB: &str = "features.zsb";
-/// `signatures.csv` file name inside a converted bundle.
-const SIGNATURES_CSV: &str = "signatures.csv";
-/// `splits.txt` file name inside a converted bundle.
-const SPLITS_TXT: &str = "splits.txt";
 
 /// Default number of samples decoded per streaming chunk.
 pub const DEFAULT_CHUNK_ROWS: usize = 512;

@@ -1,10 +1,13 @@
 //! Shared fixture machinery for the `zsl-mat` integration tests: a seeded
-//! synthetic dataset in xlsa17 shape, and a helper that serializes it as a
-//! `res101.mat` + `att_splits.mat` pair in any byte order / compression.
+//! synthetic dataset in xlsa17 shape, a helper that serializes it as a
+//! `res101.mat` + `att_splits.mat` pair in any byte order / compression, and
+//! a hostile file whose header claims far more data than it holds.
 #![allow(dead_code)] // not every test binary uses every helper
 
 use std::path::{Path, PathBuf};
 use zsl_core::data::Rng;
+use zsl_mat::mat5::mi;
+use zsl_mat::writer::zlib_stored;
 use zsl_mat::{ArrayOpts, ByteOrder, Compression, MatWriter};
 
 /// A synthetic dataset laid out exactly like an xlsa17 benchmark.
@@ -160,4 +163,47 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
+}
+
+/// A little-endian file holding one `miCOMPRESSED` element (stored zlib
+/// blocks) whose inner `double` matrix `m` declares `dims` and a `pr` tag of
+/// `pr_bytes` values stored as `uint8`, yet carries none of them. The inner
+/// tag's length claims the data is there, and nothing but the decompressed
+/// stream can contradict it.
+pub fn compressed_header_only(dir: &Path, name: &str, dims: &[i32], pr_bytes: u32) -> PathBuf {
+    fn push(out: &mut Vec<u8>, v: u32) {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut body = Vec::new();
+    // Array flags: miUINT32 x 2, class mxDOUBLE_CLASS (6).
+    for v in [mi::UINT32, 8, 6, 0] {
+        push(&mut body, v);
+    }
+    push(&mut body, mi::INT32);
+    push(&mut body, 4 * dims.len() as u32);
+    for &d in dims {
+        body.extend_from_slice(&d.to_le_bytes());
+    }
+    if dims.len() % 2 == 1 {
+        push(&mut body, 0);
+    }
+    // Name "m" in the 8-byte small-element form, then the bare pr tag.
+    push(&mut body, (1 << 16) | mi::INT8);
+    body.extend_from_slice(b"m\0\0\0");
+    push(&mut body, mi::UINT8);
+    push(&mut body, pr_bytes);
+    let mut element = Vec::new();
+    push(&mut element, mi::MATRIX);
+    push(&mut element, body.len() as u32 + pr_bytes);
+    element.extend_from_slice(&body);
+    let compressed = zlib_stored(&element);
+    let mut raw = Vec::new();
+    push(&mut raw, mi::COMPRESSED);
+    push(&mut raw, compressed.len() as u32);
+    raw.extend_from_slice(&compressed);
+    let mut w = MatWriter::new(ByteOrder::Little);
+    w.add_raw(&raw);
+    let path = dir.join(name);
+    w.write_to(&path).expect("write fixture");
+    path
 }
