@@ -1,6 +1,6 @@
 # Tier-1 verify and dev conveniences. `just` mirrors these recipes.
 
-.PHONY: test lint fmt build doc import-fixtures
+.PHONY: test lint fmt build doc bench import-fixtures
 
 # Matches the tier-1 verify in ROADMAP.md exactly.
 test:
@@ -9,6 +9,8 @@ test:
 lint:
 	cargo fmt --all -- --check
 	cargo clippy --all-targets -- -D warnings
+	cargo fmt --manifest-path bench/Cargo.toml -- --check
+	cargo clippy --manifest-path bench/Cargo.toml --all-targets -- -D warnings
 
 fmt:
 	cargo fmt --all
@@ -19,6 +21,11 @@ build:
 # Public-API docs must stay warning-free (CI enforces the same flag).
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
+
+# One run of the repo benchmark: BENCHMARK.json's command with the caller's
+# arguments, e.g. make bench ARGS='--workload train-xlsa --seed 1 --seconds 30 --trace 0'
+bench:
+	cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- $(ARGS)
 
 # Regenerate the committed .mat golden fixtures under crates/mat/tests/fixtures/
 # and print the digest constants to paste into tests/golden_import.rs.

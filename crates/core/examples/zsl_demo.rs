@@ -25,8 +25,8 @@ fn main() {
         .gamma(1.0)
         .lambda(1.0)
         .build()
-        .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-        .expect("training failed");
+        .fit(&ds)
+        .expect("fit failed");
 
     // Classic ZSL: candidates are unseen classes only. The engine validates
     // and normalizes the signature bank once, then scores every batch through

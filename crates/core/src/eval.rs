@@ -9,14 +9,14 @@
 //!    a [`GzslReport`] — seen accuracy, unseen accuracy, their harmonic mean,
 //!    and per-class breakdowns. [`evaluate_gzsl_with`] is the serving-path
 //!    variant that takes an already-built (e.g. `.zsm`-loaded) engine.
-//! 2. [`cross_validate`] selects `(γ, λ)` **before** the unseen evaluation:
-//!    a seeded k-fold split of the source's trainval samples, a grid sweep
-//!    paying each fold's sufficient statistics once (not once per grid
-//!    point), and mean per-class validation accuracy per grid point. Fully
-//!    deterministic for a fixed seed.
+//! 2. [`cross_validate`] selects a [`Trainer`]'s `(γ, λ)` **before** the
+//!    unseen evaluation: a seeded k-fold split of the source's trainval
+//!    samples, a grid sweep paying each fold's sufficient statistics once
+//!    (not once per grid point), and mean per-class validation accuracy per
+//!    grid point. Fully deterministic for a fixed seed.
 //!
-//! [`select_train_evaluate`] chains the two: cross-validate on trainval,
-//! retrain with the winning pair, report GZSL numbers.
+//! [`crate::pipeline::Pipeline`] chains the two: cross-validate on trainval,
+//! refit the trainer at the winning point, report GZSL numbers.
 //!
 //! Every entry point is ONE generic function over [`FeatureSource`]: a
 //! materialized [`crate::data::Dataset`] lends its matrices as single borrowed chunks, a
@@ -27,19 +27,17 @@
 //! counting, ascending-row Gram folds — reports are **bit-identical** across
 //! sources and chunk sizes, which `tests/streaming_equiv.rs` pins.
 //!
-//! Both selection entry points are also generic over the **model family**:
-//! [`cross_validate_with`] / [`select_train_evaluate_with`] take any
-//! [`Trainer`] (`&dyn` — ESZSL, SAE, kernelized ESZSL, or a custom impl) and
-//! drive the identical fold/score/count protocol through
-//! [`Trainer::fit_grid`]. The trainer-less functions are thin wrappers fixing
-//! the trainer to ESZSL, which preserves their pre-trainer results bit for
-//! bit (`tests/trainer_equiv.rs` pins that too).
+//! The sweep is also generic over the **model family**: [`cross_validate`]
+//! takes any [`Trainer`] (`&dyn` — ESZSL, SAE, kernelized ESZSL, or a custom
+//! impl) and drives the identical fold/score/count protocol through
+//! [`Trainer::fit_grid`]. The trainer owns its preprocessing, so feature and
+//! signature normalization are set on it, never on the [`CrossValConfig`]
+//! (`tests/trainer_equiv.rs` pins every family).
 
 use crate::data::Rng;
 use crate::error::ZslError;
 use crate::infer::{harmonic_mean, mean_defined, ClassAccuracyCounter, ScoringEngine, Similarity};
-use crate::model::EszslConfig;
-use crate::source::{DynSource, FeatureSource, SplitKind};
+use crate::source::{FeatureSource, SplitKind};
 use crate::trainer::{TrainedModel, Trainer};
 use std::sync::Arc;
 
@@ -192,14 +190,12 @@ pub struct CrossValConfig {
     pub seed: u64,
     /// Similarity used for validation scoring.
     pub similarity: Similarity,
-    /// L2-normalize training feature rows inside each fold — set this to
-    /// match the [`EszslConfig`] the winning `(γ, λ)` will be fitted with,
-    /// so the sweep selects hyperparameters for the model actually trained.
-    /// [`crate::pipeline::Pipeline::cross_validate`] wires this up
-    /// automatically.
+    /// Must be `false`: normalization is set on the trainer (e.g.
+    /// [`crate::model::EszslConfig::normalize_features`]), which applies it
+    /// to the sweep and the final fit alike. [`cross_validate`] rejects
+    /// `true` with [`ZslError::Config`].
     pub normalize_features: bool,
-    /// L2-normalize signature rows inside each fold's training problem
-    /// (mirroring [`EszslConfig::normalize_signatures`]).
+    /// Must be `false`, like [`CrossValConfig::normalize_features`].
     pub normalize_signatures: bool,
     /// Candidate calibrated-stacking penalties `γ_cal` (the seen-class score
     /// penalty applied at scoring time; see
@@ -271,19 +267,6 @@ impl CrossValConfig {
         self
     }
 
-    /// Toggle L2 normalization of training feature rows inside each fold.
-    pub fn normalize_features(mut self, on: bool) -> Self {
-        self.normalize_features = on;
-        self
-    }
-
-    /// Toggle L2 normalization of signature rows inside each fold's training
-    /// problem.
-    pub fn normalize_signatures(mut self, on: bool) -> Self {
-        self.normalize_signatures = on;
-        self
-    }
-
     /// Set the `γ_cal` calibration candidates. `vec![0.0]` (the default)
     /// disables the calibration axis entirely; see
     /// [`CrossValConfig::calibrations`] for what a non-trivial grid changes.
@@ -326,45 +309,36 @@ pub struct CrossValReport {
     pub folds: usize,
 }
 
-/// Seeded k-fold cross-validated grid search over `(γ, λ)` on the trainval
-/// split of any [`FeatureSource`].
+/// Seeded k-fold cross-validated sweep of `trainer`'s `(γ, λ)` grid over the
+/// trainval split of any [`FeatureSource`].
 ///
 /// Sample positions are shuffled once with [`Rng`] (Fisher–Yates, seeded by
-/// `config.seed`) and cut into `k` contiguous folds; each fold's Gram
-/// matrices are paid once, every grid point is solved up front, and the
-/// held-out fold's rows stream ONCE past *all* grid-point engines, scored
-/// against the full seen-class signature bank and summarized as mean
-/// per-class accuracy. Identical configuration + seed ⇒ identical report,
-/// regardless of source kind, chunk size, or thread count.
+/// `config.seed`) and cut into `k` contiguous folds, balanced to within one
+/// sample. Per fold, [`Trainer::fit_grid`] pays the trainer's sufficient
+/// statistics once and solves every grid point; the held-out fold's rows
+/// then stream ONCE past *all* grid-point engines, scored against the
+/// seen-class bank and summarized as mean per-class accuracy. Identical
+/// configuration + seed + trainer ⇒ identical report, regardless of source
+/// kind, chunk size, or thread count.
 ///
-/// To sweep bare matrices (the pre-PR 5 four-argument form), wrap them in a
-/// [`crate::source::MemorySource`]. To sweep a different model family, use
-/// [`cross_validate_with`]; this function fixes the trainer to ESZSL with the
-/// config's normalization toggles, reproducing its pre-trainer results bit
-/// for bit.
-pub fn cross_validate<S: FeatureSource + ?Sized>(
-    source: &S,
-    config: &CrossValConfig,
-) -> Result<CrossValReport, ZslError> {
-    cross_validate_with(&default_eszsl_trainer(config), &DynSource(source), config)
-}
-
-/// [`cross_validate`] generic over the model family: a seeded k-fold
-/// cross-validated sweep of `trainer`'s grid over the trainval split.
-///
-/// Per fold, [`Trainer::fit_grid`] pays the trainer's sufficient statistics
-/// once and solves every grid point; the held-out fold's rows then stream
-/// ONCE past *all* grid-point engines, scored against the seen-class bank and
-/// summarized as mean per-class accuracy. The fold protocol (seeded
-/// Fisher–Yates shuffle, contiguous folds balanced to within one sample) and
-/// the report assembly are byte-for-byte the ones the ESZSL-only sweep always
-/// used — identical configuration + seed + trainer ⇒ identical report,
-/// regardless of source kind, chunk size, or thread count.
-pub fn cross_validate_with(
+/// The trainer owns its preprocessing: a config with
+/// [`CrossValConfig::normalize_features`] or
+/// [`CrossValConfig::normalize_signatures`] set is a typed
+/// [`ZslError::Config`]. To sweep bare matrices, wrap them in a
+/// [`crate::source::MemorySource`].
+pub fn cross_validate(
     trainer: &dyn Trainer,
     source: &dyn FeatureSource,
     config: &CrossValConfig,
 ) -> Result<CrossValReport, ZslError> {
+    if config.normalize_features || config.normalize_signatures {
+        return Err(ZslError::Config(format!(
+            "the CrossValConfig enables normalization, but the {} trainer owns its \
+             preprocessing; set normalization on the trainer, which applies it to the sweep \
+             and the final fit alike",
+            trainer.family()
+        )));
+    }
     let n = source.trainval_len();
     validate_cv_shape(config, n)?;
     let points = trainer.grid_points(&config.gammas, &config.lambdas);
@@ -504,16 +478,6 @@ pub fn cross_validate_with(
     ))
 }
 
-/// The trainer the trainer-less entry points always used: ESZSL with the
-/// config's normalization toggles (its own γ/λ are irrelevant — the sweep
-/// supplies them).
-fn default_eszsl_trainer(config: &CrossValConfig) -> crate::model::EszslTrainer {
-    EszslConfig::new()
-        .normalize_features(config.normalize_features)
-        .normalize_signatures(config.normalize_signatures)
-        .build()
-}
-
 /// Shared configuration checks for the cross-validation sweep.
 fn validate_cv_shape(config: &CrossValConfig, n: usize) -> Result<(), ZslError> {
     if config.folds < 2 {
@@ -594,59 +558,19 @@ fn assemble_cross_val_report(
     }
 }
 
-/// The full experiment protocol over any [`FeatureSource`]: cross-validate
-/// `(γ, λ)` on the trainval split, retrain on all of it with the winner, and
-/// evaluate GZSL.
-///
-/// This is the path the [`crate::pipeline::Pipeline`] facade and the
-/// `eval_dataset` example drive, and the one the round-trip acceptance test
-/// pins: the same source always yields the same
-/// `(CrossValReport, GzslReport)` pair for a fixed config — bit-identical
-/// whether the source is materialized or streamed from disk.
-pub fn select_train_evaluate<S: FeatureSource + ?Sized>(
-    source: &S,
-    config: &CrossValConfig,
-) -> Result<(CrossValReport, GzslReport), ZslError> {
-    select_train_evaluate_with(&default_eszsl_trainer(config), &DynSource(source), config)
-}
-
-/// [`select_train_evaluate`] generic over the model family: cross-validate
-/// `trainer`'s grid, refit on the full trainval split at the winning point
-/// ([`Trainer::with_point`]), and evaluate GZSL. This is the one protocol
-/// every family runs — `tests/trainer_equiv.rs` pins that SAE and kernelized
-/// ESZSL flow through it with the same determinism guarantees as ESZSL.
-pub fn select_train_evaluate_with(
-    trainer: &dyn Trainer,
-    source: &dyn FeatureSource,
-    config: &CrossValConfig,
-) -> Result<(CrossValReport, GzslReport), ZslError> {
-    let cv = cross_validate_with(trainer, source, config)?;
-    // The final fit applies the same normalization the sweep selected under;
-    // the winning γ_cal (0 on an uncalibrated sweep, leaving the engine
-    // untouched) penalizes the union bank's seen prefix during evaluation.
-    let model = trainer
-        .with_point(cv.best.gamma, cv.best.lambda)
-        .fit(source)?;
-    let engine = ScoringEngine::try_new(model, source.union_signatures(), config.similarity)?
-        .with_calibration(cv.best.calibration, source.num_seen_classes())?;
-    let report = evaluate_gzsl_with(&engine, source)?;
-    Ok((cv, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data::{Dataset, SyntheticConfig};
     use crate::infer::{mean_per_class_accuracy, per_class_accuracy};
-    use crate::model::{ProjectionModel, TrainError};
+    use crate::model::{EszslConfig, EszslTrainer, ProjectionModel, TrainError};
+    use crate::pipeline::Pipeline;
     use crate::source::MemorySource;
+    use crate::trainer::{KernelEszslConfig, SaeConfig};
 
     fn trained_dataset() -> (ProjectionModel, Dataset) {
         let ds = SyntheticConfig::new().seed(99).build();
-        let model = EszslConfig::new()
-            .build()
-            .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-            .expect("train");
+        let model = EszslConfig::new().build().fit(&ds).expect("fit");
         (model, ds)
     }
 
@@ -709,10 +633,7 @@ mod tests {
     #[test]
     fn gzsl_handles_empty_test_splits_without_panicking() {
         let ds = SyntheticConfig::new().classes(20, 5).samples(10, 0).build();
-        let model = EszslConfig::new()
-            .build()
-            .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-            .expect("train");
+        let model = EszslConfig::new().build().fit(&ds).expect("fit");
         let report = evaluate_gzsl(&model, &ds, Similarity::Cosine).expect("evaluate");
         assert_eq!(report.seen_accuracy, 0.0);
         assert_eq!(report.unseen_accuracy, 0.0);
@@ -733,16 +654,17 @@ mod tests {
             .folds(3)
             .seed(404);
         let source = MemorySource::new(&ds.train_x, &ds.train_labels, &ds.seen_signatures);
-        let a = cross_validate(&source, &config).expect("cv");
-        let b = cross_validate(&source, &config).expect("cv");
+        let eszsl = EszslTrainer::default();
+        let a = cross_validate(&eszsl, &source, &config).expect("cv");
+        let b = cross_validate(&eszsl, &source, &config).expect("cv");
         assert_eq!(a, b, "same seed must reproduce the full report");
         assert_eq!(a.grid.len(), 4);
         assert!(a.grid.iter().all(|p| p.fold_accuracies.len() == 3));
         // The Dataset source sweeps the identical trainval split.
-        let via_dataset = cross_validate(&ds, &config).expect("cv");
+        let via_dataset = cross_validate(&eszsl, &ds, &config).expect("cv");
         assert_eq!(via_dataset, a, "MemorySource and Dataset must agree");
         // A different shuffle may (and here does) change fold accuracies.
-        let shifted = cross_validate(&source, &config.clone().seed(405)).expect("cv");
+        let shifted = cross_validate(&eszsl, &source, &config.clone().seed(405)).expect("cv");
         assert_eq!(shifted.grid.len(), a.grid.len());
     }
 
@@ -751,20 +673,21 @@ mod tests {
         let ds = SyntheticConfig::new().classes(5, 1).samples(2, 1).build();
         let base = CrossValConfig::new().gammas(vec![1.0]).lambdas(vec![1.0]);
         let source = MemorySource::new(&ds.train_x, &ds.train_labels, &ds.seen_signatures);
+        let eszsl = EszslTrainer::default();
         assert!(matches!(
-            cross_validate(&source, &base.clone().folds(1)),
+            cross_validate(&eszsl, &source, &base.clone().folds(1)),
             Err(ZslError::Config(_))
         ));
         assert!(matches!(
-            cross_validate(&source, &base.clone().folds(99)),
+            cross_validate(&eszsl, &source, &base.clone().folds(99)),
             Err(ZslError::Config(_))
         ));
         assert!(matches!(
-            cross_validate(&source, &base.clone().gammas(vec![])),
+            cross_validate(&eszsl, &source, &base.clone().gammas(vec![])),
             Err(ZslError::Config(_))
         ));
         assert!(matches!(
-            cross_validate(&source, &base.gammas(vec![-1.0])),
+            cross_validate(&eszsl, &source, &base.gammas(vec![-1.0])),
             Err(ZslError::Train(TrainError::InvalidConfig(_)))
         ));
     }
@@ -779,7 +702,7 @@ mod tests {
             .lambdas(vec![1.0])
             .folds(3)
             .seed(7);
-        let report = cross_validate(&ds, &config).expect("cv");
+        let report = cross_validate(&EszslTrainer::default(), &ds, &config).expect("cv");
         assert_eq!(report.best.gamma, 1.0, "grid: {:?}", report.grid);
         assert!(report.best.mean_accuracy > 0.9);
     }
@@ -791,9 +714,45 @@ mod tests {
             .gammas(vec![0.1, 1.0])
             .lambdas(vec![0.1, 1.0])
             .folds(3);
-        let (cv, report) = select_train_evaluate(&ds, &config).expect("experiment");
+        let trained = Pipeline::from(&ds)
+            .cross_validate(&config)
+            .expect("cv")
+            .train()
+            .expect("train");
+        let cv = trained.cv_report().expect("cv report");
         assert!(cv.best.mean_accuracy > 0.9);
-        assert!(report.harmonic_mean > 0.9);
+        assert!(trained.evaluate().expect("evaluate").harmonic_mean > 0.9);
+    }
+
+    #[test]
+    fn sweep_normalization_is_a_typed_error_for_every_trainer() {
+        // Normalization belongs to the trainer, which applies it to the sweep
+        // and the final fit alike; a flag on the sweep config alone would
+        // select hyperparameters for a model nobody trains.
+        let ds = SyntheticConfig::new().seed(13).build();
+        let base = CrossValConfig::new()
+            .gammas(vec![1.0])
+            .lambdas(vec![1.0])
+            .folds(2);
+        let trainers: [Box<dyn Trainer>; 3] = [
+            Box::new(EszslTrainer::default()),
+            Box::new(SaeConfig::new().build()),
+            Box::new(KernelEszslConfig::new().build()),
+        ];
+        for trainer in &trainers {
+            cross_validate(trainer.as_ref(), &ds, &base).expect("the plain sweep runs");
+            for (features, signatures) in [(true, false), (false, true), (true, true)] {
+                let mut config = base.clone();
+                config.normalize_features = features;
+                config.normalize_signatures = signatures;
+                let err = cross_validate(trainer.as_ref(), &ds, &config).unwrap_err();
+                assert!(
+                    matches!(&err, ZslError::Config(msg) if msg.contains("normalization")),
+                    "{} features={features} signatures={signatures}: got {err:?}",
+                    trainer.family()
+                );
+            }
+        }
     }
 
     #[test]

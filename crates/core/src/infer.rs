@@ -1339,8 +1339,8 @@ mod tests {
             .build();
         let model = crate::model::EszslConfig::new()
             .build()
-            .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-            .expect("train");
+            .fit(&ds)
+            .expect("fit");
         let engine = ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine);
         for (split, x) in [
             (SplitKind::Trainval, &ds.train_x),

@@ -58,14 +58,14 @@
 //!
 //! | Module | Role |
 //! |--------|------|
-//! | [`pipeline`] | the [`Pipeline`] builder facade: source → CV → train → evaluate / save |
+//! | [`pipeline`] | the [`Pipeline`] builder facade, the one protocol driver: source → CV → train → evaluate / save, for any [`Trainer`] |
 //! | [`source`] | the [`FeatureSource`] trait + [`MemorySource`]; implemented by [`Dataset`] and [`StreamingBundle`] |
-//! | [`linalg`] | dense math: blocked + row-banded parallel matmul, packed `A·Bᵀ` kernel, Cholesky solves for the two SPD systems |
+//! | [`linalg`] | dense math: blocked matmul, packed `A·Bᵀ` kernel, the pooled row-banded kernels behind training and scoring, Cholesky solves for the two SPD systems, the symmetric eigensolver |
 //! | [`model`] | the closed-form trainer (Eq. `W = (XᵀX+γI)⁻¹XᵀYS(SᵀS+λI)⁻¹`); [`model::GramAccumulator`] is the single Gram fold behind every source kind |
 //! | [`infer`] | [`infer::ScoringEngine`] (cached bank, parallel + chunked batch scoring), nearest-signature classification, top-k, ZSL/GZSL metrics |
 //! | [`artifact`] | the versioned `.zsm` model artifact: [`ScoringEngine::save`] / [`ScoringEngine::load`], bit-identical round trips |
 //! | [`data`]  | seeded synthetic datasets **plus** on-disk bundles: `.zsb` feature dumps, signature tables, split manifests — loaded whole by [`data::DatasetBundle`] or streamed chunk-at-a-time by [`StreamingBundle`]; CSV features are converted once by [`data::import_features_csv`] |
-//! | [`eval`]  | the generic GZSL protocol ([`eval::GzslReport`]) and seeded k-fold `(γ, λ)` cross-validation ([`eval::cross_validate`]) over any source |
+//! | [`eval`]  | the generic GZSL protocol ([`eval::GzslReport`]) and seeded k-fold `(γ, λ)` cross-validation of any [`Trainer`] ([`eval::cross_validate`]) over any source |
 //! | [`trainer`] | the object-safe [`Trainer`] trait + [`TrainedModel`]: ESZSL, the Sylvester-solved [`trainer::SaeTrainer`], and [`trainer::KernelEszslTrainer`] (linear/RBF), all streaming through the same accumulator |
 //!
 //! Errors across the pipeline unify into the top-level [`ZslError`], which
@@ -77,13 +77,16 @@
 //! use zsl_core::data::SyntheticConfig;
 //! use zsl_core::infer::{mean_per_class_accuracy, ScoringEngine, Similarity};
 //! use zsl_core::model::EszslConfig;
+//! use zsl_core::source::MemorySource;
 //!
 //! let ds = SyntheticConfig::new().classes(20, 4).seed(7).build();
+//! // Bare matrices enter every generic entry point through a MemorySource.
+//! let train = MemorySource::new(&ds.train_x, &ds.train_labels, &ds.seen_signatures);
 //! let model = EszslConfig::new()
 //!     .gamma(1.0)
 //!     .lambda(1.0)
 //!     .build()
-//!     .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
+//!     .fit(&train)
 //!     .unwrap();
 //! let engine = ScoringEngine::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
 //! let predictions = engine.predict(&ds.test_unseen_x);
@@ -112,8 +115,8 @@ pub use data::{
 };
 pub use error::ZslError;
 pub use eval::{
-    cross_validate, cross_validate_with, evaluate_gzsl, evaluate_gzsl_with, select_train_evaluate,
-    select_train_evaluate_with, CrossValConfig, CrossValReport, GridPoint, GzslReport,
+    cross_validate, evaluate_gzsl, evaluate_gzsl_with, CrossValConfig, CrossValReport, GridPoint,
+    GzslReport,
 };
 pub use infer::{
     harmonic_mean, mean_per_class_accuracy, overall_accuracy, per_class_accuracy, BankShards,
@@ -127,7 +130,7 @@ pub use model::{
     EszslConfig, EszslProblem, EszslTrainer, GramAccumulator, ProjectionModel, TrainError,
 };
 pub use pipeline::{Pipeline, TrainedPipeline};
-pub use source::{DynSource, FeatureSource, MemorySource, SourceChunk, SourceStream, SplitKind};
+pub use source::{FeatureSource, MemorySource, SourceChunk, SourceStream, SplitKind};
 pub use trainer::{
     KernelEszslConfig, KernelEszslTrainer, KernelKind, KernelModel, ModelFamily, SaeConfig,
     SaeTrainer, TrainedModel, Trainer,

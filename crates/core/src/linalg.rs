@@ -540,9 +540,11 @@ pub(crate) fn par_row_bands<T, F>(
 }
 
 /// Serial-or-banded `a (n x k_dim) · b (k_dim x m)` over raw slabs, generic
-/// over the element type — the one parallel entry point shared by
-/// [`Matrix::matmul_parallel`] and the model projection in both scoring
-/// precisions. Small products run the serial kernel unconditionally.
+/// over the element type — the model projection in both scoring precisions.
+/// Rows of `a` are split into contiguous bands run by the persistent pool and
+/// the calling thread; banding never changes a row's accumulation order, so
+/// the result is **bit-identical** to [`Matrix::matmul`] for every thread
+/// count. Small products run the serial kernel unconditionally.
 pub(crate) fn gemm_parallel<T: Elem>(
     a: &[T],
     n: usize,
@@ -570,8 +572,9 @@ pub(crate) fn gemm_parallel<T: Elem>(
 }
 
 /// Serial-or-banded `a (n x k_dim) · btᵀ` where `bt` is the packed `z x k_dim`
-/// transpose — the generic twin of [`Matrix::matmul_bt_parallel`], also the
-/// bank product of every scoring call in both precisions.
+/// transpose — the bank product of every scoring call in both precisions,
+/// banded like [`gemm_parallel`] and likewise bit-identical to
+/// [`Matrix::matmul_bt`] for every thread count.
 pub(crate) fn gemm_bt_parallel<T: Elem>(
     a: &[T],
     n: usize,
@@ -836,7 +839,7 @@ impl Matrix {
     /// Uses an `i-k-j` inner ordering over `BLOCK`-sized tiles so that the
     /// innermost loop streams contiguously over a row of `other` and a row of
     /// the output — the access pattern that keeps this kernel bandwidth-bound
-    /// instead of latency-bound. Verified against [`Matrix::matmul_naive`] in
+    /// instead of latency-bound. Verified against a textbook triple loop in
     /// the test suite.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
@@ -848,35 +851,6 @@ impl Matrix {
         let mut out = Matrix::zeros(n, m);
         gemm_into(&self.data, n, k_dim, &other.data, m, &mut out.data, false);
         out
-    }
-
-    /// Multi-threaded [`Matrix::matmul`]: rows of `self` are split into
-    /// contiguous bands executed cooperatively by the persistent worker pool
-    /// and the calling thread, each running the same blocked kernel into its
-    /// disjoint slice of the output.
-    ///
-    /// Because banding never changes the per-row accumulation order, the
-    /// result is **bit-identical** to the serial product for every thread
-    /// count. Small products (or `threads <= 1`) fall back to the serial
-    /// kernel, so this is safe to call unconditionally.
-    pub fn matmul_parallel(&self, other: &Matrix, threads: usize) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        Matrix {
-            rows: self.rows,
-            cols: other.cols,
-            data: gemm_parallel(
-                &self.data,
-                self.rows,
-                self.cols,
-                &other.data,
-                other.cols,
-                threads,
-            ),
-        }
     }
 
     /// `self · otherᵀ` without materializing the transpose: `other` is read
@@ -899,29 +873,6 @@ impl Matrix {
             &mut out.data,
         );
         out
-    }
-
-    /// Multi-threaded [`Matrix::matmul_bt`], row-banded like
-    /// [`Matrix::matmul_parallel`] and likewise bit-identical to the serial
-    /// path for every thread count.
-    pub fn matmul_bt_parallel(&self, other: &Matrix, threads: usize) -> Matrix {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_bt shape mismatch: {}x{} * ({}x{})ᵀ",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        Matrix {
-            rows: self.rows,
-            cols: other.rows,
-            data: gemm_bt_parallel(
-                &self.data,
-                self.rows,
-                self.cols,
-                &other.data,
-                other.rows,
-                threads,
-            ),
-        }
     }
 
     /// Accumulate `self += aᵀ · b` where `a` is `n x rows(self)` and `b` is
@@ -1038,23 +989,6 @@ impl Matrix {
             );
             out.data[dst * self.cols..(dst + 1) * self.cols]
                 .copy_from_slice(&self.data[src * self.cols..(src + 1) * self.cols]);
-        }
-        out
-    }
-
-    /// Textbook triple-loop product. Kept as the oracle the blocked kernel is
-    /// tested against; do not use on hot paths.
-    pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for j in 0..other.cols {
-                let mut acc = 0.0;
-                for k in 0..self.cols {
-                    acc += self.data[i * self.cols + k] * other.data[k * other.cols + j];
-                }
-                out.data[i * other.cols + j] = acc;
-            }
         }
         out
     }
@@ -1544,6 +1478,23 @@ mod tests {
         Matrix::from_vec(rows, cols, data)
     }
 
+    /// Textbook triple-loop product: the oracle the blocked kernel is tested
+    /// against.
+    fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.cols, b.rows, "matmul shape mismatch");
+        let mut out = Matrix::zeros(a.rows, b.cols);
+        for i in 0..a.rows {
+            for j in 0..b.cols {
+                let mut acc = 0.0;
+                for k in 0..a.cols {
+                    acc += a.data[i * a.cols + k] * b.data[k * b.cols + j];
+                }
+                out.data[i * b.cols + j] = acc;
+            }
+        }
+        out
+    }
+
     #[test]
     fn blocked_matmul_matches_naive_across_block_boundaries() {
         let mut rng = Rng::new(42);
@@ -1552,7 +1503,7 @@ mod tests {
             let a = random_matrix(&mut rng, n, k);
             let b = random_matrix(&mut rng, k, m);
             let fast = a.matmul(&b);
-            let slow = a.matmul_naive(&b);
+            let slow = matmul_naive(&a, &b);
             assert!(
                 fast.max_abs_diff(&slow) < 1e-9,
                 "blocked vs naive diverged at {n}x{k}x{m}"
@@ -1577,7 +1528,7 @@ mod tests {
             let b = random_matrix(&mut rng, k, m);
             let serial = a.matmul(&b);
             for threads in [1, 2, 3, 7, 16] {
-                let parallel = a.matmul_parallel(&b, threads);
+                let parallel = gemm_parallel(&a.data, n, k, &b.data, m, threads);
                 assert_eq!(
                     parallel.as_slice(),
                     serial.as_slice(),
@@ -1600,7 +1551,7 @@ mod tests {
                 "matmul_bt diverged at {n}x{k} * ({z}x{k})ᵀ"
             );
             for threads in [1, 2, 5, 16] {
-                let parallel = a.matmul_bt_parallel(&b, threads);
+                let parallel = gemm_bt_parallel(&a.data, n, k, &b.data, z, threads);
                 assert_eq!(
                     parallel.as_slice(),
                     packed.as_slice(),
@@ -1753,7 +1704,7 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..8 {
-                        let got = a.matmul_parallel(&b, 4);
+                        let got = gemm_parallel(&a.data, 256, 96, &b.data, 48, 4);
                         assert_eq!(got.as_slice(), serial.as_slice());
                     }
                 });

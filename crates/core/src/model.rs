@@ -13,12 +13,11 @@
 //!
 //! The closed form only ever touches the data through `XᵀX` and `XᵀYS`, so
 //! training does not need `X` in memory: [`GramAccumulator`] folds row chunks
-//! into those products and is the **single** Gram implementation behind every
-//! entry point — the in-memory [`EszslProblem::new`], the raw chunk-iterator
-//! [`EszslProblem::from_stream`], and the generic
-//! [`EszslProblem::from_source`] / [`EszslTrainer::fit`] over any
-//! [`crate::source::FeatureSource`] — all **bit-identical** for every source
-//! kind and chunk size.
+//! into those products and is the **single** Gram implementation behind
+//! [`EszslProblem::from_source`] and [`EszslTrainer::fit`] over any
+//! [`crate::source::FeatureSource`] — an in-memory dataset, a disk stream,
+//! or bare matrices in a [`crate::source::MemorySource`] — all
+//! **bit-identical** for every source kind and chunk size.
 
 use crate::error::ZslError;
 use crate::linalg::{solve_spd, LinalgError, Matrix};
@@ -170,10 +169,10 @@ impl EszslConfig {
 /// the symmetric `XᵀX` fold, which accumulates the upper block triangle and
 /// mirrors it) adds into each Gram element in ascending sample order,
 /// folding consecutive row chunks performs the *identical* floating-point
-/// operation sequence as [`EszslProblem::with_normalization`] on the
-/// concatenated matrix: the finished problem (and every model solved from
-/// it) is **bit-identical** to the in-memory path for every chunk size. The
-/// differential suite in `tests/streaming_equiv.rs` and a golden digest in
+/// operation sequence as one fold of the concatenated matrix: the finished
+/// problem (and every model solved from it) is **bit-identical** to the
+/// in-memory path for every chunk size. The differential suite in
+/// `tests/streaming_equiv.rs` and a golden digest in
 /// `tests/golden_loader.rs` pin this.
 ///
 /// ```
@@ -189,8 +188,8 @@ impl EszslConfig {
 ///         .unwrap();
 /// }
 /// let streamed = acc.finish().unwrap();
-/// let in_memory =
-///     EszslProblem::new(&ds.train_x, &ds.train_labels, &ds.seen_signatures).unwrap();
+/// // The dataset lends its whole trainval split as one chunk.
+/// let in_memory = EszslProblem::from_source(&ds, false, false).unwrap();
 /// assert_eq!(streamed.xtx().as_slice(), in_memory.xtx().as_slice());
 /// ```
 #[derive(Clone, Debug)]
@@ -359,37 +358,18 @@ impl EszslTrainer {
         &self.config
     }
 
-    /// Train on features `x : n x d`, labels (indices into `signatures`
-    /// rows), and seen-class signatures `signatures : z x a`.
-    pub fn train(
-        &self,
-        x: &Matrix,
-        labels: &[usize],
-        signatures: &Matrix,
-    ) -> Result<ProjectionModel, TrainError> {
-        validate_regularizer("gamma", self.config.gamma)?;
-        validate_regularizer("lambda", self.config.lambda)?;
-        EszslProblem::with_normalization(
-            x,
-            labels,
-            signatures,
-            self.config.normalize_features,
-            self.config.normalize_signatures,
-        )?
-        .solve(self.config.gamma, self.config.lambda)
-    }
-
     /// The ONE generic training entry point: fit on the trainval split of any
     /// [`FeatureSource`] — a materialized [`crate::data::Dataset`], a disk
     /// [`crate::data::StreamingBundle`], or a bare
-    /// [`crate::source::MemorySource`] — with this trainer's configuration.
+    /// [`crate::source::MemorySource`] (for features, labels and signatures
+    /// held as bare matrices) — with this trainer's configuration.
     ///
     /// Every source flows through the same [`GramAccumulator`] fold, so the
     /// trained weights are **bit-identical** across sources and chunk sizes.
     pub fn fit<S: FeatureSource + ?Sized>(&self, source: &S) -> Result<ProjectionModel, ZslError> {
         validate_regularizer("gamma", self.config.gamma)?;
         validate_regularizer("lambda", self.config.lambda)?;
-        let problem = EszslProblem::from_source_with_normalization(
+        let problem = EszslProblem::from_source(
             source,
             self.config.normalize_features,
             self.config.normalize_signatures,
@@ -410,7 +390,7 @@ impl EszslTrainer {
 /// once per fold, not once per grid point.
 ///
 /// `solve` performs the identical floating-point operation sequence as
-/// [`EszslTrainer::train`], so results are bit-identical to the one-shot
+/// [`EszslTrainer::fit`], so results are bit-identical to the one-shot
 /// path (the golden tests pin this).
 #[derive(Clone, Debug)]
 pub struct EszslProblem {
@@ -423,47 +403,14 @@ pub struct EszslProblem {
 }
 
 impl EszslProblem {
-    /// Precompute the Gram matrices from raw (unnormalized) inputs.
-    pub fn new(x: &Matrix, labels: &[usize], signatures: &Matrix) -> Result<Self, TrainError> {
-        Self::with_normalization(x, labels, signatures, false, false)
-    }
-
-    /// Precompute with optional L2 row normalization of features and/or
-    /// signatures (matching the [`EszslConfig`] toggles).
-    ///
-    /// Since PR 5 this is a one-chunk fold through [`GramAccumulator`] — the
-    /// single Gram implementation every source kind shares. The accumulator
-    /// adds into each Gram element in the identical ascending-row order as
-    /// the one-shot `XᵀX` gemm this used to run, so results are bit-for-bit
-    /// unchanged (the golden suites pin this).
-    pub fn with_normalization(
-        x: &Matrix,
-        labels: &[usize],
-        signatures: &Matrix,
-        normalize_features: bool,
-        normalize_signatures: bool,
-    ) -> Result<Self, TrainError> {
-        let mut acc = GramAccumulator::with_normalization(
-            signatures,
-            normalize_features,
-            normalize_signatures,
-        );
-        acc.fold(x, labels)?;
-        acc.finish()
-    }
-
-    /// The ONE generic problem constructor: fold the trainval split of any
-    /// [`FeatureSource`] into the Gram matrices, chunk by chunk. In-memory
-    /// sources lend one borrowed chunk (no copy); streamed sources never
-    /// materialize their features. Bit-identical across sources and chunk
-    /// sizes.
-    pub fn from_source<S: FeatureSource + ?Sized>(source: &S) -> Result<Self, ZslError> {
-        Self::from_source_with_normalization(source, false, false)
-    }
-
-    /// [`EszslProblem::from_source`] with the [`EszslConfig`] normalization
-    /// toggles.
-    pub fn from_source_with_normalization<S: FeatureSource + ?Sized>(
+    /// The ONE problem constructor: fold the trainval split of any
+    /// [`FeatureSource`] into the Gram matrices, chunk by chunk, with
+    /// optional L2 row normalization of features and/or signatures (the
+    /// [`EszslConfig`] toggles). In-memory sources lend one borrowed chunk
+    /// (no copy); streamed sources never materialize their features.
+    /// Bit-identical across sources and chunk sizes. To fold a chunk
+    /// iterator of your own, drive a [`GramAccumulator`] directly.
+    pub fn from_source<S: FeatureSource + ?Sized>(
         source: &S,
         normalize_features: bool,
         normalize_signatures: bool,
@@ -475,42 +422,6 @@ impl EszslProblem {
             normalize_signatures,
         );
         for chunk in source.stream(SplitKind::Trainval)? {
-            let (x, labels) = chunk?;
-            acc.fold(&x, &labels)?;
-        }
-        Ok(acc.finish()?)
-    }
-
-    /// Build the problem by folding a stream of `(features, labels)` chunks
-    /// through a [`GramAccumulator`] — the full feature matrix never exists
-    /// in memory, and the result is bit-identical to [`EszslProblem::new`] on
-    /// the concatenated rows for every chunk size.
-    pub fn from_stream<I, E>(chunks: I, signatures: &Matrix) -> Result<Self, E>
-    where
-        I: IntoIterator<Item = Result<(Matrix, Vec<usize>), E>>,
-        E: From<TrainError>,
-    {
-        Self::from_stream_with_normalization(chunks, signatures, false, false)
-    }
-
-    /// [`EszslProblem::from_stream`] with the [`EszslConfig`] normalization
-    /// toggles (matching [`EszslProblem::with_normalization`]).
-    pub fn from_stream_with_normalization<I, E>(
-        chunks: I,
-        signatures: &Matrix,
-        normalize_features: bool,
-        normalize_signatures: bool,
-    ) -> Result<Self, E>
-    where
-        I: IntoIterator<Item = Result<(Matrix, Vec<usize>), E>>,
-        E: From<TrainError>,
-    {
-        let mut acc = GramAccumulator::with_normalization(
-            signatures,
-            normalize_features,
-            normalize_signatures,
-        );
-        for chunk in chunks {
             let (x, labels) = chunk?;
             acc.fold(&x, &labels)?;
         }
@@ -593,6 +504,7 @@ fn gather_signatures(labels: &[usize], signatures: &Matrix) -> Matrix {
 mod tests {
     use super::*;
     use crate::data::SyntheticConfig;
+    use crate::source::MemorySource;
 
     #[test]
     fn increasing_gamma_monotonically_shrinks_w() {
@@ -603,8 +515,8 @@ mod tests {
                 .gamma(gamma)
                 .lambda(0.1)
                 .build()
-                .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-                .expect("train");
+                .fit(&ds)
+                .expect("fit");
             let norm = model.weights().frobenius_norm();
             assert!(
                 norm < prev_norm,
@@ -618,22 +530,17 @@ mod tests {
     fn trainer_rejects_nonpositive_regularizers() {
         let ds = SyntheticConfig::new().classes(3, 1).build();
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let result = EszslConfig::new().gamma(bad).build().train(
-                &ds.train_x,
-                &ds.train_labels,
-                &ds.seen_signatures,
-            );
+            let result = EszslConfig::new().gamma(bad).build().fit(&ds);
             assert!(
-                matches!(result, Err(TrainError::InvalidConfig(_))),
+                matches!(result, Err(ZslError::Train(TrainError::InvalidConfig(_)))),
                 "gamma={bad} accepted"
             );
         }
-        let result = EszslConfig::new().lambda(-0.5).build().train(
-            &ds.train_x,
-            &ds.train_labels,
-            &ds.seen_signatures,
-        );
-        assert!(matches!(result, Err(TrainError::InvalidConfig(_))));
+        let result = EszslConfig::new().lambda(-0.5).build().fit(&ds);
+        assert!(matches!(
+            result,
+            Err(ZslError::Train(TrainError::InvalidConfig(_)))
+        ));
     }
 
     #[test]
@@ -644,24 +551,31 @@ mod tests {
         let mut bad_labels = ds.train_labels.clone();
         bad_labels[0] = 99;
         assert!(matches!(
-            trainer.train(&ds.train_x, &bad_labels, &ds.seen_signatures),
-            Err(TrainError::LabelOutOfRange { label: 99, .. })
+            trainer.fit(&MemorySource::new(
+                &ds.train_x,
+                &bad_labels,
+                &ds.seen_signatures
+            )),
+            Err(ZslError::Train(TrainError::LabelOutOfRange {
+                label: 99,
+                ..
+            }))
         ));
 
-        let short_labels = &ds.train_labels[..5];
+        // A dataset whose trainval labels fall short of its rows streams a
+        // mismatched chunk, which the Gram fold rejects.
+        let mut short_labels = ds.clone();
+        short_labels.train_labels.truncate(5);
         assert!(matches!(
-            trainer.train(&ds.train_x, short_labels, &ds.seen_signatures),
-            Err(TrainError::Shape(_))
+            trainer.fit(&short_labels),
+            Err(ZslError::Train(TrainError::Shape(_)))
         ));
     }
 
     #[test]
     fn eszsl_weights_shape_matches_feature_by_attr() {
         let ds = SyntheticConfig::new().dims(7, 13).build();
-        let model = EszslConfig::new()
-            .build()
-            .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-            .expect("train");
+        let model = EszslConfig::new().build().fit(&ds).expect("fit");
         assert_eq!(model.weights().rows(), 13);
         assert_eq!(model.weights().cols(), 7);
         let projected = model.project(&ds.test_unseen_x);
@@ -672,8 +586,7 @@ mod tests {
     #[test]
     fn eszsl_problem_reuse_matches_one_shot_training_bit_for_bit() {
         let ds = SyntheticConfig::new().seed(21).build();
-        let problem =
-            EszslProblem::new(&ds.train_x, &ds.train_labels, &ds.seen_signatures).expect("gram");
+        let problem = EszslProblem::from_source(&ds, false, false).expect("gram");
         assert_eq!(problem.feature_dim(), ds.train_x.cols());
         assert_eq!(problem.attr_dim(), ds.seen_signatures.cols());
         for (gamma, lambda) in [(0.1, 0.1), (1.0, 10.0), (100.0, 0.01)] {
@@ -682,8 +595,8 @@ mod tests {
                 .gamma(gamma)
                 .lambda(lambda)
                 .build()
-                .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-                .expect("train");
+                .fit(&ds)
+                .expect("fit");
             assert_eq!(
                 reused.weights().as_slice(),
                 one_shot.weights().as_slice(),
@@ -701,14 +614,7 @@ mod tests {
         let ds = SyntheticConfig::new().seed(42).build();
         let n = ds.train_x.rows();
         for (nf, ns) in [(false, false), (true, false), (false, true), (true, true)] {
-            let reference = EszslProblem::with_normalization(
-                &ds.train_x,
-                &ds.train_labels,
-                &ds.seen_signatures,
-                nf,
-                ns,
-            )
-            .expect("in-memory problem");
+            let reference = EszslProblem::from_source(&ds, nf, ns).expect("in-memory problem");
             for chunk in [1usize, 5, n, n + 9] {
                 let mut acc = GramAccumulator::with_normalization(&ds.seen_signatures, nf, ns);
                 let mut start = 0;
@@ -796,15 +702,22 @@ mod tests {
                 .normalize_features(nf)
                 .normalize_signatures(ns)
                 .build();
-            let direct = trainer
-                .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-                .expect("train");
-            let fitted = trainer.fit(&ds).expect("fit");
-            assert_eq!(
-                fitted.weights().as_slice(),
-                direct.weights().as_slice(),
-                "nf={nf} ns={ns}"
-            );
+            // The direct stages on the raw matrices: one Gram fold, one solve.
+            let mut acc = GramAccumulator::with_normalization(&ds.seen_signatures, nf, ns);
+            acc.fold(&ds.train_x, &ds.train_labels).expect("fold");
+            let direct = acc
+                .finish()
+                .expect("finish")
+                .solve(0.7, 1.3)
+                .expect("solve");
+            let raw = MemorySource::new(&ds.train_x, &ds.train_labels, &ds.seen_signatures);
+            for fitted in [trainer.fit(&ds), trainer.fit(&raw)] {
+                assert_eq!(
+                    fitted.expect("fit").weights().as_slice(),
+                    direct.weights().as_slice(),
+                    "nf={nf} ns={ns}"
+                );
+            }
         }
         // Bad regularizers surface as the same typed error through fit.
         let bad = EszslConfig::new().gamma(-1.0).build();
@@ -817,15 +730,12 @@ mod tests {
     #[test]
     fn normalization_toggles_change_the_solution() {
         let ds = SyntheticConfig::new().seed(5).build();
-        let plain = EszslConfig::new()
-            .build()
-            .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-            .unwrap();
+        let plain = EszslConfig::new().build().fit(&ds).unwrap();
         let normalized = EszslConfig::new()
             .normalize_features(true)
             .normalize_signatures(true)
             .build()
-            .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
+            .fit(&ds)
             .unwrap();
         assert!(plain.weights().max_abs_diff(normalized.weights()) > 1e-6);
     }

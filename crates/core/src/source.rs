@@ -4,9 +4,8 @@
 //! splits as chunked `(features, labels)` streams plus the class signature
 //! banks: an in-memory [`Dataset`], an out-of-core [`StreamingBundle`], or a
 //! bare [`MemorySource`] wrapping a feature matrix and labels. Every generic
-//! entry point — [`crate::model::EszslTrainer::fit`],
+//! entry point — [`crate::trainer::Trainer::fit`],
 //! [`crate::eval::evaluate_gzsl`], [`crate::eval::cross_validate`],
-//! [`crate::eval::select_train_evaluate`],
 //! [`crate::infer::ScoringEngine::predict_source`], and the
 //! [`crate::pipeline::Pipeline`] facade — is written against this trait, so
 //! one code path serves every source kind.
@@ -45,8 +44,8 @@ pub type SourceChunk<'a> = (Cow<'a, Matrix>, Cow<'a, [usize]>);
 
 /// A chunked stream over one split of a source. Boxed so the trait stays
 /// object safe; the per-chunk dynamic dispatch is noise next to the dense
-/// kernels each chunk feeds (the `[bench] facade-vs-direct` line in
-/// `tests/throughput.rs` keeps that claim honest).
+/// kernels each chunk feeds (the benchmark's `train-xlsa` workload streams
+/// every split of its bundle through it).
 pub type SourceStream<'a> = Box<dyn Iterator<Item = Result<SourceChunk<'a>, ZslError>> + 'a>;
 
 /// A source of labeled feature data for the ZSL pipeline: three splits
@@ -109,9 +108,10 @@ pub trait FeatureSource {
 ///
 /// Generic functions over `S: FeatureSource + ?Sized` cannot unsize `&S`
 /// directly, but `&DynSource<S>` is a reference to a *sized* type, so the
-/// coercion applies — this is how the generic eval entry points hand their
-/// source to the object-safe [`crate::trainer::Trainer`] API.
-pub struct DynSource<'s, S: FeatureSource + ?Sized>(pub &'s S);
+/// coercion applies — this is how [`crate::pipeline::Pipeline`] hands its
+/// source to [`crate::eval::cross_validate`] and the object-safe
+/// [`crate::trainer::Trainer`] API.
+pub(crate) struct DynSource<'s, S: FeatureSource + ?Sized>(pub &'s S);
 
 impl<S: FeatureSource + ?Sized> FeatureSource for DynSource<'_, S> {
     fn split_len(&self, split: SplitKind) -> usize {
@@ -263,8 +263,8 @@ impl FeatureSource for StreamingBundle {
 }
 
 /// Bare in-memory source: a feature matrix, its labels, and the signature
-/// bank those labels index — the PR 5 replacement for the old
-/// `cross_validate(&x, &labels, &signatures, ..)` raw-matrix signature.
+/// bank those labels index — how raw matrices enter every generic entry
+/// point (`trainer.fit(&MemorySource::new(&x, &labels, &signatures))`).
 ///
 /// There are no test splits: [`SplitKind::TestSeen`] and
 /// [`SplitKind::TestUnseen`] stream empty, and the unseen bank is a zero-row

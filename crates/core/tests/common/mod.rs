@@ -4,13 +4,32 @@
 //! constants (`golden_loader.rs`) and the property sweeps (`property.rs`)
 //! pin against — one implementation, so the two suites can never silently
 //! start hashing different quantities. [`write_features_csv`] writes the CSV
-//! input of `zsl_core::data::import_features_csv`.
+//! input of `zsl_core::data::import_features_csv`, and [`pipeline_protocol`]
+//! runs the full protocol through the `Pipeline` facade.
 #![allow(dead_code)] // not every test binary uses every helper
 
 use std::fmt::Write;
 use std::path::Path;
 use zsl_core::data::FeatureTable;
+use zsl_core::eval::{CrossValConfig, CrossValReport, GzslReport};
 use zsl_core::linalg::Matrix;
+use zsl_core::source::FeatureSource;
+use zsl_core::Pipeline;
+
+/// The full protocol through the facade with its default ESZSL trainer:
+/// cross-validate, refit at the winner, evaluate GZSL.
+pub fn pipeline_protocol<S: FeatureSource + ?Sized>(
+    source: &S,
+    config: &CrossValConfig,
+) -> (CrossValReport, GzslReport) {
+    let trained = Pipeline::from(source)
+        .cross_validate(config)
+        .expect("cv")
+        .train()
+        .expect("train");
+    let report = trained.evaluate().expect("evaluate");
+    (trained.cv_report().expect("cv report").clone(), report)
+}
 
 /// FNV-1a offset basis.
 pub fn fnv_seed() -> u64 {

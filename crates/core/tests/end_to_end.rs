@@ -4,8 +4,11 @@
 //! These are the anchor tests named in the roadmap: training on synthetic
 //! seen classes must classify held-out unseen classes at ≥95% accuracy.
 
+mod common;
+
+use common::pipeline_protocol;
 use zsl_core::data::{export_dataset, DatasetBundle, SyntheticConfig};
-use zsl_core::eval::{select_train_evaluate, CrossValConfig};
+use zsl_core::eval::CrossValConfig;
 use zsl_core::infer::{
     harmonic_mean, mean_per_class_accuracy, overall_accuracy, ScoringEngine, Similarity,
 };
@@ -26,8 +29,8 @@ fn eszsl_classifies_unseen_classes_at_95_percent() {
         .gamma(1.0)
         .lambda(1.0)
         .build()
-        .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-        .expect("train");
+        .fit(&ds)
+        .expect("fit");
     let engine = ScoringEngine::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
     let predictions = engine.predict(&ds.test_unseen_x);
     let acc = mean_per_class_accuracy(&predictions, &ds.test_unseen_labels, 5);
@@ -38,10 +41,7 @@ fn eszsl_classifies_unseen_classes_at_95_percent() {
 fn eszsl_accuracy_holds_across_seeds() {
     for seed in [7, 11, 1234, 0xC0FFEE] {
         let ds = SyntheticConfig::new().seed(seed).build();
-        let model = EszslConfig::new()
-            .build()
-            .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-            .expect("train");
+        let model = EszslConfig::new().build().fit(&ds).expect("fit");
         let engine = ScoringEngine::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
         let predictions = engine.predict(&ds.test_unseen_x);
         let acc = mean_per_class_accuracy(
@@ -58,10 +58,7 @@ fn generalized_zsl_harmonic_mean_is_high_on_clean_data() {
     let ds = SyntheticConfig::new().seed(99).build();
     let num_seen = ds.seen_signatures.rows();
     let num_unseen = ds.unseen_signatures.rows();
-    let model = EszslConfig::new()
-        .build()
-        .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-        .expect("train");
+    let model = EszslConfig::new().build().fit(&ds).expect("fit");
     // GZSL: candidates are the union of seen and unseen classes.
     let engine = ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine);
 
@@ -88,12 +85,7 @@ fn generalized_zsl_harmonic_mean_is_high_on_clean_data() {
 #[test]
 fn topk_contains_top1_and_pipeline_is_deterministic() {
     let ds = SyntheticConfig::new().seed(8).build();
-    let train = || {
-        EszslConfig::new()
-            .build()
-            .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-            .expect("train")
-    };
+    let train = || EszslConfig::new().build().fit(&ds).expect("fit");
     let engine_a = ScoringEngine::new(train(), ds.unseen_signatures.clone(), Similarity::Cosine);
     let engine_b = ScoringEngine::new(train(), ds.unseen_signatures.clone(), Similarity::Cosine);
 
@@ -125,7 +117,7 @@ fn disk_roundtrip_pipeline_matches_in_memory_pipeline_bit_for_bit() {
         .lambdas(vec![0.1, 1.0])
         .folds(3)
         .seed(11);
-    let (cv_mem, report_mem) = select_train_evaluate(&ds, &config).expect("in-memory");
+    let (cv_mem, report_mem) = pipeline_protocol(&ds, &config);
 
     let dir = std::env::temp_dir().join(format!("zsl_e2e_roundtrip_{}", std::process::id()));
     export_dataset(&ds, &dir).expect("export");
@@ -133,13 +125,13 @@ fn disk_roundtrip_pipeline_matches_in_memory_pipeline_bit_for_bit() {
         .expect("load")
         .to_dataset()
         .expect("materialize");
-    let (cv_disk, report_disk) = select_train_evaluate(&reloaded, &config).expect("from disk");
+    let (cv_disk, report_disk) = pipeline_protocol(&reloaded, &config);
     assert_eq!(cv_disk, cv_mem, "grid search must be bit-identical");
     assert_eq!(report_disk, report_mem, "GzslReport must be bit-identical");
     std::fs::remove_dir_all(&dir).ok();
 
     // Determinism: the same seed reproduces the search; the report is sane.
-    let (cv_again, report_again) = select_train_evaluate(&ds, &config).expect("rerun");
+    let (cv_again, report_again) = pipeline_protocol(&ds, &config);
     assert_eq!(cv_again, cv_mem);
     assert_eq!(report_again, report_mem);
     assert!(
@@ -155,8 +147,8 @@ fn dot_similarity_works_with_normalized_signatures() {
     let model = EszslConfig::new()
         .normalize_signatures(true)
         .build()
-        .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-        .expect("train");
+        .fit(&ds)
+        .expect("fit");
     let mut signatures = ds.unseen_signatures.clone();
     signatures.l2_normalize_rows();
     let engine = ScoringEngine::new(model, signatures, Similarity::Dot);

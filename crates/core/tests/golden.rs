@@ -13,6 +13,7 @@
 use zsl_core::infer::{ScoringEngine, Similarity};
 use zsl_core::linalg::Matrix;
 use zsl_core::model::EszslConfig;
+use zsl_core::source::MemorySource;
 
 /// Two samples per class. Class 0 lives near feature (1,0), class 1 near
 /// (0,1), class 2 near (1,1) — mirroring the attribute signatures exactly.
@@ -62,8 +63,8 @@ fn trainer_reproduces_golden_weights() {
         .gamma(0.1)
         .lambda(0.1)
         .build()
-        .train(&x, &labels, &s)
-        .expect("train");
+        .fit(&MemorySource::new(&x, &labels, &s))
+        .expect("fit");
     let w = model.weights();
     assert_eq!((w.rows(), w.cols()), (2, 2));
     for (r, golden_row) in GOLDEN_W.iter().enumerate() {
@@ -84,8 +85,8 @@ fn classifier_reproduces_golden_scores_and_predictions() {
         .gamma(0.1)
         .lambda(0.1)
         .build()
-        .train(&x, &labels, &s)
-        .expect("train");
+        .fit(&MemorySource::new(&x, &labels, &s))
+        .expect("fit");
     let engine = ScoringEngine::new(model, s, Similarity::Cosine);
 
     let probes = Matrix::from_rows(&[vec![1.05, -0.05], vec![0.0, 1.1], vec![1.0, 0.95]]);

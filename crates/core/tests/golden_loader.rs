@@ -152,8 +152,8 @@ fn fixture_produces_the_frozen_gzsl_report() {
         .gamma(1.0)
         .lambda(1.0)
         .build()
-        .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-        .expect("train");
+        .fit(&ds)
+        .expect("fit");
     let report = evaluate_gzsl(&model, &ds, Similarity::Cosine).expect("evaluate");
     let got = [
         report.seen_accuracy.to_bits(),
@@ -201,8 +201,7 @@ fn fixture_streamed_accumulators_match_frozen_digests_and_in_memory_path() {
         .expect("load")
         .to_dataset()
         .expect("materialize");
-    let problem =
-        EszslProblem::new(&ds.train_x, &ds.train_labels, &ds.seen_signatures).expect("problem");
+    let problem = EszslProblem::from_source(&ds, false, false).expect("problem");
     assert_eq!(digest_matrix(problem.xtx()), GOLDEN_STREAM_GRAM[0]);
     assert_eq!(digest_matrix(problem.xtys()), GOLDEN_STREAM_GRAM[1]);
     assert_eq!(digest_matrix(problem.sts()), GOLDEN_STREAM_GRAM[2]);
@@ -237,12 +236,8 @@ fn regenerate_fixture() {
         .gamma(1.0)
         .lambda(1.0)
         .build()
-        .train(
-            &materialized.train_x,
-            &materialized.train_labels,
-            &materialized.seen_signatures,
-        )
-        .expect("train");
+        .fit(&materialized)
+        .expect("fit");
     let report = evaluate_gzsl(&model, &materialized, Similarity::Cosine).expect("evaluate");
 
     println!("const GOLDEN_BUNDLE: [u64; 3] = [");

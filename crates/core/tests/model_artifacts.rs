@@ -25,7 +25,7 @@ use zsl_core::infer::{ScoringEngine, ScoringPrecision, Similarity};
 use zsl_core::linalg::Matrix;
 use zsl_core::model::{EszslConfig, ProjectionModel};
 use zsl_core::trainer::{KernelEszslConfig, KernelKind, ModelFamily, SaeConfig, Trainer};
-use zsl_core::{ZslError, ZSM_HEADER_LEN};
+use zsl_core::{Pipeline, ZslError, ZSM_HEADER_LEN};
 
 /// Frozen `GzslReport` bits of the γ = λ = 1 cosine engine on the fixture —
 /// the same constants `golden_loader.rs` pins (seen 0.25, unseen 0.5,
@@ -35,6 +35,12 @@ const GOLDEN_REPORT_BITS: [u64; 3] = [
     0x3fe0_0000_0000_0000,
     0x3fd5_5555_5555_5555,
 ];
+
+/// Provenance metadata of the committed golden artifact: what
+/// `TrainedPipeline::save` writes for the default (γ = λ = 1 ESZSL, cosine)
+/// pipeline on the fixture.
+const GOLDEN_METADATA: &str = "trainer=eszsl; gamma=1; lambda=1; normalize_features=false; \
+     normalize_signatures=false; similarity=cosine; seen_classes=4; unseen_classes=2";
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -92,8 +98,8 @@ fn fixture_engine() -> ScoringEngine {
         .gamma(1.0)
         .lambda(1.0)
         .build()
-        .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-        .expect("train");
+        .fit(&ds)
+        .expect("fit");
     ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine)
 }
 
@@ -378,6 +384,35 @@ fn committed_artifact_reproduces_the_frozen_gzsl_report() {
     assert_eq!(engine.model().family(), ModelFamily::Eszsl);
 }
 
+#[test]
+fn default_pipeline_saves_the_committed_artifact_provenance() {
+    // `TrainedPipeline::save` takes its provenance from the trainer's
+    // `describe()`: the default pipeline on the fixture must write exactly
+    // the committed artifact's metadata, next to the same weights and bank.
+    let dir = fixture_dir();
+    let (golden, golden_metadata) =
+        ScoringEngine::load_with_metadata(&dir.join("model.zsm")).expect("load golden artifact");
+    assert_eq!(golden_metadata, GOLDEN_METADATA);
+    let ds = DatasetBundle::load(&dir)
+        .expect("load")
+        .to_dataset()
+        .expect("materialize");
+    let path = temp_path("pipeline_provenance");
+    Pipeline::from(&ds)
+        .train()
+        .expect("train")
+        .save(&path)
+        .expect("save");
+    let (saved, metadata) = ScoringEngine::load_with_metadata(&path).expect("load saved");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(metadata, GOLDEN_METADATA);
+    assert_eq!(weights(&saved), weights(&golden));
+    assert_eq!(
+        saved.signatures().as_slice(),
+        golden.signatures().as_slice()
+    );
+}
+
 /// Regenerate the committed golden artifact. Intentional format changes
 /// only — run, then commit the new `tests/fixtures/tiny_bundle/model.zsm`.
 /// The fixture doubles as the version-1 backward-compat witness, so after
@@ -392,11 +427,7 @@ fn regenerate_model_artifact() {
     let path = fixture_dir().join("model.zsm");
     let engine = fixture_engine();
     engine
-        .save_with_metadata(
-            &path,
-            "trainer=eszsl; gamma=1; lambda=1; normalize_features=false; \
-             normalize_signatures=false; similarity=cosine; seen_classes=4; unseen_classes=2",
-        )
+        .save_with_metadata(&path, GOLDEN_METADATA)
         .expect("save golden artifact");
     let mut bytes = std::fs::read(&path).expect("read back");
     let meta_len = u64::from_le_bytes(bytes[40..48].try_into().unwrap()) as usize;

@@ -5,10 +5,11 @@
 
 use std::path::PathBuf;
 use zsl_core::data::{export_dataset, StreamingBundle, SyntheticConfig};
-use zsl_core::eval::{cross_validate, evaluate_gzsl, select_train_evaluate, CrossValConfig};
+use zsl_core::eval::{cross_validate, evaluate_gzsl, evaluate_gzsl_with, CrossValConfig};
 use zsl_core::infer::{ScoringEngine, Similarity};
-use zsl_core::model::EszslConfig;
+use zsl_core::model::{EszslConfig, EszslTrainer};
 use zsl_core::source::{FeatureSource, MemorySource, SplitKind};
+use zsl_core::trainer::Trainer;
 use zsl_core::{Dataset, Pipeline, ZslError};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -40,7 +41,17 @@ fn pipeline_facade_equals_direct_protocol_for_every_source_kind() {
     export_dataset(&ds, &dir).expect("export");
     let bundle = StreamingBundle::open(&dir, 7).expect("open");
 
-    let (direct_cv, direct_report) = select_train_evaluate(&ds, &config).expect("direct");
+    // The direct protocol, stage by stage: sweep, refit at the winner,
+    // evaluate over the union bank.
+    let eszsl = EszslTrainer::default();
+    let direct_cv = cross_validate(&eszsl, &ds, &config).expect("direct cv");
+    let refit = eszsl
+        .with_point(direct_cv.best.gamma, direct_cv.best.lambda)
+        .fit(&ds)
+        .expect("refit");
+    let engine =
+        ScoringEngine::try_new(refit, ds.all_signatures(), config.similarity).expect("engine");
+    let direct_report = evaluate_gzsl_with(&engine, &ds).expect("direct evaluate");
 
     // In-memory source.
     let trained = Pipeline::from(&ds)
@@ -89,7 +100,7 @@ fn pipeline_facade_equals_direct_protocol_for_every_source_kind() {
 fn pipeline_save_then_serve_round_trips_bit_identically() {
     let ds = dataset();
     let trained = Pipeline::from(&ds)
-        .config(EszslConfig::new().gamma(0.3).lambda(3.0))
+        .with_trainer(EszslConfig::new().gamma(0.3).lambda(3.0).build())
         .train()
         .expect("train");
     let report = trained.evaluate().expect("evaluate");
@@ -102,7 +113,7 @@ fn pipeline_save_then_serve_round_trips_bit_identically() {
         "provenance must record the hyperparameters: {metadata}"
     );
     // Serving: engine + source only, no retraining.
-    let served = zsl_core::eval::evaluate_gzsl_with(&engine, &ds).expect("serve");
+    let served = evaluate_gzsl_with(&engine, &ds).expect("serve");
     assert_eq!(served, report);
     assert_eq!(
         engine.predict(&ds.test_unseen_x),
@@ -119,8 +130,9 @@ fn memory_source_replaces_the_old_raw_matrix_cross_validate() {
     // the MemorySource wrapper must reproduce the Dataset sweep exactly
     // (same trainval data, same seeded folds).
     let source = MemorySource::new(&ds.train_x, &ds.train_labels, &ds.seen_signatures);
-    let via_memory = cross_validate(&source, &config).expect("memory cv");
-    let via_dataset = cross_validate(&ds, &config).expect("dataset cv");
+    let eszsl = EszslTrainer::default();
+    let via_memory = cross_validate(&eszsl, &source, &config).expect("memory cv");
+    let via_dataset = cross_validate(&eszsl, &ds, &config).expect("dataset cv");
     assert_eq!(via_memory, via_dataset);
 }
 
@@ -128,11 +140,11 @@ fn memory_source_replaces_the_old_raw_matrix_cross_validate() {
 fn generic_entry_points_share_one_error_type_with_sources() {
     let ds = dataset();
     // Config errors.
-    let err = cross_validate(&ds, &small_config().folds(1)).unwrap_err();
+    let err = cross_validate(&EszslTrainer::default(), &ds, &small_config().folds(1)).unwrap_err();
     assert!(matches!(err, ZslError::Config(_)));
     // Train errors flow through with a source() chain.
     let err = Pipeline::from(&ds)
-        .config(EszslConfig::new().gamma(-3.0))
+        .with_trainer(EszslConfig::new().gamma(-3.0).build())
         .train()
         .unwrap_err();
     assert!(matches!(err, ZslError::Train(_)));

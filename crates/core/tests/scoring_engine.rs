@@ -10,10 +10,7 @@ use zsl_core::model::{EszslConfig, ProjectionModel};
 
 fn trained_setup() -> (ProjectionModel, Matrix, Matrix) {
     let ds = SyntheticConfig::new().classes(20, 6).seed(414).build();
-    let model = EszslConfig::new()
-        .build()
-        .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-        .expect("train");
+    let model = EszslConfig::new().build().fit(&ds).expect("fit");
     (
         model,
         ds.unseen_signatures.clone(),

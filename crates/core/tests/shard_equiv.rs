@@ -18,7 +18,8 @@
 use zsl_core::data::Rng;
 use zsl_core::{
     cross_validate, evaluate_gzsl, evaluate_gzsl_with, BankShards, CrossValConfig, EszslConfig,
-    Matrix, ProjectionModel, ScoringEngine, ScoringPrecision, Similarity, SyntheticConfig,
+    EszslTrainer, Matrix, ProjectionModel, ScoringEngine, ScoringPrecision, Similarity,
+    SyntheticConfig,
 };
 
 /// Bank-row pairs duplicated verbatim so their scores tie bitwise. Each pair
@@ -316,10 +317,7 @@ fn seen_swamped() -> (zsl_core::data::Dataset, zsl_core::ProjectionModel) {
         .noise(0.9)
         .seed(90210)
         .build();
-    let model = EszslConfig::new()
-        .build()
-        .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-        .expect("train");
+    let model = EszslConfig::new().build().fit(&ds).expect("fit");
     (ds, model)
 }
 
@@ -395,14 +393,17 @@ fn cross_validation_calibration_axis_sweeps_and_stays_legacy_compatible() {
         .seed(11);
     // The default axis is exactly [0.0]: spelling it out must reproduce the
     // legacy report byte-for-byte (same grid, same folds, same best point).
-    let legacy = cross_validate(&ds, &base).expect("legacy cv");
-    let explicit = cross_validate(&ds, &base.clone().calibrations(vec![0.0])).expect("explicit cv");
+    let eszsl = EszslTrainer::default();
+    let legacy = cross_validate(&eszsl, &ds, &base).expect("legacy cv");
+    let explicit =
+        cross_validate(&eszsl, &ds, &base.clone().calibrations(vec![0.0])).expect("explicit cv");
     assert_eq!(legacy, explicit);
     assert!(legacy.grid.iter().all(|p| p.calibration == 0.0));
 
     // A real sweep triples the grid and selects a finite, non-negative γ_cal
     // by pseudo-unseen harmonic mean.
-    let swept = cross_validate(&ds, &base.calibrations(vec![0.0, 0.1, 0.3])).expect("swept cv");
+    let swept =
+        cross_validate(&eszsl, &ds, &base.calibrations(vec![0.0, 0.1, 0.3])).expect("swept cv");
     assert_eq!(swept.grid.len(), legacy.grid.len() * 3);
     assert!(swept.best.calibration.is_finite() && swept.best.calibration >= 0.0);
     assert!(swept

@@ -25,16 +25,17 @@
 //! `GzslReport` bit for bit — including the committed
 //! `tests/fixtures/tiny_bundle/model.zsm`.
 
+mod common;
+
+use common::pipeline_protocol;
 use std::path::PathBuf;
 use zsl_core::data::{
     export_dataset, DatasetBundle, SplitManifest, StreamingBundle, SyntheticConfig, FEATURES_ZSB,
     SPLITS_TXT,
 };
-use zsl_core::eval::{
-    cross_validate, evaluate_gzsl, evaluate_gzsl_with, select_train_evaluate, CrossValConfig,
-};
+use zsl_core::eval::{cross_validate, evaluate_gzsl, evaluate_gzsl_with, CrossValConfig};
 use zsl_core::infer::Similarity;
-use zsl_core::model::{EszslConfig, EszslProblem, GramAccumulator};
+use zsl_core::model::{EszslConfig, EszslProblem, EszslTrainer, GramAccumulator};
 use zsl_core::source::{FeatureSource, SplitKind};
 use zsl_core::{Dataset, MemorySource, Rng, ScoringEngine};
 
@@ -96,7 +97,7 @@ fn streamed_gram_training_and_prediction_match_in_memory_at_every_chunk_size() {
         .to_dataset()
         .expect("materialize");
     // In-memory reference, itself produced by the same generic path.
-    let reference = EszslProblem::from_source(&mem).expect("in-memory problem");
+    let reference = EszslProblem::from_source(&mem, false, false).expect("in-memory problem");
     let model = EszslConfig::new()
         .gamma(1.0)
         .lambda(1.0)
@@ -218,11 +219,11 @@ fn streamed_full_protocol_matches_select_train_evaluate_on_both_formats() {
         .expect("load")
         .to_dataset()
         .expect("materialize");
-    let (mem_cv, mem_report) = select_train_evaluate(&mem, &config).expect("in-memory protocol");
+    let (mem_cv, mem_report) = pipeline_protocol(&mem, &config);
 
     for chunk_rows in chunk_sizes(mem.train_x.rows()) {
         let bundle = StreamingBundle::open(&dir, chunk_rows).expect("open");
-        let (cv, report) = select_train_evaluate(&bundle, &config).expect("streamed protocol");
+        let (cv, report) = pipeline_protocol(&bundle, &config);
         assert_eq!(cv, mem_cv, "chunk_rows={chunk_rows}");
         assert_eq!(report, mem_report, "chunk_rows={chunk_rows}");
     }
@@ -231,8 +232,9 @@ fn streamed_full_protocol_matches_select_train_evaluate_on_both_formats() {
     // MemorySource sweep over the same trainval data.
     let bundle = StreamingBundle::open(&dir, 5).expect("open");
     let source = MemorySource::new(&mem.train_x, &mem.train_labels, &mem.seen_signatures);
-    let raw_cv = cross_validate(&source, &config).expect("raw cv");
-    let streamed_cv = cross_validate(&bundle, &config).expect("streamed cv");
+    let eszsl = EszslTrainer::default();
+    let raw_cv = cross_validate(&eszsl, &source, &config).expect("raw cv");
+    let streamed_cv = cross_validate(&eszsl, &bundle, &config).expect("streamed cv");
     assert_eq!(streamed_cv, raw_cv);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -257,7 +259,7 @@ fn shuffled_manifest_order_streams_bit_identically_on_both_formats() {
         .expect("load")
         .to_dataset()
         .expect("materialize");
-    let reference = EszslProblem::from_source(&mem).expect("problem");
+    let reference = EszslProblem::from_source(&mem, false, false).expect("problem");
     let model = EszslConfig::new().build().fit(&mem).expect("fit");
     let mem_report = evaluate_gzsl(&model, &mem, Similarity::Cosine).expect("evaluate");
 
@@ -329,7 +331,7 @@ fn tiny_bundle_fixture_streams_bit_identically_in_both_formats() {
         .expect("load")
         .to_dataset()
         .expect("materialize");
-    let reference = EszslProblem::from_source(&mem).expect("problem");
+    let reference = EszslProblem::from_source(&mem, false, false).expect("problem");
     let model = EszslConfig::new().build().fit(&mem).expect("fit");
     let mem_report = evaluate_gzsl(&model, &mem, Similarity::Cosine).expect("evaluate");
     for chunk_rows in chunk_sizes(mem.train_x.rows()) {

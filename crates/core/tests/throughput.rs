@@ -16,12 +16,10 @@
 
 use std::time::Instant;
 use zsl_core::data::{export_dataset, DatasetBundle, Rng, StreamingBundle, SyntheticConfig};
-use zsl_core::eval::evaluate_gzsl;
 use zsl_core::infer::{ScoringEngine, ScoringPrecision, Similarity, DEFAULT_CHUNK_ROWS};
 use zsl_core::linalg::{default_threads, pool_threads, Matrix};
 use zsl_core::model::{EszslConfig, EszslProblem, GramAccumulator, ProjectionModel};
 use zsl_core::trainer::{KernelEszslConfig, KernelKind, SaeConfig, Trainer};
-use zsl_core::Pipeline;
 
 /// Workload shape: `n` samples of `d` features, projected to `a` attributes,
 /// scored against `z` classes.
@@ -162,7 +160,7 @@ fn streamed_vs_in_memory_ingestion_and_training() {
             .expect("load")
             .to_dataset()
             .expect("materialize");
-        EszslProblem::new(&mem.train_x, &mem.train_labels, &mem.seen_signatures).expect("problem")
+        EszslProblem::from_source(&mem, false, false).expect("problem")
     };
     let streamed = || -> EszslProblem {
         let bundle = StreamingBundle::open(&dir, chunk_rows).expect("open");
@@ -205,58 +203,6 @@ fn streamed_vs_in_memory_ingestion_and_training() {
             / 1024.0,
     );
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-#[ignore = "timing harness; run with --release -- --ignored --nocapture"]
-fn pipeline_facade_vs_direct_calls() {
-    // The PR 5 acceptance claim: the Pipeline/FeatureSource indirection
-    // (trait dispatch, boxed chunk iterators, Cow chunks) adds zero
-    // measurable overhead over calling the trainer + evaluator directly.
-    // Both sides do identical numeric work — fit γ=λ=1 on trainval, GZSL
-    // over both test splits — so the delta isolates the facade plumbing.
-    let w = workload();
-    let seen = 32.min(w.z);
-    let per_class = (w.n / seen).max(1);
-    let ds = SyntheticConfig::new()
-        .classes(seen, 8)
-        .dims(w.a.min(seen - 1), w.d)
-        .samples(per_class, 2)
-        .seed(0xFA5A)
-        .build();
-
-    let direct = || {
-        let model = EszslConfig::new()
-            .build()
-            .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-            .expect("train");
-        evaluate_gzsl(&model, &ds, Similarity::Cosine).expect("evaluate")
-    };
-    let facade = || {
-        Pipeline::from(&ds)
-            .train()
-            .expect("train")
-            .evaluate()
-            .expect("evaluate")
-    };
-
-    // Correctness first: the facade is the direct path, bit for bit.
-    let reference = direct();
-    let report = facade();
-    assert_eq!(report, reference, "facade diverged from direct calls");
-
-    let (t_direct, _) = time_best(w.iters, direct);
-    let (t_facade, _) = time_best(w.iters, facade);
-    println!(
-        "[bench] facade-vs-direct n_train={} d={} a={} z={}: direct={:.4}s facade={:.4}s overhead={:.3}x",
-        ds.train_x.rows(),
-        w.d,
-        ds.seen_signatures.cols(),
-        ds.num_classes(),
-        t_direct,
-        t_facade,
-        t_facade / t_direct
-    );
 }
 
 #[test]

@@ -7,8 +7,8 @@
 //!    bit-identical to a fit over the materialized [`Dataset`] at every
 //!    chunk size, for every family (weights for the linear families, dual
 //!    weights + anchors for the kernel family).
-//! 2. **Protocol invariance** — seeded cross-validation and the GZSL report
-//!    through [`cross_validate_with`] / [`select_train_evaluate_with`]
+//! 2. **Protocol invariance** — seeded [`cross_validate`], the refit at its
+//!    winner and the GZSL report (the stages [`zsl_core::Pipeline`] chains)
 //!    produce the same bits streamed and in-memory, with each family
 //!    sweeping its own grid shape.
 //! 3. **Artifact round trips** — every family's engine persists to a `.zsm`
@@ -21,11 +21,11 @@
 
 use std::path::PathBuf;
 use zsl_core::data::{export_dataset, DatasetBundle, StreamingBundle};
-use zsl_core::eval::{cross_validate_with, select_train_evaluate_with, CrossValConfig};
+use zsl_core::eval::{cross_validate, CrossValConfig, CrossValReport, GzslReport};
 use zsl_core::infer::{ScoringEngine, ScoringPrecision, Similarity};
 use zsl_core::model::EszslConfig;
 use zsl_core::trainer::{KernelEszslConfig, KernelKind, SaeConfig, TrainedModel, Trainer};
-use zsl_core::{evaluate_gzsl_with, Dataset, SyntheticConfig};
+use zsl_core::{evaluate_gzsl_with, Dataset, FeatureSource, SyntheticConfig};
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("zsl_trainer_equiv_{}_{tag}", std::process::id()))
@@ -77,6 +77,24 @@ fn trainers() -> Vec<(&'static str, Box<dyn Trainer>)> {
             ),
         ),
     ]
+}
+
+/// The protocol `Pipeline` chains, stage by stage: sweep `trainer`'s grid,
+/// refit it at the winner, evaluate GZSL over the union bank.
+fn sweep_refit_evaluate(
+    trainer: &dyn Trainer,
+    source: &dyn FeatureSource,
+    config: &CrossValConfig,
+) -> (CrossValReport, GzslReport) {
+    let cv = cross_validate(trainer, source, config).expect("cv");
+    let model = trainer
+        .with_point(cv.best.gamma, cv.best.lambda)
+        .fit(source)
+        .expect("refit");
+    let engine = ScoringEngine::try_new(model, source.union_signatures(), config.similarity)
+        .expect("engine");
+    let report = evaluate_gzsl_with(&engine, source).expect("evaluate");
+    (cv, report)
 }
 
 /// Bit-level equality across families: weights for the linear families,
@@ -142,7 +160,8 @@ fn generic_cv_and_gzsl_protocols_are_chunk_invariant_for_every_family() {
         .folds(3)
         .seed(11);
     for (tag, trainer) in trainers() {
-        let reference_cv = cross_validate_with(trainer.as_ref(), &mem, &config).expect("cv");
+        let (reference_cv, reference_report) =
+            sweep_refit_evaluate(trainer.as_ref(), &mem, &config);
         // Each family sweeps its own grid: SAE collapses γ, the others take
         // the cartesian product.
         let expected_grid = match tag {
@@ -150,14 +169,10 @@ fn generic_cv_and_gzsl_protocols_are_chunk_invariant_for_every_family() {
             _ => config.gammas.len() * config.lambdas.len(),
         };
         assert_eq!(reference_cv.grid.len(), expected_grid, "{tag}: grid shape");
-        let (_, reference_report) =
-            select_train_evaluate_with(trainer.as_ref(), &mem, &config).expect("protocol");
         for chunk_rows in chunk_sizes(n) {
             let bundle = StreamingBundle::open(&dir, chunk_rows).expect("open");
-            let cv = cross_validate_with(trainer.as_ref(), &bundle, &config).expect("cv");
+            let (cv, report) = sweep_refit_evaluate(trainer.as_ref(), &bundle, &config);
             assert_eq!(cv, reference_cv, "{tag} chunk={chunk_rows}: cv drifted");
-            let (_, report) =
-                select_train_evaluate_with(trainer.as_ref(), &bundle, &config).expect("protocol");
             assert_eq!(
                 report, reference_report,
                 "{tag} chunk={chunk_rows}: report drifted"

@@ -61,8 +61,8 @@ fn convert_fixture(name: &str) -> (u64, u64, u64, [u64; 3]) {
         .gamma(10.0)
         .lambda(0.1)
         .build()
-        .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-        .expect("train");
+        .fit(&ds)
+        .expect("fit");
     let report = evaluate_gzsl(&model, &ds, Similarity::Dot).expect("evaluate");
     let bits = [
         report.seen_accuracy.to_bits(),

@@ -40,8 +40,8 @@ fn train_and_report(ds: &Dataset) -> GzslReport {
         .gamma(10.0)
         .lambda(0.1)
         .build()
-        .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-        .expect("train");
+        .fit(ds)
+        .expect("fit");
     evaluate_gzsl(&model, ds, Similarity::Dot).expect("evaluate")
 }
 
@@ -198,12 +198,8 @@ fn streaming_bundle_over_imported_features_matches_in_memory_evaluation() {
         .gamma(10.0)
         .lambda(0.1)
         .build()
-        .train(
-            &ref_dataset.train_x,
-            &ref_dataset.train_labels,
-            &ref_dataset.seen_signatures,
-        )
-        .expect("train");
+        .fit(&ref_dataset)
+        .expect("fit");
     let in_memory = evaluate_gzsl(&model, &ref_dataset, Similarity::Dot).expect("evaluate");
 
     let dir = scratch_dir("streaming_equiv");

@@ -98,8 +98,8 @@ fn published_eszsl_gzsl_numbers_within_tolerance() {
             .gamma(bench.gamma)
             .lambda(bench.lambda)
             .build()
-            .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-            .unwrap_or_else(|e| panic!("{}: train failed: {e}", bench.name));
+            .fit(&ds)
+            .unwrap_or_else(|e| panic!("{}: fit failed: {e}", bench.name));
         let report = evaluate_gzsl(&model, &ds, Similarity::Dot)
             .unwrap_or_else(|e| panic!("{}: evaluate failed: {e}", bench.name));
         std::fs::remove_dir_all(&out).ok();
