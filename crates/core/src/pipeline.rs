@@ -316,6 +316,36 @@ mod tests {
     }
 
     #[test]
+    fn contradictory_sweep_normalization_is_a_typed_error() {
+        // Asking the sweep for normalization the trainer does not own must
+        // fail loudly, not silently run an un-normalized sweep.
+        let ds = SyntheticConfig::new().seed(14).build();
+        let plain = CrossValConfig::new()
+            .gammas(vec![1.0])
+            .lambdas(vec![1.0])
+            .folds(2);
+        let mut flagged = plain.clone();
+        flagged.normalize_features = true;
+        let err = Pipeline::from(&ds).cross_validate(&flagged).unwrap_err();
+        assert!(
+            matches!(&err, ZslError::Config(msg) if msg.contains("normalization on the trainer")),
+            "got {err:?}"
+        );
+        // A normalizing trainer does not make the flagged sweep valid; the
+        // flag belongs on the trainer only.
+        let normalizing = EszslConfig::new().normalize_features(true).build();
+        let err = Pipeline::from(&ds)
+            .with_trainer(normalizing.clone())
+            .cross_validate(&flagged)
+            .unwrap_err();
+        assert!(matches!(err, ZslError::Config(_)), "got {err:?}");
+        Pipeline::from(&ds)
+            .with_trainer(normalizing)
+            .cross_validate(&plain)
+            .expect("normalization set on the trainer");
+    }
+
+    #[test]
     fn explicit_similarity_is_sticky_through_cross_validation() {
         // similarity(Dot) then cross_validate must sweep under Dot and serve
         // Dot — not silently reset to the CrossValConfig's cosine.
@@ -409,6 +439,26 @@ mod tests {
         assert!(
             description.contains(&format!("trainer=sae; lambda={}", direct_cv.best.lambda)),
             "got {description}"
+        );
+    }
+
+    #[test]
+    fn trainer_override_rejects_sweep_normalization() {
+        use crate::trainer::{SaeConfig, SaeTrainer};
+
+        let ds = SyntheticConfig::new().seed(13).build();
+        let mut cfg = CrossValConfig::new()
+            .gammas(vec![1.0])
+            .lambdas(vec![1.0])
+            .folds(2);
+        cfg.normalize_features = true;
+        let err = Pipeline::from(&ds)
+            .with_trainer(SaeTrainer::new(SaeConfig::new()))
+            .cross_validate(&cfg)
+            .unwrap_err();
+        assert!(
+            matches!(&err, ZslError::Config(msg) if msg.contains("the sae trainer owns")),
+            "got {err:?}"
         );
     }
 }
