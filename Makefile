@@ -1,6 +1,6 @@
 # Tier-1 verify and dev conveniences. `just` mirrors these recipes.
 
-.PHONY: test lint fmt build doc bench import-fixtures
+.PHONY: test lint fmt build doc bench bench-pairs import-fixtures
 
 # Matches the tier-1 verify in ROADMAP.md exactly.
 test:
@@ -26,6 +26,11 @@ doc:
 # arguments, e.g. make bench ARGS='--workload train-xlsa --seed 1 --seconds 30 --trace 0'
 bench:
 	cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- $(ARGS)
+
+# Interleaved parent/change pairs of one workload against a git ref, e.g.
+# make bench-pairs ARGS='HEAD~1 train-xlsa 10 30' (see scripts/bench-pairs.sh)
+bench-pairs:
+	scripts/bench-pairs.sh $(ARGS)
 
 # Regenerate the committed .mat golden fixtures under crates/mat/tests/fixtures/
 # and print the digest constants to paste into tests/golden_import.rs.

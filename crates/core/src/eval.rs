@@ -12,8 +12,10 @@
 //! 2. [`cross_validate`] selects a [`Trainer`]'s `(γ, λ)` **before** the
 //!    unseen evaluation: a seeded k-fold split of the source's trainval
 //!    samples, a grid sweep paying each fold's sufficient statistics once
-//!    (not once per grid point), and mean per-class validation accuracy per
-//!    grid point. Fully deterministic for a fixed seed.
+//!    (not once per grid point) — ESZSL and kernel ESZSL also factor once
+//!    per distinct γ and once per distinct λ ([`Trainer::fit_grid`]) — and
+//!    mean per-class validation accuracy per grid point. Fully deterministic
+//!    for a fixed seed.
 //!
 //! [`crate::pipeline::Pipeline`] chains the two: cross-validate on trainval,
 //! refit the trainer at the winning point, report GZSL numbers.

@@ -679,7 +679,8 @@ pub enum LinalgError {
     /// The spectral Sylvester solve hit an eigenvalue pair whose sum is
     /// numerically zero, so `AX + XB = C` has no unique solution.
     SingularSylvester { detail: String },
-    /// An entry that [`Matrix::symmetric_eigen`] reads is NaN or infinite.
+    /// An entry that [`Matrix::cholesky`] or [`Matrix::symmetric_eigen`]
+    /// reads is NaN or infinite.
     NonFinite { row: usize, col: usize },
     /// The implicit-shift QL iteration of [`Matrix::symmetric_eigen`] spent
     /// its iteration cap on eigenvalue `index` without deflating it.
@@ -1042,6 +1043,14 @@ impl Matrix {
 
     /// Cholesky factorization `A = L Lᵀ` of a symmetric positive-definite
     /// matrix. Only the lower triangle of `self` is read.
+    ///
+    /// # Errors
+    ///
+    /// - [`LinalgError::ShapeMismatch`] for non-square input.
+    /// - [`LinalgError::NonFinite`] if an entry of the lower triangle is NaN
+    ///   or infinite.
+    /// - [`LinalgError::NotPositiveDefinite`] if a pivot is not positive,
+    ///   including a pivot that overflow turned into NaN.
     pub fn cholesky(&self) -> Result<Cholesky, LinalgError> {
         if self.rows != self.cols {
             return Err(LinalgError::ShapeMismatch {
@@ -1050,6 +1059,11 @@ impl Matrix {
             });
         }
         let n = self.rows;
+        for row in 0..n {
+            if let Some(col) = (0..=row).find(|&col| !self.data[row * n + col].is_finite()) {
+                return Err(LinalgError::NonFinite { row, col });
+            }
+        }
         let mut l = Matrix::zeros(n, n);
         for i in 0..n {
             for j in 0..=i {
@@ -1058,7 +1072,8 @@ impl Matrix {
                     sum -= l.data[i * n + k] * l.data[j * n + k];
                 }
                 if i == j {
-                    if sum <= 0.0 {
+                    // A pivot that overflow turned into NaN fails too.
+                    if sum.is_nan() || sum <= 0.0 {
                         return Err(LinalgError::NotPositiveDefinite { pivot_index: i });
                     }
                     l.data[i * n + j] = sum.sqrt();
@@ -1839,6 +1854,49 @@ mod tests {
             rect.cholesky(),
             Err(LinalgError::ShapeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn cholesky_rejects_non_finite_input_and_nan_pivots() {
+        // The first non-finite entry of the lower triangle, in row-major
+        // order, is reported; the upper triangle is never read.
+        let mut nan = Matrix::identity(4);
+        nan.set(1, 3, f64::NAN);
+        nan.set(3, 1, f64::NAN);
+        assert_eq!(
+            nan.cholesky().map(|c| c.dim()),
+            Err(LinalgError::NonFinite { row: 3, col: 1 })
+        );
+        let mut inf = Matrix::identity(3);
+        inf.set(2, 2, f64::INFINITY);
+        assert_eq!(
+            inf.cholesky().map(|c| c.dim()),
+            Err(LinalgError::NonFinite { row: 2, col: 2 })
+        );
+        let mut upper = Matrix::identity(3);
+        upper.set(0, 2, f64::NAN);
+        assert_eq!(
+            upper.cholesky().map(|c| c.factor().as_slice().to_vec()),
+            Ok(Matrix::identity(3).as_slice().to_vec())
+        );
+        // Finite but indefinite input whose elimination overflows:
+        // L[3][0] = 1e300 / 1e-150 = ∞, L[3][1] = −∞, L[3][2] = −∞ + ∞ = NaN,
+        // so pivot 3 is NaN, which is not positive either.
+        let overflow = Matrix::from_rows(&[
+            vec![1e-300, 1e-150, 1e-150, 1e300],
+            vec![1e-150, 2.0, 2.0, 0.0],
+            vec![1e-150, 2.0, 3.0, 0.0],
+            vec![1e300, 0.0, 0.0, 1.0],
+        ]);
+        assert_eq!(
+            overflow.cholesky().map(|c| c.dim()),
+            Err(LinalgError::NotPositiveDefinite { pivot_index: 3 })
+        );
+        // Solving through the factorization passes the error on.
+        assert_eq!(
+            solve_spd(&nan, &Matrix::zeros(4, 1)),
+            Err(LinalgError::NonFinite { row: 3, col: 1 })
+        );
     }
 
     /// Cyclic Jacobi eigendecomposition: the solver `symmetric_eigen` ran

@@ -20,9 +20,10 @@
 //! **bit-identical** for every source kind and chunk size.
 
 use crate::error::ZslError;
-use crate::linalg::{solve_spd, LinalgError, Matrix};
+use crate::linalg::{Cholesky, LinalgError, Matrix};
 use crate::source::{FeatureSource, SplitKind};
 use std::borrow::Cow;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Errors from model training.
 #[derive(Debug, Clone, PartialEq)]
@@ -382,16 +383,18 @@ impl EszslTrainer {
 /// the regularizers.
 ///
 /// The closed form factors as `W = (XᵀX + γI)⁻¹ · XᵀYS · (SᵀS + λI)⁻¹`:
-/// everything except the two `+ γI` / `+ λI` shifts depends only on the data.
-/// Building the problem once and calling [`EszslProblem::solve`] per
-/// `(γ, λ)` pair turns a hyperparameter grid search (e.g. the k-fold
-/// cross-validation in [`crate::eval`]) from `O(grid · n·d²)` into
-/// `O(n·d² + grid · d³)` — the expensive `XᵀX` / `XᵀYS` products are paid
-/// once per fold, not once per grid point.
+/// everything except the two `+ γI` / `+ λI` shifts depends only on the data,
+/// the left solve depends on γ alone and the right factor on λ alone.
+/// Building the problem once and calling [`EszslProblem::solve_grid`] on a
+/// hyperparameter grid (e.g. the k-fold cross-validation in [`crate::eval`])
+/// costs `O(n·d² + |γ|·d³ + grid·a²·d)` instead of `O(grid · n·d²)`: the
+/// `XᵀX` / `XᵀYS` products are paid once per fold, the `d x d` factorization
+/// once per distinct γ, and only the `a x a` right solve once per grid point.
 ///
-/// `solve` performs the identical floating-point operation sequence as
-/// [`EszslTrainer::fit`], so results are bit-identical to the one-shot
-/// path (the golden tests pin this).
+/// [`EszslProblem::solve`] is the one-point grid and [`EszslTrainer::fit`]
+/// calls it, so every path performs the identical floating-point operation
+/// sequence and results are bit-identical to the one-shot path (the golden
+/// tests pin this).
 #[derive(Clone, Debug)]
 pub struct EszslProblem {
     /// `Xᵀ X : d x d`, unshifted.
@@ -459,23 +462,57 @@ impl EszslProblem {
         (self.xtx, self.xtys, self.sts)
     }
 
-    /// Solve the closed form for one `(γ, λ)` pair.
+    /// Solve the closed form for one `(γ, λ)` pair: the one-point case of
+    /// [`EszslProblem::solve_grid`].
     pub fn solve(&self, gamma: f64, lambda: f64) -> Result<ProjectionModel, TrainError> {
-        validate_regularizer("gamma", gamma)?;
-        validate_regularizer("lambda", lambda)?;
-
-        // Left SPD system: (Xᵀ X + γI) M = Xᵀ (Y S).
-        let mut xtx = self.xtx.clone();
-        xtx.add_scaled_identity(gamma);
-        let m = solve_spd(&xtx, &self.xtys)?;
-
-        // Right SPD system: W (Sᵀ S + λI) = M  ⇔  (Sᵀ S + λI) Wᵀ = Mᵀ.
-        let mut sts = self.sts.clone();
-        sts.add_scaled_identity(lambda);
-        let wt = solve_spd(&sts, &m.transpose())?;
-
-        Ok(ProjectionModel::from_weights(wt.transpose()))
+        let mut models = self.solve_grid(&[(gamma, lambda)])?;
+        Ok(models.pop().expect("one grid point solves to one model"))
     }
+
+    /// Solve the closed form for every `(γ, λ)` point, returning the models in
+    /// input order.
+    ///
+    /// Every point is validated before any factorization. The left system
+    /// `(XᵀX + γI) M = XᵀYS` is factored and solved once per distinct γ (by
+    /// bit pattern), keeping only `Mᵀ : a x d`; `SᵀS + λI` is factored once
+    /// per distinct λ; each point then runs only its `a x a` right solve
+    /// `(SᵀS + λI) Wᵀ = Mᵀ`. Each model is bit-identical to solving its point
+    /// alone, and a failing factorization is reported for the first point
+    /// that needs it, in input order.
+    pub fn solve_grid(&self, points: &[(f64, f64)]) -> Result<Vec<ProjectionModel>, TrainError> {
+        validate_points(points)?;
+        let mut left: HashMap<u64, Matrix> = HashMap::new();
+        let mut right: HashMap<u64, Cholesky> = HashMap::new();
+        let mut models = Vec::with_capacity(points.len());
+        for &(gamma, lambda) in points {
+            let mt = cached(&mut left, gamma, || {
+                let mut xtx = self.xtx.clone();
+                xtx.add_scaled_identity(gamma);
+                Ok(xtx.cholesky()?.solve_matrix(&self.xtys)?.transpose())
+            })?;
+            let sts = cached(&mut right, lambda, || {
+                let mut sts = self.sts.clone();
+                sts.add_scaled_identity(lambda);
+                sts.cholesky()
+            })?;
+            let wt = sts.solve_matrix(mt)?;
+            models.push(ProjectionModel::from_weights(wt.transpose()));
+        }
+        Ok(models)
+    }
+}
+
+/// The value `cache` holds for `key`'s bit pattern, made by `make` on first
+/// use.
+fn cached<V>(
+    cache: &mut HashMap<u64, V>,
+    key: f64,
+    make: impl FnOnce() -> Result<V, LinalgError>,
+) -> Result<&V, LinalgError> {
+    Ok(match cache.entry(key.to_bits()) {
+        Entry::Occupied(entry) => entry.into_mut(),
+        Entry::Vacant(entry) => entry.insert(make()?),
+    })
 }
 
 /// Regularizers must be strictly positive (and finite) to keep the shifted
@@ -488,6 +525,15 @@ pub(crate) fn validate_regularizer(name: &str, value: f64) -> Result<(), TrainEr
         )));
     }
     Ok(())
+}
+
+/// [`validate_regularizer`] over both axes of every `(γ, λ)` grid point, in
+/// input order.
+pub(crate) fn validate_points(points: &[(f64, f64)]) -> Result<(), TrainError> {
+    points.iter().try_for_each(|&(gamma, lambda)| {
+        validate_regularizer("gamma", gamma)?;
+        validate_regularizer("lambda", lambda)
+    })
 }
 
 /// `Y S` for one-hot `Y` as a row gather: row `i` of the result is the
@@ -589,7 +635,9 @@ mod tests {
         let problem = EszslProblem::from_source(&ds, false, false).expect("gram");
         assert_eq!(problem.feature_dim(), ds.train_x.cols());
         assert_eq!(problem.attr_dim(), ds.seen_signatures.cols());
-        for (gamma, lambda) in [(0.1, 0.1), (1.0, 10.0), (100.0, 0.01)] {
+        let points = [(0.1, 0.1), (1.0, 10.0), (100.0, 0.01), (1.0, 0.1)];
+        let grid = problem.solve_grid(&points).expect("solve_grid");
+        for (&(gamma, lambda), from_grid) in points.iter().zip(&grid) {
             let reused = problem.solve(gamma, lambda).expect("solve");
             let one_shot = EszslConfig::new()
                 .gamma(gamma)
@@ -597,14 +645,20 @@ mod tests {
                 .build()
                 .fit(&ds)
                 .expect("fit");
-            assert_eq!(
-                reused.weights().as_slice(),
-                one_shot.weights().as_slice(),
-                "gamma={gamma} lambda={lambda}"
-            );
+            for weights in [reused.weights(), from_grid.weights()] {
+                assert_eq!(
+                    weights.as_slice(),
+                    one_shot.weights().as_slice(),
+                    "gamma={gamma} lambda={lambda}"
+                );
+            }
         }
         assert!(matches!(
             problem.solve(0.0, 1.0),
+            Err(TrainError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            problem.solve_grid(&[(1.0, 1.0), (1.0, -1.0)]),
             Err(TrainError::InvalidConfig(_))
         ));
     }

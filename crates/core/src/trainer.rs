@@ -39,10 +39,12 @@ use crate::linalg::{
     Matrix,
 };
 use crate::model::{
-    validate_regularizer, EszslProblem, EszslTrainer, GramAccumulator, ProjectionModel, TrainError,
+    validate_points, validate_regularizer, EszslProblem, EszslTrainer, GramAccumulator,
+    ProjectionModel, TrainError,
 };
 use crate::source::{FeatureSource, SourceStream, SplitKind};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Model family tag: which trainer produced a [`TrainedModel`], and how a
 /// `.zsm` v2 artifact encodes it.
@@ -188,20 +190,26 @@ fn kernel_map_slab<T: Elem>(
 /// anchor set `anchors : m x d`. Scoring projects a batch as
 /// `k(X, anchors) · alpha` — no training data needed beyond the anchors,
 /// which the `.zsm` v2 artifact persists as the family's extra payload.
+///
+/// The anchors are shared, not owned: every model of one
+/// [`Trainer::fit_grid`] call, and every clone of a model, points at one
+/// anchor allocation.
 #[derive(Clone, Debug)]
 pub struct KernelModel {
     alpha: Matrix,
-    anchors: Matrix,
+    anchors: Arc<Matrix>,
     kernel: KernelKind,
 }
 
 impl KernelModel {
     /// Assemble from parts; the anchor and weight row counts must agree.
+    /// `anchors` is an owned [`Matrix`] or an `Arc` shared with other models.
     pub fn from_parts(
         alpha: Matrix,
-        anchors: Matrix,
+        anchors: impl Into<Arc<Matrix>>,
         kernel: KernelKind,
     ) -> Result<KernelModel, TrainError> {
+        let anchors = anchors.into();
         if alpha.rows() != anchors.rows() {
             return Err(TrainError::Shape(format!(
                 "kernel model has {} dual-weight rows but {} anchors",
@@ -391,8 +399,15 @@ pub trait Trainer: std::fmt::Debug {
     fn fit(&self, source: &dyn FeatureSource) -> Result<TrainedModel, ZslError>;
 
     /// Fit one model per `(γ, λ)` point from the trainval rows at `subset`
-    /// positions — the cross-validation fold primitive. Implementations pay
-    /// their sufficient statistics once and solve per point.
+    /// positions — the cross-validation fold primitive — returning the models
+    /// in `points` order. Implementations reject a regularizer they use that
+    /// is not positive and finite, at any position, with
+    /// [`TrainError::InvalidConfig`] before reading any row; pay their
+    /// sufficient statistics once; and share every factorization that
+    /// depends on one axis alone across the points that repeat it (ESZSL and
+    /// kernel ESZSL factor once per distinct γ and once per distinct λ). Each
+    /// model is bit-identical to [`Trainer::with_point`]`(γ, λ).fit` on the
+    /// same rows.
     fn fit_grid(
         &self,
         source: &dyn FeatureSource,
@@ -439,6 +454,7 @@ impl Trainer for EszslTrainer {
         subset: &[usize],
         points: &[(f64, f64)],
     ) -> Result<Vec<TrainedModel>, ZslError> {
+        validate_points(points)?;
         let config = self.config();
         let signatures = source.seen_signatures();
         let mut acc = GramAccumulator::with_normalization(
@@ -451,10 +467,11 @@ impl Trainer for EszslTrainer {
             acc.fold(&x, &labels)?;
         }
         let problem = acc.finish().map_err(ZslError::from)?;
-        points
-            .iter()
-            .map(|&(gamma, lambda)| Ok(TrainedModel::Eszsl(problem.solve(gamma, lambda)?)))
-            .collect()
+        Ok(problem
+            .solve_grid(points)?
+            .into_iter()
+            .map(TrainedModel::Eszsl)
+            .collect())
     }
 
     fn grid_points(&self, gammas: &[f64], lambdas: &[f64]) -> Vec<(f64, f64)> {
@@ -657,6 +674,9 @@ impl Trainer for SaeTrainer {
         subset: &[usize],
         points: &[(f64, f64)],
     ) -> Result<Vec<TrainedModel>, ZslError> {
+        for &(_, lambda) in points {
+            validate_regularizer("lambda", lambda)?;
+        }
         let system = self.system(source, Some(subset))?;
         points
             .iter()
@@ -905,14 +925,16 @@ impl Trainer for KernelEszslTrainer {
         subset: &[usize],
         points: &[(f64, f64)],
     ) -> Result<Vec<TrainedModel>, ZslError> {
+        validate_points(points)?;
         let (problem, anchors) = self.kernel_problem(source, Some(subset))?;
-        points
-            .iter()
-            .map(|&(gamma, lambda)| {
-                let alpha = problem.solve(gamma, lambda)?;
+        let anchors = Arc::new(anchors);
+        problem
+            .solve_grid(points)?
+            .into_iter()
+            .map(|alpha| {
                 Ok(TrainedModel::Kernel(KernelModel::from_parts(
                     alpha.into_weights(),
-                    anchors.clone(),
+                    Arc::clone(&anchors),
                     self.config.kernel,
                 )?))
             })
@@ -1020,6 +1042,92 @@ mod tests {
             ),
             "{result:?}"
         );
+    }
+
+    #[test]
+    fn eszsl_fits_report_a_non_finite_gram_as_a_solver_error() {
+        let mut ds = SyntheticConfig::new().seed(3).build();
+        ds.train_x.set(0, 2, f64::NAN);
+        let rbf = KernelKind::Rbf { width: 0.25 };
+        let cases: [(Box<dyn Trainer>, (usize, usize)); 3] = [
+            // Column 2 of X poisons row and column 2 of XᵀX; the lower
+            // triangle's scan meets (2, 0) first.
+            (Box::new(EszslConfig::new().build()), (2, 0)),
+            // Row 0 is anchor 0, so column 0 of Φ and entry (0, 0) of ΦᵀΦ
+            // are NaN.
+            (
+                Box::new(KernelEszslConfig::new().max_anchors(40).build()),
+                (0, 0),
+            ),
+            (
+                Box::new(KernelEszslConfig::new().kernel(rbf).max_anchors(40).build()),
+                (0, 0),
+            ),
+        ];
+        for (trainer, at) in &cases {
+            let result = trainer.fit(&ds);
+            assert!(
+                matches!(
+                    result,
+                    Err(ZslError::Train(TrainError::Solver(
+                        LinalgError::NonFinite { row, col }
+                    ))) if (row, col) == *at
+                ),
+                "{}: {result:?}",
+                trainer.describe()
+            );
+        }
+    }
+
+    #[test]
+    fn kernel_fit_grid_models_share_one_anchor_allocation() {
+        let ds = dataset();
+        let trainer = KernelEszslConfig::new().max_anchors(10).build();
+        let subset: Vec<usize> = (0..ds.train_x.rows()).collect();
+        let points = [(0.5, 2.0), (1.0, 2.0), (0.5, 0.25)];
+        let models = trainer.fit_grid(&ds, &subset, &points).expect("fit_grid");
+        let anchors_at = |m: &TrainedModel| {
+            m.kernel_model()
+                .expect("kernel")
+                .anchors()
+                .as_slice()
+                .as_ptr()
+        };
+        let shared = anchors_at(&models[0]);
+        for model in &models {
+            assert_eq!(anchors_at(model), shared);
+            assert_eq!(anchors_at(&model.clone()), shared, "a clone shares too");
+        }
+        // Sharing changes no artifact byte: each model saves exactly as the
+        // per-point fit on the same rows does.
+        let path = |tag: &str| {
+            std::env::temp_dir().join(format!(
+                "zsl_trainer_anchors_{}_{tag}.zsm",
+                std::process::id()
+            ))
+        };
+        let save = |model: TrainedModel, tag: &str| {
+            let engine = crate::infer::ScoringEngine::new(
+                model,
+                ds.seen_signatures.clone(),
+                crate::infer::Similarity::Cosine,
+            );
+            engine.save(&path(tag)).expect("save");
+            let bytes = std::fs::read(path(tag)).expect("read");
+            std::fs::remove_file(path(tag)).ok();
+            bytes
+        };
+        for (model, &(gamma, lambda)) in models.into_iter().zip(&points) {
+            let single = trainer
+                .with_point(gamma, lambda)
+                .fit(&ds)
+                .expect("per-point fit");
+            assert_eq!(
+                save(model, "grid"),
+                save(single, "single"),
+                "gamma={gamma} lambda={lambda}"
+            );
+        }
     }
 
     #[test]

@@ -11,10 +11,14 @@
 //!    winner and the GZSL report (the stages [`zsl_core::Pipeline`] chains)
 //!    produce the same bits streamed and in-memory, with each family
 //!    sweeping its own grid shape.
-//! 3. **Artifact round trips** — every family's engine persists to a `.zsm`
+//! 3. **Grid solves** — [`Trainer::fit_grid`], which shares each family's
+//!    per-axis factorizations across the grid, returns exactly the per-point
+//!    fits on the same rows, in input order, and rejects an invalid
+//!    regularizer anywhere in the grid before reading a row.
+//! 4. **Artifact round trips** — every family's engine persists to a `.zsm`
 //!    v2 artifact and reloads to bit-identical scores and reports, and a
 //!    resave of the reloaded engine is byte-identical.
-//! 4. **Golden wall** — the committed `tests/fixtures/tiny_bundle/` pins
+//! 5. **Golden wall** — the committed `tests/fixtures/tiny_bundle/` pins
 //!    frozen `GzslReport` bits for the SAE and kernel trainers, next to the
 //!    ESZSL bits `model_artifacts.rs` pins. Regenerate via the `--ignored
 //!    print_trainer_golden_bits` test after intentional solver changes.
@@ -23,9 +27,10 @@ use std::path::PathBuf;
 use zsl_core::data::{export_dataset, DatasetBundle, StreamingBundle};
 use zsl_core::eval::{cross_validate, CrossValConfig, CrossValReport, GzslReport};
 use zsl_core::infer::{ScoringEngine, ScoringPrecision, Similarity};
-use zsl_core::model::EszslConfig;
+use zsl_core::model::{EszslConfig, TrainError};
+use zsl_core::source::MemorySource;
 use zsl_core::trainer::{KernelEszslConfig, KernelKind, SaeConfig, TrainedModel, Trainer};
-use zsl_core::{evaluate_gzsl_with, Dataset, FeatureSource, SyntheticConfig};
+use zsl_core::{evaluate_gzsl_with, Dataset, FeatureSource, SyntheticConfig, ZslError};
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("zsl_trainer_equiv_{}_{tag}", std::process::id()))
@@ -180,6 +185,77 @@ fn generic_cv_and_gzsl_protocols_are_chunk_invariant_for_every_family() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A λ-outer grid whose γs recur apart, with a repeated point and a λ
+/// first seen at the end: the orders a per-γ or per-λ cache could get wrong.
+fn lambda_outer_grid() -> Vec<(f64, f64)> {
+    let mut points: Vec<(f64, f64)> = [0.5, 5.0]
+        .iter()
+        .flat_map(|&lambda| [0.1, 1.0, 10.0].map(|gamma| (gamma, lambda)))
+        .collect();
+    points.extend([(1.0, 0.5), (0.1, 2.0)]);
+    points
+}
+
+#[test]
+fn fit_grid_matches_per_point_fits_in_input_order_for_every_family() {
+    let ds = synthetic_dataset();
+    // A strict, shuffled subset of the trainval rows; the per-point fits see
+    // the same rows in the same order as a bare in-memory source.
+    let n = ds.train_x.rows();
+    let subset: Vec<usize> = (0..n).rev().filter(|p| p % 3 != 1).collect();
+    let x = ds.train_x.gather_rows(&subset);
+    let labels: Vec<usize> = subset.iter().map(|&p| ds.train_labels[p]).collect();
+    let rows = MemorySource::new(&x, &labels, &ds.seen_signatures);
+    let points = lambda_outer_grid();
+    for (tag, trainer) in trainers() {
+        let models = trainer
+            .fit_grid(&ds, &subset, &points)
+            .unwrap_or_else(|e| panic!("{tag}: fit_grid: {e}"));
+        assert_eq!(models.len(), points.len(), "{tag}: one model per point");
+        for (i, (model, &(gamma, lambda))) in models.iter().zip(&points).enumerate() {
+            let single = trainer
+                .with_point(gamma, lambda)
+                .fit(&rows)
+                .unwrap_or_else(|e| panic!("{tag}: fit at point {i}: {e}"));
+            assert_same_model(
+                model,
+                &single,
+                &format!("{tag} point {i} ({gamma}, {lambda})"),
+            );
+        }
+    }
+}
+
+#[test]
+fn fit_grid_rejects_an_invalid_regularizer_at_any_position_before_reading_rows() {
+    let ds = synthetic_dataset();
+    let all: Vec<usize> = (0..ds.train_x.rows()).collect();
+    for (tag, trainer) in trainers() {
+        // SAE sweeps λ alone: its γ is a placeholder (0 in its own grid).
+        let axes: &[usize] = if tag == "sae" { &[1] } else { &[0, 1] };
+        for position in 0..lambda_outer_grid().len() {
+            for &axis in axes {
+                for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+                    let mut points = lambda_outer_grid();
+                    match axis {
+                        0 => points[position].0 = bad,
+                        _ => points[position].1 = bad,
+                    }
+                    let label = format!("{tag}: axis {axis} = {bad} at position {position}");
+                    // With no rows to fold, a fit that read the rows first
+                    // would fail on the empty training set instead.
+                    for subset in [&all[..], &[]] {
+                        match trainer.fit_grid(&ds, subset, &points) {
+                            Err(ZslError::Train(TrainError::InvalidConfig(_))) => {}
+                            other => panic!("{label}: {:?}", other.map(|m| m.len())),
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -25,6 +25,11 @@ doc:
 bench *ARGS:
     cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- {{ARGS}}
 
+# Interleaved parent/change pairs of one workload against a git ref, e.g.
+# `just bench-pairs HEAD~1 train-xlsa 10 30` (see scripts/bench-pairs.sh).
+bench-pairs *ARGS:
+    scripts/bench-pairs.sh {{ARGS}}
+
 # Regenerate the committed .mat golden fixtures and print digest constants.
 import-fixtures:
     cargo test -p zsl-mat --test golden_import -- --ignored --nocapture
