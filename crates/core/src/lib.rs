@@ -123,8 +123,7 @@ pub use infer::{
     BankView, ClassAccuracyCounter, ScoringEngine, ScoringPrecision, Similarity, TopK,
 };
 pub use linalg::{
-    default_threads, pool_threads, solve_spd, solve_sylvester, Cholesky, LinalgError, Matrix,
-    SymmetricEigen,
+    default_threads, pool_threads, solve_sylvester, Cholesky, LinalgError, Matrix, SymmetricEigen,
 };
 pub use model::{
     EszslConfig, EszslProblem, EszslTrainer, GramAccumulator, ProjectionModel, TrainError,

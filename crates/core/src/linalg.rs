@@ -1163,11 +1163,6 @@ impl Cholesky {
     }
 }
 
-/// Solve the SPD system `A X = B` (factor once, solve all columns).
-pub fn solve_spd(a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
-    a.cholesky()?.solve_matrix(b)
-}
-
 /// Iteration cap of the implicit-shift QL sweep on any one eigenvalue, the
 /// cap LAPACK's `dsteqr` uses. The shifted iteration converges cubically, so
 /// an eigenvalue typically deflates within two or three iterations; reaching
@@ -1818,7 +1813,7 @@ mod tests {
         let mut a = g.matmul(&g.transpose());
         a.add_scaled_identity(0.5);
         let b = random_matrix(&mut rng, 8, 3);
-        let x = solve_spd(&a, &b).expect("SPD");
+        let x = a.cholesky().expect("SPD").solve_matrix(&b).expect("solve");
         assert!(a.matmul(&x).max_abs_diff(&b) < 1e-8);
     }
 
@@ -1894,7 +1889,8 @@ mod tests {
         );
         // Solving through the factorization passes the error on.
         assert_eq!(
-            solve_spd(&nan, &Matrix::zeros(4, 1)),
+            nan.cholesky()
+                .and_then(|c| c.solve_matrix(&Matrix::zeros(4, 1))),
             Err(LinalgError::NonFinite { row: 3, col: 1 })
         );
     }

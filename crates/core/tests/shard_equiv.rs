@@ -289,8 +289,18 @@ fn mmap_boot_is_bit_identical_to_heap_boot() {
     heap.save_with_metadata(&path, &heap_meta).expect("resave");
     let (mapped, mapped_meta) = ScoringEngine::load_mapped(&path).expect("mapped v2 load");
     assert_eq!(mapped_meta, heap_meta);
+    assert_eq!(
+        heap.bank_resident_bytes(),
+        heap.num_classes() * heap.model().attr_dim() * std::mem::size_of::<f64>(),
+        "a heap boot holds the whole f64 bank"
+    );
     if cfg!(all(unix, target_endian = "little")) {
         assert!(mapped.is_bank_mapped(), "aligned v2 artifact must map");
+        assert_eq!(
+            mapped.bank_resident_bytes(),
+            0,
+            "a mapped bank must not be copied to the heap"
+        );
     }
     assert_eq!(mapped.scores(&x).as_slice(), heap.scores(&x).as_slice());
     assert_eq!(mapped.predict(&x), heap.predict(&x));

@@ -293,30 +293,54 @@ fn every_family_round_trips_through_zsm_v2_bit_for_bit() {
     }
 }
 
+/// A scoring batch large enough to reach the worker pool. A product below
+/// 2¹⁷ multiply-adds runs serially on the calling thread, so the tiny
+/// `synthetic_dataset` batch never leaves it. Here the 512 `test_seen_x`
+/// rows at d = 64 and a = 32 against 20 classes put every product of every
+/// family above that cutoff: the projection (512·64·32), the bank product
+/// (512·32·20) and, for the kernel families, the map against m ≥ 10 anchors
+/// (512·64·m) and its dual-weight product (512·m·32).
+fn pooled_dataset() -> Dataset {
+    SyntheticConfig::new()
+        .classes(16, 4)
+        .dims(32, 64)
+        .samples(8, 32)
+        .noise(0.05)
+        .seed(512)
+        .build()
+}
+
 /// Every family's scoring — f64 and the opt-in f32 variant — is
 /// bit-identical across thread counts now that all kernels (including the
 /// RBF Gram) run row-banded over the shared worker pool with fixed per-row
 /// summation order. Thread counts cover serial (1), even splits (2, 4), and
-/// more threads than some band widths (9).
+/// more threads than some band widths (9); the small batch stays serial at
+/// every count, the pooled one is split into bands.
 #[test]
 fn pooled_scoring_is_thread_invariant_for_every_family_and_precision() {
-    let ds = synthetic_dataset();
-    let x = &ds.test_unseen_x;
-    for (tag, trainer) in trainers() {
-        let model = trainer.fit(&ds).expect("fit");
-        let mut engine = ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine);
-        let z = engine.num_classes();
-        for precision in [ScoringPrecision::F64, ScoringPrecision::F32] {
-            engine = engine.with_precision(precision);
-            engine.set_threads(1);
-            let reference = engine.predict_topk(x, z);
-            for threads in [2, 4, 9] {
-                engine.set_threads(threads);
-                assert_eq!(
-                    engine.predict_topk(x, z),
-                    reference,
-                    "{tag} {precision} threads={threads}: scores drifted from serial"
-                );
+    let small = synthetic_dataset();
+    let pooled = pooled_dataset();
+    for (ds, x) in [
+        (&small, &small.test_unseen_x),
+        (&pooled, &pooled.test_seen_x),
+    ] {
+        let n = x.rows();
+        for (tag, trainer) in trainers() {
+            let model = trainer.fit(ds).expect("fit");
+            let mut engine = ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine);
+            let z = engine.num_classes();
+            for precision in [ScoringPrecision::F64, ScoringPrecision::F32] {
+                engine = engine.with_precision(precision);
+                engine.set_threads(1);
+                let reference = engine.predict_topk(x, z);
+                for threads in [2, 4, 9] {
+                    engine.set_threads(threads);
+                    assert_eq!(
+                        engine.predict_topk(x, z),
+                        reference,
+                        "{tag} {precision} n={n} threads={threads}: scores drifted from serial"
+                    );
+                }
             }
         }
     }

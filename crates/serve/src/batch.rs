@@ -261,6 +261,7 @@ fn score_batch(inner: &Inner, batch: Vec<Pending>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::BootOptions;
     use std::path::PathBuf;
     use zsl_core::data::Rng;
     use zsl_core::model::ProjectionModel;
@@ -280,7 +281,10 @@ mod tests {
 
     fn start(path: &std::path::Path, config: BatchConfig) -> (Coalescer, Arc<ServeStats>) {
         let stats = Arc::new(ServeStats::new());
-        let model = Arc::new(ModelHandle::boot(path, stats.clone()).expect("boot"));
+        let model = Arc::new(
+            ModelHandle::boot_with_options(path, stats.clone(), BootOptions::default())
+                .expect("boot"),
+        );
         (Coalescer::start(model, stats.clone(), config), stats)
     }
 

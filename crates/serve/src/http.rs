@@ -2,10 +2,11 @@
 //!
 //! No async runtime and no HTTP dependency: a nonblocking accept loop, one
 //! thread per connection (keep-alive honored), and a hand-rolled parser for
-//! the tiny request surface the daemon speaks. Every request body is
-//! untrusted: framing errors, oversized bodies, unparsable or non-finite
-//! feature values, and width mismatches are all 4xx responses — the process
-//! never panics on a socket's bytes.
+//! the tiny request surface the daemon speaks. Every request is untrusted:
+//! framing errors, request heads over 64 KiB or 100 header lines (`431`),
+//! oversized bodies, unparsable or non-finite feature values, and width
+//! mismatches are all 4xx responses — the process never panics on a
+//! socket's bytes.
 //!
 //! ## Protocol
 //!
@@ -32,7 +33,7 @@ use crate::batch::{BatchConfig, Coalescer, RowResult};
 use crate::error::ServeError;
 use crate::model::{spawn_watcher, BootOptions, ModelHandle};
 use crate::stats::{ServeStats, StatsSnapshot};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Take, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -243,12 +244,22 @@ fn handle_connection(
         let request = match read_request(&mut reader, max_body) {
             Ok(Some(r)) => r,
             Ok(None) => return, // clean EOF between requests
-            Err(ReadError::TooLarge) => {
+            Err(ReadError::BodyTooLarge) => {
                 respond(
                     &mut writer,
                     413,
                     "Payload Too Large",
                     "body too large\n",
+                    false,
+                );
+                return;
+            }
+            Err(ReadError::HeadTooLarge) => {
+                respond(
+                    &mut writer,
+                    431,
+                    "Request Header Fields Too Large",
+                    "request head too large\n",
                     false,
                 );
                 return;
@@ -281,21 +292,31 @@ fn handle_connection(
 
 enum ReadError {
     Io,
-    TooLarge,
+    BodyTooLarge,
+    HeadTooLarge,
     Malformed(String),
 }
 
+/// Most bytes the request line and headers may take together.
+const MAX_HEAD_BYTES: u64 = 64 << 10;
+
+/// Most header lines one request may carry.
+const MAX_HEADERS: usize = 100;
+
 /// Parse one HTTP/1.1 request off the wire. `Ok(None)` is a clean EOF
 /// before a request line (keep-alive connection closed by the client).
+///
+/// The head is read through a [`MAX_HEAD_BYTES`] budget and may hold at
+/// most [`MAX_HEADERS`] header lines; past either limit the request is
+/// [`ReadError::HeadTooLarge`] and nothing more is read.
 fn read_request(
     reader: &mut BufReader<TcpStream>,
     max_body: usize,
 ) -> Result<Option<Request>, ReadError> {
+    let mut head = reader.by_ref().take(MAX_HEAD_BYTES);
     let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(_) => return Err(ReadError::Io),
+    if read_head_line(&mut head, &mut line)? == 0 {
+        return Ok(None);
     }
     let mut parts = line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next(), parts.next()) {
@@ -310,16 +331,19 @@ fn read_request(
 
     let mut content_length = 0usize;
     let mut keep_alive = true;
+    let mut headers = 0usize;
     loop {
         let mut header = String::new();
-        match reader.read_line(&mut header) {
-            Ok(0) => return Err(ReadError::Malformed("eof inside headers".into())),
-            Ok(_) => {}
-            Err(_) => return Err(ReadError::Io),
+        if read_head_line(&mut head, &mut header)? == 0 {
+            return Err(ReadError::Malformed("eof inside headers".into()));
         }
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(ReadError::HeadTooLarge);
         }
         let Some((name, value)) = header.split_once(':') else {
             return Err(ReadError::Malformed(format!("bad header: {header}")));
@@ -344,7 +368,7 @@ fn read_request(
         }
     }
     if content_length > max_body {
-        return Err(ReadError::TooLarge);
+        return Err(ReadError::BodyTooLarge);
     }
     let mut body = vec![0u8; content_length];
     if content_length > 0 {
@@ -361,6 +385,20 @@ fn read_request(
         body,
         keep_alive,
     }))
+}
+
+/// Read one line of the request head into `line`, returning its length
+/// (0 at end of stream). A line the head budget cuts off before its newline
+/// is [`ReadError::HeadTooLarge`].
+fn read_head_line(
+    head: &mut Take<&mut BufReader<TcpStream>>,
+    line: &mut String,
+) -> Result<usize, ReadError> {
+    let n = head.read_line(line).map_err(|_| ReadError::Io)?;
+    if head.limit() == 0 && !line.ends_with('\n') {
+        return Err(ReadError::HeadTooLarge);
+    }
+    Ok(n)
 }
 
 fn respond(writer: &mut TcpStream, code: u16, phrase: &str, body: &str, keep_alive: bool) {

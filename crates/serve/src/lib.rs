@@ -29,9 +29,9 @@
 //! # }
 //! ```
 //!
-//! The `zsl-serve` binary wraps exactly this. Latency/throughput numbers
-//! (p50/p99 per request, requests/s) are recorded as `[bench]` lines by
-//! `tests/throughput.rs`, mirroring the core crate's harness.
+//! The `zsl-serve` binary wraps exactly this. Its latency and throughput
+//! are measured by the workspace benchmark's serving workloads
+//! (`bench/README.md`).
 
 pub mod batch;
 pub mod error;

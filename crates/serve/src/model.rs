@@ -133,33 +133,10 @@ impl ModelHandle {
     /// the box needs the `.zsm` file and nothing else — no training data,
     /// no re-solve. A bad artifact is a typed error, never a panic.
     ///
-    /// The engine keeps the artifact's default thread sizing; use
-    /// [`ModelHandle::boot_with_threads`] to pin it.
-    pub fn boot(path: &Path, stats: Arc<ServeStats>) -> Result<ModelHandle, ServeError> {
-        Self::boot_with_threads(path, stats, zsl_core::default_threads())
-    }
-
-    /// Boot like [`ModelHandle::boot`], but size the engine's kernel
-    /// parallelism to exactly `engine_threads` (clamped to at least 1).
-    /// Every later hot-swap re-applies the same sizing, so a reload can
-    /// never silently revert the daemon to oversubscribed defaults.
-    pub fn boot_with_threads(
-        path: &Path,
-        stats: Arc<ServeStats>,
-        engine_threads: usize,
-    ) -> Result<ModelHandle, ServeError> {
-        Self::boot_with_options(
-            path,
-            stats,
-            BootOptions {
-                engine_threads,
-                ..BootOptions::default()
-            },
-        )
-    }
-
-    /// Boot with full [`BootOptions`]: thread sizing, opt-in mmap loading,
-    /// and bank sharding. Every later hot swap re-applies the same options.
+    /// [`BootOptions`] set the thread sizing, opt-in mmap loading and bank
+    /// sharding; every later hot swap re-applies the same options, so a
+    /// reload can never silently revert the daemon to oversubscribed
+    /// defaults.
     pub fn boot_with_options(
         path: &Path,
         stats: Arc<ServeStats>,
@@ -332,7 +309,8 @@ mod tests {
     fn boot_snapshot_and_forced_reload_bump_generation() {
         let path = temp_artifact("reload", 1);
         let stats = Arc::new(ServeStats::new());
-        let handle = ModelHandle::boot(&path, stats.clone()).expect("boot");
+        let handle = ModelHandle::boot_with_options(&path, stats.clone(), BootOptions::default())
+            .expect("boot");
         assert_eq!(handle.generation(), 1);
         assert_eq!(handle.snapshot().metadata, "seed=1");
         let generation = handle.reload().expect("reload");
@@ -345,7 +323,8 @@ mod tests {
     fn poll_swaps_only_on_change_and_failure_keeps_old_model() {
         let path = temp_artifact("poll", 2);
         let stats = Arc::new(ServeStats::new());
-        let handle = ModelHandle::boot(&path, stats.clone()).expect("boot");
+        let handle = ModelHandle::boot_with_options(&path, stats.clone(), BootOptions::default())
+            .expect("boot");
         assert_eq!(handle.poll().expect("poll"), None, "unchanged file swapped");
 
         // Corrupt the artifact in place (not via the atomic save path):
@@ -371,7 +350,15 @@ mod tests {
     fn pinned_engine_threads_survive_boot_and_reload() {
         let path = temp_artifact("threads", 3);
         let stats = Arc::new(ServeStats::new());
-        let handle = ModelHandle::boot_with_threads(&path, stats, 3).expect("boot");
+        let handle = ModelHandle::boot_with_options(
+            &path,
+            stats,
+            BootOptions {
+                engine_threads: 3,
+                ..BootOptions::default()
+            },
+        )
+        .expect("boot");
         assert_eq!(handle.engine_threads(), 3);
         assert_eq!(handle.snapshot().engine.threads(), 3);
         handle.reload().expect("reload");
@@ -387,7 +374,8 @@ mod tests {
     fn same_length_same_mtime_resave_still_triggers_hot_swap() {
         let path = temp_artifact("digest", 4);
         let stats = Arc::new(ServeStats::new());
-        let handle = ModelHandle::boot(&path, stats).expect("boot");
+        let handle =
+            ModelHandle::boot_with_options(&path, stats, BootOptions::default()).expect("boot");
         let original_len = std::fs::metadata(&path).expect("meta").len();
         let original_mtime = std::fs::metadata(&path)
             .expect("meta")
@@ -441,7 +429,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let stats = Arc::new(ServeStats::new());
         assert!(matches!(
-            ModelHandle::boot(&path, stats),
+            ModelHandle::boot_with_options(&path, stats, BootOptions::default()),
             Err(ServeError::Io(_))
         ));
     }

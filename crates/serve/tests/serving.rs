@@ -12,8 +12,9 @@
 //! - hot-swap reload never serves a partial or blended model: while a
 //!   writer re-saves the artifact in a loop, every response matches one of
 //!   the complete models exactly;
-//! - untrusted input (bad floats, wrong widths, bogus routes, corrupt
-//!   artifacts) produces typed 4xx/5xx responses, never a dead daemon.
+//! - untrusted input (bad floats, wrong widths, bogus routes, oversized
+//!   request heads, corrupt artifacts) produces typed 4xx/5xx responses,
+//!   never a dead daemon.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -45,16 +46,23 @@ fn random_engine(seed: u64, d: usize, a: usize, z: usize, sim: Similarity) -> Sc
 /// One-shot HTTP client: send a request with `Connection: close`, return
 /// `(status, body)`.
 fn http(addr: SocketAddr, method: &str, target: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("timeout");
     let request = format!(
         "{method} {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\
          Content-Length: {}\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(request.as_bytes()).expect("write");
+    exchange(addr, request.as_bytes())
+}
+
+/// Send `request` verbatim on a fresh connection and read until the daemon
+/// closes it: `(status, body)`. The read timeout turns a daemon that waits
+/// for more bytes into a failure rather than a hang.
+fn exchange(addr: SocketAddr, request: &[u8]) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    stream.write_all(request).expect("write");
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("read");
     let status: u16 = response
@@ -71,6 +79,16 @@ fn http(addr: SocketAddr, method: &str, target: &str, body: &str) -> (u16, Strin
 
 fn get(addr: SocketAddr, target: &str) -> (u16, String) {
     http(addr, "GET", target, "")
+}
+
+/// `rows` as a `/predict` body: one whitespace-separated row per line.
+fn predict_body(rows: &[Vec<f64>]) -> String {
+    rows.iter()
+        .map(|r| {
+            let values: Vec<String> = r.iter().map(|v| format!("{v}")).collect();
+            values.join(" ") + "\n"
+        })
+        .collect()
 }
 
 /// Render the reference response line exactly as the daemon does, from a
@@ -122,21 +140,7 @@ fn daemon_boots_from_artifact_alone_and_serves_bit_identical_predictions() {
     let rows: Vec<Vec<f64>> = (0..9)
         .map(|_| (0..5).map(|_| rng.normal()).collect())
         .collect();
-    let payload: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            r.iter()
-                .map(|v| format!("{v}"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        })
-        .collect();
-    let (status, body) = http(
-        server.addr(),
-        "POST",
-        "/predict?k=4",
-        &(payload.join("\n") + "\n"),
-    );
+    let (status, body) = http(server.addr(), "POST", "/predict?k=4", &predict_body(&rows));
     assert_eq!(status, 200, "{body}");
     let lines: Vec<&str> = body.lines().collect();
     assert_eq!(lines.len(), rows.len());
@@ -196,21 +200,7 @@ fn daemon_boots_every_model_family_from_its_artifact_alone() {
         let rows: Vec<Vec<f64>> = (0..5)
             .map(|_| (0..5).map(|_| rng.normal()).collect())
             .collect();
-        let payload: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                r.iter()
-                    .map(|v| format!("{v}"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            })
-            .collect();
-        let (status, body) = http(
-            server.addr(),
-            "POST",
-            "/predict?k=3",
-            &(payload.join("\n") + "\n"),
-        );
+        let (status, body) = http(server.addr(), "POST", "/predict?k=3", &predict_body(&rows));
         assert_eq!(status, 200, "{family}: {body}");
         for (row, line) in rows.iter().zip(body.lines()) {
             assert_eq!(line, expected_line(&engine, row, 3, 1), "{family}");
@@ -517,6 +507,100 @@ fn failed_reload_keeps_serving_the_old_model() {
         body.trim_end(),
         expected_line(&replacement, &[1.0, 2.0, 3.0, 4.0], 1, 2)
     );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn mmap_sharded_boot_and_reload_serve_bit_identical_predictions() {
+    // 300 classes are five 64-row tiles, so four bands really form.
+    let path = temp_artifact("mmap_sharded");
+    let engine = random_engine(108, 6, 4, 300, Similarity::Cosine);
+    engine.save(&path).expect("save");
+    let server = Server::start(
+        &path,
+        ServerConfig {
+            mmap_boot: true,
+            bank_shards: Some(4),
+            watch_interval: None,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("start");
+    let addr = server.addr();
+    let mapped = cfg!(all(unix, target_endian = "little"));
+    let assert_bank_gauges = |when: &str| {
+        let (status, body) = get(addr, "/stats");
+        assert_eq!(status, 200, "{when}: {body}");
+        assert!(body.contains("bank_shards=4\n"), "{when}: {body}");
+        if mapped {
+            assert!(body.contains("mmap_boot=1\n"), "{when}: {body}");
+            assert!(body.contains("bank_resident_bytes=0\n"), "{when}: {body}");
+        }
+    };
+
+    let mut rng = Rng::new(0x3A99);
+    let rows: Vec<Vec<f64>> = (0..8)
+        .map(|_| (0..6).map(|_| rng.normal()).collect())
+        .collect();
+    let body = predict_body(&rows);
+    let assert_served = |generation: u64| {
+        let (status, served) = http(addr, "POST", "/predict?k=5", &body);
+        assert_eq!(status, 200, "{served}");
+        let lines: Vec<&str> = served.lines().collect();
+        assert_eq!(lines.len(), rows.len());
+        for (row, line) in rows.iter().zip(lines) {
+            assert_eq!(line, expected_line(&engine, row, 5, generation));
+        }
+    };
+
+    assert_bank_gauges("boot");
+    assert_served(1);
+    let (status, reloaded) = http(addr, "POST", "/reload", "");
+    assert_eq!(status, 200, "{reloaded}");
+    assert!(reloaded.contains("generation=2"), "{reloaded}");
+    assert_bank_gauges("reload");
+    assert_served(2);
+    std::fs::remove_file(&path).ok();
+}
+
+// ---------------------------------------------------------------------------
+// Request-head limits
+// ---------------------------------------------------------------------------
+
+#[test]
+fn oversized_request_heads_get_431_and_the_daemon_survives() {
+    let path = temp_artifact("head_limits");
+    random_engine(109, 4, 3, 5, Similarity::Cosine)
+        .save(&path)
+        .expect("save");
+    let server = Server::start(&path, ServerConfig::default()).expect("start");
+    let addr = server.addr();
+    let request_line = "GET /healthz HTTP/1.1\r\n";
+
+    // Each request below ends exactly where the daemon stops reading, so it
+    // closes with nothing unread and the client sees the 431 rather than a
+    // reset. A header line that reaches the 64 KiB head budget without its
+    // newline:
+    let mut long = format!("{request_line}X-Long: ");
+    long.push_str(&"a".repeat((64 << 10) - long.len()));
+    let (status, body) = exchange(addr, long.as_bytes());
+    assert_eq!(status, 431, "over-long header line: {body}");
+
+    // The 101st header line:
+    let headers = |count: usize| -> String {
+        (0..count)
+            .map(|i| format!("X-Flood-{i}: {i}\r\n"))
+            .collect()
+    };
+    let flood = format!("{request_line}{}", headers(101));
+    let (status, body) = exchange(addr, flood.as_bytes());
+    assert_eq!(status, 431, "header flood: {body}");
+
+    // One header fewer is still a request.
+    let most = format!("{request_line}{}Connection: close\r\n\r\n", headers(99));
+    assert_eq!(exchange(addr, most.as_bytes()), (200, "ok\n".into()));
+
+    assert_eq!(get(addr, "/healthz"), (200, "ok\n".into()));
     std::fs::remove_file(&path).ok();
 }
 
