@@ -34,14 +34,14 @@
 //! cargo run --release -p zsl-serve -- /tmp/model.zsm
 //! ```
 //!
-//! `eval`, `train`, and `predict` all accept `--stream`: the same generic
-//! code path then reads features chunk-at-a-time through the
-//! `FeatureSource` impl of `StreamingBundle` instead of `Dataset`, with
-//! bit-identical results.
+//! Every subcommand but `export` opens the bundle with `StreamingBundle`.
+//! With `--stream`, the same generic code path then reads features
+//! chunk-at-a-time through the bundle's `FeatureSource` impl; without it,
+//! through the `Dataset` the bundle materializes. Results are bit-identical.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use zsl_core::data::{export_dataset, DatasetBundle, StreamingBundle, SyntheticConfig};
+use zsl_core::data::{export_dataset, StreamingBundle, SyntheticConfig};
 use zsl_core::eval::{evaluate_gzsl_with, CrossValConfig};
 use zsl_core::infer::{ScoringEngine, Similarity};
 use zsl_core::source::{FeatureSource, SplitKind};
@@ -86,73 +86,51 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Open the bundle as either source kind and hand it to `run` through the
-/// one generic `FeatureSource` interface — the same code path serves
-/// in-memory and out-of-core ingestion. The feature width rides along
-/// because the trait hides it (trainers learn it from the stream).
+/// Open the bundle and hand it to `run` through the one generic
+/// `FeatureSource` interface: the opened bundle itself (`--stream`), or the
+/// `Dataset` it materializes — the same code path serves in-memory and
+/// out-of-core ingestion. The feature width rides along because the trait
+/// hides it (trainers learn it from the stream).
 fn with_source(
     dir: &std::path::Path,
     stream: bool,
     chunk_rows: usize,
     run: impl FnOnce(&dyn FeatureSource, usize) -> ExitCode,
 ) -> ExitCode {
-    if stream {
-        let bundle = match StreamingBundle::open(dir, chunk_rows) {
-            Ok(b) => b,
+    let bundle = match StreamingBundle::open(dir, chunk_rows) {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("failed to open bundle {}: {e}", dir.display());
+            return ExitCode::FAILURE;
+        }
+    };
+    let d = bundle.feature_dim();
+    let shape = format!(
+        "{} samples x {d} features, {} classes x {} attributes",
+        bundle.num_samples(),
+        bundle.num_classes(),
+        bundle.attr_dim()
+    );
+    if !stream {
+        println!("bundle: {shape}");
+        return match bundle.to_dataset() {
+            Ok(ds) => run(&ds, d),
             Err(e) => {
-                eprintln!("failed to open streaming bundle {}: {e}", dir.display());
-                return ExitCode::FAILURE;
+                eprintln!("failed to read bundle {}: {e}", dir.display());
+                ExitCode::FAILURE
             }
         };
-        println!(
-            "streaming bundle: {} samples x {} features, {} classes x {} attributes",
-            bundle.num_samples(),
-            bundle.feature_dim(),
-            bundle.num_classes(),
-            bundle.attr_dim(),
-        );
-        // A chunk never exceeds the table, so clamp before estimating;
-        // saturating math keeps absurd --chunk-rows values from wrapping.
-        let effective_chunk = chunk_rows.min(bundle.num_samples());
-        println!(
-            "chunk_rows {chunk_rows}: peak resident feature memory ≈ {} KiB (vs {} KiB materialized)",
-            effective_chunk
-                .saturating_mul(bundle.feature_dim())
-                .saturating_mul(8)
-                / 1024,
-            bundle
-                .num_samples()
-                .saturating_mul(bundle.feature_dim())
-                .saturating_mul(8)
-                / 1024
-        );
-        let d = bundle.feature_dim();
-        run(&bundle, d)
-    } else {
-        let bundle = match DatasetBundle::load(dir) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("failed to load bundle {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        println!(
-            "bundle: {} samples x {} features, {} classes x {} attributes",
-            bundle.num_samples(),
-            bundle.feature_dim(),
-            bundle.num_classes(),
-            bundle.attr_dim()
-        );
-        let d = bundle.feature_dim();
-        let ds = match bundle.to_dataset() {
-            Ok(ds) => ds,
-            Err(e) => {
-                eprintln!("invalid splits: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        run(&ds, d)
     }
+    println!("streaming bundle: {shape}");
+    // A chunk never exceeds the table, so clamp before estimating;
+    // saturating math keeps absurd --chunk-rows values from wrapping.
+    let effective_chunk = chunk_rows.min(bundle.num_samples());
+    println!(
+        "chunk_rows {chunk_rows}: peak resident feature memory ≈ {} KiB (vs {} KiB materialized)",
+        effective_chunk.saturating_mul(d).saturating_mul(8) / 1024,
+        bundle.num_samples().saturating_mul(d).saturating_mul(8) / 1024
+    );
+    run(&bundle, d)
 }
 
 fn print_splits(source: &dyn FeatureSource) {

@@ -1,7 +1,7 @@
 //! On-disk serialization formats for dataset bundles.
 //!
-//! Three artifacts make up a bundle directory (loaded together by
-//! [`crate::data::DatasetBundle`]):
+//! Three artifacts make up a bundle directory (read together by
+//! [`crate::data::StreamingBundle`]):
 //!
 //! 1. **Feature table** — `features.zsb`, samples with raw class labels in a
 //!    compact little-endian binary dump with a fixed 32-byte header (see
@@ -41,16 +41,6 @@ pub struct FeatureTable {
     pub labels: Vec<u32>,
     /// Feature matrix, `n_samples x feature_dim`.
     pub features: Matrix,
-}
-
-impl FeatureTable {
-    /// Number of distinct raw labels (the `class_count` header field).
-    pub fn distinct_classes(&self) -> usize {
-        let mut sorted = self.labels.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        sorted.len()
-    }
 }
 
 /// Write a feature table as a `.zsb` binary dump.
@@ -412,20 +402,20 @@ pub struct SplitManifest {
 /// by [`SplitManifest::read_located`] so validation failures can point at
 /// the offending line, not just the file.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SectionLines {
+pub(crate) struct SectionLines {
     /// Line of the `trainval:` section.
-    pub trainval: Option<usize>,
+    trainval: Option<usize>,
     /// Line of the `test_seen:` section.
-    pub test_seen: Option<usize>,
+    test_seen: Option<usize>,
     /// Line of the `test_unseen:` section.
-    pub test_unseen: Option<usize>,
+    test_unseen: Option<usize>,
     /// Line of the optional `unseen_classes:` section.
-    pub unseen_classes: Option<usize>,
+    unseen_classes: Option<usize>,
 }
 
 impl SectionLines {
     /// Line of the named section, if it was present.
-    pub fn section(&self, name: &str) -> Option<usize> {
+    fn section(&self, name: &str) -> Option<usize> {
         match name {
             "trainval" => self.trainval,
             "test_seen" => self.test_seen,
@@ -447,7 +437,7 @@ impl SplitManifest {
     /// [`SplitManifest::validate`] for a manifest parsed from disk: any
     /// failure carries the manifest path and the 1-based line of the section
     /// the offending index came from.
-    pub fn validate_located(
+    pub(crate) fn validate_located(
         &self,
         num_samples: usize,
         path: &Path,
@@ -539,7 +529,7 @@ impl SplitManifest {
 
     /// [`SplitManifest::read`] plus the 1-based line number each section was
     /// declared on, for validation errors that point at the offending line.
-    pub fn read_located(path: &Path) -> Result<(Self, SectionLines), DataError> {
+    pub(crate) fn read_located(path: &Path) -> Result<(Self, SectionLines), DataError> {
         let text = std::fs::read_to_string(path).map_err(|e| DataError::io(path, e))?;
         let mut trainval = None;
         let mut test_seen = None;

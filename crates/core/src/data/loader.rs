@@ -5,17 +5,17 @@
 //! see [`crate::data::format`] for the file formats. A CSV feature table
 //! (`features.csv`) is an import source, not a bundle file: convert it once
 //! with [`crate::data::import_features_csv`] (`zsl-import --features-csv`).
-//! [`DatasetBundle::load`] reads and cross-validates the three
-//! files, remaps arbitrary raw class labels to dense ids, and
-//! [`DatasetBundle::to_dataset`] materializes the trainval / test-seen /
-//! test-unseen splits as the in-memory [`Dataset`] the trainers and
-//! evaluators consume. [`export_dataset`] is the inverse: any [`Dataset`]
-//! (e.g. a synthetic one) round-trips through disk bit-identically.
+//! [`crate::data::StreamingBundle::open`] reads and cross-validates the three
+//! files and remaps arbitrary raw class labels to dense ids;
+//! [`crate::data::StreamingBundle::to_dataset`] materializes the trainval /
+//! test-seen / test-unseen splits as the in-memory [`Dataset`] the trainers
+//! and evaluators consume. [`DatasetBundle`] is a bundle a caller assembles
+//! from tables it already holds; [`DatasetBundle::to_dataset`] runs the same
+//! checks on it. [`export_dataset`] is the inverse: any [`Dataset`] (e.g. a
+//! synthetic one) round-trips through disk bit-identically.
 
 use super::error::DataError;
-use super::format::{
-    read_signatures_csv, read_zsb, write_signatures_csv, write_zsb, FeatureTable, SplitManifest,
-};
+use super::format::{write_signatures_csv, write_zsb, FeatureTable, SplitManifest};
 use super::synthetic::Dataset;
 use crate::linalg::Matrix;
 use std::collections::BTreeMap;
@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 /// File name of the binary feature table inside a bundle directory.
 pub const FEATURES_ZSB: &str = "features.zsb";
 /// File name of the CSV feature table that `zsl-import --features-csv`
-/// converts to [`FEATURES_ZSB`]; the loaders never read it.
+/// converts to [`FEATURES_ZSB`]; a bundle is never read from it.
 pub const FEATURES_CSV: &str = "features.csv";
 /// File name of the signature table inside a bundle directory.
 pub const SIGNATURES_CSV: &str = "signatures.csv";
@@ -77,10 +77,13 @@ impl ClassMap {
     }
 }
 
-/// A fully loaded and cross-validated dataset bundle.
-///
-/// `labels` are already remapped to dense class ids (row indices of
+/// A dataset bundle held in memory: the feature table in file order, with
+/// labels already remapped to dense class ids (row indices of
 /// `signatures`); `class_map` recovers the original raw labels.
+///
+/// Callers that hold their own tables build one with a struct literal;
+/// nothing checks the fields until [`DatasetBundle::to_dataset`]. A bundle
+/// directory is read by [`crate::data::StreamingBundle::open`].
 #[derive(Clone, Debug)]
 pub struct DatasetBundle {
     /// All sample features, `n_samples x feature_dim`.
@@ -95,123 +98,69 @@ pub struct DatasetBundle {
     pub manifest: SplitManifest,
 }
 
-/// Path of a bundle's `features.zsb`, the one feature table the loaders
-/// read. Shared by [`DatasetBundle::load`] and
-/// [`crate::data::StreamingBundle::open`], so the two loaders cannot drift.
-/// A bundle that holds only `features.csv` is a NotFound error naming the
-/// import that converts it.
-pub(crate) fn feature_table_path(dir: &Path) -> Result<PathBuf, DataError> {
-    let path = dir.join(FEATURES_ZSB);
-    if !path.exists() && dir.join(FEATURES_CSV).is_file() {
-        return Err(DataError::io(
-            &path,
-            std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!(
-                    "bundle has {FEATURES_CSV} but no {FEATURES_ZSB}; convert it with \
-                     `zsl-import --features-csv {}`",
-                    dir.display()
-                ),
-            ),
+/// Check a bundle's parts against each other before [`SplitPlan::compute`]
+/// indexes with them: one dense label per feature row, each below
+/// `num_classes`, and a class map of `num_classes` classes that defines
+/// every declared unseen class. The manifest's indices were validated
+/// against `num_rows` by the caller: located in `splits.txt` by
+/// [`crate::data::StreamingBundle::open`], unlocated by
+/// [`DatasetBundle::to_dataset`], whose public fields nothing else checks.
+fn check_parts(
+    num_rows: usize,
+    labels: &[usize],
+    num_classes: usize,
+    class_map: &ClassMap,
+    manifest: &SplitManifest,
+) -> Result<(), DataError> {
+    let shape = |message: String| Err(DataError::Shape { message });
+    if labels.len() != num_rows {
+        return shape(format!(
+            "{} labels for {num_rows} feature rows",
+            labels.len()
         ));
     }
-    Ok(path)
-}
-
-/// Load `signatures.csv` and build the raw-label ↔ dense-id map — the bundle
-/// prologue shared by the in-memory and streaming loaders.
-pub(crate) fn load_signature_table(dir: &Path) -> Result<(Matrix, ClassMap), DataError> {
-    let (raw_class_labels, signatures) = read_signatures_csv(&dir.join(SIGNATURES_CSV))?;
-    let class_map = ClassMap::from_labels(&raw_class_labels)?;
-    Ok((signatures, class_map))
-}
-
-/// Read and cross-validate `splits.txt` against the sample count and class
-/// map (index validity plus declared-unseen-class existence) — shared by the
-/// in-memory and streaming loaders.
-pub(crate) fn load_validated_manifest(
-    dir: &Path,
-    num_samples: usize,
-    class_map: &ClassMap,
-) -> Result<SplitManifest, DataError> {
-    let splits_path = dir.join(SPLITS_TXT);
-    let (manifest, section_lines) = SplitManifest::read_located(&splits_path)?;
-    manifest.validate_located(num_samples, &splits_path, &section_lines)?;
+    if let Some((sample, &class)) = labels.iter().enumerate().find(|&(_, &c)| c >= num_classes) {
+        return shape(format!(
+            "sample {sample} has class {class}, out of range for {num_classes} classes"
+        ));
+    }
+    if class_map.len() != num_classes {
+        return shape(format!(
+            "class map holds {} classes but the signature table has {num_classes}",
+            class_map.len()
+        ));
+    }
     if let Some(declared) = &manifest.unseen_classes {
-        for &raw in declared {
-            if class_map.dense(raw).is_none() {
-                return Err(DataError::UnknownClass {
-                    label: raw,
-                    context: format!("{SPLITS_TXT} unseen_classes"),
-                });
-            }
+        if let Some(&label) = declared.iter().find(|&&raw| class_map.dense(raw).is_none()) {
+            return Err(DataError::UnknownClass {
+                label,
+                context: format!("{SPLITS_TXT} unseen_classes"),
+            });
         }
     }
-    Ok(manifest)
+    Ok(())
 }
 
 impl DatasetBundle {
-    /// Load a bundle directory: its `features.zsb`, `signatures.csv` and
-    /// `splits.txt`.
-    pub fn load(dir: &Path) -> Result<Self, DataError> {
-        let (signatures, class_map) = load_signature_table(dir)?;
-
-        let table = read_zsb(&feature_table_path(dir)?)?;
-        let labels = remap_labels(&table.labels, &class_map, FEATURES_ZSB)?;
-
-        let manifest = load_validated_manifest(dir, table.features.rows(), &class_map)?;
-
-        Ok(DatasetBundle {
-            features: table.features,
-            labels,
-            signatures,
-            class_map,
-            manifest,
-        })
-    }
-
-    /// Number of samples in the feature table.
-    pub fn num_samples(&self) -> usize {
-        self.features.rows()
-    }
-
-    /// Visual feature dimension.
-    pub fn feature_dim(&self) -> usize {
-        self.features.cols()
-    }
-
-    /// Attribute/signature dimension.
-    pub fn attr_dim(&self) -> usize {
-        self.signatures.cols()
-    }
-
-    /// Number of classes in the signature table.
-    pub fn num_classes(&self) -> usize {
-        self.signatures.rows()
-    }
-
-    /// Resolve the GZSL class structure of this bundle's splits — see
-    /// [`SplitPlan`]. Shared by [`DatasetBundle::to_dataset`] and the
-    /// streaming path ([`crate::data::StreamingBundle`]), so both enforce the
-    /// identical protocol checks.
-    pub fn split_plan(&self) -> Result<SplitPlan, DataError> {
-        SplitPlan::compute(
-            &self.labels,
-            &self.manifest,
-            &self.class_map,
-            self.num_classes(),
-        )
-    }
-
     /// Materialize the manifest's splits as an in-memory [`Dataset`].
     ///
     /// Seen classes are those with at least one `trainval` sample, unseen
     /// classes those observed in `test_unseen`; both keep dense-id order.
-    /// Errors when the two sets overlap (a GZSL protocol violation), when a
+    /// Errors when the fields disagree (labels per feature row, a label or
+    /// manifest index out of range, a declared unseen class the class map
+    /// lacks), when the two sets overlap (a GZSL protocol violation), when a
     /// `test_seen` sample belongs to a class never trained on, or when the
     /// manifest's declared `unseen_classes` disagree with the samples.
     pub fn to_dataset(&self) -> Result<Dataset, DataError> {
-        let plan = self.split_plan()?;
+        let rows = self.features.rows();
+        self.manifest.validate(rows)?;
+        let plan = SplitPlan::compute(
+            rows,
+            &self.labels,
+            &self.manifest,
+            &self.class_map,
+            self.signatures.rows(),
+        )?;
 
         let gather = |indices: &[usize], rank: &[usize]| -> (Matrix, Vec<usize>) {
             let x = self.features.gather_rows(indices);
@@ -249,15 +198,15 @@ impl DatasetBundle {
 /// `test_unseen`), in dense-id order, plus the rank of each class within its
 /// list — the local label space the trainers and evaluators use.
 ///
-/// Computing the plan performs the protocol checks that used to live inside
-/// `to_dataset`: seen/unseen overlap, declared-unseen-set agreement, and
-/// `test_seen` samples whose class was never trained on.
+/// Computing the plan performs the GZSL protocol checks: seen/unseen
+/// overlap, declared-unseen-set agreement, and `test_seen` samples whose
+/// class was never trained on.
 #[derive(Clone, Debug)]
-pub struct SplitPlan {
+pub(crate) struct SplitPlan {
     /// Dense class ids with at least one `trainval` sample, ascending.
-    pub seen_classes: Vec<usize>,
+    pub(crate) seen_classes: Vec<usize>,
     /// Dense class ids observed in `test_unseen`, ascending.
-    pub unseen_classes: Vec<usize>,
+    pub(crate) unseen_classes: Vec<usize>,
     /// Dense class id → rank in `seen_classes` (`usize::MAX` when unseen).
     pub(crate) seen_rank: Vec<usize>,
     /// Dense class id → rank in `unseen_classes` (`usize::MAX` when seen).
@@ -265,14 +214,17 @@ pub struct SplitPlan {
 }
 
 impl SplitPlan {
-    /// Build the plan from per-sample dense labels and a validated manifest,
-    /// running every GZSL protocol check.
+    /// Build the plan from `num_rows` samples' dense labels and a manifest
+    /// whose indices [`SplitManifest::validate`] accepted for `num_rows`:
+    /// [`check_parts`] first, then every GZSL protocol check.
     pub(crate) fn compute(
+        num_rows: usize,
         labels: &[usize],
         manifest: &SplitManifest,
         class_map: &ClassMap,
         num_classes: usize,
     ) -> Result<Self, DataError> {
+        check_parts(num_rows, labels, num_classes, class_map, manifest)?;
         let z = num_classes;
         let mut in_trainval = vec![false; z];
         for &i in &manifest.trainval {
@@ -296,7 +248,7 @@ impl SplitPlan {
         if let Some(declared) = &manifest.unseen_classes {
             let mut declared_dense: Vec<usize> = declared
                 .iter()
-                .map(|&raw| class_map.dense(raw).expect("checked at load"))
+                .map(|&raw| class_map.dense(raw).expect("checked by check_parts"))
                 .collect();
             declared_dense.sort_unstable();
             if declared_dense != unseen_classes {
@@ -336,16 +288,6 @@ impl SplitPlan {
             unseen_rank,
         })
     }
-
-    /// Number of seen classes.
-    pub fn num_seen(&self) -> usize {
-        self.seen_classes.len()
-    }
-
-    /// Number of unseen classes.
-    pub fn num_unseen(&self) -> usize {
-        self.unseen_classes.len()
-    }
 }
 
 /// Map a feature table's raw labels to dense class ids, failing with
@@ -368,8 +310,9 @@ pub(crate) fn remap_labels(
 }
 
 /// Export a [`Dataset`] as a `.zsb` bundle directory (created if absent), the
-/// inverse of [`DatasetBundle::load`] + [`DatasetBundle::to_dataset`]:
-/// reloading reproduces every matrix and label list bit-identically.
+/// inverse of [`crate::data::StreamingBundle::open`] +
+/// [`crate::data::StreamingBundle::to_dataset`]: reloading reproduces every
+/// matrix and label list bit-identically.
 ///
 /// Classes are written with dense raw labels `0..num_seen` (seen) and
 /// `num_seen..num_seen+num_unseen` (unseen); samples are concatenated
@@ -432,10 +375,45 @@ pub fn export_dataset(ds: &Dataset, dir: &Path) -> Result<PathBuf, DataError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::SyntheticConfig;
+    use crate::data::format::{read_signatures_csv, read_zsb};
+    use crate::data::{Rng, StreamingBundle, SyntheticConfig};
 
     fn temp_dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("zsl_loader_{}_{tag}", std::process::id()))
+    }
+
+    /// The bundle in `dir` as a caller holding its own tables assembles it:
+    /// `read_zsb`'s file-order features and labels, remapped through the
+    /// signature table's class map, plus the manifest on disk.
+    fn literal(dir: &Path) -> DatasetBundle {
+        let table = read_zsb(&dir.join(FEATURES_ZSB)).unwrap();
+        let (raw_classes, signatures) = read_signatures_csv(&dir.join(SIGNATURES_CSV)).unwrap();
+        let class_map = ClassMap::from_labels(&raw_classes).unwrap();
+        DatasetBundle {
+            labels: remap_labels(&table.labels, &class_map, FEATURES_ZSB).unwrap(),
+            features: table.features,
+            signatures,
+            class_map,
+            manifest: SplitManifest::read(&dir.join(SPLITS_TXT)).unwrap(),
+        }
+    }
+
+    /// Every matrix (shape and bits) and label list of `a` equals `b`'s.
+    fn assert_same(a: &Dataset, b: &Dataset, label: &str) {
+        let bits = |m: &Matrix| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+        for (x, y) in [
+            (&a.train_x, &b.train_x),
+            (&a.test_seen_x, &b.test_seen_x),
+            (&a.test_unseen_x, &b.test_unseen_x),
+            (&a.seen_signatures, &b.seen_signatures),
+            (&a.unseen_signatures, &b.unseen_signatures),
+        ] {
+            assert_eq!((x.rows(), x.cols()), (y.rows(), y.cols()), "{label}");
+            assert_eq!(bits(x), bits(y), "{label}");
+        }
+        assert_eq!(a.train_labels, b.train_labels, "{label}");
+        assert_eq!(a.test_seen_labels, b.test_seen_labels, "{label}");
+        assert_eq!(a.test_unseen_labels, b.test_unseen_labels, "{label}");
     }
 
     #[test]
@@ -465,11 +443,9 @@ mod tests {
             .build();
         let dir = temp_dir("rt");
         export_dataset(&ds, &dir).unwrap();
-        let bundle = DatasetBundle::load(&dir).unwrap();
-        assert_eq!(
-            bundle.num_samples(),
-            ds.train_x.rows() + ds.test_seen_x.rows() + ds.test_unseen_x.rows()
-        );
+        let n = ds.train_x.rows() + ds.test_seen_x.rows() + ds.test_unseen_x.rows();
+        let bundle = StreamingBundle::open(&dir, 7).unwrap();
+        assert_eq!(bundle.num_samples(), n);
         let back = bundle.to_dataset().unwrap();
         assert_eq!(back.train_x.as_slice(), ds.train_x.as_slice());
         assert_eq!(back.train_labels, ds.train_labels);
@@ -485,12 +461,68 @@ mod tests {
             back.unseen_signatures.as_slice(),
             ds.unseen_signatures.as_slice()
         );
+
+        // The two materializers agree bit for bit: the opener's streamed
+        // concatenation at every chunk size, and the struct-literal gather
+        // over `read_zsb`'s table with the same manifest.
+        let materializers_agree = |layout: &str| -> Dataset {
+            let gathered = literal(&dir).to_dataset().unwrap();
+            for chunk_rows in [1, 7, n, usize::MAX] {
+                let streamed = StreamingBundle::open(&dir, chunk_rows)
+                    .unwrap()
+                    .to_dataset()
+                    .unwrap();
+                assert_same(
+                    &streamed,
+                    &gathered,
+                    &format!("{layout}, chunk_rows={chunk_rows}"),
+                );
+            }
+            gathered
+        };
+        // The exported layout: each split one ascending run of rows.
+        assert_same(&materializers_agree("exported"), &back, "exported");
+
+        // Rows permuted on disk, so the three splits interleave in the file,
+        // and each split's manifest order shuffled: short, non-ascending
+        // runs for the seek-coalesced reader.
+        let mut rng = Rng::new(0x5EED);
+        let mut perm: Vec<usize> = (0..n).collect();
+        rng.shuffle(&mut perm);
+        let mut new_row = vec![0; n];
+        for (row, &old) in perm.iter().enumerate() {
+            new_row[old] = row;
+        }
+        let table = read_zsb(&dir.join(FEATURES_ZSB)).unwrap();
+        let permuted = FeatureTable {
+            labels: perm.iter().map(|&old| table.labels[old]).collect(),
+            features: table.features.gather_rows(&perm),
+        };
+        write_zsb(&dir.join(FEATURES_ZSB), &permuted).unwrap();
+        let mut manifest = SplitManifest::read(&dir.join(SPLITS_TXT)).unwrap();
+        for split in [
+            &mut manifest.trainval,
+            &mut manifest.test_seen,
+            &mut manifest.test_unseen,
+        ] {
+            for i in split.iter_mut() {
+                *i = new_row[*i];
+            }
+            rng.shuffle(split);
+        }
+        manifest.write(&dir.join(SPLITS_TXT)).unwrap();
+        let shuffled = materializers_agree("interleaved");
+        assert_eq!(shuffled.train_x.rows(), ds.train_x.rows());
+        assert_ne!(
+            shuffled.train_labels, ds.train_labels,
+            "the shuffle must reorder trainval"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn load_autodetects_zsb_over_csv() {
-        // `features.zsb` is the only table the loader reads: a CSV next to
+        // `features.zsb` is the only table the opener reads: a CSV next to
         // it is never parsed. (A CSV alone is a NotFound naming the import;
         // `tests/loader_errors.rs` pins that.)
         let ds = SyntheticConfig::new()
@@ -501,7 +533,8 @@ mod tests {
         let dir = temp_dir("autodetect");
         export_dataset(&ds, &dir).unwrap();
         std::fs::write(dir.join(FEATURES_CSV), "not,a,feature,table\n").unwrap();
-        let bundle = DatasetBundle::load(&dir).unwrap();
+        let bundle = StreamingBundle::open(&dir, 4).unwrap();
+        bundle.to_dataset().unwrap();
         assert_eq!(bundle.num_samples(), 10);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -6,24 +6,28 @@
 //! - **Synthetic** ([`SyntheticConfig`]): hermetic, seed-determined data in
 //!   the regime where a linear feature→attribute projection is recoverable —
 //!   the anchor for the trainer tests.
-//! - **From disk** ([`DatasetBundle`]): a bundle directory holding a compact
-//!   `.zsb` binary feature table, a `signatures.csv` class table, and a
-//!   `splits.txt` manifest assigning samples to trainval / test-seen /
+//! - **From disk** ([`StreamingBundle`]): a bundle directory holding a
+//!   compact `.zsb` binary feature table, a `signatures.csv` class table,
+//!   and a `splits.txt` manifest assigning samples to trainval / test-seen /
 //!   test-unseen (mirroring the `att_splits` structure of the reference
 //!   ESZSL code). Raw class labels are arbitrary `u32`s, remapped to dense
 //!   ids by a [`ClassMap`]. Every loader failure is a typed [`DataError`].
-//!   `.zsb` is the only feature format the loaders read: a CSV feature table
-//!   is converted once by [`import_features_csv`] (`zsl-import
+//!   `.zsb` is the only feature format a bundle is read from: a CSV feature
+//!   table is converted once by [`import_features_csv`] (`zsl-import
 //!   --features-csv`), as `.mat` benchmarks are by `zsl-import`.
 //!
-//! [`export_dataset`] writes any [`Dataset`] as a bundle; the round trip
-//! (write → read → [`DatasetBundle::to_dataset`]) is bit-identical, which the
-//! property tests in `tests/property.rs` sweep across shapes and seeds.
-//!
-//! For feature files larger than RAM, the [`stream`] module iterates bundles
-//! chunk-at-a-time: [`StreamingBundle`] keeps features on disk and feeds the
+//! [`StreamingBundle`] is the one bundle reader. It keeps features on disk
+//! and streams them chunk-at-a-time (the [`stream`] module) into the
 //! out-of-core trainer/evaluator paths with peak feature memory
-//! `O(chunk_rows x feature_dim)`, bit-identical to the in-memory pipeline.
+//! `O(chunk_rows x feature_dim)`, bit-identical to the in-memory pipeline;
+//! [`StreamingBundle::to_dataset`] concatenates the same streams into a
+//! [`Dataset`]. [`DatasetBundle`] holds a bundle a caller assembled in
+//! memory.
+//!
+//! [`export_dataset`] writes any [`Dataset`] as a bundle; the round trip
+//! (write → [`StreamingBundle::open`] → [`StreamingBundle::to_dataset`]) is
+//! bit-identical, which the property tests in `tests/property.rs` sweep
+//! across shapes and seeds.
 
 mod error;
 pub mod format;
@@ -34,14 +38,11 @@ pub mod stream;
 mod synthetic;
 
 pub use error::DataError;
-pub use format::{
-    FeatureTable, SectionLines, SplitManifest, ZsbWriter, ZSB_HEADER_LEN, ZSB_MAGIC, ZSB_VERSION,
-};
+pub use format::{FeatureTable, SplitManifest, ZsbWriter, ZSB_HEADER_LEN, ZSB_MAGIC, ZSB_VERSION};
 pub use import::import_features_csv;
 pub use loader::{
-    export_dataset, ClassMap, DatasetBundle, SplitPlan, FEATURES_CSV, FEATURES_ZSB, SIGNATURES_CSV,
-    SPLITS_TXT,
+    export_dataset, ClassMap, DatasetBundle, FEATURES_CSV, FEATURES_ZSB, SIGNATURES_CSV, SPLITS_TXT,
 };
 pub use rng::Rng;
-pub use stream::{FeatureChunk, SplitStream, StreamingBundle, ZsbChunkReader};
+pub use stream::{FeatureChunk, StreamingBundle, ZsbChunkReader};
 pub use synthetic::{Dataset, SyntheticConfig};

@@ -7,15 +7,15 @@
 //! pipeline:
 //!
 //! - [`ZsbChunkReader`] iterates a `.zsb` feature table as [`FeatureChunk`]s
-//!   of at most `chunk_rows` rows, forward or in an explicit (shuffled,
-//!   repeating) row order, with full header and truncation validation. It is
-//!   the one `.zsb` decoder: the in-memory [`crate::data::format::read_zsb`]
-//!   concatenates its chunks.
-//! - [`StreamingBundle`] is the streaming twin of
-//!   [`crate::data::DatasetBundle`]: signatures, labels, and the split
-//!   manifest are loaded and cross-validated eagerly (all `O(n)` or smaller),
-//!   while features stay on disk and are re-streamed per pass via
-//!   [`SplitStream`].
+//!   of at most `chunk_rows` rows, in a row order that is either every row
+//!   of the file or an explicit (shuffled, repeating) index list, with full
+//!   header and truncation validation. It is the one `.zsb` decoder: the
+//!   in-memory [`crate::data::format::read_zsb`] concatenates its chunks.
+//! - [`StreamingBundle`] is the one bundle reader: signatures, labels, and
+//!   the split manifest are loaded and cross-validated eagerly (all `O(n)`
+//!   or smaller), while features stay on disk and are re-streamed per pass
+//!   through its [`FeatureSource`] impl. [`StreamingBundle::to_dataset`]
+//!   concatenates those streams into an in-memory [`Dataset`].
 //!
 //! CSV feature tables are not read here: `zsl-import --features-csv` (or
 //! [`crate::data::import_features_csv`]) converts them to `.zsb` once.
@@ -33,9 +33,17 @@
 //! suite in `tests/streaming_equiv.rs` pins this end to end.
 
 use super::error::DataError;
-use super::format::{parse_zsb_header, zsb_validate_dims, SplitManifest, ZSB_HEADER_LEN};
-use super::loader::{feature_table_path, remap_labels, ClassMap, SplitPlan, FEATURES_ZSB};
+use super::format::{
+    parse_zsb_header, read_signatures_csv, zsb_validate_dims, SplitManifest, ZSB_HEADER_LEN,
+};
+use super::loader::{
+    remap_labels, ClassMap, SplitPlan, FEATURES_CSV, FEATURES_ZSB, SIGNATURES_CSV, SPLITS_TXT,
+};
+use super::synthetic::Dataset;
+use crate::error::ZslError;
 use crate::linalg::Matrix;
+use crate::source::{validate_subset_positions, FeatureSource, SourceStream, SplitKind};
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -43,9 +51,9 @@ use std::path::{Path, PathBuf};
 /// One block of consecutive samples pulled from a feature table.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FeatureChunk {
-    /// Global index of the first row: its row number in the file for forward
-    /// readers, or its position in the requested index list for indexed
-    /// readers ([`ZsbChunkReader::open_indexed`]).
+    /// Position of the chunk's first row in the reader's row order: its row
+    /// number in the file for [`ZsbChunkReader::open`], its index into the
+    /// requested list for [`ZsbChunkReader::open_indexed`].
     pub start_row: usize,
     /// Raw class label per chunk row, `len == features.rows()` (empty when
     /// the crate-internal trusted indexed mode skipped the label block).
@@ -85,13 +93,15 @@ fn read_failure(path: &Path, expected: u64, e: std::io::Error) -> DataError {
 
 /// Chunked reader over a `.zsb` binary feature dump.
 ///
-/// [`ZsbChunkReader::open`] reads and fully validates the 32-byte header and
-/// the label block (magic, version, flags, reserved bytes, non-zero dims,
-/// u64 *and* usize overflow of the promised payload, exact file length —
-/// truncation and trailing garbage are both rejected before the first chunk —
-/// and the header `class_count` against the labels actually present). Feature
-/// rows are then streamed in `chunk_rows` blocks; every value is checked
-/// finite with the same error message as the in-memory reader.
+/// Opening reads and fully validates the 32-byte header and the label block
+/// (magic, version, flags, reserved bytes, non-zero dims, u64 *and* usize
+/// overflow of the promised payload, exact file length — truncation and
+/// trailing garbage are both rejected before the first chunk — and the
+/// header `class_count` against the labels actually present). Feature rows
+/// are then streamed in `chunk_rows` blocks in the reader's row order: every
+/// row in file order ([`ZsbChunkReader::open`]) or an explicit index list
+/// ([`ZsbChunkReader::open_indexed`]). Every value is checked finite with
+/// the same error message as the in-memory reader.
 ///
 /// The iterator yields `Result<FeatureChunk, DataError>` and fuses after the
 /// first error.
@@ -104,18 +114,18 @@ pub struct ZsbChunkReader {
     feature_dim: usize,
     expected_len: u64,
     chunk_rows: usize,
-    /// `None`: forward scan over all rows. `Some(indices)`: yield exactly
-    /// these global rows, in order, via seeks.
-    order: Option<Vec<usize>>,
-    /// Next global row (forward mode) or next position in `order` (indexed).
+    /// The global rows to yield, in order (repeats allowed).
+    order: Vec<usize>,
+    /// Next position in `order`.
     cursor: usize,
     failed: bool,
 }
 
 impl ZsbChunkReader {
-    /// Open a `.zsb` file for a forward scan in `chunk_rows` blocks.
+    /// Open a `.zsb` file to stream every row, in file order, in
+    /// `chunk_rows` blocks.
     pub fn open(path: &Path, chunk_rows: usize) -> Result<Self, DataError> {
-        Self::open_inner(path, chunk_rows, None, true)
+        Self::open_inner(path, None, chunk_rows, true)
     }
 
     /// Open a `.zsb` file to stream exactly `indices` (global row numbers, in
@@ -132,7 +142,7 @@ impl ZsbChunkReader {
         indices: &[usize],
         chunk_rows: usize,
     ) -> Result<Self, DataError> {
-        Self::open_indexed_inner(path, indices, chunk_rows, true)
+        Self::open_inner(path, Some(indices), chunk_rows, true)
     }
 
     /// [`ZsbChunkReader::open_indexed`] minus the label-block read and
@@ -146,29 +156,15 @@ impl ZsbChunkReader {
         indices: &[usize],
         chunk_rows: usize,
     ) -> Result<Self, DataError> {
-        Self::open_indexed_inner(path, indices, chunk_rows, false)
+        Self::open_inner(path, Some(indices), chunk_rows, false)
     }
 
-    fn open_indexed_inner(
-        path: &Path,
-        indices: &[usize],
-        chunk_rows: usize,
-        read_labels: bool,
-    ) -> Result<Self, DataError> {
-        let reader = Self::open_inner(path, chunk_rows, Some(indices.to_vec()), read_labels)?;
-        if let Some(&bad) = indices.iter().find(|&&i| i >= reader.n_samples) {
-            return Err(DataError::split(format!(
-                "streamed row index {bad} out of range for {} samples",
-                reader.n_samples
-            )));
-        }
-        Ok(reader)
-    }
-
+    /// Validate the header, the file length and (with `read_labels`) the
+    /// label block, then take the row order: `indices`, or every row.
     fn open_inner(
         path: &Path,
+        indices: Option<&[usize]>,
         chunk_rows: usize,
-        order: Option<Vec<usize>>,
         read_labels: bool,
     ) -> Result<Self, DataError> {
         validate_chunk_rows(chunk_rows)?;
@@ -230,6 +226,18 @@ impl ZsbChunkReader {
             Vec::new()
         };
 
+        let order = match indices {
+            None => (0..n).collect(),
+            Some(indices) => {
+                if let Some(&bad) = indices.iter().find(|&&i| i >= n) {
+                    return Err(DataError::split(format!(
+                        "streamed row index {bad} out of range for {n} samples"
+                    )));
+                }
+                indices.to_vec()
+            }
+        };
+
         Ok(ZsbChunkReader {
             path: path.into(),
             file,
@@ -244,7 +252,7 @@ impl ZsbChunkReader {
         })
     }
 
-    /// Total sample rows in the file (not the index list).
+    /// Total sample rows in the file (not the row order's length).
     pub fn num_samples(&self) -> usize {
         self.n_samples
     }
@@ -266,16 +274,21 @@ impl ZsbChunkReader {
         ZSB_HEADER_LEN + 4 * self.n_samples as u64 + (row as u64) * (8 * self.feature_dim as u64)
     }
 
-    /// Read `rows` consecutive feature rows starting at global row `start`
-    /// from the current file position, finite-checking each value.
-    fn read_rows_at_cursor(&mut self, start: usize, rows: usize) -> Result<Vec<f64>, DataError> {
+    /// Append `rows` consecutive feature rows, starting at global row
+    /// `start`, from the current file position to `out`, finite-checking
+    /// each value.
+    fn read_rows_at_cursor(
+        &mut self,
+        start: usize,
+        rows: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<(), DataError> {
         let d = self.feature_dim;
         let mut bytes = vec![0u8; rows * d * 8];
         let expected = self.expected_len;
         self.file
             .read_exact(&mut bytes)
             .map_err(|e| read_failure(&self.path, expected, e))?;
-        let mut data = Vec::with_capacity(rows * d);
         for (i, b) in bytes.chunks_exact(8).enumerate() {
             let v = f64::from_le_bytes(b.try_into().expect("8 bytes"));
             if !v.is_finite() {
@@ -288,81 +301,40 @@ impl ZsbChunkReader {
                     ),
                 ));
             }
-            data.push(v);
+            out.push(v);
         }
-        Ok(data)
+        Ok(())
     }
 
-    fn next_forward(&mut self) -> Option<Result<FeatureChunk, DataError>> {
-        if self.cursor >= self.n_samples {
-            return None;
-        }
-        let start = self.cursor;
-        let rows = self.chunk_rows.min(self.n_samples - start);
-        let data = match self.read_rows_at_cursor(start, rows) {
-            Ok(data) => data,
-            Err(e) => {
-                self.failed = true;
-                return Some(Err(e));
-            }
-        };
-        self.cursor = start + rows;
-        Some(Ok(FeatureChunk {
-            start_row: start,
-            labels: self.labels[start..start + rows].to_vec(),
-            features: Matrix::from_vec(rows, self.feature_dim, data),
-        }))
-    }
-
-    fn next_indexed(&mut self) -> Option<Result<FeatureChunk, DataError>> {
-        let order = self.order.take().expect("indexed mode");
-        let result = self.next_indexed_inner(&order);
-        self.order = Some(order);
-        result
-    }
-
-    fn next_indexed_inner(&mut self, order: &[usize]) -> Option<Result<FeatureChunk, DataError>> {
-        if self.cursor >= order.len() {
-            return None;
-        }
-        let start_pos = self.cursor;
-        let take = self.chunk_rows.min(order.len() - start_pos);
-        let wanted = &order[start_pos..start_pos + take];
+    /// Read the rows at positions `start..start + take` of the row order,
+    /// coalescing each run of consecutive rows into one seek + read.
+    fn read_chunk(&mut self, start: usize, take: usize) -> Result<FeatureChunk, DataError> {
         let d = self.feature_dim;
+        let end = start + take;
         let mut data = Vec::with_capacity(take * d);
         let mut labels = Vec::with_capacity(take);
-        let mut p = 0;
-        while p < take {
-            // Coalesce a run of consecutive indices into one seek + read.
-            let run_start = wanted[p];
+        let mut p = start;
+        while p < end {
+            let run_start = self.order[p];
             let mut run_len = 1;
-            while p + run_len < take && wanted[p + run_len] == wanted[p + run_len - 1] + 1 {
+            while p + run_len < end && self.order[p + run_len] == self.order[p + run_len - 1] + 1 {
                 run_len += 1;
             }
             let offset = self.row_offset(run_start);
-            let run = self
-                .file
+            self.file
                 .seek(SeekFrom::Start(offset))
-                .map_err(|e| DataError::io(&self.path, e))
-                .and_then(|_| self.read_rows_at_cursor(run_start, run_len));
-            match run {
-                Ok(rows) => data.extend_from_slice(&rows),
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            }
+                .map_err(|e| DataError::io(&self.path, e))?;
+            self.read_rows_at_cursor(run_start, run_len, &mut data)?;
             if !self.labels.is_empty() {
-                labels.extend(wanted[p..p + run_len].iter().map(|&g| self.labels[g]));
+                labels.extend_from_slice(&self.labels[run_start..run_start + run_len]);
             }
             p += run_len;
         }
-        self.cursor = start_pos + take;
-        Some(Ok(FeatureChunk {
-            start_row: start_pos,
+        Ok(FeatureChunk {
+            start_row: start,
             labels,
             features: Matrix::from_vec(take, d, data),
-        }))
+        })
     }
 }
 
@@ -370,58 +342,53 @@ impl Iterator for ZsbChunkReader {
     type Item = Result<FeatureChunk, DataError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
+        if self.failed || self.cursor >= self.order.len() {
             return None;
         }
-        if self.order.is_some() {
-            self.next_indexed()
-        } else {
-            self.next_forward()
+        let take = self.chunk_rows.min(self.order.len() - self.cursor);
+        let chunk = self.read_chunk(self.cursor, take);
+        match chunk {
+            Ok(_) => self.cursor += take,
+            Err(_) => self.failed = true,
         }
+        Some(chunk)
     }
 }
 
-/// A chunked stream over one split of a bundle: yields
-/// `(features, dense-rank labels)` blocks in the split's manifest order,
-/// holding at most `chunk_rows` feature rows at a time.
-///
-/// Produced by the `stream_*` methods on [`StreamingBundle`]. Fuses after
-/// the first error (the reader does): a consumer that keeps polling past an
-/// `Err` gets `None`, never a second (possibly misleading) error.
-#[derive(Debug)]
-pub struct SplitStream {
-    /// Seek-coalesced gather in explicit index order: only the selected byte
-    /// ranges are read, so a sparse split over a huge file skips the rest
-    /// entirely — an ascending dense split degenerates to one long
-    /// sequential run.
-    reader: ZsbChunkReader,
-    /// `labels[position]` pairs with the index list handed to the reader.
-    labels: Vec<usize>,
-}
-
-impl Iterator for SplitStream {
-    type Item = Result<(Matrix, Vec<usize>), DataError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let chunk = match self.reader.next()? {
-            Ok(chunk) => chunk,
-            Err(e) => return Some(Err(e)),
-        };
-        let rows = chunk.features.rows();
-        let local = self.labels[chunk.start_row..chunk.start_row + rows].to_vec();
-        Some(Ok((chunk.features, local)))
+/// Path of a bundle's `features.zsb`, the one feature table a bundle holds.
+/// A bundle with only `features.csv` is a NotFound error naming the import
+/// that converts it.
+fn feature_table_path(dir: &Path) -> Result<PathBuf, DataError> {
+    let path = dir.join(FEATURES_ZSB);
+    if !path.exists() && dir.join(FEATURES_CSV).is_file() {
+        return Err(DataError::io(
+            &path,
+            std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!(
+                    "bundle has {FEATURES_CSV} but no {FEATURES_ZSB}; convert it with \
+                     `zsl-import --features-csv {}`",
+                    dir.display()
+                ),
+            ),
+        ));
     }
+    Ok(path)
 }
 
-/// The streaming twin of [`crate::data::DatasetBundle`]: everything *except*
-/// the feature matrix is loaded and cross-validated up front (signatures,
-/// class map, per-sample labels, split manifest — all `O(n)` or smaller),
-/// while features stay on disk and are re-read chunk-at-a-time per pass.
+/// The reader of a bundle directory: everything *except* the feature matrix
+/// is loaded and cross-validated up front (signatures, per-sample labels,
+/// split manifest — all `O(n)` or smaller), while features stay on disk and
+/// are re-read chunk-at-a-time per pass through the bundle's
+/// [`FeatureSource`] impl. [`StreamingBundle::to_dataset`] concatenates the
+/// same streams into an in-memory [`Dataset`].
 ///
-/// Construction runs the same validation as the in-memory loader: label
-/// remapping against the signature table, manifest index validation, declared
-/// unseen-class checks, and the full GZSL [`SplitPlan`] protocol checks. The
-/// `.zsb` header and labels are validated without touching the payload.
+/// Opening validates the signature table, the `.zsb` header and labels
+/// (without touching the feature payload), label remapping against the
+/// signature table, the manifest's indices (an error names its `splits.txt`
+/// line), its declared unseen classes, and the GZSL protocol checks:
+/// seen/unseen overlap, declared-unseen agreement, and `test_seen` samples
+/// of a class with no `trainval` sample.
 #[derive(Debug)]
 pub struct StreamingBundle {
     /// The bundle's `features.zsb`.
@@ -430,36 +397,42 @@ pub struct StreamingBundle {
     /// Dense class id per sample, file order.
     labels: Vec<usize>,
     signatures: Matrix,
-    class_map: ClassMap,
     manifest: SplitManifest,
-    num_samples: usize,
     feature_dim: usize,
     plan: SplitPlan,
 }
 
 impl StreamingBundle {
-    /// Open a bundle directory for streaming its `features.zsb` in
-    /// `chunk_rows` blocks.
+    /// Open a bundle directory — its `features.zsb`, `signatures.csv` and
+    /// `splits.txt` — for streaming features in `chunk_rows` blocks.
     pub fn open(dir: &Path, chunk_rows: usize) -> Result<Self, DataError> {
         validate_chunk_rows(chunk_rows)?;
-        let (signatures, class_map) = super::loader::load_signature_table(dir)?;
+        let (raw_classes, signatures) = read_signatures_csv(&dir.join(SIGNATURES_CSV))?;
+        let class_map = ClassMap::from_labels(&raw_classes)?;
 
+        // Header and labels only: an empty row order reads no feature row.
         let features = feature_table_path(dir)?;
-        let reader = ZsbChunkReader::open(&features, chunk_rows)?;
+        let reader = ZsbChunkReader::open_indexed(&features, &[], chunk_rows)?;
         let (num_samples, feature_dim) = (reader.num_samples(), reader.feature_dim());
         let labels = remap_labels(reader.labels(), &class_map, FEATURES_ZSB)?;
 
-        let manifest = super::loader::load_validated_manifest(dir, num_samples, &class_map)?;
-        let plan = SplitPlan::compute(&labels, &manifest, &class_map, signatures.rows())?;
+        let splits_path = dir.join(SPLITS_TXT);
+        let (manifest, section_lines) = SplitManifest::read_located(&splits_path)?;
+        manifest.validate_located(num_samples, &splits_path, &section_lines)?;
+        let plan = SplitPlan::compute(
+            num_samples,
+            &labels,
+            &manifest,
+            &class_map,
+            signatures.rows(),
+        )?;
 
         Ok(StreamingBundle {
             features,
             chunk_rows,
             labels,
             signatures,
-            class_map,
             manifest,
-            num_samples,
             feature_dim,
             plan,
         })
@@ -467,7 +440,7 @@ impl StreamingBundle {
 
     /// Number of samples in the feature table.
     pub fn num_samples(&self) -> usize {
-        self.num_samples
+        self.labels.len()
     }
 
     /// Visual feature dimension.
@@ -495,106 +468,133 @@ impl StreamingBundle {
         &self.manifest
     }
 
-    /// The raw-label ↔ dense-id bijection.
-    pub fn class_map(&self) -> &ClassMap {
-        &self.class_map
-    }
-
     /// The full signature table, dense-id order.
     pub fn signatures(&self) -> &Matrix {
         &self.signatures
     }
 
-    /// The resolved GZSL split plan.
-    pub fn split_plan(&self) -> &SplitPlan {
-        &self.plan
+    /// Materialize the splits as an in-memory [`Dataset`] by concatenating
+    /// the bundle's split streams: the rows, labels and signature banks its
+    /// [`FeatureSource`] impl streams, bit for bit, in manifest order. Peak
+    /// feature memory is the dataset plus one chunk.
+    pub fn to_dataset(&self) -> Result<Dataset, DataError> {
+        let concat = |split: SplitKind| -> Result<(Matrix, Vec<usize>), DataError> {
+            let (indices, rank) = self.split_rows(split);
+            let mut data = Vec::with_capacity(indices.len() * self.feature_dim);
+            let mut labels = Vec::with_capacity(indices.len());
+            for chunk in self.stream_rows(indices, rank)? {
+                let (x, chunk_labels) = chunk?;
+                data.extend_from_slice(x.as_slice());
+                labels.extend(chunk_labels);
+            }
+            Ok((
+                Matrix::from_vec(indices.len(), self.feature_dim, data),
+                labels,
+            ))
+        };
+        let (train_x, train_labels) = concat(SplitKind::Trainval)?;
+        let (test_seen_x, test_seen_labels) = concat(SplitKind::TestSeen)?;
+        let (test_unseen_x, test_unseen_labels) = concat(SplitKind::TestUnseen)?;
+        Ok(Dataset {
+            train_x,
+            train_labels,
+            test_seen_x,
+            test_seen_labels,
+            test_unseen_x,
+            test_unseen_labels,
+            seen_signatures: self.signatures.gather_rows(&self.plan.seen_classes),
+            unseen_signatures: self.signatures.gather_rows(&self.plan.unseen_classes),
+        })
     }
 
-    /// Number of seen classes (≥ 1 trainval sample).
-    pub fn num_seen_classes(&self) -> usize {
-        self.plan.num_seen()
-    }
-
-    /// Number of unseen classes (observed in test_unseen).
-    pub fn num_unseen_classes(&self) -> usize {
-        self.plan.num_unseen()
-    }
-
-    /// Seen-class signatures in rank order — bit-identical to
-    /// `Dataset::seen_signatures` from the in-memory path.
-    pub fn seen_signatures(&self) -> Matrix {
-        self.signatures.gather_rows(&self.plan.seen_classes)
-    }
-
-    /// Unseen-class signatures in rank order.
-    pub fn unseen_signatures(&self) -> Matrix {
-        self.signatures.gather_rows(&self.plan.unseen_classes)
-    }
-
-    /// Seen then unseen signatures stacked — bit-identical to
-    /// `Dataset::all_signatures`, the GZSL union bank.
-    pub fn union_signatures(&self) -> Matrix {
-        let mut data =
-            Vec::with_capacity((self.plan.num_seen() + self.plan.num_unseen()) * self.attr_dim());
-        data.extend_from_slice(self.seen_signatures().as_slice());
-        data.extend_from_slice(self.unseen_signatures().as_slice());
-        Matrix::from_vec(
-            self.plan.num_seen() + self.plan.num_unseen(),
-            self.attr_dim(),
-            data,
-        )
-    }
-
-    /// Stream the trainval split as `(features, seen-rank labels)` chunks, in
-    /// manifest order.
-    pub fn stream_trainval(&self) -> Result<SplitStream, DataError> {
-        self.stream_rows(&self.manifest.trainval, |c| self.plan.seen_rank[c])
-    }
-
-    /// Stream the test-seen split as `(features, seen-rank labels)` chunks.
-    pub fn stream_test_seen(&self) -> Result<SplitStream, DataError> {
-        self.stream_rows(&self.manifest.test_seen, |c| self.plan.seen_rank[c])
-    }
-
-    /// Stream the test-unseen split as `(features, unseen-rank labels)`
-    /// chunks.
-    pub fn stream_test_unseen(&self) -> Result<SplitStream, DataError> {
-        self.stream_rows(&self.manifest.test_unseen, |c| self.plan.unseen_rank[c])
-    }
-
-    /// Stream an arbitrary subset of the trainval split, given positions
-    /// *within* the trainval index list (the shape a cross-validation fold
-    /// produces), in the given order.
-    pub fn stream_trainval_subset(&self, local: &[usize]) -> Result<SplitStream, DataError> {
-        let trainval = &self.manifest.trainval;
-        if let Some(&bad) = local.iter().find(|&&p| p >= trainval.len()) {
-            return Err(DataError::split(format!(
-                "trainval-subset position {bad} out of range for {} trainval samples",
-                trainval.len()
-            )));
+    /// A split's global row indices, and the rank table that maps a dense
+    /// class id to the split's local label.
+    fn split_rows(&self, split: SplitKind) -> (&[usize], &[usize]) {
+        match split {
+            SplitKind::Trainval => (&self.manifest.trainval, &self.plan.seen_rank),
+            SplitKind::TestSeen => (&self.manifest.test_seen, &self.plan.seen_rank),
+            SplitKind::TestUnseen => (&self.manifest.test_unseen, &self.plan.unseen_rank),
         }
-        let global: Vec<usize> = local.iter().map(|&p| trainval[p]).collect();
-        self.stream_rows(&global, |c| self.plan.seen_rank[c])
     }
 
-    /// Core row streamer: yield the given global rows, in order, paired with
-    /// `rank(dense_class)` labels.
+    /// Core row streamer: yield the given global rows, in order, as
+    /// `(features, rank[dense class])` chunks. Fuses after the first error,
+    /// as the reader does.
     ///
     /// Goes through the seek-coalesced indexed reader, so only the selected
     /// rows are read: a sparse split over a huge file skips the rest
     /// entirely, and a fully contiguous (ascending) split degenerates to one
     /// sequential read. Rows arrive in exactly the given order, which is
     /// what keeps streamed training bit-identical to the in-memory gather.
-    fn stream_rows<F>(&self, indices: &[usize], rank: F) -> Result<SplitStream, DataError>
-    where
-        F: Fn(usize) -> usize,
-    {
-        let labels: Vec<usize> = indices.iter().map(|&g| rank(self.labels[g])).collect();
+    fn stream_rows(
+        &self,
+        indices: &[usize],
+        rank: &[usize],
+    ) -> Result<impl Iterator<Item = Result<(Matrix, Vec<usize>), DataError>>, DataError> {
+        let labels: Vec<usize> = indices.iter().map(|&g| rank[self.labels[g]]).collect();
         // Trusted open: the label block was validated when this bundle
         // opened; re-reading it on every pass would cost O(n log n) per
         // stream for nothing.
         let reader =
             ZsbChunkReader::open_indexed_trusted(&self.features, indices, self.chunk_rows)?;
-        Ok(SplitStream { reader, labels })
+        Ok(reader.map(move |chunk| {
+            let chunk = chunk?;
+            let rows = chunk.start_row..chunk.start_row + chunk.features.rows();
+            Ok((chunk.features, labels[rows].to_vec()))
+        }))
     }
+}
+
+/// A [`StreamingBundle`] streams every split chunk-at-a-time from disk —
+/// peak feature memory stays `O(chunk_rows x feature_dim)` through every
+/// generic entry point.
+impl FeatureSource for StreamingBundle {
+    fn split_len(&self, split: SplitKind) -> usize {
+        self.split_rows(split).0.len()
+    }
+
+    /// Seen-class signatures in rank order.
+    fn seen_signatures(&self) -> Cow<'_, Matrix> {
+        Cow::Owned(self.signatures.gather_rows(&self.plan.seen_classes))
+    }
+
+    /// Unseen-class signatures in rank order.
+    fn unseen_signatures(&self) -> Cow<'_, Matrix> {
+        Cow::Owned(self.signatures.gather_rows(&self.plan.unseen_classes))
+    }
+
+    fn stream(&self, split: SplitKind) -> Result<SourceStream<'_>, ZslError> {
+        let (indices, rank) = self.split_rows(split);
+        Ok(owned_chunks(self.stream_rows(indices, rank)?))
+    }
+
+    fn stream_trainval_subset(&self, positions: &[usize]) -> Result<SourceStream<'_>, ZslError> {
+        let trainval = &self.manifest.trainval;
+        validate_subset_positions(positions, trainval.len())?;
+        let global: Vec<usize> = positions.iter().map(|&p| trainval[p]).collect();
+        Ok(owned_chunks(
+            self.stream_rows(&global, &self.plan.seen_rank)?,
+        ))
+    }
+
+    /// Counted from the split plan, without gathering the bank.
+    fn num_seen_classes(&self) -> usize {
+        self.plan.seen_classes.len()
+    }
+
+    /// Counted from the split plan, without gathering the bank.
+    fn num_unseen_classes(&self) -> usize {
+        self.plan.unseen_classes.len()
+    }
+}
+
+/// Box a row stream as a [`SourceStream`] of owned chunks.
+fn owned_chunks<'a>(
+    rows: impl Iterator<Item = Result<(Matrix, Vec<usize>), DataError>> + 'a,
+) -> SourceStream<'a> {
+    Box::new(rows.map(|chunk| {
+        chunk
+            .map(|(x, labels)| (Cow::Owned(x), Cow::Owned(labels)))
+            .map_err(ZslError::from)
+    }))
 }

@@ -352,16 +352,19 @@ impl ScoringEngine {
     /// Like [`ScoringEngine::new`], this is the *convenience* constructor for
     /// trusted, in-process data and deliberately panics on invalid parts;
     /// every serve/load-reachable path (artifact loaders, the evaluation and
-    /// cross-validation drivers, `Pipeline::train`) goes through
-    /// [`ScoringEngine::try_with_threads`] instead.
+    /// cross-validation drivers, `Pipeline::train`) returns typed errors
+    /// instead ([`ScoringEngine::try_new`] and the artifact loaders).
     pub fn with_threads(
         model: impl Into<TrainedModel>,
         signatures: Matrix,
         similarity: Similarity,
         threads: usize,
     ) -> Self {
-        match Self::try_with_threads(model, signatures, similarity, threads) {
-            Ok(engine) => engine,
+        match Self::try_new(model, signatures, similarity) {
+            Ok(mut engine) => {
+                engine.set_threads(threads);
+                engine
+            }
             Err(ZslError::Config(msg)) => panic!("{msg}"),
             Err(e) => panic!("{e}"),
         }
@@ -374,21 +377,13 @@ impl ScoringEngine {
     /// This is the constructor for serving paths fed by untrusted input —
     /// a daemon's boot/reload must degrade to an error response, never
     /// abort the process.
+    ///
+    /// The engine uses one worker thread per available core;
+    /// [`ScoringEngine::set_threads`] changes that.
     pub fn try_new(
-        model: impl Into<TrainedModel>,
-        signatures: Matrix,
-        similarity: Similarity,
-    ) -> Result<Self, ZslError> {
-        Self::try_with_threads(model, signatures, similarity, default_threads())
-    }
-
-    /// [`ScoringEngine::try_new`] with an explicit worker-thread count
-    /// (`0` is treated as `1`).
-    pub fn try_with_threads(
         model: impl Into<TrainedModel>,
         mut signatures: Matrix,
         similarity: Similarity,
-        threads: usize,
     ) -> Result<Self, ZslError> {
         let model = model.into();
         check_engine_parts(
@@ -405,7 +400,7 @@ impl ScoringEngine {
             model,
             Bank::Owned(signatures),
             similarity,
-            threads,
+            default_threads(),
         ))
     }
 
@@ -498,14 +493,8 @@ impl ScoringEngine {
     /// independently and merged per row — see [`BankShards`]. Results are
     /// bit-identical at every shard count; what changes is peak memory:
     /// `predict`/`predict_topk` hold one `chunk_rows x band_classes` score
-    /// block at a time instead of `chunk_rows x num_classes`.
-    pub fn with_bank_shards(mut self, shards: usize) -> Self {
-        self.set_bank_shards(shards);
-        self
-    }
-
-    /// In-place form of [`ScoringEngine::with_bank_shards`] for serving
-    /// stacks that reconfigure a booted engine.
+    /// block at a time instead of `chunk_rows x num_classes`. Serving stacks
+    /// call it to reconfigure a booted engine.
     pub fn set_bank_shards(&mut self, shards: usize) {
         self.shards = BankShards::uniform(self.bank.rows(), shards);
     }

@@ -64,7 +64,7 @@
 //! | [`model`] | the closed-form trainer (Eq. `W = (XᵀX+γI)⁻¹XᵀYS(SᵀS+λI)⁻¹`); [`model::GramAccumulator`] is the single Gram fold behind every source kind |
 //! | [`infer`] | [`infer::ScoringEngine`] (cached bank, parallel + chunked batch scoring), nearest-signature classification, top-k, ZSL/GZSL metrics |
 //! | [`artifact`] | the versioned `.zsm` model artifact: [`ScoringEngine::save`] / [`ScoringEngine::load`], bit-identical round trips |
-//! | [`data`]  | seeded synthetic datasets **plus** on-disk bundles: `.zsb` feature dumps, signature tables, split manifests — loaded whole by [`data::DatasetBundle`] or streamed chunk-at-a-time by [`StreamingBundle`]; CSV features are converted once by [`data::import_features_csv`] |
+//! | [`data`]  | seeded synthetic datasets **plus** on-disk bundles: `.zsb` feature dumps, signature tables, split manifests — read by [`StreamingBundle`], which streams features chunk-at-a-time or materializes a [`Dataset`] ([`StreamingBundle::to_dataset`]); CSV features are converted once by [`data::import_features_csv`] |
 //! | [`eval`]  | the generic GZSL protocol ([`eval::GzslReport`]) and seeded k-fold `(γ, λ)` cross-validation of any [`Trainer`] ([`eval::cross_validate`]) over any source |
 //! | [`trainer`] | the object-safe [`Trainer`] trait + [`TrainedModel`]: ESZSL, the Sylvester-solved [`trainer::SaeTrainer`], and [`trainer::KernelEszslTrainer`] (linear/RBF), all streaming through the same accumulator |
 //!
@@ -110,8 +110,7 @@ pub mod trainer;
 pub use artifact::{ZSM_HEADER_LEN, ZSM_MAGIC, ZSM_MIN_VERSION, ZSM_NORM_TOLERANCE, ZSM_VERSION};
 pub use data::{
     export_dataset, ClassMap, DataError, Dataset, DatasetBundle, FeatureChunk, FeatureTable, Rng,
-    SectionLines, SplitManifest, SplitPlan, SplitStream, StreamingBundle, SyntheticConfig,
-    ZsbChunkReader, ZsbWriter,
+    SplitManifest, StreamingBundle, SyntheticConfig, ZsbChunkReader, ZsbWriter,
 };
 pub use error::ZslError;
 pub use eval::{

@@ -2,9 +2,11 @@
 //!
 //! A [`FeatureSource`] is anything that can hand the pipeline its three GZSL
 //! splits as chunked `(features, labels)` streams plus the class signature
-//! banks: an in-memory [`Dataset`], an out-of-core [`StreamingBundle`], or a
-//! bare [`MemorySource`] wrapping a feature matrix and labels. Every generic
-//! entry point — [`crate::trainer::Trainer::fit`],
+//! banks: an in-memory [`Dataset`], an out-of-core
+//! [`crate::data::StreamingBundle`] (whose impl lives with it in
+//! [`crate::data::stream`]; the trait is the only way to stream a bundle),
+//! or a bare [`MemorySource`] wrapping a feature matrix and labels. Every
+//! generic entry point — [`crate::trainer::Trainer::fit`],
 //! [`crate::eval::evaluate_gzsl`], [`crate::eval::cross_validate`],
 //! [`crate::infer::ScoringEngine::predict_source`], and the
 //! [`crate::pipeline::Pipeline`] facade — is written against this trait, so
@@ -23,7 +25,7 @@
 //! safe, so heterogeneous callers (e.g. a CLI choosing between in-memory and
 //! streamed ingestion at runtime) can work through `&dyn FeatureSource`.
 
-use crate::data::{DataError, Dataset, StreamingBundle};
+use crate::data::{DataError, Dataset};
 use crate::error::ZslError;
 use crate::linalg::Matrix;
 use std::borrow::Cow;
@@ -151,9 +153,9 @@ impl<S: FeatureSource + ?Sized> FeatureSource for DynSource<'_, S> {
     }
 }
 
-/// Shared out-of-range check for trainval-subset positions, matching the
-/// error the streaming loader raises.
-fn validate_subset_positions(positions: &[usize], len: usize) -> Result<(), ZslError> {
+/// Shared out-of-range check for trainval-subset positions, one error for
+/// every source kind.
+pub(crate) fn validate_subset_positions(positions: &[usize], len: usize) -> Result<(), ZslError> {
     if let Some(&bad) = positions.iter().find(|&&p| p >= len) {
         return Err(ZslError::Data(DataError::split(format!(
             "trainval-subset position {bad} out of range for {len} trainval samples"
@@ -206,59 +208,6 @@ impl FeatureSource for Dataset {
             Cow::Owned(x),
             Cow::Owned(labels),
         )))))
-    }
-}
-
-/// A [`StreamingBundle`] streams every split chunk-at-a-time from disk —
-/// peak feature memory stays `O(chunk_rows x feature_dim)` through the
-/// generic entry points, exactly as through the old `*_stream` twins.
-impl FeatureSource for StreamingBundle {
-    fn split_len(&self, split: SplitKind) -> usize {
-        match split {
-            SplitKind::Trainval => self.manifest().trainval.len(),
-            SplitKind::TestSeen => self.manifest().test_seen.len(),
-            SplitKind::TestUnseen => self.manifest().test_unseen.len(),
-        }
-    }
-
-    fn seen_signatures(&self) -> Cow<'_, Matrix> {
-        Cow::Owned(StreamingBundle::seen_signatures(self))
-    }
-
-    fn unseen_signatures(&self) -> Cow<'_, Matrix> {
-        Cow::Owned(StreamingBundle::unseen_signatures(self))
-    }
-
-    fn union_signatures(&self) -> Matrix {
-        StreamingBundle::union_signatures(self)
-    }
-
-    fn num_seen_classes(&self) -> usize {
-        StreamingBundle::num_seen_classes(self)
-    }
-
-    fn num_unseen_classes(&self) -> usize {
-        StreamingBundle::num_unseen_classes(self)
-    }
-
-    fn stream(&self, split: SplitKind) -> Result<SourceStream<'_>, ZslError> {
-        let stream = match split {
-            SplitKind::Trainval => self.stream_trainval(),
-            SplitKind::TestSeen => self.stream_test_seen(),
-            SplitKind::TestUnseen => self.stream_test_unseen(),
-        }?;
-        Ok(Box::new(stream.map(|r| {
-            r.map(|(x, labels)| (Cow::Owned(x), Cow::Owned(labels)))
-                .map_err(ZslError::from)
-        })))
-    }
-
-    fn stream_trainval_subset(&self, positions: &[usize]) -> Result<SourceStream<'_>, ZslError> {
-        let stream = StreamingBundle::stream_trainval_subset(self, positions)?;
-        Ok(Box::new(stream.map(|r| {
-            r.map(|(x, labels)| (Cow::Owned(x), Cow::Owned(labels)))
-                .map_err(ZslError::from)
-        })))
     }
 }
 

@@ -4,13 +4,17 @@
 //! constants (`golden_loader.rs`) and the property sweeps (`property.rs`)
 //! pin against — one implementation, so the two suites can never silently
 //! start hashing different quantities. [`write_features_csv`] writes the CSV
-//! input of `zsl_core::data::import_features_csv`, and [`pipeline_protocol`]
-//! runs the full protocol through the `Pipeline` facade.
+//! input of `zsl_core::data::import_features_csv`, [`bundle_literal`] reads
+//! a bundle's raw tables the digests freeze, and [`pipeline_protocol`] runs
+//! the full protocol through the `Pipeline` facade.
 #![allow(dead_code)] // not every test binary uses every helper
 
 use std::fmt::Write;
 use std::path::Path;
-use zsl_core::data::FeatureTable;
+use zsl_core::data::format::{read_signatures_csv, read_zsb};
+use zsl_core::data::{
+    ClassMap, DatasetBundle, FeatureTable, SplitManifest, FEATURES_ZSB, SIGNATURES_CSV, SPLITS_TXT,
+};
 use zsl_core::eval::{CrossValConfig, CrossValReport, GzslReport};
 use zsl_core::linalg::Matrix;
 use zsl_core::source::FeatureSource;
@@ -79,4 +83,25 @@ pub fn write_features_csv(path: &Path, table: &FeatureTable) {
         out.push('\n');
     }
     std::fs::write(path, out).expect("write features.csv");
+}
+
+/// A bundle directory's tables as the `DatasetBundle` literal a caller
+/// holding them would build: `read_zsb`'s file-order features, labels
+/// remapped through the signature table's class map, and the manifest.
+pub fn bundle_literal(dir: &Path) -> DatasetBundle {
+    let table = read_zsb(&dir.join(FEATURES_ZSB)).expect("read features.zsb");
+    let (raw_classes, signatures) =
+        read_signatures_csv(&dir.join(SIGNATURES_CSV)).expect("read signatures.csv");
+    let class_map = ClassMap::from_labels(&raw_classes).expect("distinct classes");
+    DatasetBundle {
+        labels: table
+            .labels
+            .iter()
+            .map(|&raw| class_map.dense(raw).expect("known class"))
+            .collect(),
+        features: table.features,
+        signatures,
+        class_map,
+        manifest: SplitManifest::read(&dir.join(SPLITS_TXT)).expect("read splits.txt"),
+    }
 }

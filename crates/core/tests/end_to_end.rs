@@ -7,7 +7,7 @@
 mod common;
 
 use common::pipeline_protocol;
-use zsl_core::data::{export_dataset, DatasetBundle, SyntheticConfig};
+use zsl_core::data::{export_dataset, StreamingBundle, SyntheticConfig};
 use zsl_core::eval::CrossValConfig;
 use zsl_core::infer::{
     harmonic_mean, mean_per_class_accuracy, overall_accuracy, ScoringEngine, Similarity,
@@ -121,8 +121,8 @@ fn disk_roundtrip_pipeline_matches_in_memory_pipeline_bit_for_bit() {
 
     let dir = std::env::temp_dir().join(format!("zsl_e2e_roundtrip_{}", std::process::id()));
     export_dataset(&ds, &dir).expect("export");
-    let reloaded = DatasetBundle::load(&dir)
-        .expect("load")
+    let reloaded = StreamingBundle::open(&dir, usize::MAX)
+        .expect("open")
         .to_dataset()
         .expect("materialize");
     let (cv_disk, report_disk) = pipeline_protocol(&reloaded, &config);

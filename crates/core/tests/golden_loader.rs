@@ -15,16 +15,17 @@
 
 mod common;
 
-use common::{digest_labels, digest_matrix, write_features_csv};
+use common::{bundle_literal, digest_labels, digest_matrix, write_features_csv};
 use std::path::PathBuf;
 use zsl_core::data::format::read_zsb;
 use zsl_core::data::{
-    export_dataset, import_features_csv, DatasetBundle, StreamingBundle, SyntheticConfig,
-    FEATURES_CSV, FEATURES_ZSB,
+    export_dataset, import_features_csv, StreamingBundle, SyntheticConfig, FEATURES_CSV,
+    FEATURES_ZSB,
 };
 use zsl_core::eval::evaluate_gzsl;
 use zsl_core::infer::Similarity;
 use zsl_core::model::{EszslConfig, EszslProblem, GramAccumulator};
+use zsl_core::source::{FeatureSource, SplitKind};
 use zsl_core::Dataset;
 
 fn fixture_dir() -> PathBuf {
@@ -103,7 +104,7 @@ const GOLDEN_STREAM_GRAM: [u64; 3] = [
 #[test]
 fn fixture_parses_to_frozen_contents_in_both_formats() {
     let dir = fixture_dir();
-    let zsb = DatasetBundle::load(&dir).expect("load zsb");
+    let zsb = StreamingBundle::open(&dir, usize::MAX).expect("open zsb");
 
     // The committed CSV, imported from a scratch copy, is the committed
     // `.zsb` byte for byte.
@@ -122,10 +123,11 @@ fn fixture_parses_to_frozen_contents_in_both_formats() {
 
     assert_eq!((zsb.num_samples(), zsb.feature_dim()), (24, 3));
     assert_eq!((zsb.num_classes(), zsb.attr_dim()), (6, 2));
+    let tables = bundle_literal(&dir);
     let got = [
-        digest_matrix(&zsb.features),
-        digest_labels(&zsb.labels),
-        digest_matrix(&zsb.signatures),
+        digest_matrix(&tables.features),
+        digest_labels(&tables.labels),
+        digest_matrix(zsb.signatures()),
     ];
     assert_eq!(
         got, GOLDEN_BUNDLE,
@@ -144,8 +146,8 @@ fn fixture_parses_to_frozen_contents_in_both_formats() {
 
 #[test]
 fn fixture_produces_the_frozen_gzsl_report() {
-    let ds = DatasetBundle::load(&fixture_dir())
-        .expect("load")
+    let ds = StreamingBundle::open(&fixture_dir(), usize::MAX)
+        .expect("open")
         .to_dataset()
         .expect("materialize");
     let model = EszslConfig::new()
@@ -175,7 +177,7 @@ fn fixture_produces_the_frozen_gzsl_report() {
 fn streamed_gram_digests(dir: &std::path::Path) -> [u64; 3] {
     let bundle = StreamingBundle::open(dir, 5).expect("open stream");
     let mut acc = GramAccumulator::new(&bundle.seen_signatures());
-    for chunk in bundle.stream_trainval().expect("trainval stream") {
+    for chunk in FeatureSource::stream(&bundle, SplitKind::Trainval).expect("trainval stream") {
         let (x, labels) = chunk.expect("chunk");
         acc.fold(&x, &labels).expect("fold");
     }
@@ -197,8 +199,8 @@ fn fixture_streamed_accumulators_match_frozen_digests_and_in_memory_path() {
     );
 
     // And the frozen bits are exactly what the in-memory problem produces.
-    let ds = DatasetBundle::load(&dir)
-        .expect("load")
+    let ds = StreamingBundle::open(&dir, usize::MAX)
+        .expect("open")
         .to_dataset()
         .expect("materialize");
     let problem = EszslProblem::from_source(&ds, false, false).expect("problem");
@@ -230,8 +232,11 @@ fn regenerate_fixture() {
     let table = read_zsb(&dir.join(FEATURES_ZSB)).expect("read zsb");
     write_features_csv(&dir.join(FEATURES_CSV), &table);
 
-    let bundle = DatasetBundle::load(&dir).expect("load");
-    let materialized = bundle.to_dataset().expect("materialize");
+    let bundle = bundle_literal(&dir);
+    let materialized = StreamingBundle::open(&dir, usize::MAX)
+        .expect("open")
+        .to_dataset()
+        .expect("materialize");
     let model = EszslConfig::new()
         .gamma(1.0)
         .lambda(1.0)

@@ -5,11 +5,11 @@
 
 mod common;
 
-use common::write_features_csv;
+use common::{bundle_literal, write_features_csv};
 use std::path::{Path, PathBuf};
 use zsl_core::data::format::read_zsb;
 use zsl_core::data::{
-    export_dataset, import_features_csv, DataError, DatasetBundle, SplitManifest, StreamingBundle,
+    export_dataset, import_features_csv, ClassMap, DataError, SplitManifest, StreamingBundle,
     SyntheticConfig, ZsbChunkReader, FEATURES_CSV, FEATURES_ZSB, SIGNATURES_CSV, SPLITS_TXT,
 };
 
@@ -50,7 +50,7 @@ fn truncated_zsb_is_a_typed_truncation_error() {
     // Cut the payload mid-features; also try cutting inside the header.
     for keep in [bytes.len() - 9, 40, 10] {
         std::fs::write(&path, &bytes[..keep]).unwrap();
-        match DatasetBundle::load(&dir) {
+        match StreamingBundle::open(&dir, 4).and_then(|b| b.to_dataset()) {
             Err(DataError::Truncated {
                 expected, actual, ..
             }) => {
@@ -86,7 +86,10 @@ fn bad_magic_version_flags_and_trailing_bytes_are_header_errors() {
     ] {
         std::fs::write(&path, &bytes).unwrap();
         assert!(
-            matches!(DatasetBundle::load(&dir), Err(DataError::Header { .. })),
+            matches!(
+                StreamingBundle::open(&dir, 4).and_then(|b| b.to_dataset()),
+                Err(DataError::Header { .. })
+            ),
             "{what} corruption must be a Header error"
         );
     }
@@ -104,7 +107,7 @@ fn header_dim_mismatches_are_detected() {
     wide[16..20].copy_from_slice(&1000u32.to_le_bytes());
     std::fs::write(&path, &wide).unwrap();
     assert!(matches!(
-        DatasetBundle::load(&dir),
+        StreamingBundle::open(&dir, 4).and_then(|b| b.to_dataset()),
         Err(DataError::Truncated { .. })
     ));
 
@@ -112,7 +115,7 @@ fn header_dim_mismatches_are_detected() {
     let mut misclassed = pristine.clone();
     misclassed[20..24].copy_from_slice(&2u32.to_le_bytes());
     std::fs::write(&path, &misclassed).unwrap();
-    match DatasetBundle::load(&dir) {
+    match StreamingBundle::open(&dir, 4).and_then(|b| b.to_dataset()) {
         Err(DataError::Header { message, .. }) => {
             assert!(message.contains("distinct classes"), "got: {message}")
         }
@@ -124,7 +127,7 @@ fn header_dim_mismatches_are_detected() {
     empty[8..16].copy_from_slice(&0u64.to_le_bytes());
     std::fs::write(&path, &empty).unwrap();
     assert!(matches!(
-        DatasetBundle::load(&dir),
+        StreamingBundle::open(&dir, 4).and_then(|b| b.to_dataset()),
         Err(DataError::Header { .. })
     ));
     cleanup(&dir);
@@ -141,7 +144,7 @@ fn overflowing_header_dims_are_a_header_error_not_a_panic() {
     bytes[8..16].copy_from_slice(&(1u64 << 62).to_le_bytes()); // n_samples
     bytes[16..20].copy_from_slice(&2u32.to_le_bytes()); // feature_dim
     std::fs::write(&path, &bytes).unwrap();
-    match DatasetBundle::load(&dir) {
+    match StreamingBundle::open(&dir, 4).and_then(|b| b.to_dataset()) {
         Err(DataError::Header { message, .. }) => {
             assert!(message.contains("overflow"), "got: {message}")
         }
@@ -172,8 +175,8 @@ fn chunk_readers_reject_zero_chunk_rows_with_a_typed_error() {
 
 #[test]
 fn chunk_reader_rejects_header_dims_that_overflow_before_allocating() {
-    // Same regression class as the in-memory loader's overflow check, now on
-    // the streaming entry point: a crafted header must produce a typed
+    // Same regression class as the bundle-level overflow check, now on the
+    // bare chunk reader: a crafted header must produce a typed
     // Header error, never an abort-on-allocation. Two shapes:
     // n·d·8 wrapping u64, and n·d exceeding what fits in memory arithmetic.
     let dir = valid_bundle("stream_overflow");
@@ -214,8 +217,8 @@ fn indexed_chunk_reader_rejects_out_of_range_rows() {
 
 #[test]
 fn streaming_bundle_mirrors_loader_validation() {
-    // The streaming open must reject the same cross-file inconsistencies the
-    // in-memory loader does — spot-check one of each family.
+    // The open itself rejects every family of cross-file inconsistency,
+    // before a feature row is read — spot-check one of each.
     let dir = valid_bundle("stream_validation");
 
     // Unknown feature label (relabel sample 0 in the binary label block;
@@ -253,8 +256,8 @@ fn streaming_bundle_mirrors_loader_validation() {
         Err(DataError::UnknownClass { label: 424_242, .. })
     ));
 
-    // Seen/unseen overlap — caught at open (the in-memory path defers this
-    // to to_dataset; streaming validates the whole plan up front).
+    // Seen/unseen overlap — caught at open: the whole plan is validated up
+    // front.
     let mut bad = pristine.clone();
     let moved = bad.trainval.pop().unwrap();
     bad.test_unseen.push(moved);
@@ -277,7 +280,7 @@ fn unknown_class_in_features_is_reported_with_context() {
     bytes[32..36].copy_from_slice(&777u32.to_le_bytes());
     bytes[20..24].copy_from_slice(&7u32.to_le_bytes());
     std::fs::write(&path, bytes).unwrap();
-    match DatasetBundle::load(&dir) {
+    match StreamingBundle::open(&dir, 4).and_then(|b| b.to_dataset()) {
         Err(DataError::UnknownClass {
             label: 777,
             context,
@@ -296,7 +299,7 @@ fn unknown_class_in_split_manifest_is_reported_with_context() {
     let mut manifest = SplitManifest::read(&path).unwrap();
     manifest.unseen_classes.as_mut().unwrap().push(424_242);
     manifest.write(&path).unwrap();
-    match DatasetBundle::load(&dir) {
+    match StreamingBundle::open(&dir, 4).and_then(|b| b.to_dataset()) {
         Err(DataError::UnknownClass {
             label: 424_242,
             context,
@@ -316,8 +319,11 @@ fn declared_unseen_set_must_match_observed_unseen_samples() {
     // Class 0 exists but is a *seen* class: declared set no longer matches.
     manifest.unseen_classes.as_mut().unwrap().push(0);
     manifest.write(&path).unwrap();
-    let bundle = DatasetBundle::load(&dir).expect("labels all resolve");
-    assert!(matches!(bundle.to_dataset(), Err(DataError::Split { .. })));
+    // Every label resolves; the plan check at open rejects the declared set.
+    assert!(matches!(
+        StreamingBundle::open(&dir, 4).and_then(|b| b.to_dataset()),
+        Err(DataError::Split { .. })
+    ));
     cleanup(&dir);
 }
 
@@ -331,14 +337,14 @@ fn empty_and_missing_splits_are_empty_split_errors() {
     empty.test_unseen.clear();
     empty.write(&path).unwrap();
     assert!(matches!(
-        DatasetBundle::load(&dir),
+        StreamingBundle::open(&dir, 4).and_then(|b| b.to_dataset()),
         Err(DataError::EmptySplit { split }) if split == "test_unseen"
     ));
 
     // A manifest missing the trainval section entirely.
     std::fs::write(&path, "test_seen: 0\ntest_unseen: 1\n").unwrap();
     assert!(matches!(
-        DatasetBundle::load(&dir),
+        StreamingBundle::open(&dir, 4).and_then(|b| b.to_dataset()),
         Err(DataError::EmptySplit { split }) if split == "trainval"
     ));
     cleanup(&dir);
@@ -356,7 +362,10 @@ fn malformed_manifest_lines_are_parse_errors() {
     ] {
         std::fs::write(&path, bad).unwrap();
         assert!(
-            matches!(DatasetBundle::load(&dir), Err(DataError::Parse { .. })),
+            matches!(
+                StreamingBundle::open(&dir, 4).and_then(|b| b.to_dataset()),
+                Err(DataError::Parse { .. })
+            ),
             "manifest {bad:?} must be a Parse error"
         );
     }
@@ -373,7 +382,7 @@ fn out_of_range_and_overlapping_split_indices_are_split_errors() {
     out_of_range.trainval.push(1_000_000);
     out_of_range.write(&path).unwrap();
     assert!(matches!(
-        DatasetBundle::load(&dir),
+        StreamingBundle::open(&dir, 4).and_then(|b| b.to_dataset()),
         Err(DataError::Split { .. })
     ));
 
@@ -382,7 +391,7 @@ fn out_of_range_and_overlapping_split_indices_are_split_errors() {
     overlapping.trainval.push(stolen);
     overlapping.write(&path).unwrap();
     assert!(matches!(
-        DatasetBundle::load(&dir),
+        StreamingBundle::open(&dir, 4).and_then(|b| b.to_dataset()),
         Err(DataError::Split { .. })
     ));
     cleanup(&dir);
@@ -400,8 +409,8 @@ fn seen_unseen_class_overlap_is_rejected_at_materialization() {
     manifest.test_unseen.push(moved);
     manifest.unseen_classes = None;
     manifest.write(&path).unwrap();
-    let bundle = DatasetBundle::load(&dir).expect("structurally fine");
-    match bundle.to_dataset() {
+    // Structurally fine; the plan check at open rejects the overlap.
+    match StreamingBundle::open(&dir, 4).and_then(|b| b.to_dataset()) {
         Err(DataError::Split { message, .. }) => {
             assert!(
                 message.contains("both trainval and test_unseen"),
@@ -409,6 +418,68 @@ fn seen_unseen_class_overlap_is_rejected_at_materialization() {
             )
         }
         other => panic!("expected Split error, got {other:?}"),
+    }
+    cleanup(&dir);
+}
+
+#[test]
+fn inconsistent_bundle_literals_are_typed_errors_not_panics() {
+    // A struct literal is the one way to build a `DatasetBundle`, and nothing
+    // checks its public fields before `to_dataset`: every inconsistency the
+    // opener rejects must come back as a typed error here too, not a panic.
+    let dir = valid_bundle("literals");
+    let valid = bundle_literal(&dir);
+    let opened = StreamingBundle::open(&dir, 4)
+        .expect("open")
+        .to_dataset()
+        .expect("materialize");
+    let gathered = valid.to_dataset().expect("the consistent literal");
+    assert_eq!(gathered.train_x.as_slice(), opened.train_x.as_slice());
+    assert_eq!(gathered.train_labels, opened.train_labels);
+
+    // A manifest index out of range.
+    let mut bad = valid.clone();
+    bad.manifest.test_seen.push(1_000_000);
+    match bad.to_dataset() {
+        Err(DataError::Split {
+            path: None,
+            message,
+            ..
+        }) => assert!(message.contains("out of range"), "{message}"),
+        other => panic!("expected an unlocated Split error, got {other:?}"),
+    }
+
+    // A label at or past the class count.
+    let mut bad = valid.clone();
+    bad.labels[0] = bad.signatures.rows();
+    match bad.to_dataset() {
+        Err(DataError::Shape { message }) => assert!(message.contains("out of range"), "{message}"),
+        other => panic!("expected a Shape error, got {other:?}"),
+    }
+
+    // A declared unseen class the class map lacks.
+    let mut bad = valid.clone();
+    bad.manifest.unseen_classes.as_mut().unwrap().push(424_242);
+    assert!(matches!(
+        bad.to_dataset(),
+        Err(DataError::UnknownClass { label: 424_242, .. })
+    ));
+
+    // Fewer labels than feature rows.
+    let mut bad = valid.clone();
+    bad.labels.pop();
+    match bad.to_dataset() {
+        Err(DataError::Shape { message }) => assert!(message.contains("labels for"), "{message}"),
+        other => panic!("expected a Shape error, got {other:?}"),
+    }
+
+    // A class map that does not cover the signature table.
+    let mut bad = valid.clone();
+    let fewer: Vec<u32> = (1..bad.signatures.rows() as u32).collect();
+    bad.class_map = ClassMap::from_labels(&fewer).expect("class map");
+    match bad.to_dataset() {
+        Err(DataError::Shape { message }) => assert!(message.contains("class map"), "{message}"),
+        other => panic!("expected a Shape error, got {other:?}"),
     }
     cleanup(&dir);
 }
@@ -466,7 +537,9 @@ fn csv_only_bundle_fails_to_load_with_an_error_naming_the_import() {
     let exported = std::fs::read(dir.join(FEATURES_ZSB)).unwrap();
     csv_only(&dir);
     for result in [
-        DatasetBundle::load(&dir).map(|_| ()),
+        StreamingBundle::open(&dir, 4)
+            .and_then(|b| b.to_dataset())
+            .map(|_| ()),
         StreamingBundle::open(&dir, 4).map(|_| ()),
     ] {
         match result {
@@ -485,7 +558,10 @@ fn csv_only_bundle_fails_to_load_with_an_error_naming_the_import() {
     // bundle loads.
     import_features_csv(&dir.join(FEATURES_CSV), &dir.join(FEATURES_ZSB)).expect("import");
     assert_eq!(std::fs::read(dir.join(FEATURES_ZSB)).unwrap(), exported);
-    DatasetBundle::load(&dir).expect("load");
+    StreamingBundle::open(&dir, 4)
+        .expect("open")
+        .to_dataset()
+        .expect("materialize");
     cleanup(&dir);
 }
 
@@ -499,7 +575,7 @@ fn duplicate_signature_labels_are_rejected() {
     text.push('\n');
     std::fs::write(&path, text).unwrap();
     assert!(matches!(
-        DatasetBundle::load(&dir),
+        StreamingBundle::open(&dir, 4).and_then(|b| b.to_dataset()),
         Err(DataError::DuplicateClass { label: 0 })
     ));
     cleanup(&dir);
@@ -510,7 +586,7 @@ fn missing_feature_table_is_an_io_error() {
     let dir = valid_bundle("missing_features");
     std::fs::remove_file(dir.join(FEATURES_ZSB)).unwrap();
     assert!(matches!(
-        DatasetBundle::load(&dir),
+        StreamingBundle::open(&dir, 4).and_then(|b| b.to_dataset()),
         Err(DataError::Io { .. })
     ));
     cleanup(&dir);
@@ -528,7 +604,7 @@ fn split_manifest_errors_carry_the_offending_line() {
     let mut bad = pristine.clone();
     bad.test_seen.push(1_000_000);
     bad.write(&path).unwrap();
-    match DatasetBundle::load(&dir) {
+    match StreamingBundle::open(&dir, 4).and_then(|b| b.to_dataset()) {
         Err(DataError::Split {
             path: Some(p),
             line: Some(line),
@@ -546,7 +622,7 @@ fn split_manifest_errors_carry_the_offending_line() {
     let mut bad = pristine.clone();
     bad.test_unseen.push(pristine.trainval[0]);
     bad.write(&path).unwrap();
-    match DatasetBundle::load(&dir) {
+    match StreamingBundle::open(&dir, 4).and_then(|b| b.to_dataset()) {
         Err(DataError::Split {
             path: Some(p),
             line: Some(line),

@@ -19,7 +19,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use zsl_core::data::{DataError, DatasetBundle, Rng, SyntheticConfig};
+use zsl_core::data::{DataError, Rng, StreamingBundle, SyntheticConfig};
 use zsl_core::eval::evaluate_gzsl_with;
 use zsl_core::infer::{ScoringEngine, ScoringPrecision, Similarity};
 use zsl_core::linalg::Matrix;
@@ -90,8 +90,8 @@ fn family_engine(trainer: &dyn Trainer) -> ScoringEngine {
 /// The γ = λ = 1 cosine engine over the fixture's union bank — the engine
 /// the committed golden artifact freezes.
 fn fixture_engine() -> ScoringEngine {
-    let ds = DatasetBundle::load(&fixture_dir())
-        .expect("load fixture")
+    let ds = StreamingBundle::open(&fixture_dir(), usize::MAX)
+        .expect("open fixture")
         .to_dataset()
         .expect("materialize");
     let model = EszslConfig::new()
@@ -346,8 +346,8 @@ fn committed_artifact_reproduces_the_frozen_gzsl_report() {
     );
     // Serving boots from the artifact + the evaluation source alone — no
     // training data, no re-solve.
-    let ds = DatasetBundle::load(&dir)
-        .expect("load")
+    let ds = StreamingBundle::open(&dir, usize::MAX)
+        .expect("open")
         .to_dataset()
         .expect("materialize");
     let report = evaluate_gzsl_with(&engine, &ds).expect("evaluate");
@@ -393,8 +393,8 @@ fn default_pipeline_saves_the_committed_artifact_provenance() {
     let (golden, golden_metadata) =
         ScoringEngine::load_with_metadata(&dir.join("model.zsm")).expect("load golden artifact");
     assert_eq!(golden_metadata, GOLDEN_METADATA);
-    let ds = DatasetBundle::load(&dir)
-        .expect("load")
+    let ds = StreamingBundle::open(&dir, usize::MAX)
+        .expect("open")
         .to_dataset()
         .expect("materialize");
     let path = temp_path("pipeline_provenance");

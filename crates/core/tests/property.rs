@@ -21,8 +21,8 @@ use common::{digest_matrix, write_features_csv};
 use std::path::PathBuf;
 use zsl_core::data::format::read_zsb;
 use zsl_core::data::{
-    export_dataset, import_features_csv, ClassMap, DatasetBundle, SyntheticConfig, ZsbChunkReader,
-    FEATURES_CSV, FEATURES_ZSB,
+    export_dataset, import_features_csv, ClassMap, StreamingBundle, SyntheticConfig,
+    ZsbChunkReader, FEATURES_CSV, FEATURES_ZSB,
 };
 use zsl_core::linalg::Matrix;
 use zsl_core::model::{EszslProblem, GramAccumulator};
@@ -53,8 +53,8 @@ fn bundle_roundtrip_is_bit_identical_across_shapes_seeds_and_formats() {
             .build();
         let dir = temp_dir(&format!("rt_{case}"));
         export_dataset(&ds, &dir).expect("export");
-        let back = DatasetBundle::load(&dir)
-            .expect("load")
+        let back = StreamingBundle::open(&dir, usize::MAX)
+            .expect("open")
             .to_dataset()
             .expect("to_dataset");
         let label = format!("case {case} ({seen}s/{unseen}u a{attr} f{feat})");

@@ -8,8 +8,9 @@
 //! so the comparisons here pit a materialized [`Dataset`] source
 //! against a [`StreamingBundle`] source through the *same* generic entry
 //! points, over synthetic `.zsb` bundles and the committed
-//! `tests/fixtures/tiny_bundle/`. `.zsb` is the only feature format either
-//! loader reads; CSV features reach these paths only through the import,
+//! `tests/fixtures/tiny_bundle/`; the materialized side is
+//! [`StreamingBundle::to_dataset`]. `.zsb` is the only feature format a
+//! bundle is read from; CSV features reach these paths only through the import,
 //! whose output `golden_loader.rs` and `property.rs` pin to the exported
 //! `.zsb` byte for byte. (`tests/trainer_equiv.rs` extends the same
 //! chunk-invariance wall to the SAE and kernel-ESZSL trainers.)
@@ -30,8 +31,7 @@ mod common;
 use common::pipeline_protocol;
 use std::path::PathBuf;
 use zsl_core::data::{
-    export_dataset, DatasetBundle, SplitManifest, StreamingBundle, SyntheticConfig, FEATURES_ZSB,
-    SPLITS_TXT,
+    export_dataset, SplitManifest, StreamingBundle, SyntheticConfig, FEATURES_ZSB, SPLITS_TXT,
 };
 use zsl_core::eval::{cross_validate, evaluate_gzsl, evaluate_gzsl_with, CrossValConfig};
 use zsl_core::infer::Similarity;
@@ -92,8 +92,8 @@ fn streamed_gram_training_and_prediction_match_in_memory_at_every_chunk_size() {
     let ds = synthetic_dataset();
     let dir = temp_dir("diff");
     export_dataset(&ds, &dir).expect("export");
-    let mem = DatasetBundle::load(&dir)
-        .expect("load")
+    let mem = StreamingBundle::open(&dir, usize::MAX)
+        .expect("open")
         .to_dataset()
         .expect("materialize");
     // In-memory reference, itself produced by the same generic path.
@@ -215,8 +215,8 @@ fn streamed_full_protocol_matches_select_train_evaluate_on_both_formats() {
         .seed(777);
     let dir = temp_dir("protocol");
     export_dataset(&ds, &dir).expect("export");
-    let mem = DatasetBundle::load(&dir)
-        .expect("load")
+    let mem = StreamingBundle::open(&dir, usize::MAX)
+        .expect("open")
         .to_dataset()
         .expect("materialize");
     let (mem_cv, mem_report) = pipeline_protocol(&mem, &config);
@@ -255,8 +255,8 @@ fn shuffled_manifest_order_streams_bit_identically_on_both_formats() {
     rng.shuffle(&mut manifest.test_unseen);
     manifest.write(&manifest_path).expect("rewrite");
 
-    let mem = DatasetBundle::load(&dir)
-        .expect("load")
+    let mem = StreamingBundle::open(&dir, usize::MAX)
+        .expect("open")
         .to_dataset()
         .expect("materialize");
     let reference = EszslProblem::from_source(&mem, false, false).expect("problem");
@@ -292,8 +292,8 @@ fn cross_validation_subsets_stream_row_for_row_in_shuffled_order() {
     let ds = synthetic_dataset();
     let dir = temp_dir("subsets");
     export_dataset(&ds, &dir).expect("export");
-    let mem = DatasetBundle::load(&dir)
-        .expect("load")
+    let mem = StreamingBundle::open(&dir, usize::MAX)
+        .expect("open")
         .to_dataset()
         .expect("materialize");
     let n = mem.train_x.rows();
@@ -314,7 +314,7 @@ fn cross_validation_subsets_stream_row_for_row_in_shuffled_order() {
             let (x, labels) = chunk.expect("chunk");
             assert!(x.rows() <= chunk_rows);
             got_rows.extend_from_slice(x.as_slice());
-            got_labels.extend(labels);
+            got_labels.extend_from_slice(&labels);
         }
         let expected = mem.train_x.gather_rows(&positions);
         let expected_labels: Vec<usize> = positions.iter().map(|&p| mem.train_labels[p]).collect();
@@ -327,8 +327,8 @@ fn cross_validation_subsets_stream_row_for_row_in_shuffled_order() {
 #[test]
 fn tiny_bundle_fixture_streams_bit_identically_in_both_formats() {
     let dir = fixture_dir();
-    let mem = DatasetBundle::load(&dir)
-        .expect("load")
+    let mem = StreamingBundle::open(&dir, usize::MAX)
+        .expect("open")
         .to_dataset()
         .expect("materialize");
     let reference = EszslProblem::from_source(&mem, false, false).expect("problem");
@@ -360,8 +360,8 @@ fn saved_zsm_engine_reproduces_the_fixture_report_after_reload() {
     // report over the streamed fixture is bit-identical — both for a
     // round-tripped engine and for the committed golden artifact.
     let dir = fixture_dir();
-    let mem = DatasetBundle::load(&dir)
-        .expect("load")
+    let mem = StreamingBundle::open(&dir, usize::MAX)
+        .expect("open")
         .to_dataset()
         .expect("materialize");
     let model = EszslConfig::new()
@@ -399,8 +399,8 @@ fn gzsl_reports_are_thread_invariant_over_streamed_and_in_memory_sources() {
     // protocol is bit-identical at every engine thread count, on both the
     // streamed and the materialized side.
     let dir = fixture_dir();
-    let mem = DatasetBundle::load(&dir)
-        .expect("load")
+    let mem = StreamingBundle::open(&dir, usize::MAX)
+        .expect("open")
         .to_dataset()
         .expect("materialize");
     let model = EszslConfig::new()
@@ -447,12 +447,12 @@ fn split_stream_fuses_after_first_error_without_fabricating_a_second() {
     bytes[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
     std::fs::write(&path, bytes).expect("corrupt");
 
-    let mut stream = bundle.stream_trainval().expect("stream");
+    let mut stream = FeatureSource::stream(&bundle, SplitKind::Trainval).expect("stream");
     let mut saw_error = false;
     for item in &mut stream {
         match item {
             Ok(_) => continue,
-            Err(zsl_core::DataError::Header { message, .. }) => {
+            Err(zsl_core::ZslError::Data(zsl_core::DataError::Header { message, .. })) => {
                 assert!(
                     message.contains(&format!("non-finite feature value NaN at row {row}, col 1")),
                     "{message}"

@@ -24,7 +24,7 @@
 //!    print_trainer_golden_bits` test after intentional solver changes.
 
 use std::path::PathBuf;
-use zsl_core::data::{export_dataset, DatasetBundle, StreamingBundle};
+use zsl_core::data::{export_dataset, StreamingBundle};
 use zsl_core::eval::{cross_validate, CrossValConfig, CrossValReport, GzslReport};
 use zsl_core::infer::{ScoringEngine, ScoringPrecision, Similarity};
 use zsl_core::model::{EszslConfig, TrainError};
@@ -133,8 +133,8 @@ fn every_family_is_chunk_invariant_and_matches_in_memory() {
     let ds = synthetic_dataset();
     let dir = temp_dir("chunks");
     export_dataset(&ds, &dir).expect("export");
-    let mem = DatasetBundle::load(&dir)
-        .expect("load")
+    let mem = StreamingBundle::open(&dir, usize::MAX)
+        .expect("open")
         .to_dataset()
         .expect("materialize");
     let n = mem.train_x.rows();
@@ -154,8 +154,8 @@ fn generic_cv_and_gzsl_protocols_are_chunk_invariant_for_every_family() {
     let ds = synthetic_dataset();
     let dir = temp_dir("protocol");
     export_dataset(&ds, &dir).expect("export");
-    let mem = DatasetBundle::load(&dir)
-        .expect("load")
+    let mem = StreamingBundle::open(&dir, usize::MAX)
+        .expect("open")
         .to_dataset()
         .expect("materialize");
     let n = mem.train_x.rows();
@@ -385,8 +385,8 @@ fn golden_trainers() -> [(&'static str, Box<dyn Trainer>, [u64; 3]); 2] {
 }
 
 fn fixture_report(trainer: &dyn Trainer) -> zsl_core::GzslReport {
-    let ds = DatasetBundle::load(&fixture_dir())
-        .expect("load fixture")
+    let ds = StreamingBundle::open(&fixture_dir(), usize::MAX)
+        .expect("open fixture")
         .to_dataset()
         .expect("materialize");
     let model = trainer.fit(&ds).expect("fit");

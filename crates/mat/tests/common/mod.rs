@@ -1,11 +1,15 @@
 //! Shared fixture machinery for the `zsl-mat` integration tests: a seeded
 //! synthetic dataset in xlsa17 shape, a helper that serializes it as a
 //! `res101.mat` + `att_splits.mat` pair in any byte order / compression, and
-//! a hostile file whose header claims far more data than it holds.
+//! a hostile file whose header claims far more data than it holds, plus
+//! [`bundle_literal`], a converted bundle's raw tables.
 #![allow(dead_code)] // not every test binary uses every helper
 
 use std::path::{Path, PathBuf};
-use zsl_core::data::Rng;
+use zsl_core::data::format::{read_signatures_csv, read_zsb};
+use zsl_core::data::{
+    ClassMap, DatasetBundle, Rng, SplitManifest, FEATURES_ZSB, SIGNATURES_CSV, SPLITS_TXT,
+};
 use zsl_mat::mat5::mi;
 use zsl_mat::writer::zlib_stored;
 use zsl_mat::{ArrayOpts, ByteOrder, Compression, MatWriter};
@@ -206,4 +210,25 @@ pub fn compressed_header_only(dir: &Path, name: &str, dims: &[i32], pr_bytes: u3
     let path = dir.join(name);
     w.write_to(&path).expect("write fixture");
     path
+}
+
+/// A bundle directory's tables as the `DatasetBundle` literal a caller
+/// holding them would build: `read_zsb`'s file-order features, labels
+/// remapped through the signature table's class map, and the manifest.
+pub fn bundle_literal(dir: &Path) -> DatasetBundle {
+    let table = read_zsb(&dir.join(FEATURES_ZSB)).expect("read features.zsb");
+    let (raw_classes, signatures) =
+        read_signatures_csv(&dir.join(SIGNATURES_CSV)).expect("read signatures.csv");
+    let class_map = ClassMap::from_labels(&raw_classes).expect("distinct classes");
+    DatasetBundle {
+        labels: table
+            .labels
+            .iter()
+            .map(|&raw| class_map.dense(raw).expect("known class"))
+            .collect(),
+        features: table.features,
+        signatures,
+        class_map,
+        manifest: SplitManifest::read(&dir.join(SPLITS_TXT)).expect("read splits.txt"),
+    }
 }

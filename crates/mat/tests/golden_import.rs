@@ -9,7 +9,7 @@ mod common;
 
 use common::{synth_xlsa, write_pair, PairOpts};
 use std::path::{Path, PathBuf};
-use zsl_core::data::DatasetBundle;
+use zsl_core::data::StreamingBundle;
 use zsl_core::{evaluate_gzsl, EszslConfig, Similarity};
 use zsl_mat::{ByteOrder, Compression, MatBundle};
 
@@ -53,8 +53,8 @@ fn convert_fixture(name: &str) -> (u64, u64, u64, [u64; 3]) {
         fnv1a(&std::fs::read(out.join("signatures.csv")).expect("signatures.csv")),
         fnv1a(&std::fs::read(out.join("splits.txt")).expect("splits.txt")),
     );
-    let ds = DatasetBundle::load(&out)
-        .expect("load")
+    let ds = StreamingBundle::open(&out, usize::MAX)
+        .expect("open")
         .to_dataset()
         .expect("dataset");
     let model = EszslConfig::new()

@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{scratch_dir, synth_xlsa, write_pair, PairOpts, SynthXlsa};
+use common::{bundle_literal, scratch_dir, synth_xlsa, write_pair, PairOpts, SynthXlsa};
 use zsl_core::data::{ClassMap, Dataset, DatasetBundle, SplitManifest, StreamingBundle};
 use zsl_core::linalg::Matrix;
 use zsl_core::{evaluate_gzsl, EszslConfig, GzslReport, Similarity};
@@ -101,7 +101,7 @@ fn imported_bundle_reproduces_in_memory_report_bit_for_bit() {
         assert_eq!(summary.num_samples, ds.n);
         assert_eq!(summary.unseen_classes, 2);
 
-        let imported = DatasetBundle::load(&out).expect("load converted bundle");
+        let imported = bundle_literal(&out);
         // Structure and bytes identical to the in-memory reference.
         assert_eq!(imported.labels, reference.labels, "{tag}: labels");
         assert_eq!(imported.manifest, reference.manifest, "{tag}: manifest");
@@ -117,7 +117,8 @@ fn imported_bundle_reproduces_in_memory_report_bit_for_bit() {
         );
 
         // And so is everything downstream: the full GZSL report.
-        let report = train_and_report(&imported.to_dataset().expect("dataset"));
+        let opened = StreamingBundle::open(&out, 7).expect("open converted bundle");
+        let report = train_and_report(&opened.to_dataset().expect("dataset"));
         assert_eq!(
             report_bits(&report),
             report_bits(&ref_report),

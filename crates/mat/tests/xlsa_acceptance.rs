@@ -8,7 +8,7 @@
 //! suite stays green on machines without the multi-GB downloads.
 
 use std::path::PathBuf;
-use zsl_core::data::DatasetBundle;
+use zsl_core::data::StreamingBundle;
 use zsl_core::{evaluate_gzsl, EszslConfig, Similarity};
 use zsl_mat::MatBundle;
 
@@ -90,8 +90,8 @@ fn published_eszsl_gzsl_numbers_within_tolerance() {
         bundle
             .convert_to_zsb(&out, zsl_mat::DEFAULT_CHUNK_ROWS)
             .unwrap_or_else(|e| panic!("{}: convert failed: {e}", bench.name));
-        let ds = DatasetBundle::load(&out)
-            .unwrap_or_else(|e| panic!("{}: load failed: {e}", bench.name))
+        let ds = StreamingBundle::open(&out, usize::MAX)
+            .unwrap_or_else(|e| panic!("{}: open failed: {e}", bench.name))
             .to_dataset()
             .unwrap_or_else(|e| panic!("{}: dataset failed: {e}", bench.name));
         let model = EszslConfig::new()

@@ -1,12 +1,13 @@
 //! The `zsl-import` binary end to end: `--features-csv <dir>` converts a
-//! bundle's `features.csv` to the `features.zsb` the zsl-core loaders read.
+//! bundle's `features.csv` to the `features.zsb` zsl-core's bundle reader
+//! reads.
 
 mod common;
 
 use common::scratch_dir;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
-use zsl_core::data::{DatasetBundle, FEATURES_CSV, FEATURES_ZSB, SIGNATURES_CSV, SPLITS_TXT};
+use zsl_core::data::{StreamingBundle, FEATURES_CSV, FEATURES_ZSB, SIGNATURES_CSV, SPLITS_TXT};
 
 fn tiny_bundle() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/tests/fixtures/tiny_bundle")
@@ -43,7 +44,9 @@ fn features_csv_import_reproduces_the_committed_zsb() {
         std::fs::read(dir.join(FEATURES_ZSB)).expect("read imported"),
         std::fs::read(tiny_bundle().join(FEATURES_ZSB)).expect("read committed"),
     );
-    assert_eq!(DatasetBundle::load(&dir).expect("load").num_samples(), 24);
+    let bundle = StreamingBundle::open(&dir, usize::MAX).expect("open");
+    bundle.to_dataset().expect("materialize");
+    assert_eq!(bundle.num_samples(), 24);
     std::fs::remove_dir_all(&dir).ok();
 }
 
