@@ -64,8 +64,8 @@
 
 use crate::data::DataError;
 use crate::error::ZslError;
-use crate::infer::{ScoringEngine, Similarity};
-use crate::linalg::Matrix;
+use crate::infer::{Bank, ScoringEngine, Similarity};
+use crate::linalg::{default_threads, Matrix};
 use crate::mmap::MappedFile;
 use crate::model::ProjectionModel;
 use crate::trainer::{KernelKind, KernelModel, ModelFamily, TrainedModel};
@@ -246,7 +246,7 @@ impl ScoringEngine {
 
     /// Load a `.zsm` artifact written by [`ScoringEngine::save`], discarding
     /// its provenance metadata. The engine uses one worker thread per
-    /// available core, like [`ScoringEngine::new`].
+    /// available core, like [`ScoringEngine::try_new`].
     pub fn load(path: &Path) -> Result<ScoringEngine, ZslError> {
         Ok(Self::load_with_metadata(path)?.0)
     }
@@ -699,13 +699,21 @@ fn copy_bank(bytes: &[u8], parsed: &ParsedZsm) -> Matrix {
     Matrix::from_vec(z, a, data)
 }
 
-/// Apply the post-construction engine state a `.zsm` file carries: scoring
-/// precision and calibration. Shared by every loader path.
-fn finish_engine(
-    mut engine: ScoringEngine,
-    parsed: &ParsedZsm,
+/// The tail every loader shares: build the engine over `bank`, wherever it
+/// lives, then apply the scoring precision and calibration the file carries.
+/// [`ScoringEngine::from_bank`] takes the bank exactly as stored — no
+/// re-normalization — which is what makes the round trip bit-identical. Its
+/// validation failures (shape/finiteness inconsistencies a crafted header
+/// could smuggle past [`parse_zsm`]) are typed errors: this is the serving
+/// boot path, and it must never panic on untrusted bytes.
+fn build_engine(
+    parsed: ParsedZsm,
+    bank: Bank,
     path: &Path,
-) -> Result<ScoringEngine, DataError> {
+) -> Result<(ScoringEngine, String), DataError> {
+    let mut engine =
+        ScoringEngine::from_bank(parsed.model, bank, parsed.similarity, default_threads())
+            .map_err(|msg| DataError::header(path, format!("inconsistent model payload: {msg}")))?;
     if parsed.score_f32 {
         engine = engine.with_precision(crate::infer::ScoringPrecision::F32);
     }
@@ -714,28 +722,15 @@ fn finish_engine(
             .with_calibration(gamma_cal, seen)
             .map_err(|e| DataError::header(path, format!("inconsistent calibration block: {e}")))?;
     }
-    Ok(engine)
+    Ok((engine, parsed.metadata))
 }
 
 /// Heap loader: read the whole file, parse, copy the bank out.
 fn read_zsm(path: &Path) -> Result<(ScoringEngine, String), DataError> {
     let bytes = std::fs::read(path).map_err(|e| DataError::io(path, e))?;
     let parsed = parse_zsm(&bytes, path)?;
-    let bank = copy_bank(&bytes, &parsed);
-    // from_cached_parts takes the bank exactly as stored — no
-    // re-normalization — which is what makes the round trip bit-identical.
-    // Its validation failures (shape/finiteness inconsistencies a crafted
-    // header could smuggle past the checks above) are typed errors: this is
-    // the serving boot path, and it must never panic on untrusted bytes.
-    let engine = ScoringEngine::from_cached_parts(
-        parsed.model.clone(),
-        bank,
-        parsed.similarity,
-        crate::linalg::default_threads(),
-    )
-    .map_err(|msg| DataError::header(path, format!("inconsistent model payload: {msg}")))?;
-    let engine = finish_engine(engine, &parsed, path)?;
-    Ok((engine, parsed.metadata))
+    let bank = Bank::Owned(copy_bank(&bytes, &parsed));
+    build_engine(parsed, bank, path)
 }
 
 /// Mmap loader: map the file, parse against the mapped bytes, and borrow the
@@ -754,7 +749,6 @@ fn read_zsm_mapped(path: &Path) -> Result<(ScoringEngine, String), DataError> {
         // error) from a plain read.
         return read_zsm(path);
     };
-    let map = Arc::new(map);
     let parsed = parse_zsm(map.as_bytes(), path)?;
     // Zero-copy needs the writer's 64-byte alignment (so the mapped bank is
     // 8-byte aligned) and a little-endian host (the payload is LE f64). The
@@ -763,29 +757,17 @@ fn read_zsm_mapped(path: &Path) -> Result<(ScoringEngine, String), DataError> {
     let zero_copy = parsed.aligned
         && parsed.bank_offset % ZSM_BANK_ALIGN == 0
         && cfg!(target_endian = "little");
-    let engine = if zero_copy {
-        ScoringEngine::from_mapped_parts(
-            parsed.model.clone(),
-            Arc::clone(&map),
-            parsed.bank_offset,
-            parsed.bank_rows,
-            parsed.bank_cols,
-            parsed.similarity,
-            crate::linalg::default_threads(),
-        )
-        .map_err(|msg| DataError::header(path, format!("inconsistent model payload: {msg}")))?
+    let bank = if zero_copy {
+        Bank::Mapped {
+            map: Arc::new(map),
+            offset: parsed.bank_offset,
+            rows: parsed.bank_rows,
+            cols: parsed.bank_cols,
+        }
     } else {
-        let bank = copy_bank(map.as_bytes(), &parsed);
-        ScoringEngine::from_cached_parts(
-            parsed.model.clone(),
-            bank,
-            parsed.similarity,
-            crate::linalg::default_threads(),
-        )
-        .map_err(|msg| DataError::header(path, format!("inconsistent model payload: {msg}")))?
+        Bank::Owned(copy_bank(map.as_bytes(), &parsed))
     };
-    let engine = finish_engine(engine, &parsed, path)?;
-    Ok((engine, parsed.metadata))
+    build_engine(parsed, bank, path)
 }
 
 /// L2 norm of one bank row slice.
@@ -814,7 +796,7 @@ mod tests {
         let mut rng = Rng::new(seed);
         let w = Matrix::from_vec(d, a, (0..d * a).map(|_| rng.normal()).collect());
         let bank = Matrix::from_vec(z, a, (0..z * a).map(|_| rng.normal()).collect());
-        ScoringEngine::new(ProjectionModel::from_weights(w), bank, sim)
+        ScoringEngine::try_new(ProjectionModel::from_weights(w), bank, sim).expect("engine")
     }
 
     // The bit-identical round-trip property lives in

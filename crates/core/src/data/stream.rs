@@ -45,7 +45,7 @@ use crate::linalg::Matrix;
 use crate::source::{validate_subset_positions, FeatureSource, SourceStream, SplitKind};
 use std::borrow::Cow;
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom};
+use std::io::{BufReader, Read};
 use std::path::{Path, PathBuf};
 
 /// One block of consecutive samples pulled from a feature table.
@@ -118,6 +118,9 @@ pub struct ZsbChunkReader {
     order: Vec<usize>,
     /// Next position in `order`.
     cursor: usize,
+    /// Byte offset of `file`'s logical read position, tracked because
+    /// [`BufReader::seek_relative`] does not report it.
+    pos: u64,
     failed: bool,
 }
 
@@ -131,12 +134,14 @@ impl ZsbChunkReader {
     /// Open a `.zsb` file to stream exactly `indices` (global row numbers, in
     /// the given order, repeats allowed) in `chunk_rows` blocks.
     ///
-    /// Rows are fetched with coalesced seeks, so arbitrary-order access —
-    /// e.g. a shuffled cross-validation fold — costs one seek per *run* of
+    /// Rows are fetched in coalesced runs, so arbitrary-order access — e.g. a
+    /// shuffled cross-validation fold — costs at most one seek per *run* of
     /// consecutive indices, not one per row, and still never holds more than
-    /// one chunk of features in memory. Ascending lists degenerate to long
-    /// sequential runs, so a sparse split over a huge file reads *only* the
-    /// selected byte ranges.
+    /// one chunk of features in memory. A run that starts where the last one
+    /// ended does not seek, and one that starts inside the read buffer is
+    /// served from it. Ascending lists degenerate to long sequential runs,
+    /// so a sparse split over a huge file reads only the selected byte
+    /// ranges and what the buffer reads ahead.
     pub fn open_indexed(
         path: &Path,
         indices: &[usize],
@@ -200,10 +205,12 @@ impl ZsbChunkReader {
             ));
         }
 
+        let mut pos = ZSB_HEADER_LEN;
         let labels = if read_labels {
             let mut label_bytes = vec![0u8; 4 * n];
             file.read_exact(&mut label_bytes)
                 .map_err(|e| read_failure(path, expected, e))?;
+            pos += label_bytes.len() as u64;
             let labels: Vec<u32> = label_bytes
                 .chunks_exact(4)
                 .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
@@ -248,6 +255,7 @@ impl ZsbChunkReader {
             chunk_rows,
             order,
             cursor: 0,
+            pos,
             failed: false,
         })
     }
@@ -307,7 +315,8 @@ impl ZsbChunkReader {
     }
 
     /// Read the rows at positions `start..start + take` of the row order,
-    /// coalescing each run of consecutive rows into one seek + read.
+    /// coalescing each run of consecutive rows into one read. Moves between
+    /// runs are relative, so a run inside the buffered bytes keeps them.
     fn read_chunk(&mut self, start: usize, take: usize) -> Result<FeatureChunk, DataError> {
         let d = self.feature_dim;
         let end = start + take;
@@ -321,10 +330,15 @@ impl ZsbChunkReader {
                 run_len += 1;
             }
             let offset = self.row_offset(run_start);
-            self.file
-                .seek(SeekFrom::Start(offset))
-                .map_err(|e| DataError::io(&self.path, e))?;
+            if offset != self.pos {
+                // Both offsets lie inside the length-checked file, so they
+                // fit a signed file offset.
+                self.file
+                    .seek_relative(offset as i64 - self.pos as i64)
+                    .map_err(|e| DataError::io(&self.path, e))?;
+            }
             self.read_rows_at_cursor(run_start, run_len, &mut data)?;
+            self.pos = offset + (run_len * d * 8) as u64;
             if !self.labels.is_empty() {
                 labels.extend_from_slice(&self.labels[run_start..run_start + run_len]);
             }
@@ -597,4 +611,56 @@ fn owned_chunks<'a>(
             .map(|(x, labels)| (Cow::Owned(x), Cow::Owned(labels)))
             .map_err(ZslError::from)
     }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::data::format::{read_zsb, write_zsb, FeatureTable};
+    use crate::data::Rng;
+
+    #[test]
+    fn indexed_reads_match_read_zsb_across_buffer_gaps() {
+        // d = 256 makes each row 2 KiB, so `BufReader`'s 8 KiB buffer holds
+        // four rows and the order below mixes runs that continue at the
+        // reader's position, forward gaps inside and past the buffer,
+        // backward jumps (some inside the buffered bytes) and repeats.
+        let (n, d) = (24, 256);
+        let mut rng = Rng::new(2048);
+        let table = FeatureTable {
+            labels: (0..n).map(|i| (i % 5) as u32).collect(),
+            features: Matrix::from_vec(n, d, (0..n * d).map(|_| rng.normal()).collect()),
+        };
+        let path = std::env::temp_dir().join(format!("zsl_stream_{}_gaps.zsb", std::process::id()));
+        write_zsb(&path, &table).expect("write");
+        let reference = read_zsb(&path).expect("read_zsb");
+        let order = [
+            0, 1, 2, 4, 5, 9, 3, 3, 3, 10, 11, 20, 19, 7, 8, 23, 0, 12, 14, 13, 22, 21, 6, 6,
+        ];
+        assert_eq!(order.len(), n);
+        for chunk_rows in [1, 3, n] {
+            let reader = ZsbChunkReader::open_indexed(&path, &order, chunk_rows).expect("open");
+            let mut position = 0;
+            for chunk in reader {
+                let chunk = chunk.expect("chunk");
+                assert_eq!(chunk.start_row, position, "chunk_rows={chunk_rows}");
+                for (i, &row) in order[position..position + chunk.features.rows()]
+                    .iter()
+                    .enumerate()
+                {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(chunk.features.row(i)),
+                        bits(reference.features.row(row)),
+                        "chunk_rows={chunk_rows} position={}",
+                        position + i
+                    );
+                    assert_eq!(chunk.labels[i], reference.labels[row]);
+                }
+                position += chunk.features.rows();
+            }
+            assert_eq!(position, order.len(), "chunk_rows={chunk_rows}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }

@@ -564,7 +564,6 @@ fn assemble_cross_val_report(
 mod tests {
     use super::*;
     use crate::data::{Dataset, SyntheticConfig};
-    use crate::infer::{mean_per_class_accuracy, per_class_accuracy};
     use crate::model::{EszslConfig, EszslTrainer, ProjectionModel, TrainError};
     use crate::pipeline::Pipeline;
     use crate::source::MemorySource;
@@ -585,12 +584,12 @@ mod tests {
         assert_eq!(report.per_class_unseen.len(), ds.unseen_signatures.rows());
         assert!(report.per_class_seen.iter().all(|a| a.is_some()));
         // The report must equal the manual union-bank computation.
-        let engine = ScoringEngine::new(model.clone(), ds.all_signatures(), Similarity::Cosine);
+        let engine = ScoringEngine::try_new(model.clone(), ds.all_signatures(), Similarity::Cosine)
+            .expect("engine");
         let num_seen = ds.seen_signatures.rows();
-        let total = ds.num_classes();
-        let seen_pred = engine.predict(&ds.test_seen_x);
-        let manual_seen =
-            mean_defined(&per_class_accuracy(&seen_pred, &ds.test_seen_labels, total)[..num_seen]);
+        let mut seen = ClassAccuracyCounter::new(ds.num_classes());
+        seen.observe(&engine.predict(&ds.test_seen_x), &ds.test_seen_labels);
+        let manual_seen = mean_defined(&seen.per_class()[..num_seen]);
         assert_eq!(report.seen_accuracy, manual_seen);
         assert_eq!(
             report.harmonic_mean,
@@ -605,11 +604,12 @@ mod tests {
     fn evaluate_with_rejects_a_mismatched_engine_bank() {
         let (model, ds) = trained_dataset();
         // Seen-only bank cannot score the GZSL union protocol.
-        let engine = ScoringEngine::new(
+        let engine = ScoringEngine::try_new(
             model.clone(),
             ds.seen_signatures.clone(),
             Similarity::Cosine,
-        );
+        )
+        .expect("engine");
         assert!(matches!(
             evaluate_gzsl_with(&engine, &ds),
             Err(ZslError::Config(msg)) if msg.contains("union")
@@ -624,7 +624,8 @@ mod tests {
         }
         rotated.push(union.row(0).to_vec());
         let wrong_partition = crate::linalg::Matrix::from_rows(&rotated);
-        let engine = ScoringEngine::new(model, wrong_partition, Similarity::Cosine);
+        let engine =
+            ScoringEngine::try_new(model, wrong_partition, Similarity::Cosine).expect("engine");
         assert_eq!(engine.num_classes(), ds.num_classes(), "same total");
         assert!(matches!(
             evaluate_gzsl_with(&engine, &ds),
@@ -755,19 +756,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn per_class_mean_helpers_agree_with_counter() {
-        // Keep the one-shot metric wrappers honest against the counter the
-        // generic path uses.
-        let predicted = [0usize, 1, 1, 2];
-        let truth = [0usize, 1, 0, 2];
-        let mut counter = ClassAccuracyCounter::new(3);
-        counter.observe(&predicted, &truth);
-        assert_eq!(
-            counter.mean(),
-            mean_per_class_accuracy(&predicted, &truth, 3)
-        );
     }
 }

@@ -182,7 +182,7 @@ impl BankShards {
 /// The engine's cached signature bank: either owned rows on the heap or rows
 /// borrowed zero-copy from a memory-mapped `.zsm` artifact.
 #[derive(Clone, Debug)]
-enum Bank {
+pub(crate) enum Bank {
     /// Heap-owned `num_classes x attr_dim` rows — the default.
     Owned(Matrix),
     /// Rows borrowed from a mapped artifact: `offset` bytes into the mapping,
@@ -333,52 +333,14 @@ pub struct ScoringEngine {
 }
 
 impl ScoringEngine {
-    /// Build an engine over `signatures` (`num_classes x attr_dim`) using one
-    /// worker thread per available core.
+    /// Build an engine over `signatures` (`num_classes x attr_dim`), the one
+    /// public constructor. Every construction-time validation failure (empty
+    /// / zero-width / non-finite bank, attribute-dimension mismatch) is a
+    /// typed [`ZslError::Config`], so a daemon's boot or reload degrades to
+    /// an error response instead of aborting the process.
     ///
-    /// Panics if the bank is empty, zero-width, contains a non-finite value,
-    /// or its width does not match the model's attribute dimension — bad data
-    /// fails here, at construction, not at scoring time. Code handling
-    /// *untrusted* inputs (a serving daemon booting from an artifact it did
-    /// not write) must use [`ScoringEngine::try_new`] instead, where the same
-    /// conditions are typed [`ZslError::Config`] values.
-    pub fn new(model: impl Into<TrainedModel>, signatures: Matrix, similarity: Similarity) -> Self {
-        Self::with_threads(model, signatures, similarity, default_threads())
-    }
-
-    /// [`ScoringEngine::new`] with an explicit worker-thread count
-    /// (`0` is treated as `1`).
-    ///
-    /// Like [`ScoringEngine::new`], this is the *convenience* constructor for
-    /// trusted, in-process data and deliberately panics on invalid parts;
-    /// every serve/load-reachable path (artifact loaders, the evaluation and
-    /// cross-validation drivers, `Pipeline::train`) returns typed errors
-    /// instead ([`ScoringEngine::try_new`] and the artifact loaders).
-    pub fn with_threads(
-        model: impl Into<TrainedModel>,
-        signatures: Matrix,
-        similarity: Similarity,
-        threads: usize,
-    ) -> Self {
-        match Self::try_new(model, signatures, similarity) {
-            Ok(mut engine) => {
-                engine.set_threads(threads);
-                engine
-            }
-            Err(ZslError::Config(msg)) => panic!("{msg}"),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`ScoringEngine::new`]: every construction-time validation
-    /// failure (empty / zero-width / non-finite bank, attribute-dimension
-    /// mismatch) is a typed [`ZslError::Config`] instead of a panic.
-    ///
-    /// This is the constructor for serving paths fed by untrusted input —
-    /// a daemon's boot/reload must degrade to an error response, never
-    /// abort the process.
-    ///
-    /// The engine uses one worker thread per available core;
+    /// For [`Similarity::Cosine`] the bank is L2-normalized here, once. The
+    /// engine uses one worker thread per available core;
     /// [`ScoringEngine::set_threads`] changes that.
     pub fn try_new(
         model: impl Into<TrainedModel>,
@@ -404,61 +366,28 @@ impl ScoringEngine {
         ))
     }
 
-    /// Reassemble an engine from an *already prepared* cached bank — the
-    /// `.zsm` artifact loader's constructor ([`ScoringEngine::load`]).
+    /// Reassemble an engine from an *already prepared* cached bank, heap-owned
+    /// or borrowed from a mapped file — the `.zsm` artifact loaders'
+    /// constructor ([`ScoringEngine::load_with_metadata`] and
+    /// [`ScoringEngine::load_mapped`]).
     ///
     /// The bank is taken exactly as given, with **no** re-normalization: a
     /// cosine engine's bank was normalized once when the engine was first
     /// built, and normalizing it again would divide by norms of ≈1.0 (not
     /// exactly 1.0) and perturb the cached bits. Skipping that step is what
     /// makes a save/load round trip reproduce predictions bit-for-bit.
-    /// Validation (non-empty, finite, width match) still runs, and — because
-    /// this constructor sits on the daemon's load/reload path, where input is
-    /// untrusted by definition — failures are typed errors, never panics.
-    /// The caller (the `.zsm` loader) additionally checks that a cosine
-    /// bank's rows really are unit-norm, since nothing downstream will ever
-    /// re-normalize them.
-    pub(crate) fn from_cached_parts(
+    /// Validation (non-empty, finite, width match) still runs and returns the
+    /// message for the loader to type, since input here is untrusted by
+    /// definition. The loader additionally checks that a cosine bank's rows
+    /// really are unit-norm, since nothing downstream will ever re-normalize
+    /// them.
+    pub(crate) fn from_bank(
         model: TrainedModel,
-        signatures: Matrix,
+        bank: Bank,
         similarity: Similarity,
         threads: usize,
     ) -> Result<Self, String> {
-        check_engine_parts(
-            &model,
-            signatures.rows(),
-            signatures.cols(),
-            signatures.as_slice(),
-        )?;
-        Ok(Self::assemble(
-            model,
-            Bank::Owned(signatures),
-            similarity,
-            threads,
-        ))
-    }
-
-    /// [`ScoringEngine::from_cached_parts`] with the bank *borrowed* from a
-    /// mapped `.zsm` artifact instead of heap-copied — the zero-copy boot
-    /// path. Same validation and no-renormalization contract; the caller (the
-    /// artifact loader) guarantees the `offset..offset + rows*cols*8` region
-    /// is in-bounds, 8-byte aligned, and little-endian `f64` data.
-    pub(crate) fn from_mapped_parts(
-        model: TrainedModel,
-        map: Arc<MappedFile>,
-        offset: usize,
-        rows: usize,
-        cols: usize,
-        similarity: Similarity,
-        threads: usize,
-    ) -> Result<Self, String> {
-        let bank = Bank::Mapped {
-            map,
-            offset,
-            rows,
-            cols,
-        };
-        check_engine_parts(&model, rows, cols, bank.as_slice())?;
+        check_engine_parts(&model, bank.rows(), bank.cols(), bank.as_slice())?;
         Ok(Self::assemble(model, bank, similarity, threads))
     }
 
@@ -924,10 +853,9 @@ impl Ord for Cand {
 
 /// The ONE construction-time validation behind every engine constructor:
 /// empty, zero-width, or non-finite signature banks and attribute-dimension
-/// mismatches are reported as an error message. The panicking constructors
-/// ([`ScoringEngine::new`], [`ScoringEngine::with_threads`]) turn the message
-/// into a panic; the fallible ones ([`ScoringEngine::try_new`], the `.zsm`
-/// loader) turn it into a typed error.
+/// mismatches are reported as an error message, which
+/// [`ScoringEngine::try_new`] types as [`ZslError::Config`] and the `.zsm`
+/// loaders as a header error.
 fn check_engine_parts(
     model: &TrainedModel,
     rows: usize,
@@ -985,20 +913,9 @@ fn argmax(row: &[f64]) -> usize {
     best
 }
 
-/// Fraction of samples where `predicted[i] == truth[i]`.
-/// Panics if lengths differ; returns 0 for empty input.
-pub fn overall_accuracy(predicted: &[usize], truth: &[usize]) -> f64 {
-    assert_eq!(predicted.len(), truth.len(), "length mismatch");
-    if truth.is_empty() {
-        return 0.0;
-    }
-    let hits = predicted.iter().zip(truth).filter(|(p, t)| p == t).count();
-    hits as f64 / truth.len() as f64
-}
-
-/// Incremental per-class accuracy counter — the one implementation behind
-/// [`per_class_accuracy`] / [`mean_per_class_accuracy`] *and* the streamed
-/// evaluators in [`crate::eval`].
+/// Incremental per-class accuracy counter — the one per-class accuracy
+/// metric, behind one-shot batches and the streamed evaluators in
+/// [`crate::eval`] alike.
 ///
 /// Hits and totals are integers, so observation order (and chunking) cannot
 /// perturb anything; the only float operations are the final `hits / counts`
@@ -1021,8 +938,7 @@ impl ClassAccuracyCounter {
     }
 
     /// Fold one batch of aligned predictions and ground-truth labels.
-    /// Panics on length mismatch or an out-of-range truth label, matching
-    /// [`per_class_accuracy`].
+    /// Panics on length mismatch or an out-of-range truth label.
     pub fn observe(&mut self, predicted: &[usize], truth: &[usize]) {
         assert_eq!(predicted.len(), truth.len(), "length mismatch");
         for (&p, &t) in predicted.iter().zip(truth) {
@@ -1043,42 +959,23 @@ impl ClassAccuracyCounter {
             .collect()
     }
 
-    /// Mean of the defined per-class accuracies, 0 when none are defined.
+    /// Mean of the defined per-class accuracies — the standard ZSL metric,
+    /// robust to class imbalance — and 0 when none are defined.
     pub fn mean(&self) -> f64 {
         mean_defined(&self.per_class())
     }
 }
 
 /// Mean of the defined entries, 0 when none are defined — the one reduction
-/// behind [`ClassAccuracyCounter::mean`], [`mean_per_class_accuracy`], and
-/// the [`crate::eval::GzslReport`] accuracies, so every report derives its
-/// headline numbers from identical float operations.
+/// behind [`ClassAccuracyCounter::mean`] and the [`crate::eval::GzslReport`]
+/// accuracies, so every report derives its headline numbers from identical
+/// float operations.
 pub(crate) fn mean_defined(per_class: &[Option<f64>]) -> f64 {
     let defined: Vec<f64> = per_class.iter().copied().flatten().collect();
     if defined.is_empty() {
         return 0.0;
     }
     defined.iter().sum::<f64>() / defined.len() as f64
-}
-
-/// Per-class accuracy over `num_classes` classes. Classes with no ground-truth
-/// samples yield `None`. One-shot wrapper over [`ClassAccuracyCounter`].
-pub fn per_class_accuracy(
-    predicted: &[usize],
-    truth: &[usize],
-    num_classes: usize,
-) -> Vec<Option<f64>> {
-    let mut counter = ClassAccuracyCounter::new(num_classes);
-    counter.observe(predicted, truth);
-    counter.per_class()
-}
-
-/// Mean of the defined per-class accuracies — the standard ZSL metric, which
-/// is robust to class imbalance. Returns 0 when no class has samples.
-pub fn mean_per_class_accuracy(predicted: &[usize], truth: &[usize], num_classes: usize) -> f64 {
-    let mut counter = ClassAccuracyCounter::new(num_classes);
-    counter.observe(predicted, truth);
-    counter.mean()
 }
 
 /// Harmonic mean `2·s·u / (s + u)` of seen and unseen accuracy — the headline
@@ -1101,7 +998,7 @@ mod tests {
     fn toy_engine(similarity: Similarity) -> ScoringEngine {
         let model = ProjectionModel::from_weights(Matrix::identity(2));
         let signatures = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
-        ScoringEngine::new(model, signatures, similarity)
+        ScoringEngine::try_new(model, signatures, similarity).expect("engine")
     }
 
     #[test]
@@ -1136,46 +1033,49 @@ mod tests {
     fn accuracy_metrics_on_known_inputs() {
         let predicted = [0, 1, 1, 2, 2, 2];
         let truth = [0, 1, 0, 2, 2, 1];
-        assert!((overall_accuracy(&predicted, &truth) - 4.0 / 6.0).abs() < 1e-12);
+        let mut counter = ClassAccuracyCounter::new(4);
+        counter.observe(&predicted, &truth);
 
-        let per_class = per_class_accuracy(&predicted, &truth, 4);
+        let per_class = counter.per_class();
         assert_eq!(per_class[0], Some(0.5));
         assert_eq!(per_class[1], Some(0.5));
         assert_eq!(per_class[2], Some(1.0));
         assert_eq!(per_class[3], None);
 
-        let mpca = mean_per_class_accuracy(&predicted, &truth, 4);
-        assert!((mpca - (0.5 + 0.5 + 1.0) / 3.0).abs() < 1e-12);
+        assert!((counter.mean() - (0.5 + 0.5 + 1.0) / 3.0).abs() < 1e-12);
     }
 
+    // Every construction failure is a typed `ZslError::Config`: unwrapping it
+    // panics with the variant and its message, which `should_panic` matches.
+
     #[test]
-    #[should_panic(expected = "at least one class signature")]
+    #[should_panic(expected = r#"Config("classifier needs at least one class signature"#)]
     fn classifier_rejects_empty_signature_bank() {
         let model = ProjectionModel::from_weights(Matrix::identity(2));
-        ScoringEngine::new(model, Matrix::zeros(0, 2), Similarity::Cosine);
+        ScoringEngine::try_new(model, Matrix::zeros(0, 2), Similarity::Cosine).unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "zero-width")]
+    #[should_panic(expected = r#"Config("classifier signature bank is zero-width"#)]
     fn classifier_rejects_zero_width_signature_bank() {
         let model = ProjectionModel::from_weights(Matrix::zeros(2, 0));
-        ScoringEngine::new(model, Matrix::zeros(3, 0), Similarity::Cosine);
+        ScoringEngine::try_new(model, Matrix::zeros(3, 0), Similarity::Cosine).unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "non-finite value")]
+    #[should_panic(expected = r#"Config("signature bank contains non-finite value"#)]
     fn classifier_rejects_nan_in_signature_bank() {
         let model = ProjectionModel::from_weights(Matrix::identity(2));
         let bank = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, f64::NAN]]);
-        ScoringEngine::new(model, bank, Similarity::Cosine);
+        ScoringEngine::try_new(model, bank, Similarity::Cosine).unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "non-finite value")]
+    #[should_panic(expected = r#"Config("signature bank contains non-finite value"#)]
     fn classifier_rejects_infinity_in_signature_bank() {
         let model = ProjectionModel::from_weights(Matrix::identity(2));
         let bank = Matrix::from_rows(&[vec![1.0, f64::INFINITY]]);
-        ScoringEngine::new(model, bank, Similarity::Dot);
+        ScoringEngine::try_new(model, bank, Similarity::Dot).unwrap();
     }
 
     #[test]
@@ -1199,7 +1099,7 @@ mod tests {
         // `>` results.
         let model = ProjectionModel::from_weights(Matrix::identity(2));
         let bank = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
-        let clf = ScoringEngine::new(model, bank, Similarity::Dot);
+        let clf = ScoringEngine::try_new(model, bank, Similarity::Dot).expect("engine");
         let x = Matrix::from_rows(&[vec![1.0, f64::NAN], vec![0.0, 1.0]]);
         let scores = clf.scores(&x);
         assert!(
@@ -1242,7 +1142,7 @@ mod tests {
             let bank = Matrix::from_vec(z, 3, (0..z * 3).map(|_| rng.normal()).collect());
             let x = Matrix::from_vec(4, 3, (0..12).map(|_| rng.normal()).collect());
             let model = ProjectionModel::from_weights(Matrix::identity(3));
-            let engine = ScoringEngine::new(model, bank, Similarity::Dot);
+            let engine = ScoringEngine::try_new(model, bank, Similarity::Dot).expect("engine");
             for k in [0usize, 1, 3, z / 2, z.saturating_sub(1), z, z + 5] {
                 assert_topk_is_full_sort(&engine, &x, k);
             }
@@ -1261,7 +1161,7 @@ mod tests {
             vec![1.0, 0.0, 0.0],
         ]);
         let model = ProjectionModel::from_weights(Matrix::identity(3));
-        let engine = ScoringEngine::new(model, bank, Similarity::Dot);
+        let engine = ScoringEngine::try_new(model, bank, Similarity::Dot).expect("engine");
         let x = Matrix::from_rows(&[vec![1.0, 1e308, 1e308], vec![0.5, 0.0, 0.0]]);
         let scores = engine.scores(&x);
         assert!(scores.get(0, 2).is_nan());
@@ -1285,7 +1185,7 @@ mod tests {
     fn single_class_bank_always_predicts_class_zero() {
         let model = ProjectionModel::from_weights(Matrix::identity(2));
         let bank = Matrix::from_rows(&[vec![0.3, 0.7]]);
-        let clf = ScoringEngine::new(model, bank, Similarity::Cosine);
+        let clf = ScoringEngine::try_new(model, bank, Similarity::Cosine).expect("engine");
         let x = Matrix::from_rows(&[vec![5.0, -1.0], vec![-2.0, 0.4]]);
         assert_eq!(clf.predict(&x), vec![0, 0]);
         let ranked = clf.predict_topk(&x, 4);
@@ -1297,7 +1197,7 @@ mod tests {
     fn engine_caches_normalized_bank_and_streams_chunks() {
         let model = ProjectionModel::from_weights(Matrix::identity(3));
         let bank = Matrix::from_rows(&[vec![3.0, 0.0, 0.0], vec![0.0, 0.0, 5.0]]);
-        let engine = ScoringEngine::new(model, bank, Similarity::Cosine);
+        let engine = ScoringEngine::try_new(model, bank, Similarity::Cosine).expect("engine");
         // Bank was normalized once at construction.
         for r in 0..engine.num_classes() {
             let norm: f64 = engine
@@ -1330,7 +1230,8 @@ mod tests {
             .build()
             .fit(&ds)
             .expect("fit");
-        let engine = ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine);
+        let engine =
+            ScoringEngine::try_new(model, ds.all_signatures(), Similarity::Cosine).expect("engine");
         for (split, x) in [
             (SplitKind::Trainval, &ds.train_x),
             (SplitKind::TestSeen, &ds.test_seen_x),
@@ -1350,19 +1251,13 @@ mod tests {
         let w = Matrix::from_vec(4, 3, (0..12).map(|_| rng.normal()).collect());
         let bank = Matrix::from_vec(5, 3, (0..15).map(|_| rng.normal()).collect());
         let x = Matrix::from_vec(40, 4, (0..160).map(|_| rng.normal()).collect());
-        let baseline = ScoringEngine::with_threads(
-            ProjectionModel::from_weights(w.clone()),
-            bank.clone(),
-            Similarity::Cosine,
-            1,
-        );
+        let mut baseline =
+            ScoringEngine::try_new(ProjectionModel::from_weights(w), bank, Similarity::Cosine)
+                .expect("engine");
+        baseline.set_threads(1);
         for threads in [2usize, 4, 9] {
-            let engine = ScoringEngine::with_threads(
-                ProjectionModel::from_weights(w.clone()),
-                bank.clone(),
-                Similarity::Cosine,
-                threads,
-            );
+            let mut engine = baseline.clone();
+            engine.set_threads(threads);
             assert_eq!(
                 engine.scores(&x).as_slice(),
                 baseline.scores(&x).as_slice(),
@@ -1378,12 +1273,10 @@ mod tests {
         let w = Matrix::from_vec(6, 4, (0..24).map(|_| rng.normal()).collect());
         let bank = Matrix::from_vec(5, 4, (0..20).map(|_| rng.normal()).collect());
         let x = Matrix::from_vec(32, 6, (0..192).map(|_| rng.normal()).collect());
-        let f64_engine = ScoringEngine::with_threads(
-            ProjectionModel::from_weights(w.clone()),
-            bank.clone(),
-            Similarity::Cosine,
-            1,
-        );
+        let mut f64_engine =
+            ScoringEngine::try_new(ProjectionModel::from_weights(w), bank, Similarity::Cosine)
+                .expect("engine");
+        f64_engine.set_threads(1);
         assert_eq!(f64_engine.precision(), ScoringPrecision::F64);
         let f32_engine = f64_engine.clone().with_precision(ScoringPrecision::F32);
         assert_eq!(f32_engine.precision(), ScoringPrecision::F32);

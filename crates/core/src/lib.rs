@@ -75,7 +75,7 @@
 //!
 //! ```
 //! use zsl_core::data::SyntheticConfig;
-//! use zsl_core::infer::{mean_per_class_accuracy, ScoringEngine, Similarity};
+//! use zsl_core::infer::{ClassAccuracyCounter, ScoringEngine, Similarity};
 //! use zsl_core::model::EszslConfig;
 //! use zsl_core::source::MemorySource;
 //!
@@ -86,12 +86,12 @@
 //!     .gamma(1.0)
 //!     .lambda(1.0)
 //!     .build()
-//!     .fit(&train)
-//!     .unwrap();
-//! let engine = ScoringEngine::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
-//! let predictions = engine.predict(&ds.test_unseen_x);
-//! let acc = mean_per_class_accuracy(&predictions, &ds.test_unseen_labels, 4);
-//! assert!(acc > 0.9);
+//!     .fit(&train)?;
+//! let engine = ScoringEngine::try_new(model, ds.unseen_signatures.clone(), Similarity::Cosine)?;
+//! let mut accuracy = ClassAccuracyCounter::new(4);
+//! accuracy.observe(&engine.predict(&ds.test_unseen_x), &ds.test_unseen_labels);
+//! assert!(accuracy.mean() > 0.9);
+//! # Ok::<(), zsl_core::ZslError>(())
 //! ```
 
 pub mod artifact;
@@ -118,8 +118,8 @@ pub use eval::{
     GzslReport,
 };
 pub use infer::{
-    harmonic_mean, mean_per_class_accuracy, overall_accuracy, per_class_accuracy, BankShards,
-    BankView, ClassAccuracyCounter, ScoringEngine, ScoringPrecision, Similarity, TopK,
+    harmonic_mean, BankShards, BankView, ClassAccuracyCounter, ScoringEngine, ScoringPrecision,
+    Similarity, TopK,
 };
 pub use linalg::{
     default_threads, pool_threads, solve_sylvester, Cholesky, LinalgError, Matrix, SymmetricEigen,

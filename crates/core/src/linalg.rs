@@ -42,11 +42,16 @@ const PACK_MIN_ROWS: usize = 4;
 
 /// Number of worker threads the hardware supports, used as the default by the
 /// parallel matmul paths and [`crate::infer::ScoringEngine`]. Falls back to 1
-/// when the platform cannot report its parallelism.
+/// when the platform cannot report its parallelism. Computed once per
+/// process: `available_parallelism` re-reads the cgroup CPU quota on every
+/// call, and every engine construction asks.
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Scalar element the shared microkernels are generic over: `f64` for

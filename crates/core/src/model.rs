@@ -90,11 +90,6 @@ impl ProjectionModel {
     pub fn into_weights(self) -> Matrix {
         self.w
     }
-
-    /// Project a batch of features (`n x d`) into attribute space (`n x a`).
-    pub fn project(&self, x: &Matrix) -> Matrix {
-        x.matmul(&self.w)
-    }
 }
 
 /// Builder-style configuration for [`EszslTrainer`].
@@ -624,7 +619,7 @@ mod tests {
         let model = EszslConfig::new().build().fit(&ds).expect("fit");
         assert_eq!(model.weights().rows(), 13);
         assert_eq!(model.weights().cols(), 7);
-        let projected = model.project(&ds.test_unseen_x);
+        let projected = ds.test_unseen_x.matmul(model.weights());
         assert_eq!(projected.rows(), ds.test_unseen_x.rows());
         assert_eq!(projected.cols(), 7);
     }

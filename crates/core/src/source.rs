@@ -233,9 +233,9 @@ impl<'a> MemorySource<'a> {
     ///
     /// # Panics
     ///
-    /// Panics when `x.rows() != labels.len()` — a construction-time guard in
-    /// the [`crate::infer::ScoringEngine::new`] style, so mismatched inputs
-    /// fail where they are wired together rather than inside a fold loop.
+    /// Panics when `x.rows() != labels.len()` — a construction-time guard, so
+    /// mismatched inputs fail where they are wired together rather than
+    /// inside a fold loop.
     pub fn new(x: &'a Matrix, labels: &'a [usize], signatures: &'a Matrix) -> Self {
         assert_eq!(
             x.rows(),

@@ -307,14 +307,10 @@ impl TrainedModel {
         }
     }
 
-    /// Project a batch of features (`n x d`) into attribute space (`n x a`).
-    pub fn project(&self, x: &Matrix) -> Matrix {
-        self.project_parallel(x, 1)
-    }
-
-    /// Multi-threaded [`TrainedModel::project`], bit-identical to the serial
-    /// path for every thread count. [`crate::ScoringEngine`] projects through
-    /// the same code in both of its precisions.
+    /// Project a batch of features (`n x d`) into attribute space (`n x a`)
+    /// on `threads` workers, bit-identical for every thread count.
+    /// [`crate::ScoringEngine`] projects through the same code in both of its
+    /// precisions.
     pub fn project_parallel(&self, x: &Matrix, threads: usize) -> Matrix {
         assert_eq!(
             x.cols(),
@@ -1107,11 +1103,12 @@ mod tests {
             ))
         };
         let save = |model: TrainedModel, tag: &str| {
-            let engine = crate::infer::ScoringEngine::new(
+            let engine = crate::infer::ScoringEngine::try_new(
                 model,
                 ds.seen_signatures.clone(),
                 crate::infer::Similarity::Cosine,
-            );
+            )
+            .expect("engine");
             engine.save(&path(tag)).expect("save");
             let bytes = std::fs::read(path(tag)).expect("read");
             std::fs::remove_file(path(tag)).ok();
@@ -1144,7 +1141,7 @@ mod tests {
         assert_eq!(model.feature_dim(), ds.train_x.cols());
         assert_eq!(model.attr_dim(), ds.seen_signatures.cols());
         // Projection shapes line up and parallel == serial bit-for-bit.
-        let serial = model.project(&ds.test_seen_x);
+        let serial = model.project_parallel(&ds.test_seen_x, 1);
         assert_eq!(serial.rows(), ds.test_seen_x.rows());
         assert_eq!(serial.cols(), ds.seen_signatures.cols());
         for threads in [2, 5] {

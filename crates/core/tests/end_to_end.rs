@@ -9,9 +9,7 @@ mod common;
 use common::pipeline_protocol;
 use zsl_core::data::{export_dataset, StreamingBundle, SyntheticConfig};
 use zsl_core::eval::CrossValConfig;
-use zsl_core::infer::{
-    harmonic_mean, mean_per_class_accuracy, overall_accuracy, ScoringEngine, Similarity,
-};
+use zsl_core::infer::{harmonic_mean, ClassAccuracyCounter, ScoringEngine, Similarity};
 use zsl_core::model::EszslConfig;
 
 #[test]
@@ -31,9 +29,11 @@ fn eszsl_classifies_unseen_classes_at_95_percent() {
         .build()
         .fit(&ds)
         .expect("fit");
-    let engine = ScoringEngine::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
-    let predictions = engine.predict(&ds.test_unseen_x);
-    let acc = mean_per_class_accuracy(&predictions, &ds.test_unseen_labels, 5);
+    let engine = ScoringEngine::try_new(model, ds.unseen_signatures.clone(), Similarity::Cosine)
+        .expect("engine");
+    let mut accuracy = ClassAccuracyCounter::new(5);
+    accuracy.observe(&engine.predict(&ds.test_unseen_x), &ds.test_unseen_labels);
+    let acc = accuracy.mean();
     assert!(acc >= 0.95, "unseen-class accuracy {acc} below 0.95");
 }
 
@@ -42,13 +42,12 @@ fn eszsl_accuracy_holds_across_seeds() {
     for seed in [7, 11, 1234, 0xC0FFEE] {
         let ds = SyntheticConfig::new().seed(seed).build();
         let model = EszslConfig::new().build().fit(&ds).expect("fit");
-        let engine = ScoringEngine::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
-        let predictions = engine.predict(&ds.test_unseen_x);
-        let acc = mean_per_class_accuracy(
-            &predictions,
-            &ds.test_unseen_labels,
-            ds.unseen_signatures.rows(),
-        );
+        let engine =
+            ScoringEngine::try_new(model, ds.unseen_signatures.clone(), Similarity::Cosine)
+                .expect("engine");
+        let mut accuracy = ClassAccuracyCounter::new(ds.unseen_signatures.rows());
+        accuracy.observe(&engine.predict(&ds.test_unseen_x), &ds.test_unseen_labels);
+        let acc = accuracy.mean();
         assert!(acc >= 0.95, "seed {seed}: unseen accuracy {acc} below 0.95");
     }
 }
@@ -60,10 +59,12 @@ fn generalized_zsl_harmonic_mean_is_high_on_clean_data() {
     let num_unseen = ds.unseen_signatures.rows();
     let model = EszslConfig::new().build().fit(&ds).expect("fit");
     // GZSL: candidates are the union of seen and unseen classes.
-    let engine = ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine);
+    let engine =
+        ScoringEngine::try_new(model, ds.all_signatures(), Similarity::Cosine).expect("engine");
 
-    let seen_pred = engine.predict(&ds.test_seen_x);
-    let seen_acc = mean_per_class_accuracy(&seen_pred, &ds.test_seen_labels, num_seen);
+    let mut seen = ClassAccuracyCounter::new(num_seen);
+    seen.observe(&engine.predict(&ds.test_seen_x), &ds.test_seen_labels);
+    let seen_acc = seen.mean();
 
     // Unseen labels index unseen_signatures; in the union bank they are
     // offset by the number of seen classes.
@@ -73,7 +74,9 @@ fn generalized_zsl_harmonic_mean_is_high_on_clean_data() {
         .iter()
         .map(|&l| l + num_seen)
         .collect();
-    let unseen_acc = mean_per_class_accuracy(&unseen_pred, &unseen_truth, num_seen + num_unseen);
+    let mut unseen = ClassAccuracyCounter::new(num_seen + num_unseen);
+    unseen.observe(&unseen_pred, &unseen_truth);
+    let unseen_acc = unseen.mean();
 
     let hm = harmonic_mean(seen_acc, unseen_acc);
     assert!(
@@ -86,8 +89,12 @@ fn generalized_zsl_harmonic_mean_is_high_on_clean_data() {
 fn topk_contains_top1_and_pipeline_is_deterministic() {
     let ds = SyntheticConfig::new().seed(8).build();
     let train = || EszslConfig::new().build().fit(&ds).expect("fit");
-    let engine_a = ScoringEngine::new(train(), ds.unseen_signatures.clone(), Similarity::Cosine);
-    let engine_b = ScoringEngine::new(train(), ds.unseen_signatures.clone(), Similarity::Cosine);
+    let engine_a =
+        ScoringEngine::try_new(train(), ds.unseen_signatures.clone(), Similarity::Cosine)
+            .expect("engine");
+    let engine_b =
+        ScoringEngine::try_new(train(), ds.unseen_signatures.clone(), Similarity::Cosine)
+            .expect("engine");
 
     let top1 = engine_a.predict(&ds.test_unseen_x);
     let top3 = engine_a.predict_topk(&ds.test_unseen_x, 3);
@@ -151,8 +158,13 @@ fn dot_similarity_works_with_normalized_signatures() {
         .expect("fit");
     let mut signatures = ds.unseen_signatures.clone();
     signatures.l2_normalize_rows();
-    let engine = ScoringEngine::new(model, signatures, Similarity::Dot);
+    let engine = ScoringEngine::try_new(model, signatures, Similarity::Dot).expect("engine");
     let predictions = engine.predict(&ds.test_unseen_x);
-    let acc = overall_accuracy(&predictions, &ds.test_unseen_labels);
+    let hits = predictions
+        .iter()
+        .zip(&ds.test_unseen_labels)
+        .filter(|(p, t)| p == t)
+        .count();
+    let acc = hits as f64 / ds.test_unseen_labels.len() as f64;
     assert!(acc >= 0.9, "dot-similarity unseen accuracy {acc} below 0.9");
 }

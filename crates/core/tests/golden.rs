@@ -87,7 +87,7 @@ fn classifier_reproduces_golden_scores_and_predictions() {
         .build()
         .fit(&MemorySource::new(&x, &labels, &s))
         .expect("fit");
-    let engine = ScoringEngine::new(model, s, Similarity::Cosine);
+    let engine = ScoringEngine::try_new(model, s, Similarity::Cosine).expect("engine");
 
     let probes = Matrix::from_rows(&[vec![1.05, -0.05], vec![0.0, 1.1], vec![1.0, 0.95]]);
     assert_eq!(engine.predict(&probes), vec![0, 1, 2]);

@@ -60,7 +60,7 @@ fn random_engine(seed: u64, d: usize, a: usize, z: usize, sim: Similarity) -> Sc
     let mut rng = Rng::new(seed);
     let w = Matrix::from_vec(d, a, (0..d * a).map(|_| rng.normal()).collect());
     let bank = Matrix::from_vec(z, a, (0..z * a).map(|_| rng.normal()).collect());
-    ScoringEngine::new(ProjectionModel::from_weights(w), bank, sim)
+    ScoringEngine::try_new(ProjectionModel::from_weights(w), bank, sim).expect("engine")
 }
 
 /// The linear-family projection weights of an engine as a raw slice — the
@@ -84,7 +84,7 @@ fn family_engine(trainer: &dyn Trainer) -> ScoringEngine {
         .seed(99)
         .build();
     let model = trainer.fit(&ds).expect("fit");
-    ScoringEngine::new(model, ds.all_signatures(), Similarity::Dot)
+    ScoringEngine::try_new(model, ds.all_signatures(), Similarity::Dot).expect("engine")
 }
 
 /// The γ = λ = 1 cosine engine over the fixture's union bank — the engine
@@ -100,7 +100,7 @@ fn fixture_engine() -> ScoringEngine {
         .build()
         .fit(&ds)
         .expect("fit");
-    ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine)
+    ScoringEngine::try_new(model, ds.all_signatures(), Similarity::Cosine).expect("engine")
 }
 
 // ---------------------------------------------------------------------------
@@ -264,8 +264,8 @@ fn corrupted_cosine_bank_rows_are_header_errors_not_silent_mis_scoring() {
     let bank_start = aligned_bank_start(ZSM_HEADER_LEN as usize + 1 + 8 * 4 * 3);
 
     // An all-zero bank row (the in-place corruption the load gate exists
-    // for: `from_cached_parts` never re-normalizes, so this would otherwise
-    // serve scores of exactly 0 for that class forever).
+    // for: the loader never re-normalizes a stored bank, so this would
+    // otherwise serve scores of exactly 0 for that class forever).
     let mut zero_row = pristine.clone();
     zero_row[bank_start..bank_start + 8 * 3].fill(0);
     std::fs::write(&path, &zero_row).expect("write");
@@ -313,7 +313,7 @@ fn saving_a_cosine_engine_with_a_zero_signature_row_is_a_typed_error() {
     // boot failure on the serving box.
     let model = ProjectionModel::from_weights(Matrix::identity(3));
     let bank = Matrix::from_rows(&[vec![1.0, 0.0, 0.0], vec![0.0, 0.0, 0.0]]);
-    let engine = ScoringEngine::new(model, bank, Similarity::Cosine);
+    let engine = ScoringEngine::try_new(model, bank, Similarity::Cosine).expect("engine");
     let path = temp_path("zero_row_save");
     match engine.save(&path) {
         Err(ZslError::Config(msg)) => {
@@ -325,7 +325,7 @@ fn saving_a_cosine_engine_with_a_zero_signature_row_is_a_typed_error() {
     // The same bank under dot similarity persists and round-trips fine.
     let model = ProjectionModel::from_weights(Matrix::identity(3));
     let bank = Matrix::from_rows(&[vec![1.0, 0.0, 0.0], vec![0.0, 0.0, 0.0]]);
-    let engine = ScoringEngine::new(model, bank, Similarity::Dot);
+    let engine = ScoringEngine::try_new(model, bank, Similarity::Dot).expect("engine");
     engine.save(&path).expect("dot save");
     ScoringEngine::load(&path).expect("dot load");
     std::fs::remove_file(&path).ok();

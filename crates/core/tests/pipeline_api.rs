@@ -208,7 +208,8 @@ fn predict_source_agrees_across_source_kinds() {
     export_dataset(&ds, &dir).expect("export");
     let bundle = StreamingBundle::open(&dir, 3).expect("open");
     let model = EszslConfig::new().build().fit(&ds).expect("fit");
-    let engine = ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine);
+    let engine =
+        ScoringEngine::try_new(model, ds.all_signatures(), Similarity::Cosine).expect("engine");
     for split in [
         SplitKind::Trainval,
         SplitKind::TestSeen,

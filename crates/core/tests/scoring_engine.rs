@@ -27,7 +27,7 @@ fn legacy_scores(
     similarity: Similarity,
     x: &Matrix,
 ) -> Matrix {
-    let mut projected = model.project(x);
+    let mut projected = x.matmul(model.weights());
     let mut signatures = signatures.clone();
     if similarity == Similarity::Cosine {
         projected.l2_normalize_rows();
@@ -41,7 +41,8 @@ fn engine_matches_legacy_clone_and_renormalize_path() {
     let (model, bank, x) = trained_setup();
     for similarity in [Similarity::Cosine, Similarity::Dot] {
         let legacy = legacy_scores(&model, &bank, similarity, &x);
-        let engine = ScoringEngine::new(model.clone(), bank.clone(), similarity);
+        let engine =
+            ScoringEngine::try_new(model.clone(), bank.clone(), similarity).expect("engine");
         let scores = engine.scores(&x);
         assert_eq!(
             (scores.rows(), scores.cols()),
@@ -66,8 +67,8 @@ fn cosine_and_dot_agree_on_prenormalized_bank() {
     // Dot against a pre-normalized bank scores each sample by ‖p‖·cos(p, s);
     // the per-sample scale cancels inside argmax and ranking, so predictions
     // must agree exactly with cosine similarity.
-    let cosine = ScoringEngine::new(model.clone(), bank, Similarity::Cosine);
-    let dot = ScoringEngine::new(model, normalized_bank, Similarity::Dot);
+    let cosine = ScoringEngine::try_new(model.clone(), bank, Similarity::Cosine).expect("engine");
+    let dot = ScoringEngine::try_new(model, normalized_bank, Similarity::Dot).expect("engine");
     assert_eq!(cosine.predict(&x), dot.predict(&x));
     let cosine_top3 = cosine.predict_topk(&x, 3);
     let dot_top3 = dot.predict_topk(&x, 3);
@@ -79,27 +80,24 @@ fn cosine_and_dot_agree_on_prenormalized_bank() {
 #[test]
 fn engine_predictions_are_thread_invariant() {
     let (model, bank, x) = trained_setup();
-    let engine = ScoringEngine::new(model, bank, Similarity::Cosine);
+    let engine = ScoringEngine::try_new(model, bank, Similarity::Cosine).expect("engine");
     assert_eq!(engine.threads(), default_threads().max(1));
-    let serial = ScoringEngine::with_threads(
+    let mut serial = ScoringEngine::try_new(
         engine.model().clone(),
         engine.signatures().to_matrix(),
         Similarity::Dot, // bank already normalized inside the engine
-        1,
-    );
-    let parallel = ScoringEngine::with_threads(
-        engine.model().clone(),
-        engine.signatures().to_matrix(),
-        Similarity::Dot,
-        8,
-    );
+    )
+    .expect("engine");
+    serial.set_threads(1);
+    let mut parallel = serial.clone();
+    parallel.set_threads(8);
     assert_eq!(serial.predict(&x), parallel.predict(&x));
 }
 
 #[test]
 fn predict_topk_equals_full_sort_on_trained_pipeline() {
     let (model, bank, x) = trained_setup();
-    let engine = ScoringEngine::new(model, bank, Similarity::Cosine);
+    let engine = ScoringEngine::try_new(model, bank, Similarity::Cosine).expect("engine");
     let scores = engine.scores(&x);
     let z = engine.num_classes();
     for k in [1usize, 2, z, z + 3] {
@@ -117,7 +115,7 @@ fn predict_topk_equals_full_sort_on_trained_pipeline() {
 #[test]
 fn predict_topk_k_zero_and_k_beyond_class_count() {
     let (model, signatures, x) = trained_setup();
-    let engine = ScoringEngine::new(model, signatures, Similarity::Cosine);
+    let engine = ScoringEngine::try_new(model, signatures, Similarity::Cosine).expect("engine");
     let z = engine.num_classes();
 
     // k = 0: one (empty) ranking per sample, no scores materialized.
@@ -158,13 +156,11 @@ fn try_new_returns_typed_errors_where_new_panics() {
         }
     }
 
-    // A valid bank builds the same engine `new` does, bit for bit.
+    // A valid cosine bank is cached L2-normalized, bit for bit.
     let bank = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 5.0]]);
-    let fallible =
+    let engine =
         ScoringEngine::try_new(identity(), bank.clone(), Similarity::Cosine).expect("valid");
-    let panicking = ScoringEngine::new(identity(), bank, Similarity::Cosine);
-    assert_eq!(
-        fallible.signatures().as_slice(),
-        panicking.signatures().as_slice()
-    );
+    let mut normalized = bank;
+    normalized.l2_normalize_rows();
+    assert_eq!(engine.signatures().as_slice(), normalized.as_slice());
 }

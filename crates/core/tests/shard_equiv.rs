@@ -64,7 +64,8 @@ fn every_shard_count_is_bit_identical_to_the_monolithic_path() {
     for similarity in [Similarity::Dot, Similarity::Cosine] {
         for precision in [ScoringPrecision::F64, ScoringPrecision::F32] {
             for threads in [1usize, 4] {
-                let mut baseline = ScoringEngine::new(model.clone(), bank.clone(), similarity)
+                let mut baseline = ScoringEngine::try_new(model.clone(), bank.clone(), similarity)
+                    .expect("engine")
                     .with_precision(precision);
                 baseline.set_threads(threads);
                 assert_eq!(baseline.bank_shards().count(), 1, "default is one band");
@@ -76,8 +77,10 @@ fn every_shard_count_is_bit_identical_to_the_monolithic_path() {
                     .collect();
 
                 for requested in [1usize, 2, 7, CLASSES] {
-                    let mut sharded = ScoringEngine::new(model.clone(), bank.clone(), similarity)
-                        .with_precision(precision);
+                    let mut sharded =
+                        ScoringEngine::try_new(model.clone(), bank.clone(), similarity)
+                            .expect("engine")
+                            .with_precision(precision);
                     sharded.set_threads(threads);
                     sharded.set_bank_shards(requested);
                     let tag = format!(
@@ -107,7 +110,8 @@ fn every_shard_count_is_bit_identical_to_the_monolithic_path() {
 fn ties_across_shard_boundaries_resolve_to_the_lower_class_id() {
     let (model, bank, x) = tie_setup();
     for requested in [1usize, 2, 7, CLASSES] {
-        let mut engine = ScoringEngine::new(model.clone(), bank.clone(), Similarity::Dot);
+        let mut engine =
+            ScoringEngine::try_new(model.clone(), bank.clone(), Similarity::Dot).expect("engine");
         engine.set_bank_shards(requested);
         let argmax = engine.predict(&x);
         let top2 = engine.predict_topk(&x, 2);
@@ -169,7 +173,8 @@ fn predictions_match_argmax_and_full_sort_of_every_score_row() {
     for similarity in [Similarity::Dot, Similarity::Cosine] {
         for precision in [ScoringPrecision::F64, ScoringPrecision::F32] {
             for requested in [1usize, 2, 3, CLASSES] {
-                let mut engine = ScoringEngine::new(model.clone(), bank.clone(), similarity)
+                let mut engine = ScoringEngine::try_new(model.clone(), bank.clone(), similarity)
+                    .expect("engine")
                     .with_precision(precision);
                 engine.set_bank_shards(requested);
                 let tag =
@@ -204,7 +209,7 @@ fn f64_scores_match_an_unfolded_projection_and_product() {
     let (model, bank, _) = tie_setup();
     let x = oracle_queries();
     for similarity in [Similarity::Dot, Similarity::Cosine] {
-        let mut projected = model.project(&x);
+        let mut projected = x.matmul(model.weights());
         let mut normalized = bank.clone();
         if similarity == Similarity::Cosine {
             projected.l2_normalize_rows();
@@ -212,7 +217,8 @@ fn f64_scores_match_an_unfolded_projection_and_product() {
         }
         let expected = projected.matmul_bt(&normalized);
         for requested in [1usize, 2, 3, CLASSES] {
-            let mut engine = ScoringEngine::new(model.clone(), bank.clone(), similarity);
+            let mut engine =
+                ScoringEngine::try_new(model.clone(), bank.clone(), similarity).expect("engine");
             engine.set_bank_shards(requested);
             let got: Vec<u64> = engine
                 .scores(&x)
@@ -334,12 +340,14 @@ fn seen_swamped() -> (zsl_core::data::Dataset, zsl_core::ProjectionModel) {
 #[test]
 fn zero_calibration_is_bit_exact_and_a_sweep_strictly_improves_harmonic_mean() {
     let (ds, model) = seen_swamped();
-    let plain = ScoringEngine::new(model.clone(), ds.all_signatures(), Similarity::Cosine);
+    let plain = ScoringEngine::try_new(model.clone(), ds.all_signatures(), Similarity::Cosine)
+        .expect("engine");
     let seen = ds.seen_signatures.rows();
 
     // γ_cal = 0 must be indistinguishable from no calibration at all: same
     // score bits, same report, no calibration recorded on the engine.
-    let zero = ScoringEngine::new(model.clone(), ds.all_signatures(), Similarity::Cosine)
+    let zero = ScoringEngine::try_new(model.clone(), ds.all_signatures(), Similarity::Cosine)
+        .expect("engine")
         .with_calibration(0.0, seen)
         .expect("zero calibration");
     assert_eq!(zero.seen_calibration(), None);
@@ -366,7 +374,8 @@ fn zero_calibration_is_bit_exact_and_a_sweep_strictly_improves_harmonic_mean() {
     let mut best = baseline.harmonic_mean;
     let mut best_gamma = 0.0;
     for gamma in [0.01, 0.02, 0.05, 0.1, 0.2, 0.4] {
-        let engine = ScoringEngine::new(model.clone(), ds.all_signatures(), Similarity::Cosine)
+        let engine = ScoringEngine::try_new(model.clone(), ds.all_signatures(), Similarity::Cosine)
+            .expect("engine")
             .with_calibration(gamma, seen)
             .expect("calibrated engine");
         let report = evaluate_gzsl_with(&engine, &ds).expect("calibrated eval");
@@ -375,7 +384,8 @@ fn zero_calibration_is_bit_exact_and_a_sweep_strictly_improves_harmonic_mean() {
             best_gamma = gamma;
         }
         let mut sharded =
-            ScoringEngine::new(model.clone(), ds.all_signatures(), Similarity::Cosine)
+            ScoringEngine::try_new(model.clone(), ds.all_signatures(), Similarity::Cosine)
+                .expect("engine")
                 .with_calibration(gamma, seen)
                 .expect("calibrated engine");
         sharded.set_bank_shards(3);

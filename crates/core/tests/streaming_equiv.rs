@@ -104,7 +104,8 @@ fn streamed_gram_training_and_prediction_match_in_memory_at_every_chunk_size() {
         .build()
         .fit(&mem)
         .expect("fit");
-    let engine = ScoringEngine::new(model.clone(), mem.all_signatures(), Similarity::Cosine);
+    let engine = ScoringEngine::try_new(model.clone(), mem.all_signatures(), Similarity::Cosine)
+        .expect("engine");
     let mem_seen_pred = engine
         .predict_source(&mem, SplitKind::TestSeen)
         .expect("predict");
@@ -374,7 +375,8 @@ fn saved_zsm_engine_reproduces_the_fixture_report_after_reload() {
     let fresh = evaluate_gzsl(&model, &bundle, Similarity::Cosine).expect("fresh report");
 
     // Round trip through a temp artifact.
-    let engine = ScoringEngine::new(model, mem.all_signatures(), Similarity::Cosine);
+    let engine =
+        ScoringEngine::try_new(model, mem.all_signatures(), Similarity::Cosine).expect("engine");
     let path = temp_dir("artifact").with_extension("zsm");
     engine.save(&path).expect("save");
     let reloaded = ScoringEngine::load(&path).expect("load");
@@ -409,7 +411,8 @@ fn gzsl_reports_are_thread_invariant_over_streamed_and_in_memory_sources() {
         .build()
         .fit(&mem)
         .expect("fit");
-    let mut engine = ScoringEngine::new(model, mem.all_signatures(), Similarity::Cosine);
+    let mut engine =
+        ScoringEngine::try_new(model, mem.all_signatures(), Similarity::Cosine).expect("engine");
     engine.set_threads(1);
     let mem_reference = evaluate_gzsl_with(&engine, &mem).expect("serial in-memory report");
     for threads in [1, 2, 4, 9] {

@@ -263,7 +263,8 @@ fn every_family_round_trips_through_zsm_v2_bit_for_bit() {
     let ds = synthetic_dataset();
     for (tag, trainer) in trainers() {
         let model = trainer.fit(&ds).expect("fit");
-        let engine = ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine);
+        let engine =
+            ScoringEngine::try_new(model, ds.all_signatures(), Similarity::Cosine).expect("engine");
         let report = evaluate_gzsl_with(&engine, &ds).expect("evaluate");
         let path = std::env::temp_dir().join(format!(
             "zsl_trainer_equiv_{}_{tag}.zsm",
@@ -327,7 +328,8 @@ fn pooled_scoring_is_thread_invariant_for_every_family_and_precision() {
         let n = x.rows();
         for (tag, trainer) in trainers() {
             let model = trainer.fit(ds).expect("fit");
-            let mut engine = ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine);
+            let mut engine = ScoringEngine::try_new(model, ds.all_signatures(), Similarity::Cosine)
+                .expect("engine");
             let z = engine.num_classes();
             for precision in [ScoringPrecision::F64, ScoringPrecision::F32] {
                 engine = engine.with_precision(precision);
@@ -390,7 +392,8 @@ fn fixture_report(trainer: &dyn Trainer) -> zsl_core::GzslReport {
         .to_dataset()
         .expect("materialize");
     let model = trainer.fit(&ds).expect("fit");
-    let engine = ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine);
+    let engine =
+        ScoringEngine::try_new(model, ds.all_signatures(), Similarity::Cosine).expect("engine");
     evaluate_gzsl_with(&engine, &ds).expect("evaluate")
 }
 

@@ -7,8 +7,8 @@
 //! is why the serving layer batches at the front door instead of scoring
 //! rows as they arrive. Mechanics:
 //!
-//! - Request threads [`Coalescer::predict`]: enqueue one row + a response
-//!   channel, wake the worker, block on the reply.
+//! - Request threads [`Coalescer::enqueue`] one row + a response channel,
+//!   which wakes the worker, then block on the reply.
 //! - The worker drains the queue, **lingers** up to
 //!   [`BatchConfig::linger`] for stragglers (or until
 //!   [`BatchConfig::max_batch`] rows), snapshots the current model
@@ -132,13 +132,6 @@ impl Coalescer {
             self.inner.arrived.notify_all();
         }
         rx
-    }
-
-    /// Score one row, blocking until its batch executes.
-    pub fn predict(&self, row: Vec<f64>, k: usize) -> Result<RowResult, ServeError> {
-        self.enqueue(row, k)
-            .recv()
-            .unwrap_or(Err(ServeError::Closed))
     }
 }
 
@@ -274,7 +267,9 @@ mod tests {
         let a = 3;
         let w = Matrix::from_vec(d, a, (0..d * a).map(|_| rng.normal()).collect());
         let bank = Matrix::from_vec(z, a, (0..z * a).map(|_| rng.normal()).collect());
-        let engine = ScoringEngine::new(ProjectionModel::from_weights(w), bank, Similarity::Cosine);
+        let engine =
+            ScoringEngine::try_new(ProjectionModel::from_weights(w), bank, Similarity::Cosine)
+                .expect("engine");
         engine.save(&path).expect("save");
         (path, engine)
     }
@@ -295,7 +290,11 @@ mod tests {
         let mut rng = Rng::new(5);
         for _ in 0..8 {
             let row: Vec<f64> = (0..4).map(|_| rng.normal()).collect();
-            let got = coalescer.predict(row.clone(), 3).expect("predict");
+            let got = coalescer
+                .enqueue(row.clone(), 3)
+                .recv()
+                .expect("reply")
+                .expect("predict");
             let x = Matrix::from_vec(1, 4, row);
             assert_eq!(got.class, engine.predict(&x)[0]);
             assert_eq!(got.topk, engine.predict_topk(&x, 3)[0]);
@@ -311,11 +310,19 @@ mod tests {
         let row = vec![0.5, -1.0, 2.0];
         let x = Matrix::from_vec(1, 3, row.clone());
 
-        let empty = coalescer.predict(row.clone(), 0).expect("k=0");
+        let empty = coalescer
+            .enqueue(row.clone(), 0)
+            .recv()
+            .expect("reply")
+            .expect("k=0");
         assert_eq!(empty.class, engine.predict(&x)[0]);
         assert!(empty.topk.classes.is_empty() && empty.topk.scores.is_empty());
 
-        let all = coalescer.predict(row, 99).expect("k>z");
+        let all = coalescer
+            .enqueue(row, 99)
+            .recv()
+            .expect("reply")
+            .expect("k>z");
         assert_eq!(all.topk, engine.predict_topk(&x, 99)[0]);
         assert_eq!(all.topk.classes.len(), 4);
         std::fs::remove_file(&path).ok();

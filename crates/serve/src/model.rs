@@ -299,7 +299,8 @@ mod tests {
         let mut rng = Rng::new(seed);
         let w = Matrix::from_vec(3, 2, (0..6).map(|_| rng.normal()).collect());
         let bank = Matrix::from_vec(4, 2, (0..8).map(|_| rng.normal()).collect());
-        ScoringEngine::new(ProjectionModel::from_weights(w), bank, Similarity::Dot)
+        ScoringEngine::try_new(ProjectionModel::from_weights(w), bank, Similarity::Dot)
+            .expect("engine")
             .save_with_metadata(&path, &format!("seed={seed}"))
             .expect("save");
         path
@@ -338,7 +339,8 @@ mod tests {
         let mut rng = Rng::new(9);
         let w = Matrix::from_vec(3, 2, (0..6).map(|_| rng.normal()).collect());
         let bank = Matrix::from_vec(4, 2, (0..8).map(|_| rng.normal()).collect());
-        ScoringEngine::new(ProjectionModel::from_weights(w), bank, Similarity::Dot)
+        ScoringEngine::try_new(ProjectionModel::from_weights(w), bank, Similarity::Dot)
+            .expect("engine")
             .save_with_metadata(&path, "replacement")
             .expect("save");
         assert_eq!(handle.poll().expect("poll"), Some(2));
@@ -390,7 +392,8 @@ mod tests {
         let mut rng = Rng::new(77);
         let w = Matrix::from_vec(3, 2, (0..6).map(|_| rng.normal()).collect());
         let bank = Matrix::from_vec(4, 2, (0..8).map(|_| rng.normal()).collect());
-        ScoringEngine::new(ProjectionModel::from_weights(w), bank, Similarity::Dot)
+        ScoringEngine::try_new(ProjectionModel::from_weights(w), bank, Similarity::Dot)
+            .expect("engine")
             .save_with_metadata(&path, "seed=77")
             .expect("resave");
         assert_eq!(

@@ -40,7 +40,7 @@ fn random_engine(seed: u64, d: usize, a: usize, z: usize, sim: Similarity) -> Sc
     let mut rng = Rng::new(seed);
     let w = Matrix::from_vec(d, a, (0..d * a).map(|_| rng.normal()).collect());
     let bank = Matrix::from_vec(z, a, (0..z * a).map(|_| rng.normal()).collect());
-    ScoringEngine::new(ProjectionModel::from_weights(w), bank, sim)
+    ScoringEngine::try_new(ProjectionModel::from_weights(w), bank, sim).expect("engine")
 }
 
 /// One-shot HTTP client: send a request with `Connection: close`, return
@@ -175,7 +175,8 @@ fn daemon_boots_every_model_family_from_its_artifact_alone() {
     ];
     for (family, trainer) in trainers {
         let model = trainer.fit(&ds).expect("fit");
-        let engine = ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine);
+        let engine =
+            ScoringEngine::try_new(model, ds.all_signatures(), Similarity::Cosine).expect("engine");
         let path = temp_artifact(&format!("family_{family}"));
         engine
             .save_with_metadata(&path, &trainer.describe())
@@ -358,8 +359,8 @@ fn swap_pair() -> (ScoringEngine, ScoringEngine) {
     let to_class_1 =
         ProjectionModel::from_weights(Matrix::from_rows(&[vec![-1.0, 0.0], vec![0.0, 1.0]]));
     (
-        ScoringEngine::new(to_class_0, bank.clone(), Similarity::Dot),
-        ScoringEngine::new(to_class_1, bank, Similarity::Dot),
+        ScoringEngine::try_new(to_class_0, bank.clone(), Similarity::Dot).expect("engine"),
+        ScoringEngine::try_new(to_class_1, bank, Similarity::Dot).expect("engine"),
     )
 }
 
