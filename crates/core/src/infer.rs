@@ -131,11 +131,13 @@ pub struct TopK {
 /// one band, covers the whole bank.
 ///
 /// Band boundaries are always multiples of the matmul kernel's 64-column
-/// cache tile: `gemm_bt`'s SIMD cascade (8-wide, 4-wide, scalar remainder)
-/// assigns kernels by a class's position *within* its 64-wide tile, so
-/// tile-aligned bands score every class through the same kernel with the same
-/// accumulation order as a single band over the whole bank. Every shard count
-/// therefore scores the same bits — structurally, not within a tolerance. A
+/// cache tile: `gemm_bt` assigns kernels by a class's position *within* its
+/// 64-wide tile (whole 8-class groups to the packed kernel, which scores one
+/// or four sample rows per pass, the last `len mod 8` classes to the 4-wide
+/// and scalar tails), so tile-aligned bands score every class through the
+/// same kernel with the same accumulation order as a single band over the
+/// whole bank. Every shard count therefore scores the same bits —
+/// structurally, not within a tolerance. A
 /// requested count is a *hint*: it is clamped to the number of 64-row tiles
 /// the bank actually has.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -16,12 +16,14 @@ pub const NORM_EPSILON: f64 = 1e-12;
 /// Cache-blocking tile edge for [`Matrix::matmul`]. 64 doubles = 512 bytes per
 /// row segment, so an A-tile, B-tile, and C-tile together stay well inside L1/L2.
 ///
-/// Exposed crate-wide because `gemm_bt_into`'s kernel cascade (8-wide, 4-wide,
-/// scalar remainder) is phased on `BLOCK`-element column tiles: a signature
-/// bank split at multiples of `BLOCK` rows scores each class through the
-/// *same* kernel with the *same* accumulation order as one unsplit pass,
-/// which is what makes [`crate::infer::BankShards`] bit-identical by
-/// construction instead of by tolerance.
+/// Exposed crate-wide because `gemm_bt_into` is phased on `BLOCK`-class
+/// tiles of the bank: within a tile, whole groups of eight classes go
+/// through the packed 8-class kernel (one or four sample rows per pass),
+/// and the last `len mod 8` classes through the 4-wide and scalar tails. A
+/// signature bank split at multiples of `BLOCK` rows therefore scores each
+/// class through the *same* kernel with the *same* accumulation order as one
+/// unsplit pass, which is what makes [`crate::infer::BankShards`]
+/// bit-identical by construction instead of by tolerance.
 pub(crate) const BLOCK: usize = 64;
 
 /// Rows of the left operand that the Gram fold
@@ -37,7 +39,9 @@ const PARALLEL_WORK_CUTOFF: usize = 1 << 17;
 
 /// Minimum sample rows before `gemm_bt_into` packs signature tiles into the
 /// interleaved SIMD layout: packing re-reads each tile once, which only pays
-/// off when several sample rows reuse the packed form.
+/// off when several sample rows reuse the packed form. Smaller batches score
+/// one row at a time straight from the bank through [`dot8`]; only packed
+/// batches are scored several rows per pass.
 const PACK_MIN_ROWS: usize = 4;
 
 /// Number of worker threads the hardware supports, used as the default by the
@@ -181,48 +185,154 @@ fn gemm_into<T: Elem>(
 /// time (a 4-wide then scalar cascade covers the remainder). When the batch
 /// is large enough to amortize it, each eight-row group is repacked into an
 /// interleaved tile so the 8-wide microkernel's inner loop is one contiguous
-/// vector multiply-add; the packed and unpacked kernels accumulate in the
-/// same sequential per-output order, so the choice never changes a bit.
+/// vector multiply-add, and on a CPU with AVX2 four sample rows share each
+/// pass over the tile (`gemm_bt_avx2`); elsewhere the portable instance
+/// scores one row per pass. Every output keeps one sequential accumulator in
+/// ascending `k` whichever path scores it, and Rust never contracts `a*b + c`
+/// into an FMA, so the packing heuristic and the dispatched instance never
+/// change a bit.
 fn gemm_bt_into<T: Elem>(a: &[T], n: usize, k_dim: usize, bt: &[T], z: usize, out: &mut [T]) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if has_avx2() {
+        // SAFETY: `has_avx2` is true only when the running CPU reports AVX2,
+        // the one feature `gemm_bt_avx2` is compiled for.
+        unsafe { gemm_bt_avx2(a, n, k_dim, bt, z, out) };
+        return;
+    }
+    gemm_bt_portable(a, n, k_dim, bt, z, out);
+}
+
+/// Whether the running CPU has AVX2, asked once per process (as
+/// [`default_threads`] asks for its parallelism) and cached for every
+/// `gemm_bt_into` call. Only x86 and x86_64 build the AVX2 instance.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+fn has_avx2() -> bool {
+    static AVX2: OnceLock<bool> = OnceLock::new();
+    *AVX2.get_or_init(|| is_x86_feature_detected!("avx2"))
+}
+
+#[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+fn has_avx2() -> bool {
+    false
+}
+
+/// The instance `gemm_bt_into`, the signature-bank product of every scoring
+/// call, runs in this process: `"avx2"` on an x86 CPU that reports AVX2,
+/// `"portable"` otherwise. Both instances produce the same bits, so this
+/// names a speed, not a result; timings are comparable only between runs
+/// that report the same value.
+pub fn kernel_isa() -> &'static str {
+    if has_avx2() {
+        "avx2"
+    } else {
+        "portable"
+    }
+}
+
+/// The portable instance of `gemm_bt_into`, built for the target's baseline
+/// ISA: one sample row per pass over each packed tile. Four rows per pass
+/// measured slower under SSE2's 128-bit registers: 10.2–13.4 ms against
+/// 9.0–10.0 ms for 64 rows of width 64 against 8192 classes, on an Intel
+/// Xeon (family 6, model 207).
+fn gemm_bt_portable<T: Elem>(a: &[T], n: usize, k_dim: usize, bt: &[T], z: usize, out: &mut [T]) {
+    gemm_bt_rows::<T, 1>(a, n, k_dim, bt, z, out);
+}
+
+/// The AVX2 instance of `gemm_bt_into`: the same body compiled with AVX2
+/// (never FMA), scoring four sample rows per pass over each packed tile, so
+/// four independent rows share every tile load and the 4 x 8 accumulators
+/// fill the 256-bit registers.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_bt_avx2<T: Elem>(
+    a: &[T],
+    n: usize,
+    k_dim: usize,
+    bt: &[T],
+    z: usize,
+    out: &mut [T],
+) {
+    gemm_bt_rows::<T, 4>(a, n, k_dim, bt, z, out);
+}
+
+/// The body both `gemm_bt_into` instances inline. Per `BLOCK`-class tile of
+/// the bank: in a packed batch, rows go `M` at a time through
+/// [`dot8_packed`] and the rows left over from a multiple of `M` one at a
+/// time; a batch under [`PACK_MIN_ROWS`] scores each row through [`dot8`].
+/// The last `len mod 8` classes of a tile take the 4-wide and scalar tails
+/// row by row. `M` only chooses which outputs are computed side by side.
+#[inline(always)]
+fn gemm_bt_rows<T: Elem, const M: usize>(
+    a: &[T],
+    n: usize,
+    k_dim: usize,
+    bt: &[T],
+    z: usize,
+    out: &mut [T],
+) {
     debug_assert_eq!(a.len(), n * k_dim);
     debug_assert_eq!(bt.len(), z * k_dim);
     debug_assert_eq!(out.len(), n * z);
     let pack = n >= PACK_MIN_ROWS;
+    let blocked = if pack { n - n % M } else { 0 };
     let mut tile: Vec<T> = Vec::new();
     for jj in (0..z).step_by(BLOCK) {
         let j_end = (jj + BLOCK).min(z);
         let groups = (j_end - jj) / 8;
+        let tails = jj + 8 * groups;
         if pack && groups > 0 {
             pack_bt_tile(bt, k_dim, jj, groups, &mut tile);
         }
-        for i in 0..n {
-            let a_row = &a[i * k_dim..(i + 1) * k_dim];
-            let out_row = &mut out[i * z + jj..i * z + j_end];
-            let mut j = jj;
+        let packed = |g: usize| &tile[g * 8 * k_dim..(g + 1) * 8 * k_dim];
+        for i in (0..blocked).step_by(M) {
+            let rows = &a[i * k_dim..(i + M) * k_dim];
             for g in 0..groups {
-                let eight = if pack {
-                    dot8_packed(a_row, &tile[g * 8 * k_dim..(g + 1) * 8 * k_dim])
-                } else {
-                    dot8(a_row, &bt[j * k_dim..(j + 8) * k_dim])
-                };
-                out_row[j - jj..j - jj + 8].copy_from_slice(&eight);
-                j += 8;
+                let block: [[T; 8]; M] = dot8_packed(rows, packed(g));
+                for (r, eight) in block.iter().enumerate() {
+                    let at = (i + r) * z + jj + 8 * g;
+                    out[at..at + 8].copy_from_slice(eight);
+                }
             }
-            while j + 4 <= j_end {
-                let quad = dot4(
-                    a_row,
-                    &bt[j * k_dim..(j + 1) * k_dim],
-                    &bt[(j + 1) * k_dim..(j + 2) * k_dim],
-                    &bt[(j + 2) * k_dim..(j + 3) * k_dim],
-                    &bt[(j + 3) * k_dim..(j + 4) * k_dim],
-                );
-                out_row[j - jj..j - jj + 4].copy_from_slice(&quad);
-                j += 4;
-            }
-            for (o, jr) in out_row[j - jj..].iter_mut().zip(j..j_end) {
-                *o = dot(a_row, &bt[jr * k_dim..(jr + 1) * k_dim]);
+            for r in i..i + M {
+                let a_row = &a[r * k_dim..(r + 1) * k_dim];
+                dot_tails(a_row, bt, tails, &mut out[r * z + tails..r * z + j_end]);
             }
         }
+        for r in blocked..n {
+            let a_row = &a[r * k_dim..(r + 1) * k_dim];
+            let out_row = &mut out[r * z + jj..r * z + j_end];
+            for g in 0..groups {
+                let eight = if pack {
+                    dot8_packed::<T, 1>(a_row, packed(g))[0]
+                } else {
+                    let j = jj + 8 * g;
+                    dot8(a_row, &bt[j * k_dim..(j + 8) * k_dim])
+                };
+                out_row[8 * g..8 * g + 8].copy_from_slice(&eight);
+            }
+            dot_tails(a_row, bt, tails, &mut out_row[8 * groups..]);
+        }
+    }
+}
+
+/// Score `a_row` against the `out.len()` (fewer than eight) bank rows from
+/// row `first` on: [`dot4`] while four remain, then [`dot`] one at a time.
+fn dot_tails<T: Elem>(a_row: &[T], bt: &[T], first: usize, out: &mut [T]) {
+    let k = a_row.len();
+    let row = |j: usize| &bt[j * k..(j + 1) * k];
+    let mut quads = out.chunks_exact_mut(4);
+    let mut j = first;
+    for quad in &mut quads {
+        quad.copy_from_slice(&dot4(a_row, row(j), row(j + 1), row(j + 2), row(j + 3)));
+        j += 4;
+    }
+    for o in quads.into_remainder() {
+        *o = dot(a_row, row(j));
+        j += 1;
     }
 }
 
@@ -245,18 +355,26 @@ fn pack_bt_tile<T: Elem>(bt: &[T], k_dim: usize, first: usize, groups: usize, ti
     }
 }
 
-/// Eight dot products of `a` against an interleaved packed tile
-/// (`tile[i * 8 + r]` holds element `i` of output `r`). Each output keeps one
-/// sequential accumulator — bit-identical to [`dot8`] and the naive order —
-/// and the contiguous 8-lane layout lets the autovectorizer emit one vector
-/// multiply-add per element of `a`.
-#[inline]
-fn dot8_packed<T: Elem>(a: &[T], tile: &[T]) -> [T; 8] {
-    debug_assert_eq!(tile.len(), a.len() * 8);
-    let mut s = [T::ZERO; 8];
-    for (lane, &av) in tile.chunks_exact(8).zip(a) {
-        for (acc, &tv) in s.iter_mut().zip(lane) {
-            *acc += av * tv;
+/// The `M x 8` dot products of `M` sample rows (`rows`, an `M x k` row-major
+/// slab) against an interleaved packed tile (`tile[i * 8 + c]` holds element
+/// `i` of class `c`). Each output keeps one sequential accumulator in
+/// ascending `i` — bit-identical to [`dot8`] and the naive order for every
+/// `M` — and the contiguous 8-lane layout lets the autovectorizer emit one
+/// vector multiply-add per row per element of `i`. The block is a fixed-size
+/// array the caller copies out in fixed-length runs, so it stays in
+/// registers: at `M = 4` the `M` rows share every tile load.
+#[inline(always)]
+fn dot8_packed<T: Elem, const M: usize>(rows: &[T], tile: &[T]) -> [[T; 8]; M] {
+    let k = tile.len() / 8;
+    debug_assert_eq!(rows.len(), M * k);
+    let a: [&[T]; M] = std::array::from_fn(|r| &rows[r * k..(r + 1) * k]);
+    let mut s = [[T::ZERO; 8]; M];
+    for (i, lane) in tile.chunks_exact(8).enumerate() {
+        for (acc, a_row) in s.iter_mut().zip(&a) {
+            let av = a_row[i];
+            for (c, &tv) in acc.iter_mut().zip(lane) {
+                *c += av * tv;
+            }
         }
     }
     s
@@ -1703,6 +1821,134 @@ mod tests {
                 unpacked.row(0),
                 "packed vs unpacked diverged at k={k} z={z}"
             );
+        }
+    }
+
+    /// `a` and `b` hold the same bits, except that NaN matches NaN whatever
+    /// its payload (which operand a NaN is propagated from depends on how
+    /// the compiler orders a commutative multiply).
+    fn assert_same_bits(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: lengths differ");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert!(
+                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                "{what}: output {i} is {x:e} ({:#x}) against {y:e} ({:#x})",
+                x.to_bits(),
+                y.to_bits()
+            );
+        }
+    }
+
+    /// Normal draws with special values sprinkled in: about one entry in
+    /// eight is −0.0 or a subnormal of either precision (1e-310 is an f64
+    /// subnormal and rounds to 0.0 in f32; 1e-40 is an f32 subnormal), every
+    /// seventh row holds an infinity of alternating sign, and row 3 of every
+    /// eleven holds a NaN.
+    fn special_matrix(rng: &mut Rng, rows: usize, cols: usize) -> Vec<f64> {
+        let mut m: Vec<f64> = (0..rows * cols)
+            .map(|_| match rng.next_u64() % 24 {
+                0 => -0.0,
+                1 => 1e-310,
+                2 => -1e-40,
+                _ => rng.normal(),
+            })
+            .collect();
+        for r in 0..rows {
+            let at = r * cols + (r * 5) % cols;
+            if r % 7 == 6 {
+                m[at] = f64::INFINITY.copysign(0.5 - (r % 2) as f64);
+            } else if r % 11 == 3 {
+                m[at] = f64::NAN;
+            }
+        }
+        m
+    }
+
+    /// Score `a` (`n x k`) against `bt` (`z x k`) through both instances of
+    /// `gemm_bt_into` (where the CPU has AVX2) and one row at a time through
+    /// the portable instance; all must agree bit for bit, and a row holding a
+    /// NaN scores NaN against every class. Returns whether AVX2 was checked.
+    fn check_bank_instances<T: Elem>(
+        a64: &[f64],
+        n: usize,
+        k: usize,
+        bt: &[f64],
+        z: usize,
+    ) -> bool {
+        let (a, bt) = (T::cast_slice(a64), T::cast_slice(bt));
+        let what = format!("{} n={n} z={z} k={k}", std::any::type_name::<T>());
+        let mut portable = vec![T::ZERO; n * z];
+        gemm_bt_portable(&a, n, k, &bt, z, &mut portable);
+        let portable = T::widen(portable);
+        let mut by_row = Vec::with_capacity(n * z);
+        for row in a.chunks_exact(k) {
+            let mut out = vec![T::ZERO; z];
+            gemm_bt_portable(row, 1, k, &bt, z, &mut out);
+            by_row.extend(T::widen(out));
+        }
+        assert_same_bits(&portable, &by_row, &format!("{what}: batch vs rows alone"));
+        for (r, row) in a64.chunks_exact(k).enumerate() {
+            if row.iter().any(|v| v.is_nan()) {
+                let scores = &portable[r * z..(r + 1) * z];
+                assert!(scores.iter().all(|s| s.is_nan()), "{what}: NaN row {r}");
+            }
+        }
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if has_avx2() {
+            let mut avx2 = vec![T::ZERO; n * z];
+            // SAFETY: `has_avx2` reported AVX2 on the running CPU.
+            unsafe { gemm_bt_avx2(&a, n, k, &bt, z, &mut avx2) };
+            assert_same_bits(
+                &T::widen(avx2),
+                &portable,
+                &format!("{what}: avx2 vs portable"),
+            );
+            return true;
+        }
+        false
+    }
+
+    #[test]
+    fn bank_kernel_instances_score_the_same_bits() {
+        // Row counts straddle the 4-row pass and PACK_MIN_ROWS, class counts
+        // the 8-class group, the 4-wide tail and the 64-class tile, and
+        // widths the 8-lane vector.
+        let mut rng = Rng::new(0xA5F2);
+        let mut avx2 = false;
+        for &n in &[1usize, 3, 4, 5, 7, 8, 9, 64, 67] {
+            for &z in &[1usize, 3, 4, 5, 7, 8, 9, 12, 63, 64, 65, 130] {
+                for &k in &[1usize, 2, 7, 8, 33, 64, 65] {
+                    let a = special_matrix(&mut rng, n, k);
+                    let bt = special_matrix(&mut rng, z, k);
+                    avx2 |= check_bank_instances::<f64>(&a, n, k, &bt, z);
+                    avx2 |= check_bank_instances::<f32>(&a, n, k, &bt, z);
+                }
+            }
+        }
+        if avx2 {
+            println!("bank kernel: checked the avx2 and portable instances");
+        } else {
+            println!("bank kernel: no AVX2 on this CPU, checked the portable instance only");
+        }
+        assert_eq!(kernel_isa(), if avx2 { "avx2" } else { "portable" });
+
+        // Banded over the pool, odd band heights mix 4-row and 1-row passes;
+        // every thread count must still match each row scored alone.
+        let n = 67;
+        for &(z, k) in &[(130usize, 65usize), (65, 64), (64, 33)] {
+            let a = special_matrix(&mut rng, n, k);
+            let bt = special_matrix(&mut rng, z, k);
+            let mut by_row = Vec::with_capacity(n * z);
+            for row in a.chunks_exact(k) {
+                let mut out = vec![0.0; z];
+                gemm_bt_portable(row, 1, k, &bt, z, &mut out);
+                by_row.extend(out);
+            }
+            for threads in 1..=4 {
+                let banded = gemm_bt_parallel(&a, n, k, &bt, z, threads);
+                let what = format!("n={n} z={z} k={k} threads={threads}");
+                assert_same_bits(&banded, &by_row, &what);
+            }
         }
     }
 

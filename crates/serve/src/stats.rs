@@ -60,6 +60,9 @@ pub struct StatsSnapshot {
     pub rejected: u64,
     pub engine_threads: u64,
     pub pool_threads: u64,
+    /// [`zsl_core::kernel_isa`]: the instance the bank product runs in this
+    /// process. A process constant, read when the snapshot is taken.
+    pub kernel_isa: &'static str,
     pub bank_shards: u64,
     pub bank_resident_bytes: u64,
     pub mmap_boot: u64,
@@ -129,6 +132,7 @@ impl ServeStats {
             rejected: self.rejected.load(Ordering::Relaxed),
             engine_threads: self.engine_threads.load(Ordering::Relaxed),
             pool_threads: self.pool_threads.load(Ordering::Relaxed),
+            kernel_isa: zsl_core::kernel_isa(),
             bank_shards: self.bank_shards.load(Ordering::Relaxed),
             bank_resident_bytes: self.bank_resident_bytes.load(Ordering::Relaxed),
             mmap_boot: self.mmap_boot.load(Ordering::Relaxed),
@@ -142,7 +146,7 @@ impl StatsSnapshot {
         format!(
             "requests={}\nrows={}\nbatches={}\nmax_batch_rows={}\ncoalesced_batches={}\n\
              reloads={}\nreload_failures={}\nrejected={}\nengine_threads={}\npool_threads={}\n\
-             bank_shards={}\nbank_resident_bytes={}\nmmap_boot={}\n",
+             kernel_isa={}\nbank_shards={}\nbank_resident_bytes={}\nmmap_boot={}\n",
             self.requests,
             self.rows,
             self.batches,
@@ -153,6 +157,7 @@ impl StatsSnapshot {
             self.rejected,
             self.engine_threads,
             self.pool_threads,
+            self.kernel_isa,
             self.bank_shards,
             self.bank_resident_bytes,
             self.mmap_boot
@@ -187,7 +192,9 @@ mod tests {
         assert_eq!(snap.engine_threads, 3);
         assert_eq!(snap.pool_threads, 4);
         assert!(snap.render().contains("engine_threads=3"));
-        assert!(snap.render().contains("pool_threads=4"));
+        let isa = format!("\npool_threads=4\nkernel_isa={}\n", zsl_core::kernel_isa());
+        assert!(snap.render().contains(&isa), "{}", snap.render());
+        assert!(["avx2", "portable"].contains(&snap.kernel_isa));
     }
 
     #[test]

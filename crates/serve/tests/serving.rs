@@ -343,6 +343,14 @@ fn concurrent_single_row_requests_coalesce_into_wide_batches() {
         body.contains(&format!("max_batch_rows={}", stats.max_batch_rows)),
         "{body}"
     );
+    // The bank-kernel instance this process dispatched to follows the pool
+    // width; both instances score the bits checked above.
+    let isa = format!(
+        "\npool_threads={}\nkernel_isa={}\n",
+        stats.pool_threads,
+        zsl_core::kernel_isa()
+    );
+    assert!(body.contains(&isa), "{body}");
     std::fs::remove_file(&path).ok();
 }
 
