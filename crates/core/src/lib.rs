@@ -60,7 +60,7 @@
 //! |--------|------|
 //! | [`pipeline`] | the [`Pipeline`] builder facade, the one protocol driver: source → CV → train → evaluate / save, for any [`Trainer`] |
 //! | [`source`] | the [`FeatureSource`] trait + [`MemorySource`]; implemented by [`Dataset`] and [`StreamingBundle`] |
-//! | [`linalg`] | dense math: blocked matmul, packed `A·Bᵀ` kernel (an AVX2 instance chosen at run time, same bits; [`kernel_isa`] names it), the pooled row-banded kernels behind training and scoring, Cholesky solves for the two SPD systems, the symmetric eigensolver |
+//! | [`linalg`] | dense math: the dense product behind matmul, the model projection and the `XᵀYS` fold, and the packed `A·Bᵀ` bank kernel (each with an AVX2 instance chosen at run time, same bits; [`kernel_isa`] names it), the pooled row-banded kernels behind training and scoring, Cholesky solves for the two SPD systems, the symmetric eigensolver |
 //! | [`model`] | the closed-form trainer (Eq. `W = (XᵀX+γI)⁻¹XᵀYS(SᵀS+λI)⁻¹`); [`model::GramAccumulator`] is the single Gram fold behind every source kind |
 //! | [`infer`] | [`infer::ScoringEngine`] (cached bank, parallel + chunked batch scoring), nearest-signature classification, top-k, ZSL/GZSL metrics |
 //! | [`artifact`] | the versioned `.zsm` model artifact: [`ScoringEngine::save`] / [`ScoringEngine::load`], bit-identical round trips |

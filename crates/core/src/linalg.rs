@@ -13,8 +13,9 @@ use std::sync::{Condvar, Mutex, OnceLock};
 /// this value are left untouched by [`Matrix::l2_normalize_rows`].
 pub const NORM_EPSILON: f64 = 1e-12;
 
-/// Cache-blocking tile edge for [`Matrix::matmul`]. 64 doubles = 512 bytes per
-/// row segment, so an A-tile, B-tile, and C-tile together stay well inside L1/L2.
+/// Cache-blocking tile edge for the portable instance of [`Matrix::matmul`].
+/// 64 doubles = 512 bytes per row segment, so an A-tile, B-tile, and C-tile
+/// together stay well inside L1/L2.
 ///
 /// Exposed crate-wide because `gemm_bt_into` is phased on `BLOCK`-class
 /// tiles of the bank: within a tile, whole groups of eight classes go
@@ -133,15 +134,18 @@ impl Elem for f32 {
     }
 }
 
-/// Blocked `i-k-j` kernel over raw row-major slabs: `out += a * b` where `a`
-/// is `n x k_dim`, `b` is `k_dim x m`, and `out` is `n x m` (must be zeroed by
-/// the caller). Shared by the serial and row-banded parallel matmul paths so
-/// both produce bit-identical results. Each output element is added into in
-/// ascending `k` order, whatever the tiling.
+/// `out += a * b` over raw row-major slabs, where `a` is `n x k_dim`, `b` is
+/// `k_dim x m` and `out` is `n x m`: a product into a zeroed `out`, a fold
+/// into one that already holds a sum. Shared by the serial and row-banded
+/// parallel matmul paths and the Gram fold. Each output starts from its
+/// value in `out` and adds `a[i][k] * b[k][j]` in ascending `k`, whichever
+/// instance runs: on a CPU with AVX2 the 4-row x 8-column register block of
+/// `gemm_avx2`, elsewhere the tiled loop of `gemm_portable`. Rust never
+/// contracts `a*b + c` into an FMA, so the instance never changes a bit.
 ///
 /// With `upper` (square `out` only), tiles strictly below the diagonal tile
 /// are skipped: the symmetric Gram fold computes the upper block triangle
-/// and mirrors it.
+/// and mirrors it. That fold runs `gemm_portable` on every host.
 fn gemm_into<T: Elem>(
     a: &[T],
     n: usize,
@@ -155,6 +159,29 @@ fn gemm_into<T: Elem>(
     debug_assert_eq!(b.len(), k_dim * m);
     debug_assert_eq!(out.len(), n * m);
     debug_assert!(!upper || n == m);
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if !upper && has_avx2() {
+        // SAFETY: `has_avx2` is true only when the running CPU reports AVX2,
+        // the one feature `gemm_avx2` is compiled for.
+        unsafe { gemm_avx2(a, n, k_dim, b, m, out) };
+        return;
+    }
+    gemm_portable(a, n, k_dim, b, m, out, upper);
+}
+
+/// The portable instance of `gemm_into`, built for the target's baseline
+/// ISA: a blocked `i-k-j` loop over `BLOCK`-sized tiles whose innermost loop
+/// streams a row of `b` into a row of `out`. It is also the oracle the AVX2
+/// instance is tested against.
+fn gemm_portable<T: Elem>(
+    a: &[T],
+    n: usize,
+    k_dim: usize,
+    b: &[T],
+    m: usize,
+    out: &mut [T],
+    upper: bool,
+) {
     for ii in (0..n).step_by(BLOCK) {
         let i_end = (ii + BLOCK).min(n);
         let j_start = if upper { ii } else { 0 };
@@ -171,6 +198,68 @@ fn gemm_into<T: Elem>(
                             *c += a_ik * bv;
                         }
                     }
+                }
+            }
+        }
+    }
+}
+
+/// The AVX2 instance of `gemm_into` (never FMA): rows go four at a time
+/// through [`gemm_block`], whose 4 x 8 accumulators fill the 256-bit
+/// registers, and the `n mod 4` rows left over one at a time.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_avx2<T: Elem>(a: &[T], n: usize, k_dim: usize, b: &[T], m: usize, out: &mut [T]) {
+    let blocked = n - n % 4;
+    for i in (0..blocked).step_by(4) {
+        let rows = &a[i * k_dim..(i + 4) * k_dim];
+        gemm_block::<T, 4>(rows, k_dim, b, m, &mut out[i * m..(i + 4) * m]);
+    }
+    for i in blocked..n {
+        let row = &a[i * k_dim..(i + 1) * k_dim];
+        gemm_block::<T, 1>(row, k_dim, b, m, &mut out[i * m..(i + 1) * m]);
+    }
+}
+
+/// `out += a * b` for `M` rows (`a` is `M x k_dim`, `out` is `M x m`): per
+/// group of eight columns, an `M x 8` block of accumulators is loaded from
+/// `out`, runs the whole `k` range in ascending order and is written back.
+/// The block is a fixed-size array moved in fixed 8-long copies, so it stays
+/// in registers. The last `m mod 8` columns take a scalar loop that runs `k`
+/// outermost, so the `M` rows' sums advance side by side, each still in
+/// ascending `k`.
+#[inline(always)]
+fn gemm_block<T: Elem, const M: usize>(a: &[T], k_dim: usize, b: &[T], m: usize, out: &mut [T]) {
+    let a: [&[T]; M] = std::array::from_fn(|r| &a[r * k_dim..(r + 1) * k_dim]);
+    let tails = m - m % 8;
+    for j in (0..tails).step_by(8) {
+        let mut acc: [[T; 8]; M] = [[T::ZERO; 8]; M];
+        for (r, eight) in acc.iter_mut().enumerate() {
+            eight.copy_from_slice(&out[r * m + j..r * m + j + 8]);
+        }
+        for (k, b_row) in b.chunks_exact(m).enumerate() {
+            let b8 = &b_row[j..j + 8];
+            for (eight, a_row) in acc.iter_mut().zip(&a) {
+                let av = a_row[k];
+                for (c, &bv) in eight.iter_mut().zip(b8) {
+                    *c += av * bv;
+                }
+            }
+        }
+        for (r, eight) in acc.iter().enumerate() {
+            out[r * m + j..r * m + j + 8].copy_from_slice(eight);
+        }
+    }
+    if tails < m {
+        for (k, b_row) in b.chunks_exact(m).enumerate() {
+            for (a_row, out_row) in a.iter().zip(out.chunks_exact_mut(m)) {
+                let a_rk = a_row[k];
+                for (c, &bv) in out_row[tails..].iter_mut().zip(&b_row[tails..]) {
+                    *c += a_rk * bv;
                 }
             }
         }
@@ -204,7 +293,8 @@ fn gemm_bt_into<T: Elem>(a: &[T], n: usize, k_dim: usize, bt: &[T], z: usize, ou
 
 /// Whether the running CPU has AVX2, asked once per process (as
 /// [`default_threads`] asks for its parallelism) and cached for every
-/// `gemm_bt_into` call. Only x86 and x86_64 build the AVX2 instance.
+/// `gemm_into` and `gemm_bt_into` call. Only x86 and x86_64 build the AVX2
+/// instances.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 fn has_avx2() -> bool {
     static AVX2: OnceLock<bool> = OnceLock::new();
@@ -216,11 +306,13 @@ fn has_avx2() -> bool {
     false
 }
 
-/// The instance `gemm_bt_into`, the signature-bank product of every scoring
-/// call, runs in this process: `"avx2"` on an x86 CPU that reports AVX2,
-/// `"portable"` otherwise. Both instances produce the same bits, so this
-/// names a speed, not a result; timings are comparable only between runs
-/// that report the same value.
+/// The instance both dispatched kernels run in this process: `gemm_bt_into`,
+/// the signature-bank product of every scoring call, and `gemm_into`, the
+/// dense product behind the model projection, [`Matrix::matmul`] and
+/// [`Matrix::add_transposed_product`]. `"avx2"` on an x86 CPU that reports
+/// AVX2, `"portable"` otherwise. Both instances of each kernel produce the
+/// same bits, so this names a speed, not a result; timings are comparable
+/// only between runs that report the same value.
 pub fn kernel_isa() -> &'static str {
     if has_avx2() {
         "avx2"
@@ -665,9 +757,11 @@ pub(crate) fn par_row_bands<T, F>(
 /// Serial-or-banded `a (n x k_dim) · b (k_dim x m)` over raw slabs, generic
 /// over the element type — the model projection in both scoring precisions.
 /// Rows of `a` are split into contiguous bands run by the persistent pool and
-/// the calling thread; banding never changes a row's accumulation order, so
-/// the result is **bit-identical** to [`Matrix::matmul`] for every thread
-/// count. Small products run the serial kernel unconditionally.
+/// the calling thread, each band through `gemm_into` (on AVX2, four rows
+/// per pass and the band's leftover rows one at a time); banding never
+/// changes a row's accumulation order, so the result is **bit-identical** to
+/// [`Matrix::matmul`] for every thread count. Small products run the serial
+/// kernel unconditionally.
 pub(crate) fn gemm_parallel<T: Elem>(
     a: &[T],
     n: usize,
@@ -958,13 +1052,16 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Blocked (cache-tiled) matrix product `self * other`.
+    /// Matrix product `self * other`.
     ///
-    /// Uses an `i-k-j` inner ordering over `BLOCK`-sized tiles so that the
-    /// innermost loop streams contiguously over a row of `other` and a row of
-    /// the output — the access pattern that keeps this kernel bandwidth-bound
-    /// instead of latency-bound. Verified against a textbook triple loop in
-    /// the test suite.
+    /// On a CPU with AVX2, four rows of `self` share each pass over `other`,
+    /// and each 4 x 8 block of the output is accumulated in registers over
+    /// the whole inner dimension; elsewhere a blocked `i-k-j` loop over
+    /// `BLOCK`-sized tiles streams a row of `other` into a row of the
+    /// output. Every output adds its products in ascending inner index on
+    /// both instances, so the bits are the same on every host ([`kernel_isa`]
+    /// names the instance). Verified against a textbook triple loop in the
+    /// test suite.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
@@ -1003,8 +1100,9 @@ impl Matrix {
     /// `n x cols(self)` — the Gram-fold primitive behind out-of-core
     /// training.
     ///
-    /// Runs the same blocked kernel as [`Matrix::matmul`], which adds into
-    /// each output element in strictly ascending order over `a`'s rows.
+    /// Runs the same dispatched kernel as [`Matrix::matmul`] (the AVX2
+    /// instance where [`kernel_isa`] reads `"avx2"`), which adds into each
+    /// output element in strictly ascending order over `a`'s rows.
     /// Folding a tall matrix as consecutive row slabs therefore performs the
     /// *identical* floating-point addition sequence as
     /// `a.transpose().matmul(&b)` in one shot: streamed Gram matrices are
@@ -1039,6 +1137,11 @@ impl Matrix {
     /// `(j, i)` sum the same products in the same ascending-row order, so
     /// the result is bit-identical to `add_transposed_product(a, a)` and
     /// exactly symmetric, provided `self` was symmetric on entry.
+    ///
+    /// The triangle runs the portable tiled kernel on every host. The AVX2
+    /// instance would roughly halve fit-sae's time, but that benchmark holds
+    /// every fitted model inside its peak-RSS window, so a faster fit reads
+    /// as a memory regression there until it drops each op's model.
     pub(crate) fn add_gram(&mut self, a: &Matrix) {
         assert_eq!(
             (self.rows, self.cols),
@@ -1853,6 +1956,9 @@ mod tests {
                 _ => rng.normal(),
             })
             .collect();
+        if cols == 0 {
+            return m;
+        }
         for r in 0..rows {
             let at = r * cols + (r * 5) % cols;
             if r % 7 == 6 {
@@ -1948,6 +2054,88 @@ mod tests {
                 let banded = gemm_bt_parallel(&a, n, k, &bt, z, threads);
                 let what = format!("n={n} z={z} k={k} threads={threads}");
                 assert_same_bits(&banded, &by_row, &what);
+            }
+        }
+    }
+
+    /// `out + a · b` (`a` is `n x k`, `b` is `k x m`, `out` is `n x m`)
+    /// through the tiled portable instance of `gemm_into` and, where the CPU
+    /// has AVX2, the AVX2 instance; both must agree bit for bit. Returns
+    /// whether AVX2 was checked.
+    fn check_dense_instances<T: Elem>(
+        a64: &[f64],
+        n: usize,
+        k: usize,
+        b64: &[f64],
+        m: usize,
+        out64: &[f64],
+    ) -> bool {
+        let (a, b) = (T::cast_slice(a64), T::cast_slice(b64));
+        let mut portable = T::cast_slice(out64).into_owned();
+        gemm_portable(&a, n, k, &b, m, &mut portable, false);
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if has_avx2() {
+            let mut avx2 = T::cast_slice(out64).into_owned();
+            // SAFETY: `has_avx2` reported AVX2 on the running CPU.
+            unsafe { gemm_avx2(&a, n, k, &b, m, &mut avx2) };
+            let what = format!(
+                "{} n={n} k={k} m={m}: avx2 vs portable",
+                std::any::type_name::<T>()
+            );
+            assert_same_bits(&T::widen(avx2), &T::widen(portable), &what);
+            return true;
+        }
+        false
+    }
+
+    #[test]
+    fn dense_kernel_instances_multiply_the_same_bits() {
+        // Row counts straddle the 4-row block, column counts the 8-column
+        // group and its scalar tail, and inner dimensions the 64-wide tile of
+        // the portable loop. Each shape is multiplied into a zeroed `out` (a
+        // product) and into one holding a previous sum with −0.0 among its
+        // entries (a fold), which the AVX2 block must load, not restart.
+        let mut rng = Rng::new(0xD3E5);
+        let mut avx2 = false;
+        for &n in &[1usize, 3, 4, 5, 7, 8, 9, 64, 67] {
+            for &k in &[0usize, 1, 2, 7, 8, 33, 64, 65, 256] {
+                for &m in &[1usize, 3, 7, 8, 9, 16, 31, 32, 33, 85] {
+                    let a = special_matrix(&mut rng, n, k);
+                    let b = special_matrix(&mut rng, k, m);
+                    let zeroed = vec![0.0; n * m];
+                    let folded: Vec<f64> = (0..n * m)
+                        .map(|_| match rng.next_u64() % 8 {
+                            0 => -0.0,
+                            _ => rng.normal(),
+                        })
+                        .collect();
+                    for out in [&zeroed, &folded] {
+                        avx2 |= check_dense_instances::<f64>(&a, n, k, &b, m, out);
+                        avx2 |= check_dense_instances::<f32>(&a, n, k, &b, m, out);
+                    }
+                }
+            }
+        }
+        if avx2 {
+            println!("dense kernel: checked the avx2 and portable instances");
+        } else {
+            println!("dense kernel: no AVX2 on this CPU, checked the portable instance only");
+        }
+        assert_eq!(kernel_isa(), if avx2 { "avx2" } else { "portable" });
+
+        // Banded over the pool, odd band heights mix 4-row blocks with
+        // leftover rows; every thread count must match the serial portable
+        // product.
+        let n = 67;
+        for &(k, m) in &[(256usize, 33usize), (65, 85), (64, 32)] {
+            let a = special_matrix(&mut rng, n, k);
+            let b = special_matrix(&mut rng, k, m);
+            let mut serial = vec![0.0; n * m];
+            gemm_portable(&a, n, k, &b, m, &mut serial, false);
+            for threads in 1..=4 {
+                let banded = gemm_parallel(&a, n, k, &b, m, threads);
+                let what = format!("n={n} k={k} m={m} threads={threads}");
+                assert_same_bits(&banded, &serial, &what);
             }
         }
     }

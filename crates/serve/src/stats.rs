@@ -60,8 +60,9 @@ pub struct StatsSnapshot {
     pub rejected: u64,
     pub engine_threads: u64,
     pub pool_threads: u64,
-    /// [`zsl_core::kernel_isa`]: the instance the bank product runs in this
-    /// process. A process constant, read when the snapshot is taken.
+    /// [`zsl_core::kernel_isa`]: the instance the bank product and the model
+    /// projection run in this process. A process constant, read when the
+    /// snapshot is taken.
     pub kernel_isa: &'static str,
     pub bank_shards: u64,
     pub bank_resident_bytes: u64,
