@@ -1,6 +1,6 @@
 # Tier-1 verify and dev conveniences. `just` mirrors these recipes.
 
-.PHONY: test lint fmt build doc bench bench-pairs import-fixtures
+.PHONY: test lint fmt build doc bench bench-pairs api-counts import-fixtures
 
 # Matches the tier-1 verify in ROADMAP.md exactly.
 test:
@@ -31,6 +31,11 @@ bench:
 # make bench-pairs ARGS='HEAD~1 train-xlsa 10 30' (see scripts/bench-pairs.sh)
 bench-pairs:
 	scripts/bench-pairs.sh $(ARGS)
+
+# Per-crate non-test source lines, `pub` items and lib.rs re-exports, the
+# size report a simplification change quotes (see scripts/api-counts.sh).
+api-counts:
+	scripts/api-counts.sh
 
 # Regenerate the committed .mat golden fixtures under crates/mat/tests/fixtures/
 # and print the digest constants to paste into tests/golden_import.rs.

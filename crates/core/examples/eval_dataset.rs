@@ -12,7 +12,7 @@
 //! cargo run --release --example eval_dataset -- eval /tmp/zsl_bundle
 //! cargo run --release --example eval_dataset -- eval /tmp/zsl_bundle --folds 5 --sim dot
 //!
-//! # Swap the model family — every trainer runs through the same generic
+//! # Swap the model family — every trainer runs through the same
 //! # CV → fit → evaluate path (SAE sweeps only λ; the RBF kernel defaults
 //! # its width to 1/d):
 //! cargo run --release --example eval_dataset -- eval /tmp/zsl_bundle --model sae
@@ -35,7 +35,7 @@
 //! ```
 //!
 //! Every subcommand but `export` opens the bundle with `StreamingBundle`.
-//! With `--stream`, the same generic code path then reads features
+//! With `--stream`, the same code path then reads features
 //! chunk-at-a-time through the bundle's `FeatureSource` impl; without it,
 //! through the `Dataset` the bundle materializes. Results are bit-identical.
 

@@ -173,11 +173,6 @@ impl ZsbWriter {
         Ok(())
     }
 
-    /// Rows appended so far.
-    pub fn rows_written(&self) -> usize {
-        self.rows_written
-    }
-
     /// Validate the row count, fsync, and atomically rename the temp file
     /// over the target.
     pub fn finish(mut self) -> Result<(), DataError> {
@@ -228,10 +223,9 @@ pub(crate) struct ZsbHeader {
     pub class_count: u32,
 }
 
-/// Parse and validate the fixed 32-byte `.zsb` header (shared by the
-/// in-memory [`read_zsb`] wrapper and the streaming
-/// [`crate::data::stream::ZsbChunkReader`], so both reject exactly the same
-/// corruptions with the same messages).
+/// Parse and validate the fixed 32-byte `.zsb` header, the first check of
+/// the one `.zsb` reader behind [`read_zsb`] and
+/// [`crate::data::StreamingBundle`].
 pub(crate) fn parse_zsb_header(path: &Path, bytes: &[u8; 32]) -> Result<ZsbHeader, DataError> {
     let magic: [u8; 4] = bytes[0..4].try_into().expect("4 bytes");
     if magic != ZSB_MAGIC {
@@ -319,28 +313,25 @@ pub(crate) fn zsb_validate_dims(
     Ok((n, d, expected))
 }
 
-/// Read a `.zsb` feature dump written by [`write_zsb`].
+/// Read a `.zsb` feature dump written by [`write_zsb`] as one whole table.
 ///
 /// Validates the magic, version, flags, non-zero dims, exact file length
 /// (both truncation and trailing garbage are errors), the header
 /// `class_count` against the labels actually present, and that every feature
 /// value is finite.
 ///
-/// This is a thin wrapper over the chunked
-/// [`crate::data::stream::ZsbChunkReader`]: the streaming reader is the one
-/// real decoder, and this path simply concatenates its chunks, so the two can
-/// never drift apart.
+/// This reads every row, in file order, as one chunk of the same reader that
+/// streams a [`crate::data::StreamingBundle`]'s splits, so the two paths
+/// share one decoder and reject exactly the same files.
 pub fn read_zsb(path: &Path) -> Result<FeatureTable, DataError> {
-    let mut reader = super::stream::ZsbChunkReader::open(path, usize::MAX)?;
-    let (n, d) = (reader.num_samples(), reader.feature_dim());
-    let mut data = Vec::with_capacity(n * d);
-    for chunk in &mut reader {
-        data.extend_from_slice(chunk?.features.as_slice());
-    }
-    Ok(FeatureTable {
-        labels: reader.labels().to_vec(),
-        features: Matrix::from_vec(n, d, data),
-    })
+    let (reader, labels) = super::stream::ZsbChunkReader::open(path, usize::MAX)?;
+    let every_row: Vec<usize> = (0..reader.num_samples()).collect();
+    // A valid header promises at least one row, so the one chunk exists.
+    let features = reader
+        .rows(every_row.into())?
+        .next()
+        .expect("a .zsb table has at least one row")?;
+    Ok(FeatureTable { labels, features })
 }
 
 /// Write the signature table: one `label,a0,a1,...` line per class, in dense

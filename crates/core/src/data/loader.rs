@@ -485,7 +485,7 @@ mod tests {
 
         // Rows permuted on disk, so the three splits interleave in the file,
         // and each split's manifest order shuffled: short, non-ascending
-        // runs for the seek-coalesced reader.
+        // runs of rows for the reader.
         let mut rng = Rng::new(0x5EED);
         let mut perm: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut perm);

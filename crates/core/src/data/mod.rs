@@ -22,7 +22,10 @@
 //! `O(chunk_rows x feature_dim)`, bit-identical to the in-memory pipeline;
 //! [`StreamingBundle::to_dataset`] concatenates the same streams into a
 //! [`Dataset`]. [`DatasetBundle`] holds a bundle a caller assembled in
-//! memory.
+//! memory. A `.zsb` table is read two ways, both over one crate-private
+//! reader that validates the file once at open and reads each run of rows
+//! with one positioned read: streamed through a [`StreamingBundle`]'s
+//! [`crate::FeatureSource`] impl, or whole by [`format::read_zsb`].
 //!
 //! [`export_dataset`] writes any [`Dataset`] as a bundle; the round trip
 //! (write → [`StreamingBundle::open`] → [`StreamingBundle::to_dataset`]) is
@@ -44,5 +47,5 @@ pub use loader::{
     export_dataset, ClassMap, DatasetBundle, FEATURES_CSV, FEATURES_ZSB, SIGNATURES_CSV, SPLITS_TXT,
 };
 pub use rng::Rng;
-pub use stream::{FeatureChunk, StreamingBundle, ZsbChunkReader};
+pub use stream::StreamingBundle;
 pub use synthetic::{Dataset, SyntheticConfig};

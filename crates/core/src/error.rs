@@ -3,7 +3,7 @@
 //! Before PR 5 every subsystem surfaced its own error enum — [`DataError`]
 //! from the loaders, [`TrainError`] from the trainers, [`LinalgError`] from
 //! the factorizations — and callers gluing stages together had to thread a
-//! different error type through each seam. The generic entry points
+//! different error type through each seam. The entry points
 //! ([`crate::eval::evaluate_gzsl`], [`crate::eval::cross_validate`],
 //! [`crate::model::EszslTrainer::fit`], every [`crate::trainer::Trainer`]
 //! impl, the [`crate::pipeline::Pipeline`] facade, and the `.zsm` model

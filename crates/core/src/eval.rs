@@ -1,5 +1,5 @@
 //! Evaluation harness: generalized zero-shot reports and seeded k-fold
-//! hyperparameter selection, generic over any [`FeatureSource`].
+//! hyperparameter selection, over any [`FeatureSource`].
 //!
 //! Two layers:
 //!
@@ -20,7 +20,7 @@
 //! [`crate::pipeline::Pipeline`] chains the two: cross-validate on trainval,
 //! refit the trainer at the winning point, report GZSL numbers.
 //!
-//! Every entry point is ONE generic function over [`FeatureSource`]: a
+//! Every entry point is one function taking `&dyn FeatureSource`: a
 //! materialized [`crate::data::Dataset`] lends its matrices as single borrowed chunks, a
 //! [`crate::data::StreamingBundle`] reads features chunk-at-a-time from disk
 //! with peak feature memory `O(chunk_rows x feature_dim)`, and a
@@ -84,13 +84,12 @@ impl std::fmt::Display for GzslReport {
 /// bank; a seen sample predicted as any unseen class (or vice versa) counts
 /// as an error, exactly as in the reference ESZSL evaluation. The report is
 /// **bit-identical** for every source kind, chunk size, and thread count.
-pub fn evaluate_gzsl<S, M>(
+pub fn evaluate_gzsl<M>(
     model: &M,
-    source: &S,
+    source: &dyn FeatureSource,
     similarity: Similarity,
 ) -> Result<GzslReport, ZslError>
 where
-    S: FeatureSource + ?Sized,
     M: Clone + Into<TrainedModel>,
 {
     // Fallible construction: this driver is reachable from artifact-loaded
@@ -114,9 +113,9 @@ where
 /// mismatch, like a feature-width mismatch between the source's chunks and
 /// the engine's projection, is a typed [`ZslError::Config`] — serving inputs
 /// never panic.
-pub fn evaluate_gzsl_with<S: FeatureSource + ?Sized>(
+pub fn evaluate_gzsl_with(
     engine: &ScoringEngine,
-    source: &S,
+    source: &dyn FeatureSource,
 ) -> Result<GzslReport, ZslError> {
     let num_seen = source.num_seen_classes();
     let num_unseen = source.num_unseen_classes();

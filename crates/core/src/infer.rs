@@ -171,14 +171,6 @@ impl BankShards {
         let start = if i == 0 { 0 } else { self.ends[i - 1] };
         start..self.ends[i]
     }
-
-    /// Widest band, in classes — the per-chunk score-block width bound.
-    pub fn max_band_classes(&self) -> usize {
-        (0..self.count())
-            .map(|i| self.band(i).len())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// The engine's cached signature bank: either owned rows on the heap or rows
@@ -746,8 +738,8 @@ impl ScoringEngine {
         Ok(())
     }
 
-    /// The ONE generic batch-prediction entry point: argmax predictions over
-    /// one split of any [`FeatureSource`], chunk by chunk.
+    /// The one batch-prediction entry point over a source: argmax
+    /// predictions over one split of any [`FeatureSource`], chunk by chunk.
     ///
     /// Projection, normalization, and scoring are all row-local, so the
     /// predictions are **bit-identical** to calling
@@ -759,9 +751,9 @@ impl ScoringEngine {
     /// A source whose feature width disagrees with the model (e.g. a `.zsm`
     /// engine from a different feature space) is a typed
     /// [`ZslError::Config`], never a panic.
-    pub fn predict_source<S: FeatureSource + ?Sized>(
+    pub fn predict_source(
         &self,
-        source: &S,
+        source: &dyn FeatureSource,
         split: SplitKind,
     ) -> Result<Vec<usize>, ZslError> {
         let mut out = Vec::new();

@@ -14,9 +14,10 @@
 //! - **[`FeatureSource`]** — anything that can stream its GZSL splits as
 //!   `(features, labels)` chunks: an in-memory [`Dataset`], an out-of-core
 //!   [`StreamingBundle`] (features stay on disk, peak memory
-//!   `O(chunk_rows x feature_dim)`), or a bare [`MemorySource`]. Every
-//!   train/evaluate entry point is ONE generic function over this trait, and
-//!   results are **bit-identical** across sources and chunk sizes.
+//!   `O(chunk_rows x feature_dim)`), or a bare [`MemorySource`]. It is the
+//!   one way data enters: every train/evaluate entry point takes a
+//!   `&dyn FeatureSource`, and results are **bit-identical** across sources
+//!   and chunk sizes.
 //! - **[`Pipeline`]** — the documented front door chaining the stages:
 //!
 //! ```
@@ -59,12 +60,12 @@
 //! | Module | Role |
 //! |--------|------|
 //! | [`pipeline`] | the [`Pipeline`] builder facade, the one protocol driver: source → CV → train → evaluate / save, for any [`Trainer`] |
-//! | [`source`] | the [`FeatureSource`] trait + [`MemorySource`]; implemented by [`Dataset`] and [`StreamingBundle`] |
+//! | [`source`] | the [`FeatureSource`] trait, taken as `&dyn FeatureSource` by every entry point, + [`MemorySource`]; implemented by [`Dataset`] and [`StreamingBundle`] |
 //! | [`linalg`] | dense math: the dense product behind matmul, the model projection and the `XᵀYS` fold, and the packed `A·Bᵀ` bank kernel (each with an AVX2 instance chosen at run time, same bits; [`kernel_isa`] names it), the pooled row-banded kernels behind training and scoring, Cholesky solves for the two SPD systems, the symmetric eigensolver |
 //! | [`model`] | the closed-form trainer (Eq. `W = (XᵀX+γI)⁻¹XᵀYS(SᵀS+λI)⁻¹`); [`model::GramAccumulator`] is the single Gram fold behind every source kind |
 //! | [`infer`] | [`infer::ScoringEngine`] (cached bank, parallel + chunked batch scoring), nearest-signature classification, top-k, ZSL/GZSL metrics |
 //! | [`artifact`] | the versioned `.zsm` model artifact: [`ScoringEngine::save`] / [`ScoringEngine::load`], bit-identical round trips |
-//! | [`data`]  | seeded synthetic datasets **plus** on-disk bundles: `.zsb` feature dumps, signature tables, split manifests — read by [`StreamingBundle`], which streams features chunk-at-a-time or materializes a [`Dataset`] ([`StreamingBundle::to_dataset`]); CSV features are converted once by [`data::import_features_csv`] |
+//! | [`data`]  | seeded synthetic datasets **plus** on-disk bundles: `.zsb` feature dumps, signature tables, split manifests — read by [`StreamingBundle`], which streams features chunk-at-a-time or materializes a [`Dataset`] ([`StreamingBundle::to_dataset`]); a lone `.zsb` table is read whole by [`data::format::read_zsb`], over the same crate-private reader; CSV features are converted once by [`data::import_features_csv`] |
 //! | [`eval`]  | the generic GZSL protocol ([`eval::GzslReport`]) and seeded k-fold `(γ, λ)` cross-validation of any [`Trainer`] ([`eval::cross_validate`]) over any source |
 //! | [`trainer`] | the object-safe [`Trainer`] trait + [`TrainedModel`]: ESZSL, the Sylvester-solved [`trainer::SaeTrainer`], and [`trainer::KernelEszslTrainer`] (linear/RBF), all streaming through the same accumulator |
 //!
@@ -80,7 +81,7 @@
 //! use zsl_core::source::MemorySource;
 //!
 //! let ds = SyntheticConfig::new().classes(20, 4).seed(7).build();
-//! // Bare matrices enter every generic entry point through a MemorySource.
+//! // Bare matrices enter every entry point through a MemorySource.
 //! let train = MemorySource::new(&ds.train_x, &ds.train_labels, &ds.seen_signatures);
 //! let model = EszslConfig::new()
 //!     .gamma(1.0)
@@ -109,8 +110,8 @@ pub mod trainer;
 
 pub use artifact::{ZSM_HEADER_LEN, ZSM_MAGIC, ZSM_MIN_VERSION, ZSM_NORM_TOLERANCE, ZSM_VERSION};
 pub use data::{
-    export_dataset, ClassMap, DataError, Dataset, DatasetBundle, FeatureChunk, FeatureTable, Rng,
-    SplitManifest, StreamingBundle, SyntheticConfig, ZsbChunkReader, ZsbWriter,
+    export_dataset, ClassMap, DataError, Dataset, DatasetBundle, FeatureTable, Rng, SplitManifest,
+    StreamingBundle, SyntheticConfig, ZsbWriter,
 };
 pub use error::ZslError;
 pub use eval::{

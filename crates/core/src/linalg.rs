@@ -1021,11 +1021,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutable view of the underlying row-major buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Element at `(r, c)`. Panics on out-of-range indices.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f64 {

@@ -354,7 +354,7 @@ impl EszslTrainer {
         &self.config
     }
 
-    /// The ONE generic training entry point: fit on the trainval split of any
+    /// The one ESZSL training entry point: fit on the trainval split of any
     /// [`FeatureSource`] — a materialized [`crate::data::Dataset`], a disk
     /// [`crate::data::StreamingBundle`], or a bare
     /// [`crate::source::MemorySource`] (for features, labels and signatures
@@ -362,7 +362,7 @@ impl EszslTrainer {
     ///
     /// Every source flows through the same [`GramAccumulator`] fold, so the
     /// trained weights are **bit-identical** across sources and chunk sizes.
-    pub fn fit<S: FeatureSource + ?Sized>(&self, source: &S) -> Result<ProjectionModel, ZslError> {
+    pub fn fit(&self, source: &dyn FeatureSource) -> Result<ProjectionModel, ZslError> {
         validate_regularizer("gamma", self.config.gamma)?;
         validate_regularizer("lambda", self.config.lambda)?;
         let problem = EszslProblem::from_source(
@@ -408,8 +408,8 @@ impl EszslProblem {
     /// (no copy); streamed sources never materialize their features.
     /// Bit-identical across sources and chunk sizes. To fold a chunk
     /// iterator of your own, drive a [`GramAccumulator`] directly.
-    pub fn from_source<S: FeatureSource + ?Sized>(
-        source: &S,
+    pub fn from_source(
+        source: &dyn FeatureSource,
         normalize_features: bool,
         normalize_signatures: bool,
     ) -> Result<Self, ZslError> {

@@ -1,4 +1,4 @@
-//! The documented front door: a builder facade over the generic pipeline.
+//! The documented front door: a builder facade over the pipeline stages.
 //!
 //! ```
 //! use zsl_core::{CrossValConfig, Pipeline, SyntheticConfig};
@@ -20,7 +20,8 @@
 //! (ESZSL by default; [`Pipeline::with_trainer`] swaps in any other family,
 //! e.g. [`crate::trainer::SaeTrainer`] or
 //! [`crate::trainer::KernelEszslTrainer`]), GZSL scoring via
-//! [`evaluate_gzsl_with`] — over any [`FeatureSource`]: swap the
+//! [`evaluate_gzsl_with`] — over any [`FeatureSource`], held as a
+//! `&dyn FeatureSource` and handed to each stage as it is: swap the
 //! in-memory dataset above for a [`crate::data::StreamingBundle`] and the
 //! same chain runs out-of-core with bit-identical numbers. The model choice
 //! is sticky: the trainer set once governs the sweep, the final fit, and the
@@ -39,18 +40,19 @@ use crate::error::ZslError;
 use crate::eval::{cross_validate, evaluate_gzsl_with, CrossValConfig, CrossValReport, GzslReport};
 use crate::infer::{ScoringEngine, Similarity};
 use crate::model::EszslTrainer;
-use crate::source::{DynSource, FeatureSource};
+use crate::source::FeatureSource;
 use crate::trainer::{TrainedModel, Trainer};
 use std::path::Path;
 
 /// Untrained pipeline: a source plus the trainer to fit on it.
 ///
-/// Build one with `Pipeline::from(&source)` (any [`FeatureSource`]),
-/// optionally choose the trainer / similarity or run
-/// [`Pipeline::cross_validate`], then [`Pipeline::train`].
+/// Build one with `Pipeline::from(&source)` (a reference to any
+/// [`FeatureSource`], or a `&dyn FeatureSource`), optionally choose the
+/// trainer / similarity or run [`Pipeline::cross_validate`], then
+/// [`Pipeline::train`].
 #[derive(Clone, Debug)]
-pub struct Pipeline<'a, S: FeatureSource + ?Sized> {
-    source: &'a S,
+pub struct Pipeline<'a> {
+    source: &'a dyn FeatureSource,
     /// The model family and its hyperparameters: [`EszslTrainer`] until
     /// [`Pipeline::with_trainer`] chooses another.
     trainer: Box<dyn Trainer>,
@@ -64,10 +66,10 @@ pub struct Pipeline<'a, S: FeatureSource + ?Sized> {
     cv: Option<CrossValReport>,
 }
 
-impl<'a, S: FeatureSource + ?Sized> From<&'a S> for Pipeline<'a, S> {
+impl<'a> From<&'a dyn FeatureSource> for Pipeline<'a> {
     /// Start a pipeline over `source` with the default configuration
     /// (ESZSL, γ = λ = 1, no normalization, cosine similarity).
-    fn from(source: &'a S) -> Self {
+    fn from(source: &'a dyn FeatureSource) -> Self {
         Pipeline {
             source,
             trainer: Box::new(EszslTrainer::default()),
@@ -78,7 +80,16 @@ impl<'a, S: FeatureSource + ?Sized> From<&'a S> for Pipeline<'a, S> {
     }
 }
 
-impl<'a, S: FeatureSource + ?Sized> Pipeline<'a, S> {
+impl<'a, S: FeatureSource + 'a> From<&'a S> for Pipeline<'a> {
+    /// Start a pipeline over a concrete source (`&Dataset`,
+    /// `&StreamingBundle`, `&MemorySource`), exactly as over the same source
+    /// passed as a `&dyn FeatureSource`.
+    fn from(source: &'a S) -> Self {
+        Pipeline::from(source as &dyn FeatureSource)
+    }
+}
+
+impl<'a> Pipeline<'a> {
     /// Choose the model family and its configuration: any [`Trainer`] —
     /// [`EszslTrainer`] (e.g. `EszslConfig::new().gamma(0.5).build()`),
     /// [`crate::trainer::SaeTrainer`],
@@ -127,7 +138,7 @@ impl<'a, S: FeatureSource + ?Sized> Pipeline<'a, S> {
         if let Some(similarity) = self.similarity {
             sweep.similarity = similarity;
         }
-        let cv = cross_validate(self.trainer.as_ref(), &DynSource(self.source), &sweep)?;
+        let cv = cross_validate(self.trainer.as_ref(), self.source, &sweep)?;
         self.trainer = self.trainer.with_point(cv.best.gamma, cv.best.lambda);
         self.similarity = Some(sweep.similarity);
         self.calibration = cv.best.calibration;
@@ -138,9 +149,9 @@ impl<'a, S: FeatureSource + ?Sized> Pipeline<'a, S> {
     /// Fit the pipeline's trainer on the trainval split and build the
     /// serving engine over the source's union signature bank, applying any
     /// calibrated-stacking penalty to the bank's seen-class prefix.
-    pub fn train(self) -> Result<TrainedPipeline<'a, S>, ZslError> {
+    pub fn train(self) -> Result<TrainedPipeline<'a>, ZslError> {
         let similarity = self.similarity.unwrap_or_default();
-        let model = self.trainer.fit(&DynSource(self.source))?;
+        let model = self.trainer.fit(self.source)?;
         // Fallible construction + calibration: this path feeds artifacts and
         // servers, so malformed parts (or a γ_cal that cannot apply) must be
         // typed errors, not panics. γ_cal = 0 leaves the engine untouched.
@@ -157,14 +168,14 @@ impl<'a, S: FeatureSource + ?Sized> Pipeline<'a, S> {
 
 /// A trained pipeline: the scoring engine plus the source it came from.
 #[derive(Clone, Debug)]
-pub struct TrainedPipeline<'a, S: FeatureSource + ?Sized> {
-    source: &'a S,
+pub struct TrainedPipeline<'a> {
+    source: &'a dyn FeatureSource,
     engine: ScoringEngine,
     trainer: Box<dyn Trainer>,
     cv: Option<CrossValReport>,
 }
 
-impl<S: FeatureSource + ?Sized> TrainedPipeline<'_, S> {
+impl TrainedPipeline<'_> {
     /// Run the GZSL protocol on the source's test splits — bit-identical to
     /// [`crate::eval::evaluate_gzsl`] with this pipeline's model.
     pub fn evaluate(&self) -> Result<GzslReport, ZslError> {
@@ -174,12 +185,6 @@ impl<S: FeatureSource + ?Sized> TrainedPipeline<'_, S> {
     /// The serving engine (cached union bank, parallel scoring).
     pub fn engine(&self) -> &ScoringEngine {
         &self.engine
-    }
-
-    /// Consume the pipeline, keeping the engine (e.g. to move it into a
-    /// server).
-    pub fn into_engine(self) -> ScoringEngine {
-        self.engine
     }
 
     /// The trained model (any family).

@@ -5,25 +5,29 @@
 //! banks: an in-memory [`Dataset`], an out-of-core
 //! [`crate::data::StreamingBundle`] (whose impl lives with it in
 //! [`crate::data::stream`]; the trait is the only way to stream a bundle),
-//! or a bare [`MemorySource`] wrapping a feature matrix and labels. Every
-//! generic entry point — [`crate::trainer::Trainer::fit`],
-//! [`crate::eval::evaluate_gzsl`], [`crate::eval::cross_validate`],
+//! or a bare [`MemorySource`] wrapping a feature matrix and labels.
+//!
+//! Data enters the crate one way: every entry point that reads a source —
+//! [`crate::trainer::Trainer::fit`], [`crate::model::EszslTrainer::fit`],
+//! [`crate::model::EszslProblem::from_source`],
+//! [`crate::eval::evaluate_gzsl`], [`crate::eval::evaluate_gzsl_with`],
+//! [`crate::eval::cross_validate`],
 //! [`crate::infer::ScoringEngine::predict_source`], and the
-//! [`crate::pipeline::Pipeline`] facade — is written against this trait, so
-//! one code path serves every source kind.
+//! [`crate::pipeline::Pipeline`] facade — takes a `&dyn FeatureSource`, so
+//! one compiled code path serves every source kind. A `&Dataset`,
+//! `&StreamingBundle` or `&MemorySource` coerces at the call, and a caller
+//! that picks its source at run time (a CLI choosing in-memory or streamed
+//! ingestion) passes its `&dyn FeatureSource` as it is.
 //!
 //! **Bit-identity.** Chunks preserve row order, the Gram folds
 //! ([`crate::model::GramAccumulator`]) accumulate in ascending row order, and
 //! accuracy counting is integral, so every consumer produces results
 //! bit-for-bit equal across sources and chunk sizes — the differential suite
-//! in `tests/streaming_equiv.rs` enforces this through the *same* generic
-//! code path for all sources, rather than comparing two parallel
-//! implementations.
+//! in `tests/streaming_equiv.rs` enforces this through the *same* code path
+//! for all sources, rather than comparing two parallel implementations.
 //!
 //! Chunks are [`Cow`]s: in-memory sources lend their matrices without
-//! copying, disk-backed sources hand over owned chunks. The trait is object
-//! safe, so heterogeneous callers (e.g. a CLI choosing between in-memory and
-//! streamed ingestion at runtime) can work through `&dyn FeatureSource`.
+//! copying, disk-backed sources hand over owned chunks.
 
 use crate::data::{DataError, Dataset};
 use crate::error::ZslError;
@@ -51,13 +55,14 @@ pub type SourceChunk<'a> = (Cow<'a, Matrix>, Cow<'a, [usize]>);
 pub type SourceStream<'a> = Box<dyn Iterator<Item = Result<SourceChunk<'a>, ZslError>> + 'a>;
 
 /// A source of labeled feature data for the ZSL pipeline: three splits
-/// streamable in chunks, plus the seen/unseen signature banks.
+/// streamable in chunks, plus the seen/unseen signature banks. `Debug` is a
+/// supertrait so the facade types holding a `&dyn FeatureSource` print.
 ///
 /// Labels in every yielded chunk are *local ranks*: trainval and test-seen
 /// labels index rows of [`FeatureSource::seen_signatures`], test-unseen
 /// labels index rows of [`FeatureSource::unseen_signatures`] — the same
 /// convention the in-memory [`Dataset`] fields use.
-pub trait FeatureSource {
+pub trait FeatureSource: std::fmt::Debug {
     /// Number of samples in one split.
     fn split_len(&self, split: SplitKind) -> usize;
 
@@ -102,54 +107,6 @@ pub trait FeatureSource {
         data.extend_from_slice(seen.as_slice());
         data.extend_from_slice(unseen.as_slice());
         Matrix::from_vec(rows, attr_dim, data)
-    }
-}
-
-/// Sized delegating wrapper that turns any `&S` (including `&dyn
-/// FeatureSource` itself) into something coercible to `&dyn FeatureSource`.
-///
-/// Generic functions over `S: FeatureSource + ?Sized` cannot unsize `&S`
-/// directly, but `&DynSource<S>` is a reference to a *sized* type, so the
-/// coercion applies — this is how [`crate::pipeline::Pipeline`] hands its
-/// source to [`crate::eval::cross_validate`] and the object-safe
-/// [`crate::trainer::Trainer`] API.
-pub(crate) struct DynSource<'s, S: FeatureSource + ?Sized>(pub &'s S);
-
-impl<S: FeatureSource + ?Sized> FeatureSource for DynSource<'_, S> {
-    fn split_len(&self, split: SplitKind) -> usize {
-        self.0.split_len(split)
-    }
-
-    fn trainval_len(&self) -> usize {
-        self.0.trainval_len()
-    }
-
-    fn seen_signatures(&self) -> Cow<'_, Matrix> {
-        self.0.seen_signatures()
-    }
-
-    fn unseen_signatures(&self) -> Cow<'_, Matrix> {
-        self.0.unseen_signatures()
-    }
-
-    fn stream(&self, split: SplitKind) -> Result<SourceStream<'_>, ZslError> {
-        self.0.stream(split)
-    }
-
-    fn stream_trainval_subset(&self, positions: &[usize]) -> Result<SourceStream<'_>, ZslError> {
-        self.0.stream_trainval_subset(positions)
-    }
-
-    fn num_seen_classes(&self) -> usize {
-        self.0.num_seen_classes()
-    }
-
-    fn num_unseen_classes(&self) -> usize {
-        self.0.num_unseen_classes()
-    }
-
-    fn union_signatures(&self) -> Matrix {
-        self.0.union_signatures()
     }
 }
 
@@ -212,8 +169,8 @@ impl FeatureSource for Dataset {
 }
 
 /// Bare in-memory source: a feature matrix, its labels, and the signature
-/// bank those labels index — how raw matrices enter every generic entry
-/// point (`trainer.fit(&MemorySource::new(&x, &labels, &signatures))`).
+/// bank those labels index — how raw matrices enter every entry point
+/// (`trainer.fit(&MemorySource::new(&x, &labels, &signatures))`).
 ///
 /// There are no test splits: [`SplitKind::TestSeen`] and
 /// [`SplitKind::TestUnseen`] stream empty, and the unseen bank is a zero-row

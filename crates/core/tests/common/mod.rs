@@ -22,8 +22,8 @@ use zsl_core::Pipeline;
 
 /// The full protocol through the facade with its default ESZSL trainer:
 /// cross-validate, refit at the winner, evaluate GZSL.
-pub fn pipeline_protocol<S: FeatureSource + ?Sized>(
-    source: &S,
+pub fn pipeline_protocol(
+    source: &dyn FeatureSource,
     config: &CrossValConfig,
 ) -> (CrossValReport, GzslReport) {
     let trained = Pipeline::from(source)

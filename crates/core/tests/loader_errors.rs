@@ -10,8 +10,9 @@ use std::path::{Path, PathBuf};
 use zsl_core::data::format::read_zsb;
 use zsl_core::data::{
     export_dataset, import_features_csv, ClassMap, DataError, SplitManifest, StreamingBundle,
-    SyntheticConfig, ZsbChunkReader, FEATURES_CSV, FEATURES_ZSB, SIGNATURES_CSV, SPLITS_TXT,
+    SyntheticConfig, FEATURES_CSV, FEATURES_ZSB, SIGNATURES_CSV, SPLITS_TXT,
 };
+use zsl_core::{FeatureSource, ZslError};
 
 /// Fresh bundle directory holding a small valid synthetic export.
 fn valid_bundle(tag: &str) -> PathBuf {
@@ -156,17 +157,9 @@ fn overflowing_header_dims_are_a_header_error_not_a_panic() {
 #[test]
 fn chunk_readers_reject_zero_chunk_rows_with_a_typed_error() {
     let dir = valid_bundle("zero_chunk");
-    // A zero-row chunk could never make progress: every streaming entry
+    // A zero-row chunk could never make progress: the one streaming entry
     // point rejects it up front instead of looping forever.
-    match ZsbChunkReader::open(&dir.join(FEATURES_ZSB), 0) {
-        Err(DataError::Shape { message }) => assert!(message.contains("chunk_rows"), "{message}"),
-        other => panic!("expected Shape error, got {other:?}"),
-    }
     match StreamingBundle::open(&dir, 0) {
-        Err(DataError::Shape { message }) => assert!(message.contains("chunk_rows"), "{message}"),
-        other => panic!("expected Shape error, got {other:?}"),
-    }
-    match ZsbChunkReader::open_indexed(&dir.join(FEATURES_ZSB), &[0, 1], 0) {
         Err(DataError::Shape { message }) => assert!(message.contains("chunk_rows"), "{message}"),
         other => panic!("expected Shape error, got {other:?}"),
     }
@@ -175,10 +168,10 @@ fn chunk_readers_reject_zero_chunk_rows_with_a_typed_error() {
 
 #[test]
 fn chunk_reader_rejects_header_dims_that_overflow_before_allocating() {
-    // Same regression class as the bundle-level overflow check, now on the
-    // bare chunk reader: a crafted header must produce a typed
-    // Header error, never an abort-on-allocation. Two shapes:
-    // n·d·8 wrapping u64, and n·d exceeding what fits in memory arithmetic.
+    // Same regression class as the bundle-level overflow check, on the
+    // whole-table reader: a crafted header must produce a typed Header
+    // error, never an abort-on-allocation. The three crafted headers cover
+    // n·d·8 wrapping u64 and n·d exceeding what fits in memory arithmetic.
     let dir = valid_bundle("stream_overflow");
     let path = dir.join(FEATURES_ZSB);
     let pristine = std::fs::read(&path).unwrap()[..32].to_vec();
@@ -187,7 +180,7 @@ fn chunk_reader_rejects_header_dims_that_overflow_before_allocating() {
         bytes[8..16].copy_from_slice(&n.to_le_bytes());
         bytes[16..20].copy_from_slice(&d.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        match ZsbChunkReader::open(&path, 4) {
+        match read_zsb(&path) {
             Err(DataError::Header { message, .. }) => {
                 assert!(message.contains("overflow"), "n={n} d={d}: {message}")
             }
@@ -205,12 +198,13 @@ fn chunk_reader_rejects_header_dims_that_overflow_before_allocating() {
 #[test]
 fn indexed_chunk_reader_rejects_out_of_range_rows() {
     let dir = valid_bundle("indexed_range");
-    let path = dir.join(FEATURES_ZSB);
-    match ZsbChunkReader::open_indexed(&path, &[0, 1_000_000], 4) {
-        Err(DataError::Split { message, .. }) => {
+    let bundle = StreamingBundle::open(&dir, 4).expect("open");
+    match bundle.stream_trainval_subset(&[0, 1_000_000]) {
+        Err(ZslError::Data(DataError::Split { message, .. })) => {
             assert!(message.contains("1000000"), "{message}")
         }
-        other => panic!("expected Split error, got {other:?}"),
+        Err(other) => panic!("expected Split error, got {other:?}"),
+        Ok(_) => panic!("expected Split error, got a stream"),
     }
     cleanup(&dir);
 }

@@ -1,6 +1,7 @@
 //! Facade + unified-API test layer: the [`Pipeline`] builder must be a pure
-//! re-wiring of the generic entry points (bit-identical results, including
-//! through `dyn FeatureSource`), [`MemorySource`] must replace the old
+//! re-wiring of the `&dyn FeatureSource` entry points (bit-identical
+//! results, including for a source held as a `&dyn FeatureSource`),
+//! [`MemorySource`] must replace the old
 //! raw-matrix call shapes, and the top-level [`ZslError`] must chain causes.
 
 use std::path::PathBuf;

@@ -12,8 +12,8 @@
 //!    1e-8 across 50 random well-conditioned systems;
 //! 5. random chunk boundaries never change the FNV digests of the streamed
 //!    `XᵀX` / `XᵀY` Gram accumulators;
-//! 6. a `.zsb` file truncated mid-chunk is a typed `DataError::Truncated`
-//!    and never yields a partial accumulator.
+//! 6. a `.zsb` file truncated mid-chunk is a typed `DataError::Truncated`,
+//!    at open and mid-stream, and never yields a partial accumulator.
 
 mod common;
 
@@ -21,12 +21,12 @@ use common::{digest_matrix, write_features_csv};
 use std::path::PathBuf;
 use zsl_core::data::format::read_zsb;
 use zsl_core::data::{
-    export_dataset, import_features_csv, ClassMap, StreamingBundle, SyntheticConfig,
-    ZsbChunkReader, FEATURES_CSV, FEATURES_ZSB,
+    export_dataset, import_features_csv, ClassMap, StreamingBundle, SyntheticConfig, FEATURES_CSV,
+    FEATURES_ZSB,
 };
 use zsl_core::linalg::Matrix;
 use zsl_core::model::{EszslProblem, GramAccumulator};
-use zsl_core::{DataError, MemorySource, Rng};
+use zsl_core::{DataError, FeatureSource, MemorySource, Rng, SplitKind, ZslError};
 
 /// Unique scratch directory per test so parallel test binaries never collide.
 fn temp_dir(tag: &str) -> PathBuf {
@@ -184,9 +184,8 @@ fn random_chunk_boundaries_never_change_gram_digests() {
 #[test]
 fn truncated_mid_chunk_zsb_is_truncation_error_never_partial_accumulator() {
     let mut sweep = Rng::new(0x7210_CA7E);
-    // Sized so the feature payload (8·72·32 = 18 KiB) comfortably exceeds the
-    // reader's internal buffer — the post-open shrink below must hit the real
-    // file, not a fully buffered copy.
+    // 72 rows of 32 features: 48 trainval rows first in the file, then 16
+    // test-seen and 8 test-unseen rows.
     let ds = SyntheticConfig::new()
         .classes(4, 2)
         .dims(3, 32)
@@ -203,7 +202,7 @@ fn truncated_mid_chunk_zsb_is_truncation_error_never_partial_accumulator() {
         // loss lands mid-label-block or mid-feature-chunk at random.
         let keep = 32 + (sweep.next_u64() % (pristine.len() as u64 - 32)) as usize;
         std::fs::write(&path, &pristine[..keep]).expect("truncate");
-        match ZsbChunkReader::open(&path, 4) {
+        match read_zsb(&path) {
             Err(DataError::Truncated {
                 expected, actual, ..
             }) => {
@@ -214,25 +213,27 @@ fn truncated_mid_chunk_zsb_is_truncation_error_never_partial_accumulator() {
         }
     }
 
-    // Race case: the file shrinks AFTER a reader validated its length at
-    // open. The in-flight chunk must surface as Truncated — and a fold loop
-    // driven by the stream stops cold, leaving no partially folded chunk.
+    // Race case: the file shrinks AFTER the bundle validated its length and
+    // a stream opened. The cut lands inside trainval row 31, so the chunk of
+    // rows 30..33 must surface as Truncated — and a fold loop driven by the
+    // stream stops cold, leaving no partially folded chunk.
     std::fs::write(&path, &pristine).expect("restore");
-    let mut reader = ZsbChunkReader::open(&path, 3).expect("open");
-    std::fs::write(&path, &pristine[..pristine.len() - 24]).expect("shrink");
-    // Raw labels in a synthetic export are dense ids over the union bank, so
-    // the full signature table makes every label valid for folding.
-    let mut acc = GramAccumulator::new(&ds.all_signatures());
+    let bundle = StreamingBundle::open(&dir, 3).expect("open");
+    let mut stream = bundle.stream(SplitKind::Trainval).expect("stream");
+    let row_bytes = 8 * 32;
+    let cut = 32 + 4 * 72 + 31 * row_bytes + row_bytes / 2;
+    std::fs::write(&path, &pristine[..cut]).expect("shrink");
+    let mut acc = GramAccumulator::new(&bundle.seen_signatures());
     let mut folded_chunks = 0;
     let mut saw_truncation = false;
-    for chunk in &mut reader {
+    for chunk in &mut stream {
         match chunk {
-            Ok(c) => {
-                let labels: Vec<usize> = c.labels.iter().map(|&l| l as usize).collect();
-                acc.fold(&c.features, &labels).expect("fold");
+            Ok((x, labels)) => {
+                acc.fold(&x, &labels).expect("fold");
                 folded_chunks += 1;
             }
-            Err(DataError::Truncated { .. }) => {
+            Err(ZslError::Data(DataError::Truncated { actual, .. })) => {
+                assert_eq!(actual, cut as u64);
                 saw_truncation = true;
                 break;
             }
@@ -241,10 +242,12 @@ fn truncated_mid_chunk_zsb_is_truncation_error_never_partial_accumulator() {
     }
     assert!(saw_truncation, "shrunken file must surface as Truncated");
     // Whatever was folded before the cut is whole chunks only (chunk_rows =
-    // 3 divides the 72-row table); the failing chunk contributed nothing.
+    // 3 divides the 30 rows before the cut); the failing chunk contributed
+    // nothing.
+    assert_eq!(folded_chunks, 10);
     assert_eq!(acc.rows_folded(), folded_chunks * 3);
     // And the stream is fused after the error.
-    assert!(reader.next().is_none());
+    assert!(stream.next().is_none());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,12 +1,12 @@
 //! Differential test layer for the unified pipeline API.
 //!
 //! The hard invariant this suite locks down: **every source kind flows
-//! through the single generic code path and produces bit-identical results
+//! through the single code path and produces bit-identical results
 //! at every chunk size** — Gram accumulators, trained weights, predictions,
 //! GZSL reports, and the full CV → fit → evaluate protocol. The twin
 //! `*_stream` implementations (and their `#[deprecated]` wrappers) are gone,
 //! so the comparisons here pit a materialized [`Dataset`] source
-//! against a [`StreamingBundle`] source through the *same* generic entry
+//! against a [`StreamingBundle`] source through the *same* entry
 //! points, over synthetic `.zsb` bundles and the committed
 //! `tests/fixtures/tiny_bundle/`; the materialized side is
 //! [`StreamingBundle::to_dataset`]. `.zsb` is the only feature format a
@@ -242,8 +242,8 @@ fn streamed_full_protocol_matches_select_train_evaluate_on_both_formats() {
 
 #[test]
 fn shuffled_manifest_order_streams_bit_identically_on_both_formats() {
-    // A manifest whose split indices are NOT ascending exercises the indexed
-    // reader's seek-coalesced byte ranges. The in-memory gather honors
+    // A manifest whose split indices are NOT ascending exercises the
+    // reader's run-by-run positioned reads. The in-memory gather honors
     // manifest order, so the streamed side must too, bit for bit.
     let ds = synthetic_dataset();
     let dir = temp_dir("shuffled");
@@ -287,7 +287,7 @@ fn shuffled_manifest_order_streams_bit_identically_on_both_formats() {
 #[test]
 fn cross_validation_subsets_stream_row_for_row_in_shuffled_order() {
     // CV folds stream trainval subsets in shuffled (non-ascending) order —
-    // the access pattern the seek-coalesced indexed reader exists for.
+    // the access pattern the reader's one-read-per-run design serves.
     // Verify the subset streams themselves, row for row, against the
     // in-memory gather.
     let ds = synthetic_dataset();

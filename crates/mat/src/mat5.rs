@@ -658,11 +658,6 @@ impl MatFile {
         &self.path
     }
 
-    /// The file's byte order.
-    pub fn byte_order(&self) -> ByteOrder {
-        self.order
-    }
-
     /// All scanned variables, in file order.
     pub fn vars(&self) -> &[MatVar] {
         &self.vars

@@ -82,11 +82,6 @@ impl MatWriter {
         MatWriter { order, out }
     }
 
-    /// Append a `double`-class array stored as `miDOUBLE`, uncompressed.
-    pub fn add_f64(&mut self, name: &str, dims: &[usize], data: &[f64]) {
-        self.add_array(name, dims, data, ArrayOpts::default());
-    }
-
     /// Append a numeric array with explicit encoding options.
     ///
     /// `data` is in MATLAB (column-major) order and is encoded element-wise

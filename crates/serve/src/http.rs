@@ -303,7 +303,7 @@ const MAX_HEAD_BYTES: u64 = 64 << 10;
 /// Most header lines one request may carry.
 const MAX_HEADERS: usize = 100;
 
-/// Parse one HTTP/1.1 request off the wire. `Ok(None)` is a clean EOF
+/// Parse one HTTP/1.x request off the wire. `Ok(None)` is a clean EOF
 /// before a request line (keep-alive connection closed by the client).
 ///
 /// The head is read through a [`MAX_HEAD_BYTES`] budget and may hold at
@@ -319,8 +319,10 @@ fn read_request(
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
-    let (method, target) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1.") => (m.to_string(), t.to_string()),
+    let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
+        (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1.") => {
+            (m.to_string(), t.to_string(), v)
+        }
         _ => {
             return Err(ReadError::Malformed(format!(
                 "bad request line: {}",
@@ -330,7 +332,9 @@ fn read_request(
     };
 
     let mut content_length = 0usize;
-    let mut keep_alive = true;
+    // HTTP/1.1 connections persist unless the client says `close`; an
+    // HTTP/1.0 connection persists only when the client asks for it.
+    let mut keep_alive = version != "HTTP/1.0";
     let mut headers = 0usize;
     loop {
         let mut header = String::new();
@@ -363,6 +367,9 @@ fn read_request(
             }
             "connection" if value.eq_ignore_ascii_case("close") => {
                 keep_alive = false;
+            }
+            "connection" if value.eq_ignore_ascii_case("keep-alive") => {
+                keep_alive = true;
             }
             _ => {}
         }

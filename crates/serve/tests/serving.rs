@@ -661,3 +661,51 @@ fn keep_alive_connections_serve_multiple_requests() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn http_1_0_connections_close_unless_the_client_asks_to_keep_them() {
+    let path = temp_artifact("http10");
+    random_engine(113, 3, 2, 4, Similarity::Cosine)
+        .save(&path)
+        .expect("save");
+    let server = Server::start(&path, ServerConfig::default()).expect("start");
+    let connect = || {
+        let stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        stream
+    };
+
+    // A bare HTTP/1.0 request: the daemon answers and closes, so a client
+    // reading to EOF finishes well inside its read timeout.
+    let mut stream = connect();
+    stream
+        .write_all(b"GET /healthz HTTP/1.0\r\n\r\n")
+        .expect("write");
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .expect("EOF before the read timeout");
+    assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+    assert!(response.contains("\r\nConnection: close\r\n"), "{response}");
+    assert!(response.ends_with("\r\n\r\nok\n"), "{response}");
+
+    // With `Connection: keep-alive` the same socket serves a second request.
+    let mut stream = connect();
+    let expected = "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+                    Content-Length: 3\r\nConnection: keep-alive\r\n\r\nok\n";
+    for request in 0..2 {
+        stream
+            .write_all(b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
+            .expect("write");
+        let mut response = vec![0u8; expected.len()];
+        stream.read_exact(&mut response).expect("read response");
+        assert_eq!(
+            String::from_utf8_lossy(&response),
+            expected,
+            "request {request}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}

@@ -30,6 +30,10 @@ bench *ARGS:
 bench-pairs *ARGS:
     scripts/bench-pairs.sh {{ARGS}}
 
+# Per-crate non-test source lines, `pub` items and lib.rs re-exports.
+api-counts:
+    scripts/api-counts.sh
+
 # Regenerate the committed .mat golden fixtures and print digest constants.
 import-fixtures:
     cargo test -p zsl-mat --test golden_import -- --ignored --nocapture
