@@ -293,7 +293,8 @@ fn gemm_bt_into<T: Elem>(a: &[T], n: usize, k_dim: usize, bt: &[T], z: usize, ou
 
 /// Whether the running CPU has AVX2, asked once per process (as
 /// [`default_threads`] asks for its parallelism) and cached for every
-/// `gemm_into` and `gemm_bt_into` call. Only x86 and x86_64 build the AVX2
+/// dispatched kernel call: `gemm_into`, `gemm_bt_into`, and the Cholesky
+/// column passes and substitutions. Only x86 and x86_64 build the AVX2
 /// instances.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 fn has_avx2() -> bool {
@@ -306,13 +307,15 @@ fn has_avx2() -> bool {
     false
 }
 
-/// The instance both dispatched kernels run in this process: `gemm_bt_into`,
-/// the signature-bank product of every scoring call, and `gemm_into`, the
-/// dense product behind the model projection, [`Matrix::matmul`] and
-/// [`Matrix::add_transposed_product`]. `"avx2"` on an x86 CPU that reports
-/// AVX2, `"portable"` otherwise. Both instances of each kernel produce the
-/// same bits, so this names a speed, not a result; timings are comparable
-/// only between runs that report the same value.
+/// The instance every dispatched kernel runs in this process: `gemm_bt_into`,
+/// the signature-bank product of every scoring call; `gemm_into`, the dense
+/// product behind the model projection, [`Matrix::matmul`] and
+/// [`Matrix::add_transposed_product`]; and the column passes of
+/// [`Matrix::cholesky`] and the substitutions of [`Cholesky::solve_matrix`],
+/// behind every ESZSL and kernel-ESZSL fit. `"avx2"` on an x86 CPU that
+/// reports AVX2, `"portable"` otherwise. Both instances of each kernel
+/// produce the same bits, so this names a speed, not a result; timings are
+/// comparable only between runs that report the same value.
 pub fn kernel_isa() -> &'static str {
     if has_avx2() {
         "avx2"
@@ -1265,14 +1268,31 @@ impl Matrix {
     /// Cholesky factorization `A = L Lᵀ` of a symmetric positive-definite
     /// matrix. Only the lower triangle of `self` is read.
     ///
+    /// Entry `(i, j)` of `L` is `A_ij − Σ_{k<j} L_ik·L_jk`, subtracted in
+    /// ascending `k`, then its square root on the diagonal or its quotient
+    /// by the pivot `L_jj` below it. The factorization works in column order
+    /// on a column-major copy of the lower triangle, four columns per pass,
+    /// so independent entries advance side by side in register blocks: on a
+    /// CPU with AVX2 through an AVX2 instance, elsewhere through the portable
+    /// one. Each entry keeps its own sequence whichever instance runs, so the
+    /// bits are the same on every host ([`kernel_isa`] names the instance).
+    /// The copy is transposed in place into the row-major factor, so a
+    /// factorization allocates one `n x n` buffer.
+    ///
     /// # Errors
     ///
     /// - [`LinalgError::ShapeMismatch`] for non-square input.
     /// - [`LinalgError::NonFinite`] if an entry of the lower triangle is NaN
-    ///   or infinite.
-    /// - [`LinalgError::NotPositiveDefinite`] if a pivot is not positive,
-    ///   including a pivot that overflow turned into NaN.
+    ///   or infinite: the first in row-major order, before any arithmetic.
+    /// - [`LinalgError::NotPositiveDefinite`] for the first pivot that is not
+    ///   positive, including a pivot that overflow turned into NaN.
     pub fn cholesky(&self) -> Result<Cholesky, LinalgError> {
+        self.cholesky_by(factor_columns)
+    }
+
+    /// [`Matrix::cholesky`] through `factor`, an instance of the column
+    /// passes (the tests call each instance directly).
+    fn cholesky_by(&self, factor: ColumnPasses) -> Result<Cholesky, LinalgError> {
         if self.rows != self.cols {
             return Err(LinalgError::ShapeMismatch {
                 expected: (self.rows, self.rows),
@@ -1285,25 +1305,34 @@ impl Matrix {
                 return Err(LinalgError::NonFinite { row, col });
             }
         }
-        let mut l = Matrix::zeros(n, n);
+        // Column j of the working copy, `ld` entries after column j - 1,
+        // holds column j of the lower triangle from row j down; the slots
+        // above the diagonal stay zero. `ld` is an odd number of 64-byte
+        // lines, so the columns a pass reads spread over every cache set: at
+        // n = 256, a stride of n put them all in two L1 sets, and the
+        // factorization took 0.79–0.87 ms against 0.34–0.50 ms padded
+        // (AVX2 instance, serial, on an Intel Xeon, family 6, model 207).
+        let ld = n / 16 * 16 + if n % 16 <= 8 { 8 } else { 24 };
+        let mut w = vec![0.0; n * ld];
         for i in 0..n {
             for j in 0..=i {
-                let mut sum = self.data[i * n + j];
-                for k in 0..j {
-                    sum -= l.data[i * n + k] * l.data[j * n + k];
-                }
-                if i == j {
-                    // A pivot that overflow turned into NaN fails too.
-                    if sum.is_nan() || sum <= 0.0 {
-                        return Err(LinalgError::NotPositiveDefinite { pivot_index: i });
-                    }
-                    l.data[i * n + j] = sum.sqrt();
-                } else {
-                    l.data[i * n + j] = sum / l.data[j * n + j];
-                }
+                w[j * ld + i] = self.data[i * n + j];
             }
         }
-        Ok(Cholesky { l })
+        factor(&mut w, ld, n)
+            .map_err(|pivot_index| LinalgError::NotPositiveDefinite { pivot_index })?;
+        for i in 0..n {
+            for j in 0..i {
+                w.swap(i * ld + j, j * ld + i);
+            }
+        }
+        for i in 1..n {
+            w.copy_within(i * ld..i * ld + n, i * n);
+        }
+        w.truncate(n * n);
+        Ok(Cholesky {
+            l: Matrix::from_vec(n, n, w),
+        })
     }
 }
 
@@ -1325,48 +1354,30 @@ impl Cholesky {
         &self.l
     }
 
-    /// Solve `A x = b` for a single right-hand side via forward then backward
-    /// substitution.
-    pub fn solve_vec(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.l.rows;
-        assert_eq!(b.len(), n, "rhs length mismatch");
-        let mut y = vec![0.0; n];
-        let mut x = vec![0.0; n];
-        self.solve_into(b, &mut y, &mut x);
-        x
-    }
-
-    /// Forward (`L y = b`) then backward (`Lᵀ x = y`) substitution into
-    /// caller-provided buffers, so batched solves reuse scratch instead of
-    /// allocating per right-hand side.
-    fn solve_into(&self, b: &[f64], y: &mut [f64], x: &mut [f64]) {
-        let n = self.l.rows;
-        for i in 0..n {
-            let mut sum = b[i];
-            let l_row = &self.l.data[i * n..i * n + i];
-            for (l, yk) in l_row.iter().zip(y.iter()) {
-                sum -= l * yk;
-            }
-            y[i] = sum / self.l.data[i * n + i];
-        }
-        for i in (0..n).rev() {
-            let mut sum = y[i];
-            for (k, xk) in x.iter().enumerate().skip(i + 1) {
-                sum -= self.l.data[k * n + i] * xk;
-            }
-            x[i] = sum / self.l.data[i * n + i];
-        }
-    }
-
     /// Solve `A X = B` for all right-hand sides, returning `X` with `B`'s
     /// shape.
     ///
-    /// `B` is transposed once up front so every right-hand side is a
-    /// contiguous row (the old path gathered each column with stride
-    /// `b.cols`, a cache miss per element), solved row-wise with shared
-    /// scratch, and the result transposed back. The per-column arithmetic is
-    /// unchanged, so results are bit-identical to the strided path.
+    /// Works on one copy of `B` in its own row-major layout: forward
+    /// substitution (`L Y = B`) row by row, then back substitution
+    /// (`Lᵀ X = Y`) rows descending. Each row advances a block of
+    /// right-hand sides side by side in registers (an AVX2 instance on a CPU
+    /// with AVX2, the portable one elsewhere), narrowing to 8, 4 and then
+    /// single columns at the right edge. Every entry subtracts its terms in
+    /// ascending `k` and then divides by the pivot, the sequence of solving
+    /// its column alone, so the bits are the same on every host and for
+    /// every column count.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::ShapeMismatch`] if `B` does not have [`Cholesky::dim`]
+    /// rows.
     pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
+        self.solve_by(b, substitute)
+    }
+
+    /// [`Cholesky::solve_matrix`] through `solve`, an instance of the
+    /// substitutions (the tests call each instance directly).
+    fn solve_by(&self, b: &Matrix, solve: Substitutions) -> Result<Matrix, LinalgError> {
         let n = self.l.rows;
         if b.rows != n {
             return Err(LinalgError::ShapeMismatch {
@@ -1374,14 +1385,271 @@ impl Cholesky {
                 got: (b.rows, b.cols),
             });
         }
-        let bt = b.transpose();
-        let mut xt = Matrix::zeros(b.cols, n);
-        let mut y = vec![0.0; n];
-        for j in 0..b.cols {
-            self.solve_into(bt.row(j), &mut y, xt.row_mut(j));
-        }
-        Ok(xt.transpose())
+        let mut x = b.clone();
+        solve(&self.l.data, n, &mut x.data, b.cols);
+        Ok(x)
     }
+}
+
+/// An instance of the Cholesky column passes over an `n x n` working copy
+/// stored by columns `ld` entries apart; `Err` carries the index of the
+/// first failing pivot.
+type ColumnPasses = fn(&mut [f64], usize, usize) -> Result<(), usize>;
+
+/// An instance of the two triangular substitutions: the factor `L`
+/// (row-major `n x n`) against the `n x m` right-hand sides, in place.
+type Substitutions = fn(&[f64], usize, &mut [f64], usize);
+
+/// The dispatched column passes of [`Matrix::cholesky`]: `cholesky_avx2` on
+/// a CPU with AVX2, `cholesky_portable` elsewhere.
+fn factor_columns(w: &mut [f64], ld: usize, n: usize) -> Result<(), usize> {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if has_avx2() {
+        // SAFETY: `has_avx2` is true only when the running CPU reports AVX2,
+        // the one feature `cholesky_avx2` is compiled for.
+        return unsafe { cholesky_avx2(w, ld, n) };
+    }
+    cholesky_portable(w, ld, n)
+}
+
+/// The portable instance of the column passes, built for the target's
+/// baseline ISA.
+fn cholesky_portable(w: &mut [f64], ld: usize, n: usize) -> Result<(), usize> {
+    cholesky_columns(w, ld, n)
+}
+
+/// The AVX2 instance of the column passes: the same body compiled with AVX2
+/// (never FMA).
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn cholesky_avx2(w: &mut [f64], ld: usize, n: usize) -> Result<(), usize> {
+    cholesky_columns(w, ld, n)
+}
+
+/// Factor the lower triangle stored by columns in `w` in place: passes of
+/// four columns, then the `n mod 4` columns left over one per pass. Pivots
+/// are checked in ascending order, so the first failing one is reported.
+#[inline(always)]
+fn cholesky_columns(w: &mut [f64], ld: usize, n: usize) -> Result<(), usize> {
+    let fours = n - n % 4;
+    for j in (0..fours).step_by(4) {
+        cholesky_pass::<4>(w, ld, n, j)?;
+    }
+    for j in fours..n {
+        cholesky_pass::<1>(w, ld, n, j)?;
+    }
+    Ok(())
+}
+
+/// Columns `j..j + C` of `L`, whose earlier columns are final. First the
+/// `C x C` diagonal block: it subtracts the terms of the earlier columns in
+/// ascending `k` (its entries above the diagonal are computed and dropped),
+/// then, column by column, the terms of this pass's earlier columns, the
+/// pivot check and square root, and the division by the pivot. Then the
+/// rows below in register blocks of 8, 4 and 1 rows, through the same
+/// sequence with the diagonal block's values.
+#[inline(always)]
+fn cholesky_pass<const C: usize>(
+    w: &mut [f64],
+    ld: usize,
+    n: usize,
+    j: usize,
+) -> Result<(), usize> {
+    // diag[t][r] is entry (j + r, j + t).
+    let mut diag = [[0.0; C]; C];
+    for (t, col) in diag.iter_mut().enumerate() {
+        col.copy_from_slice(&w[(j + t) * ld + j..(j + t) * ld + j + C]);
+    }
+    for l_k in w[..j * ld].chunks_exact(ld) {
+        let l_k = &l_k[j..j + C];
+        for (col, &l_jk) in diag.iter_mut().zip(l_k) {
+            for (v, &l_ik) in col.iter_mut().zip(l_k) {
+                *v -= l_ik * l_jk;
+            }
+        }
+    }
+    for t in 0..C {
+        for s in 0..t {
+            let (l_s, l_ts) = (diag[s], diag[s][t]);
+            for r in t..C {
+                diag[t][r] -= l_s[r] * l_ts;
+            }
+        }
+        let pivot = diag[t][t];
+        // A pivot that overflow turned into NaN fails too.
+        if pivot.is_nan() || pivot <= 0.0 {
+            return Err(j + t);
+        }
+        diag[t][t] = pivot.sqrt();
+        for r in t + 1..C {
+            diag[t][r] /= diag[t][t];
+        }
+        w[(j + t) * ld + j + t..(j + t) * ld + j + C].copy_from_slice(&diag[t][t..]);
+    }
+    let mut i = j + C;
+    while i + 8 <= n {
+        cholesky_rows::<C, 8>(w, ld, j, i, &diag);
+        i += 8;
+    }
+    if i + 4 <= n {
+        cholesky_rows::<C, 4>(w, ld, j, i, &diag);
+        i += 4;
+    }
+    for i in i..n {
+        cholesky_rows::<C, 1>(w, ld, j, i, &diag);
+    }
+    Ok(())
+}
+
+/// Rows `i..i + R` of columns `j..j + C` (all below the diagonal block
+/// `diag`): an `R x C` block of accumulators loaded from `w` subtracts
+/// `L_ik·L_jk` for every earlier column `k` in ascending order, each load of
+/// column `k` serving all `C` columns; then, column by column, the terms of
+/// this pass's earlier columns and the division by the pivot. The block is
+/// a fixed-size array moved in fixed-length copies, so it stays in
+/// registers.
+#[inline(always)]
+fn cholesky_rows<const C: usize, const R: usize>(
+    w: &mut [f64],
+    ld: usize,
+    j: usize,
+    i: usize,
+    diag: &[[f64; C]; C],
+) {
+    // acc[t][r] is entry (i + r, j + t).
+    let mut acc = [[0.0; R]; C];
+    for (t, rows) in acc.iter_mut().enumerate() {
+        rows.copy_from_slice(&w[(j + t) * ld + i..(j + t) * ld + i + R]);
+    }
+    for l_k in w[..j * ld].chunks_exact(ld) {
+        let l_i: &[f64; R] = l_k[i..i + R].try_into().expect("R rows");
+        let l_j: &[f64; C] = l_k[j..j + C].try_into().expect("C columns");
+        for (rows, &l_jk) in acc.iter_mut().zip(l_j) {
+            for (v, &l_ik) in rows.iter_mut().zip(l_i) {
+                *v -= l_ik * l_jk;
+            }
+        }
+    }
+    for t in 0..C {
+        for s in 0..t {
+            let (l_s, l_ts) = (acc[s], diag[s][t]);
+            for (v, &l_is) in acc[t].iter_mut().zip(&l_s) {
+                *v -= l_is * l_ts;
+            }
+        }
+        let pivot = diag[t][t];
+        for v in acc[t].iter_mut() {
+            *v /= pivot;
+        }
+    }
+    for (t, rows) in acc.iter().enumerate() {
+        w[(j + t) * ld + i..(j + t) * ld + i + R].copy_from_slice(rows);
+    }
+}
+
+/// The dispatched substitutions of [`Cholesky::solve_matrix`]:
+/// `substitute_avx2` on a CPU with AVX2, `substitute_portable` elsewhere.
+fn substitute(l: &[f64], n: usize, x: &mut [f64], m: usize) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if has_avx2() {
+        // SAFETY: `has_avx2` is true only when the running CPU reports AVX2,
+        // the one feature `substitute_avx2` is compiled for.
+        unsafe { substitute_avx2(l, n, x, m) };
+        return;
+    }
+    substitute_portable(l, n, x, m);
+}
+
+/// The portable instance of the substitutions, built for the target's
+/// baseline ISA: 16 right-hand sides per block, eight 128-bit accumulators.
+fn substitute_portable(l: &[f64], n: usize, x: &mut [f64], m: usize) {
+    substitutions::<16>(l, n, x, m);
+}
+
+/// The AVX2 instance of the substitutions (never FMA): 32 right-hand sides
+/// per block, eight 256-bit accumulators.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn substitute_avx2(l: &[f64], n: usize, x: &mut [f64], m: usize) {
+    substitutions::<32>(l, n, x, m);
+}
+
+/// `L Y = X` then `Lᵀ X = Y`, in place on the row-major `n x m` `x`. The
+/// forward pass goes row by row, subtracting `L_ik·y_k` in ascending `k`;
+/// the backward pass goes rows descending, subtracting `L_ki·x_k` in
+/// ascending `k`; each row then divides by its pivot `L_ii`. That is the
+/// sequence of each column solved alone.
+#[inline(always)]
+fn substitutions<const W: usize>(l: &[f64], n: usize, x: &mut [f64], m: usize) {
+    for i in 0..n {
+        let row = &l[i * n..i * n + i];
+        substitute_row::<W>(x, m, i, row.iter().copied().enumerate(), l[i * n + i]);
+    }
+    for i in (0..n).rev() {
+        let column = (i + 1..n).map(|k| (k, l[k * n + i]));
+        substitute_row::<W>(x, m, i, column, l[i * n + i]);
+    }
+}
+
+/// Row `i` of `x`, in blocks of `W` right-hand sides, then 8, then 4, then
+/// one: subtract `l_k · x_k` for each `(k, l_k)` of `terms` in order, then
+/// divide by `pivot`.
+#[inline(always)]
+fn substitute_row<const W: usize>(
+    x: &mut [f64],
+    m: usize,
+    i: usize,
+    terms: impl Iterator<Item = (usize, f64)> + Clone,
+    pivot: f64,
+) {
+    let mut c = 0;
+    while c + W <= m {
+        substitute_block::<W>(x, m, i, c, terms.clone(), pivot);
+        c += W;
+    }
+    while c + 8 <= m {
+        substitute_block::<8>(x, m, i, c, terms.clone(), pivot);
+        c += 8;
+    }
+    if c + 4 <= m {
+        substitute_block::<4>(x, m, i, c, terms.clone(), pivot);
+        c += 4;
+    }
+    for c in c..m {
+        substitute_block::<1>(x, m, i, c, terms.clone(), pivot);
+    }
+}
+
+/// Columns `c..c + B` of row `i`: `B` accumulators loaded from `x` run the
+/// whole of `terms` and are divided by `pivot` and written back.
+#[inline(always)]
+fn substitute_block<const B: usize>(
+    x: &mut [f64],
+    m: usize,
+    i: usize,
+    c: usize,
+    terms: impl Iterator<Item = (usize, f64)>,
+    pivot: f64,
+) {
+    let mut acc = [0.0; B];
+    acc.copy_from_slice(&x[i * m + c..i * m + c + B]);
+    for (k, l_k) in terms {
+        for (v, &x_k) in acc.iter_mut().zip(&x[k * m + c..k * m + c + B]) {
+            *v -= l_k * x_k;
+        }
+    }
+    for v in acc.iter_mut() {
+        *v /= pivot;
+    }
+    x[i * m + c..i * m + c + B].copy_from_slice(&acc);
 }
 
 /// Iteration cap of the implicit-shift QL sweep on any one eigenvalue, the
@@ -2233,10 +2501,10 @@ mod tests {
         a.add_scaled_identity(1.0);
         let b: Vec<f64> = (0..12).map(|_| rng.normal()).collect();
         let chol = a.cholesky().expect("SPD");
-        let x = chol.solve_vec(&b);
-        // A x ≈ b
-        let ax = a.matmul(&Matrix::from_vec(12, 1, x));
         let b_mat = Matrix::from_vec(12, 1, b);
+        let x = chol.solve_matrix(&b_mat).expect("solve");
+        // A x ≈ b
+        let ax = a.matmul(&x);
         assert!(ax.max_abs_diff(&b_mat) < 1e-8);
     }
 
@@ -2260,15 +2528,285 @@ mod tests {
         let b = random_matrix(&mut rng, 10, 5);
         let chol = a.cholesky().expect("SPD");
         let x = chol.solve_matrix(&b).expect("shape");
-        // The transposed row-wise path must agree bit-for-bit with solving
-        // each column independently.
+        // The blocked path must agree bit-for-bit with solving each column
+        // independently through the per-column oracle.
+        let mut y = vec![0.0; b.rows()];
         for j in 0..b.cols() {
             let col: Vec<f64> = (0..b.rows()).map(|i| b.get(i, j)).collect();
-            let expected = chol.solve_vec(&col);
+            let mut expected = vec![0.0; b.rows()];
+            solve_into(&chol, &col, &mut y, &mut expected);
             for (i, &e) in expected.iter().enumerate() {
                 assert_eq!(x.get(i, j), e, "solve_matrix diverged at ({i},{j})");
             }
         }
+    }
+
+    /// The row-order loop `Matrix::cholesky` ran before its column passes,
+    /// kept unchanged as the oracle both instances are tested against.
+    fn cholesky_by_rows(a: &Matrix) -> Result<Cholesky, LinalgError> {
+        if a.rows != a.cols {
+            return Err(LinalgError::ShapeMismatch {
+                expected: (a.rows, a.rows),
+                got: (a.rows, a.cols),
+            });
+        }
+        let n = a.rows;
+        for row in 0..n {
+            if let Some(col) = (0..=row).find(|&col| !a.data[row * n + col].is_finite()) {
+                return Err(LinalgError::NonFinite { row, col });
+            }
+        }
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a.data[i * n + j];
+                for k in 0..j {
+                    sum -= l.data[i * n + k] * l.data[j * n + k];
+                }
+                if i == j {
+                    // A pivot that overflow turned into NaN fails too.
+                    if sum.is_nan() || sum <= 0.0 {
+                        return Err(LinalgError::NotPositiveDefinite { pivot_index: i });
+                    }
+                    l.data[i * n + j] = sum.sqrt();
+                } else {
+                    l.data[i * n + j] = sum / l.data[j * n + j];
+                }
+            }
+        }
+        Ok(Cholesky { l })
+    }
+
+    /// Forward (`L y = b`) then backward (`Lᵀ x = y`) substitution for one
+    /// right-hand side: the per-column loop `solve_matrix` ran before its
+    /// blocked substitutions, kept unchanged as their oracle.
+    fn solve_into(chol: &Cholesky, b: &[f64], y: &mut [f64], x: &mut [f64]) {
+        let n = chol.l.rows;
+        for i in 0..n {
+            let mut sum = b[i];
+            let l_row = &chol.l.data[i * n..i * n + i];
+            for (l, yk) in l_row.iter().zip(y.iter()) {
+                sum -= l * yk;
+            }
+            y[i] = sum / chol.l.data[i * n + i];
+        }
+        for i in (0..n).rev() {
+            let mut sum = y[i];
+            for (k, xk) in x.iter().enumerate().skip(i + 1) {
+                sum -= chol.l.data[k * n + i] * xk;
+            }
+            x[i] = sum / chol.l.data[i * n + i];
+        }
+    }
+
+    /// `A X = B` one column at a time through `solve_into`.
+    fn solve_by_columns(chol: &Cholesky, b: &Matrix) -> Matrix {
+        let n = chol.dim();
+        let bt = b.transpose();
+        let mut xt = Matrix::zeros(b.cols, n);
+        let mut y = vec![0.0; n];
+        for j in 0..b.cols {
+            solve_into(chol, bt.row(j), &mut y, xt.row_mut(j));
+        }
+        xt.transpose()
+    }
+
+    /// A symmetric matrix of normal draws whose diagonal entries exceed
+    /// their rows' absolute sums, so it is positive-definite.
+    fn dominant_spd(rng: &mut Rng, n: usize) -> Matrix {
+        let mut a = random_matrix(rng, n, n);
+        for i in 0..n {
+            for j in 0..i {
+                a.set(j, i, a.get(i, j));
+            }
+        }
+        for i in 0..n {
+            let sum: f64 = a.row(i).iter().map(|v| v.abs()).sum();
+            a.set(i, i, sum + 1.0);
+        }
+        a
+    }
+
+    /// The instances of the column passes this CPU can run, by name.
+    fn column_pass_instances() -> Vec<(&'static str, ColumnPasses)> {
+        let mut instances: Vec<(&'static str, ColumnPasses)> =
+            vec![("portable", cholesky_portable)];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if has_avx2() {
+            // SAFETY: listed only when `has_avx2` reported AVX2.
+            instances.push(("avx2", |w, ld, n| unsafe { cholesky_avx2(w, ld, n) }));
+        }
+        instances
+    }
+
+    /// The instances of the substitutions this CPU can run, by name.
+    fn substitution_instances() -> Vec<(&'static str, Substitutions)> {
+        let mut instances: Vec<(&'static str, Substitutions)> =
+            vec![("portable", substitute_portable)];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if has_avx2() {
+            // SAFETY: listed only when `has_avx2` reported AVX2.
+            instances.push(("avx2", |l, n, x, m| unsafe { substitute_avx2(l, n, x, m) }));
+        }
+        instances
+    }
+
+    /// Factor `a` through the row-order oracle and every instance of the
+    /// column passes; each must give the oracle's bits or its error.
+    /// Returns the oracle's result.
+    fn check_cholesky_instances(a: &Matrix, what: &str) -> Result<Cholesky, LinalgError> {
+        let oracle = cholesky_by_rows(a);
+        for (name, factor) in column_pass_instances() {
+            match (a.cholesky_by(factor), &oracle) {
+                (Ok(got), Ok(want)) => assert_same_bits(
+                    got.factor().as_slice(),
+                    want.factor().as_slice(),
+                    &format!("{what}: {name} factor"),
+                ),
+                (got, want) => assert_eq!(
+                    got.err().as_ref(),
+                    want.as_ref().err(),
+                    "{what}: {name} result"
+                ),
+            }
+        }
+        oracle
+    }
+
+    /// Solve `chol` against `b` one column at a time through the oracle and
+    /// through every instance of the substitutions; all must agree bit for
+    /// bit.
+    fn check_solve_instances(chol: &Cholesky, b: &Matrix, what: &str) {
+        let oracle = solve_by_columns(chol, b);
+        for (name, solve) in substitution_instances() {
+            let got = chol.solve_by(b, solve).expect("rows match");
+            assert_eq!((got.rows(), got.cols()), (b.rows(), b.cols()));
+            assert_same_bits(
+                got.as_slice(),
+                oracle.as_slice(),
+                &format!("{what}: {name} solve"),
+            );
+        }
+    }
+
+    #[test]
+    fn cholesky_instances_factor_and_solve_the_same_bits() {
+        // Sizes straddle the four-column pass and the 8- and 4-row blocks
+        // below its diagonal block; right-hand-side counts straddle the
+        // 32-column (AVX2) and 16-column (portable) blocks and the 8-, 4- and
+        // 1-column blocks that narrow toward the edge. Each right-hand side
+        // holds −0.0, subnormals, ±∞ and NaN among normal draws.
+        let mut rng = Rng::new(0xC401);
+        for n in (1..=70).chain([96, 127, 128, 129, 200, 256, 300]) {
+            let a = dominant_spd(&mut rng, n);
+            let chol = check_cholesky_instances(&a, &format!("n={n}")).expect("SPD");
+            // Past n = 70 the rows add only longer sums: a subset of the
+            // counts keeps the unoptimized test build quick.
+            let counts: &[usize] = if n <= 70 {
+                &[1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 85]
+            } else {
+                &[1, 5, 17, 33, 85]
+            };
+            for &m in counts {
+                let b = Matrix::from_vec(n, m, special_matrix(&mut rng, n, m));
+                check_solve_instances(&chol, &b, &format!("n={n} m={m}"));
+            }
+
+            // A zeroed diagonal entry makes its pivot the first that is not
+            // positive: −Σ L_pk² < 0, or exactly 0 at p = 0.
+            let p = (rng.next_u64() % n as u64) as usize;
+            let mut indefinite = a.clone();
+            indefinite.set(p, p, 0.0);
+            assert_eq!(
+                check_cholesky_instances(&indefinite, &format!("n={n} pivot {p}")).err(),
+                Some(LinalgError::NotPositiveDefinite { pivot_index: p })
+            );
+            // A symmetric matrix of normal draws fails at some pivot, the
+            // same one on every instance.
+            let mut symmetric = random_matrix(&mut rng, n, n);
+            for i in 0..n {
+                for j in 0..i {
+                    symmetric.set(j, i, symmetric.get(i, j));
+                }
+            }
+            let _ = check_cholesky_instances(&symmetric, &format!("n={n} symmetric"));
+            // A non-finite entry of the lower triangle is reported before any
+            // arithmetic; one above the diagonal is never read.
+            let (row, col) = (p, (rng.next_u64() % (p as u64 + 1)) as usize);
+            let mut lower = a.clone();
+            lower.set(
+                row,
+                col,
+                [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][n % 3],
+            );
+            assert_eq!(
+                check_cholesky_instances(&lower, &format!("n={n} non-finite")).err(),
+                Some(LinalgError::NonFinite { row, col })
+            );
+            if n > 1 {
+                let mut upper = a.clone();
+                upper.set(0, n - 1, f64::NAN);
+                let got = check_cholesky_instances(&upper, &format!("n={n} upper NaN"));
+                assert_same_bits(
+                    got.expect("upper triangle unread").factor().as_slice(),
+                    chol.factor().as_slice(),
+                    &format!("n={n}: upper NaN"),
+                );
+            }
+            // Shapes that do not line up.
+            let wide = Matrix::zeros(n, n + 1);
+            assert_eq!(
+                check_cholesky_instances(&wide, &format!("n={n} wide")).err(),
+                Some(LinalgError::ShapeMismatch {
+                    expected: (n, n),
+                    got: (n, n + 1)
+                })
+            );
+            for (name, solve) in substitution_instances() {
+                assert_eq!(
+                    chol.solve_by(&Matrix::zeros(n + 1, 2), solve).err(),
+                    Some(LinalgError::ShapeMismatch {
+                        expected: (n, 2),
+                        got: (n + 1, 2)
+                    }),
+                    "n={n}: {name} rows"
+                );
+            }
+        }
+
+        // The right solve's shape: a small factor against many columns.
+        for n in [1, 5, 31, 32, 33] {
+            let a = dominant_spd(&mut rng, n);
+            let chol = check_cholesky_instances(&a, &format!("n={n}")).expect("SPD");
+            let b = Matrix::from_vec(n, 256, special_matrix(&mut rng, n, 256));
+            check_solve_instances(&chol, &b, &format!("n={n} m=256"));
+        }
+
+        // The overflow case: pivot 3 turns NaN on every instance.
+        let overflow = Matrix::from_rows(&[
+            vec![1e-300, 1e-150, 1e-150, 1e300],
+            vec![1e-150, 2.0, 2.0, 0.0],
+            vec![1e-150, 2.0, 3.0, 0.0],
+            vec![1e300, 0.0, 0.0, 1.0],
+        ]);
+        assert_eq!(
+            check_cholesky_instances(&overflow, "overflow").err(),
+            Some(LinalgError::NotPositiveDefinite { pivot_index: 3 })
+        );
+        // The empty system factors and solves to empty results.
+        let empty = check_cholesky_instances(&Matrix::zeros(0, 0), "n=0").expect("empty");
+        check_solve_instances(&empty, &Matrix::zeros(0, 3), "n=0 m=3");
+
+        let names: Vec<&str> = column_pass_instances().iter().map(|i| i.0).collect();
+        let avx2 = names.contains(&"avx2");
+        if avx2 {
+            println!("cholesky and substitutions: checked the avx2 and portable instances");
+        } else {
+            println!(
+                "cholesky and substitutions: no AVX2 on this CPU, checked the portable instance only"
+            );
+        }
+        assert_eq!(kernel_isa(), if avx2 { "avx2" } else { "portable" });
     }
 
     #[test]

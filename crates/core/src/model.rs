@@ -474,6 +474,12 @@ impl EszslProblem {
     /// `(SᵀS + λI) Wᵀ = Mᵀ`. Each model is bit-identical to solving its point
     /// alone, and a failing factorization is reported for the first point
     /// that needs it, in input order.
+    ///
+    /// The factorizations and solves are [`Matrix::cholesky`] and
+    /// [`Cholesky::solve_matrix`], which advance independent entries side by
+    /// side (under AVX2 where the CPU has it) with each entry's own
+    /// floating-point sequence, so the models' bits do not depend on the
+    /// host.
     pub fn solve_grid(&self, points: &[(f64, f64)]) -> Result<Vec<ProjectionModel>, TrainError> {
         validate_points(points)?;
         let mut left: HashMap<u64, Matrix> = HashMap::new();

@@ -255,7 +255,11 @@ fn truncated_mid_chunk_zsb_is_truncation_error_never_partial_accumulator() {
 fn cholesky_solve_residuals_below_1e8_across_50_random_spd_systems() {
     let mut rng = Rng::new(0xCD01E5);
     for system in 0..50 {
-        let n = 1 + (rng.next_u64() % 24) as usize;
+        // Up to 130 unknowns and 40 right-hand sides, so systems run whole
+        // register blocks of rows and of right-hand sides as well as their
+        // narrower edges.
+        let n = 1 + (rng.next_u64() % 130) as usize;
+        let m = 1 + (rng.next_u64() % 40) as usize;
         // B random, A = BᵀB + I/2 is symmetric positive-definite and
         // well-conditioned at these sizes.
         let b = Matrix::from_vec(n, n, (0..n * n).map(|_| rng.normal()).collect());
@@ -263,26 +267,24 @@ fn cholesky_solve_residuals_below_1e8_across_50_random_spd_systems() {
         a.add_scaled_identity(0.5);
 
         let chol = a.cholesky().expect("SPD factorization");
-        let rhs: Vec<f64> = (0..n).map(|_| rng.normal()).collect();
-        let x = chol.solve_vec(&rhs);
+        let rhs = Matrix::from_vec(n, m, (0..n * m).map(|_| rng.normal()).collect());
+        let x = chol.solve_matrix(&rhs).expect("solve_matrix");
 
-        // Residual ‖A·x − rhs‖∞ must be tiny relative to f64 precision.
-        let mut worst: f64 = 0.0;
-        for (r, &target) in rhs.iter().enumerate() {
-            let ax: f64 = a.row(r).iter().zip(&x).map(|(av, xv)| av * xv).sum();
-            worst = worst.max((ax - target).abs());
-        }
+        // Residual ‖A·X − rhs‖∞ must be tiny relative to f64 precision.
+        let worst = a.matmul(&x).max_abs_diff(&rhs);
         assert!(
             worst < 1e-8,
-            "system {system} (n={n}): residual {worst:e} above 1e-8"
+            "system {system} (n={n}, m={m}): residual {worst:e} above 1e-8"
         );
 
-        // The multi-RHS path must agree with the vector path bit-for-bit on
-        // its first column.
-        let rhs_matrix = Matrix::from_vec(n, 1, rhs.clone());
-        let x_matrix = chol.solve_matrix(&rhs_matrix).expect("solve_matrix");
-        for (r, &xv) in x.iter().enumerate() {
-            assert_eq!(x_matrix.get(r, 0), xv, "system {system} row {r}");
+        // Each right-hand side solved alone, as an n x 1 matrix, must agree
+        // with its column of the multi-RHS solve bit-for-bit.
+        for j in 0..m {
+            let column = Matrix::from_vec(n, 1, (0..n).map(|r| rhs.get(r, j)).collect());
+            let alone = chol.solve_matrix(&column).expect("solve_matrix");
+            for r in 0..n {
+                assert_eq!(alone.get(r, 0), x.get(r, j), "system {system} ({r}, {j})");
+            }
         }
     }
 }

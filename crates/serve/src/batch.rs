@@ -7,8 +7,9 @@
 //! is why the serving layer batches at the front door instead of scoring
 //! rows as they arrive. Mechanics:
 //!
-//! - Request threads [`Coalescer::enqueue`] one row + a response channel,
-//!   which wakes the worker, then block on the reply.
+//! - Request threads enqueue their rows, each with a response channel,
+//!   under one queue lock with one wake-up of the worker, then block on the
+//!   replies.
 //! - The worker drains the queue, **lingers** up to
 //!   [`BatchConfig::linger`] for stragglers (or until
 //!   [`BatchConfig::max_batch`] rows), snapshots the current model
@@ -114,26 +115,44 @@ impl Coalescer {
     }
 
     /// Enqueue one row without blocking; the returned channel yields the
-    /// result. Multi-row requests enqueue every row first (one queue lock
-    /// each, all visible to the same worker pass) and only then collect, so
-    /// a request's own rows coalesce with each other *and* with concurrent
-    /// requests.
+    /// result. The one-row case of `enqueue_rows`.
     pub fn enqueue(
         &self,
         row: Vec<f64>,
         k: usize,
     ) -> mpsc::Receiver<Result<RowResult, ServeError>> {
-        let (reply, rx) = mpsc::channel();
+        let mut receivers = self.enqueue_rows(vec![row], k);
+        receivers.pop().expect("one row, one receiver")
+    }
+
+    /// Enqueue a request's rows without blocking, under one queue lock and
+    /// with one wake-up of the worker, so they are all visible to the same
+    /// worker pass: a request's own rows form one batch (up to
+    /// [`BatchConfig::max_batch`]) and coalesce with concurrent requests.
+    /// The receivers yield the results in row order.
+    pub(crate) fn enqueue_rows(&self, rows: Vec<Vec<f64>>, k: usize) -> Vec<Receiver> {
         let mut queue = self.inner.queue.lock().expect("queue poisoned");
-        if queue.shutdown {
-            reply.send(Err(ServeError::Closed)).ok();
-        } else {
-            queue.pending.push(Pending { row, k, reply });
+        let receivers = rows
+            .into_iter()
+            .map(|row| {
+                let (reply, rx) = mpsc::channel();
+                if queue.shutdown {
+                    reply.send(Err(ServeError::Closed)).ok();
+                } else {
+                    queue.pending.push(Pending { row, k, reply });
+                }
+                rx
+            })
+            .collect();
+        if !queue.shutdown {
             self.inner.arrived.notify_all();
         }
-        rx
+        receivers
     }
 }
+
+/// The channel one enqueued row's result arrives on.
+type Receiver = mpsc::Receiver<Result<RowResult, ServeError>>;
 
 impl Drop for Coalescer {
     fn drop(&mut self) {
@@ -371,6 +390,46 @@ mod tests {
         let snap = stats.snapshot();
         assert_eq!(snap.rows, 10);
         assert!(snap.max_batch_rows > 1, "rows never coalesced: {snap:?}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn enqueued_request_rows_form_whole_batches() {
+        let (path, engine) = artifact("whole", 17, 4, 5);
+        let mut rng = Rng::new(7);
+        let rows = |count: usize, rng: &mut Rng| -> Vec<Vec<f64>> {
+            (0..count)
+                .map(|_| (0..4).map(|_| rng.normal()).collect())
+                .collect()
+        };
+
+        // One request of 64 rows under the default linger: one batch of 64.
+        let (coalescer, stats) = start(&path, BatchConfig::default());
+        let request = rows(64, &mut rng);
+        let receivers = coalescer.enqueue_rows(request.clone(), 1);
+        for (row, rx) in request.into_iter().zip(receivers) {
+            let got = rx.recv().expect("reply").expect("scored");
+            assert_eq!(got.class, engine.predict(&Matrix::from_vec(1, 4, row))[0]);
+        }
+        let snap = stats.snapshot();
+        assert_eq!((snap.batches, snap.rows, snap.max_batch_rows), (1, 64, 64));
+
+        // 300 rows at max_batch 256: batches of 256 and 44.
+        let (coalescer, stats) = start(
+            &path,
+            BatchConfig {
+                max_batch: 256,
+                ..BatchConfig::default()
+            },
+        );
+        for rx in coalescer.enqueue_rows(rows(300, &mut rng), 1) {
+            rx.recv().expect("reply").expect("scored");
+        }
+        let snap = stats.snapshot();
+        assert_eq!(
+            (snap.batches, snap.rows, snap.max_batch_rows),
+            (2, 300, 256)
+        );
         std::fs::remove_file(&path).ok();
     }
 

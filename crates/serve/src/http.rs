@@ -475,12 +475,10 @@ fn predict(request: &Request, coalescer: &Arc<Coalescer>) -> Result<String, Serv
             "empty body: send one feature row per line".into(),
         ));
     }
-    // Enqueue every row first, then collect: the rows coalesce with each
-    // other and with concurrent requests into wide kernel batches.
-    let receivers: Vec<_> = rows
-        .into_iter()
-        .map(|row| coalescer.enqueue(row, k))
-        .collect();
+    // Enqueue every row at once, then collect: the rows reach the worker in
+    // one pass, where they coalesce with concurrent requests into wide
+    // kernel batches.
+    let receivers = coalescer.enqueue_rows(rows, k);
     let mut body = String::new();
     for rx in receivers {
         let result = rx.recv().unwrap_or(Err(ServeError::Closed))?;

@@ -61,7 +61,8 @@ pub struct StatsSnapshot {
     pub engine_threads: u64,
     pub pool_threads: u64,
     /// [`zsl_core::kernel_isa`]: the instance the bank product and the model
-    /// projection run in this process. A process constant, read when the
+    /// projection run in this process, and the Cholesky factorization and
+    /// solves of any model trained in it. A process constant, read when the
     /// snapshot is taken.
     pub kernel_isa: &'static str,
     pub bank_shards: u64,
