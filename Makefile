@@ -1,4 +1,4 @@
-# Tier-1 verify and dev conveniences. `just` mirrors these recipes.
+# Tier-1 verify and dev conveniences.
 
 .PHONY: test lint fmt build doc bench bench-pairs api-counts import-fixtures
 

@@ -32,9 +32,12 @@
 //! The sweep is also generic over the **model family**: [`cross_validate`]
 //! takes any [`Trainer`] (`&dyn` — ESZSL, SAE, kernelized ESZSL, or a custom
 //! impl) and drives the identical fold/score/count protocol through
-//! [`Trainer::fit_grid`]. The trainer owns its preprocessing, so feature and
-//! signature normalization are set on it, never on the [`CrossValConfig`]
-//! (`tests/trainer_equiv.rs` pins every family).
+//! [`Trainer::fit_grid`] (`tests/trainer_equiv.rs` pins every family).
+//!
+//! Normalization belongs to the source, never to the [`CrossValConfig`] or
+//! a trainer: over a [`crate::source::Normalized`] source, the sweep's
+//! training and validation folds, the final fit, [`evaluate_gzsl`] and the
+//! engine's union bank all read the same normalized rows.
 
 use crate::data::Rng;
 use crate::error::ZslError;
@@ -191,10 +194,10 @@ pub struct CrossValConfig {
     pub seed: u64,
     /// Similarity used for validation scoring.
     pub similarity: Similarity,
-    /// Must be `false`: normalization is set on the trainer (e.g.
-    /// [`crate::model::EszslConfig::normalize_features`]), which applies it
-    /// to the sweep and the final fit alike. [`cross_validate`] rejects
-    /// `true` with [`ZslError::Config`].
+    /// Must be `false`: normalization belongs to the source. Wrap it in
+    /// [`crate::source::Normalized`], and every stage reads the same
+    /// normalized rows. [`cross_validate`] rejects `true` with
+    /// [`ZslError::Config`].
     pub normalize_features: bool,
     /// Must be `false`, like [`CrossValConfig::normalize_features`].
     pub normalize_signatures: bool,
@@ -322,8 +325,8 @@ pub struct CrossValReport {
 /// configuration + seed + trainer ⇒ identical report, regardless of source
 /// kind, chunk size, or thread count.
 ///
-/// The trainer owns its preprocessing: a config with
-/// [`CrossValConfig::normalize_features`] or
+/// Normalization belongs to the source ([`crate::source::Normalized`]): a
+/// config with [`CrossValConfig::normalize_features`] or
 /// [`CrossValConfig::normalize_signatures`] set is a typed
 /// [`ZslError::Config`]. To sweep bare matrices, wrap them in a
 /// [`crate::source::MemorySource`].
@@ -334,9 +337,9 @@ pub fn cross_validate(
 ) -> Result<CrossValReport, ZslError> {
     if config.normalize_features || config.normalize_signatures {
         return Err(ZslError::Config(format!(
-            "the CrossValConfig enables normalization, but the {} trainer owns its \
-             preprocessing; set normalization on the trainer, which applies it to the sweep \
-             and the final fit alike",
+            "the CrossValConfig enables normalization for the {} sweep, but normalization \
+             belongs to the source; wrap the source in source::Normalized, whose rows the \
+             sweep, the final fit and the evaluation all read",
             trainer.family()
         )));
     }
@@ -728,8 +731,8 @@ mod tests {
 
     #[test]
     fn sweep_normalization_is_a_typed_error_for_every_trainer() {
-        // Normalization belongs to the trainer, which applies it to the sweep
-        // and the final fit alike; a flag on the sweep config alone would
+        // Normalization belongs to the source, whose rows the sweep and the
+        // final fit alike read; a flag on the sweep config alone would
         // select hyperparameters for a model nobody trains.
         let ds = SyntheticConfig::new().seed(13).build();
         let base = CrossValConfig::new()

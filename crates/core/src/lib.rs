@@ -60,7 +60,7 @@
 //! | Module | Role |
 //! |--------|------|
 //! | [`pipeline`] | the [`Pipeline`] builder facade, the one protocol driver: source → CV → train → evaluate / save, for any [`Trainer`] |
-//! | [`source`] | the [`FeatureSource`] trait, taken as `&dyn FeatureSource` by every entry point, + [`MemorySource`]; implemented by [`Dataset`] and [`StreamingBundle`] |
+//! | [`source`] | the [`FeatureSource`] trait, taken as `&dyn FeatureSource` by every entry point, + [`MemorySource`]; implemented by [`Dataset`] and [`StreamingBundle`]; [`Normalized`] wraps any source and L2-normalizes its feature and/or signature rows as they stream, the one place training input is normalized |
 //! | [`linalg`] | dense math: the dense product behind matmul, the model projection and the `XᵀYS` fold, the packed `A·Bᵀ` bank kernel, and the Cholesky factorization and triangular solves for the two SPD systems (each with an AVX2 instance chosen at run time, same bits; [`kernel_isa`] names it), the pooled row-banded kernels behind training and scoring, the symmetric eigensolver |
 //! | [`model`] | the closed-form trainer (Eq. `W = (XᵀX+γI)⁻¹XᵀYS(SᵀS+λI)⁻¹`); [`model::GramAccumulator`] is the single Gram fold behind every source kind |
 //! | [`infer`] | [`infer::ScoringEngine`] (cached bank, parallel + chunked batch scoring), nearest-signature classification, top-k, ZSL/GZSL metrics |
@@ -130,7 +130,7 @@ pub use model::{
     EszslConfig, EszslProblem, EszslTrainer, GramAccumulator, ProjectionModel, TrainError,
 };
 pub use pipeline::{Pipeline, TrainedPipeline};
-pub use source::{FeatureSource, MemorySource, SourceChunk, SourceStream, SplitKind};
+pub use source::{FeatureSource, MemorySource, Normalized, SourceChunk, SourceStream, SplitKind};
 pub use trainer::{
     KernelEszslConfig, KernelEszslTrainer, KernelKind, KernelModel, ModelFamily, SaeConfig,
     SaeTrainer, TrainedModel, Trainer,

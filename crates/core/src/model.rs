@@ -22,7 +22,6 @@
 use crate::error::ZslError;
 use crate::linalg::{Cholesky, LinalgError, Matrix};
 use crate::source::{FeatureSource, SplitKind};
-use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
 
 /// Errors from model training.
@@ -99,10 +98,6 @@ pub struct EszslConfig {
     pub gamma: f64,
     /// Attribute-space regularizer λ added to `Sᵀ S`.
     pub lambda: f64,
-    /// L2-normalize feature rows before training.
-    pub normalize_features: bool,
-    /// L2-normalize signature rows before training.
-    pub normalize_signatures: bool,
 }
 
 impl Default for EszslConfig {
@@ -110,14 +105,12 @@ impl Default for EszslConfig {
         EszslConfig {
             gamma: 1.0,
             lambda: 1.0,
-            normalize_features: false,
-            normalize_signatures: false,
         }
     }
 }
 
 impl EszslConfig {
-    /// Start from the defaults (γ = λ = 1, no normalization).
+    /// Start from the defaults (γ = λ = 1).
     pub fn new() -> Self {
         Self::default()
     }
@@ -135,18 +128,6 @@ impl EszslConfig {
     /// ([`TrainError::InvalidConfig`]).
     pub fn lambda(mut self, lambda: f64) -> Self {
         self.lambda = lambda;
-        self
-    }
-
-    /// Toggle L2 normalization of feature rows.
-    pub fn normalize_features(mut self, on: bool) -> Self {
-        self.normalize_features = on;
-        self
-    }
-
-    /// Toggle L2 normalization of signature rows.
-    pub fn normalize_signatures(mut self, on: bool) -> Self {
-        self.normalize_signatures = on;
         self
     }
 
@@ -185,15 +166,14 @@ impl EszslConfig {
 /// }
 /// let streamed = acc.finish().unwrap();
 /// // The dataset lends its whole trainval split as one chunk.
-/// let in_memory = EszslProblem::from_source(&ds, false, false).unwrap();
+/// let in_memory = EszslProblem::from_source(&ds).unwrap();
 /// assert_eq!(streamed.xtx().as_slice(), in_memory.xtx().as_slice());
 /// ```
 #[derive(Clone, Debug)]
 pub struct GramAccumulator {
-    /// Prepared (optionally L2-normalized) seen-class signature bank, held by
-    /// the accumulator so every chunk gathers from the same rows.
+    /// Seen-class signature bank, held by the accumulator so every chunk
+    /// gathers from the same rows.
     signatures: Matrix,
-    normalize_features: bool,
     /// Lazily sized on the first non-empty chunk: a [`FeatureSource`] does
     /// not expose its feature width, so the first chunk tells it.
     xtx: Option<Matrix>,
@@ -207,30 +187,15 @@ pub struct GramAccumulator {
 }
 
 impl GramAccumulator {
-    /// Accumulator over raw (unnormalized) inputs.
+    /// Accumulator over the rows it is handed, gathering each label's row
+    /// of `signatures`. To train on normalized rows, fold the chunks of a
+    /// [`crate::source::Normalized`] source.
     pub fn new(signatures: &Matrix) -> Self {
-        Self::with_normalization(signatures, false, false)
-    }
-
-    /// Accumulator with optional L2 row normalization of features (applied
-    /// per chunk — row normalization is row-local, so this matches
-    /// normalizing the whole matrix) and/or signatures (applied once, here).
-    pub fn with_normalization(
-        signatures: &Matrix,
-        normalize_features: bool,
-        normalize_signatures: bool,
-    ) -> Self {
-        let mut signatures = signatures.clone();
-        if normalize_signatures {
-            signatures.l2_normalize_rows();
-        }
-        let class_counts = vec![0.0; signatures.rows()];
         GramAccumulator {
-            signatures,
-            normalize_features,
+            signatures: signatures.clone(),
             xtx: None,
             xtys: None,
-            class_counts,
+            class_counts: vec![0.0; signatures.rows()],
             rows: 0,
         }
     }
@@ -250,8 +215,7 @@ impl GramAccumulator {
         self.signatures.cols()
     }
 
-    /// The prepared (possibly L2-normalized) signature bank every chunk
-    /// gathers from.
+    /// The signature bank every chunk gathers from.
     pub fn signatures(&self) -> &Matrix {
         &self.signatures
     }
@@ -307,16 +271,9 @@ impl GramAccumulator {
             }
         };
 
-        let x = if self.normalize_features {
-            let mut x = x.clone();
-            x.l2_normalize_rows();
-            Cow::Owned(x)
-        } else {
-            Cow::Borrowed(x)
-        };
         let ys = gather_signatures(labels, &self.signatures);
-        xtx.add_gram(&x);
-        xtys.add_transposed_product(&x, &ys);
+        xtx.add_gram(x);
+        xtys.add_transposed_product(x, &ys);
         for &label in labels {
             self.class_counts[label] += 1.0;
         }
@@ -365,11 +322,7 @@ impl EszslTrainer {
     pub fn fit(&self, source: &dyn FeatureSource) -> Result<ProjectionModel, ZslError> {
         validate_regularizer("gamma", self.config.gamma)?;
         validate_regularizer("lambda", self.config.lambda)?;
-        let problem = EszslProblem::from_source(
-            source,
-            self.config.normalize_features,
-            self.config.normalize_signatures,
-        )?;
+        let problem = EszslProblem::from_source(source)?;
         Ok(problem.solve(self.config.gamma, self.config.lambda)?)
     }
 }
@@ -402,23 +355,14 @@ pub struct EszslProblem {
 
 impl EszslProblem {
     /// The ONE problem constructor: fold the trainval split of any
-    /// [`FeatureSource`] into the Gram matrices, chunk by chunk, with
-    /// optional L2 row normalization of features and/or signatures (the
-    /// [`EszslConfig`] toggles). In-memory sources lend one borrowed chunk
-    /// (no copy); streamed sources never materialize their features.
-    /// Bit-identical across sources and chunk sizes. To fold a chunk
-    /// iterator of your own, drive a [`GramAccumulator`] directly.
-    pub fn from_source(
-        source: &dyn FeatureSource,
-        normalize_features: bool,
-        normalize_signatures: bool,
-    ) -> Result<Self, ZslError> {
-        let signatures = source.seen_signatures();
-        let mut acc = GramAccumulator::with_normalization(
-            &signatures,
-            normalize_features,
-            normalize_signatures,
-        );
+    /// [`FeatureSource`] into the Gram matrices, chunk by chunk. In-memory
+    /// sources lend one borrowed chunk (no copy); streamed sources never
+    /// materialize their features; a [`crate::source::Normalized`] source
+    /// hands over normalized rows. Bit-identical across sources and chunk
+    /// sizes. To fold a chunk iterator of your own, drive a
+    /// [`GramAccumulator`] directly.
+    pub fn from_source(source: &dyn FeatureSource) -> Result<Self, ZslError> {
+        let mut acc = GramAccumulator::new(&source.seen_signatures());
         for chunk in source.stream(SplitKind::Trainval)? {
             let (x, labels) = chunk?;
             acc.fold(&x, &labels)?;
@@ -551,7 +495,7 @@ fn gather_signatures(labels: &[usize], signatures: &Matrix) -> Matrix {
 mod tests {
     use super::*;
     use crate::data::SyntheticConfig;
-    use crate::source::MemorySource;
+    use crate::source::{MemorySource, Normalized};
 
     #[test]
     fn increasing_gamma_monotonically_shrinks_w() {
@@ -633,7 +577,7 @@ mod tests {
     #[test]
     fn eszsl_problem_reuse_matches_one_shot_training_bit_for_bit() {
         let ds = SyntheticConfig::new().seed(21).build();
-        let problem = EszslProblem::from_source(&ds, false, false).expect("gram");
+        let problem = EszslProblem::from_source(&ds).expect("gram");
         assert_eq!(problem.feature_dim(), ds.train_x.cols());
         assert_eq!(problem.attr_dim(), ds.seen_signatures.cols());
         let points = [(0.1, 0.1), (1.0, 10.0), (100.0, 0.01), (1.0, 0.1)];
@@ -669,17 +613,28 @@ mod tests {
         let ds = SyntheticConfig::new().seed(42).build();
         let n = ds.train_x.rows();
         for (nf, ns) in [(false, false), (true, false), (false, true), (true, true)] {
-            let reference = EszslProblem::from_source(&ds, nf, ns).expect("in-memory problem");
+            let source = Normalized::new(&ds, nf, ns);
+            let reference = EszslProblem::from_source(&source).expect("in-memory problem");
             for chunk in [1usize, 5, n, n + 9] {
-                let mut acc = GramAccumulator::with_normalization(&ds.seen_signatures, nf, ns);
+                let mut acc = GramAccumulator::new(&source.seen_signatures());
                 let mut start = 0;
                 while start < n {
                     let end = (start + chunk).min(n);
-                    acc.fold(
-                        &ds.train_x.row_block(start..end),
+                    // Each block normalized on its own, as a streamed
+                    // source's chunks are.
+                    let block = ds.train_x.row_block(start..end);
+                    let rows = MemorySource::new(
+                        &block,
                         &ds.train_labels[start..end],
-                    )
-                    .expect("fold");
+                        &ds.seen_signatures,
+                    );
+                    for piece in Normalized::new(&rows, nf, ns)
+                        .stream(SplitKind::Trainval)
+                        .expect("stream")
+                    {
+                        let (x, labels) = piece.expect("chunk");
+                        acc.fold(&x, &labels).expect("fold");
+                    }
                     start = end;
                 }
                 assert_eq!(acc.rows_folded(), n);
@@ -750,23 +705,29 @@ mod tests {
     #[test]
     fn fit_on_a_dataset_source_matches_raw_train_bit_for_bit() {
         let ds = SyntheticConfig::new().seed(31).build();
+        let trainer = EszslConfig::new().gamma(0.7).lambda(1.3).build();
         for (nf, ns) in [(false, false), (true, true)] {
-            let trainer = EszslConfig::new()
-                .gamma(0.7)
-                .lambda(1.3)
-                .normalize_features(nf)
-                .normalize_signatures(ns)
-                .build();
-            // The direct stages on the raw matrices: one Gram fold, one solve.
-            let mut acc = GramAccumulator::with_normalization(&ds.seen_signatures, nf, ns);
-            acc.fold(&ds.train_x, &ds.train_labels).expect("fold");
+            // The direct stages on the raw matrices, normalized up front: one
+            // Gram fold, one solve.
+            let (mut x, mut signatures) = (ds.train_x.clone(), ds.seen_signatures.clone());
+            if nf {
+                x.l2_normalize_rows();
+            }
+            if ns {
+                signatures.l2_normalize_rows();
+            }
+            let mut acc = GramAccumulator::new(&signatures);
+            acc.fold(&x, &ds.train_labels).expect("fold");
             let direct = acc
                 .finish()
                 .expect("finish")
                 .solve(0.7, 1.3)
                 .expect("solve");
             let raw = MemorySource::new(&ds.train_x, &ds.train_labels, &ds.seen_signatures);
-            for fitted in [trainer.fit(&ds), trainer.fit(&raw)] {
+            for fitted in [
+                trainer.fit(&Normalized::new(&ds, nf, ns)),
+                trainer.fit(&Normalized::new(&raw, nf, ns)),
+            ] {
                 assert_eq!(
                     fitted.expect("fit").weights().as_slice(),
                     direct.weights().as_slice(),
@@ -787,10 +748,8 @@ mod tests {
         let ds = SyntheticConfig::new().seed(5).build();
         let plain = EszslConfig::new().build().fit(&ds).unwrap();
         let normalized = EszslConfig::new()
-            .normalize_features(true)
-            .normalize_signatures(true)
             .build()
-            .fit(&ds)
+            .fit(&Normalized::new(&ds, true, true))
             .unwrap();
         assert!(plain.weights().max_abs_diff(normalized.weights()) > 1e-6);
     }

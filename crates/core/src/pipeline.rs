@@ -68,7 +68,7 @@ pub struct Pipeline<'a> {
 
 impl<'a> From<&'a dyn FeatureSource> for Pipeline<'a> {
     /// Start a pipeline over `source` with the default configuration
-    /// (ESZSL, γ = λ = 1, no normalization, cosine similarity).
+    /// (ESZSL, γ = λ = 1, cosine similarity).
     fn from(source: &'a dyn FeatureSource) -> Self {
         Pipeline {
             source,
@@ -95,9 +95,9 @@ impl<'a> Pipeline<'a> {
     /// [`crate::trainer::SaeTrainer`],
     /// [`crate::trainer::KernelEszslTrainer`], or a custom impl. The choice
     /// is sticky: [`Pipeline::cross_validate`] sweeps this trainer's own
-    /// grid under its own normalization, [`Pipeline::train`] refits it at
-    /// the winning point, and [`TrainedPipeline::save`] records its
-    /// [`Trainer::describe`] string as artifact provenance.
+    /// grid, [`Pipeline::train`] refits it at the winning point, and
+    /// [`TrainedPipeline::save`] records its [`Trainer::describe`] string as
+    /// artifact provenance.
     pub fn with_trainer<T: Trainer + 'static>(mut self, trainer: T) -> Self {
         self.trainer = Box::new(trainer);
         self
@@ -127,12 +127,13 @@ impl<'a> Pipeline<'a> {
     /// for the subsequent [`Pipeline::train`]. The full [`CrossValReport`]
     /// is retained and available from the trained pipeline.
     ///
-    /// The sweep runs under the trainer's own normalization and any
-    /// similarity set via [`Pipeline::similarity`], so hyperparameters are
-    /// always selected for the exact model `train()` will fit and serve.
-    /// When no similarity was set on the pipeline, the sweep's similarity is
-    /// adopted for training. A [`CrossValConfig`] that enables normalization
-    /// is a typed [`ZslError::Config`] (see [`cross_validate`]).
+    /// The sweep reads the pipeline's source — normalized rows, when it is a
+    /// [`crate::source::Normalized`] adapter — under any similarity set via
+    /// [`Pipeline::similarity`], so hyperparameters are always selected for
+    /// the exact model `train()` will fit and serve. When no similarity was
+    /// set on the pipeline, the sweep's similarity is adopted for training.
+    /// A [`CrossValConfig`] that enables normalization is a typed
+    /// [`ZslError::Config`] (see [`cross_validate`]).
     pub fn cross_validate(mut self, config: &CrossValConfig) -> Result<Self, ZslError> {
         let mut sweep = config.clone();
         if let Some(similarity) = self.similarity {
@@ -205,12 +206,15 @@ impl TrainedPipeline<'_> {
 
     /// Persist the engine as a `.zsm` artifact whose provenance metadata
     /// records how it was trained — the trainer's [`Trainer::describe`]
-    /// string (family, hyperparameters, normalization toggles), the
-    /// similarity, and the class counts — so a serving process can boot from
-    /// this file alone and an operator can later tell artifacts apart.
+    /// string (family, hyperparameters), which rows the source normalizes
+    /// ([`FeatureSource::normalizes`]), the similarity, and the class
+    /// counts — so a serving process can boot from this file alone and an
+    /// operator can later tell artifacts apart.
     pub fn save(&self, path: &Path) -> Result<(), ZslError> {
+        let (features, signatures) = self.source.normalizes();
         let mut metadata = format!(
-            "{}; similarity={}; seen_classes={}; unseen_classes={}",
+            "{}; normalize_features={features}; normalize_signatures={signatures}; \
+             similarity={}; seen_classes={}; unseen_classes={}",
             self.trainer.describe(),
             self.engine.similarity(),
             self.source.num_seen_classes(),
@@ -228,6 +232,7 @@ mod tests {
     use super::*;
     use crate::data::SyntheticConfig;
     use crate::model::EszslConfig;
+    use crate::source::Normalized;
 
     #[test]
     fn facade_matches_the_direct_protocol_bit_for_bit() {
@@ -283,32 +288,31 @@ mod tests {
     #[test]
     fn cross_validation_sweeps_under_the_pipelines_normalization() {
         // Selecting (γ, λ) on raw features and then training on normalized
-        // ones would tune a different model than the one shipped; the facade
-        // must run the sweep under its trainer's normalization toggles.
+        // ones would tune a different model than the one shipped; over a
+        // normalized source the sweep, the final fit and the evaluation all
+        // read the normalized rows.
         let ds = SyntheticConfig::new().seed(88).build();
+        let normalized = Normalized::new(&ds, true, true);
         let cfg = CrossValConfig::new()
             .gammas(vec![0.1, 1.0])
             .lambdas(vec![0.1, 1.0])
             .folds(3)
             .seed(5);
-        let normalized = EszslConfig::new()
-            .normalize_features(true)
-            .normalize_signatures(true);
-        let trained = Pipeline::from(&ds)
-            .with_trainer(normalized.clone().build())
+        let trained = Pipeline::from(&normalized)
             .cross_validate(&cfg)
             .expect("cv")
             .train()
             .expect("train");
         let normalized_sweep =
-            cross_validate(&normalized.clone().build(), &ds, &cfg).expect("normalized cv");
+            cross_validate(&EszslTrainer::default(), &normalized, &cfg).expect("normalized cv");
         assert_eq!(trained.cv_report(), Some(&normalized_sweep));
-        // The toggles survive the (γ, λ) adoption into the final fit.
-        let direct = normalized
+        // The normalized rows reach the final fit at the adopted (γ, λ).
+        let direct = EszslConfig::new()
             .gamma(normalized_sweep.best.gamma)
             .lambda(normalized_sweep.best.lambda)
             .build();
         assert_eq!(trained.trainer().describe(), direct.describe());
+        let model = direct.fit(&normalized).expect("fit");
         assert_eq!(
             trained
                 .model()
@@ -316,14 +320,21 @@ mod tests {
                 .expect("linear")
                 .weights()
                 .as_slice(),
-            direct.fit(&ds).expect("fit").weights().as_slice()
+            model.weights().as_slice()
+        );
+        // ...and the evaluation, against the normalized union bank.
+        let engine = ScoringEngine::try_new(model, normalized.union_signatures(), cfg.similarity)
+            .expect("engine");
+        assert_eq!(
+            trained.evaluate().expect("evaluate"),
+            evaluate_gzsl_with(&engine, &normalized).expect("direct evaluate")
         );
     }
 
     #[test]
     fn contradictory_sweep_normalization_is_a_typed_error() {
-        // Asking the sweep for normalization the trainer does not own must
-        // fail loudly, not silently run an un-normalized sweep.
+        // Asking the sweep for normalization must fail loudly, not silently
+        // run an un-normalized sweep: normalization belongs to the source.
         let ds = SyntheticConfig::new().seed(14).build();
         let plain = CrossValConfig::new()
             .gammas(vec![1.0])
@@ -333,21 +344,19 @@ mod tests {
         flagged.normalize_features = true;
         let err = Pipeline::from(&ds).cross_validate(&flagged).unwrap_err();
         assert!(
-            matches!(&err, ZslError::Config(msg) if msg.contains("normalization on the trainer")),
+            matches!(&err, ZslError::Config(msg) if msg.contains("Normalized")),
             "got {err:?}"
         );
-        // A normalizing trainer does not make the flagged sweep valid; the
-        // flag belongs on the trainer only.
-        let normalizing = EszslConfig::new().normalize_features(true).build();
-        let err = Pipeline::from(&ds)
-            .with_trainer(normalizing.clone())
+        // A normalized source does not make the flagged sweep valid; the
+        // flag belongs on the source only.
+        let normalized = Normalized::new(&ds, true, false);
+        let err = Pipeline::from(&normalized)
             .cross_validate(&flagged)
             .unwrap_err();
         assert!(matches!(err, ZslError::Config(_)), "got {err:?}");
-        Pipeline::from(&ds)
-            .with_trainer(normalizing)
+        Pipeline::from(&normalized)
             .cross_validate(&plain)
-            .expect("normalization set on the trainer");
+            .expect("normalization set on the source");
     }
 
     #[test]
@@ -462,7 +471,7 @@ mod tests {
             .cross_validate(&cfg)
             .unwrap_err();
         assert!(
-            matches!(&err, ZslError::Config(msg) if msg.contains("the sae trainer owns")),
+            matches!(&err, ZslError::Config(msg) if msg.contains("sae") && msg.contains("Normalized")),
             "got {err:?}"
         );
     }

@@ -28,6 +28,13 @@
 //!
 //! Chunks are [`Cow`]s: in-memory sources lend their matrices without
 //! copying, disk-backed sources hand over owned chunks.
+//!
+//! **Normalization belongs to the source.** [`Normalized`] wraps any source
+//! and L2-normalizes its feature rows, signature rows, or both as they
+//! stream. Because the adapter *is* the data, every stage reads the same
+//! rows: cross-validation training and validation, the final fit, the GZSL
+//! evaluation and the engine's union bank. No trainer or scorer has a
+//! normalization setting of its own.
 
 use crate::data::{DataError, Dataset};
 use crate::error::ZslError;
@@ -107,6 +114,14 @@ pub trait FeatureSource: std::fmt::Debug {
         data.extend_from_slice(seen.as_slice());
         data.extend_from_slice(unseen.as_slice());
         Matrix::from_vec(rows, attr_dim, data)
+    }
+
+    /// Which rows this source L2-normalizes as it streams, as
+    /// `(features, signatures)`. Default: neither; [`Normalized`] reports
+    /// its own flags and its inner source's. Read only for the provenance
+    /// a saved pipeline records.
+    fn normalizes(&self) -> (bool, bool) {
+        (false, false)
     }
 }
 
@@ -246,6 +261,112 @@ impl FeatureSource for MemorySource<'_> {
     }
 }
 
+/// Another source with its feature rows, signature rows, or both
+/// L2-normalized ([`Matrix::l2_normalize_rows`]) as they stream: the one
+/// place training input is normalized.
+///
+/// Feature rows are normalized one chunk at a time, so peak feature memory
+/// stays `O(chunk_rows x feature_dim)`: an owned chunk is normalized in
+/// place, a borrowed one becomes one owned, normalized copy. Row
+/// normalization is row-local, so results over the adapter keep their bits
+/// across source kinds, chunk sizes and thread counts, and equal a run over
+/// the same rows normalized up front. Split lengths and class counts are
+/// forwarded without normalizing anything.
+///
+/// A model trained over a normalized source expects rows prepared the same
+/// way at serving time. Only the RBF kernel reads a row's scale: linear
+/// models under cosine or argmax do not.
+///
+/// ```
+/// use zsl_core::source::Normalized;
+/// use zsl_core::{CrossValConfig, Pipeline, SyntheticConfig};
+///
+/// # fn main() -> Result<(), zsl_core::ZslError> {
+/// let ds = SyntheticConfig::new().classes(20, 4).seed(7).build();
+/// let normalized = Normalized::new(&ds, true, true);
+/// let cv = CrossValConfig::new().gammas(vec![0.1, 1.0]).lambdas(vec![1.0]).folds(3);
+/// let trained = Pipeline::from(&normalized).cross_validate(&cv)?.train()?;
+/// assert!(trained.evaluate()?.harmonic_mean > 0.9);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Normalized<'a> {
+    inner: &'a dyn FeatureSource,
+    features: bool,
+    signatures: bool,
+}
+
+impl<'a> Normalized<'a> {
+    /// Wrap `inner`, normalizing its feature rows when `features` and its
+    /// seen and unseen signature rows when `signatures`.
+    pub fn new(inner: &'a dyn FeatureSource, features: bool, signatures: bool) -> Self {
+        Normalized {
+            inner,
+            features,
+            signatures,
+        }
+    }
+
+    fn bank<'s>(&self, bank: Cow<'s, Matrix>) -> Cow<'s, Matrix> {
+        if self.signatures {
+            Cow::Owned(normalized(bank))
+        } else {
+            bank
+        }
+    }
+
+    fn chunks<'s>(&self, stream: SourceStream<'s>) -> SourceStream<'s> {
+        if !self.features {
+            return stream;
+        }
+        Box::new(stream.map(|chunk| chunk.map(|(x, labels)| (Cow::Owned(normalized(x)), labels))))
+    }
+}
+
+/// `m` with every row scaled to unit L2 norm, copied only when borrowed.
+fn normalized(m: Cow<'_, Matrix>) -> Matrix {
+    let mut m = m.into_owned();
+    m.l2_normalize_rows();
+    m
+}
+
+/// The union bank is the default stack of the two normalized banks.
+impl FeatureSource for Normalized<'_> {
+    fn split_len(&self, split: SplitKind) -> usize {
+        self.inner.split_len(split)
+    }
+
+    fn seen_signatures(&self) -> Cow<'_, Matrix> {
+        self.bank(self.inner.seen_signatures())
+    }
+
+    fn unseen_signatures(&self) -> Cow<'_, Matrix> {
+        self.bank(self.inner.unseen_signatures())
+    }
+
+    fn stream(&self, split: SplitKind) -> Result<SourceStream<'_>, ZslError> {
+        Ok(self.chunks(self.inner.stream(split)?))
+    }
+
+    fn stream_trainval_subset(&self, positions: &[usize]) -> Result<SourceStream<'_>, ZslError> {
+        Ok(self.chunks(self.inner.stream_trainval_subset(positions)?))
+    }
+
+    fn num_seen_classes(&self) -> usize {
+        self.inner.num_seen_classes()
+    }
+
+    fn num_unseen_classes(&self) -> usize {
+        self.inner.num_unseen_classes()
+    }
+
+    fn normalizes(&self) -> (bool, bool) {
+        let (features, signatures) = self.inner.normalizes();
+        (features || self.features, signatures || self.signatures)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,6 +446,73 @@ mod tests {
             .collect::<Result<_, _>>()
             .expect("chunks");
         assert_eq!(chunks[0].0.as_slice(), ds.train_x.as_slice());
+    }
+
+    #[test]
+    fn normalized_source_normalizes_only_the_rows_it_was_asked_to() {
+        let ds = SyntheticConfig::new().classes(4, 2).seed(17).build();
+        let rows = |on: bool, m: &Matrix| {
+            let mut m = m.clone();
+            if on {
+                m.l2_normalize_rows();
+            }
+            m
+        };
+        fn first_chunk(stream: SourceStream<'_>) -> SourceChunk<'_> {
+            let mut chunks: Vec<_> = stream.collect::<Result<_, _>>().expect("chunks");
+            assert_eq!(chunks.len(), 1);
+            chunks.pop().expect("one chunk")
+        }
+        for (features, signatures) in [(false, false), (true, false), (false, true), (true, true)] {
+            let source = Normalized::new(&ds, features, signatures);
+            let label = format!("features={features} signatures={signatures}");
+            assert_eq!(source.normalizes(), (features, signatures), "{label}");
+            for (split, x, labels) in [
+                (SplitKind::Trainval, &ds.train_x, &ds.train_labels),
+                (SplitKind::TestSeen, &ds.test_seen_x, &ds.test_seen_labels),
+                (
+                    SplitKind::TestUnseen,
+                    &ds.test_unseen_x,
+                    &ds.test_unseen_labels,
+                ),
+            ] {
+                assert_eq!(source.split_len(split), x.rows(), "{label}");
+                let (chunk, chunk_labels) = first_chunk(source.stream(split).expect("stream"));
+                assert_eq!(chunk.as_slice(), rows(features, x).as_slice(), "{label}");
+                assert_eq!(&*chunk_labels, labels.as_slice(), "{label}");
+                assert_eq!(matches!(chunk, Cow::Owned(_)), features, "{label}");
+            }
+            let positions = [3usize, 0, 7, 3];
+            let (subset, _) =
+                first_chunk(source.stream_trainval_subset(&positions).expect("subset"));
+            assert_eq!(
+                subset.as_slice(),
+                rows(features, &ds.train_x.gather_rows(&positions)).as_slice(),
+                "{label}"
+            );
+            for (bank, raw) in [
+                (source.seen_signatures(), &ds.seen_signatures),
+                (source.unseen_signatures(), &ds.unseen_signatures),
+            ] {
+                assert_eq!(bank.as_slice(), rows(signatures, raw).as_slice(), "{label}");
+            }
+            assert_eq!(
+                source.union_signatures().as_slice(),
+                rows(signatures, &ds.all_signatures()).as_slice(),
+                "{label}"
+            );
+            assert_eq!(
+                (source.num_seen_classes(), source.num_unseen_classes()),
+                (4, 2)
+            );
+        }
+        // Wrapping a normalized source reports the flags of both layers.
+        let inner = Normalized::new(&ds, true, false);
+        assert_eq!(
+            Normalized::new(&inner, false, true).normalizes(),
+            (true, true)
+        );
+        assert_eq!(ds.normalizes(), (false, false));
     }
 
     #[test]

@@ -43,7 +43,6 @@ use crate::model::{
     ProjectionModel, TrainError,
 };
 use crate::source::{FeatureSource, SourceStream, SplitKind};
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Model family tag: which trainer produced a [`TrainedModel`], and how a
@@ -451,13 +450,7 @@ impl Trainer for EszslTrainer {
         points: &[(f64, f64)],
     ) -> Result<Vec<TrainedModel>, ZslError> {
         validate_points(points)?;
-        let config = self.config();
-        let signatures = source.seen_signatures();
-        let mut acc = GramAccumulator::with_normalization(
-            &signatures,
-            config.normalize_features,
-            config.normalize_signatures,
-        );
+        let mut acc = GramAccumulator::new(&source.seen_signatures());
         for chunk in source.stream_trainval_subset(subset)? {
             let (x, labels) = chunk?;
             acc.fold(&x, &labels)?;
@@ -484,10 +477,7 @@ impl Trainer for EszslTrainer {
 
     fn describe(&self) -> String {
         let c = self.config();
-        format!(
-            "trainer=eszsl; gamma={}; lambda={}; normalize_features={}; normalize_signatures={}",
-            c.gamma, c.lambda, c.normalize_features, c.normalize_signatures
-        )
+        format!("trainer=eszsl; gamma={}; lambda={}", c.gamma, c.lambda)
     }
 }
 
@@ -503,41 +493,22 @@ fn cartesian(gammas: &[f64], lambdas: &[f64]) -> Vec<(f64, f64)> {
     points
 }
 
-/// Borrow features, copying only when normalization rewrites them.
-fn prep_features<'m>(x: &'m Matrix, normalize: bool) -> Cow<'m, Matrix> {
-    if normalize {
-        let mut x = x.clone();
-        x.l2_normalize_rows();
-        Cow::Owned(x)
-    } else {
-        Cow::Borrowed(x)
-    }
-}
-
 /// Builder-style configuration for [`SaeTrainer`].
 #[derive(Clone, Debug)]
 pub struct SaeConfig {
     /// Reconstruction/projection trade-off λ in
     /// `‖X − (YS)Wᵀ‖² + λ‖XW − YS‖²`. Must be positive and finite.
     pub lambda: f64,
-    /// L2-normalize feature rows before training.
-    pub normalize_features: bool,
-    /// L2-normalize signature rows before training.
-    pub normalize_signatures: bool,
 }
 
 impl Default for SaeConfig {
     fn default() -> Self {
-        SaeConfig {
-            lambda: 1.0,
-            normalize_features: false,
-            normalize_signatures: false,
-        }
+        SaeConfig { lambda: 1.0 }
     }
 }
 
 impl SaeConfig {
-    /// Start from the defaults (λ = 1, no normalization).
+    /// Start from the defaults (λ = 1).
     pub fn new() -> Self {
         Self::default()
     }
@@ -545,18 +516,6 @@ impl SaeConfig {
     /// Set the trade-off λ.
     pub fn lambda(mut self, lambda: f64) -> Self {
         self.lambda = lambda;
-        self
-    }
-
-    /// Toggle L2 normalization of feature rows.
-    pub fn normalize_features(mut self, on: bool) -> Self {
-        self.normalize_features = on;
-        self
-    }
-
-    /// Toggle L2 normalization of signature rows.
-    pub fn normalize_signatures(mut self, on: bool) -> Self {
-        self.normalize_signatures = on;
         self
     }
 
@@ -595,26 +554,21 @@ impl SaeTrainer {
         source: &dyn FeatureSource,
         subset: Option<&[usize]>,
     ) -> Result<SaeSystem, ZslError> {
-        let signatures = source.seen_signatures();
-        let mut acc = GramAccumulator::with_normalization(
-            &signatures,
-            self.config.normalize_features,
-            self.config.normalize_signatures,
-        );
+        let mut acc = GramAccumulator::new(&source.seen_signatures());
         for chunk in subset_stream(source, subset)? {
             let (x, labels) = chunk?;
             acc.fold(&x, &labels)?;
         }
-        // `A = Sᵀ diag(counts) S` from the prepared signatures and per-class
-        // counts — chunk-order-invariant because integer counting is.
-        let prepared = acc.signatures().clone();
-        let mut weighted = prepared.clone();
-        for (r, &count) in acc.class_counts().to_vec().iter().enumerate() {
+        // `A = Sᵀ diag(counts) S` from the signatures and per-class counts —
+        // chunk-order-invariant because integer counting is.
+        let signatures = acc.signatures();
+        let mut weighted = signatures.clone();
+        for (r, &count) in acc.class_counts().iter().enumerate() {
             for v in weighted.row_mut(r) {
                 *v *= count;
             }
         }
-        let a = prepared.transpose().matmul(&weighted);
+        let a = signatures.transpose().matmul(&weighted);
         let (xtx, xtys, _) = acc.finish().map_err(ZslError::from)?.into_parts();
         Ok(SaeSystem {
             a,
@@ -695,10 +649,7 @@ impl Trainer for SaeTrainer {
     }
 
     fn describe(&self) -> String {
-        format!(
-            "trainer=sae; lambda={}; normalize_features={}; normalize_signatures={}",
-            self.config.lambda, self.config.normalize_features, self.config.normalize_signatures
-        )
+        format!("trainer=sae; lambda={}", self.config.lambda)
     }
 }
 
@@ -716,10 +667,6 @@ pub struct KernelEszslConfig {
     /// every training row — the classic kernel formulation, whose model size
     /// is `O(n_train x feature_dim)` by nature.
     pub max_anchors: Option<usize>,
-    /// L2-normalize feature rows (before the kernel map) during training.
-    pub normalize_features: bool,
-    /// L2-normalize signature rows before training.
-    pub normalize_signatures: bool,
 }
 
 impl Default for KernelEszslConfig {
@@ -729,8 +676,6 @@ impl Default for KernelEszslConfig {
             gamma: 1.0,
             lambda: 1.0,
             max_anchors: None,
-            normalize_features: false,
-            normalize_signatures: false,
         }
     }
 }
@@ -762,18 +707,6 @@ impl KernelEszslConfig {
     /// Cap the anchor set at the first `max_anchors` training rows.
     pub fn max_anchors(mut self, max_anchors: usize) -> Self {
         self.max_anchors = Some(max_anchors);
-        self
-    }
-
-    /// Toggle L2 normalization of feature rows (pre-kernel).
-    pub fn normalize_features(mut self, on: bool) -> Self {
-        self.normalize_features = on;
-        self
-    }
-
-    /// Toggle L2 normalization of signature rows.
-    pub fn normalize_signatures(mut self, on: bool) -> Self {
-        self.normalize_signatures = on;
         self
     }
 
@@ -823,7 +756,7 @@ impl KernelEszslTrainer {
     }
 
     /// Pass 1: the anchor set — the first `max_anchors` (or all) trainval
-    /// rows in stream order, with feature normalization already applied.
+    /// rows in stream order, exactly as the source streams them.
     fn collect_anchors(
         &self,
         source: &dyn FeatureSource,
@@ -848,7 +781,6 @@ impl KernelEszslTrainer {
                 }
                 _ => {}
             }
-            let x = prep_features(&x, self.config.normalize_features);
             let take = x.rows().min(cap - taken);
             data.extend_from_slice(&x.as_slice()[..take * x.cols()]);
             taken += take;
@@ -873,14 +805,7 @@ impl KernelEszslTrainer {
     ) -> Result<(EszslProblem, Matrix), ZslError> {
         self.validate()?;
         let anchors = self.collect_anchors(source, subset)?;
-        let signatures = source.seen_signatures();
-        // Feature normalization happens pre-kernel; the accumulator must not
-        // renormalize the kernel rows.
-        let mut acc = GramAccumulator::with_normalization(
-            &signatures,
-            false,
-            self.config.normalize_signatures,
-        );
+        let mut acc = GramAccumulator::new(&source.seen_signatures());
         for chunk in subset_stream(source, subset)? {
             let (x, labels) = chunk?;
             if x.cols() != anchors.cols() {
@@ -890,7 +815,6 @@ impl KernelEszslTrainer {
                     anchors.cols()
                 ))));
             }
-            let x = prep_features(&x, self.config.normalize_features);
             // Safe to parallelize: the map is bit-identical across thread
             // counts for both kernels, so streamed training stays exact.
             let phi = kernel_map(&x, &anchors, self.config.kernel, default_threads());
@@ -956,9 +880,8 @@ impl Trainer for KernelEszslTrainer {
             None => "all".into(),
         };
         format!(
-            "trainer=kernel-eszsl; kernel={}; gamma={}; lambda={}; max_anchors={anchors}; \
-             normalize_features={}; normalize_signatures={}",
-            c.kernel, c.gamma, c.lambda, c.normalize_features, c.normalize_signatures
+            "trainer=kernel-eszsl; kernel={}; gamma={}; lambda={}; max_anchors={anchors}",
+            c.kernel, c.gamma, c.lambda
         )
     }
 }

@@ -11,6 +11,7 @@ use zsl_core::data::{export_dataset, StreamingBundle, SyntheticConfig};
 use zsl_core::eval::CrossValConfig;
 use zsl_core::infer::{harmonic_mean, ClassAccuracyCounter, ScoringEngine, Similarity};
 use zsl_core::model::EszslConfig;
+use zsl_core::source::Normalized;
 
 #[test]
 fn eszsl_classifies_unseen_classes_at_95_percent() {
@@ -152,10 +153,10 @@ fn disk_roundtrip_pipeline_matches_in_memory_pipeline_bit_for_bit() {
 fn dot_similarity_works_with_normalized_signatures() {
     let ds = SyntheticConfig::new().seed(63).build();
     let model = EszslConfig::new()
-        .normalize_signatures(true)
         .build()
-        .fit(&ds)
+        .fit(&Normalized::new(&ds, false, true))
         .expect("fit");
+    // Serving scores against the unseen rows prepared as training's were.
     let mut signatures = ds.unseen_signatures.clone();
     signatures.l2_normalize_rows();
     let engine = ScoringEngine::try_new(model, signatures, Similarity::Dot).expect("engine");

@@ -203,7 +203,7 @@ fn fixture_streamed_accumulators_match_frozen_digests_and_in_memory_path() {
         .expect("open")
         .to_dataset()
         .expect("materialize");
-    let problem = EszslProblem::from_source(&ds, false, false).expect("problem");
+    let problem = EszslProblem::from_source(&ds).expect("problem");
     assert_eq!(digest_matrix(problem.xtx()), GOLDEN_STREAM_GRAM[0]);
     assert_eq!(digest_matrix(problem.xtys()), GOLDEN_STREAM_GRAM[1]);
     assert_eq!(digest_matrix(problem.sts()), GOLDEN_STREAM_GRAM[2]);

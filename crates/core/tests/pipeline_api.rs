@@ -2,16 +2,20 @@
 //! re-wiring of the `&dyn FeatureSource` entry points (bit-identical
 //! results, including for a source held as a `&dyn FeatureSource`),
 //! [`MemorySource`] must replace the old
-//! raw-matrix call shapes, and the top-level [`ZslError`] must chain causes.
+//! raw-matrix call shapes, the top-level [`ZslError`] must chain causes, and
+//! a pipeline over a [`Normalized`] source must equal one over the same rows
+//! normalized up front.
 
 use std::path::PathBuf;
 use zsl_core::data::{export_dataset, StreamingBundle, SyntheticConfig};
-use zsl_core::eval::{cross_validate, evaluate_gzsl, evaluate_gzsl_with, CrossValConfig};
+use zsl_core::eval::{
+    cross_validate, evaluate_gzsl, evaluate_gzsl_with, CrossValConfig, CrossValReport, GzslReport,
+};
 use zsl_core::infer::{ScoringEngine, Similarity};
 use zsl_core::model::{EszslConfig, EszslTrainer};
-use zsl_core::source::{FeatureSource, MemorySource, SplitKind};
-use zsl_core::trainer::Trainer;
-use zsl_core::{Dataset, Pipeline, ZslError};
+use zsl_core::source::{FeatureSource, MemorySource, Normalized, SplitKind};
+use zsl_core::trainer::{KernelEszslConfig, KernelKind, Trainer};
+use zsl_core::{Dataset, Matrix, Pipeline, ZslError};
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("zsl_pipeline_api_{}_{tag}", std::process::id()))
@@ -223,4 +227,139 @@ fn predict_source_agrees_across_source_kinds() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `ds` with its feature rows, signature rows, or both L2-normalized up
+/// front: the data a `Normalized` source over `ds` must be
+/// indistinguishable from.
+fn normalized_up_front(ds: &Dataset, features: bool, signatures: bool) -> Dataset {
+    let mut copy = ds.clone();
+    if features {
+        for x in [
+            &mut copy.train_x,
+            &mut copy.test_seen_x,
+            &mut copy.test_unseen_x,
+        ] {
+            x.l2_normalize_rows();
+        }
+    }
+    if signatures {
+        for bank in [&mut copy.seen_signatures, &mut copy.unseen_signatures] {
+            bank.l2_normalize_rows();
+        }
+    }
+    copy
+}
+
+/// γ, λ ∈ {0.1, 1, 10}, 3 folds.
+fn decade_config() -> CrossValConfig {
+    CrossValConfig::new()
+        .gammas(vec![0.1, 1.0, 10.0])
+        .lambdas(vec![0.1, 1.0, 10.0])
+        .folds(3)
+}
+
+/// The facade's protocol with `trainer`: cross-validate, refit, evaluate.
+fn protocol(
+    trainer: impl Trainer + 'static,
+    source: &dyn FeatureSource,
+    config: &CrossValConfig,
+) -> (CrossValReport, GzslReport) {
+    let trained = Pipeline::from(source)
+        .with_trainer(trainer)
+        .cross_validate(config)
+        .expect("cv")
+        .train()
+        .expect("train");
+    let report = trained.evaluate().expect("evaluate");
+    (trained.cv_report().expect("cv report").clone(), report)
+}
+
+#[test]
+fn dot_scoring_over_normalized_signatures_sees_the_rows_training_saw() {
+    // Signature rows scaled per class by 0.5–4.5: a scale dot similarity
+    // reads. Normalizing them must reach the validation folds and the
+    // evaluated union bank, not only the Gram fold.
+    let mut ds = SyntheticConfig::new().classes(20, 5).seed(9).build();
+    for (bank, offset) in [
+        (&mut ds.seen_signatures, 0),
+        (&mut ds.unseen_signatures, 20),
+    ] {
+        let rows: Vec<Vec<f64>> = (0..bank.rows())
+            .map(|c| {
+                let scale = 0.5 + ((c + offset) % 9) as f64 * 0.5;
+                bank.row(c).iter().map(|v| v * scale).collect()
+            })
+            .collect();
+        *bank = Matrix::from_rows(&rows);
+    }
+    let config = decade_config().similarity(Similarity::Dot);
+    let normalized = Normalized::new(&ds, false, true);
+    let (cv, report) = protocol(EszslTrainer::default(), &normalized, &config);
+    let up_front = normalized_up_front(&ds, false, true);
+    let (cv_up_front, report_up_front) = protocol(EszslTrainer::default(), &up_front, &config);
+    assert_eq!(cv, cv_up_front, "CV must validate against normalized rows");
+    assert_eq!(
+        report, report_up_front,
+        "GZSL must score against the normalized union bank"
+    );
+    assert!(report.harmonic_mean > 0.95, "H {}", report.harmonic_mean);
+
+    // The artifact records which rows the source normalized, and serves the
+    // same report over the same source.
+    let trained = Pipeline::from(&normalized)
+        .similarity(Similarity::Dot)
+        .train()
+        .expect("train");
+    let path = temp_dir("normalized").with_extension("zsm");
+    trained.save(&path).expect("save");
+    let (engine, metadata) = ScoringEngine::load_with_metadata(&path).expect("load");
+    assert!(
+        metadata.contains("normalize_features=false; normalize_signatures=true; similarity=dot"),
+        "{metadata}"
+    );
+    assert_eq!(
+        evaluate_gzsl_with(&engine, &normalized).expect("serve"),
+        trained.evaluate().expect("evaluate")
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn rbf_kernel_over_normalized_features_scores_the_rows_training_saw() {
+    // The anchors are normalized training rows, so validation, evaluation
+    // and serving must score normalized rows too.
+    let ds = SyntheticConfig::new().classes(20, 5).seed(3).build();
+    let trainer = || {
+        KernelEszslConfig::new()
+            .kernel(KernelKind::Rbf { width: 0.5 })
+            .max_anchors(200)
+            .build()
+    };
+    let config = decade_config();
+    let (cv, report) = protocol(trainer(), &Normalized::new(&ds, true, false), &config);
+    let up_front = normalized_up_front(&ds, true, false);
+    let (cv_up_front, report_up_front) = protocol(trainer(), &up_front, &config);
+    assert_eq!(cv, cv_up_front, "CV must validate normalized rows");
+    assert_eq!(
+        report, report_up_front,
+        "GZSL must score normalized rows against normalized anchors"
+    );
+    assert!(report.harmonic_mean > 0.95, "H {}", report.harmonic_mean);
+
+    // Normalized rows carry no scale, so the same data ten times larger
+    // trains, validates and scores the same.
+    let mut larger = ds.clone();
+    for x in [
+        &mut larger.train_x,
+        &mut larger.test_seen_x,
+        &mut larger.test_unseen_x,
+    ] {
+        let values = x.as_slice().iter().map(|v| v * 10.0).collect();
+        *x = Matrix::from_vec(x.rows(), x.cols(), values);
+    }
+    let (cv_larger, report_larger) =
+        protocol(trainer(), &Normalized::new(&larger, true, false), &config);
+    assert_eq!(cv_larger, cv);
+    assert_eq!(report_larger, report);
 }

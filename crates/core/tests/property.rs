@@ -143,9 +143,8 @@ fn random_chunk_boundaries_never_change_gram_digests() {
             .collect();
         let signatures = Matrix::from_vec(z, a, (0..z * a).map(|_| sweep.normal()).collect());
 
-        let reference =
-            EszslProblem::from_source(&MemorySource::new(&x, &labels, &signatures), false, false)
-                .expect("problem");
+        let reference = EszslProblem::from_source(&MemorySource::new(&x, &labels, &signatures))
+            .expect("problem");
         let (ref_xtx, ref_xtys) = (
             digest_matrix(reference.xtx()),
             digest_matrix(reference.xtys()),

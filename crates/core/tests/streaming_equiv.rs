@@ -97,7 +97,7 @@ fn streamed_gram_training_and_prediction_match_in_memory_at_every_chunk_size() {
         .to_dataset()
         .expect("materialize");
     // In-memory reference, itself produced by the same generic path.
-    let reference = EszslProblem::from_source(&mem, false, false).expect("in-memory problem");
+    let reference = EszslProblem::from_source(&mem).expect("in-memory problem");
     let model = EszslConfig::new()
         .gamma(1.0)
         .lambda(1.0)
@@ -260,7 +260,7 @@ fn shuffled_manifest_order_streams_bit_identically_on_both_formats() {
         .expect("open")
         .to_dataset()
         .expect("materialize");
-    let reference = EszslProblem::from_source(&mem, false, false).expect("problem");
+    let reference = EszslProblem::from_source(&mem).expect("problem");
     let model = EszslConfig::new().build().fit(&mem).expect("fit");
     let mem_report = evaluate_gzsl(&model, &mem, Similarity::Cosine).expect("evaluate");
 
@@ -332,7 +332,7 @@ fn tiny_bundle_fixture_streams_bit_identically_in_both_formats() {
         .expect("open")
         .to_dataset()
         .expect("materialize");
-    let reference = EszslProblem::from_source(&mem, false, false).expect("problem");
+    let reference = EszslProblem::from_source(&mem).expect("problem");
     let model = EszslConfig::new().build().fit(&mem).expect("fit");
     let mem_report = evaluate_gzsl(&model, &mem, Similarity::Cosine).expect("evaluate");
     for chunk_rows in chunk_sizes(mem.train_x.rows()) {

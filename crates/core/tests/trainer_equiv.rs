@@ -10,7 +10,7 @@
 //! 2. **Protocol invariance** — seeded [`cross_validate`], the refit at its
 //!    winner and the GZSL report (the stages [`zsl_core::Pipeline`] chains)
 //!    produce the same bits streamed and in-memory, with each family
-//!    sweeping its own grid shape.
+//!    sweeping its own grid shape — over a [`Normalized`] source too.
 //! 3. **Grid solves** — [`Trainer::fit_grid`], which shares each family's
 //!    per-axis factorizations across the grid, returns exactly the per-point
 //!    fits on the same rows, in input order, and rejects an invalid
@@ -28,7 +28,7 @@ use zsl_core::data::{export_dataset, StreamingBundle};
 use zsl_core::eval::{cross_validate, CrossValConfig, CrossValReport, GzslReport};
 use zsl_core::infer::{ScoringEngine, ScoringPrecision, Similarity};
 use zsl_core::model::{EszslConfig, TrainError};
-use zsl_core::source::MemorySource;
+use zsl_core::source::{MemorySource, Normalized};
 use zsl_core::trainer::{KernelEszslConfig, KernelKind, SaeConfig, TrainedModel, Trainer};
 use zsl_core::{evaluate_gzsl_with, Dataset, FeatureSource, SyntheticConfig, ZslError};
 
@@ -144,6 +144,44 @@ fn every_family_is_chunk_invariant_and_matches_in_memory() {
             let bundle = StreamingBundle::open(&dir, chunk_rows).expect("open");
             let streamed = trainer.fit(&bundle).expect("streamed fit");
             assert_same_model(&streamed, &reference, &format!("{tag} chunk={chunk_rows}"));
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_family_over_a_normalized_source_is_chunk_invariant() {
+    // The adapter normalizes each chunk on its own; row normalization is
+    // row-local, so weights, CV reports and GZSL reports keep their bits at
+    // every chunk size, equal to those over the in-memory dataset wrapped
+    // the same way.
+    let ds = synthetic_dataset();
+    let dir = temp_dir("normalized");
+    export_dataset(&ds, &dir).expect("export");
+    let mem = StreamingBundle::open(&dir, usize::MAX)
+        .expect("open")
+        .to_dataset()
+        .expect("materialize");
+    let n = mem.train_x.rows();
+    let config = CrossValConfig::new()
+        .gammas(vec![0.1, 1.0])
+        .lambdas(vec![0.5, 5.0])
+        .folds(3)
+        .seed(11);
+    let normalized = Normalized::new(&mem, true, true);
+    for (tag, trainer) in trainers() {
+        let reference = trainer.fit(&normalized).expect("in-memory fit");
+        let (reference_cv, reference_report) =
+            sweep_refit_evaluate(trainer.as_ref(), &normalized, &config);
+        for chunk_rows in [3, n] {
+            let bundle = StreamingBundle::open(&dir, chunk_rows).expect("open");
+            let streamed = Normalized::new(&bundle, true, true);
+            let label = format!("{tag} chunk={chunk_rows}");
+            let model = trainer.fit(&streamed).expect("streamed fit");
+            assert_same_model(&model, &reference, &label);
+            let (cv, report) = sweep_refit_evaluate(trainer.as_ref(), &streamed, &config);
+            assert_eq!(cv, reference_cv, "{label}: cv drifted");
+            assert_eq!(report, reference_report, "{label}: report drifted");
         }
     }
     std::fs::remove_dir_all(&dir).ok();

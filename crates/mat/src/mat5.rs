@@ -313,12 +313,25 @@ struct Tag {
     small: bool,
 }
 
-/// Read a sub-element tag from a byte stream.
+/// Read a sub-element tag from a byte stream. A small-format tag's data
+/// region is 4 bytes, so one claiming more is an element error: every
+/// reader of the tag, the array-name region and a numeric `pr` location
+/// alike, may then trust `nbytes <= 4`.
 fn read_tag(r: &mut impl Read, order: ByteOrder, path: &Path) -> Result<Tag, MatError> {
     let mut w0 = [0u8; 4];
     r.read_exact(&mut w0)
         .map_err(|e| MatError::from_read(path, e))?;
     let w0 = order.u32(w0);
+    if w0 >> 16 > 4 {
+        return Err(MatError::element(
+            path,
+            format!(
+                "small-format element of type {} claims {} bytes (its data region holds 4)",
+                w0 & 0xFFFF,
+                w0 >> 16
+            ),
+        ));
+    }
     if w0 >> 16 != 0 {
         return Ok(Tag {
             ty: w0 & 0xFFFF,

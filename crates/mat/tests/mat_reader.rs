@@ -121,6 +121,72 @@ fn truncation_inside_a_tag_or_element_is_truncated() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Little-endian words as bytes.
+fn words(values: &[u32]) -> Vec<u8> {
+    values.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
+/// A little-endian file holding one plain `miMATRIX` element whose
+/// sub-elements are `body`, spliced in verbatim with `MatWriter::add_raw`.
+fn raw_matrix_file(dir: &Path, body: &[u8]) -> PathBuf {
+    let mut w = MatWriter::new(ByteOrder::Little);
+    w.add_raw(&words(&[mi::MATRIX, body.len() as u32]));
+    w.add_raw(body);
+    let path = dir.join("raw.mat");
+    w.write_to(&path).expect("write raw fixture");
+    path
+}
+
+/// Array flags (`mxDOUBLE_CLASS`) and 2 x 1 dimensions, as 32 bytes.
+fn double_flags_and_dims() -> Vec<u8> {
+    words(&[mi::UINT32, 8, 6, 0, mi::INT32, 8, 2, 1])
+}
+
+#[test]
+fn small_format_name_claiming_more_than_4_bytes_is_an_element_error() {
+    // A small-format tag keeps its data in a 4-byte region; this one claims
+    // 1799 bytes of array name. The reader used to slice the region by the
+    // claim and panic.
+    let dir = scratch_dir("err_small_name");
+    let mut body = double_flags_and_dims();
+    body.extend(words(&[
+        (1799 << 16) | mi::INT8,
+        u32::from_le_bytes(*b"m\0\0\0"),
+    ]));
+    body.extend(words(&[mi::DOUBLE, 16]));
+    body.extend([1.0f64, 2.0].iter().flat_map(|v| v.to_le_bytes()));
+    match MatFile::open(&raw_matrix_file(&dir, &body)) {
+        Err(MatError::Element { message, .. }) => {
+            assert!(message.contains("1799"), "{message}")
+        }
+        other => panic!("expected Element, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn small_format_numeric_data_claiming_more_than_4_bytes_is_an_element_error() {
+    // The `pr` tag claims two doubles in its 4-byte small region; the 16
+    // zero bytes after it keep the claim inside the element, so without the
+    // check the scan would record a data location that reads past the
+    // region into the padding.
+    let dir = scratch_dir("err_small_pr");
+    let mut body = double_flags_and_dims();
+    body.extend(words(&[
+        (1 << 16) | mi::INT8,
+        u32::from_le_bytes(*b"m\0\0\0"),
+    ]));
+    body.extend(words(&[(16 << 16) | mi::DOUBLE, 0]));
+    body.extend([0u8; 16]);
+    match MatFile::open(&raw_matrix_file(&dir, &body)) {
+        Err(MatError::Element { message, .. }) => {
+            assert!(message.contains("claims 16 bytes"), "{message}")
+        }
+        other => panic!("expected Element, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn truncated_compressed_stream_is_typed_not_a_panic() {
     let dir = scratch_dir("err_trunc_zlib");
