@@ -1,20 +1,21 @@
 //! The crate-level error type of the unified pipeline API.
 //!
-//! Before PR 5 every subsystem surfaced its own error enum — [`DataError`]
-//! from the loaders, [`TrainError`] from the trainers, [`LinalgError`] from
-//! the factorizations — and callers gluing stages together had to thread a
-//! different error type through each seam. The entry points
+//! The subsystems keep their own error enums — [`DataError`] from the
+//! loaders and [`TrainError`] from the trainers, whose
+//! [`TrainError::Solver`] carries the factorizations'
+//! [`crate::linalg::LinalgError`] — but the entry points
 //! ([`crate::eval::evaluate_gzsl`], [`crate::eval::cross_validate`],
 //! [`crate::model::EszslTrainer::fit`], every [`crate::trainer::Trainer`]
 //! impl, the [`crate::pipeline::Pipeline`] facade, and the `.zsm` model
-//! artifacts) all return one [`ZslError`] instead.
+//! artifacts) all return one [`ZslError`], so callers gluing stages together
+//! thread one error type through every seam. Its variants are `Data`,
+//! `Train` and `Config`.
 //!
 //! Every variant that wraps an inner error reports it through
 //! [`std::error::Error::source`], so `anyhow`-style chain printers and
 //! `error.source()` walks see the full causal chain.
 
 use crate::data::DataError;
-use crate::linalg::LinalgError;
 use crate::model::TrainError;
 
 /// Unified error of the pipeline API: everything that can go wrong between
@@ -28,8 +29,6 @@ pub enum ZslError {
     /// Model training failed (bad shapes, labels, regularizers, or an
     /// unfactorable Gram matrix).
     Train(TrainError),
-    /// A dense factorization or solve failed outside the training path.
-    Linalg(LinalgError),
     /// The pipeline or evaluation configuration is unusable (bad fold count,
     /// empty grid, mismatched signature bank, ...).
     Config(String),
@@ -40,7 +39,6 @@ impl std::fmt::Display for ZslError {
         match self {
             ZslError::Data(e) => write!(f, "data error: {e}"),
             ZslError::Train(e) => write!(f, "training error: {e}"),
-            ZslError::Linalg(e) => write!(f, "linear-algebra error: {e}"),
             ZslError::Config(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }
@@ -51,7 +49,6 @@ impl std::error::Error for ZslError {
         match self {
             ZslError::Data(e) => Some(e),
             ZslError::Train(e) => Some(e),
-            ZslError::Linalg(e) => Some(e),
             ZslError::Config(_) => None,
         }
     }
@@ -69,15 +66,10 @@ impl From<TrainError> for ZslError {
     }
 }
 
-impl From<LinalgError> for ZslError {
-    fn from(e: LinalgError) -> Self {
-        ZslError::Linalg(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::LinalgError;
     use std::error::Error;
 
     #[test]

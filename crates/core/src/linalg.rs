@@ -276,10 +276,12 @@ fn gemm_block<T: Elem, const M: usize>(a: &[T], k_dim: usize, b: &[T], m: usize,
 /// interleaved tile so the 8-wide microkernel's inner loop is one contiguous
 /// vector multiply-add, and on a CPU with AVX2 four sample rows share each
 /// pass over the tile (`gemm_bt_avx2`); elsewhere the portable instance
-/// scores one row per pass. Every output keeps one sequential accumulator in
-/// ascending `k` whichever path scores it, and Rust never contracts `a*b + c`
-/// into an FMA, so the packing heuristic and the dispatched instance never
-/// change a bit.
+/// scores one row per pass. Every output but the last `z mod 4` keeps one
+/// sequential accumulator in ascending `k` whichever path scores it; those
+/// last classes go through [`dot`], whose four partial sums add in another
+/// order once `k_dim >= 4`, on every path alike. Rust never contracts
+/// `a*b + c` into an FMA, so the packing heuristic and the dispatched
+/// instance never change a bit.
 fn gemm_bt_into<T: Elem>(a: &[T], n: usize, k_dim: usize, bt: &[T], z: usize, out: &mut [T]) {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     if has_avx2() {

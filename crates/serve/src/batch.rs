@@ -5,48 +5,45 @@
 //! A single-row score is almost pure overhead for the chunked kernels —
 //! ZSpeedL's framing (inference-time performance as a first-class metric)
 //! is why the serving layer batches at the front door instead of scoring
-//! rows as they arrive. Mechanics:
+//! rows as they arrive. Batches form by load, not by a timer:
 //!
-//! - Request threads enqueue their rows, each with a response channel,
-//!   under one queue lock with one wake-up of the worker, then block on the
-//!   replies.
-//! - The worker drains the queue, **lingers** up to
-//!   [`BatchConfig::linger`] for stragglers (or until
-//!   [`BatchConfig::max_batch`] rows), snapshots the current model
-//!   **once**, scores the whole batch through
-//!   [`zsl_core::ScoringEngine::predict_topk`], and fans results back out.
+//! - Request threads enqueue their rows under one queue lock with one
+//!   wake-up of the worker, then block on the request's one reply channel.
+//! - The single worker takes whatever is queued, up to
+//!   [`BatchConfig::max_batch`] rows, as soon as it is free, snapshots the
+//!   current model **once**, scores the whole batch through
+//!   [`zsl_core::ScoringEngine::predict_topk`], and answers the rows in
+//!   queue order. Rows that arrive while a batch is being scored form the
+//!   next batch, so an idle daemon answers a lone row at once and a busy one
+//!   scores wide batches.
+//! - A request's rows are contiguous in the FIFO queue and the worker
+//!   answers batches in order, so a request's channel yields its rows'
+//!   results in row order, also when `max_batch` splits the request.
 //! - One model snapshot per batch means a hot swap never splits a batch
 //!   across two models.
 //!
 //! Rows whose width disagrees with the snapshot's feature dimension get a
-//! typed per-row error — the rest of the batch still scores. Nothing in
-//! this module can panic on request data.
+//! typed per-row error in their place — the rest of the batch still scores.
+//! Nothing in this module can panic on request data.
 
 use crate::error::ServeError;
 use crate::model::{ModelHandle, ModelSnapshot};
 use crate::stats::ServeStats;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 use zsl_core::{Matrix, TopK};
 
 /// Tunables for the coalescing worker.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchConfig {
-    /// Hard cap on rows per scored batch. Default 256.
+    /// Hard cap on rows per scored batch, which bounds one batch's rows and
+    /// score memory. Default 256.
     pub max_batch: usize,
-    /// How long a non-empty batch waits for more rows before scoring.
-    /// Default 200µs — enough for concurrent arrivals to pile up, far below
-    /// human-visible latency.
-    pub linger: Duration,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig {
-            max_batch: 256,
-            linger: Duration::from_micros(200),
-        }
+        BatchConfig { max_batch: 256 }
     }
 }
 
@@ -66,6 +63,7 @@ pub struct RowResult {
 struct Pending {
     row: Vec<f64>,
     k: usize,
+    /// A clone of the request's one reply sender.
     reply: mpsc::Sender<Result<RowResult, ServeError>>,
 }
 
@@ -80,7 +78,7 @@ struct Inner {
     arrived: Condvar,
     model: Arc<ModelHandle>,
     stats: Arc<ServeStats>,
-    config: BatchConfig,
+    max_batch: usize,
 }
 
 /// Handle to the coalescing worker. Dropping it shuts the worker down after
@@ -98,10 +96,7 @@ impl Coalescer {
             arrived: Condvar::new(),
             model,
             stats,
-            config: BatchConfig {
-                max_batch: config.max_batch.max(1),
-                linger: config.linger,
-            },
+            max_batch: config.max_batch.max(1),
         });
         let worker_inner = inner.clone();
         let worker = std::thread::Builder::new()
@@ -121,37 +116,33 @@ impl Coalescer {
         row: Vec<f64>,
         k: usize,
     ) -> mpsc::Receiver<Result<RowResult, ServeError>> {
-        let mut receivers = self.enqueue_rows(vec![row], k);
-        receivers.pop().expect("one row, one receiver")
+        self.enqueue_rows(vec![row], k)
     }
 
     /// Enqueue a request's rows without blocking, under one queue lock and
     /// with one wake-up of the worker, so they are all visible to the same
     /// worker pass: a request's own rows form one batch (up to
     /// [`BatchConfig::max_batch`]) and coalesce with concurrent requests.
-    /// The receivers yield the results in row order.
-    pub(crate) fn enqueue_rows(&self, rows: Vec<Vec<f64>>, k: usize) -> Vec<Receiver> {
+    /// The one returned channel yields the rows' results in row order; after
+    /// shutdown it yields a single [`ServeError::Closed`].
+    pub(crate) fn enqueue_rows(&self, rows: Vec<Vec<f64>>, k: usize) -> Receiver {
+        let (reply, results) = mpsc::channel();
         let mut queue = self.inner.queue.lock().expect("queue poisoned");
-        let receivers = rows
-            .into_iter()
-            .map(|row| {
-                let (reply, rx) = mpsc::channel();
-                if queue.shutdown {
-                    reply.send(Err(ServeError::Closed)).ok();
-                } else {
-                    queue.pending.push(Pending { row, k, reply });
-                }
-                rx
-            })
-            .collect();
-        if !queue.shutdown {
-            self.inner.arrived.notify_all();
+        if queue.shutdown {
+            reply.send(Err(ServeError::Closed)).ok();
+        } else {
+            queue.pending.extend(rows.into_iter().map(|row| Pending {
+                row,
+                k,
+                reply: reply.clone(),
+            }));
+            self.inner.arrived.notify_one();
         }
-        receivers
+        results
     }
 }
 
-/// The channel one enqueued row's result arrives on.
+/// The channel a request's results arrive on, one per row in row order.
 type Receiver = mpsc::Receiver<Result<RowResult, ServeError>>;
 
 impl Drop for Coalescer {
@@ -167,106 +158,72 @@ impl Drop for Coalescer {
     }
 }
 
-/// Should the worker linger for stragglers before scoring? Only when the
-/// rows are *fresh* — the queue was empty when this pass began — and the
-/// batch still has room. Leftover rows from a previous over-full drain have
-/// already waited one full linger + score cycle, and a queue that woke
-/// already at `max_batch` can't grow its batch: lingering in either case
-/// only adds dead latency. (This was a real bug: rows 257..N of a burst
-/// paid the linger again on every drain pass.)
-fn should_linger(queue_was_empty: bool, pending: usize, max_batch: usize) -> bool {
-    queue_was_empty && pending < max_batch
-}
-
+/// Score whatever is queued, up to `max_batch` rows, as soon as the worker
+/// is free; wait only while the queue is empty. Shutdown drains the queue
+/// first, then exits.
 fn worker_loop(inner: &Inner) {
     loop {
         let mut queue = inner.queue.lock().expect("queue poisoned");
-        let queue_was_empty = queue.pending.is_empty();
         while queue.pending.is_empty() && !queue.shutdown {
             queue = inner.arrived.wait(queue).expect("queue poisoned");
         }
-        if queue.pending.is_empty() && queue.shutdown {
+        if queue.pending.is_empty() {
             return;
         }
-        // Linger: give concurrent requests a short window to join this
-        // batch, bounded by max_batch. Shutdown skips the linger so the
-        // drain is prompt; so do leftover rows and already-full queues
-        // (see `should_linger`).
-        if !queue.shutdown
-            && should_linger(queue_was_empty, queue.pending.len(), inner.config.max_batch)
-        {
-            let deadline = Instant::now() + inner.config.linger;
-            while queue.pending.len() < inner.config.max_batch && !queue.shutdown {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, timeout) = inner
-                    .arrived
-                    .wait_timeout(queue, deadline - now)
-                    .expect("queue poisoned");
-                queue = guard;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-        }
-        let take = queue.pending.len().min(inner.config.max_batch);
+        let take = queue.pending.len().min(inner.max_batch);
         let batch: Vec<Pending> = queue.pending.drain(..take).collect();
         drop(queue);
         score_batch(inner, batch);
     }
 }
 
-/// Score one coalesced batch against ONE model snapshot and fan results out.
+/// Score one coalesced batch against ONE model snapshot and answer its rows
+/// in queue order.
 fn score_batch(inner: &Inner, batch: Vec<Pending>) {
     let snapshot: Arc<ModelSnapshot> = inner.model.snapshot();
     let d = snapshot.engine.feature_dim();
     let z = snapshot.engine.num_classes();
 
-    // Reject width-mismatched rows per row; everything else forms the batch
-    // matrix. (Width can legitimately change between enqueue and scoring if
+    // Width-mismatched rows stay out of the batch matrix and get a per-row
+    // error. (Width can legitimately change between enqueue and scoring if
     // a hot swap replaced the model with one from a different feature
     // space — that must be an error response, not a panic.)
-    let mut rows = Vec::new();
+    let fits = |pending: &Pending| pending.row.len() == d;
     let mut flat = Vec::new();
-    for pending in batch {
-        if pending.row.len() == d {
-            flat.extend_from_slice(&pending.row);
-            rows.push(pending);
-        } else {
-            let got = pending.row.len();
-            pending
-                .reply
-                .send(Err(ServeError::Protocol(format!(
-                    "feature row has {got} values but the model expects {d}"
-                ))))
-                .ok();
-        }
-    }
-    if rows.is_empty() {
-        return;
-    }
-
-    let x = Matrix::from_vec(rows.len(), d, flat);
     // One kernel call wide enough for the largest request; k >= 1 so the
     // ranking's head doubles as the argmax (same total_cmp order, same
     // first-index tie-break as `predict`).
-    let k_max = rows.iter().map(|p| p.k).max().unwrap_or(1).clamp(1, z);
-    let ranked = snapshot.engine.predict_topk(&x, k_max);
-    inner.stats.record_batch(rows.len());
+    let (mut scored, mut k_max) = (0, 1);
+    for pending in batch.iter().filter(|p| fits(p)) {
+        flat.extend_from_slice(&pending.row);
+        scored += 1;
+        k_max = k_max.max(pending.k);
+    }
+    let mut ranked = Vec::new().into_iter();
+    if scored > 0 {
+        let x = Matrix::from_vec(scored, d, flat);
+        ranked = snapshot.engine.predict_topk(&x, k_max.min(z)).into_iter();
+        inner.stats.record_batch(scored);
+    }
 
-    for (pending, full) in rows.into_iter().zip(ranked) {
-        let keep = pending.k.min(z);
-        let result = RowResult {
-            class: full.classes[0],
-            topk: TopK {
-                classes: full.classes[..keep].to_vec(),
-                scores: full.scores[..keep].to_vec(),
-            },
-            generation: snapshot.generation,
+    for pending in batch {
+        let result = if fits(&pending) {
+            let mut topk = ranked.next().expect("one ranking per scored row");
+            let class = topk.classes[0];
+            topk.classes.truncate(pending.k);
+            topk.scores.truncate(pending.k);
+            Ok(RowResult {
+                class,
+                topk,
+                generation: snapshot.generation,
+            })
+        } else {
+            Err(ServeError::Protocol(format!(
+                "feature row has {} values but the model expects {d}",
+                pending.row.len()
+            )))
         };
-        pending.reply.send(Ok(result)).ok();
+        pending.reply.send(result).ok();
     }
 }
 
@@ -275,6 +232,7 @@ mod tests {
     use super::*;
     use crate::model::BootOptions;
     use std::path::PathBuf;
+    use std::time::{Duration, Instant};
     use zsl_core::data::Rng;
     use zsl_core::model::ProjectionModel;
     use zsl_core::{ScoringEngine, Similarity};
@@ -360,20 +318,25 @@ mod tests {
         ));
         assert!(good.recv().expect("reply").is_ok());
         assert_eq!(stats.snapshot().rows, 1);
+        // Within one request the error takes the bad row's place.
+        let results = coalescer.enqueue_rows(vec![vec![0.5; 4], vec![1.0], vec![2.0; 4]], 1);
+        assert!(results.recv().expect("row 1").is_ok());
+        assert!(matches!(results.recv(), Ok(Err(ServeError::Protocol(_)))));
+        assert!(results.recv().expect("row 3").is_ok());
+        assert_eq!(stats.snapshot().rows, 3);
         std::fs::remove_file(&path).ok();
     }
 
+    /// Classes in a bank wide enough that scoring one row outlasts a burst
+    /// of enqueues many times over: rows that arrive while the worker scores
+    /// queue up behind it and form the next batch.
+    const WIDE_BANK: usize = 100_000;
+
     #[test]
     fn enqueued_rows_coalesce_into_one_batch() {
-        let (path, engine) = artifact("widebatch", 14, 4, 5);
-        // Generous linger so all enqueues land in the first worker pass.
-        let (coalescer, stats) = start(
-            &path,
-            BatchConfig {
-                max_batch: 64,
-                linger: Duration::from_millis(100),
-            },
-        );
+        let (path, engine) = artifact("widebatch", 14, 4, WIDE_BANK);
+        // The worker is busy scoring the first row while the rest arrive.
+        let (coalescer, stats) = start(&path, BatchConfig { max_batch: 64 });
         let mut rng = Rng::new(6);
         let rows: Vec<Vec<f64>> = (0..10)
             .map(|_| (0..4).map(|_| rng.normal()).collect())
@@ -403,27 +366,28 @@ mod tests {
                 .collect()
         };
 
-        // One request of 64 rows under the default linger: one batch of 64.
+        // One request of 64 rows: one batch of 64, answered in row order.
         let (coalescer, stats) = start(&path, BatchConfig::default());
         let request = rows(64, &mut rng);
-        let receivers = coalescer.enqueue_rows(request.clone(), 1);
-        for (row, rx) in request.into_iter().zip(receivers) {
-            let got = rx.recv().expect("reply").expect("scored");
-            assert_eq!(got.class, engine.predict(&Matrix::from_vec(1, 4, row))[0]);
+        let results = coalescer.enqueue_rows(request.clone(), 1);
+        for row in request {
+            let got = results.recv().expect("reply").expect("scored");
+            let x = Matrix::from_vec(1, 4, row);
+            assert_eq!(got.class, engine.predict(&x)[0]);
+            assert_eq!(got.topk, engine.predict_topk(&x, 1)[0]);
         }
         let snap = stats.snapshot();
         assert_eq!((snap.batches, snap.rows, snap.max_batch_rows), (1, 64, 64));
 
-        // 300 rows at max_batch 256: batches of 256 and 44.
-        let (coalescer, stats) = start(
-            &path,
-            BatchConfig {
-                max_batch: 256,
-                ..BatchConfig::default()
-            },
-        );
-        for rx in coalescer.enqueue_rows(rows(300, &mut rng), 1) {
-            rx.recv().expect("reply").expect("scored");
+        // 300 rows at max_batch 256: batches of 256 and 44, still answered
+        // in row order on the one channel.
+        let (coalescer, stats) = start(&path, BatchConfig { max_batch: 256 });
+        let request = rows(300, &mut rng);
+        let results = coalescer.enqueue_rows(request.clone(), 1);
+        for row in request {
+            let got = results.recv().expect("reply").expect("scored");
+            let x = Matrix::from_vec(1, 4, row);
+            assert_eq!(got.topk, engine.predict_topk(&x, 1)[0]);
         }
         let snap = stats.snapshot();
         assert_eq!(
@@ -434,33 +398,13 @@ mod tests {
     }
 
     #[test]
-    fn linger_decision_skips_leftovers_and_full_queues() {
-        // Fresh rows with room to grow: linger.
-        assert!(should_linger(true, 1, 256));
-        assert!(should_linger(true, 255, 256));
-        // Woke to an already-full (or over-full) queue: score immediately.
-        assert!(!should_linger(true, 256, 256));
-        assert!(!should_linger(true, 300, 256));
-        // Leftovers from a previous over-full drain: score immediately.
-        assert!(!should_linger(false, 1, 256));
-        assert!(!should_linger(false, 300, 256));
-    }
-
-    #[test]
-    fn leftover_rows_after_a_full_drain_skip_the_linger() {
-        let (path, _) = artifact("leftover", 16, 4, 5);
-        // 6 rows against max_batch=2 force three drain passes. With the old
-        // linger (re-waited on every pass), passes 2 and 3 each burned the
-        // full 400ms window on an idle queue: >= 800ms total. Fixed, only
-        // the first (fresh) pass may linger, and it ends early once the
-        // queue hits max_batch.
-        let (coalescer, stats) = start(
-            &path,
-            BatchConfig {
-                max_batch: 2,
-                linger: Duration::from_millis(400),
-            },
-        );
+    fn leftover_rows_after_a_full_drain_score_without_waiting() {
+        let (path, _) = artifact("leftover", 16, 4, WIDE_BANK);
+        // 6 rows against max_batch=2 take at least three passes, the later
+        // ones formed while the worker is busy. No pass waits on a timer
+        // (a 400ms wait re-armed on every pass once cost >= 800ms here), and
+        // none exceeds max_batch.
+        let (coalescer, stats) = start(&path, BatchConfig { max_batch: 2 });
         let started = Instant::now();
         let receivers: Vec<_> = (0..6)
             .map(|_| coalescer.enqueue(vec![0.25; 4], 1))
@@ -471,9 +415,10 @@ mod tests {
         let elapsed = started.elapsed();
         let snap = stats.snapshot();
         assert_eq!(snap.rows, 6);
+        assert!(snap.max_batch_rows <= 2, "{snap:?}");
         assert!(
             elapsed < Duration::from_millis(750),
-            "leftover rows re-lingered: 6 rows at max_batch=2 took {elapsed:?}"
+            "leftover rows waited: 6 rows at max_batch=2 took {elapsed:?}"
         );
         std::fs::remove_file(&path).ok();
     }

@@ -17,15 +17,15 @@
 
 use std::process::ExitCode;
 use std::time::Duration;
-use zsl_serve::{BatchConfig, Server, ServerConfig};
+use zsl_serve::{Server, ServerConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: zsl-serve <model.zsm> [--addr HOST:PORT] [--threads N] [--max-batch N] \
-         [--linger-us N] [--watch-ms N | --no-watch] [--max-body-mb N] [--mmap] [--shards N]\n\n\
-         Boots a prediction server from the .zsm artifact alone. Concurrent requests are\n\
-         coalesced into batches (up to --max-batch rows, lingering --linger-us for\n\
-         stragglers); the artifact path is polled every --watch-ms and hot-swapped\n\
+         [--watch-ms N | --no-watch] [--max-body-mb N] [--mmap] [--shards N]\n\n\
+         Boots a prediction server from the .zsm artifact alone. Rows that arrive while a\n\
+         batch is being scored form the next batch (up to --max-batch rows); nothing waits\n\
+         on a timer. The artifact path is polled every --watch-ms and hot-swapped\n\
          atomically on change. --threads pins the scoring engine's kernel parallelism\n\
          (default: one band per CPU; pin it low on loaded boxes — request threads\n\
          already provide concurrency, and kernel fan-out on top oversubscribes cores).\n\
@@ -45,7 +45,6 @@ fn main() -> ExitCode {
         addr: "127.0.0.1:7878".into(),
         ..ServerConfig::default()
     };
-    let mut batch = BatchConfig::default();
     let mut i = 1;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -70,12 +69,8 @@ fn main() -> ExitCode {
                 _ => return usage(),
             },
             "--max-batch" => match value.parse() {
-                Ok(n) if n > 0 => batch.max_batch = n,
+                Ok(n) if n > 0 => config.batch.max_batch = n,
                 _ => return usage(),
-            },
-            "--linger-us" => match value.parse() {
-                Ok(us) => batch.linger = Duration::from_micros(us),
-                Err(_) => return usage(),
             },
             "--watch-ms" => match value.parse() {
                 Ok(ms) => config.watch_interval = Some(Duration::from_millis(ms)),
@@ -93,7 +88,6 @@ fn main() -> ExitCode {
         }
         i += 2;
     }
-    config.batch = batch;
 
     let server = match Server::start(model_path.as_ref(), config.clone()) {
         Ok(s) => s,
@@ -121,12 +115,11 @@ fn main() -> ExitCode {
         snapshot.generation,
     );
     println!(
-        "zsl-serve: listening on http://{} (engine_threads={}, max_batch={}, linger={:?}, \
-         watch={:?}, bank_shards={}, mmap={})",
+        "zsl-serve: listening on http://{} (engine_threads={}, max_batch={}, watch={:?}, \
+         bank_shards={}, mmap={})",
         server.addr(),
         snapshot.engine.threads(),
         config.batch.max_batch,
-        config.batch.linger,
         config.watch_interval,
         snapshot.engine.bank_shards().count(),
         snapshot.engine.is_bank_mapped(),

@@ -477,11 +477,13 @@ fn predict(request: &Request, coalescer: &Arc<Coalescer>) -> Result<String, Serv
     }
     // Enqueue every row at once, then collect: the rows reach the worker in
     // one pass, where they coalesce with concurrent requests into wide
-    // kernel batches.
-    let receivers = coalescer.enqueue_rows(rows, k);
+    // kernel batches. The results arrive in row order on the request's one
+    // channel, so the first error is the first bad row's.
+    let count = rows.len();
+    let results = coalescer.enqueue_rows(rows, k);
     let mut body = String::new();
-    for rx in receivers {
-        let result = rx.recv().unwrap_or(Err(ServeError::Closed))?;
+    for _ in 0..count {
+        let result = results.recv().unwrap_or(Err(ServeError::Closed))?;
         render_row(&mut body, &result);
     }
     Ok(body)

@@ -75,16 +75,16 @@ impl ServeStats {
         Self::default()
     }
 
-    pub fn record_request(&self) {
+    pub(crate) fn record_request(&self) {
         self.requests.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn record_rejected(&self) {
+    pub(crate) fn record_rejected(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one executed batch of `rows` coalesced rows.
-    pub fn record_batch(&self, rows: usize) {
+    pub(crate) fn record_batch(&self, rows: usize) {
         let rows = rows as u64;
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.rows.fetch_add(rows, Ordering::Relaxed);
@@ -96,7 +96,7 @@ impl ServeStats {
 
     /// Set the boot-time sizing gauges: the engine's kernel thread count and
     /// the shared linalg pool width. Called once by [`crate::Server::start`].
-    pub fn set_thread_gauges(&self, engine_threads: usize, pool_threads: usize) {
+    pub(crate) fn set_thread_gauges(&self, engine_threads: usize, pool_threads: usize) {
         self.engine_threads
             .store(engine_threads as u64, Ordering::Relaxed);
         self.pool_threads
@@ -107,14 +107,14 @@ impl ServeStats {
     /// heap-resident bank bytes, and whether the bank is mmap-borrowed.
     /// Called by the model handle on boot and on every successful hot swap,
     /// so `/stats` always describes the engine actually serving.
-    pub fn set_bank_gauges(&self, shards: usize, resident_bytes: usize, mapped: bool) {
+    pub(crate) fn set_bank_gauges(&self, shards: usize, resident_bytes: usize, mapped: bool) {
         self.bank_shards.store(shards as u64, Ordering::Relaxed);
         self.bank_resident_bytes
             .store(resident_bytes as u64, Ordering::Relaxed);
         self.mmap_boot.store(u64::from(mapped), Ordering::Relaxed);
     }
 
-    pub fn record_reload(&self, ok: bool) {
+    pub(crate) fn record_reload(&self, ok: bool) {
         if ok {
             self.reloads.fetch_add(1, Ordering::Relaxed);
         } else {

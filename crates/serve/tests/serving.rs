@@ -287,17 +287,14 @@ fn untrusted_input_gets_typed_responses_and_the_daemon_survives() {
 #[test]
 fn concurrent_single_row_requests_coalesce_into_wide_batches() {
     let path = temp_artifact("coalesce");
-    let engine = random_engine(104, 6, 3, 8, Similarity::Cosine);
+    // Batches form by load: a bank this wide keeps the worker scoring the
+    // first arrival's row while the other clients' rows queue up behind it.
+    let engine = Arc::new(random_engine(104, 6, 3, 100_000, Similarity::Cosine));
     engine.save(&path).expect("save");
-    // A generous linger makes batch formation deterministic enough to pin:
-    // all clients arrive within the window, far under the 50ms linger.
     let server = Server::start(
         &path,
         ServerConfig {
-            batch: BatchConfig {
-                max_batch: 64,
-                linger: Duration::from_millis(50),
-            },
+            batch: BatchConfig { max_batch: 64 },
             ..ServerConfig::default()
         },
     )
