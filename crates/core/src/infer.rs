@@ -3,21 +3,25 @@
 //! The workhorse is the [`ScoringEngine`]: it validates and (for cosine)
 //! pre-normalizes the signature bank **once at construction**, projects
 //! feature batches into attribute space, and scores them against the cached
-//! bank through the multi-threaded packed `X·Sᵀ` kernel in [`crate::linalg`].
+//! bank through the packed `X·Sᵀ` tile kernel in [`crate::linalg`].
 //!
 //! [`ScoringEngine::scores`], [`ScoringEngine::predict`] and
 //! [`ScoringEngine::predict_topk`] all run one fold. The input streams in
-//! chunks of [`DEFAULT_CHUNK_ROWS`] rows, each chunk is projected once, and
-//! the bank is scored one row band ([`BankShards`]) at a time. One band, the
-//! default, covers the whole bank; more bands bound each score block by the
-//! widest band instead of the class count, and every shard count scores the
-//! same bits (pinned by `tests/shard_equiv.rs`). Argmax keeps a running best
-//! per row and top-k a bounded per-row heap, so neither materializes an
-//! `n x num_classes` score matrix. Both [`ScoringPrecision`]s run that fold
-//! through one projection generic over the element type. The bank can be
-//! borrowed zero-copy from an mmap'd `.zsm` artifact instead of the heap, and
-//! calibrated stacking (a seen-class score penalty `γ_cal`, the classic fix
-//! for GZSL seen-swamping) is applied to each band block.
+//! chunks of [`DEFAULT_CHUNK_ROWS`] rows, each chunk is projected once and
+//! split into row bands over the worker pool, and each band scores the bank
+//! one 64-class tile at a time into one reused `rows x 64` block. Each
+//! calibrated block goes straight to its reducer: argmax keeps a running
+//! best per row, top-k a bounded per-row heap, and `scores` copies the
+//! block into place. So peak score memory is one `rows x 64` block per
+//! band, at any class count and any [`BankShards`] layout, and no call
+//! builds an `n x num_classes` score matrix unless it asked for one. Every
+//! score carries the same bits at every thread count, chunk size and shard
+//! count (pinned by `tests/shard_equiv.rs` and this module's differential
+//! test against the banded fold it replaced). Both [`ScoringPrecision`]s run
+//! that fold through one projection generic over the element type. The bank
+//! can be borrowed zero-copy from an mmap'd `.zsm` artifact instead of the
+//! heap, and calibrated stacking (a seen-class score penalty `γ_cal`, the
+//! classic fix for GZSL seen-swamping) is applied to each tile block.
 //!
 //! Evaluation helpers cover the standard ZSL protocol (mean per-class
 //! accuracy) and the generalized protocol (harmonic mean of seen and unseen
@@ -25,7 +29,8 @@
 
 use crate::error::ZslError;
 use crate::linalg::{
-    default_threads, gemm_bt_parallel, l2_normalize_rows_slab, Elem, Matrix, BLOCK, NORM_EPSILON,
+    default_threads, gemm_bt_tiles, l2_normalize_rows_slab, par_bands, Elem, Matrix, BLOCK,
+    NORM_EPSILON,
 };
 use crate::mmap::MappedFile;
 use crate::source::{FeatureSource, SplitKind};
@@ -35,10 +40,11 @@ use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Rows per chunk of every scoring call: [`ScoringEngine::predict`] and
-/// [`ScoringEngine::predict_topk`] reduce scores chunk by chunk, so peak score
-/// memory is `DEFAULT_CHUNK_ROWS` rows of one bank band no matter how many
-/// samples are scored.
+/// Rows per chunk of every scoring call: each chunk is projected once and
+/// its scores reduced one 64-class tile at a time, so peak score memory is
+/// one `rows x 64` tile block (at most `DEFAULT_CHUNK_ROWS x 64`, split over
+/// the chunk's row bands) at any class count and shard count, no matter how
+/// many samples are scored.
 pub const DEFAULT_CHUNK_ROWS: usize = 4096;
 
 /// Scoring function between a projected sample and a class signature.
@@ -126,20 +132,17 @@ pub struct TopK {
     pub scores: Vec<f64>,
 }
 
-/// Layout of the signature bank as contiguous row bands ("shards"): the
-/// engine scores one band at a time and merges per sample row. The default,
-/// one band, covers the whole bank.
+/// Layout of the signature bank as contiguous row bands ("shards"), each
+/// starting on a 64-class tile edge. The default is one band over the whole
+/// bank.
 ///
-/// Band boundaries are always multiples of the matmul kernel's 64-column
-/// cache tile: `gemm_bt` assigns kernels by a class's position *within* its
-/// 64-wide tile (whole 8-class groups to the packed kernel, which scores one
-/// or four sample rows per pass, the last `len mod 8` classes to the 4-wide
-/// and scalar tails), so tile-aligned bands score every class through the
-/// same kernel with the same accumulation order as a single band over the
-/// whole bank. Every shard count therefore scores the same bits —
-/// structurally, not within a tolerance. A
-/// requested count is a *hint*: it is clamped to the number of 64-row tiles
-/// the bank actually has.
+/// The engine scores the bank one 64-class tile at a time whatever the
+/// layout, so peak score memory is one `rows x 64` tile block at any shard
+/// count, and the layout changes neither bits, memory nor speed. The type
+/// and [`ScoringEngine::set_bank_shards`] stay public only because the
+/// workspace benchmark's reference engine still sets a layout. A requested
+/// count is a *hint*: it is clamped to the number of 64-row tiles the bank
+/// actually has.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BankShards {
     /// Exclusive end row of each band, ascending; the last entry is the class
@@ -312,8 +315,8 @@ pub struct ScoringEngine {
     /// `num_classes x attr_dim`, one row per candidate class; pre-normalized
     /// when the similarity is cosine. Heap-owned or mmap-borrowed.
     bank: Bank,
-    /// Row bands the bank is scored in, one at a time; the default single
-    /// band scores the whole bank as one block.
+    /// The requested band layout of the bank, which scoring no longer
+    /// reads (see [`BankShards`]).
     shards: BankShards,
     /// Optional seen-class score penalty (calibrated stacking); `None` means
     /// scoring is exactly the uncalibrated pipeline, bit-for-bit.
@@ -412,17 +415,18 @@ impl ScoringEngine {
         self
     }
 
-    /// Split the cached bank into (at most) `shards` row bands scored
-    /// independently and merged per row — see [`BankShards`]. Results are
-    /// bit-identical at every shard count; what changes is peak memory:
-    /// `predict`/`predict_topk` hold one `chunk_rows x band_classes` score
-    /// block at a time instead of `chunk_rows x num_classes`. Serving stacks
-    /// call it to reconfigure a booted engine.
+    /// Record a layout of (at most) `shards` row bands for the cached bank —
+    /// see [`BankShards`]. Scoring reads the bank one 64-class tile at a
+    /// time at every shard count, so peak score memory stays one `rows x 64`
+    /// tile block and the bits, memory and speed are those of one band. It
+    /// stays public only because the workspace benchmark's reference engine
+    /// calls it.
     pub fn set_bank_shards(&mut self, shards: usize) {
         self.shards = BankShards::uniform(self.bank.rows(), shards);
     }
 
-    /// The bank's current shard layout.
+    /// The shard layout last recorded by [`ScoringEngine::set_bank_shards`]
+    /// (one band by default); scoring does not read it.
     pub fn bank_shards(&self) -> &BankShards {
         &self.shards
     }
@@ -512,7 +516,7 @@ impl ScoringEngine {
         )
     }
 
-    /// Subtract the calibration penalty from a `rows x (hi - lo)` score block
+    /// Subtract the calibration penalty from a `rows x (hi - lo)` score tile
     /// covering global classes `lo..hi`. No-op when uncalibrated, so the
     /// `gamma_cal = 0` pipeline performs zero extra float operations.
     fn apply_calibration(&self, block: &mut [f64], lo: usize, hi: usize) {
@@ -597,17 +601,24 @@ impl ScoringEngine {
     }
 
     /// Full score matrix: `n_samples x num_classes`, including any active
-    /// calibration penalty. Filled band by band from the same fold that
-    /// `predict` and `predict_topk` reduce, so it carries their bits.
+    /// calibration penalty. Filled tile by tile from the same fold that
+    /// `predict` and `predict_topk` reduce, so it carries their bits; beyond
+    /// the matrix it returns, its peak score memory is one `rows x 64` tile
+    /// block at any shard count.
     pub fn scores(&self, x: &Matrix) -> Matrix {
         let z = self.num_classes();
         let mut out = vec![0.0; x.rows() * z];
-        self.fold_banded_chunks(
+        let mut rest = out.as_mut_slice();
+        self.fold(
             x,
-            |rows| rows,
-            |rows, r, block| {
-                for (i, src) in rows.clone().zip(block.chunks(r.len())) {
-                    out[i * z + r.start..i * z + r.end].copy_from_slice(src);
+            |rows| {
+                let (band, tail) = std::mem::take(&mut rest).split_at_mut(rows.len() * z);
+                rest = tail;
+                band
+            },
+            |band: &mut &mut [f64], classes, block| {
+                for (row, tile) in band.chunks_exact_mut(z).zip(block.chunks(classes.len())) {
+                    row[classes.clone()].copy_from_slice(tile);
                 }
             },
             |_| {},
@@ -616,49 +627,51 @@ impl ScoringEngine {
     }
 
     /// The one scoring path. Streams `x` in chunks of [`DEFAULT_CHUNK_ROWS`]
-    /// rows; per chunk, projects once (normalizing for cosine), then scores
-    /// one bank band at a time through the `X·Sᵀ` kernel, applies
-    /// calibration, and hands the `rows x band_classes` block to `band`.
-    /// `init` builds per-chunk state from the chunk's row range, `done`
-    /// consumes it after the last band. Peak score memory is one band-wide
-    /// block — `rows x num_classes` only when the bank is one band.
+    /// rows; per chunk, projects once (normalizing for cosine), splits the
+    /// rows into bands over the worker pool, and in each band scores the
+    /// bank one 64-class tile at a time through the `X·Sᵀ` tile kernel,
+    /// applies calibration, and hands the `rows x tile_classes` block with
+    /// its class range to `tile`, classes ascending. `init` builds each
+    /// band's state from its global row range, on the calling thread and in
+    /// row order; `done` consumes the states in the same order. Peak score
+    /// memory is one `rows x 64` block per band.
     ///
-    /// Because band boundaries are multiples of the kernel's 64-column tile
-    /// (see [`BankShards`]), every score element carries the *same bits* at
-    /// every shard count, so any merge that respects class order reduces the
-    /// full row exactly. The precision is chosen here, and only here: both
-    /// run [`Self::fold_in`], over the model and bank or over their `f32`
+    /// Each score's accumulation is internal to the tile kernel, so every
+    /// element carries the *same bits* at every thread, chunk and shard
+    /// count, and any reducer that keeps class order reduces the full row
+    /// exactly. The precision is chosen here, and only here: both run
+    /// [`Self::fold_in`], over the model and bank or over their `f32`
     /// mirror.
-    fn fold_banded_chunks<S>(
+    fn fold<S: Send>(
         &self,
         x: &Matrix,
-        init: impl Fn(Range<usize>) -> S,
-        band: impl FnMut(&mut S, Range<usize>, &[f64]),
+        init: impl FnMut(Range<usize>) -> S,
+        tile: impl Fn(&mut S, Range<usize>, &[f64]) + Sync,
         done: impl FnMut(S),
     ) {
         match &self.f32_mirror {
             None => {
                 let params = self.model.param_slabs();
-                self.fold_in(&params, self.bank.as_slice(), x, init, band, done);
+                self.fold_in(&params, self.bank.as_slice(), x, init, tile, done);
             }
             Some((params, bank)) => {
                 let params: Vec<&[f32]> = params.iter().map(Vec::as_slice).collect();
-                self.fold_in(&params, bank, x, init, band, done);
+                self.fold_in(&params, bank, x, init, tile, done);
             }
         }
     }
 
-    /// [`Self::fold_banded_chunks`] in element type `T`: `params` are the
-    /// model's parameter slabs and `bank` the cached bank, both in `T`. Each
-    /// chunk is cast to `T` (a borrow for `f64`) and each band block widened
-    /// back to `f64` (exact for `f32`) before calibration and the merge.
-    fn fold_in<T: Elem, S>(
+    /// [`Self::fold`] in element type `T`: `params` are the model's
+    /// parameter slabs and `bank` the cached bank, both in `T`. Each chunk is
+    /// cast to `T` (a borrow for `f64`) and each tile block widened back to
+    /// `f64` (exact for `f32`) before calibration and the reducer.
+    fn fold_in<T: Elem, S: Send>(
         &self,
         params: &[&[T]],
         bank: &[T],
         x: &Matrix,
-        init: impl Fn(Range<usize>) -> S,
-        mut band: impl FnMut(&mut S, Range<usize>, &[f64]),
+        mut init: impl FnMut(Range<usize>) -> S,
+        tile: impl Fn(&mut S, Range<usize>, &[f64]) + Sync,
         mut done: impl FnMut(S),
     ) {
         let (n, d) = (x.rows(), self.feature_dim());
@@ -668,7 +681,7 @@ impl ScoringEngine {
             "scores shape mismatch: {n}x{} features vs projection dim {d}",
             x.cols()
         );
-        let a_dim = self.bank.cols();
+        let (a_dim, z) = (self.bank.cols(), self.num_classes());
         for start in (0..n).step_by(DEFAULT_CHUNK_ROWS) {
             let end = (start + DEFAULT_CHUNK_ROWS).min(n);
             let rows = end - start;
@@ -677,22 +690,28 @@ impl ScoringEngine {
             if self.similarity == Similarity::Cosine {
                 l2_normalize_rows_slab(&mut proj, a_dim);
             }
-            let mut state = init(start..end);
-            for b in 0..self.shards.count() {
-                let r = self.shards.band(b);
-                let band_bank = &bank[r.start * a_dim..r.end * a_dim];
-                let block = gemm_bt_parallel(&proj, rows, a_dim, band_bank, r.len(), self.threads);
-                let mut block = T::widen(block);
-                self.apply_calibration(&mut block, r.start, r.end);
-                band(&mut state, r, &block);
-            }
-            done(state);
+            par_bands(
+                rows,
+                a_dim * z,
+                self.threads,
+                |band| init(start + band.start..start + band.end),
+                |band, state| {
+                    let a = &proj[band.start * a_dim..band.end * a_dim];
+                    let mut wide = Vec::new();
+                    gemm_bt_tiles(a, band.len(), a_dim, bank, z, |classes, block| {
+                        let block = T::widen(block, &mut wide);
+                        self.apply_calibration(block, classes.start, classes.end);
+                        tile(state, classes, block);
+                    });
+                },
+                &mut done,
+            );
         }
     }
 
-    /// Argmax prediction per sample, computed chunk-by-chunk: each band's
+    /// Argmax prediction per sample, computed tile by tile: each tile's
     /// per-row argmax folds into a running best with a strictly-greater
-    /// `total_cmp` test. Bands ascend and the in-band argmax is first-wins,
+    /// `total_cmp` test. Tiles ascend and the in-tile argmax is first-wins,
     /// so the first index wins ties across the whole row.
     ///
     /// Selection uses [`f64::total_cmp`], a total order, so results are
@@ -705,16 +724,12 @@ impl ScoringEngine {
     /// on predictions alone.
     pub fn predict(&self, x: &Matrix) -> Vec<usize> {
         let mut out = Vec::with_capacity(x.rows());
-        self.fold_banded_chunks(
+        self.fold(
             x,
             |rows| vec![(0usize, 0.0f64); rows.len()],
-            |best: &mut Vec<(usize, f64)>, r, block| {
-                for (row_best, row) in best.iter_mut().zip(block.chunks(r.len())) {
-                    let local = argmax(row);
-                    let cand = (r.start + local, row[local]);
-                    if r.start == 0 || cand.1.total_cmp(&row_best.1) == Ordering::Greater {
-                        *row_best = cand;
-                    }
+            |best: &mut Vec<(usize, f64)>, classes, block| {
+                for (row_best, row) in best.iter_mut().zip(block.chunks(classes.len())) {
+                    offer_best(row_best, classes.start, row);
                 }
             },
             |best| out.extend(best.into_iter().map(|(class, _)| class)),
@@ -766,44 +781,35 @@ impl ScoringEngine {
     }
 
     /// Best-`k` ranked predictions per sample (`k` clamped to the class
-    /// count), computed chunk-by-chunk: each row streams its band scores
-    /// through a bounded worst-first `k`-heap ordered by descending score,
-    /// ties by ascending class id, so the result equals a full sort of the
-    /// row — without ever holding more than one band of scores plus `k`
-    /// candidates per row.
+    /// count), computed tile by tile: each row offers its tile scores to a
+    /// bounded worst-first `k`-heap ordered by descending score, ties by
+    /// ascending class id, so the result equals a full sort of the row —
+    /// without ever holding more than one `rows x 64` tile of scores plus
+    /// `k` candidates per row.
     pub fn predict_topk(&self, x: &Matrix, k: usize) -> Vec<TopK> {
         let k = k.min(self.num_classes());
         let mut out = Vec::with_capacity(x.rows());
-        self.fold_banded_chunks(
+        self.fold(
             x,
-            |rows| vec![BinaryHeap::<Reverse<Cand>>::with_capacity(k + 1); rows.len()],
-            |heaps: &mut Vec<BinaryHeap<Reverse<Cand>>>, r, block| {
+            |rows| {
+                (0..rows.len())
+                    .map(|_| BinaryHeap::with_capacity(k))
+                    .collect::<Vec<_>>()
+            },
+            |heaps: &mut Vec<BinaryHeap<Reverse<Cand>>>, classes, block| {
                 if k == 0 {
                     return;
                 }
-                for (heap, row) in heaps.iter_mut().zip(block.chunks(r.len())) {
-                    for (j, &score) in row.iter().enumerate() {
-                        let cand = Cand {
-                            score,
-                            class: r.start + j,
-                        };
-                        if heap.len() < k {
-                            heap.push(Reverse(cand));
-                        } else if cand > heap.peek().expect("k > 0").0 {
-                            heap.pop();
-                            heap.push(Reverse(cand));
-                        }
-                    }
+                for (heap, row) in heaps.iter_mut().zip(block.chunks(classes.len())) {
+                    offer_tile(heap, k, classes.start, row);
                 }
             },
             |heaps| {
                 out.extend(heaps.into_iter().map(|heap| {
-                    let mut ranked: Vec<Cand> =
-                        heap.into_iter().map(|Reverse(cand)| cand).collect();
-                    ranked.sort_unstable_by(|a, b| b.cmp(a));
+                    let ranked = heap.into_sorted_vec();
                     TopK {
-                        classes: ranked.iter().map(|c| c.class).collect(),
-                        scores: ranked.iter().map(|c| c.score).collect(),
+                        classes: ranked.iter().map(|Reverse(c)| c.class).collect(),
+                        scores: ranked.iter().map(|Reverse(c)| c.score).collect(),
                     }
                 }));
             },
@@ -812,10 +818,76 @@ impl ScoringEngine {
     }
 }
 
+/// Fold one row of a score tile — classes `first..first + row.len()`, which
+/// ascend past every class folded before — into that row's running best
+/// `(class, score)`: the tile's first-wins argmax replaces it when `first`
+/// is 0 or when strictly `total_cmp`-greater, so the first index of the
+/// row's maximum wins. A tile row with no score not below the best (see
+/// [`offer_tile`]) cannot win and is skipped after one vectorized pass.
+fn offer_best(best: &mut (usize, f64), first: usize, row: &[f64]) {
+    if first > 0 && !any_not_below(row, best.1) {
+        return;
+    }
+    let local = argmax(row);
+    if first == 0 || row[local].total_cmp(&best.1) == Ordering::Greater {
+        *best = (first + local, row[local]);
+    }
+}
+
+/// Offer one row of a score tile — classes `first..first + row.len()`, which
+/// ascend past every class offered before — to that row's bounded heap of
+/// its best `k > 0` candidates. Until the heap holds `k`, every score goes
+/// in. After that a candidate replaces the worst only when it is strictly
+/// better under [`Cand`]'s order; as class ids ascend, that is exactly when
+/// its score is `total_cmp`-greater than the worst's, so ties keep the
+/// lower class id, as a full sort does.
+///
+/// A `total_cmp`-greater score is never `<` the worst score: NaN compares
+/// false, and so does `+0.0 < -0.0`. So `!(s < worst)` is a superset of the
+/// exact test, and the tile row is first checked with it in one pass that
+/// vectorizes; most rows of a wide bank have no score left that can enter,
+/// and skip the heap entirely.
+fn offer_tile(heap: &mut BinaryHeap<Reverse<Cand>>, k: usize, first: usize, row: &[f64]) {
+    let fill = (k - heap.len()).min(row.len());
+    for (j, &score) in row[..fill].iter().enumerate() {
+        heap.push(Reverse(Cand {
+            score,
+            class: first + j,
+        }));
+    }
+    let rest = &row[fill..];
+    let mut worst = heap.peek().expect("k > 0 and the row is not empty").0;
+    if !any_not_below(rest, worst.score) {
+        return;
+    }
+    for (j, &score) in rest.iter().enumerate() {
+        if score < worst.score {
+            continue;
+        }
+        let cand = Cand {
+            score,
+            class: first + fill + j,
+        };
+        if cand > worst {
+            *heap.peek_mut().expect("the heap holds k > 0 candidates") = Reverse(cand);
+            worst = heap.peek().expect("the heap holds k > 0 candidates").0;
+        }
+    }
+}
+
+/// Whether any of `scores` is not below `bound`: one pass with no early
+/// exit, so it vectorizes. True for every score that `total_cmp` ranks above
+/// `bound`, and for NaN on either side.
+fn any_not_below(scores: &[f64], bound: f64) -> bool {
+    scores.iter().fold(false, |hit, s| {
+        hit | (s.partial_cmp(&bound) != Some(Ordering::Less))
+    })
+}
+
 /// One streaming top-k candidate. The ordering is "better = greater": higher
 /// score first (under [`f64::total_cmp`]), ties broken by *lower* class id —
 /// the total order of a full descending sort with an index tie-break, so the
-/// heap merge agrees with it on every tie, including ties that straddle band
+/// heap merge agrees with it on every tie, including ties that straddle tile
 /// boundaries.
 #[derive(Clone, Copy, Debug)]
 struct Cand {
@@ -985,6 +1057,7 @@ pub fn harmonic_mean(seen_acc: f64, unseen_acc: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::tests::{assert_same_bits, gemm_bt_reference};
     use crate::linalg::Matrix;
     use crate::model::ProjectionModel;
 
@@ -1323,5 +1396,260 @@ mod tests {
         assert!((harmonic_mean(0.8, 0.4) - 2.0 * 0.8 * 0.4 / 1.2).abs() < 1e-12);
         assert_eq!(harmonic_mean(0.0, 0.9), 0.0);
         assert_eq!(harmonic_mean(0.0, 0.0), 0.0);
+    }
+
+    /// Score rows cannot mix NaN with other values or hold −0.0 (a NaN
+    /// feature poisons every class, and sums start from +0.0), so the
+    /// reducers are driven directly here with rows that do, cut into tiles
+    /// of several widths, against the first-index argmax and a full sort.
+    #[test]
+    fn tile_reducers_match_argmax_and_full_sort_on_special_scores() {
+        let values = [
+            0.5,
+            -0.0,
+            0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e-300,
+            -2.0,
+        ];
+        let mut rng = crate::data::Rng::new(0xB357);
+        for trial in 0..300 {
+            let len = 1 + trial % 140;
+            let row: Vec<f64> = (0..len)
+                .map(|_| values[rng.next_u64() as usize % values.len()])
+                .collect();
+            let mut order: Vec<usize> = (0..len).collect();
+            order.sort_by(|&a, &b| row[b].total_cmp(&row[a]).then(a.cmp(&b)));
+            for width in [1usize, 7, BLOCK] {
+                let mut best = (0usize, 0.0f64);
+                for (t, tile) in row.chunks(width).enumerate() {
+                    offer_best(&mut best, t * width, tile);
+                }
+                assert_eq!(best.0, argmax(&row), "{row:?} width={width}");
+                for k in [1usize, 2, 3, 10, len] {
+                    let k = k.min(len);
+                    let mut heap = BinaryHeap::new();
+                    for (t, tile) in row.chunks(width).enumerate() {
+                        offer_tile(&mut heap, k, t * width, tile);
+                    }
+                    let got: Vec<usize> = heap
+                        .into_sorted_vec()
+                        .iter()
+                        .map(|Reverse(c)| c.class)
+                        .collect();
+                    assert_eq!(got, order[..k], "{row:?} width={width} k={k}");
+                }
+            }
+        }
+    }
+
+    /// One score block of the banded fold: its global rows, its classes
+    /// and the `rows x classes` scores.
+    type Block = (Range<usize>, Range<usize>, Vec<f64>);
+
+    /// The fold as it ran before tiles were fused, kept as the oracle: per
+    /// chunk, the projection, then per [`BankShards`] band the whole
+    /// `rows x band` score block, scored in the reference order, widened
+    /// and calibrated.
+    fn banded_blocks(engine: &ScoringEngine, x: &Matrix, shards: usize) -> Vec<Block> {
+        match &engine.f32_mirror {
+            None => {
+                let params = engine.model.param_slabs();
+                banded_blocks_in(engine, &params, engine.bank.as_slice(), x, shards)
+            }
+            Some((params, bank)) => {
+                let params: Vec<&[f32]> = params.iter().map(Vec::as_slice).collect();
+                banded_blocks_in(engine, &params, bank, x, shards)
+            }
+        }
+    }
+
+    fn banded_blocks_in<T: Elem>(
+        engine: &ScoringEngine,
+        params: &[&[T]],
+        bank: &[T],
+        x: &Matrix,
+        shards: usize,
+    ) -> Vec<Block> {
+        let (n, d, a_dim) = (x.rows(), engine.feature_dim(), engine.bank.cols());
+        let bands = BankShards::uniform(engine.num_classes(), shards);
+        let mut blocks = Vec::new();
+        for start in (0..n).step_by(DEFAULT_CHUNK_ROWS) {
+            let end = (start + DEFAULT_CHUNK_ROWS).min(n);
+            let chunk = T::cast_slice(&x.as_slice()[start * d..end * d]);
+            let mut proj = engine.model.project_slab(params, &chunk, end - start, 1);
+            if engine.similarity == Similarity::Cosine {
+                l2_normalize_rows_slab(&mut proj, a_dim);
+            }
+            for b in 0..bands.count() {
+                let r = bands.band(b);
+                let band_bank = &bank[r.start * a_dim..r.end * a_dim];
+                let mut block = gemm_bt_reference(&proj, end - start, a_dim, band_bank, r.len());
+                let mut block = T::widen(&mut block, &mut Vec::new()).to_vec();
+                engine.apply_calibration(&mut block, r.start, r.end);
+                blocks.push((start..end, r, block));
+            }
+        }
+        blocks
+    }
+
+    /// The pre-fusion argmax merge: per band block, each row's first-wins
+    /// argmax replaces the running best when strictly `total_cmp`-greater.
+    fn banded_predict(blocks: &[Block], n: usize) -> Vec<usize> {
+        let mut best = vec![(0usize, 0.0f64); n];
+        for (rows, r, block) in blocks {
+            for (i, row) in rows.clone().zip(block.chunks(r.len())) {
+                let local = argmax(row);
+                let cand = (r.start + local, row[local]);
+                if r.start == 0 || cand.1.total_cmp(&best[i].1) == Ordering::Greater {
+                    best[i] = cand;
+                }
+            }
+        }
+        best.into_iter().map(|(class, _)| class).collect()
+    }
+
+    /// The pre-fusion top-k: every score of every band block through the
+    /// bounded heap, then a descending sort.
+    fn banded_topk(blocks: &[Block], n: usize, k: usize) -> Vec<TopK> {
+        let mut heaps = vec![BinaryHeap::<Reverse<Cand>>::new(); n];
+        for (rows, r, block) in blocks {
+            for (i, row) in rows.clone().zip(block.chunks(r.len())) {
+                let heap = &mut heaps[i];
+                for (j, &score) in row.iter().enumerate() {
+                    let cand = Cand {
+                        score,
+                        class: r.start + j,
+                    };
+                    if heap.len() < k {
+                        heap.push(Reverse(cand));
+                    } else if k > 0 && cand > heap.peek().expect("k > 0").0 {
+                        heap.pop();
+                        heap.push(Reverse(cand));
+                    }
+                }
+            }
+        }
+        heaps
+            .into_iter()
+            .map(|heap| {
+                let mut ranked: Vec<Cand> = heap.into_iter().map(|Reverse(c)| c).collect();
+                ranked.sort_unstable_by(|a, b| b.cmp(a));
+                TopK {
+                    classes: ranked.iter().map(|c| c.class).collect(),
+                    scores: ranked.iter().map(|c| c.score).collect(),
+                }
+            })
+            .collect()
+    }
+
+    /// `rows` queries of width `dim` cycling through special kinds from
+    /// `offset`: random, a copy of a bank row that has a duplicate across a
+    /// tile edge, all −0.0, one +NaN, one −NaN, ±1e308 (±inf dot scores),
+    /// one +inf, and a copy of the bank's first row (tied with its last).
+    /// Each row holds one kind of non-finite value, so every NaN it scores
+    /// carries one payload whatever order a kernel sums in.
+    fn special_queries(
+        rng: &mut crate::data::Rng,
+        bank: &Matrix,
+        rows: usize,
+        offset: usize,
+    ) -> Matrix {
+        let (z, dim) = (bank.rows(), bank.cols());
+        let data = (0..rows)
+            .flat_map(|i| -> Vec<f64> {
+                let at = i % dim;
+                let mut one = |v: f64| {
+                    let mut row: Vec<f64> = (0..dim).map(|_| rng.normal()).collect();
+                    row[at] = v;
+                    row
+                };
+                match (i + offset) % 8 {
+                    0 => one(0.5),
+                    1 => bank.row(63 % z).to_vec(),
+                    2 => vec![-0.0; dim],
+                    3 => one(f64::NAN),
+                    4 => one(-f64::NAN),
+                    5 => (0..dim)
+                        .map(|c| if c % 2 == 0 { 1e308 } else { -1e308 })
+                        .collect(),
+                    6 => one(f64::INFINITY),
+                    _ => bank.row(0).to_vec(),
+                }
+            })
+            .collect();
+        Matrix::from_vec(rows, dim, data)
+    }
+
+    #[test]
+    fn fused_tiles_reproduce_the_banded_fold_bit_for_bit() {
+        let dim = 6;
+        let mut rng = crate::data::Rng::new(0x7113);
+        let mut case = 0usize;
+        for z in [1usize, 7, 8, 63, 64, 65, 129, 1000] {
+            // Duplicate rows tie across the first two tile edges and across
+            // the whole bank.
+            let mut bank = Matrix::from_vec(z, dim, (0..z * dim).map(|_| rng.normal()).collect());
+            for (from, to) in [(63, 64), (127, 128), (0, z - 1)] {
+                if to < z {
+                    let row = bank.row(from).to_vec();
+                    bank.row_mut(to).copy_from_slice(&row);
+                }
+            }
+            for rows in [1usize, 3, 4, 5, 64] {
+                let x = special_queries(&mut rng, &bank, rows, z + rows);
+                for precision in [ScoringPrecision::F64, ScoringPrecision::F32] {
+                    for similarity in [Similarity::Cosine, Similarity::Dot] {
+                        for calibration in ["none", "prefix", "mask"] {
+                            case += 1;
+                            let (threads, shards) = (1 + case % 4, 1 + case % 3);
+                            let model = ProjectionModel::from_weights(Matrix::identity(dim));
+                            let engine = ScoringEngine::try_new(model, bank.clone(), similarity)
+                                .expect("engine")
+                                .with_precision(precision);
+                            let mut engine = match calibration {
+                                "none" => engine,
+                                "prefix" => engine
+                                    .with_calibration(0.25, (z / 2 + 1).min(z))
+                                    .expect("prefix calibration"),
+                                _ => engine.with_calibration_mask(
+                                    0.25,
+                                    Arc::new((0..z).map(|c| c % 3 == 1).collect()),
+                                ),
+                            };
+                            engine.set_threads(threads);
+                            engine.set_bank_shards(shards);
+                            let tag = format!(
+                                "z={z} rows={rows} {precision} {similarity} calibration={calibration} \
+                                 threads={threads} shards={shards}"
+                            );
+
+                            let blocks = banded_blocks(&engine, &x, shards);
+                            let mut oracle = vec![0.0; rows * z];
+                            for (rs, r, block) in &blocks {
+                                for (i, src) in rs.clone().zip(block.chunks(r.len())) {
+                                    oracle[i * z + r.start..i * z + r.end].copy_from_slice(src);
+                                }
+                            }
+                            assert_same_bits(engine.scores(&x).as_slice(), &oracle, &tag);
+                            assert_eq!(engine.predict(&x), banded_predict(&blocks, rows), "{tag}");
+                            for k in [0, 1, 10, z, z + 3] {
+                                let got = engine.predict_topk(&x, k);
+                                let want = banded_topk(&blocks, rows, k.min(z));
+                                for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                                    let what = format!("{tag} k={k} row {i}");
+                                    assert_eq!(got.classes, want.classes, "{what}");
+                                    assert_same_bits(&got.scores, &want.scores, &what);
+                                }
+                                assert_eq!(got.len(), rows, "{tag} k={k}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

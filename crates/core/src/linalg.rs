@@ -7,6 +7,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Condvar, Mutex, OnceLock};
 
 /// Guard used when dividing by row norms: rows with an L2 norm at or below
@@ -17,14 +18,14 @@ pub const NORM_EPSILON: f64 = 1e-12;
 /// 64 doubles = 512 bytes per row segment, so an A-tile, B-tile, and C-tile
 /// together stay well inside L1/L2.
 ///
-/// Exposed crate-wide because `gemm_bt_into` is phased on `BLOCK`-class
-/// tiles of the bank: within a tile, whole groups of eight classes go
-/// through the packed 8-class kernel (one or four sample rows per pass),
-/// and the last `len mod 8` classes through the 4-wide and scalar tails. A
-/// signature bank split at multiples of `BLOCK` rows therefore scores each
-/// class through the *same* kernel with the *same* accumulation order as one
-/// unsplit pass, which is what makes [`crate::infer::BankShards`]
-/// bit-identical by construction instead of by tolerance.
+/// Also the class width of one tile of the bank product, `gemm_bt_tiles`,
+/// which scores the bank one `BLOCK`-class tile at a time: within a tile,
+/// whole groups of eight classes go through the packed 8-class kernel (one
+/// or four sample rows per pass), and the last `len mod 8` classes through
+/// the 4-wide and scalar tails. Tiles always start at multiples of `BLOCK`,
+/// so every class goes through the same kernel with the same accumulation
+/// order whoever asks for it. Exposed crate-wide for
+/// [`crate::infer::BankShards`], whose band boundaries sit on tile edges.
 pub(crate) const BLOCK: usize = 64;
 
 /// Rows of the left operand that the Gram fold
@@ -38,7 +39,7 @@ const FOLD_SLAB_ROWS: usize = 256;
 /// the task lock only amortizes once there is real work to split.
 const PARALLEL_WORK_CUTOFF: usize = 1 << 17;
 
-/// Minimum sample rows before `gemm_bt_into` packs signature tiles into the
+/// Minimum sample rows before `gemm_bt_tiles` packs signature tiles into the
 /// interleaved SIMD layout: packing re-reads each tile once, which only pays
 /// off when several sample rows reuse the packed form. Smaller batches score
 /// one row at a time straight from the bank through [`dot8`]; only packed
@@ -85,9 +86,10 @@ pub(crate) trait Elem:
     /// `data` in this precision: borrowed as-is for `f64`, rounded once into
     /// a new buffer for `f32`.
     fn cast_slice(data: &[f64]) -> Cow<'_, [Self]>;
-    /// Widen a block to `f64` (exact for `f32`); `f64` hands the block back
-    /// without copying.
-    fn widen(block: Vec<Self>) -> Vec<f64>;
+    /// `block` in `f64`: the block itself for `f64`, and for `f32` its
+    /// values widened (exactly) into `wide`, a buffer the caller reuses
+    /// from block to block.
+    fn widen<'a>(block: &'a mut [Self], wide: &'a mut Vec<f64>) -> &'a mut [f64];
 }
 
 impl Elem for f64 {
@@ -99,7 +101,7 @@ impl Elem for f64 {
     fn cast_slice(data: &[f64]) -> Cow<'_, [Self]> {
         Cow::Borrowed(data)
     }
-    fn widen(block: Vec<Self>) -> Vec<f64> {
+    fn widen<'a>(block: &'a mut [Self], _: &'a mut Vec<f64>) -> &'a mut [f64] {
         block
     }
     #[inline]
@@ -121,8 +123,10 @@ impl Elem for f32 {
     fn cast_slice(data: &[f64]) -> Cow<'_, [Self]> {
         Cow::Owned(data.iter().map(|&v| v as f32).collect())
     }
-    fn widen(block: Vec<Self>) -> Vec<f64> {
-        block.into_iter().map(f64::from).collect()
+    fn widen<'a>(block: &'a mut [Self], wide: &'a mut Vec<f64>) -> &'a mut [f64] {
+        wide.clear();
+        wide.extend(block.iter().map(|&v| f64::from(v)));
+        wide
     }
     #[inline]
     fn sqrt(self) -> Self {
@@ -266,36 +270,69 @@ fn gemm_block<T: Elem, const M: usize>(a: &[T], k_dim: usize, b: &[T], m: usize,
     }
 }
 
-/// `A · Bᵀ` kernel over raw slabs where `bt` is already the packed row-major
-/// transpose (`z x k_dim`): every inner product streams two contiguous rows,
-/// the access pattern the scoring path (`X·Sᵀ` against a signature bank)
-/// needs. Blocked over `bt` rows so a tile of signatures stays cache-hot
-/// across consecutive samples, and register-blocked eight signatures at a
-/// time (a 4-wide then scalar cascade covers the remainder). When the batch
-/// is large enough to amortize it, each eight-row group is repacked into an
-/// interleaved tile so the 8-wide microkernel's inner loop is one contiguous
-/// vector multiply-add, and on a CPU with AVX2 four sample rows share each
-/// pass over the tile (`gemm_bt_avx2`); elsewhere the portable instance
-/// scores one row per pass. Every output but the last `z mod 4` keeps one
-/// sequential accumulator in ascending `k` whichever path scores it; those
-/// last classes go through [`dot`], whose four partial sums add in another
-/// order once `k_dim >= 4`, on every path alike. Rust never contracts
-/// `a*b + c` into an FMA, so the packing heuristic and the dispatched
-/// instance never change a bit.
-fn gemm_bt_into<T: Elem>(a: &[T], n: usize, k_dim: usize, bt: &[T], z: usize, out: &mut [T]) {
+/// `A · Bᵀ` one tile of the bank at a time, where `bt` is the packed
+/// row-major transpose (`z x k_dim`): every inner product streams two
+/// contiguous rows, the access pattern the scoring path (`X·Sᵀ` against a
+/// signature bank) needs. Per tile of [`BLOCK`] consecutive `bt` rows, in
+/// ascending order, the `n x width` block of products (row-major, `width`
+/// values per row) is computed into one reused buffer and handed to `tile`
+/// with the tile's row range of `bt`; a caller that reduces each block as it
+/// arrives never holds more than `n x BLOCK` products. This is the one body
+/// of the bank product: [`Matrix::matmul_bt`] and the linear kernel map copy
+/// the blocks into place through [`gemm_bt_into`], and
+/// [`crate::infer::ScoringEngine`] reduces them.
+///
+/// Within a tile, eight signatures are register-blocked at a time (a 4-wide
+/// then scalar cascade covers the remainder). When the batch is large enough
+/// to amortize it, each eight-row group is repacked into an interleaved
+/// buffer, reused from tile to tile, so the 8-wide microkernel's inner loop
+/// is one contiguous vector multiply-add, and on a CPU with AVX2 four sample
+/// rows share each pass over it (`gemm_bt_tiles_avx2`); elsewhere the
+/// portable instance scores one row per pass. Every output but the last
+/// `z mod 4` keeps one sequential accumulator in ascending `k` whichever path
+/// scores it; those last classes go through [`dot`], whose four partial sums
+/// add in another order once `k_dim >= 4`, on every path alike. Rust never
+/// contracts `a*b + c` into an FMA, so neither the packing heuristic, the
+/// dispatched instance nor the caller changes a bit.
+pub(crate) fn gemm_bt_tiles<T, F>(a: &[T], n: usize, k_dim: usize, bt: &[T], z: usize, tile: F)
+where
+    T: Elem,
+    F: FnMut(Range<usize>, &mut [T]),
+{
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     if has_avx2() {
         // SAFETY: `has_avx2` is true only when the running CPU reports AVX2,
-        // the one feature `gemm_bt_avx2` is compiled for.
-        unsafe { gemm_bt_avx2(a, n, k_dim, bt, z, out) };
+        // the one feature `gemm_bt_tiles_avx2` is compiled for.
+        unsafe { gemm_bt_tiles_avx2(a, n, k_dim, bt, z, tile) };
         return;
     }
-    gemm_bt_portable(a, n, k_dim, bt, z, out);
+    gemm_bt_tiles_portable(a, n, k_dim, bt, z, tile);
+}
+
+/// `out = a · btᵀ` (`out` is `n x z`) through [`gemm_bt_tiles`], each
+/// tile's block copied into its columns.
+pub(crate) fn gemm_bt_into<T: Elem>(
+    a: &[T],
+    n: usize,
+    k_dim: usize,
+    bt: &[T],
+    z: usize,
+    out: &mut [T],
+) {
+    debug_assert_eq!(out.len(), n * z);
+    gemm_bt_tiles(a, n, k_dim, bt, z, |classes, block| {
+        for (row, scores) in out
+            .chunks_exact_mut(z)
+            .zip(block.chunks_exact(classes.len()))
+        {
+            row[classes.clone()].copy_from_slice(scores);
+        }
+    });
 }
 
 /// Whether the running CPU has AVX2, asked once per process (as
 /// [`default_threads`] asks for its parallelism) and cached for every
-/// dispatched kernel call: `gemm_into`, `gemm_bt_into`, and the Cholesky
+/// dispatched kernel call: `gemm_into`, `gemm_bt_tiles`, and the Cholesky
 /// column passes and substitutions. Only x86 and x86_64 build the AVX2
 /// instances.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -309,7 +346,7 @@ fn has_avx2() -> bool {
     false
 }
 
-/// The instance every dispatched kernel runs in this process: `gemm_bt_into`,
+/// The instance every dispatched kernel runs in this process: `gemm_bt_tiles`,
 /// the signature-bank product of every scoring call; `gemm_into`, the dense
 /// product behind the model projection, [`Matrix::matmul`] and
 /// [`Matrix::add_transposed_product`]; and the column passes of
@@ -326,16 +363,20 @@ pub fn kernel_isa() -> &'static str {
     }
 }
 
-/// The portable instance of `gemm_bt_into`, built for the target's baseline
-/// ISA: one sample row per pass over each packed tile. Four rows per pass
-/// measured slower under SSE2's 128-bit registers: 10.2–13.4 ms against
-/// 9.0–10.0 ms for 64 rows of width 64 against 8192 classes, on an Intel
-/// Xeon (family 6, model 207).
-fn gemm_bt_portable<T: Elem>(a: &[T], n: usize, k_dim: usize, bt: &[T], z: usize, out: &mut [T]) {
-    gemm_bt_rows::<T, 1>(a, n, k_dim, bt, z, out);
+/// The portable instance of `gemm_bt_tiles`, built for the target's
+/// baseline ISA: one sample row per pass over each packed tile. Four rows
+/// per pass measured slower under SSE2's 128-bit registers: 10.2–13.4 ms
+/// against 9.0–10.0 ms for 64 rows of width 64 against 8192 classes, on an
+/// Intel Xeon (family 6, model 207).
+fn gemm_bt_tiles_portable<T, F>(a: &[T], n: usize, k_dim: usize, bt: &[T], z: usize, tile: F)
+where
+    T: Elem,
+    F: FnMut(Range<usize>, &mut [T]),
+{
+    gemm_bt_tile_rows::<T, F, 1>(a, n, k_dim, bt, z, tile);
 }
 
-/// The AVX2 instance of `gemm_bt_into`: the same body compiled with AVX2
+/// The AVX2 instance of `gemm_bt_tiles`: the same body compiled with AVX2
 /// (never FMA), scoring four sample rows per pass over each packed tile, so
 /// four independent rows share every tile load and the 4 x 8 accumulators
 /// fill the 256-bit registers.
@@ -345,63 +386,66 @@ fn gemm_bt_portable<T: Elem>(a: &[T], n: usize, k_dim: usize, bt: &[T], z: usize
 /// The running CPU must support AVX2.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
-unsafe fn gemm_bt_avx2<T: Elem>(
-    a: &[T],
-    n: usize,
-    k_dim: usize,
-    bt: &[T],
-    z: usize,
-    out: &mut [T],
-) {
-    gemm_bt_rows::<T, 4>(a, n, k_dim, bt, z, out);
+unsafe fn gemm_bt_tiles_avx2<T, F>(a: &[T], n: usize, k_dim: usize, bt: &[T], z: usize, tile: F)
+where
+    T: Elem,
+    F: FnMut(Range<usize>, &mut [T]),
+{
+    gemm_bt_tile_rows::<T, F, 4>(a, n, k_dim, bt, z, tile);
 }
 
-/// The body both `gemm_bt_into` instances inline. Per `BLOCK`-class tile of
+/// The body both `gemm_bt_tiles` instances inline. Per `BLOCK`-class tile of
 /// the bank: in a packed batch, rows go `M` at a time through
 /// [`dot8_packed`] and the rows left over from a multiple of `M` one at a
 /// time; a batch under [`PACK_MIN_ROWS`] scores each row through [`dot8`].
 /// The last `len mod 8` classes of a tile take the 4-wide and scalar tails
 /// row by row. `M` only chooses which outputs are computed side by side.
 #[inline(always)]
-fn gemm_bt_rows<T: Elem, const M: usize>(
+fn gemm_bt_tile_rows<T, F, const M: usize>(
     a: &[T],
     n: usize,
     k_dim: usize,
     bt: &[T],
     z: usize,
-    out: &mut [T],
-) {
+    mut tile: F,
+) where
+    T: Elem,
+    F: FnMut(Range<usize>, &mut [T]),
+{
     debug_assert_eq!(a.len(), n * k_dim);
     debug_assert_eq!(bt.len(), z * k_dim);
-    debug_assert_eq!(out.len(), n * z);
     let pack = n >= PACK_MIN_ROWS;
     let blocked = if pack { n - n % M } else { 0 };
-    let mut tile: Vec<T> = Vec::new();
+    let mut packed_tile: Vec<T> = Vec::new();
+    let mut block = vec![T::ZERO; n * z.min(BLOCK)];
     for jj in (0..z).step_by(BLOCK) {
         let j_end = (jj + BLOCK).min(z);
-        let groups = (j_end - jj) / 8;
+        let width = j_end - jj;
+        let groups = width / 8;
         let tails = jj + 8 * groups;
         if pack && groups > 0 {
-            pack_bt_tile(bt, k_dim, jj, groups, &mut tile);
+            pack_bt_tile(bt, k_dim, jj, groups, &mut packed_tile);
         }
-        let packed = |g: usize| &tile[g * 8 * k_dim..(g + 1) * 8 * k_dim];
+        let packed = |g: usize| &packed_tile[g * 8 * k_dim..(g + 1) * 8 * k_dim];
+        let out = &mut block[..n * width];
         for i in (0..blocked).step_by(M) {
             let rows = &a[i * k_dim..(i + M) * k_dim];
             for g in 0..groups {
-                let block: [[T; 8]; M] = dot8_packed(rows, packed(g));
-                for (r, eight) in block.iter().enumerate() {
-                    let at = (i + r) * z + jj + 8 * g;
+                let eights: [[T; 8]; M] = dot8_packed(rows, packed(g));
+                for (r, eight) in eights.iter().enumerate() {
+                    let at = (i + r) * width + 8 * g;
                     out[at..at + 8].copy_from_slice(eight);
                 }
             }
             for r in i..i + M {
                 let a_row = &a[r * k_dim..(r + 1) * k_dim];
-                dot_tails(a_row, bt, tails, &mut out[r * z + tails..r * z + j_end]);
+                let out_row = &mut out[r * width..(r + 1) * width];
+                dot_tails(a_row, bt, tails, &mut out_row[8 * groups..]);
             }
         }
         for r in blocked..n {
             let a_row = &a[r * k_dim..(r + 1) * k_dim];
-            let out_row = &mut out[r * z + jj..r * z + j_end];
+            let out_row = &mut out[r * width..(r + 1) * width];
             for g in 0..groups {
                 let eight = if pack {
                     dot8_packed::<T, 1>(a_row, packed(g))[0]
@@ -413,6 +457,7 @@ fn gemm_bt_rows<T: Elem, const M: usize>(
             }
             dot_tails(a_row, bt, tails, &mut out_row[8 * groups..]);
         }
+        tile(jj..j_end, out);
     }
 }
 
@@ -570,7 +615,10 @@ impl Pool {
     /// that arrives while another batch is in flight runs its own indices
     /// serially on its own thread — same band set, same kernels, so results
     /// are bit-identical — which keeps concurrent submitters (e.g. serve
-    /// connection threads) from oversubscribing the machine.
+    /// connection threads) from oversubscribing the machine. A panic in any
+    /// index, on a worker or on the calling thread, is re-raised only after
+    /// every index has completed and the pool is free again, so no worker
+    /// still runs `f` once `run` unwinds.
     fn run(&self, total: usize, f: &(dyn Fn(usize) + Sync)) {
         if self.workers == 0 || total <= 1 {
             for idx in 0..total {
@@ -608,9 +656,13 @@ impl Pool {
                 let idx = batch.next;
                 batch.next += 1;
                 drop(state);
-                f(idx);
+                // A panic here must not unwind past the workers still
+                // running other indices of `f`: record it, finish the
+                // batch, and re-raise below.
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(idx)));
                 let mut state = self.state.lock().unwrap();
                 let batch = state.as_mut().expect("pool batch vanished mid-run");
+                batch.panicked |= outcome.is_err();
                 batch.completed += 1;
             } else {
                 while state.as_ref().is_some_and(|b| b.completed < b.total) {
@@ -697,12 +749,18 @@ pub fn pool_threads() -> usize {
     pool().workers + 1
 }
 
-/// Pointer wrapper that lets disjoint output bands cross the pool boundary.
-/// Soundness: [`par_row_bands`] hands each band index a non-overlapping
-/// half-open row range, so the reconstructed `&mut` slices never alias.
+/// Pointer to the per-band states of one [`par_bands`] call, so each pool
+/// task can reach its own state.
 struct SendPtr<T>(*mut T);
+
+// SAFETY: the one field is a pointer into a `Vec` of states that outlives
+// the pool run. Each task dereferences it to a distinct element, so no two
+// threads share a `T`, and a `T` is moved to (and mutated on) whichever
+// thread runs its band: `T: Send` is the whole requirement, for sending and
+// for sharing the pointer alike.
 unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Sync> Sync for SendPtr<T> {}
+// SAFETY: as above.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
     /// Accessor instead of field syntax so closures capture the whole
@@ -712,11 +770,58 @@ impl<T> SendPtr<T> {
     }
 }
 
+/// Split `rows` rows into contiguous bands — one per thread, sized within
+/// one row of each other — and run `band` on each through the persistent
+/// pool and the calling thread. `init` builds each band's state on the
+/// calling thread, in band order, before any band runs, and `done` takes
+/// the states back in band order once every band has finished. Work under
+/// [`PARALLEL_WORK_CUTOFF`] multiply-adds (`rows * row_work`) runs as one
+/// band on the calling thread. Band boundaries depend only on `rows`,
+/// `row_work` and `threads`, never on which thread runs what, so as long as
+/// `band` keeps each row's arithmetic to that row, every result is the same
+/// at every thread count.
+pub(crate) fn par_bands<S: Send>(
+    rows: usize,
+    row_work: usize,
+    threads: usize,
+    mut init: impl FnMut(Range<usize>) -> S,
+    band: impl Fn(Range<usize>, &mut S) + Sync,
+    mut done: impl FnMut(S),
+) {
+    let count = if rows.saturating_mul(row_work) < PARALLEL_WORK_CUTOFF {
+        1
+    } else {
+        threads.clamp(1, rows)
+    };
+    if count == 1 {
+        let mut state = init(0..rows);
+        band(0..rows, &mut state);
+        done(state);
+        return;
+    }
+    let (base, extra) = (rows / count, rows % count);
+    let bounds = |b: usize| {
+        let start = b * base + b.min(extra);
+        start..start + base + usize::from(b < extra)
+    };
+    let mut states: Vec<S> = (0..count).map(|b| init(bounds(b))).collect();
+    let states_ptr = SendPtr(states.as_mut_ptr());
+    pool().run(count, &|b| {
+        // SAFETY: `Pool::run` calls every index below `count` exactly once
+        // and returns only after the last call finished, so each call gets
+        // the only reference to its own element of `states`, which lives
+        // until after the run.
+        let state = unsafe { &mut *states_ptr.get().add(b) };
+        band(bounds(b), state);
+    });
+    states.into_iter().for_each(done);
+}
+
 /// Split `a` (`rows x a_cols`) and `out` (`rows x out_cols`) into matching
-/// contiguous row bands — one per thread, sized within one row of each other —
-/// and run `kernel` on each band via the persistent pool. Band boundaries
-/// depend only on `rows` and `threads` (never on which thread executes what),
-/// and each row's accumulation order is internal to `kernel`, so results are
+/// row bands and run `kernel(a_band, band_rows, out_band)` on each, through
+/// [`par_bands`] with `a_cols * out_cols` multiply-adds per row: one band on
+/// the calling thread for a small product, else one per thread. Each row's
+/// accumulation order is internal to `kernel`, so the result is
 /// bit-identical for every thread count.
 pub(crate) fn par_row_bands<T, F>(
     rows: usize,
@@ -732,31 +837,25 @@ pub(crate) fn par_row_bands<T, F>(
 {
     debug_assert_eq!(a.len(), rows * a_cols);
     debug_assert_eq!(out.len(), rows * out_cols);
-    let threads = threads.clamp(1, rows.max(1));
-    let base = rows / threads;
-    let extra = rows % threads;
-    let mut bands = Vec::with_capacity(threads);
-    let mut start = 0usize;
-    for t in 0..threads {
-        let band = base + usize::from(t < extra);
-        if band == 0 {
-            continue;
-        }
-        bands.push((start, band));
-        start += band;
-    }
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let run_band = |b: usize| {
-        let (first, band) = bands[b];
-        let a_band = &a[first * a_cols..(first + band) * a_cols];
-        // Disjoint by construction: band `b` exclusively owns output rows
-        // `first..first + band`.
-        let out_band = unsafe {
-            std::slice::from_raw_parts_mut(out_ptr.get().add(first * out_cols), band * out_cols)
-        };
-        kernel(a_band, band, out_band);
-    };
-    pool().run(bands.len(), &run_band);
+    let mut rest = out;
+    par_bands(
+        rows,
+        a_cols * out_cols,
+        threads,
+        |band| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(band.len() * out_cols);
+            rest = tail;
+            head
+        },
+        |band, out_band| {
+            kernel(
+                &a[band.start * a_cols..band.end * a_cols],
+                band.len(),
+                out_band,
+            )
+        },
+        |_| {},
+    );
 }
 
 /// Serial-or-banded `a (n x k_dim) · b (k_dim x m)` over raw slabs, generic
@@ -776,50 +875,15 @@ pub(crate) fn gemm_parallel<T: Elem>(
     threads: usize,
 ) -> Vec<T> {
     let mut out = vec![T::ZERO; n * m];
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 || n * k_dim * m < PARALLEL_WORK_CUTOFF {
-        gemm_into(a, n, k_dim, b, m, &mut out, false);
-    } else {
-        par_row_bands(
-            n,
-            threads,
-            a,
-            k_dim,
-            &mut out,
-            m,
-            |a_band, rows, out_band| gemm_into(a_band, rows, k_dim, b, m, out_band, false),
-        );
-    }
-    out
-}
-
-/// Serial-or-banded `a (n x k_dim) · btᵀ` where `bt` is the packed `z x k_dim`
-/// transpose — the bank product of every scoring call in both precisions,
-/// banded like [`gemm_parallel`] and likewise bit-identical to
-/// [`Matrix::matmul_bt`] for every thread count.
-pub(crate) fn gemm_bt_parallel<T: Elem>(
-    a: &[T],
-    n: usize,
-    k_dim: usize,
-    bt: &[T],
-    z: usize,
-    threads: usize,
-) -> Vec<T> {
-    let mut out = vec![T::ZERO; n * z];
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 || n * k_dim * z < PARALLEL_WORK_CUTOFF {
-        gemm_bt_into(a, n, k_dim, bt, z, &mut out);
-    } else {
-        par_row_bands(
-            n,
-            threads,
-            a,
-            k_dim,
-            &mut out,
-            z,
-            |a_band, rows, out_band| gemm_bt_into(a_band, rows, k_dim, bt, z, out_band),
-        );
-    }
+    par_row_bands(
+        n,
+        threads,
+        a,
+        k_dim,
+        &mut out,
+        m,
+        |a_band, rows, out_band| gemm_into(a_band, rows, k_dim, b, m, out_band, false),
+    );
     out
 }
 
@@ -840,7 +904,6 @@ pub(crate) fn rbf_gram_parallel<T: Elem>(
     debug_assert_eq!(x.len(), n * d);
     debug_assert_eq!(anchors.len(), m * d);
     let mut out = vec![T::ZERO; n * m];
-    let threads = threads.clamp(1, n.max(1));
     let rbf_rows = |x_band: &[T], rows: usize, out_band: &mut [T]| {
         for i in 0..rows {
             let xi = &x_band[i * d..(i + 1) * d];
@@ -856,11 +919,7 @@ pub(crate) fn rbf_gram_parallel<T: Elem>(
             }
         }
     };
-    if threads == 1 || n * d.max(1) * m < PARALLEL_WORK_CUTOFF {
-        rbf_rows(x, n, &mut out);
-    } else {
-        par_row_bands(n, threads, x, d, &mut out, m, rbf_rows);
-    }
+    par_row_bands(n, threads, x, d, &mut out, m, rbf_rows);
     out
 }
 
@@ -1970,9 +2029,56 @@ pub fn solve_sylvester(a: &Matrix, b: &Matrix, c: &Matrix) -> Result<Matrix, Lin
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::data::Rng;
+
+    /// The bank product in the order every instance of [`gemm_bt_tiles`]
+    /// must reproduce, one output at a time: one sequential accumulator in
+    /// ascending `k` per output, except the last `z mod 4` classes, which
+    /// [`dot`] sums four ways. The oracle of the tile body here and of the
+    /// fused scoring fold in `infer`.
+    pub(crate) fn gemm_bt_reference<T: Elem>(
+        a: &[T],
+        n: usize,
+        k_dim: usize,
+        bt: &[T],
+        z: usize,
+    ) -> Vec<T> {
+        let mut out = Vec::with_capacity(n * z);
+        for i in 0..n {
+            let a_row = &a[i * k_dim..(i + 1) * k_dim];
+            for j in 0..z {
+                let b_row = &bt[j * k_dim..(j + 1) * k_dim];
+                out.push(if j < z - z % 4 {
+                    let mut acc = T::ZERO;
+                    for (&x, &y) in a_row.iter().zip(b_row) {
+                        acc += x * y;
+                    }
+                    acc
+                } else {
+                    dot(a_row, b_row)
+                });
+            }
+        }
+        out
+    }
+
+    /// `a · btᵀ` banded over the pool at `threads`, as the linear kernel map
+    /// runs it.
+    fn banded_bt(a: &[f64], n: usize, k: usize, bt: &[f64], z: usize, threads: usize) -> Vec<f64> {
+        let mut out = vec![0.0; n * z];
+        par_row_bands(n, threads, a, k, &mut out, z, |a_band, rows, out_band| {
+            gemm_bt_into(a_band, rows, k, bt, z, out_band)
+        });
+        out
+    }
+
+    /// A `Vec` of either precision widened to `f64`.
+    fn widened<T: Elem>(mut v: Vec<T>) -> Vec<f64> {
+        let mut wide = Vec::new();
+        T::widen(&mut v, &mut wide).to_vec()
+    }
 
     fn random_matrix(rng: &mut Rng, rows: usize, cols: usize) -> Matrix {
         let data = (0..rows * cols).map(|_| rng.normal()).collect();
@@ -2052,7 +2158,7 @@ mod tests {
                 "matmul_bt diverged at {n}x{k} * ({z}x{k})ᵀ"
             );
             for threads in [1, 2, 5, 16] {
-                let parallel = gemm_bt_parallel(&a.data, n, k, &b.data, z, threads);
+                let parallel = banded_bt(&a.data, n, k, &b.data, z, threads);
                 assert_eq!(
                     parallel.as_slice(),
                     packed.as_slice(),
@@ -2167,7 +2273,7 @@ mod tests {
 
     #[test]
     fn packed_and_unpacked_bt_kernels_are_bit_identical() {
-        // `gemm_bt_into` chooses packed tiles for n >= PACK_MIN_ROWS and the
+        // `gemm_bt_tiles` chooses packed tiles for n >= PACK_MIN_ROWS and the
         // unpacked 8-wide kernel below it. Both must produce the same bits:
         // score row 0 of a large batch (packed) against the same single row
         // scored alone (unpacked).
@@ -2195,7 +2301,7 @@ mod tests {
     /// `a` and `b` hold the same bits, except that NaN matches NaN whatever
     /// its payload (which operand a NaN is propagated from depends on how
     /// the compiler orders a commutative multiply).
-    fn assert_same_bits(a: &[f64], b: &[f64], what: &str) {
+    pub(crate) fn assert_same_bits(a: &[f64], b: &[f64], what: &str) {
         assert_eq!(a.len(), b.len(), "{what}: lengths differ");
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
             assert!(
@@ -2235,10 +2341,36 @@ mod tests {
         m
     }
 
+    /// The whole `n x z` product through one instance of the tile body,
+    /// with a check that the tiles arrive in order, each `BLOCK` classes
+    /// wide but the last, as `n x width` blocks.
+    fn tiled<T: Elem>(
+        n: usize,
+        z: usize,
+        instance: impl FnOnce(&mut dyn FnMut(Range<usize>, &mut [T])),
+    ) -> Vec<T> {
+        let mut out = vec![T::ZERO; n * z];
+        let mut next = 0;
+        instance(&mut |classes, block| {
+            assert_eq!(classes, next..(next + BLOCK).min(z), "tile out of order");
+            assert_eq!(block.len(), n * classes.len(), "tile block shape");
+            next = classes.end;
+            for (row, scores) in out
+                .chunks_exact_mut(z)
+                .zip(block.chunks_exact(classes.len()))
+            {
+                row[classes.clone()].copy_from_slice(scores);
+            }
+        });
+        assert_eq!(next, z, "tiles missed classes");
+        out
+    }
+
     /// Score `a` (`n x k`) against `bt` (`z x k`) through both instances of
-    /// `gemm_bt_into` (where the CPU has AVX2) and one row at a time through
-    /// the portable instance; all must agree bit for bit, and a row holding a
-    /// NaN scores NaN against every class. Returns whether AVX2 was checked.
+    /// `gemm_bt_tiles` (where the CPU has AVX2) and one row at a time through
+    /// the portable instance; all must agree bit for bit with the reference
+    /// order, and a row holding a NaN scores NaN against every class.
+    /// Returns whether AVX2 was checked.
     fn check_bank_instances<T: Elem>(
         a64: &[f64],
         n: usize,
@@ -2248,14 +2380,20 @@ mod tests {
     ) -> bool {
         let (a, bt) = (T::cast_slice(a64), T::cast_slice(bt));
         let what = format!("{} n={n} z={z} k={k}", std::any::type_name::<T>());
-        let mut portable = vec![T::ZERO; n * z];
-        gemm_bt_portable(&a, n, k, &bt, z, &mut portable);
-        let portable = T::widen(portable);
+        let portable = widened(tiled(n, z, |tile| {
+            gemm_bt_tiles_portable(&a, n, k, &bt, z, tile)
+        }));
+        let reference = widened(gemm_bt_reference(&a, n, k, &bt, z));
+        assert_same_bits(
+            &portable,
+            &reference,
+            &format!("{what}: tiles vs reference"),
+        );
         let mut by_row = Vec::with_capacity(n * z);
         for row in a.chunks_exact(k) {
-            let mut out = vec![T::ZERO; z];
-            gemm_bt_portable(row, 1, k, &bt, z, &mut out);
-            by_row.extend(T::widen(out));
+            by_row.extend(widened(tiled(1, z, |tile| {
+                gemm_bt_tiles_portable(row, 1, k, &bt, z, tile)
+            })));
         }
         assert_same_bits(&portable, &by_row, &format!("{what}: batch vs rows alone"));
         for (r, row) in a64.chunks_exact(k).enumerate() {
@@ -2266,11 +2404,12 @@ mod tests {
         }
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         if has_avx2() {
-            let mut avx2 = vec![T::ZERO; n * z];
-            // SAFETY: `has_avx2` reported AVX2 on the running CPU.
-            unsafe { gemm_bt_avx2(&a, n, k, &bt, z, &mut avx2) };
+            let avx2 = tiled(n, z, |tile| {
+                // SAFETY: `has_avx2` reported AVX2 on the running CPU.
+                unsafe { gemm_bt_tiles_avx2(&a, n, k, &bt, z, tile) }
+            });
             assert_same_bits(
-                &T::widen(avx2),
+                &widened(avx2),
                 &portable,
                 &format!("{what}: avx2 vs portable"),
             );
@@ -2311,12 +2450,12 @@ mod tests {
             let bt = special_matrix(&mut rng, z, k);
             let mut by_row = Vec::with_capacity(n * z);
             for row in a.chunks_exact(k) {
-                let mut out = vec![0.0; z];
-                gemm_bt_portable(row, 1, k, &bt, z, &mut out);
-                by_row.extend(out);
+                by_row.extend(tiled(1, z, |tile| {
+                    gemm_bt_tiles_portable(row, 1, k, &bt, z, tile)
+                }));
             }
             for threads in 1..=4 {
-                let banded = gemm_bt_parallel(&a, n, k, &bt, z, threads);
+                let banded = banded_bt(&a, n, k, &bt, z, threads);
                 let what = format!("n={n} z={z} k={k} threads={threads}");
                 assert_same_bits(&banded, &by_row, &what);
             }
@@ -2347,7 +2486,7 @@ mod tests {
                 "{} n={n} k={k} m={m}: avx2 vs portable",
                 std::any::type_name::<T>()
             );
-            assert_same_bits(&T::widen(avx2), &T::widen(portable), &what);
+            assert_same_bits(&widened(avx2), &widened(portable), &what);
             return true;
         }
         false
@@ -2443,8 +2582,6 @@ mod tests {
             }
         }
         let bt: Vec<f32> = (0..6).map(|v| 1.0 - v as f32 * 0.125).collect(); // 2x3
-        let bt_out = gemm_bt_parallel(&a, 2, 3, &bt, 2, 1);
-        assert_eq!(bt_out.len(), 4);
         let gram = rbf_gram_parallel(&a, 2, 3, &bt, 2, 0.5f32, 1);
         for &g in &gram {
             assert!(g > 0.0 && g <= 1.0);

@@ -35,8 +35,8 @@
 
 use crate::error::ZslError;
 use crate::linalg::{
-    default_threads, gemm_bt_parallel, gemm_parallel, rbf_gram_parallel, solve_sylvester, Elem,
-    Matrix,
+    default_threads, gemm_bt_into, gemm_parallel, par_row_bands, rbf_gram_parallel,
+    solve_sylvester, Elem, Matrix,
 };
 use crate::model::{
     validate_points, validate_regularizer, EszslProblem, EszslTrainer, GramAccumulator,
@@ -178,7 +178,13 @@ fn kernel_map_slab<T: Elem>(
     threads: usize,
 ) -> Vec<T> {
     match kernel {
-        KernelKind::Linear => gemm_bt_parallel(x, n, d, anchors, m, threads),
+        KernelKind::Linear => {
+            let mut out = vec![T::ZERO; n * m];
+            par_row_bands(n, threads, x, d, &mut out, m, |x_band, rows, out_band| {
+                gemm_bt_into(x_band, rows, d, anchors, m, out_band)
+            });
+            out
+        }
         KernelKind::Rbf { width } => {
             rbf_gram_parallel(x, n, d, anchors, m, T::from_f64(width), threads)
         }

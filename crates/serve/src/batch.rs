@@ -24,7 +24,9 @@
 //!
 //! Rows whose width disagrees with the snapshot's feature dimension get a
 //! typed per-row error in their place — the rest of the batch still scores.
-//! Nothing in this module can panic on request data.
+//! Nothing in this module can panic on request data, and a panic while
+//! scoring a batch fails only that batch: its rows are answered with
+//! [`ServeError::Internal`] and the worker goes on to the next one.
 
 use crate::error::ServeError;
 use crate::model::{ModelHandle, ModelSnapshot};
@@ -79,6 +81,10 @@ struct Inner {
     model: Arc<ModelHandle>,
     stats: Arc<ServeStats>,
     max_batch: usize,
+    /// Makes the next batch's scoring panic, so tests can reach the
+    /// recovery path.
+    #[cfg(test)]
+    panic_next: std::sync::atomic::AtomicBool,
 }
 
 /// Handle to the coalescing worker. Dropping it shuts the worker down after
@@ -97,6 +103,8 @@ impl Coalescer {
             model,
             stats,
             max_batch: config.max_batch.max(1),
+            #[cfg(test)]
+            panic_next: std::sync::atomic::AtomicBool::new(false),
         });
         let worker_inner = inner.clone();
         let worker = std::thread::Builder::new()
@@ -160,7 +168,8 @@ impl Drop for Coalescer {
 
 /// Score whatever is queued, up to `max_batch` rows, as soon as the worker
 /// is free; wait only while the queue is empty. Shutdown drains the queue
-/// first, then exits.
+/// first, then exits. A batch whose scoring panics gets
+/// [`ServeError::Internal`] for every row, and the loop goes on.
 fn worker_loop(inner: &Inner) {
     loop {
         let mut queue = inner.queue.lock().expect("queue poisoned");
@@ -173,41 +182,71 @@ fn worker_loop(inner: &Inner) {
         let take = queue.pending.len().min(inner.max_batch);
         let batch: Vec<Pending> = queue.pending.drain(..take).collect();
         drop(queue);
-        score_batch(inner, batch);
+        // Nothing is answered before scoring returns, so a panic leaves every
+        // row of the batch to answer here, once.
+        let scored =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| score_batch(inner, &batch)));
+        match scored {
+            Ok((snapshot, ranked)) => answer(batch, &snapshot, ranked),
+            Err(payload) => {
+                let why = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("no message");
+                let message = format!("scoring the batch panicked: {why}");
+                for pending in batch {
+                    let failed = Err(ServeError::Internal(message.clone()));
+                    pending.reply.send(failed).ok();
+                }
+            }
+        }
     }
 }
 
-/// Score one coalesced batch against ONE model snapshot and answer its rows
-/// in queue order.
-fn score_batch(inner: &Inner, batch: Vec<Pending>) {
+/// Score one coalesced batch against ONE model snapshot: the rankings of
+/// the rows whose width fits the snapshot, in queue order, each as long as
+/// the batch's widest `k` (at least 1).
+fn score_batch(inner: &Inner, batch: &[Pending]) -> (Arc<ModelSnapshot>, Vec<TopK>) {
+    #[cfg(test)]
+    if inner
+        .panic_next
+        .swap(false, std::sync::atomic::Ordering::SeqCst)
+    {
+        panic!("injected scoring panic");
+    }
     let snapshot: Arc<ModelSnapshot> = inner.model.snapshot();
     let d = snapshot.engine.feature_dim();
     let z = snapshot.engine.num_classes();
-
-    // Width-mismatched rows stay out of the batch matrix and get a per-row
-    // error. (Width can legitimately change between enqueue and scoring if
-    // a hot swap replaced the model with one from a different feature
-    // space — that must be an error response, not a panic.)
-    let fits = |pending: &Pending| pending.row.len() == d;
     let mut flat = Vec::new();
     // One kernel call wide enough for the largest request; k >= 1 so the
     // ranking's head doubles as the argmax (same total_cmp order, same
     // first-index tie-break as `predict`).
     let (mut scored, mut k_max) = (0, 1);
-    for pending in batch.iter().filter(|p| fits(p)) {
+    for pending in batch.iter().filter(|p| p.row.len() == d) {
         flat.extend_from_slice(&pending.row);
         scored += 1;
         k_max = k_max.max(pending.k);
     }
-    let mut ranked = Vec::new().into_iter();
+    let mut ranked = Vec::new();
     if scored > 0 {
         let x = Matrix::from_vec(scored, d, flat);
-        ranked = snapshot.engine.predict_topk(&x, k_max.min(z)).into_iter();
+        ranked = snapshot.engine.predict_topk(&x, k_max.min(z));
         inner.stats.record_batch(scored);
     }
+    (snapshot, ranked)
+}
 
+/// Answer a scored batch's rows in queue order. Width-mismatched rows were
+/// kept out of the batch matrix and get a per-row error in their place.
+/// (Width can legitimately change between enqueue and scoring if a hot swap
+/// replaced the model with one from a different feature space — that must
+/// be an error response, not a panic.)
+fn answer(batch: Vec<Pending>, snapshot: &ModelSnapshot, ranked: Vec<TopK>) {
+    let d = snapshot.engine.feature_dim();
+    let mut ranked = ranked.into_iter();
     for pending in batch {
-        let result = if fits(&pending) {
+        let result = if pending.row.len() == d {
             let mut topk = ranked.next().expect("one ranking per scored row");
             let class = topk.classes[0];
             topk.classes.truncate(pending.k);
@@ -420,6 +459,36 @@ mod tests {
             elapsed < Duration::from_millis(750),
             "leftover rows waited: 6 rows at max_batch=2 took {elapsed:?}"
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_panicking_batch_fails_its_rows_and_the_worker_keeps_scoring() {
+        let (path, engine) = artifact("panic", 18, 4, 5);
+        let (coalescer, stats) = start(&path, BatchConfig::default());
+        let rows = vec![vec![0.5; 4], vec![-1.0, 2.0, 0.0, 1.0]];
+        coalescer
+            .inner
+            .panic_next
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        let failed = coalescer.enqueue_rows(rows.clone(), 2);
+        for _ in &rows {
+            match failed.recv().expect("every row of the batch is answered") {
+                Err(ServeError::Internal(msg)) => {
+                    assert!(msg.contains("injected scoring panic"), "{msg}")
+                }
+                other => panic!("expected an internal error, got {other:?}"),
+            }
+        }
+        assert_eq!(stats.snapshot().batches, 0);
+        // The worker survived: the same rows score on the next pass.
+        let results = coalescer.enqueue_rows(rows.clone(), 2);
+        for row in rows {
+            let got = results.recv().expect("reply").expect("scored");
+            let x = Matrix::from_vec(1, 4, row);
+            assert_eq!(got.topk, engine.predict_topk(&x, 2)[0]);
+        }
+        assert_eq!(stats.snapshot().batches, 1);
         std::fs::remove_file(&path).ok();
     }
 

@@ -22,7 +22,7 @@ use zsl_serve::{Server, ServerConfig};
 fn usage() -> ExitCode {
     eprintln!(
         "usage: zsl-serve <model.zsm> [--addr HOST:PORT] [--threads N] [--max-batch N] \
-         [--watch-ms N | --no-watch] [--max-body-mb N] [--mmap] [--shards N]\n\n\
+         [--watch-ms N | --no-watch] [--max-body-mb N] [--mmap]\n\n\
          Boots a prediction server from the .zsm artifact alone. Rows that arrive while a\n\
          batch is being scored form the next batch (up to --max-batch rows); nothing waits\n\
          on a timer. The artifact path is polled every --watch-ms and hot-swapped\n\
@@ -30,8 +30,7 @@ fn usage() -> ExitCode {
          (default: one band per CPU; pin it low on loaded boxes — request threads\n\
          already provide concurrency, and kernel fan-out on top oversubscribes cores).\n\
          --mmap boots by memory-mapping the artifact (zero-copy signature bank when the\n\
-         file layout allows, heap fallback otherwise); --shards splits the bank into N\n\
-         row bands for streaming top-k scoring — same bits, lower peak score memory."
+         file layout allows, heap fallback otherwise)."
     );
     ExitCode::FAILURE
 }
@@ -80,10 +79,6 @@ fn main() -> ExitCode {
                 Ok(mb) if mb > 0 => config.max_body_bytes = mb << 20,
                 _ => return usage(),
             },
-            "--shards" => match value.parse() {
-                Ok(n) if n > 0 => config.bank_shards = Some(n),
-                _ => return usage(),
-            },
             _ => return usage(),
         }
         i += 2;
@@ -116,12 +111,11 @@ fn main() -> ExitCode {
     );
     println!(
         "zsl-serve: listening on http://{} (engine_threads={}, max_batch={}, watch={:?}, \
-         bank_shards={}, mmap={})",
+         mmap={})",
         server.addr(),
         snapshot.engine.threads(),
         config.batch.max_batch,
         config.watch_interval,
-        snapshot.engine.bank_shards().count(),
         snapshot.engine.is_bank_mapped(),
     );
     server.run_until_stopped();

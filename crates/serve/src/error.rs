@@ -24,6 +24,9 @@ pub enum ServeError {
     /// The batching worker shut down while a request was in flight — only
     /// observable during daemon shutdown.
     Closed,
+    /// Scoring the batch that held this request's rows panicked. The worker
+    /// answers every row of that batch with this error and keeps serving.
+    Internal(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -33,6 +36,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Model(e) => write!(f, "model error: {e}"),
             ServeError::Protocol(msg) => write!(f, "bad request: {msg}"),
             ServeError::Closed => write!(f, "server is shutting down"),
+            ServeError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
 }
@@ -42,7 +46,7 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Io(e) => Some(e),
             ServeError::Model(e) => Some(e),
-            ServeError::Protocol(_) | ServeError::Closed => None,
+            ServeError::Protocol(_) | ServeError::Closed | ServeError::Internal(_) => None,
         }
     }
 }

@@ -63,10 +63,6 @@ pub struct ServerConfig {
     /// the signature bank is borrowed zero-copy from the mmap'd artifact
     /// when layout and platform allow, with a transparent heap fallback.
     pub mmap_boot: bool,
-    /// Score the signature bank in this many row bands; `None` keeps the
-    /// engine's default of one band over the whole bank. Bit-identical
-    /// scores at every shard count — only peak score memory changes.
-    pub bank_shards: Option<usize>,
 }
 
 impl Default for ServerConfig {
@@ -78,7 +74,6 @@ impl Default for ServerConfig {
             max_body_bytes: 16 << 20,
             engine_threads: None,
             mmap_boot: false,
-            bank_shards: None,
         }
     }
 }
@@ -109,7 +104,6 @@ impl Server {
             BootOptions {
                 engine_threads,
                 mmap_boot: config.mmap_boot,
-                bank_shards: config.bank_shards,
             },
         )?);
         // Warm the process-wide linalg pool now, off the request path, and
@@ -279,7 +273,7 @@ fn handle_connection(
                 let (code, phrase) = match &e {
                     ServeError::Protocol(_) => (400, "Bad Request"),
                     ServeError::Model(_) | ServeError::Closed => (503, "Service Unavailable"),
-                    ServeError::Io(_) => (500, "Internal Server Error"),
+                    ServeError::Io(_) | ServeError::Internal(_) => (500, "Internal Server Error"),
                 };
                 respond(&mut writer, code, phrase, &format!("{e}\n"), keep_alive);
             }
@@ -514,34 +508,68 @@ fn parse_k(query: &str) -> Result<usize, ServeError> {
 /// commas. Non-finite values are rejected here, at the trust boundary: a
 /// NaN feature would poison its whole score row and serve garbage
 /// deterministically forever after.
+///
+/// One pass over the bytes: `\n` ends a row, and ASCII `,`, space, `\t`,
+/// `\r`, `\x0b` and `\x0c` separate values. Only a non-ASCII byte decodes
+/// its `char`, so Unicode whitespace such as U+00A0 separates values too,
+/// exactly the separators of splitting each line on `,` and
+/// [`char::is_whitespace`]. Each row reserves the previous row's width.
 fn parse_rows(text: &str) -> Result<Vec<Vec<f64>>, ServeError> {
-    let mut rows = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut row = Vec::new();
-        for token in line.split(|c: char| c == ',' || c.is_whitespace()) {
-            if token.is_empty() {
+    let bytes = text.as_bytes();
+    let (mut rows, mut row) = (Vec::new(), Vec::new());
+    let (mut line, mut width) = (1, 0);
+    // The current token is `text[start..at]`.
+    let (mut start, mut at) = (0, 0);
+    loop {
+        let (separator, row_end) = match bytes.get(at) {
+            None => (0, true),
+            Some(b'\n') => (1, true),
+            Some(b',' | b' ' | b'\t' | b'\r' | b'\x0b' | b'\x0c') => (1, false),
+            Some(byte) if byte.is_ascii() => {
+                at += 1;
                 continue;
             }
-            let v: f64 = token.parse().map_err(|_| {
-                ServeError::Protocol(format!("line {}: bad feature value '{token}'", i + 1))
-            })?;
-            if !v.is_finite() {
-                return Err(ServeError::Protocol(format!(
-                    "line {}: non-finite feature value '{token}'",
-                    i + 1
-                )));
+            Some(_) => {
+                let c = text[at..].chars().next().expect("`at` is a char boundary");
+                if !c.is_whitespace() {
+                    at += c.len_utf8();
+                    continue;
+                }
+                (c.len_utf8(), false)
             }
-            row.push(v);
+        };
+        if start < at {
+            if row.is_empty() {
+                row.reserve_exact(width);
+            }
+            row.push(parse_value(&text[start..at], line)?);
         }
-        if !row.is_empty() {
-            rows.push(row);
+        if row_end {
+            if !row.is_empty() {
+                width = row.len();
+                rows.push(std::mem::take(&mut row));
+            }
+            if at == bytes.len() {
+                return Ok(rows);
+            }
+            line += 1;
         }
+        at += separator;
+        start = at;
     }
-    Ok(rows)
+}
+
+/// One feature value of line `line`: a finite `f64`.
+fn parse_value(token: &str, line: usize) -> Result<f64, ServeError> {
+    let v: f64 = token
+        .parse()
+        .map_err(|_| ServeError::Protocol(format!("line {line}: bad feature value '{token}'")))?;
+    if !v.is_finite() {
+        return Err(ServeError::Protocol(format!(
+            "line {line}: non-finite feature value '{token}'"
+        )));
+    }
+    Ok(v)
 }
 
 /// `class=<c> generation=<g> topk=<c>:<s>,…` — scores in Rust's shortest
@@ -590,5 +618,83 @@ mod tests {
         assert!(parse_rows("1e999").is_err(), "inf must be rejected");
         assert!(parse_rows("nan 1.0").is_err(), "nan must be rejected");
         assert!(parse_rows("\n \n").expect("blank").is_empty());
+    }
+
+    /// The line-splitting parser the byte walk replaced, kept as its
+    /// oracle.
+    fn parse_rows_by_lines(text: &str) -> Result<Vec<Vec<f64>>, ServeError> {
+        let mut rows = Vec::new();
+        for (i, line) in text.lines().enumerate() {
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            let mut row = Vec::new();
+            for token in line.split(|c: char| c == ',' || c.is_whitespace()) {
+                if token.is_empty() {
+                    continue;
+                }
+                let v: f64 = token.parse().map_err(|_| {
+                    ServeError::Protocol(format!("line {}: bad feature value '{token}'", i + 1))
+                })?;
+                if !v.is_finite() {
+                    return Err(ServeError::Protocol(format!(
+                        "line {}: non-finite feature value '{token}'",
+                        i + 1
+                    )));
+                }
+                row.push(v);
+            }
+            if !row.is_empty() {
+                rows.push(row);
+            }
+        }
+        Ok(rows)
+    }
+
+    #[test]
+    fn byte_walk_parses_every_body_like_the_line_splitter() {
+        let bodies = [
+            "",
+            "\n",
+            "1",
+            "1,2,3",
+            "1.0, 2.5 -3\n\n4,5,6\n",
+            "1,2\r\n3,4\r\n",
+            "1,2\r\n\r\n\r\n3,4",
+            "\r\n1 2\r",
+            "  1 , 2 ,, 3 ,\n,4,\n",
+            "1\x0b2\x0c3\t4\n\x0b\x0c\n5",
+            "1\u{a0}2\u{2003}3\u{a0}\n\u{3000}4\u{85}5\u{2028}6",
+            "1,2,\n3,4,\n",
+            "\u{a0}\n\u{2003}",
+            "1e3 -2.5e-7 +4 .5 6.\n0x10",
+            "1 2\n3 nan\n",
+            "1 2\n3 -inf\n",
+            "1 2\n\n4 1e999",
+            "1,2\n3,abc,4\n5,zz",
+            "1\u{e9}2",
+            "\u{1f600}",
+            "1,2\n3\u{a0}x,4",
+            "-0,0,-0.0\n",
+        ];
+        for body in bodies {
+            let want = parse_rows_by_lines(body);
+            let got = parse_rows(body);
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+                        rows.iter()
+                            .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                            .collect()
+                    };
+                    assert_eq!(bits(&got), bits(&want), "{body:?}");
+                }
+                (Err(got), Err(want)) => {
+                    assert_eq!(got.to_string(), want.to_string(), "{body:?}")
+                }
+                (got, want) => panic!("{body:?}: {got:?} against {want:?}"),
+            }
+        }
     }
 }

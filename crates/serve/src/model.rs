@@ -105,10 +105,6 @@ pub struct BootOptions {
     /// borrow when the artifact layout and platform allow it, transparent
     /// heap fallback otherwise.
     pub mmap_boot: bool,
-    /// Score the signature bank in this many row bands (`None` keeps the
-    /// engine's default of one band over the whole bank). Scored bits are
-    /// identical at every shard count; only peak score memory changes.
-    pub bank_shards: Option<usize>,
 }
 
 /// The daemon's model slot: boots from a `.zsm` artifact, hands out
@@ -123,8 +119,8 @@ pub struct ModelHandle {
     /// request threads already provide the serving concurrency, so the
     /// engine must not additionally fan each batch out to
     /// `default_threads()` bands per request thread — that oversubscribes
-    /// the cores and slows every batch down. The mmap and shard options are
-    /// re-applied on every hot swap for the same reason.
+    /// the cores and slows every batch down. The mmap option is re-applied
+    /// on every hot swap for the same reason.
     options: BootOptions,
 }
 
@@ -133,8 +129,8 @@ impl ModelHandle {
     /// the box needs the `.zsm` file and nothing else — no training data,
     /// no re-solve. A bad artifact is a typed error, never a panic.
     ///
-    /// [`BootOptions`] set the thread sizing, opt-in mmap loading and bank
-    /// sharding; every later hot swap re-applies the same options, so a
+    /// [`BootOptions`] set the thread sizing and opt-in mmap loading; every
+    /// later hot swap re-applies the same options, so a
     /// reload can never silently revert the daemon to oversubscribed
     /// defaults.
     pub fn boot_with_options(
@@ -175,18 +171,11 @@ impl ModelHandle {
             ScoringEngine::load_with_metadata(path)?
         };
         engine.set_threads(options.engine_threads);
-        if let Some(shards) = options.bank_shards {
-            engine.set_bank_shards(shards);
-        }
         Ok((engine, metadata))
     }
 
     fn set_bank_gauges(stats: &ServeStats, engine: &ScoringEngine) {
-        stats.set_bank_gauges(
-            engine.bank_shards().count(),
-            engine.bank_resident_bytes(),
-            engine.is_bank_mapped(),
-        );
+        stats.set_bank_gauges(engine.bank_resident_bytes(), engine.is_bank_mapped());
     }
 
     /// Kernel thread count applied to every installed engine.

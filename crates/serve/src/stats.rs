@@ -36,9 +36,6 @@ pub struct ServeStats {
     /// Threads in the process-wide linalg worker pool (including the
     /// submitting thread). Also a boot-time gauge.
     pool_threads: AtomicU64,
-    /// Shard count of the installed engine's signature bank. A gauge,
-    /// refreshed on every snapshot install (boot and each hot swap).
-    bank_shards: AtomicU64,
     /// Heap bytes resident for the installed engine's bank (0 when the bank
     /// is borrowed from an mmap'd artifact). Refreshed on every install.
     bank_resident_bytes: AtomicU64,
@@ -65,7 +62,6 @@ pub struct StatsSnapshot {
     /// solves of any model trained in it. A process constant, read when the
     /// snapshot is taken.
     pub kernel_isa: &'static str,
-    pub bank_shards: u64,
     pub bank_resident_bytes: u64,
     pub mmap_boot: u64,
 }
@@ -103,12 +99,11 @@ impl ServeStats {
             .store(pool_threads as u64, Ordering::Relaxed);
     }
 
-    /// Set the bank gauges for the engine just installed: shard count,
-    /// heap-resident bank bytes, and whether the bank is mmap-borrowed.
-    /// Called by the model handle on boot and on every successful hot swap,
-    /// so `/stats` always describes the engine actually serving.
-    pub(crate) fn set_bank_gauges(&self, shards: usize, resident_bytes: usize, mapped: bool) {
-        self.bank_shards.store(shards as u64, Ordering::Relaxed);
+    /// Set the bank gauges for the engine just installed: heap-resident
+    /// bank bytes, and whether the bank is mmap-borrowed. Called by the
+    /// model handle on boot and on every successful hot swap, so `/stats`
+    /// always describes the engine actually serving.
+    pub(crate) fn set_bank_gauges(&self, resident_bytes: usize, mapped: bool) {
         self.bank_resident_bytes
             .store(resident_bytes as u64, Ordering::Relaxed);
         self.mmap_boot.store(u64::from(mapped), Ordering::Relaxed);
@@ -135,7 +130,6 @@ impl ServeStats {
             engine_threads: self.engine_threads.load(Ordering::Relaxed),
             pool_threads: self.pool_threads.load(Ordering::Relaxed),
             kernel_isa: zsl_core::kernel_isa(),
-            bank_shards: self.bank_shards.load(Ordering::Relaxed),
             bank_resident_bytes: self.bank_resident_bytes.load(Ordering::Relaxed),
             mmap_boot: self.mmap_boot.load(Ordering::Relaxed),
         }
@@ -148,7 +142,7 @@ impl StatsSnapshot {
         format!(
             "requests={}\nrows={}\nbatches={}\nmax_batch_rows={}\ncoalesced_batches={}\n\
              reloads={}\nreload_failures={}\nrejected={}\nengine_threads={}\npool_threads={}\n\
-             kernel_isa={}\nbank_shards={}\nbank_resident_bytes={}\nmmap_boot={}\n",
+             kernel_isa={}\nbank_resident_bytes={}\nmmap_boot={}\n",
             self.requests,
             self.rows,
             self.batches,
@@ -160,7 +154,6 @@ impl StatsSnapshot {
             self.engine_threads,
             self.pool_threads,
             self.kernel_isa,
-            self.bank_shards,
             self.bank_resident_bytes,
             self.mmap_boot
         )
@@ -202,16 +195,15 @@ mod tests {
     #[test]
     fn bank_gauges_track_each_install_and_render() {
         let stats = ServeStats::new();
-        stats.set_bank_gauges(4, 8192, false);
+        stats.set_bank_gauges(8192, false);
         let snap = stats.snapshot();
-        assert_eq!(snap.bank_shards, 4);
         assert_eq!(snap.bank_resident_bytes, 8192);
         assert_eq!(snap.mmap_boot, 0);
-        stats.set_bank_gauges(1, 0, true);
+        stats.set_bank_gauges(0, true);
         let snap = stats.snapshot();
         assert_eq!(snap.bank_resident_bytes, 0);
         assert_eq!(snap.mmap_boot, 1);
-        assert!(snap.render().contains("bank_shards=1"));
+        assert!(snap.render().contains("\nkernel_isa="));
         assert!(snap.render().contains("bank_resident_bytes=0"));
         assert!(snap.render().contains("mmap_boot=1"));
     }

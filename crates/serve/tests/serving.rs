@@ -517,16 +517,15 @@ fn failed_reload_keeps_serving_the_old_model() {
 }
 
 #[test]
-fn mmap_sharded_boot_and_reload_serve_bit_identical_predictions() {
-    // 300 classes are five 64-row tiles, so four bands really form.
-    let path = temp_artifact("mmap_sharded");
+fn mmap_boot_and_reload_serve_bit_identical_predictions() {
+    // 300 classes are five 64-class tiles, the last one partial.
+    let path = temp_artifact("mmap_boot");
     let engine = random_engine(108, 6, 4, 300, Similarity::Cosine);
     engine.save(&path).expect("save");
     let server = Server::start(
         &path,
         ServerConfig {
             mmap_boot: true,
-            bank_shards: Some(4),
             watch_interval: None,
             ..ServerConfig::default()
         },
@@ -537,7 +536,7 @@ fn mmap_sharded_boot_and_reload_serve_bit_identical_predictions() {
     let assert_bank_gauges = |when: &str| {
         let (status, body) = get(addr, "/stats");
         assert_eq!(status, 200, "{when}: {body}");
-        assert!(body.contains("bank_shards=4\n"), "{when}: {body}");
+        assert!(!body.contains("bank_shards"), "{when}: {body}");
         if mapped {
             assert!(body.contains("mmap_boot=1\n"), "{when}: {body}");
             assert!(body.contains("bank_resident_bytes=0\n"), "{when}: {body}");

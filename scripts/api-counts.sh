@@ -6,7 +6,9 @@
 #
 # For each crate under crates/ it prints three counts:
 #   lines    non-test source lines: each src/**/*.rs file up to (not
-#            including) its first `#[cfg(test)]` line, or the whole file
+#            including) its test module, the first `#[cfg(test)]` line
+#            directly followed by a `mod` line, or the whole file; a
+#            `#[cfg(test)]` on any other item is counted with it
 #   pub      lines among those that start (after indentation) with
 #            `pub fn|struct|enum|trait|const|type|mod|static`
 #   reexport names that src/lib.rs re-exports with `pub use`
@@ -24,8 +26,9 @@ for manifest in crates/*/Cargo.toml; do
     # One line per file: "<non-test lines> <pub items>".
     counts=$(find "$dir/src" -name '*.rs' -type f | sort | while read -r file; do
         awk '
-            /^[ \t]*#\[cfg\(test\)\]/ { exit }
-            { lines++ }
+            /^[ \t]*#\[cfg\(test\)\]/ { held++; next }
+            held && /^[ \t]*(pub(\([a-z]+\))? )?mod[ \t]/ { exit }
+            { lines += held + 1; held = 0 }
             /^[ \t]*pub (fn|struct|enum|trait|const|type|mod|static)[ \t]/ { items++ }
             END { print lines + 0, items + 0 }
         ' "$file"
