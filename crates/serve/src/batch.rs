@@ -1,31 +1,31 @@
-//! The request coalescer: turns concurrent single-row predictions into one
-//! wide matrix so the row-banded parallel matmul kernels actually see the
-//! batch shapes they were built for.
+//! The request coalescer: turns concurrent requests into one wide matrix so
+//! the row-banded parallel matmul kernels actually see the batch shapes they
+//! were built for.
 //!
 //! A single-row score is almost pure overhead for the chunked kernels —
 //! ZSpeedL's framing (inference-time performance as a first-class metric)
 //! is why the serving layer batches at the front door instead of scoring
 //! rows as they arrive. Batches form by load, not by a timer:
 //!
-//! - Request threads enqueue their rows under one queue lock with one
-//!   wake-up of the worker, then block on the request's one reply channel.
-//! - The single worker takes whatever is queued, up to
-//!   [`BatchConfig::max_batch`] rows, as soon as it is free, snapshots the
-//!   current model **once**, scores the whole batch through
-//!   [`zsl_core::ScoringEngine::predict_topk`], and answers the rows in
-//!   queue order. Rows that arrive while a batch is being scored form the
-//!   next batch, so an idle daemon answers a lone row at once and a busy one
-//!   scores wide batches.
-//! - A request's rows are contiguous in the FIFO queue and the worker
-//!   answers batches in order, so a request's channel yields its rows'
-//!   results in row order, also when `max_batch` splits the request.
+//! - A request is queued whole, as one entry holding its rows in one
+//!   row-major buffer (in [`BatchConfig::max_batch`]-row entries when
+//!   longer), under one queue lock with one wake-up of the worker.
+//! - The single worker takes the leading whole entries, up to `max_batch`
+//!   rows, as soon as it is free, snapshots the current model **once** and
+//!   scores them as one matrix through
+//!   [`zsl_core::ScoringEngine::predict_topk`]: the first entry's buffer
+//!   with the others' rows appended, so a lone request is not copied.
+//!   Entries that arrive meanwhile form the next batch, so an idle daemon
+//!   answers a lone row at once and a busy one scores wide batches.
+//! - The queue is FIFO and batches are answered in order, so a request's
+//!   one channel yields its rows' results in row order, also when it was cut.
 //! - One model snapshot per batch means a hot swap never splits a batch
 //!   across two models.
 //!
-//! Rows whose width disagrees with the snapshot's feature dimension get a
-//! typed per-row error in their place — the rest of the batch still scores.
-//! Nothing in this module can panic on request data, and a panic while
-//! scoring a batch fails only that batch: its rows are answered with
+//! Each row of an entry whose width disagrees with the snapshot's feature
+//! dimension gets a typed error in its place — the rest of the batch still
+//! scores. Nothing in this module can panic on request data, and a panic
+//! while scoring a batch fails only that batch: its rows are answered with
 //! [`ServeError::Internal`] and the worker goes on to the next one.
 
 use crate::error::ServeError;
@@ -39,7 +39,8 @@ use zsl_core::{Matrix, TopK};
 #[derive(Clone, Copy, Debug)]
 pub struct BatchConfig {
     /// Hard cap on rows per scored batch, which bounds one batch's rows and
-    /// score memory. Default 256.
+    /// score memory. Default 256. A batch is made of whole queued entries; a
+    /// request longer than this is queued as `max_batch`-row entries.
     pub max_batch: usize,
 }
 
@@ -62,16 +63,19 @@ pub struct RowResult {
     pub generation: u64,
 }
 
-struct Pending {
-    row: Vec<f64>,
+/// One queued request, or one `max_batch`-row piece of a longer one:
+/// `rows` rows of `width` values, row-major in `values` until scored.
+struct Entry {
+    values: Vec<f64>,
+    rows: usize,
+    width: usize,
     k: usize,
-    /// A clone of the request's one reply sender.
     reply: mpsc::Sender<Result<RowResult, ServeError>>,
 }
 
 #[derive(Default)]
 struct Queue {
-    pending: Vec<Pending>,
+    pending: Vec<Entry>,
     shutdown: bool,
 }
 
@@ -119,33 +123,39 @@ impl Coalescer {
 
     /// Enqueue one row without blocking; the returned channel yields the
     /// result. The one-row case of `enqueue_rows`.
-    pub fn enqueue(
-        &self,
-        row: Vec<f64>,
-        k: usize,
-    ) -> mpsc::Receiver<Result<RowResult, ServeError>> {
-        self.enqueue_rows(vec![row], k)
+    pub fn enqueue(&self, row: Vec<f64>, k: usize) -> Receiver {
+        self.enqueue_rows(row, 1, k)
     }
 
-    /// Enqueue a request's rows without blocking, under one queue lock and
-    /// with one wake-up of the worker, so they are all visible to the same
-    /// worker pass: a request's own rows form one batch (up to
-    /// [`BatchConfig::max_batch`]) and coalesce with concurrent requests.
-    /// The one returned channel yields the rows' results in row order; after
+    /// Enqueue a request's `rows` rows, row-major in `values`, without
+    /// blocking, as one entry (or `max_batch`-row entries when longer). The
+    /// one returned channel yields the rows' results in row order; after
     /// shutdown it yields a single [`ServeError::Closed`].
-    pub(crate) fn enqueue_rows(&self, rows: Vec<Vec<f64>>, k: usize) -> Receiver {
+    pub(crate) fn enqueue_rows(&self, values: Vec<f64>, rows: usize, k: usize) -> Receiver {
         let (reply, results) = mpsc::channel();
+        let (width, max_batch) = (values.len() / rows.max(1), self.inner.max_batch);
+        let entry = |values, rows| Entry {
+            values,
+            rows,
+            width,
+            k,
+            reply: reply.clone(),
+        };
         let mut queue = self.inner.queue.lock().expect("queue poisoned");
         if queue.shutdown {
             reply.send(Err(ServeError::Closed)).ok();
-        } else {
-            queue.pending.extend(rows.into_iter().map(|row| Pending {
-                row,
-                k,
-                reply: reply.clone(),
-            }));
-            self.inner.arrived.notify_one();
+            return results;
         }
+        if rows <= max_batch {
+            queue.pending.push(entry(values, rows));
+        } else {
+            for first in (0..rows).step_by(max_batch) {
+                let end = rows.min(first + max_batch);
+                let piece = values[first * width..end * width].to_vec();
+                queue.pending.push(entry(piece, end - first));
+            }
+        }
+        self.inner.arrived.notify_one();
         results
     }
 }
@@ -166,9 +176,9 @@ impl Drop for Coalescer {
     }
 }
 
-/// Score whatever is queued, up to `max_batch` rows, as soon as the worker
-/// is free; wait only while the queue is empty. Shutdown drains the queue
-/// first, then exits. A batch whose scoring panics gets
+/// Score the queue's leading whole entries, up to `max_batch` rows, as soon
+/// as the worker is free; wait only while the queue is empty. Shutdown
+/// drains the queue first, then exits. A batch whose scoring panics gets
 /// [`ServeError::Internal`] for every row, and the loop goes on.
 fn worker_loop(inner: &Inner) {
     loop {
@@ -179,13 +189,20 @@ fn worker_loop(inner: &Inner) {
         if queue.pending.is_empty() {
             return;
         }
-        let take = queue.pending.len().min(inner.max_batch);
-        let batch: Vec<Pending> = queue.pending.drain(..take).collect();
+        // Whole entries while they fit; the first always goes.
+        let mut rows = 0;
+        let fits = |entry: &&Entry| {
+            rows += entry.rows;
+            rows <= inner.max_batch
+        };
+        let take = queue.pending.iter().take_while(fits).count().max(1);
+        let mut batch: Vec<Entry> = queue.pending.drain(..take).collect();
         drop(queue);
         // Nothing is answered before scoring returns, so a panic leaves every
         // row of the batch to answer here, once.
-        let scored =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| score_batch(inner, &batch)));
+        let scored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            score_batch(inner, &mut batch)
+        }));
         match scored {
             Ok((snapshot, ranked)) => answer(batch, &snapshot, ranked),
             Err(payload) => {
@@ -195,9 +212,11 @@ fn worker_loop(inner: &Inner) {
                     .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
                     .unwrap_or("no message");
                 let message = format!("scoring the batch panicked: {why}");
-                for pending in batch {
-                    let failed = Err(ServeError::Internal(message.clone()));
-                    pending.reply.send(failed).ok();
+                for entry in batch {
+                    for _ in 0..entry.rows {
+                        let failed = Err(ServeError::Internal(message.clone()));
+                        entry.reply.send(failed).ok();
+                    }
                 }
             }
         }
@@ -205,9 +224,10 @@ fn worker_loop(inner: &Inner) {
 }
 
 /// Score one coalesced batch against ONE model snapshot: the rankings of
-/// the rows whose width fits the snapshot, in queue order, each as long as
-/// the batch's widest `k` (at least 1).
-fn score_batch(inner: &Inner, batch: &[Pending]) -> (Arc<ModelSnapshot>, Vec<TopK>) {
+/// the rows of the entries whose width fits it, in queue order, each as long
+/// as the batch's widest `k` (at least 1). The batch matrix is the first
+/// fitting entry's buffer with the others' rows appended.
+fn score_batch(inner: &Inner, batch: &mut [Entry]) -> (Arc<ModelSnapshot>, Vec<TopK>) {
     #[cfg(test)]
     if inner
         .panic_next
@@ -217,52 +237,55 @@ fn score_batch(inner: &Inner, batch: &[Pending]) -> (Arc<ModelSnapshot>, Vec<Top
     }
     let snapshot: Arc<ModelSnapshot> = inner.model.snapshot();
     let d = snapshot.engine.feature_dim();
-    let z = snapshot.engine.num_classes();
-    let mut flat = Vec::new();
     // One kernel call wide enough for the largest request; k >= 1 so the
     // ranking's head doubles as the argmax (same total_cmp order, same
     // first-index tie-break as `predict`).
-    let (mut scored, mut k_max) = (0, 1);
-    for pending in batch.iter().filter(|p| p.row.len() == d) {
-        flat.extend_from_slice(&pending.row);
-        scored += 1;
-        k_max = k_max.max(pending.k);
+    let (mut x, mut scored, mut k_max) = (Vec::new(), 0, 1);
+    for entry in batch.iter_mut().filter(|entry| entry.width == d) {
+        if scored == 0 {
+            x = std::mem::take(&mut entry.values);
+        } else {
+            x.extend_from_slice(&entry.values);
+        }
+        scored += entry.rows;
+        k_max = k_max.max(entry.k);
     }
     let mut ranked = Vec::new();
     if scored > 0 {
-        let x = Matrix::from_vec(scored, d, flat);
-        ranked = snapshot.engine.predict_topk(&x, k_max.min(z));
+        let x = Matrix::from_vec(scored, d, x);
+        ranked = snapshot.engine.predict_topk(&x, k_max);
         inner.stats.record_batch(scored);
     }
     (snapshot, ranked)
 }
 
-/// Answer a scored batch's rows in queue order. Width-mismatched rows were
-/// kept out of the batch matrix and get a per-row error in their place.
-/// (Width can legitimately change between enqueue and scoring if a hot swap
-/// replaced the model with one from a different feature space — that must
-/// be an error response, not a panic.)
-fn answer(batch: Vec<Pending>, snapshot: &ModelSnapshot, ranked: Vec<TopK>) {
+/// Answer a scored batch's rows in queue order. Each row of an entry whose
+/// width does not fit the snapshot gets an error in its place: a hot swap
+/// may have installed a model of another feature space since enqueue, and
+/// that must be an error response, not a panic.
+fn answer(batch: Vec<Entry>, snapshot: &ModelSnapshot, ranked: Vec<TopK>) {
     let d = snapshot.engine.feature_dim();
     let mut ranked = ranked.into_iter();
-    for pending in batch {
-        let result = if pending.row.len() == d {
-            let mut topk = ranked.next().expect("one ranking per scored row");
-            let class = topk.classes[0];
-            topk.classes.truncate(pending.k);
-            topk.scores.truncate(pending.k);
-            Ok(RowResult {
-                class,
-                topk,
-                generation: snapshot.generation,
-            })
-        } else {
-            Err(ServeError::Protocol(format!(
-                "feature row has {} values but the model expects {d}",
-                pending.row.len()
-            )))
-        };
-        pending.reply.send(result).ok();
+    for entry in batch {
+        for _ in 0..entry.rows {
+            let result = if entry.width == d {
+                let mut topk = ranked.next().expect("one ranking per scored row");
+                let class = topk.classes[0];
+                topk.classes.truncate(entry.k);
+                topk.scores.truncate(entry.k);
+                Ok(RowResult {
+                    class,
+                    topk,
+                    generation: snapshot.generation,
+                })
+            } else {
+                Err(ServeError::Protocol(format!(
+                    "feature row has {} values but the model expects {d}",
+                    entry.width
+                )))
+            };
+            entry.reply.send(result).ok();
+        }
     }
 }
 
@@ -357,12 +380,25 @@ mod tests {
         ));
         assert!(good.recv().expect("reply").is_ok());
         assert_eq!(stats.snapshot().rows, 1);
-        // Within one request the error takes the bad row's place.
-        let results = coalescer.enqueue_rows(vec![vec![0.5; 4], vec![1.0], vec![2.0; 4]], 1);
-        assert!(results.recv().expect("row 1").is_ok());
-        assert!(matches!(results.recv(), Ok(Err(ServeError::Protocol(_)))));
-        assert!(results.recv().expect("row 3").is_ok());
-        assert_eq!(stats.snapshot().rows, 3);
+        // A wrong-width request queued between two good ones: the good rows
+        // score, and each row of the bad request gets the width error.
+        let before = coalescer.enqueue_rows(vec![0.5; 8], 2, 1);
+        let bad = coalescer.enqueue_rows(vec![1.0; 6], 3, 1);
+        let after = coalescer.enqueue_rows(vec![2.0; 4], 1, 1);
+        for _ in 0..2 {
+            assert!(before.recv().expect("good row").is_ok());
+        }
+        for _ in 0..3 {
+            match bad.recv().expect("bad row") {
+                Err(ServeError::Protocol(msg)) => assert_eq!(
+                    msg, "feature row has 2 values but the model expects 4",
+                    "{msg}"
+                ),
+                other => panic!("expected a width error, got {other:?}"),
+            }
+        }
+        assert!(after.recv().expect("good row").is_ok());
+        assert_eq!(stats.snapshot().rows, 4);
         std::fs::remove_file(&path).ok();
     }
 
@@ -377,16 +413,14 @@ mod tests {
         // The worker is busy scoring the first row while the rest arrive.
         let (coalescer, stats) = start(&path, BatchConfig { max_batch: 64 });
         let mut rng = Rng::new(6);
-        let rows: Vec<Vec<f64>> = (0..10)
-            .map(|_| (0..4).map(|_| rng.normal()).collect())
-            .collect();
+        let rows: Vec<f64> = (0..10 * 4).map(|_| rng.normal()).collect();
         let receivers: Vec<_> = rows
-            .iter()
-            .map(|row| coalescer.enqueue(row.clone(), 1))
+            .chunks(4)
+            .map(|row| coalescer.enqueue(row.to_vec(), 1))
             .collect();
-        for (row, rx) in rows.iter().zip(receivers) {
+        for (row, rx) in rows.chunks(4).zip(receivers) {
             let got = rx.recv().expect("reply").expect("scored");
-            let x = Matrix::from_vec(1, 4, row.clone());
+            let x = Matrix::from_vec(1, 4, row.to_vec());
             assert_eq!(got.class, engine.predict(&x)[0]);
         }
         let snap = stats.snapshot();
@@ -399,19 +433,17 @@ mod tests {
     fn enqueued_request_rows_form_whole_batches() {
         let (path, engine) = artifact("whole", 17, 4, 5);
         let mut rng = Rng::new(7);
-        let rows = |count: usize, rng: &mut Rng| -> Vec<Vec<f64>> {
-            (0..count)
-                .map(|_| (0..4).map(|_| rng.normal()).collect())
-                .collect()
+        let rows = |count: usize, rng: &mut Rng| -> Vec<f64> {
+            (0..count * 4).map(|_| rng.normal()).collect()
         };
 
         // One request of 64 rows: one batch of 64, answered in row order.
         let (coalescer, stats) = start(&path, BatchConfig::default());
         let request = rows(64, &mut rng);
-        let results = coalescer.enqueue_rows(request.clone(), 1);
-        for row in request {
+        let results = coalescer.enqueue_rows(request.clone(), 64, 1);
+        for row in request.chunks(4) {
             let got = results.recv().expect("reply").expect("scored");
-            let x = Matrix::from_vec(1, 4, row);
+            let x = Matrix::from_vec(1, 4, row.to_vec());
             assert_eq!(got.class, engine.predict(&x)[0]);
             assert_eq!(got.topk, engine.predict_topk(&x, 1)[0]);
         }
@@ -422,10 +454,10 @@ mod tests {
         // in row order on the one channel.
         let (coalescer, stats) = start(&path, BatchConfig { max_batch: 256 });
         let request = rows(300, &mut rng);
-        let results = coalescer.enqueue_rows(request.clone(), 1);
-        for row in request {
+        let results = coalescer.enqueue_rows(request.clone(), 300, 1);
+        for row in request.chunks(4) {
             let got = results.recv().expect("reply").expect("scored");
-            let x = Matrix::from_vec(1, 4, row);
+            let x = Matrix::from_vec(1, 4, row.to_vec());
             assert_eq!(got.topk, engine.predict_topk(&x, 1)[0]);
         }
         let snap = stats.snapshot();
@@ -466,13 +498,13 @@ mod tests {
     fn a_panicking_batch_fails_its_rows_and_the_worker_keeps_scoring() {
         let (path, engine) = artifact("panic", 18, 4, 5);
         let (coalescer, stats) = start(&path, BatchConfig::default());
-        let rows = vec![vec![0.5; 4], vec![-1.0, 2.0, 0.0, 1.0]];
+        let rows = vec![0.5, 0.5, 0.5, 0.5, -1.0, 2.0, 0.0, 1.0];
         coalescer
             .inner
             .panic_next
             .store(true, std::sync::atomic::Ordering::SeqCst);
-        let failed = coalescer.enqueue_rows(rows.clone(), 2);
-        for _ in &rows {
+        let failed = coalescer.enqueue_rows(rows.clone(), 2, 2);
+        for _ in rows.chunks(4) {
             match failed.recv().expect("every row of the batch is answered") {
                 Err(ServeError::Internal(msg)) => {
                     assert!(msg.contains("injected scoring panic"), "{msg}")
@@ -482,10 +514,10 @@ mod tests {
         }
         assert_eq!(stats.snapshot().batches, 0);
         // The worker survived: the same rows score on the next pass.
-        let results = coalescer.enqueue_rows(rows.clone(), 2);
-        for row in rows {
+        let results = coalescer.enqueue_rows(rows.clone(), 2, 2);
+        for row in rows.chunks(4) {
             let got = results.recv().expect("reply").expect("scored");
-            let x = Matrix::from_vec(1, 4, row);
+            let x = Matrix::from_vec(1, 4, row.to_vec());
             assert_eq!(got.topk, engine.predict_topk(&x, 2)[0]);
         }
         assert_eq!(stats.snapshot().batches, 1);

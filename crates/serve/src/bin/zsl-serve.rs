@@ -23,14 +23,15 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: zsl-serve <model.zsm> [--addr HOST:PORT] [--threads N] [--max-batch N] \
          [--watch-ms N | --no-watch] [--max-body-mb N] [--mmap]\n\n\
-         Boots a prediction server from the .zsm artifact alone. Rows that arrive while a\n\
-         batch is being scored form the next batch (up to --max-batch rows); nothing waits\n\
-         on a timer. The artifact path is polled every --watch-ms and hot-swapped\n\
-         atomically on change. --threads pins the scoring engine's kernel parallelism\n\
-         (default: one band per CPU; pin it low on loaded boxes — request threads\n\
-         already provide concurrency, and kernel fan-out on top oversubscribes cores).\n\
-         --mmap boots by memory-mapping the artifact (zero-copy signature bank when the\n\
-         file layout allows, heap fallback otherwise)."
+         Boots a prediction server from the .zsm artifact alone. Each request is queued\n\
+         whole (in --max-batch-row pieces when longer); requests that arrive while a batch\n\
+         is being scored form the next batch, of whole requests up to --max-batch rows;\n\
+         nothing waits on a timer. The artifact path is polled every --watch-ms and\n\
+         hot-swapped atomically on change. --threads pins the scoring engine's kernel\n\
+         parallelism (default: one band per CPU; pin it low on loaded boxes — request\n\
+         threads already provide concurrency, and kernel fan-out on top oversubscribes\n\
+         cores). --mmap boots by memory-mapping the artifact (zero-copy signature bank\n\
+         when the file layout allows, heap fallback otherwise)."
     );
     ExitCode::FAILURE
 }

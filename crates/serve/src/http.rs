@@ -4,9 +4,9 @@
 //! thread per connection (keep-alive honored), and a hand-rolled parser for
 //! the tiny request surface the daemon speaks. Every request is untrusted:
 //! framing errors, request heads over 64 KiB or 100 header lines (`431`),
-//! oversized bodies, unparsable or non-finite feature values, and width
-//! mismatches are all 4xx responses — the process never panics on a
-//! socket's bytes.
+//! oversized bodies, unparsable or non-finite feature values, ragged rows
+//! and width mismatches are all 4xx responses — the process never panics
+//! on a socket's bytes.
 //!
 //! ## Protocol
 //!
@@ -19,15 +19,17 @@
 //! | `POST /predict[?k=N]` | score feature rows (see below) |
 //!
 //! `POST /predict` takes `text/plain`: one feature row per line, values
-//! separated by whitespace and/or commas. The response mirrors it, one line
-//! per row: `class=<argmax> generation=<model generation> topk=<c>:<s>,…`
+//! separated by whitespace and/or commas, every row as wide as the first (a
+//! ragged body is a `400` naming the line). The response mirrors it, one
+//! line per row: `class=<argmax> generation=<model generation> topk=<c>:<s>,…`
 //! with `k` entries (`k` clamped to the class count; `k=0` leaves `topk=`
 //! empty; default `k=1`). Scores print with Rust's shortest-round-trip
 //! float formatting, so equal text means bit-equal scores.
 //!
-//! Every row — including each row of a multi-row body — goes through the
-//! [`crate::batch::Coalescer`], so one client's rows batch with every
-//! concurrent client's before hitting the matmul kernels.
+//! The body is parsed into one row-major buffer and queued whole on the
+//! [`crate::batch::Coalescer`] (in `max_batch`-row pieces when longer), whose
+//! batches are made of whole queued requests, so one client's rows batch
+//! with every concurrent client's before hitting the matmul kernels.
 
 use crate::batch::{BatchConfig, Coalescer, RowResult};
 use crate::error::ServeError;
@@ -140,12 +142,7 @@ impl Server {
                                 })
                                 .ok();
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            if stop.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
+                        // Nothing to accept (`WouldBlock`) or a failed accept.
                         Err(_) => {
                             if stop.load(Ordering::Relaxed) {
                                 return;
@@ -314,9 +311,7 @@ fn read_request(
     }
     let mut parts = line.split_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1.") => {
-            (m.to_string(), t.to_string(), v)
-        }
+        (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1.") => (m, t, v),
         _ => {
             return Err(ReadError::Malformed(format!(
                 "bad request line: {}",
@@ -324,18 +319,19 @@ fn read_request(
             )))
         }
     };
-
-    let mut content_length = 0usize;
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    let (method, path, query) = (method.to_string(), path.to_string(), query.to_string());
     // HTTP/1.1 connections persist unless the client says `close`; an
     // HTTP/1.0 connection persists only when the client asks for it.
     let mut keep_alive = version != "HTTP/1.0";
+    let mut content_length = 0usize;
     let mut headers = 0usize;
     loop {
-        let mut header = String::new();
-        if read_head_line(&mut head, &mut header)? == 0 {
+        line.clear();
+        if read_head_line(&mut head, &mut line)? == 0 {
             return Err(ReadError::Malformed("eof inside headers".into()));
         }
-        let header = header.trim_end();
+        let header = line.trim_end();
         if header.is_empty() {
             break;
         }
@@ -346,26 +342,21 @@ fn read_request(
         let Some((name, value)) = header.split_once(':') else {
             return Err(ReadError::Malformed(format!("bad header: {header}")));
         };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        match name.as_str() {
-            "content-length" => {
-                content_length = value
-                    .parse()
-                    .map_err(|_| ReadError::Malformed(format!("bad content-length: {value}")))?;
-            }
-            "transfer-encoding" => {
-                return Err(ReadError::Malformed(
-                    "transfer-encoding is not supported; send a content-length body".into(),
-                ));
-            }
-            "connection" if value.eq_ignore_ascii_case("close") => {
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length = value
+                .parse()
+                .map_err(|_| ReadError::Malformed(format!("bad content-length: {value}")))?;
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(ReadError::Malformed(
+                "transfer-encoding is not supported; send a content-length body".into(),
+            ));
+        } else if name.eq_ignore_ascii_case("connection") {
+            if value.eq_ignore_ascii_case("close") {
                 keep_alive = false;
-            }
-            "connection" if value.eq_ignore_ascii_case("keep-alive") => {
+            } else if value.eq_ignore_ascii_case("keep-alive") {
                 keep_alive = true;
             }
-            _ => {}
         }
     }
     if content_length > max_body {
@@ -375,10 +366,6 @@ fn read_request(
     if content_length > 0 {
         reader.read_exact(&mut body).map_err(|_| ReadError::Io)?;
     }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (target, String::new()),
-    };
     Ok(Some(Request {
         method,
         path,
@@ -463,20 +450,17 @@ fn predict(request: &Request, coalescer: &Arc<Coalescer>) -> Result<String, Serv
     let k = parse_k(&request.query)?;
     let text = std::str::from_utf8(&request.body)
         .map_err(|_| ServeError::Protocol("request body is not valid UTF-8".into()))?;
-    let rows = parse_rows(text)?;
-    if rows.is_empty() {
+    let (values, rows) = parse_rows(text)?;
+    if rows == 0 {
         return Err(ServeError::Protocol(
             "empty body: send one feature row per line".into(),
         ));
     }
-    // Enqueue every row at once, then collect: the rows reach the worker in
-    // one pass, where they coalesce with concurrent requests into wide
-    // kernel batches. The results arrive in row order on the request's one
-    // channel, so the first error is the first bad row's.
-    let count = rows.len();
-    let results = coalescer.enqueue_rows(rows, k);
+    // The results arrive in row order on the request's one channel, so the
+    // first error is the first bad row's.
+    let results = coalescer.enqueue_rows(values, rows, k);
     let mut body = String::new();
-    for _ in 0..count {
+    for _ in 0..rows {
         let result = results.recv().unwrap_or(Err(ServeError::Closed))?;
         render_row(&mut body, &result);
     }
@@ -504,20 +488,22 @@ fn parse_k(query: &str) -> Result<usize, ServeError> {
     Ok(k)
 }
 
-/// One feature row per non-empty line; values split on whitespace and/or
-/// commas. Non-finite values are rejected here, at the trust boundary: a
-/// NaN feature would poison its whole score row and serve garbage
-/// deterministically forever after.
+/// One feature row per non-empty line, values split on whitespace and/or
+/// commas, into one row-major buffer; returns it with the row count. The
+/// error is the first fault in body order, naming its line: a bad value, a
+/// non-finite one (a NaN feature would poison its whole score row, so it is
+/// rejected here, at the trust boundary), or, at a row's end, a row not as
+/// wide as the first.
 ///
 /// One pass over the bytes: `\n` ends a row, and ASCII `,`, space, `\t`,
 /// `\r`, `\x0b` and `\x0c` separate values. Only a non-ASCII byte decodes
 /// its `char`, so Unicode whitespace such as U+00A0 separates values too,
 /// exactly the separators of splitting each line on `,` and
-/// [`char::is_whitespace`]. Each row reserves the previous row's width.
-fn parse_rows(text: &str) -> Result<Vec<Vec<f64>>, ServeError> {
+/// [`char::is_whitespace`].
+fn parse_rows(text: &str) -> Result<(Vec<f64>, usize), ServeError> {
     let bytes = text.as_bytes();
-    let (mut rows, mut row) = (Vec::new(), Vec::new());
-    let (mut line, mut width) = (1, 0);
+    let mut values = Vec::new();
+    let (mut rows, mut width, mut line) = (0, 0, 1);
     // The current token is `text[start..at]`.
     let (mut start, mut at) = (0, 0);
     loop {
@@ -539,18 +525,22 @@ fn parse_rows(text: &str) -> Result<Vec<Vec<f64>>, ServeError> {
             }
         };
         if start < at {
-            if row.is_empty() {
-                row.reserve_exact(width);
-            }
-            row.push(parse_value(&text[start..at], line)?);
+            values.push(parse_value(&text[start..at], line)?);
         }
         if row_end {
-            if !row.is_empty() {
-                width = row.len();
-                rows.push(std::mem::take(&mut row));
+            // The values of the row this byte ends.
+            let n = values.len() - rows * width;
+            if n > 0 {
+                if rows > 0 && n != width {
+                    return Err(ServeError::Protocol(format!(
+                        "line {line}: feature row has {n} values but the first row has {width}"
+                    )));
+                }
+                width = n;
+                rows += 1;
             }
             if at == bytes.len() {
-                return Ok(rows);
+                return Ok((values, rows));
             }
             line += 1;
         }
@@ -612,44 +602,57 @@ mod tests {
 
     #[test]
     fn row_parsing_handles_separators_and_rejects_bad_values() {
-        let rows = parse_rows("1.0, 2.5 -3\n\n4,5,6\n").expect("parse");
-        assert_eq!(rows, vec![vec![1.0, 2.5, -3.0], vec![4.0, 5.0, 6.0]]);
+        let parsed = parse_rows("1.0, 2.5 -3\n\n4,5,6\n").expect("parse");
+        assert_eq!(parsed, (vec![1.0, 2.5, -3.0, 4.0, 5.0, 6.0], 2));
         assert!(parse_rows("1.0 abc").is_err());
         assert!(parse_rows("1e999").is_err(), "inf must be rejected");
         assert!(parse_rows("nan 1.0").is_err(), "nan must be rejected");
-        assert!(parse_rows("\n \n").expect("blank").is_empty());
+        assert_eq!(parse_rows("\n \n").expect("blank"), (vec![], 0));
     }
 
-    /// The line-splitting parser the byte walk replaced, kept as its
-    /// oracle.
-    fn parse_rows_by_lines(text: &str) -> Result<Vec<Vec<f64>>, ServeError> {
-        let mut rows = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
+    /// The line splitter the byte walk replaced, kept as its oracle: one
+    /// line's values, or its first bad value's error.
+    fn split_line(line: &str, number: usize) -> Result<Vec<f64>, ServeError> {
+        let mut row = Vec::new();
+        for token in line.split(|c: char| c == ',' || c.is_whitespace()) {
+            if token.is_empty() {
                 continue;
             }
-            let mut row = Vec::new();
-            for token in line.split(|c: char| c == ',' || c.is_whitespace()) {
-                if token.is_empty() {
-                    continue;
-                }
-                let v: f64 = token.parse().map_err(|_| {
-                    ServeError::Protocol(format!("line {}: bad feature value '{token}'", i + 1))
-                })?;
-                if !v.is_finite() {
-                    return Err(ServeError::Protocol(format!(
-                        "line {}: non-finite feature value '{token}'",
-                        i + 1
-                    )));
-                }
-                row.push(v);
+            let v: f64 = token.parse().map_err(|_| {
+                ServeError::Protocol(format!("line {number}: bad feature value '{token}'"))
+            })?;
+            if !v.is_finite() {
+                return Err(ServeError::Protocol(format!(
+                    "line {number}: non-finite feature value '{token}'"
+                )));
             }
-            if !row.is_empty() {
-                rows.push(row);
-            }
+            row.push(v);
         }
-        Ok(rows)
+        Ok(row)
+    }
+
+    /// The line splitter's rows, flattened when they all have one width;
+    /// otherwise the first fault in body order, a row's width counting at
+    /// the row's end.
+    fn parse_rows_by_lines(text: &str) -> Result<(Vec<f64>, usize), ServeError> {
+        let (mut values, mut rows, mut width) = (Vec::new(), 0, 0);
+        for (i, line) in text.lines().enumerate() {
+            let row = split_line(line.trim(), i + 1)?;
+            if row.is_empty() {
+                continue;
+            }
+            if rows > 0 && row.len() != width {
+                return Err(ServeError::Protocol(format!(
+                    "line {}: feature row has {} values but the first row has {width}",
+                    i + 1,
+                    row.len()
+                )));
+            }
+            width = row.len();
+            rows += 1;
+            values.extend(row);
+        }
+        Ok((values, rows))
     }
 
     #[test]
@@ -677,17 +680,26 @@ mod tests {
             "\u{1f600}",
             "1,2\n3\u{a0}x,4",
             "-0,0,-0.0\n",
+            // Ragged: a short row after a long one, a long row after a short
+            // one, a ragged row before and after a bad value, a bad value in
+            // a ragged row, and ragged rows between blank lines.
+            "1 2 3 4\n1 2\n",
+            "1 2\n3 4 5\n",
+            "1 2\n3\n4 x\n",
+            "1 2\n3 x\n4 5 6\n",
+            "1 2\n3 4 5 x\n",
+            "\n1 2\n\r\n \n3 4 5\n\n6\n",
+            "1,2\n,,\n3,4\n\n5",
         ];
         for body in bodies {
             let want = parse_rows_by_lines(body);
             let got = parse_rows(body);
             match (got, want) {
-                (Ok(got), Ok(want)) => {
-                    let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
-                        rows.iter()
-                            .map(|r| r.iter().map(|v| v.to_bits()).collect())
-                            .collect()
+                (Ok((got, got_rows)), Ok((want, want_rows))) => {
+                    let bits = |values: &[f64]| -> Vec<u64> {
+                        values.iter().map(|v| v.to_bits()).collect()
                     };
+                    assert_eq!(got_rows, want_rows, "{body:?}");
                     assert_eq!(bits(&got), bits(&want), "{body:?}");
                 }
                 (Err(got), Err(want)) => {

@@ -11,7 +11,7 @@
 //! | module | role |
 //! |--------|------|
 //! | [`model`] | ONE immutable `Arc<ScoringEngine>` shared across request threads, plus hot-swap reload: a watcher polls the artifact path and atomically swaps the `Arc` on change, leaning on the writer's fsync + unique-temp + rename discipline so a swap only ever installs a complete model |
-//! | [`batch`] | the request coalescer: one worker scores whatever is queued, up to `max_batch` rows, as soon as it is free, so rows that arrive while a batch is being scored merge into the next one matrix and the row-banded matmul sees wide inputs under load; each request gets its results on one channel, in row order |
+//! | [`batch`] | the request coalescer: each request is queued whole, as one row-major buffer (in `max_batch`-row pieces when longer), and one worker scores the queue's leading whole entries, up to `max_batch` rows, as soon as it is free, so requests that arrive while a batch is being scored merge into the next one matrix and the row-banded matmul sees wide inputs under load; each request gets its results on one channel, in row order |
 //! | [`http`] | minimal HTTP/1.1 front end: `/predict` (batched scoring, `?k=` rankings), `/healthz`, `/stats`, `/model`, `/reload` |
 //! | [`stats`] | lock-free counters proving the batches really form (`max_batch_rows`, `coalesced_batches`) and tracking reloads |
 //! | [`error`] | [`ServeError`]: every failure on the serving path is typed — untrusted request bytes and untrusted artifact bytes can never panic the daemon |
@@ -42,5 +42,5 @@ pub mod stats;
 pub use batch::{BatchConfig, Coalescer, RowResult};
 pub use error::ServeError;
 pub use http::{Server, ServerConfig};
-pub use model::{spawn_watcher, BootOptions, ModelHandle, ModelSnapshot};
+pub use model::{BootOptions, ModelHandle, ModelSnapshot};
 pub use stats::{ServeStats, StatsSnapshot};

@@ -178,21 +178,6 @@ impl ModelHandle {
         stats.set_bank_gauges(engine.bank_resident_bytes(), engine.is_bank_mapped());
     }
 
-    /// Kernel thread count applied to every installed engine.
-    pub fn engine_threads(&self) -> usize {
-        self.options.engine_threads
-    }
-
-    /// The load/sizing options applied to every installed engine.
-    pub fn options(&self) -> BootOptions {
-        self.options
-    }
-
-    /// Path of the artifact this handle watches.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// The current model. Cheap (one `Arc` clone under a read lock); the
     /// returned snapshot stays valid — and immutable — for as long as the
     /// caller holds it, regardless of concurrent swaps.
@@ -256,7 +241,7 @@ impl ModelHandle {
 /// counted and otherwise ignored — a half-second of stale model beats a
 /// dead daemon. Returns the join handle; the thread exits promptly once
 /// `stop` is set.
-pub fn spawn_watcher(
+pub(crate) fn spawn_watcher(
     model: Arc<ModelHandle>,
     interval: Duration,
     stop: Arc<AtomicBool>,
@@ -350,7 +335,6 @@ mod tests {
             },
         )
         .expect("boot");
-        assert_eq!(handle.engine_threads(), 3);
         assert_eq!(handle.snapshot().engine.threads(), 3);
         handle.reload().expect("reload");
         assert_eq!(

@@ -273,6 +273,18 @@ fn untrusted_input_gets_typed_responses_and_the_daemon_survives() {
         assert!(!body.is_empty(), "{what}: empty error body");
     }
 
+    // A ragged body is refused whole, naming the line that broke the width;
+    // rows that all share one wrong width get the model's width error.
+    let (status, body) = http(addr, "POST", "/predict", "1 2 3 4\n1 2\n");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("line 2"), "{body}");
+    let (status, body) = http(addr, "POST", "/predict", "1 2\n3 4\n");
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(
+        body.trim_end(),
+        "bad request: feature row has 2 values but the model expects 4"
+    );
+
     // And the daemon still serves after all of that.
     let (status, _) = http(addr, "POST", "/predict", "1 2 3 4\n");
     assert_eq!(status, 200);
