@@ -142,19 +142,10 @@ impl ScoringEngine {
     /// hot swap: the old inode lives until its last mapping drops.)
     ///
     /// Reloading reproduces predictions bit-for-bit; the worker-thread count
-    /// and shard layout are runtime properties and are not stored. An engine
-    /// carrying a cross-validation-internal calibration mask (as opposed to
-    /// a seen-class prefix) cannot be persisted and is a typed error.
+    /// and shard layout are runtime properties and are not stored.
     pub fn save_with_metadata(&self, path: &Path, metadata: &str) -> Result<(), ZslError> {
         let model = self.model();
         let bank = self.signatures();
-        if self.has_mask_calibration() {
-            return Err(ZslError::Config(
-                "cannot persist an engine carrying a cross-validation-internal calibration mask; \
-                 only a seen-class prefix calibration round-trips through .zsm"
-                    .into(),
-            ));
-        }
         // A cosine engine's cached bank must be unit-norm row by row — the
         // loader enforces exactly that (nothing downstream ever re-normalizes
         // a loaded bank), so refuse to write an artifact we would refuse to
@@ -888,18 +879,5 @@ mod tests {
         }
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&path2).ok();
-    }
-
-    #[test]
-    fn mask_calibrated_engines_refuse_to_persist() {
-        let path = temp_path("mask");
-        let engine = random_engine(41, 3, 2, 4, Similarity::Dot);
-        let mask = std::sync::Arc::new(vec![true, false, true, false]);
-        let engine = engine.with_calibration_mask(0.5, mask);
-        match engine.save(&path) {
-            Err(ZslError::Config(msg)) => assert!(msg.contains("mask"), "unexpected: {msg}"),
-            other => panic!("expected config error, got {other:?}"),
-        }
-        assert!(!path.exists());
     }
 }

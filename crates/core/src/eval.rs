@@ -17,6 +17,14 @@
 //!    mean per-class validation accuracy per grid point. Fully deterministic
 //!    for a fixed seed.
 //!
+//! A calibrated sweep ([`CrossValConfig::calibrations`]) owns the penalty it
+//! applies to validation scores. It builds one engine per grid model, scores
+//! each validation chunk once with it, and counts the argmax at every `γ_cal`
+//! after subtracting `γ_cal` from the fold's pseudo-seen classes, with the
+//! same float operations a calibrated engine runs. So the engine keeps one
+//! calibration, the seen-class prefix ([`ScoringEngine::with_calibration`])
+//! that a `.zsm` artifact persists.
+//!
 //! [`crate::pipeline::Pipeline`] chains the two: cross-validate on trainval,
 //! refit the trainer at the winning point, report GZSL numbers.
 //!
@@ -41,10 +49,12 @@
 
 use crate::data::Rng;
 use crate::error::ZslError;
-use crate::infer::{harmonic_mean, mean_defined, ClassAccuracyCounter, ScoringEngine, Similarity};
+use crate::infer::{
+    argmax, harmonic_mean, mean_defined, ClassAccuracyCounter, ScoringEngine, Similarity,
+};
+use crate::linalg::Matrix;
 use crate::source::{FeatureSource, SplitKind};
 use crate::trainer::{TrainedModel, Trainer};
-use std::sync::Arc;
 
 /// Salt XORed into the user seed for the calibrated sweep's *class* shuffle,
 /// so the pseudo-unseen rotation is independent of the sample-fold shuffle
@@ -210,10 +220,11 @@ pub struct CrossValConfig {
     /// release. Supplying any non-zero candidate switches the sweep to the
     /// *pseudo-unseen* protocol: per fold, a seeded rotation holds out a
     /// subset of seen **classes** (not just samples) from training, every
-    /// `(γ, λ)` model is scored at every `γ_cal` with the still-trained
-    /// classes penalized, and the fold metric becomes the harmonic mean of
-    /// pseudo-seen and pseudo-unseen per-class accuracy — the GZSL quantity
-    /// the calibration exists to improve.
+    /// `(γ, λ)` model scores each validation chunk once, its argmax is
+    /// counted at every `γ_cal` with `γ_cal` subtracted from the
+    /// still-trained classes' scores, and the fold metric becomes the
+    /// harmonic mean of pseudo-seen and pseudo-unseen per-class accuracy —
+    /// the GZSL quantity the calibration exists to improve.
     pub calibrations: Vec<f64>,
 }
 
@@ -321,7 +332,9 @@ pub struct CrossValReport {
 /// sample. Per fold, [`Trainer::fit_grid`] pays the trainer's sufficient
 /// statistics once and solves every grid point; the held-out fold's rows
 /// then stream ONCE past *all* grid-point engines, scored against the
-/// seen-class bank and summarized as mean per-class accuracy. Identical
+/// seen-class bank and summarized as mean per-class accuracy (on a
+/// calibrated sweep, each engine's scores are penalized and reduced once
+/// per `γ_cal`; see [`CrossValConfig::calibrations`]). Identical
 /// configuration + seed + trainer ⇒ identical report, regardless of source
 /// kind, chunk size, or thread count.
 ///
@@ -424,51 +437,54 @@ pub fn cross_validate(
 
         // The trainer pays its sufficient statistics once per fold and solves
         // every grid point up front; the fold's validation rows then stream
-        // ONCE past all engines — on a calibrated sweep, one engine per
-        // `(γ, λ) × γ_cal` sharing the fitted model.
+        // ONCE past one engine per grid model. The plain sweep takes each
+        // engine's argmax. A calibrated sweep scores each chunk once per
+        // engine and counts the argmax at every γ_cal from those scores, with
+        // the classes still trained on this fold (pseudo-seen) penalized.
         let models = trainer.fit_grid(source, &train_idx, &points)?;
-        let mask = calibrated.then(|| {
-            // Penalize the classes still trained on this fold (pseudo-seen).
-            Arc::new((0..z).map(|c| class_fold[c] != fold).collect::<Vec<bool>>())
-        });
-        let mut engines = Vec::with_capacity(triples.len());
-        let mut counters = Vec::with_capacity(triples.len());
+        let mut engines = Vec::with_capacity(models.len());
         for model in models {
-            for &gamma_cal in &config.calibrations {
-                let engine =
-                    ScoringEngine::try_new(model.clone(), signatures.clone(), config.similarity)?;
-                let engine = match &mask {
-                    Some(mask) => engine.with_calibration_mask(gamma_cal, Arc::clone(mask)),
-                    None => engine,
-                };
-                engines.push(engine);
-                counters.push(ClassAccuracyCounter::new(z));
-            }
+            let engine = ScoringEngine::try_new(model, signatures.clone(), config.similarity)?;
+            engines.push(engine);
         }
+        let pseudo_seen: Vec<bool> = if calibrated {
+            (0..z).map(|c| class_fold[c] != fold).collect()
+        } else {
+            Vec::new()
+        };
+        let mut counters = vec![ClassAccuracyCounter::new(z); triples.len()];
+        let (mut row, mut predicted) = (Vec::new(), Vec::new());
         for chunk in source.stream_trainval_subset(val_idx)? {
             let (x, labels) = chunk?;
-            for (engine, counter) in engines.iter().zip(&mut counters) {
-                counter.observe(&engine.predict(&x), &labels);
+            if !calibrated {
+                for (engine, counter) in engines.iter().zip(&mut counters) {
+                    counter.observe(&engine.predict(&x), &labels);
+                }
+                continue;
+            }
+            let per_model = counters.chunks_mut(config.calibrations.len());
+            for (engine, counters) in engines.iter().zip(per_model) {
+                let scores = engine.scores(&x);
+                for (&gamma_cal, counter) in config.calibrations.iter().zip(counters) {
+                    penalized_argmax(&scores, &pseudo_seen, gamma_cal, &mut row, &mut predicted);
+                    counter.observe(&predicted, &labels);
+                }
             }
         }
         for (point, counter) in counters.iter().enumerate() {
             if calibrated {
                 // The fold metric mirrors the GZSL headline number: harmonic
                 // mean of pseudo-seen and pseudo-unseen per-class accuracy.
-                let per_class = counter.per_class();
-                let mut pseudo_seen = Vec::new();
-                let mut pseudo_unseen = Vec::new();
-                for (c, acc) in per_class.iter().enumerate() {
-                    if class_fold[c] == fold {
-                        pseudo_unseen.push(*acc);
+                let (mut seen, mut unseen) = (Vec::new(), Vec::new());
+                for (acc, &penalized) in counter.per_class().into_iter().zip(&pseudo_seen) {
+                    if penalized {
+                        seen.push(acc);
                     } else {
-                        pseudo_seen.push(*acc);
+                        unseen.push(acc);
                     }
                 }
-                fold_accuracies[point].push(harmonic_mean(
-                    mean_defined(&pseudo_seen),
-                    mean_defined(&pseudo_unseen),
-                ));
+                fold_accuracies[point]
+                    .push(harmonic_mean(mean_defined(&seen), mean_defined(&unseen)));
             } else {
                 fold_accuracies[point].push(counter.mean());
             }
@@ -480,6 +496,37 @@ pub fn cross_validate(
         config.folds,
         fold_accuracies,
     ))
+}
+
+/// The prediction of each row of `scores` with `gamma_cal` subtracted from
+/// the `penalized` classes, into `predicted`: the first-index
+/// [`f64::total_cmp`] argmax, as [`ScoringEngine::predict`] reduces the
+/// scores a calibration has penalized. `row` is scratch space for one
+/// penalized row. At `gamma_cal = 0` the scores are taken as they are, as
+/// an engine takes them when its calibration is cleared.
+fn penalized_argmax(
+    scores: &Matrix,
+    penalized: &[bool],
+    gamma_cal: f64,
+    row: &mut Vec<f64>,
+    predicted: &mut Vec<usize>,
+) {
+    predicted.clear();
+    for r in 0..scores.rows() {
+        let scores = scores.row(r);
+        if gamma_cal == 0.0 {
+            predicted.push(argmax(scores));
+            continue;
+        }
+        row.clear();
+        row.extend(
+            scores
+                .iter()
+                .zip(penalized)
+                .map(|(&v, &p)| if p { v - gamma_cal } else { v }),
+        );
+        predicted.push(argmax(row));
+    }
 }
 
 /// Shared configuration checks for the cross-validation sweep.

@@ -23,6 +23,12 @@
 //! heap, and calibrated stacking (a seen-class score penalty `γ_cal`, the
 //! classic fix for GZSL seen-swamping) is applied to each tile block.
 //!
+//! The engine has one calibration: the penalty on the bank's seen-class
+//! prefix ([`ScoringEngine::with_calibration`]), which a `.zsm` artifact
+//! persists. Cross-validation needs no other: a calibrated sweep scores each
+//! validation chunk once per model and penalizes its pseudo-seen classes
+//! itself ([`crate::eval::cross_validate`]).
+//!
 //! Evaluation helpers cover the standard ZSL protocol (mean per-class
 //! accuracy) and the generalized protocol (harmonic mean of seen and unseen
 //! accuracy).
@@ -274,25 +280,16 @@ impl<'a> BankView<'a> {
     }
 }
 
-/// Which classes a calibration penalty applies to.
-#[derive(Clone, Debug)]
-enum Penalized {
-    /// The first `n` bank rows — the seen-class prefix of a GZSL union bank.
-    /// This is the persistable form (`.zsm` calibration block).
-    Prefix(usize),
-    /// Arbitrary class subset — used internally by cross-validation, where
-    /// each fold penalizes its pseudo-seen classes. Never persisted.
-    Mask(Arc<Vec<bool>>),
-}
-
-/// Calibrated stacking: subtract `gamma` from every penalized class's score
-/// at scoring time. With a union bank ordered seen-then-unseen, penalizing
-/// the seen prefix counteracts the seen-class swamping that collapses GZSL
-/// unseen accuracy at large class counts.
-#[derive(Clone, Debug)]
+/// Calibrated stacking: subtract `gamma` from the scores of the first
+/// `seen` bank rows at scoring time. With a union bank ordered
+/// seen-then-unseen, penalizing the seen prefix counteracts the seen-class
+/// swamping that collapses GZSL unseen accuracy at large class counts. This
+/// is the engine's one calibration, the one a `.zsm` calibration block
+/// persists.
+#[derive(Clone, Copy, Debug)]
 struct Calibration {
     gamma: f64,
-    penalized: Penalized,
+    seen: usize,
 }
 
 /// Cached, parallel batch scorer: the hot path of the serving stack.
@@ -471,77 +468,32 @@ impl ScoringEngine {
         }
         self.calibration = (gamma_cal > 0.0).then_some(Calibration {
             gamma: gamma_cal,
-            penalized: Penalized::Prefix(seen_classes),
+            seen: seen_classes,
         });
         Ok(self)
     }
 
-    /// Cross-validation-internal calibration over an arbitrary class mask
-    /// (`true` = penalized). Never persisted; `gamma_cal = 0` clears.
-    pub(crate) fn with_calibration_mask(mut self, gamma_cal: f64, mask: Arc<Vec<bool>>) -> Self {
-        debug_assert_eq!(mask.len(), self.num_classes());
-        self.calibration = (gamma_cal > 0.0).then_some(Calibration {
-            gamma: gamma_cal,
-            penalized: Penalized::Mask(mask),
-        });
-        self
-    }
-
-    /// The persistable seen-prefix calibration `(gamma_cal, seen_classes)`,
-    /// if any. CV-internal mask calibrations (never persisted) return `None`.
+    /// The engine's calibration `(gamma_cal, seen_classes)`, if any: the
+    /// seen-prefix penalty [`ScoringEngine::with_calibration`] set, which a
+    /// `.zsm` artifact persists. It is the engine's only calibration;
+    /// [`crate::eval::cross_validate`] penalizes each fold's pseudo-seen
+    /// validation scores itself.
     pub fn seen_calibration(&self) -> Option<(f64, usize)> {
-        match &self.calibration {
-            Some(Calibration {
-                gamma,
-                penalized: Penalized::Prefix(seen),
-            }) => Some((*gamma, *seen)),
-            _ => None,
-        }
-    }
-
-    /// The active calibration penalty, `0.0` when uncalibrated.
-    pub fn gamma_cal(&self) -> f64 {
-        self.calibration.as_ref().map_or(0.0, |c| c.gamma)
-    }
-
-    /// Whether the engine carries a CV-internal mask calibration, which the
-    /// artifact writer must refuse to persist.
-    pub(crate) fn has_mask_calibration(&self) -> bool {
-        matches!(
-            self.calibration,
-            Some(Calibration {
-                penalized: Penalized::Mask(_),
-                ..
-            })
-        )
+        self.calibration.map(|c| (c.gamma, c.seen))
     }
 
     /// Subtract the calibration penalty from a `rows x (hi - lo)` score tile
     /// covering global classes `lo..hi`. No-op when uncalibrated, so the
     /// `gamma_cal = 0` pipeline performs zero extra float operations.
     fn apply_calibration(&self, block: &mut [f64], lo: usize, hi: usize) {
-        let Some(cal) = &self.calibration else {
+        let Some(cal) = self.calibration else {
             return;
         };
-        let width = hi - lo;
-        match &cal.penalized {
-            Penalized::Prefix(seen) => {
-                let end = (*seen).min(hi);
-                if end > lo {
-                    for row in block.chunks_mut(width) {
-                        for v in &mut row[..end - lo] {
-                            *v -= cal.gamma;
-                        }
-                    }
-                }
-            }
-            Penalized::Mask(mask) => {
-                for row in block.chunks_mut(width) {
-                    for (j, v) in row.iter_mut().enumerate() {
-                        if mask[lo + j] {
-                            *v -= cal.gamma;
-                        }
-                    }
+        let end = cal.seen.min(hi);
+        if end > lo {
+            for row in block.chunks_mut(hi - lo) {
+                for v in &mut row[..end - lo] {
+                    *v -= cal.gamma;
                 }
             }
         }
@@ -969,7 +921,7 @@ fn check_engine_parts(
 /// ties. `total_cmp` gives NaN a defined (maximal, for positive NaN) rank, so
 /// a NaN score is *selected* — and therefore visible downstream — rather than
 /// losing every `>` comparison and silently defaulting to class 0.
-fn argmax(row: &[f64]) -> usize {
+pub(crate) fn argmax(row: &[f64]) -> usize {
     let mut best = 0;
     for (i, v) in row.iter().enumerate().skip(1) {
         if v.total_cmp(&row[best]) == Ordering::Greater {
@@ -1603,27 +1555,24 @@ mod tests {
                 let x = special_queries(&mut rng, &bank, rows, z + rows);
                 for precision in [ScoringPrecision::F64, ScoringPrecision::F32] {
                     for similarity in [Similarity::Cosine, Similarity::Dot] {
-                        for calibration in ["none", "prefix", "mask"] {
+                        for calibrated in [false, true] {
                             case += 1;
                             let (threads, shards) = (1 + case % 4, 1 + case % 3);
                             let model = ProjectionModel::from_weights(Matrix::identity(dim));
                             let engine = ScoringEngine::try_new(model, bank.clone(), similarity)
                                 .expect("engine")
                                 .with_precision(precision);
-                            let mut engine = match calibration {
-                                "none" => engine,
-                                "prefix" => engine
+                            let mut engine = if calibrated {
+                                engine
                                     .with_calibration(0.25, (z / 2 + 1).min(z))
-                                    .expect("prefix calibration"),
-                                _ => engine.with_calibration_mask(
-                                    0.25,
-                                    Arc::new((0..z).map(|c| c % 3 == 1).collect()),
-                                ),
+                                    .expect("calibration")
+                            } else {
+                                engine
                             };
                             engine.set_threads(threads);
                             engine.set_bank_shards(shards);
                             let tag = format!(
-                                "z={z} rows={rows} {precision} {similarity} calibration={calibration} \
+                                "z={z} rows={rows} {precision} {similarity} calibrated={calibrated} \
                                  threads={threads} shards={shards}"
                             );
 

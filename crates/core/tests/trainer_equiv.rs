@@ -471,3 +471,122 @@ fn print_trainer_golden_bits() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Calibrated sweep: frozen fold accuracies per family
+// ---------------------------------------------------------------------------
+
+/// A noisy, seen-swamped dataset on which the calibration penalties move
+/// the pseudo-GZSL fold metric.
+fn calibrated_sweep_dataset() -> Dataset {
+    SyntheticConfig::new()
+        .classes(12, 3)
+        .dims(6, 10)
+        .samples(10, 4)
+        .noise(0.8)
+        .seed(4242)
+        .build()
+}
+
+/// The calibrated sweep the frozen bits below come from: 3 folds, and each
+/// family's grid over γ ∈ {0.1, 1}, λ ∈ {0.5, 2} at γ_cal ∈ {0, 0.1, 0.3}.
+fn calibrated_sweep_config() -> CrossValConfig {
+    CrossValConfig::new()
+        .gammas(vec![0.1, 1.0])
+        .lambdas(vec![0.5, 2.0])
+        .folds(3)
+        .seed(31)
+        .calibrations(vec![0.0, 0.1, 0.3])
+}
+
+/// The bits of every fold accuracy of a 3-fold report, grid point by grid
+/// point.
+fn fold_accuracy_bits(report: &CrossValReport) -> Vec<[u64; 3]> {
+    report
+        .grid
+        .iter()
+        .map(|p| {
+            let folds: Vec<u64> = p.fold_accuracies.iter().map(|a| a.to_bits()).collect();
+            folds.try_into().expect("3 folds")
+        })
+        .collect()
+}
+
+/// Frozen fold accuracies of [`calibrated_sweep_config`] on
+/// [`calibrated_sweep_dataset`], per family: the sweep must penalize each
+/// fold's pseudo-seen validation scores with the same float operations, in
+/// the same order, as the per-`γ_cal` calibrated engines it once built.
+/// One row per grid point in report order (γ, then λ, then γ_cal), one
+/// column per fold.
+#[rustfmt::skip]
+const CALIBRATED_FOLD_BITS: [(&str, &[[u64; 3]]); 3] = [
+    ("eszsl", &[
+        [0x3fcd_097b_425e_d095, 0x3fcd_fbf7_efdf_bf7f, 0x3fb4_15f5_057d_415f],
+        [0x3fcc_c3d8_d4a2_45f1, 0x3fcd_fbf7_efdf_bf7f, 0x3fb4_15f5_057d_415f],
+        [0x3fd5_ee2b_4db1_08ea, 0x3fc4_fb76_9a3f_8390, 0x3fcb_ff3b_a330_21c0],
+        [0x3fcb_d48e_bd48_ebd3, 0x3fcd_fbf7_efdf_bf7f, 0x3fc2_dfc8_ea1d_04ac],
+        [0x3fcb_d48e_bd48_ebd3, 0x3fcd_fbf7_efdf_bf7f, 0x3fca_c4b5_5cc6_1a82],
+        [0x3fd3_1a94_48be_4059, 0x3fc8_1f81_f81f_81f8, 0x3fd4_29bf_95ed_46a4],
+        [0x3fcd_097b_425e_d095, 0x3fcd_fbf7_efdf_bf7f, 0x3fb4_15f5_057d_415f],
+        [0x3fcc_c3d8_d4a2_45f1, 0x3fcd_fbf7_efdf_bf7f, 0x3fb4_15f5_057d_415f],
+        [0x3fd8_4ad0_12b4_04ad, 0x3fc4_fb76_9a3f_8390, 0x3fcb_ff3b_a330_21c0],
+        [0x3fcb_d48e_bd48_ebd3, 0x3fcd_fbf7_efdf_bf7f, 0x3fc2_dfc8_ea1d_04ac],
+        [0x3fcb_d48e_bd48_ebd3, 0x3fcd_fbf7_efdf_bf7f, 0x3fca_c4b5_5cc6_1a82],
+        [0x3fd3_1a94_48be_4059, 0x3fc8_1f81_f81f_81f8, 0x3fd4_29bf_95ed_46a4],
+    ]),
+    ("sae", &[
+        [0x3fda_4b9c_9fdd_6f41, 0x3fd4_1dc7_2dbb_063a, 0x3fc2_bd57_6886_df93],
+        [0x3fda_4b9c_9fdd_6f41, 0x3fd2_a6f6_cd25_a992, 0x3fd1_5b01_c8d1_bdd7],
+        [0x3fd5_bd07_8fa9_9624, 0x3fd5_44cb_a56d_2db8, 0x3fd6_d800_5a51_0e3e],
+        [0x3fd1_ec6a_5122_f901, 0x3fd2_a6f6_cd25_a992, 0x3fca_ef1d_0b7b_9c08],
+        [0x3fd5_36c4_23a9_649d, 0x3fd2_a6f6_cd25_a992, 0x3fd1_5b01_c8d1_bdd7],
+        [0x3fd4_23a9_649d_ee2b, 0x3fcf_4e37_56ee_5a33, 0x3fd7_8ca8_ab46_4ec6],
+    ]),
+    ("kernel-linear", &[
+        [0x3fcd_097b_425e_d095, 0x3fcd_fbf7_efdf_bf7f, 0x3fb4_15f5_057d_415f],
+        [0x3fcc_c3d8_d4a2_45f1, 0x3fcd_fbf7_efdf_bf7f, 0x3fb4_15f5_057d_415f],
+        [0x3fd5_ee2b_4db1_08ea, 0x3fc4_fb76_9a3f_8390, 0x3fcb_ff3b_a330_21c0],
+        [0x3fcb_d48e_bd48_ebd3, 0x3fcd_fbf7_efdf_bf7f, 0x3fc2_dfc8_ea1d_04ac],
+        [0x3fcb_d48e_bd48_ebd3, 0x3fcd_fbf7_efdf_bf7f, 0x3fca_c4b5_5cc6_1a82],
+        [0x3fd3_1a94_48be_4059, 0x3fc8_1f81_f81f_81f8, 0x3fd4_29bf_95ed_46a4],
+        [0x3fcd_097b_425e_d095, 0x3fcd_fbf7_efdf_bf7f, 0x3fb4_15f5_057d_415f],
+        [0x3fcc_c3d8_d4a2_45f1, 0x3fcd_fbf7_efdf_bf7f, 0x3fb4_15f5_057d_415f],
+        [0x3fd5_ee2b_4db1_08ea, 0x3fc4_fb76_9a3f_8390, 0x3fcb_ff3b_a330_21c0],
+        [0x3fcb_d48e_bd48_ebd3, 0x3fcd_fbf7_efdf_bf7f, 0x3fc2_dfc8_ea1d_04ac],
+        [0x3fcb_d48e_bd48_ebd3, 0x3fcd_fbf7_efdf_bf7f, 0x3fca_c4b5_5cc6_1a82],
+        [0x3fd3_1a94_48be_4059, 0x3fc8_1f81_f81f_81f8, 0x3fd4_29bf_95ed_46a4],
+    ]),
+];
+
+fn calibrated_trainers() -> [Box<dyn Trainer>; 3] {
+    [
+        Box::new(EszslConfig::new().build()),
+        Box::new(SaeConfig::new().build()),
+        Box::new(KernelEszslConfig::new().build()),
+    ]
+}
+
+#[test]
+fn calibrated_sweep_fold_accuracies_keep_their_bits_for_every_family() {
+    let ds = calibrated_sweep_dataset();
+    let dir = temp_dir("calibrated");
+    export_dataset(&ds, &dir).expect("export");
+    let config = calibrated_sweep_config();
+    for (trainer, (tag, expected)) in calibrated_trainers().iter().zip(CALIBRATED_FOLD_BITS) {
+        let report = cross_validate(trainer.as_ref(), &ds, &config).expect("calibrated cv");
+        let got = fold_accuracy_bits(&report);
+        assert_eq!(
+            got, expected,
+            "{tag}: calibrated fold accuracies drifted, now {got:#018x?}"
+        );
+        // The sweep scores the validation rows chunk by chunk: streamed in
+        // small chunks, the report is the same.
+        let bundle = StreamingBundle::open(&dir, 7).expect("open");
+        let streamed = cross_validate(trainer.as_ref(), &bundle, &config).expect("streamed cv");
+        assert_eq!(
+            streamed, report,
+            "{tag}: the streamed calibrated sweep drifted"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -194,7 +194,9 @@ impl Drop for Server {
         if let Some(t) = self.accept.take() {
             t.join().ok();
         }
+        // The watcher waits out its interval parked: wake it to see `stop`.
         if let Some(t) = self.watcher.take() {
+            t.thread().unpark();
             t.join().ok();
         }
     }
@@ -460,9 +462,13 @@ fn predict(request: &Request, coalescer: &Arc<Coalescer>) -> Result<String, Serv
     // first error is the first bad row's.
     let results = coalescer.enqueue_rows(values, rows, k);
     let mut body = String::new();
-    for _ in 0..rows {
+    for row in 0..rows {
         let result = results.recv().unwrap_or(Err(ServeError::Closed))?;
         render_row(&mut body, &result);
+        if row == 0 {
+            // Size the response as `rows` copies of its first line.
+            body.reserve(body.len() * (rows - 1));
+        }
     }
     Ok(body)
 }
@@ -535,6 +541,16 @@ fn parse_rows(text: &str) -> Result<(Vec<f64>, usize), ServeError> {
                     return Err(ServeError::Protocol(format!(
                         "line {line}: feature row has {n} values but the first row has {width}"
                     )));
+                }
+                if rows == 0 {
+                    // The first row fixes the width: reserve the body's
+                    // values, as many rows as its bytes hold copies of the
+                    // first row's, but never more values than the body can
+                    // hold (each takes a byte and all but the last a
+                    // separator).
+                    let rows_estimate = bytes.len().div_ceil(at + 1);
+                    let most = bytes.len().div_ceil(2);
+                    values.reserve_exact((rows_estimate * n).min(most).saturating_sub(n));
                 }
                 width = n;
                 rows += 1;

@@ -20,7 +20,7 @@ use crate::stats::ServeStats;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::{Duration, SystemTime};
+use std::time::{Duration, Instant, SystemTime};
 use zsl_core::ScoringEngine;
 
 /// One immutable, fully-validated model: what a request thread scores with.
@@ -239,8 +239,10 @@ impl ModelHandle {
 /// Watch the artifact path in a background thread, polling every
 /// `interval` and hot-swapping the model on change. Reload failures are
 /// counted and otherwise ignored — a half-second of stale model beats a
-/// dead daemon. Returns the join handle; the thread exits promptly once
-/// `stop` is set.
+/// dead daemon. Returns the join handle. The thread waits out each interval
+/// parked, so it exits promptly once `stop` is set and the thread is
+/// unparked ([`std::thread::Thread::unpark`] on the handle's thread), not
+/// at the end of its interval.
 pub(crate) fn spawn_watcher(
     model: Arc<ModelHandle>,
     interval: Duration,
@@ -254,7 +256,17 @@ pub(crate) fn spawn_watcher(
                 // a writer mid-replace on a non-atomic filesystem) must not
                 // kill the watcher; the failure is already counted.
                 let _ = model.poll();
-                std::thread::sleep(interval);
+                // A park may end early, spuriously or by the unpark that
+                // follows `stop`; only `stop` or the deadline ends the wait.
+                // An interval past the clock's range has no deadline.
+                let deadline = Instant::now().checked_add(interval);
+                while !stop.load(Ordering::Relaxed) {
+                    let left = deadline.map_or(interval, |d| d.duration_since(Instant::now()));
+                    if left.is_zero() {
+                        break;
+                    }
+                    std::thread::park_timeout(left);
+                }
             }
         })
         .expect("spawn watcher thread")

@@ -20,11 +20,12 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::Duration;
 use zsl_serve::{Server, ServerConfig};
 
-/// Most allocations one 64-row request may make: the 226–227 measured when
-/// the budget was set, plus a small margin. (Per-row reply channels and
-/// ranking copies made it 559, and per-row parse buffers and queue entries
-/// 301–302.) A change that lowers the count lowers this bound with it.
-const BUDGET: usize = 240;
+/// Most allocations one 64-row request may make: the 217–219 measured when
+/// the budget was set, plus a small margin. (Per-row reply channels and ranking
+/// copies made it 559, per-row parse buffers and queue entries 301–302, and
+/// a value buffer and response text grown by doubling 226–227.) A change
+/// that lowers the count lowers this bound with it.
+const BUDGET: usize = 224;
 
 /// Rows per request.
 const ROWS: usize = 64;
@@ -33,12 +34,13 @@ const ROWS: usize = 64;
 /// `Vec`s of the row's `TopK`.
 const PER_ROW: usize = 3;
 
-/// What else may grow between a 1-row and a 64-row request, each step
-/// logarithmic in the row count: the value buffer, the response text and
-/// the reply channel's blocks. 15 when the bound was set, plus a margin.
-/// (Per-row parse buffers and queue entries made the difference 271–272,
-/// 82 over the engine's share.)
-const GROWTH: usize = 24;
+/// What else may grow between a 1-row and a 64-row request: the value buffer
+/// and the response text, each reserved once from the first row and grown
+/// once more when later rows are shorter, and the reply channel's blocks.
+/// 6–8 when the bound was set, plus a margin. (Buffers grown by doubling made
+/// it 15, and per-row parse buffers and queue entries 271–272, 82 over the
+/// engine's share.)
+const GROWTH: usize = 12;
 
 static CALLS: AtomicUsize = AtomicUsize::new(0);
 

@@ -21,7 +21,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use zsl_core::data::Rng;
 use zsl_core::model::ProjectionModel;
 use zsl_core::trainer::{KernelEszslConfig, KernelKind, SaeConfig, Trainer};
@@ -715,5 +715,32 @@ fn http_1_0_connections_close_unless_the_client_asks_to_keep_them() {
             "request {request}"
         );
     }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn dropping_a_server_does_not_wait_out_the_watch_interval() {
+    let path = temp_artifact("prompt_drop");
+    random_engine(7, 3, 2, 4, Similarity::Dot)
+        .save(&path)
+        .expect("save");
+    let server = Server::start(
+        &path,
+        ServerConfig {
+            watch_interval: Some(Duration::from_secs(10)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("start");
+    assert_eq!(http(server.addr(), "GET", "/healthz", "").0, 200);
+    // The watcher has polled once and waits out its 10 s interval; the
+    // drop must wake it rather than wait.
+    let started = Instant::now();
+    drop(server);
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "dropping the server took {took:?}"
+    );
     std::fs::remove_file(&path).ok();
 }
